@@ -1,8 +1,10 @@
 """The Lie algebra sl(3,O) as exact 27x27 tangent matrices.
 
-Tangents of the 135 group generators are extracted by forward-mode
-differentiation at alpha = 0, reduced to the preferred 78-element basis, and
-turned into an exact structure-constant table.  Everything downstream
+The 45 type-1 tangents are differentiated at alpha = 0 in exact integers
+(group.apply_dual); the 90 type-2/3 tangents are their conjugates by the
+type-cycle permutation.  Every tangent entry lies in 1/2 Z and every
+structure constant in 1/6 Z, so the structure table on the preferred
+78-element basis is built and verified in integers.  Everything downstream
 (adjoint, Killing form, Casimirs, Gell-Mann comparison, Stab(l)) is computed
 from that table over the rationals.
 """
@@ -12,13 +14,13 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 from . import jordan
 from .group import (GeneratorLabel, all_labels, apply, apply_dual,
-                    format_label, parse_label)
+                    format_label, parse_label, type_cycle)
 from .jordan import basis_element, from_coords, to_coords
 from .linalg import (SpanBasis, invert_dense, rank_mod_p, signature_symmetric,
                      solve_dense)
@@ -75,7 +77,7 @@ class AlgebraElement:
         return out
 
 
-def _mat_add(a: dict, b: dict, scale=Fraction(1)) -> dict:
+def _mat_add(a: dict, b: dict, scale=1) -> dict:
     out = {r: dict(row) for r, row in a.items()}
     for r, row in b.items():
         dst = out.setdefault(r, {})
@@ -121,7 +123,7 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     # the negative of the raw operator commutator on tangent matrices.  This
     # is the convention under which the published structure constants (the
     # Gell-Mann correspondence in particular) hold.
-    return AlgebraElement(_mat_add(_mat_mul(y.mat, x.mat), _mat_mul(x.mat, y.mat), Fraction(-1)))
+    return AlgebraElement(_mat_add(_mat_mul(y.mat, x.mat), _mat_mul(x.mat, y.mat), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +131,16 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 _TANGENTS: dict[GeneratorLabel, AlgebraElement] = {}
 
+# group.type_cycle as a coordinate permutation P: coordinate i moves to _CYCLED[i].
+_CYCLED = {i: n for n, i in enumerate(to_coords(type_cycle(from_coords(range(DIM)))))}
+
 
 def tangent(label: GeneratorLabel) -> AlgebraElement:
-    """Exact d/dalpha at 0 of the label's action, as a 27x27 matrix."""
+    """Exact d/dalpha at 0 of the label's action, as a 27x27 matrix.
+
+    Type-1 tangents come from group.apply_dual; the type-2 and type-3
+    tangents are P T P^-1 of the type before, where P is the type cycle.
+    """
     el = _TANGENTS.get(label)
     if el is not None:
         return el
@@ -139,19 +148,30 @@ def tangent(label: GeneratorLabel) -> AlgebraElement:
     el = _TANGENTS.get(label)
     if el is not None:
         return el
-    from .group import DualScalar
-    mat: dict = {}
-    for col in range(DIM):
-        image = to_coords(apply_dual(label, basis_element(col)))
-        for row, raw in enumerate(image):
-            value = DualScalar.lift(raw)
-            if value.der:
-                mat.setdefault(row, {})[col] = value.der
-            if value.val != (Fraction(1) if row == col else Fraction(0)):
-                raise AssertionError(f"action of {label} at alpha=0 is not the identity")
+    if label.type_index == 1:
+        mat = _evaluated_tangent(label)
+    else:
+        below = tangent(replace(label, type_index=label.type_index - 1)).mat
+        mat = {}
+        for r, row in below.items():
+            for c, v in row.items():
+                mat.setdefault(_CYCLED[r], {})[_CYCLED[c]] = v
     el = AlgebraElement(mat, provenance=label)
     _TANGENTS[label] = el
     return el
+
+
+def _evaluated_tangent(label: GeneratorLabel) -> dict:
+    mat: dict = {}
+    for col in range(DIM):
+        chi = basis_element(col)
+        value, twice = apply_dual(label, chi)
+        if value != chi:
+            raise AssertionError(f"action of {label} at alpha=0 is not the identity")
+        for row, v in enumerate(to_coords(twice)):
+            if v:
+                mat.setdefault(row, {})[col] = Fraction(v, 2)
+    return mat
 
 
 def enumerate_generators() -> list[GeneratorLabel]:
@@ -239,6 +259,14 @@ _TABLE: Optional[StructureTable] = None
 
 
 def structure_table() -> StructureTable:
+    """The bracket of every basis pair, computed exactly in integers.
+
+    Tangent entries lie in 1/2 Z, so the doubled tangents 2T are integer
+    matrices and commutators of them are 4 [T_i, T_j].  The coefficients are
+    read off the pivot coordinates of the reduced span of the basis, and each
+    bracket is checked by rebuilding 12 [T_i, T_j] = sum 6c_k 2T_k in
+    integers; NotInSpan if a 6c_k is not an integer or the rebuild differs.
+    """
     global _TABLE
     if _TABLE is not None:
         return _TABLE
@@ -247,23 +275,65 @@ def structure_table() -> StructureTable:
         return _TABLE
     basis = preferred_basis()
     tangents = [tangent(label) for label in basis]
-    sb = SpanBasis()
-    for n, el in enumerate(tangents):
-        if not sb.add(el.flat(), n):
-            raise RankMismatch(f"preferred element {basis[n]} is dependent")
+    row_of, combos = _pivot_combos(basis, tangents)
+    doubled = [AlgebraElement(_doubled(el.mat)) for el in tangents]
     constants = {}
     for i in range(78):
         for j in range(i + 1, 78):
-            comm = commutator(tangents[i], tangents[j]).flat()
+            comm = commutator(doubled[i], doubled[j]).mat
             if not comm:
                 continue
-            coeffs = sb.express(comm)
-            if coeffs is None:
+            acc: dict = {}
+            for r, row in comm.items():
+                for c, v in row.items():
+                    n = row_of.get(r * DIM + c)
+                    if n is not None:
+                        for k, x in combos[n].items():
+                            acc[k] = acc.get(k, 0) + v * x
+            coeffs = {k: acc[k] / 4 for k in sorted(acc) if acc[k]}
+            if not _rebuilds(comm, coeffs, doubled):
                 raise NotInSpan(f"[{basis[i]}, {basis[j]}] escapes the basis span")
             constants[(i, j)] = coeffs
     _TABLE = StructureTable(basis, constants)
     _maybe_store_cache()
     return _TABLE
+
+
+def _pivot_combos(basis: list[GeneratorLabel], tangents: list[AlgebraElement]):
+    """Pivot coordinate -> row, and each reduced row in terms of the basis.
+
+    A vector w in the span equals sum over rows of w[pivot] * row, so these
+    two are all that reading coefficients needs; the rows themselves are dropped.
+    """
+    sb = SpanBasis()
+    for n, el in enumerate(tangents):
+        if not sb.add(el.flat(), n):
+            raise RankMismatch(f"preferred element {basis[n]} is dependent")
+    return {p: n for n, p in enumerate(sb.pivots)}, sb.combos
+
+
+def _doubled(mat: dict) -> dict:
+    """2 * mat as int entries; every tangent entry lies in 1/2 Z."""
+    out = {}
+    for r, row in mat.items():
+        out[r] = {}
+        for c, v in row.items():
+            twice = 2 * v
+            if twice.denominator != 1:
+                raise AssertionError(f"tangent entry {v} is not in 1/2 Z")
+            out[r][c] = int(twice)
+    return out
+
+
+def _rebuilds(comm4: dict, coeffs: dict, doubled: list[AlgebraElement]) -> bool:
+    """sum_k 6 coeffs[k] * 2T_k == 3 * comm4 exactly, in integers."""
+    total: dict = {}
+    for k, c in coeffs.items():
+        six = 6 * c
+        if six.denominator != 1:
+            return False
+        total = _mat_add(total, doubled[k].mat, int(six))
+    return total == _mat_add({}, comm4, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -383,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker bound for table generation (output is "
-                            "schedule-independent)")
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
@@ -425,9 +422,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
     return _COMMANDS[args.verb](args)
 
 

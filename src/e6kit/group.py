@@ -6,8 +6,10 @@ at each of the three type positions.  Every generator acts by a nest of
 conjugations chi -> M(...(M1 chi M1†)...)M†, with matrix entries drawn from a
 single complex subalgebra of O so the nest is well defined.
 
-Entries are symbolic in the parameter alpha and evaluated through a pluggable
-scalar backend: floats for finite alpha, DualScalar for d/dalpha at 0.
+Entries are symbolic in the parameter alpha.  `apply` evaluates them in
+floating point at a finite alpha; `apply_dual` evaluates the value and the
+doubled derivative at alpha = 0 in exact integers, which is where the
+tangents of the Lie algebra come from.
 """
 
 from __future__ import annotations
@@ -118,120 +120,75 @@ def all_labels() -> list[GeneratorLabel]:
 
 
 # ---------------------------------------------------------------------------
-# scalar backends
-
-@dataclass(frozen=True)
-class DualScalar:
-    """value + derivative at alpha = 0 (forward-mode, first order)."""
-    val: Fraction
-    der: Fraction
-
-    @staticmethod
-    def lift(x) -> "DualScalar":
-        return x if isinstance(x, DualScalar) else DualScalar(Fraction(x), Fraction(0))
-
-    def __add__(self, o):
-        o = DualScalar.lift(o)
-        return DualScalar(self.val + o.val, self.der + o.der)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        o = DualScalar.lift(o)
-        return DualScalar(self.val - o.val, self.der - o.der)
-
-    def __rsub__(self, o):
-        return DualScalar.lift(o) - self
-
-    def __mul__(self, o):
-        o = DualScalar.lift(o)
-        return DualScalar(self.val * o.val, self.val * o.der + self.der * o.val)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = Fraction(o)
-        return DualScalar(self.val / o, self.der / o)
-
-    def __neg__(self):
-        return DualScalar(-self.val, -self.der)
-
-    def __bool__(self):
-        return bool(self.val) or bool(self.der)
-
-    def __eq__(self, o):
-        o = DualScalar.lift(o) if isinstance(o, (int, Fraction)) else o
-        return isinstance(o, DualScalar) and self.val == o.val and self.der == o.der
-
-
-class FloatBackend:
-    """Evaluates entry terms at a concrete float alpha."""
-
-    def __init__(self, alpha: float):
-        self.alpha = float(alpha)
-        self.zero = 0.0
-
-    def term(self, kind: str, k: Fraction, coeff: Fraction) -> float:
-        c, x = float(coeff), float(k) * self.alpha
-        if kind == "const":
-            return c
-        if kind == "cos":
-            return c * math.cos(x)
-        if kind == "sin":
-            return c * math.sin(x)
-        if kind == "cosh":
-            return c * math.cosh(x)
-        if kind == "sinh":
-            return c * math.sinh(x)
-        if kind == "exp":
-            return c * math.exp(x)
-        raise AssertionError(kind)
-
-    def lift(self, x):
-        return float(x)
-
-
-class DualBackend:
-    """Evaluates entry terms as (value, d/dalpha) at alpha = 0."""
-
-    def __init__(self):
-        self.zero = DualScalar(Fraction(0), Fraction(0))
-
-    def term(self, kind: str, k: Fraction, coeff: Fraction) -> DualScalar:
-        c = Fraction(coeff)
-        if kind in ("const", "cos", "cosh"):
-            return DualScalar(c, Fraction(0))
-        if kind in ("sin", "sinh"):
-            return DualScalar(Fraction(0), c * k)
-        if kind == "exp":
-            return DualScalar(c, c * k)
-        raise AssertionError(kind)
-
-    def lift(self, x):
-        return DualScalar.lift(x)
-
-
-# ---------------------------------------------------------------------------
 # symbolic matrices
 
 # A matrix entry is a tuple of terms (kind, k, unit_index, coeff): the entry
 # value is sum over terms of coeff * kind(k * alpha) * e_unit.
 
+class NotIntegral(ArithmeticError):
+    """A stage matrix at alpha = 0 has a non-integer entry in M(0) or 2 M'(0)."""
+
+
+def _float_term(kind: str, k: Fraction, coeff: Fraction, alpha: float) -> float:
+    c, x = float(coeff), float(k) * alpha
+    if kind == "const":
+        return c
+    if kind == "cos":
+        return c * math.cos(x)
+    if kind == "sin":
+        return c * math.sin(x)
+    if kind == "cosh":
+        return c * math.cosh(x)
+    if kind == "sinh":
+        return c * math.sinh(x)
+    if kind == "exp":
+        return c * math.exp(x)
+    raise AssertionError(kind)
+
+
 @dataclass(frozen=True)
 class ParamMatrix:
     entries: tuple  # 3x3 nested tuples of term tuples
 
-    def evaluate(self, backend) -> list[list[Octonion]]:
+    def evaluate(self, alpha: float) -> list[list[Octonion]]:
+        """Float entries at parameter alpha."""
         out = []
         for i in range(3):
             row = []
             for j in range(3):
-                coeffs = [backend.zero] * 8
+                coeffs = [0.0] * 8
                 for kind, k, unit, coeff in self.entries[i][j]:
-                    coeffs[unit] = coeffs[unit] + backend.term(kind, k, coeff)
+                    coeffs[unit] = coeffs[unit] + _float_term(kind, k, coeff, alpha)
                 row.append(Octonion(coeffs))
             out.append(row)
         return out
+
+    def at_zero(self) -> tuple[list[list[Octonion]], list[list[Octonion]]]:
+        """(M(0), 2 M'(0)) with int coefficients; NotIntegral if either is not integral."""
+        value, twice = [], []
+        for row in self.entries:
+            vrow, drow = [], []
+            for terms in row:
+                v, d = {}, {}
+                for kind, k, unit, coeff in terms:
+                    if kind in ("const", "cos", "cosh", "exp"):    # f(0) = 1
+                        v[unit] = v.get(unit, 0) + coeff
+                    if kind in ("sin", "sinh", "exp"):             # f'(0) = 1
+                        d[unit] = d.get(unit, 0) + 2 * coeff * k
+                vrow.append(_integral_octonion(v))
+                drow.append(_integral_octonion(d))
+            value.append(vrow)
+            twice.append(drow)
+        return value, twice
+
+
+def _integral_octonion(parts: dict) -> Octonion:
+    coeffs = [0] * 8
+    for unit, x in parts.items():
+        if x.denominator != 1:
+            raise NotIntegral(f"stage entry {x} at alpha = 0 is not an integer")
+        coeffs[unit] = x.numerator
+    return Octonion(coeffs)
 
 
 _ONE = (("const", Fraction(0), 0, Fraction(1)),)
@@ -337,22 +294,22 @@ def _dagger(mat: list[list[Octonion]]) -> list[list[Octonion]]:
     return [[mat[j][i].conj() for j in range(3)] for i in range(3)]
 
 
-def apply_backend(label: GeneratorLabel, backend, chi: JordanElement) -> JordanElement:
-    lift = backend.lift
-    x = JordanElement(lift(chi.p), lift(chi.m), lift(chi.n),
-                      Octonion([lift(c) for c in chi.a.coeffs]),
-                      Octonion([lift(c) for c in chi.b.coeffs]),
-                      Octonion([lift(c) for c in chi.c.coeffs]))
-    mat = to_matrix(x)
-    for stage in _sequence(label):
-        m = stage.evaluate(backend)
-        mat = matmul(matmul(m, mat), _dagger(m))
-    return from_matrix(mat)
+def _matadd(xm: list[list[Octonion]], ym: list[list[Octonion]]) -> list[list[Octonion]]:
+    return [[x + y for x, y in zip(xr, yr)] for xr, yr in zip(xm, ym)]
 
 
 def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElement:
     """Float evaluation of the finite group action at parameter alpha."""
-    return apply_backend(label, FloatBackend(alpha), chi)
+    alpha = float(alpha)
+    x = JordanElement(float(chi.p), float(chi.m), float(chi.n),
+                      Octonion([float(c) for c in chi.a.coeffs]),
+                      Octonion([float(c) for c in chi.b.coeffs]),
+                      Octonion([float(c) for c in chi.c.coeffs]))
+    mat = to_matrix(x)
+    for stage in _sequence(label):
+        m = stage.evaluate(alpha)
+        mat = matmul(matmul(m, mat), _dagger(m))
+    return from_matrix(mat)
 
 
 def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
@@ -369,9 +326,27 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
     return [[cols[j][i] for j in range(27)] for i in range(27)]
 
 
-def apply_dual(label: GeneratorLabel, chi: JordanElement) -> JordanElement:
-    """DualScalar evaluation at alpha = 0 (value = chi, derivative = tangent)."""
-    return apply_backend(label, DualBackend(), chi)
+def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement, JordanElement]:
+    """(value, 2 * d/dalpha) of the label's action on chi at alpha = 0, exactly.
+
+    Each stage X -> (M X) M† is differentiated by the product rule on the
+    integer matrices M(0) and 2 M'(0) (ParamMatrix.at_zero), with the same
+    association as `apply`:
+
+        X <- (M X) M†,    D <- (M' X + M D) M† + (M X) M'†.
+
+    For integer chi both results have integer coordinates; the value is chi.
+    """
+    x = to_matrix(chi)
+    d = [[Octonion.zero()] * 3 for _ in range(3)]
+    for stage in _sequence(label):
+        m, dm = stage.at_zero()
+        mh = _dagger(m)
+        mx = matmul(m, x)
+        d = _matadd(matmul(_matadd(matmul(dm, x), matmul(m, d)), mh),
+                    matmul(mx, _dagger(dm)))
+        x = matmul(mx, mh)
+    return from_matrix(x), from_matrix(d)
 
 
 def type_cycle(chi: JordanElement) -> JordanElement:

@@ -77,15 +77,17 @@ def to_matrix(x: JordanElement) -> list[list[Octonion]]:
 
 
 def matmul(xm: list[list[Octonion]], ym: list[list[Octonion]]) -> list[list[Octonion]]:
+    """3x3 octonionic matrix product; int, Fraction and float entries keep their type."""
+    y_nonzero = [[not y.is_zero() for y in row] for row in ym]
     out = []
-    for i in range(3):
+    for xrow in xm:
+        terms = [(k, x) for k, x in enumerate(xrow) if not x.is_zero()]
         row = []
         for j in range(3):
             acc = Octonion.zero()
-            for k in range(3):
-                if xm[i][k].is_zero() or ym[k][j].is_zero():
-                    continue
-                acc = acc + xm[i][k] * ym[k][j]
+            for k, x in terms:
+                if y_nonzero[k][j]:
+                    acc = acc + x * ym[k][j]
             row.append(acc)
         out.append(row)
     return out
@@ -203,8 +205,9 @@ def from_coords(v) -> JordanElement:
 
 
 def basis_element(k: int) -> JordanElement:
-    coords = [Fraction(0)] * 27
-    coords[k] = Fraction(1)
+    """The k-th coordinate unit, with integer coordinates."""
+    coords = [0] * 27
+    coords[k] = 1
     return from_coords(coords)
 
 

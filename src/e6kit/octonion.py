@@ -51,14 +51,17 @@ def _build_table() -> tuple[tuple[tuple[int, int], ...], ...]:
 
 MULT_TABLE = _build_table()
 
-_ZERO8 = (Fraction(0),) * 8
+# Padding zeros are the int 0: it adds to int, Fraction and float
+# coefficients without changing their type, and 0 + x has the same float bits
+# as Fraction(0) + x (-0.0 included).
+_ZERO8 = (0,) * 8
 
 
 class Octonion:
-    """Octonion with coefficients in any commutative ring (Fraction by default).
+    """Octonion with coefficients in any commutative ring.
 
     Values are immutable; arithmetic never mutates.  Coefficients may be
-    Fraction, float, or any scalar supporting +, -, * and truthiness.
+    int, Fraction, float, or any scalar supporting +, -, * and truthiness.
     """
 
     __slots__ = ("coeffs",)
@@ -70,17 +73,17 @@ class Octonion:
 
     @staticmethod
     def zero() -> "Octonion":
-        return Octonion(_ZERO8)
+        return _ZERO
 
     @staticmethod
     def unit(name: str, scale=Fraction(1)) -> "Octonion":
-        c = [Fraction(0)] * 8
+        c = list(_ZERO8)
         c[UNIT_INDEX[name]] = scale
         return Octonion(c)
 
     @staticmethod
     def scalar(value) -> "Octonion":
-        return Octonion((value,) + (Fraction(0),) * 7)
+        return Octonion((value,) + _ZERO8[1:])
 
     @staticmethod
     def from_rationals(values) -> "Octonion":
@@ -161,6 +164,9 @@ class Octonion:
     def to_strings(self) -> list[str]:
         """Fixed-order serialization as rational strings."""
         return [str(Fraction(c)) for c in self.coeffs]
+
+
+_ZERO = Octonion(_ZERO8)  # values are immutable, so one zero serves everywhere
 
 
 def mul(a: Octonion, b: Octonion) -> Octonion:

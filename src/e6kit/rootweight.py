@@ -56,9 +56,15 @@ def _chain(name: str, n: int, special=()):
     return DynkinDiagram(name, n, tuple(edges))
 
 
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
 def diagram(name: str) -> DynkinDiagram:
-    """Named diagrams: A1..A5, B2..B4, C2..C4, D3/D4, G2, F4, E6."""
-    family, n = name[0].upper(), int(name[1:])
+    """Named diagrams: An (n >= 1), Bn/Cn (n >= 2), Dn (n >= 3), G2, F4, E6."""
+    family, n = name[:1].upper(), int(name[1:])
+    low = _MIN_RANK.get(family)
+    if low is not None and n < low:
+        raise ValueError(f"{family} needs rank >= {low}")
     if family == "A":
         return _chain(name, n)
     if family == "B":
@@ -68,8 +74,6 @@ def diagram(name: str) -> DynkinDiagram:
         # first node long, double bond toward the short chain
         return _chain(name, n, special=[(0, (0, 1, 2, 1))])
     if family == "D":
-        if n < 3:
-            raise ValueError("D needs rank >= 3")
         edges = [(i, i + 1, 1, None) for i in range(n - 2)]
         edges.append((n - 3, n - 1, 1, None))
         return DynkinDiagram(name, n, tuple(edges))

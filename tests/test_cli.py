@@ -1,5 +1,6 @@
 """CLI surface: verbs, exit codes, deterministic JSON output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,25 @@ def run_cli(*args, stdin=None):
     env = dict(os.environ, E6KIT_CACHE=_CACHE_FILE)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
                           input=stdin, env=env)
+
+
+# SHA-256 of the canonical outputs, pinned at the seed: any change to the
+# basis, the tangents, the bracket convention or the number format shows here.
+GOLDEN_SHA256 = {
+    "table": "8bbe61ca9cacaf584f5825733cd407b5beb93ecf8e90ec8da2a50021272b7925",
+    "killing": "ad1c84d7ba8cfcfae8600e0a6644c364eaf372ed95bbfb7474367bc5e9c5cf81",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(GOLDEN_SHA256))
+def test_golden_output_cold(verb, tmp_path):
+    """Computed from scratch (no disk cache), the output is byte-identical to the seed's."""
+    env = {k: v for k, v in os.environ.items() if k != "E6KIT_CACHE"}
+    out = tmp_path / f"{verb}.json"
+    proc = subprocess.run(CLI + [verb, "--out", str(out)], capture_output=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[verb]
 
 
 def test_killing_prints_signature():
@@ -126,6 +146,7 @@ def test_apply_preserves_det():
     ["nonsense-verb"],
     ["roots"],                       # missing --algebra
     ["apply", "--label", "A:i"],     # missing --alpha/--chi
+    ["killing", "--jobs", "2"],      # no such flag
 ])
 def test_usage_errors_exit_2(args):
     assert run_cli(*args).returncode == 2
@@ -145,3 +166,10 @@ def test_bad_label_exit_2():
 
 def test_roots_unknown_algebra_exit_2():
     assert run_cli("roots", "--algebra", "Z9").returncode == 2
+
+
+@pytest.mark.parametrize("name", ["B1", "C1", "A0", "D2", "G-1"])
+def test_roots_rank_out_of_range_exit_2(name):
+    proc = run_cli("roots", "--algebra", name)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1

@@ -1,0 +1,108 @@
+"""The integer tangent kernel: derived tangents, lattices, work counts, guards."""
+
+from fractions import Fraction
+
+import pytest
+
+from e6kit import algebra, group
+from e6kit.group import GeneratorLabel, ParamMatrix, all_labels, apply_dual
+from e6kit.jordan import basis_element, to_coords
+
+
+def _direct_tangent(label):
+    """The tangent of any label straight from apply_dual, without derivation."""
+    mat = {}
+    for col in range(27):
+        value, twice = apply_dual(label, basis_element(col))
+        assert to_coords(value) == to_coords(basis_element(col))
+        for row, v in enumerate(to_coords(twice)):
+            assert isinstance(v, int)
+            if v:
+                mat.setdefault(row, {})[col] = Fraction(v, 2)
+    return mat
+
+
+def test_derived_tangents_match_direct_evaluation():
+    derived = [lab for lab in all_labels() if lab.type_index != 1]
+    assert len(derived) == 90
+    wrong = [group.format_label(lab) for lab in derived
+             if algebra.tangent(lab).mat != _direct_tangent(lab)]
+    assert wrong == []
+
+
+def test_tangent_entries_in_half_integers():
+    for label in all_labels():
+        for row in algebra.tangent(label).mat.values():
+            for v in row.values():
+                assert (2 * v).denominator == 1, (label, v)
+
+
+def test_structure_constants_in_sixth_integers():
+    table = algebra.structure_table()
+    values = [v for row in table.constants.values() for v in row.values()]
+    assert len(table.constants) == 2334 and len(values) == 2750
+    assert all((6 * v).denominator == 1 for v in values)
+    assert any((2 * v).denominator == 3 for v in values)  # 1/6 Z is needed, not 1/2 Z
+
+
+def _stage(i, j, terms):
+    entries = [[() for _ in range(3)] for _ in range(3)]
+    for n in range(3):
+        entries[n][n] = (("const", Fraction(0), 0, Fraction(1)),)
+    entries[i][j] = terms
+    return ParamMatrix(tuple(tuple(row) for row in entries))
+
+
+@pytest.mark.parametrize("terms", [
+    (("sin", Fraction(1, 3), 1, Fraction(1)),),                    # 2 M'(0) = 2/3
+    (("const", Fraction(0), 0, Fraction(1, 2)),),                  # M(0) = 1/2
+    (("cos", Fraction(1, 2), 0, Fraction(1)),
+     ("exp", Fraction(1, 4), 0, Fraction(1))),                     # 2 M'(0) = 1/2
+])
+def test_non_integral_stage_raises(monkeypatch, terms):
+    monkeypatch.setattr(group, "_sequence", lambda label: [_stage(0, 1, terms)])
+    with pytest.raises(group.NotIntegral):
+        apply_dual(GeneratorLabel("A", 1, axis="i"), basis_element(0))
+
+
+def test_integral_stage_sums_are_accepted():
+    # two half-integer terms of one entry add up to an integer
+    terms = (("sin", Fraction(1, 4), 1, Fraction(1)), ("sin", Fraction(1, 4), 1, Fraction(1)))
+    value, twice = _stage(0, 1, terms).at_zero()
+    assert twice[0][1].coeffs == (0, 1, 0, 0, 0, 0, 0, 0)
+    assert value[0][0].coeffs == (1, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_tangent_work_count(monkeypatch):
+    """135 tangents computed cold make 45 x 27 apply_dual calls; repeats make none."""
+    monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
+    monkeypatch.setattr(algebra, "_TANGENTS", {})
+    calls = []
+
+    def counted(label, chi):
+        calls.append(label.type_index)
+        return apply_dual(label, chi)
+
+    monkeypatch.setattr(algebra, "apply_dual", counted)
+    for label in all_labels():
+        algebra.tangent(label)
+    assert len(calls) == 1215 == 45 * 27
+    assert set(calls) == {1}
+    for label in all_labels():
+        algebra.tangent(label)
+    assert len(calls) == 1215
+
+
+def test_corrupt_tangent_is_caught(monkeypatch):
+    """A basis tangent that is off by 1/2 in one entry cannot pass the integer rebuild."""
+    monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
+    tangents = {lab: algebra.tangent(lab) for lab in algebra.preferred_basis()}
+    label = GeneratorLabel("A", 1, axis="l")
+    mat = {r: dict(row) for r, row in tangents[label].mat.items()}
+    row = mat.setdefault(0, {})
+    row[0] = row.get(0, 0) + Fraction(1, 2)
+    tangents[label] = algebra.AlgebraElement(mat, provenance=label)
+    monkeypatch.setattr(algebra, "_TANGENTS", tangents)
+    monkeypatch.setattr(algebra, "_TABLE", None)
+    with pytest.raises(algebra.NotInSpan):
+        algebra.structure_table()

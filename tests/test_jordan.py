@@ -1,13 +1,15 @@
 """Exceptional Jordan algebra: determinant, trace forms, block structure."""
 
+import struct
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from e6kit.jordan import (JordanElement, Spinor, Vector2, basis_element,
                           det, det_trace_form, from_coords, from_matrix,
-                          jordan_product, lorentz_dot, sigma, spinor_square,
+                          jordan_product, lorentz_dot, matmul, sigma,
+                          spinor_square,
                           to_coords, to_matrix, trace, vector2_det,
                           vector_block)
 from e6kit.octonion import Octonion
@@ -98,3 +100,63 @@ def test_vector_block_projection(coords):
     x = from_coords(coords)
     v = vector_block(x)
     assert v.tz_plus == x.p and v.tz_minus == x.m and v.q == x.a
+
+
+def _reference_matmul(xm, ym):
+    """The product with every sum started from Fraction(0), as the seed computed it."""
+    out = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            acc = Octonion((Fraction(0),) * 8)
+            for k in range(3):
+                if xm[i][k].is_zero() or ym[k][j].is_zero():
+                    continue
+                acc = acc + xm[i][k] * ym[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+_SCALARS = {
+    int: st.integers(-3, 3),
+    Fraction: rational,
+    float: st.one_of(st.just(0.0), st.just(-0.0),
+                     st.floats(-4, 4, allow_nan=False, allow_infinity=False)),
+}
+
+
+@st.composite
+def matrix_pairs(draw):
+    kind = draw(st.sampled_from(sorted(_SCALARS, key=str)))
+    scalars = st.one_of(st.just(kind(0)), _SCALARS[kind])
+    entry = st.one_of(st.just(Octonion((kind(0),) * 8)),
+                      st.builds(Octonion, st.lists(scalars, min_size=8, max_size=8)))
+    mats = st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=3)
+    return kind, draw(mats), draw(mats)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _sparse(entry):
+    zero = Octonion((0.0,) * 8)
+    return [[entry, zero, zero], [zero] * 3, [zero] * 3]
+
+
+@given(matrix_pairs())
+@example((float, _sparse(Octonion((-1.0,) + (0.0,) * 7)),    # (-1) * i has -0.0 parts,
+          _sparse(Octonion((0.0, 1.0) + (0.0,) * 6))))      # which 0 + x turns into 0.0
+@settings(max_examples=40, deadline=None)
+def test_matmul_keeps_scalar_type_and_float_bits(pair):
+    kind, xm, ym = pair
+    got, want = matmul(xm, ym), _reference_matmul(xm, ym)
+    for grow, wrow in zip(got, want):
+        for g, w in zip(grow, wrow):
+            assert g.coeffs == w.coeffs
+            for gc, wc in zip(g.coeffs, w.coeffs):
+                if kind is int:
+                    assert type(gc) is int
+                if isinstance(wc, float):
+                    assert isinstance(gc, float) and _bits(gc) == _bits(wc)
