@@ -10,7 +10,7 @@ from .octonion import Octonion, UNITS, TRIPLES
 from .jordan import JordanElement, from_coords, to_coords, det, lorentz_dot
 from .group import GeneratorLabel, parse_label, format_label, all_labels, apply
 from .algebra import (AlgebraElement, tangent, commutator, preferred_basis,
-                      reduce_basis, structure_table, killing_matrix, killing,
+                      reduce_basis, structure_table, killing_matrix,
                       signature, casimir_labels, gellmann_check,
                       stabilizer_of_l, calibration_constant, curve_commutator)
 from .subalgebra import (make_involution, fixed_subalgebra, compact_preimage,
@@ -27,7 +27,7 @@ __all__ = [
     "JordanElement", "from_coords", "to_coords", "det", "lorentz_dot",
     "GeneratorLabel", "parse_label", "format_label", "all_labels", "apply",
     "AlgebraElement", "tangent", "commutator", "preferred_basis",
-    "reduce_basis", "structure_table", "killing_matrix", "killing",
+    "reduce_basis", "structure_table", "killing_matrix",
     "signature", "casimir_labels", "gellmann_check", "stabilizer_of_l",
     "calibration_constant", "curve_commutator",
     "make_involution", "fixed_subalgebra", "compact_preimage",

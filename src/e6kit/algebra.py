@@ -11,9 +11,11 @@ from that table over the rationals.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
+import zlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -22,15 +24,13 @@ from . import jordan
 from .group import (GeneratorLabel, all_labels, apply, apply_dual,
                     format_label, parse_label, type_cycle)
 from .jordan import basis_element, from_coords, to_coords
-from .linalg import (SpanBasis, invert_dense, rank_mod_p, signature_symmetric,
-                     solve_dense)
+from .linalg import SpanBasis, rank_mod_p, signature_symmetric, span_of
 from .octonion import IMAGINARY_UNITS, UNIT_INDEX
 
 CACHE_ENV = "E6KIT_CACHE"
-_CACHE_VERSION = "e6kit-structure-2"
+_CACHE_VERSION = "e6kit-structure-3"
 
 DIM = 27
-NCOORDS = DIM * DIM
 
 
 class RankMismatch(RuntimeError):
@@ -174,10 +174,6 @@ def _evaluated_tangent(label: GeneratorLabel) -> dict:
     return mat
 
 
-def enumerate_generators() -> list[GeneratorLabel]:
-    return all_labels()
-
-
 def preferred_basis() -> list[GeneratorLabel]:
     """The 78 basis labels (type-1-favoring reduction of the 135)."""
     out = [GeneratorLabel("B", 1, plane=("t", "z")),
@@ -194,14 +190,21 @@ def preferred_basis() -> list[GeneratorLabel]:
     return out
 
 
-_BASIS_INDEX: dict[GeneratorLabel, int] = {}
+@functools.cache
+def _basis_index() -> dict[GeneratorLabel, int]:
+    return {label: n for n, label in enumerate(preferred_basis())}
 
 
-def basis_index(label: GeneratorLabel) -> int:
-    if not _BASIS_INDEX:
-        for n, lab in enumerate(preferred_basis()):
-            _BASIS_INDEX[lab] = n
-    return _BASIS_INDEX[label]
+@functools.cache
+def _basis_span() -> SpanBasis:
+    """The reduced span of the 78 preferred tangents, tagged by basis index.
+
+    Built once per process; reduce_basis, structure_table and _combo read it.
+    """
+    sb = span_of(tangent(label).flat() for label in preferred_basis())
+    if sb.rank != 78:
+        raise RankMismatch(f"the preferred tangents span only {sb.rank} dimensions")
+    return sb
 
 
 def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
@@ -210,13 +213,10 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
     Raises RankMismatch unless the 135 tangents span exactly the preferred 78.
     """
     basis = preferred_basis()
-    sb = SpanBasis()
-    for n, label in enumerate(basis):
-        if not sb.add(tangent(label).flat(), n):
-            raise RankMismatch(f"preferred element {label} is dependent")
+    sb = _basis_span()
     certificates = {}
     for label in all_labels():
-        if label in set(basis):
+        if label in _basis_index():
             continue
         coeffs = sb.express(tangent(label).flat())
         if coeffs is None:
@@ -274,9 +274,11 @@ def structure_table() -> StructureTable:
     if _TABLE is not None:
         return _TABLE
     basis = preferred_basis()
-    tangents = [tangent(label) for label in basis]
-    row_of, combos = _pivot_combos(basis, tangents)
-    doubled = [AlgebraElement(_doubled(el.mat)) for el in tangents]
+    # w in the span is sum over reduced rows n of w[pivot n] * row n, and
+    # combos[n] is row n on the basis.
+    span = _basis_span()
+    row_of, combos = span.pivot_row, span.combos
+    doubled = [AlgebraElement(_doubled(tangent(label).mat)) for label in basis]
     constants = {}
     for i in range(78):
         for j in range(i + 1, 78):
@@ -297,19 +299,6 @@ def structure_table() -> StructureTable:
     _TABLE = StructureTable(basis, constants)
     _maybe_store_cache()
     return _TABLE
-
-
-def _pivot_combos(basis: list[GeneratorLabel], tangents: list[AlgebraElement]):
-    """Pivot coordinate -> row, and each reduced row in terms of the basis.
-
-    A vector w in the span equals sum over rows of w[pivot] * row, so these
-    two are all that reading coefficients needs; the rows themselves are dropped.
-    """
-    sb = SpanBasis()
-    for n, el in enumerate(tangents):
-        if not sb.add(el.flat(), n):
-            raise RankMismatch(f"preferred element {basis[n]} is dependent")
-    return {p: n for n, p in enumerate(sb.pivots)}, sb.combos
 
 
 def _doubled(mat: dict) -> dict:
@@ -343,32 +332,61 @@ def _cache_path() -> Optional[str]:
     return os.environ.get(CACHE_ENV) or None
 
 
+_CACHE_READ = False
+
+
 def _maybe_load_cache() -> None:
-    global _TABLE
+    """Publish the cached tangents and table, all or nothing, once per process.
+
+    A file that is stale, damaged or incomplete is ignored.
+    """
+    global _TABLE, _CACHE_READ
     path = _cache_path()
-    if not path or _TABLE is not None or not os.path.exists(path):
+    if not path or _CACHE_READ or _TABLE is not None:
         return
+    _CACHE_READ = True
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("version") != _CACHE_VERSION:
-            return
-        for text, entries in data["tangents"].items():
-            label = parse_label(text)
-            mat: dict = {}
-            for r, c, v in entries:
-                mat.setdefault(r, {})[c] = Fraction(v)
-            _TANGENTS[label] = AlgebraElement(mat, provenance=label)
-        basis = preferred_basis()
-        constants = {}
-        for i, j, k, v in data["constants"]:
-            constants.setdefault((i, j), {})[k] = Fraction(v)
-        _TABLE = StructureTable(basis, constants)
-    except (OSError, ValueError, KeyError):
+        tangents, constants = _read_cache(path)
+    except (OSError, ValueError, KeyError, TypeError):
         return
+    _TANGENTS.update(tangents)
+    _TABLE = StructureTable(preferred_basis(), constants)
+
+
+def _read_cache(path: str) -> tuple[dict, dict]:
+    """(tangents, constants) from the file; ValueError unless intact and complete."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    body = {"tangents": data["tangents"], "constants": data["constants"]}
+    if data["version"] != _CACHE_VERSION or data["crc32"] != _checksum(body):
+        raise ValueError("stale or damaged cache")
+    tangents = {}
+    for text, entries in body["tangents"].items():
+        label = parse_label(text)
+        mat: dict = {}
+        for r, c, v in entries:
+            if not (0 <= r < DIM and 0 <= c < DIM):
+                raise ValueError(f"tangent entry ({r}, {c}) out of range")
+            mat.setdefault(r, {})[c] = Fraction(v)
+        tangents[label] = AlgebraElement(mat, provenance=label)
+    if set(tangents) != set(all_labels()):
+        raise ValueError("the cache does not hold all 135 tangents")
+    constants: dict = {}
+    for i, j, k, v in body["constants"]:
+        if not (0 <= i < j < 78 and 0 <= k < 78):
+            raise ValueError(f"constant ({i}, {j}, {k}) out of range")
+        constants.setdefault((i, j), {})[k] = Fraction(v)
+    return tangents, constants
+
+
+def _checksum(body: dict) -> int:
+    # CRC-32 catches damaged files; zlib is loaded at start-up anyway, while
+    # hashlib would load OpenSSL and add about 3.7 MB to every process.
+    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
 
 
 def _maybe_store_cache() -> None:
+    """Write the cache through a temporary file, so readers never see half of it."""
     path = _cache_path()
     if not path or _TABLE is None:
         return
@@ -381,23 +399,20 @@ def _maybe_store_cache() -> None:
     constants = [[i, j, k, str(v)]
                  for (i, j), row in sorted(_TABLE.constants.items())
                  for k, v in sorted(row.items())]
-    data = {"version": _CACHE_VERSION, "tangents": tangents, "constants": constants}
+    body = {"tangents": tangents, "constants": constants}
+    data = {"version": _CACHE_VERSION, "crc32": _checksum(body), **body}
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(data, fh, sort_keys=True)
+        os.replace(tmp, path)
     except OSError:
-        pass
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
 # adjoint, Killing form, signature
-
-def structure_constants(basis: Optional[list[GeneratorLabel]] = None) -> StructureTable:
-    table = structure_table()
-    if basis is not None and basis != table.basis:
-        raise ValueError("only the preferred basis is tabulated")
-    return table
-
 
 def adjoint_matrices() -> list[dict]:
     """ad_i as sparse maps col -> {row: value}."""
@@ -437,10 +452,6 @@ def killing_matrix() -> list[list[Fraction]]:
             out[i][j] = out[j][i] = total
     _KILLING = out
     return out
-
-
-def killing(table: Optional[StructureTable] = None) -> list[list[Fraction]]:
-    return killing_matrix()
 
 
 def signature(bilinear: list[list[Fraction]]) -> tuple[int, int, int]:
@@ -487,10 +498,9 @@ def rank_estimate(subspace: list[dict], seed: int = 0, draws: int = 5) -> int:
     """
     table = structure_table()
     d = len(subspace)
-    sb = SpanBasis()
-    for n, v in enumerate(subspace):
-        if not sb.add(dict(v), n):
-            raise ValueError("subspace vectors are dependent")
+    sb = span_of(subspace)
+    if sb.rank != d:
+        raise ValueError("subspace vectors are dependent")
     brackets = [[None] * d for _ in range(d)]
     for a in range(d):
         for b in range(a + 1, d):
@@ -567,29 +577,24 @@ def _commutator3(a, b):
     return out
 
 
+def _flat3(m) -> dict:
+    """A complex 3x3 matrix as a sparse real 18-vector (re, im interleaved)."""
+    return {n: v for n, v in enumerate(x for row in m for entry in row for x in entry) if v}
+
+
 def _oracle_constants() -> dict:
     """Structure constants of the matrix side: (a,b) a<b -> {c: Fraction}."""
     mats = _gellmann_matrices()
-    cols = []
-    for m in mats:
-        col = []
-        for i in range(3):
-            for j in range(3):
-                col.extend(m[i][j])
-        cols.append(col)
-    a_dense = [[cols[c][r] for c in range(8)] for r in range(18)]
+    span = span_of(_flat3(m) for m in mats)
+    if span.rank != 8:
+        raise MismatchAt(-1, -1, "(oracle matrices are dependent)")
     out = {}
     for a in range(8):
         for b in range(a + 1, 8):
-            comm = _commutator3(mats[a], mats[b])
-            rhs = []
-            for i in range(3):
-                for j in range(3):
-                    rhs.extend(comm[i][j])
-            x = solve_dense(a_dense, rhs)
+            x = span.express(_flat3(_commutator3(mats[a], mats[b])))
             if x is None:
                 raise MismatchAt(a, b, "(oracle commutator escapes the span)")
-            out[(a, b)] = {c: v for c, v in enumerate(x) if v}
+            out[(a, b)] = x
     return out
 
 
@@ -599,9 +604,7 @@ def gellmann_check() -> dict:
     Returns {"pairs_checked": 28, "match": True} or raises MismatchAt.
     """
     tangents = [tangent(label) for label in GELLMANN_LABELS]
-    sb = SpanBasis()
-    for n, el in enumerate(tangents):
-        sb.add(el.flat(), n)
+    sb = span_of(el.flat() for el in tangents)
     if sb.rank != 8:
         raise MismatchAt(-1, -1, "(octonionic su(3) span is degenerate)")
     oracle = _oracle_constants()
@@ -611,7 +614,7 @@ def gellmann_check() -> dict:
             coeffs = sb.express(comm)
             if coeffs is None:
                 raise MismatchAt(a, b, "(octonionic commutator escapes the span)")
-            if {k: v for k, v in coeffs.items() if v} != oracle[(a, b)]:
+            if coeffs != oracle[(a, b)]:
                 raise MismatchAt(a, b, f"(got {coeffs}, oracle {oracle[(a, b)]})")
     return {"pairs_checked": 28, "match": True}
 
@@ -622,9 +625,6 @@ def gellmann_check() -> dict:
 A_L_COORD = 3 + UNIT_INDEX["l"]  # index of the a_l coordinate in Coord27
 
 
-_TANGENT_SPAN: Optional[SpanBasis] = None
-
-
 def _combo(parts: list[tuple[int, GeneratorLabel]]) -> dict:
     """Coefficients (on the preferred basis) of a sum of labeled tangents.
 
@@ -632,13 +632,10 @@ def _combo(parts: list[tuple[int, GeneratorLabel]]) -> dict:
     the dependency relations by solving against the span of the basis
     tangents.
     """
-    global _TANGENT_SPAN
     out: dict = {}
     pending: dict = {}
-    if not _BASIS_INDEX:
-        basis_index(GeneratorLabel("B", 1, plane=("t", "z")))
     for s, lab in parts:
-        idx = _BASIS_INDEX.get(lab)
+        idx = _basis_index().get(lab)
         if idx is not None:
             out[idx] = out.get(idx, Fraction(0)) + Fraction(s)
         else:
@@ -647,11 +644,7 @@ def _combo(parts: list[tuple[int, GeneratorLabel]]) -> dict:
                 pending[k] = pending.get(k, Fraction(0)) + Fraction(s) * v
     pending = {k: v for k, v in pending.items() if v}
     if pending:
-        if _TANGENT_SPAN is None:
-            _TANGENT_SPAN = SpanBasis()
-            for n, label in enumerate(preferred_basis()):
-                _TANGENT_SPAN.add(tangent(label).flat(), n)
-        coeffs = _TANGENT_SPAN.express(pending)
+        coeffs = _basis_span().express(pending)
         if coeffs is None:
             raise NotInSpan("tangent combination outside the basis span")
         for k, v in coeffs.items():
@@ -707,25 +700,23 @@ def stabilizer_of_l() -> dict:
     The defining condition is linear: row a_l of the 27x27 tangent matrix
     vanishes.  Returns the kernel basis plus the verified decomposition facts.
     """
-    basis = preferred_basis()
-    tangents = [tangent(label) for label in basis]
-    # kernel of the 27 functionals: sum_i x_i * (row a_l of T_i) = 0
-    rows = [[tangents[i].mat.get(A_L_COORD, {}).get(c, Fraction(0))
-             for i in range(78)] for c in range(DIM)]
-    # RREF over the 78 unknowns
-    kernel = _nullspace(rows, 78)
+    # kernel of x -> sum_i x_i * (row a_l of T_i): a column that does not
+    # enlarge the span of the ones before it gives e_i - express(column i)
+    columns = SpanBasis()
+    kernel = []
+    for i, label in enumerate(preferred_basis()):
+        col = tangent(label).mat.get(A_L_COORD, {})
+        if not columns.add(col, i):
+            coeffs = columns.express(col)
+            kernel.append({i: Fraction(1), **{t: -c for t, c in sorted(coeffs.items())}})
     table = structure_table()
     named = stab_l_documented_basis()
     b_all = named["b2"] + named["b3"] + named["bl"]
-    stab_span = SpanBasis()
-    for n, v in enumerate(kernel):
-        stab_span.add(v, n)
+    stab_span = span_of(kernel)
     doc_ok = all(stab_span.contains(v) for v in named["so81"] + b_all)
     b_abelian = all(not table.bracket_vectors(u, v)
                     for i, u in enumerate(b_all) for v in b_all[i + 1:])
-    b_span = SpanBasis()
-    for n, v in enumerate(b_all):
-        b_span.add(v, n)
+    b_span = span_of(b_all)
     ideal_ok = all(b_span.contains(table.bracket_vectors(u, v))
                    for u in named["so81"] for v in b_all)
     bmat = killing_matrix()
@@ -734,9 +725,7 @@ def stabilizer_of_l() -> dict:
         return sum(x * y * bmat[i][j] for i, x in u.items() for j, y in v.items())
 
     null_b2 = all(bform(v, v) == 0 for v in named["b2"])
-    so81_span = SpanBasis()
-    for n, v in enumerate(named["so81"]):
-        so81_span.add(v, n)
+    so81_span = span_of(named["so81"])
     so81_closed = all(so81_span.contains(table.bracket_vectors(u, v))
                       for i, u in enumerate(named["so81"])
                       for v in named["so81"][i + 1:])
@@ -751,36 +740,6 @@ def stabilizer_of_l() -> dict:
         "b_is_ideal_under_so81": ideal_ok,
         "b2_killing_null": null_b2,
     }
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[dict]:
-    """Kernel basis (sparse dicts) of the linear map given by dense rows."""
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows = len(m)
-    pivcols = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
-        pivcols.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivcols]
-    out = []
-    for fc in free:
-        vec = {fc: Fraction(1)}
-        for r, pc in enumerate(pivcols):
-            if m[r][fc]:
-                vec[pc] = -m[r][fc]
-        out.append(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,21 @@ Verbs:
     apply     apply a finite one-parameter transformation to a Jordan element
     gellmann  check the su(3) correspondence of the A/G generators
 
-All randomness is keyed by --seed (default 0); identical invocations produce
-byte-identical JSON (sorted keys, rationals as "p/q" strings).
+Every verb takes --out (default stdout); verify also takes --seed and --tol,
+and table and roots take --format.  The only randomness is verify's samples,
+keyed by --seed (default 0); identical invocations produce byte-identical
+JSON (sorted keys, rationals as "p/q" strings).  Exit status: 0 success,
+1 a failed verification, 2 bad input (a bad flag prints the usage, any other
+bad input one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -37,10 +42,22 @@ def _dump_json(obj, out) -> None:
     out.write(text)
 
 
-def _open_out(path):
+class InputError(Exception):
+    """Bad input: reported as one line on stderr, exit status 2."""
+
+
+@contextlib.contextmanager
+def _output(path):
+    """stdout for None or "-", else the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+    with fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +76,7 @@ def _table_json() -> dict:
 
 def cmd_table(args) -> int:
     data = _table_json()
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(["i", "j", "k", "v"])
@@ -68,9 +84,6 @@ def cmd_table(args) -> int:
                 writer.writerow([e["i"], e["j"], e["k"], e["v"]])
         else:
             _dump_json(data, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -151,11 +164,9 @@ def _verify_det(out, seed: int, tol: float) -> int:
         chis.append((coords, float(jordan.det(jordan.from_coords(coords)))))
     for label in group.all_labels():
         for alpha in (0.3, -0.7):
-            mat = group.action_matrix(label, alpha)
             for coords, det_before in chis:
-                moved = [sum(mat[i][j] * coords[j] for j in range(27))
-                         for i in range(27)]
-                det_after = float(jordan.det(jordan.from_coords(moved)))
+                moved = group.apply(label, alpha, jordan.from_coords(coords))
+                det_after = float(jordan.det(moved))
                 if abs(det_after - det_before) > tol:
                     out.write(f"FAILED: det drift {abs(det_after - det_before):.3e}"
                               f" for {group.format_label(label)} at alpha={alpha}\n")
@@ -165,9 +176,8 @@ def _verify_det(out, seed: int, tol: float) -> int:
 
 
 def cmd_verify(args) -> int:
-    out, close = _open_out(args.out)
-    try:
-        suites = ["dependencies", "jacobi", "det"] if args.suite == "all" else [args.suite]
+    suites = ["dependencies", "jacobi", "det"] if args.suite == "all" else [args.suite]
+    with _output(args.out) as out:
         for suite in suites:
             if suite == "dependencies":
                 rc = _verify_dependencies(out)
@@ -177,10 +187,7 @@ def cmd_verify(args) -> int:
                 rc = _verify_det(out, args.seed, args.tol)
             if rc != 0:
                 return rc
-        return 0
-    finally:
-        if close:
-            out.close()
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +196,13 @@ def cmd_verify(args) -> int:
 def cmd_killing(args) -> int:
     km = algebra.killing_matrix()
     neg, pos, zero = algebra.signature(km)
-    if args.out not in (None, "-"):
-        data = {"signature": [neg, pos, zero],
-                "matrix": [[_frac_str(v) for v in row] for row in km]}
-        out, close = _open_out(args.out)
-        try:
-            _dump_json(data, out)
-        finally:
-            if close:
-                out.close()
-    else:
+    if args.out in (None, "-"):
         print(f"({neg},{pos})")
+        return 0
+    data = {"signature": [neg, pos, zero],
+            "matrix": [[_frac_str(v) for v in row] for row in km]}
+    with _output(args.out) as out:
+        _dump_json(data, out)
     return 0
 
 
@@ -215,12 +218,8 @@ def cmd_stab_l(args) -> int:
         "b_is_ideal_under_so81": report["b_is_ideal_under_so81"],
         "b2_killing_null": report["b2_killing_null"],
     }
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _dump_json(data, out)
-    finally:
-        if close:
-            out.close()
     ok = (report["dim"] == 52 and report["documented_basis_in_kernel"]
           and report["so81_closed"] and report["b_abelian"]
           and report["b_is_ideal_under_so81"] and report["b2_killing_null"])
@@ -233,12 +232,8 @@ def cmd_stab_l(args) -> int:
 
 def cmd_gellmann(args) -> int:
     result = algebra.gellmann_check()
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _dump_json(result, out)
-    finally:
-        if close:
-            out.close()
     return 0 if result["match"] else 1
 
 
@@ -251,15 +246,12 @@ _AUTO_TOKENS = {"t": "t", "23": "two_three", "two_three": "two_three",
 
 def cmd_subalg(args) -> int:
     if bool(args.auto) == bool(args.assemble):
-        print("subalg: exactly one of --auto or --assemble is required",
-              file=sys.stderr)
-        return 2
+        raise InputError("exactly one of --auto or --assemble is required")
     if args.auto:
         try:
             which = [_AUTO_TOKENS[tok.strip()] for tok in args.auto.split(",")]
         except KeyError as exc:
-            print(f"subalg: unknown involution token {exc}", file=sys.stderr)
-            return 2
+            raise InputError(f"unknown involution token {exc}") from None
         phi = subalgebra.make_involution(which)
         if args.part == "compact":
             report = subalgebra.compact_preimage(phi)
@@ -269,19 +261,14 @@ def cmd_subalg(args) -> int:
         names = [tok.strip() for tok in args.assemble.split(",")]
         bad = [n for n in names if n not in subalgebra.CELL_NAMES]
         if bad:
-            print(f"subalg: unknown cell names {bad}", file=sys.stderr)
-            return 2
+            raise InputError(f"unknown cell names {bad}")
         try:
             report = subalgebra.assemble(names)
         except subalgebra.NotClosed as exc:
             print(f"FAILED: assembly not closed: {exc}", file=sys.stderr)
             return 1
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _dump_json(report.to_json_dict(), out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -292,8 +279,7 @@ def cmd_roots(args) -> int:
     try:
         d = rootweight.diagram(args.algebra)
     except ValueError as exc:
-        print(f"roots: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(exc) from None
     data: dict = {
         "rank": d.rank,
         "simple_roots": [[round(x, 12) for x in r]
@@ -303,12 +289,9 @@ def cmd_roots(args) -> int:
         try:
             marks = [int(x) for x in args.highest.split(",")]
         except ValueError:
-            print("roots: --highest must be a comma list of integers",
-                  file=sys.stderr)
-            return 2
+            raise InputError("--highest must be a comma list of integers") from None
         if len(marks) != d.rank:
-            print(f"roots: --highest needs {d.rank} marks", file=sys.stderr)
-            return 2
+            raise InputError(f"--highest needs {d.rank} marks")
         wd = rootweight.weights_from_highest(d, marks)
         index = {w.mark: n for n, w in enumerate(wd.weights)}
         data["weights"] = [{"mark": list(w.mark),
@@ -321,8 +304,7 @@ def cmd_roots(args) -> int:
         roots = rootweight.root_system(d)
         data["roots"] = [[round(x, 12) for x in r] for r in roots]
         vertices = roots
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow([f"x{i+1}" for i in range(len(vertices[0]))])
@@ -330,9 +312,6 @@ def cmd_roots(args) -> int:
                 writer.writerow([round(x, 12) for x in v])
         else:
             _dump_json(data, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -343,71 +322,83 @@ def cmd_apply(args) -> int:
     try:
         label = group.parse_label(args.label)
     except group.IllegalLabel as exc:
-        print(f"apply: {exc}", file=sys.stderr)
-        return 2
-    if args.chi == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.chi, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        raise InputError(exc) from None
     try:
+        if args.chi == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.chi, "r", encoding="utf-8") as fh:
+                raw = fh.read()
         payload = json.loads(raw)
         coords = payload["coords"] if isinstance(payload, dict) else payload
         coords = [float(x) for x in coords]
         if len(coords) != 27:
             raise ValueError("need 27 coordinates")
+    except OSError as exc:
+        raise InputError(f"cannot read --chi {args.chi}: {exc.strerror or exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"apply: bad chi JSON: {exc}", file=sys.stderr)
-        return 2
-    chi = jordan.from_coords(coords)
-    moved = group.apply(label, args.alpha, chi)
-    data = {"coords": [round(float(x), 15) for x in jordan.to_coords(moved)],
-            "det": round(float(jordan.det(moved)), 12)}
-    out, close = _open_out(args.out)
+        raise InputError(f"bad chi JSON: {exc}") from None
     try:
-        _dump_json(data, out)
-    finally:
-        if close:
-            out.close()
+        moved = group.apply(label, args.alpha, jordan.from_coords(coords))
+        coords, det = [float(x) for x in jordan.to_coords(moved)], float(jordan.det(moved))
+    except OverflowError:
+        coords, det = [math.inf], math.inf
+    if not all(math.isfinite(x) for x in coords + [det]):
+        raise InputError("the result is not finite; use a smaller --alpha or chi")
+    with _output(args.out) as out:
+        _dump_json({"coords": [round(x, 15) for x in coords], "det": round(det, 12)}, out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # driver
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="e6kit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
+    formats = {"choices": ("json", "csv"), "default": "json"}
 
-    def common(p):
+    def verb(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
-    common(sub.add_parser("table", help="structure-constant table"))
-    p = common(sub.add_parser("verify", help="identity suites"))
+    p = verb("table", "structure-constant table")
+    p.add_argument("--format", **formats)
+    p = verb("verify", "identity suites")
     p.add_argument("--suite", choices=("dependencies", "jacobi", "det", "all"),
                    default="all")
-    common(sub.add_parser("killing", help="Killing-form signature"))
-    p = common(sub.add_parser("subalg", help="subalgebra reports"))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_finite, default=1e-9)
+    verb("killing", "Killing-form signature")
+    p = verb("subalg", "subalgebra reports")
     p.add_argument("--auto", default=None,
                    help="comma list of involutions: t, 23, hperp")
     p.add_argument("--assemble", default=None,
                    help="comma list of cells: " + ",".join(subalgebra.CELL_NAMES))
     p.add_argument("--part", choices=("fixed", "compact"), default="fixed")
-    p = common(sub.add_parser("roots", help="root/weight diagram data"))
+    p = verb("roots", "root/weight diagram data")
     p.add_argument("--algebra", required=True, help="e.g. A2, B3, C4, D4, G2, F4, E6")
     p.add_argument("--highest", default=None, help="comma list of Dynkin marks")
-    common(sub.add_parser("stab-l", help="stabilizer of the unit l"))
-    p = common(sub.add_parser("apply", help="apply a finite transformation"))
+    p.add_argument("--format", **formats)
+    verb("stab-l", "stabilizer of the unit l")
+    p = verb("apply", "apply a finite transformation")
     p.add_argument("--label", required=True, help='e.g. "R:z,kl:2", "A:i", "B:t,x:3"')
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--chi", required=True,
                    help='JSON path or "-" for stdin; {"coords":[27 numbers]}')
-    common(sub.add_parser("gellmann", help="su(3) correspondence check"))
+    verb("gellmann", "su(3) correspondence check")
     return parser
 
 
@@ -422,7 +413,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return _COMMANDS[args.verb](args)
+    try:
+        return _COMMANDS[args.verb](args)
+    except InputError as exc:
+        print(f"{args.verb}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

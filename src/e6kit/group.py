@@ -354,11 +354,6 @@ def type_cycle(chi: JordanElement) -> JordanElement:
     return JordanElement(chi.n, chi.p, chi.m, chi.c, chi.a, chi.b)
 
 
-def type_cycle_matrix() -> list[list[Octonion]]:
-    z, o = Octonion.zero(), Octonion.scalar(Fraction(1))
-    return [[z, z, o], [o, z, z], [z, o, z]]
-
-
 def one_parameter_check(label: GeneratorLabel, alpha: float, beta: float,
                         chi: JordanElement, tol: float = 1e-9) -> bool:
     """apply(alpha) ∘ apply(beta) == apply(alpha+beta) within tol."""

@@ -57,14 +57,6 @@ class JordanElement:
         return JordanElement(s * self.p, s * self.m, s * self.n,
                              self.a.scale(s), self.b.scale(s), self.c.scale(s))
 
-    @property
-    def t(self):
-        return (self.p + self.m) / 2
-
-    @property
-    def z(self):
-        return (self.p - self.m) / 2
-
 
 def to_matrix(x: JordanElement) -> list[list[Octonion]]:
     """Full 3x3 octonionic matrix (private plumbing for products)."""
@@ -131,7 +123,7 @@ def det_trace_form(x: JordanElement):
     x2 = jordan_product(x, x)
     x3 = jordan_product(x2, x)
     t1, t2, t3 = trace(x), trace(x2), trace(x3)
-    return (t3 - Fraction(3, 2) * t2 * t1 + t1 * t1 * t1 / 2) / 3
+    return (t3 - Fraction(3, 2) * t2 * t1 + Fraction(1, 2) * t1 * t1 * t1) / 3
 
 
 @dataclass(frozen=True)
@@ -162,12 +154,6 @@ class Spinor:
     bottom: Octonion
 
 
-@dataclass(frozen=True)
-class DualSpinor:
-    left: Octonion
-    right: Octonion
-
-
 def spinor_square(theta: Spinor) -> Vector2:
     """theta theta† — always a null vector (det 0)."""
     return Vector2(theta.top.norm2(), theta.bottom.norm2(),
@@ -177,19 +163,6 @@ def spinor_square(theta: Spinor) -> Vector2:
 def vector_block(x: JordanElement) -> Vector2:
     """Upper-left 2x2 block of chi viewed as a vector."""
     return Vector2(x.p, x.m, x.a)
-
-
-def spinor_block(x: JordanElement) -> Spinor:
-    """Third column of chi above the diagonal: theta = (c, conj(b))."""
-    return Spinor(x.c, x.b.conj())
-
-
-COORD_NAMES = (
-    ["p", "m", "n"]
-    + [f"a_{u}" for u in ("1", "i", "j", "k", "kl", "jl", "il", "l")]
-    + [f"b_{u}" for u in ("1", "i", "j", "k", "kl", "jl", "il", "l")]
-    + [f"c_{u}" for u in ("1", "i", "j", "k", "kl", "jl", "il", "l")]
-)
 
 
 def to_coords(x: JordanElement) -> list:
@@ -209,17 +182,3 @@ def basis_element(k: int) -> JordanElement:
     coords = [0] * 27
     coords[k] = 1
     return from_coords(coords)
-
-
-def to_json_dict(x: JordanElement) -> dict:
-    return {
-        "p": str(Fraction(x.p)), "m": str(Fraction(x.m)), "n": str(Fraction(x.n)),
-        "a": x.a.to_strings(), "b": x.b.to_strings(), "c": x.c.to_strings(),
-    }
-
-
-def from_json_dict(d: dict) -> JordanElement:
-    return JordanElement(Fraction(d["p"]), Fraction(d["m"]), Fraction(d["n"]),
-                         Octonion.from_rationals(d["a"]),
-                         Octonion.from_rationals(d["b"]),
-                         Octonion.from_rationals(d["c"]))

@@ -1,8 +1,16 @@
 """Exact rational linear algebra over sparse and dense vectors.
 
 Vectors are dicts index -> Fraction (zero entries omitted); dense matrices are
-lists of lists of Fraction.  Everything here is deterministic and exact except
-rank_mod_p, which works modulo a fixed large prime.
+lists of lists of Fraction.
+
+SpanBasis is the one exact elimination: spans, ranks, solutions of linear
+systems, inverses and kernels are all read off it (a column that does not
+enlarge the span gives the kernel vector e_i - express(col_i)).  Two other
+algorithms stay.  signature_symmetric diagonalizes by congruence, which row
+reduction cannot do.  rank_mod_p ranks the dense ad-matrices of
+rank_estimate modulo a large prime, because an exact Fraction rank through
+SpanBasis is about ten times slower there (0.11 s -> 1.04 s for the 38-dim
+fixed set of phi_hperp on a 2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -44,8 +52,7 @@ class SpanBasis:
     def __init__(self) -> None:
         self.rows: list[dict] = []          # reduced vectors
         self.combos: list[dict] = []        # row -> {tag: coeff}
-        self.pivots: list[Hashable] = []    # pivot index of each row
-        self._pivot_of: dict = {}           # pivot index -> row number
+        self.pivot_row: dict = {}           # pivot index -> row number
 
     @property
     def rank(self) -> int:
@@ -55,7 +62,7 @@ class SpanBasis:
         vec = dict(vec)
         combo = dict(combo)
         for p in list(vec.keys()):
-            r = self._pivot_of.get(p)
+            r = self.pivot_row.get(p)
             if r is None:
                 continue
             coeff = vec[p]
@@ -78,10 +85,9 @@ class SpanBasis:
             if c:
                 self.rows[r] = vec_add(row, vec, -c)
                 self.combos[r] = vec_add(self.combos[r], combo, -c)
-        self._pivot_of[pivot] = len(self.rows)
+        self.pivot_row[pivot] = len(self.rows)
         self.rows.append(vec)
         self.combos.append(combo)
-        self.pivots.append(pivot)
         return True
 
     def express(self, vec: dict) -> Optional[dict]:
@@ -100,11 +106,12 @@ def _pivot_key(k):
     return (str(type(k)), repr(k))
 
 
-def rank_of(vectors: Iterable[dict]) -> int:
+def span_of(vectors: Iterable[dict]) -> SpanBasis:
+    """The span of the vectors, each tagged by its position."""
     sb = SpanBasis()
     for n, v in enumerate(vectors):
         sb.add(v, n)
-    return sb.rank
+    return sb
 
 
 def signature_symmetric(mat: list[list[Fraction]]) -> tuple[int, int, int]:
@@ -168,7 +175,6 @@ def rank_mod_p(rows: list[list[Fraction]], p: int = MOD_PRIME) -> int:
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     rank = 0
-    col = 0
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
@@ -184,54 +190,3 @@ def rank_mod_p(rows: list[list[Fraction]], p: int = MOD_PRIME) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def solve_dense(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a x = b exactly (a need not be square); None if inconsistent.
-
-    Returns one solution (free variables set to 0).
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [[Fraction(a[i][j]) for j in range(ncols)] + [Fraction(b[i])] for i in range(nrows)]
-    pivcols = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
-        pivcols.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if m[r][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivcols):
-        x[col] = m[r][ncols]
-    return x
-
-
-def invert_dense(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]

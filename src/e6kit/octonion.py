@@ -161,10 +161,6 @@ class Octonion:
                 terms.append(f"{c}{('*' + label) if label else ''}")
         return "Octonion(" + (" + ".join(terms) if terms else "0") + ")"
 
-    def to_strings(self) -> list[str]:
-        """Fixed-order serialization as rational strings."""
-        return [str(Fraction(c)) for c in self.coeffs]
-
 
 _ZERO = Octonion(_ZERO8)  # values are immutable, so one zero serves everywhere
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import invert_dense
+from .linalg import span_of
 
 ROUND = 7
 TOL = 1e-7
@@ -104,11 +104,14 @@ def cartan_matrix(d: DynkinDiagram) -> list:
 
 
 def inverse_cartan(d: DynkinDiagram) -> list:
-    a = [[Fraction(v) for v in row] for row in cartan_matrix(d)]
-    inv = invert_dense(a)
-    if inv is None:
+    """Exact A^-1: its column j solves A x = e_j in the span of A's columns."""
+    a = cartan_matrix(d)
+    n = d.rank
+    columns = span_of({i: Fraction(a[i][j]) for i in range(n) if a[i][j]} for j in range(n))
+    if columns.rank != n:
         raise SingularCartan(d.name)
-    return inv
+    inv = [columns.express({j: Fraction(1)}) for j in range(n)]
+    return [[inv[j].get(i, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
 def root_norms(d: DynkinDiagram) -> list:
@@ -179,14 +182,14 @@ class WeightDiagram:
     edges: list  # (from_mark, to_mark, simple-root index)
 
 
-def _mark_coords(d: DynkinDiagram, mark: tuple, roots: list) -> tuple:
-    inv = inverse_cartan(d)
+def _mark_coords(inv: list, mark: tuple, roots: list) -> tuple:
+    rank = len(inv)
     # coefficients on simple roots: c_k = sum_i mark_i * (A^-1)_ki
-    cs = [sum(Fraction(mark[i]) * inv[k][i] for i in range(d.rank))
-          for k in range(d.rank)]
+    cs = [sum(Fraction(mark[i]) * inv[k][i] for i in range(rank))
+          for k in range(rank)]
     dim = len(roots[0])
     return tuple(
-        sum(float(cs[k]) * roots[k][t] for k in range(d.rank))
+        sum(float(cs[k]) * roots[k][t] for k in range(rank))
         for t in range(dim)
     )
 
@@ -218,7 +221,8 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
                         nxt.append(new)
                     cur = new
         frontier = nxt
-    weights = [Weight(m, _mark_coords(d, m, roots)) for m in sorted(seen)]
+    inv = inverse_cartan(d)
+    weights = [Weight(m, _mark_coords(inv, m, roots)) for m in sorted(seen)]
     return WeightDiagram(d, highest, weights, edges)
 
 
@@ -293,21 +297,35 @@ def middle_slice(points: list, normal: tuple) -> list:
     return []
 
 
-def orthogonal_direction(vectors: list) -> tuple:
-    """A float direction orthogonal to the given (independent) vectors."""
+def _orthonormalize(vectors: list, tol: float) -> tuple[list, list]:
+    """Gram-Schmidt in order: (orthonormal basis, the input vectors it kept).
+
+    A vector whose residual norm is at most tol is skipped; the loop stops
+    once the basis spans the whole space.
+    """
     dim = len(vectors[0])
-    basis = []
-    for v in list(vectors) + [tuple(1.0 if i == k else 0.0 for i in range(dim))
-                              for k in range(dim)]:
+    basis, kept = [], []
+    for v in vectors:
         w = list(v)
         for b in basis:
             c = sum(a * x for a, x in zip(w, b))
             w = [a - c * x for a, x in zip(w, b)]
         nn = math.sqrt(sum(a * a for a in w))
-        if nn > 1e-9:
+        if nn > tol:
             basis.append(tuple(a / nn for a in w))
-        if len(basis) == dim:
-            break
+            kept.append(v)
+            if len(basis) == dim:
+                break
+    return basis, kept
+
+
+def _axes(dim: int) -> list:
+    return [tuple(1.0 if i == k else 0.0 for i in range(dim)) for k in range(dim)]
+
+
+def orthogonal_direction(vectors: list) -> tuple:
+    """A float direction orthogonal to the given (independent) vectors."""
+    basis, _ = _orthonormalize(list(vectors) + _axes(len(vectors[0])), 1e-9)
     if len(basis) <= len(vectors):
         raise ValueError("no orthogonal direction: vectors span the space")
     return basis[len(vectors)]
@@ -322,19 +340,7 @@ def project(points: list, direction: tuple, perturb: bool = False) -> list:
     p = tuple(direction)
     if perturb:
         p = tuple(x + 0.015 for x in p)
-    dim = len(p)
-    basis = []
-    for v in [p] + [tuple(1.0 if i == k else 0.0 for i in range(dim))
-                    for k in range(dim)]:
-        w = list(v)
-        for b in basis:
-            c = sum(a * x for a, x in zip(w, b))
-            w = [a - c * x for a, x in zip(w, b)]
-        nn = math.sqrt(sum(a * a for a in w))
-        if nn > 1e-9:
-            basis.append(tuple(a / nn for a in w))
-        if len(basis) == dim:
-            break
+    basis, _ = _orthonormalize([p] + _axes(len(p)), 1e-9)
     return [tuple(sum(a * x for a, x in zip(pt, b)) for b in basis[1:])
             for pt in points]
 
@@ -354,19 +360,8 @@ def embed_check(points1: list, points2: list, budget: int = 200000) -> bool:
     """
     if not points1:
         return True
-    dim = len(points1[0])
     # a linearly independent spanning subset of points1
-    span: list = []
-    basis: list = []
-    for v in points1:
-        w = list(v)
-        for b in basis:
-            c = sum(a * x for a, x in zip(w, b))
-            w = [a - c * x for a, x in zip(w, b)]
-        nn = math.sqrt(sum(a * a for a in w))
-        if nn > 1e-6:
-            basis.append(tuple(a / nn for a in w))
-            span.append(v)
+    basis, span = _orthonormalize(points1, 1e-6)
     k = len(span)
     max1 = max(_norm2(p) for p in points1)
     max2 = max(_norm2(p) for p in points2)

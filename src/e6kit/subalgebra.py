@@ -15,8 +15,7 @@ maximal subalgebras of sl(3,O), each identified by (dim, rank, signature).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 from .group import GeneratorLabel, format_label
@@ -24,7 +23,6 @@ from .algebra import (
     NotClosed,
     preferred_basis,
     structure_table,
-    killing_matrix,
     killing_restricted,
     signature,
     unit_vectors,
@@ -81,13 +79,6 @@ class Involution:
 
     name: str
     signs: tuple
-
-    def compose(self, other: "Involution") -> "Involution":
-        signs = tuple(a * b for a, b in zip(self.signs, other.signs))
-        return Involution(f"{self.name}*{other.name}", signs)
-
-
-_INVOLUTION_KINDS = ("t", "two_three", "h_perp")
 
 
 def _base_signs(which: str) -> tuple:

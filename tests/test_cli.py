@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -147,9 +148,51 @@ def test_apply_preserves_det():
     ["roots"],                       # missing --algebra
     ["apply", "--label", "A:i"],     # missing --alpha/--chi
     ["killing", "--jobs", "2"],      # no such flag
+    ["killing", "--seed", "1"],      # --seed belongs to verify only
+    ["killing", "--out", "/no/such/dir/x"],
+    ["apply", "--label", "A:i", "--alpha", "0.1", "--chi", "/missing"],
+    ["apply", "--label", "A:i", "--alpha", "nan", "--chi", "-"],
+    ["apply", "--label", "B:t,x", "--alpha", "1e3", "--chi", "-"],  # inf/nan result
+    ["apply", "--label", "B:t,x", "--alpha", "1e4", "--chi", "-"],  # cosh overflows
 ])
 def test_usage_errors_exit_2(args):
-    assert run_cli(*args).returncode == 2
+    proc = run_cli(*args, stdin=json.dumps({"coords": [1, 2, 3] + [0.5] * 24}))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def _cache_copy(tmp_path, damage):
+    """A copy of the filled shared cache, damaged by `damage(data)`."""
+    assert run_cli("killing").returncode == 0  # fills the shared cache if needed
+    with open(_CACHE_FILE, encoding="utf-8") as fh:
+        data = json.load(fh)
+    damage(data)
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _killing_with_cache(path):
+    env = dict(os.environ, E6KIT_CACHE=path)
+    return subprocess.run(CLI + ["killing"], capture_output=True, text=True, env=env)
+
+
+def test_cache_with_empty_constants_is_ignored(tmp_path):
+    path = _cache_copy(tmp_path, lambda data: data.update(constants=[]))
+    proc = _killing_with_cache(path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(52,26)"
+
+
+def test_cache_with_one_bad_entry_is_ignored_whole(tmp_path):
+    def damage(data):
+        labels = sorted(data["tangents"])
+        first, last = data["tangents"][labels[0]], data["tangents"][labels[-1]]
+        first[0][2] = str(Fraction(first[0][2]) + 1)  # parses, but is wrong
+        last[0][2] = "not a number"                    # makes the load give up
+    proc = _killing_with_cache(_cache_copy(tmp_path, damage))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(52,26)"
 
 
 def test_subalg_requires_exactly_one_mode():

@@ -93,7 +93,26 @@ def test_tangent_work_count(monkeypatch):
     assert len(calls) == 1215
 
 
-def test_corrupt_tangent_is_caught(monkeypatch):
+@pytest.fixture
+def fresh_span():
+    """Build the span of the basis tangents anew, and drop it after the test."""
+    algebra._basis_span.cache_clear()
+    yield
+    algebra._basis_span.cache_clear()
+
+
+def test_basis_span_built_once(monkeypatch, fresh_span):
+    """The table, the basis reduction and Stab(l) share one span of the 78 tangents."""
+    monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
+    monkeypatch.setattr(algebra, "_TABLE", None)
+    algebra.structure_table()
+    algebra.reduce_basis()
+    algebra.stabilizer_of_l()
+    info = algebra._basis_span.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
+def test_corrupt_tangent_is_caught(monkeypatch, fresh_span):
     """A basis tangent that is off by 1/2 in one entry cannot pass the integer rebuild."""
     monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
     tangents = {lab: algebra.tangent(lab) for lab in algebra.preferred_basis()}

@@ -56,9 +56,11 @@ def test_jordan_product_commutative(c1, c2):
 
 @given(coord_lists)
 @settings(max_examples=25, deadline=None)
+@example([1, 2, 3] + [1] * 24)  # int coordinates: the trace form stays exact
 def test_det_agrees_with_trace_form(coords):
     x = from_coords(coords)
     assert det(x) == det_trace_form(x)
+    assert not isinstance(det_trace_form(x), float)
 
 
 @given(coord_lists)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from e6kit.rootweight import (cartan_matrix, diagram, embed_check,
+from e6kit.rootweight import (DynkinDiagram, SingularCartan, cartan_matrix,
+                              diagram, embed_check,
                               fundamental_weights, inverse_cartan,
                               middle_slice, orthogonal_direction, project,
                               reflect, root_system, simple_roots,
@@ -190,6 +191,14 @@ def test_project_drops_one_dimension():
         along = sum(r) / n
         rest = sum(x * x for x in r) - along * along
         assert abs(sum(x * x for x in p) - rest) < 1e-9
+
+
+def test_singular_cartan_raises():
+    # a multiplicity-4 edge: the Cartan matrix [[2, -1], [-4, 2]] has determinant 0
+    d = DynkinDiagram("X2", 2, ((0, 1, 4, 1),))
+    assert cartan_matrix(d) == [[2, -1], [-4, 2]]
+    with pytest.raises(SingularCartan):
+        inverse_cartan(d)
 
 
 def test_e6_inverse_cartan_denominators():
