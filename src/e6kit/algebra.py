@@ -1,12 +1,13 @@
 """The Lie algebra sl(3,O) as exact 27x27 tangent matrices.
 
-The 45 type-1 tangents are differentiated at alpha = 0 in exact integers
-(group.apply_dual); the 90 type-2/3 tangents are their conjugates by the
-type-cycle permutation.  Every tangent entry lies in 1/2 Z and every
-structure constant in 1/6 Z, so the structure table on the preferred
-78-element basis is built and verified in integers.  Everything downstream
-(adjoint, Killing form, Casimirs, Gell-Mann comparison, Stab(l)) is computed
-from that table over the rationals.
+Each of the 45 type-1 tangents is differentiated at alpha = 0 in exact
+integers by one group.apply_dual call on a generic element, whose 27
+coordinates are the integer linear forms x_0 .. x_26; the 90 type-2/3
+tangents are their conjugates by the type-cycle permutation.  Every tangent
+entry lies in 1/2 Z and every structure constant in 1/6 Z, so the structure
+table on the preferred 78-element basis is built and verified in integers.
+Everything downstream (adjoint, Killing form, Casimirs, Gell-Mann
+comparison, Stab(l)) is computed from that table over the rationals.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 from . import jordan
 from .group import (GeneratorLabel, all_labels, apply, apply_dual,
                     format_label, parse_label, type_cycle)
-from .jordan import basis_element, from_coords, to_coords
+from .jordan import from_coords, to_coords
 from .linalg import SpanBasis, rank_mod_p, signature_symmetric, span_of
 from .octonion import IMAGINARY_UNITS, UNIT_INDEX
 
@@ -79,8 +80,14 @@ class AlgebraElement:
 
 def _mat_add(a: dict, b: dict, scale=1) -> dict:
     out = {r: dict(row) for r, row in a.items()}
+    _mat_iadd(out, b, scale)
+    return out
+
+
+def _mat_iadd(acc: dict, b: dict, scale=1) -> None:
+    """acc += scale * b in place; zero entries and empty rows are dropped."""
     for r, row in b.items():
-        dst = out.setdefault(r, {})
+        dst = acc.setdefault(r, {})
         for c, v in row.items():
             s = dst.get(c, 0) + scale * v
             if s:
@@ -88,8 +95,7 @@ def _mat_add(a: dict, b: dict, scale=1) -> dict:
             else:
                 dst.pop(c, None)
         if not dst:
-            out.pop(r, None)
-    return out
+            acc.pop(r, None)
 
 
 def _mat_mul(a: dict, b: dict) -> dict:
@@ -114,7 +120,7 @@ def _mat_mul(a: dict, b: dict) -> dict:
 def element_sum(parts: list[tuple[Fraction, AlgebraElement]]) -> AlgebraElement:
     acc: dict = {}
     for coeff, el in parts:
-        acc = _mat_add(acc, el.mat, coeff)
+        _mat_iadd(acc, el.mat, coeff)
     return AlgebraElement(acc)
 
 
@@ -129,6 +135,56 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # tangent extraction
 
+class _Form:
+    """An integer linear form in the 27 coordinates, as {column: int}.
+
+    The coordinates of _GENERIC are the forms {i: 1}, so one apply_dual call
+    on it returns the whole doubled tangent: coordinate i of the doubled
+    derivative is row i of 2T.  apply_dual only adds coordinates and scales
+    them by integer stage entries; a form times a form, or a form plus a
+    nonzero scalar, would not be linear and raises TypeError.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Form) and self.terms == other.terms
+
+    def __neg__(self) -> "_Form":
+        return _Form({c: -v for c, v in self.terms.items()})
+
+    def __add__(self, other) -> "_Form":
+        if not isinstance(other, _Form):
+            if other:
+                raise TypeError(f"cannot add the scalar {other!r} to a linear form")
+            return self
+        out = dict(self.terms)
+        for c, v in other.terms.items():
+            s = out.get(c, 0) + v
+            if s:
+                out[c] = s
+            else:
+                del out[c]
+        return _Form(out)
+
+    __radd__ = __add__
+
+    def __mul__(self, k) -> "_Form":
+        if not isinstance(k, int):
+            raise TypeError(f"a linear form can only be scaled by an int, not {k!r}")
+        return _Form({c: k * v for c, v in self.terms.items()} if k else {})
+
+    __rmul__ = __mul__
+
+
+_GENERIC = from_coords([_Form({i: 1}) for i in range(DIM)])
+
 _TANGENTS: dict[GeneratorLabel, AlgebraElement] = {}
 
 # group.type_cycle as a coordinate permutation P: coordinate i moves to _CYCLED[i].
@@ -138,8 +194,9 @@ _CYCLED = {i: n for n, i in enumerate(to_coords(type_cycle(from_coords(range(DIM
 def tangent(label: GeneratorLabel) -> AlgebraElement:
     """Exact d/dalpha at 0 of the label's action, as a 27x27 matrix.
 
-    Type-1 tangents come from group.apply_dual; the type-2 and type-3
-    tangents are P T P^-1 of the type before, where P is the type cycle.
+    Type-1 tangents come from one group.apply_dual call on the generic
+    element; the type-2 and type-3 tangents are P T P^-1 of the type
+    before, where P is the type cycle.
     """
     el = _TANGENTS.get(label)
     if el is not None:
@@ -162,15 +219,15 @@ def tangent(label: GeneratorLabel) -> AlgebraElement:
 
 
 def _evaluated_tangent(label: GeneratorLabel) -> dict:
+    value, twice = apply_dual(label, _GENERIC)
+    if value != _GENERIC:
+        raise AssertionError(f"action of {label} at alpha=0 is not the identity")
+    # insert column by column: the dicts iterate as if each basis column were applied
+    entries = sorted((col, row, v) for row, form in enumerate(to_coords(twice)) if form
+                     for col, v in form.terms.items())
     mat: dict = {}
-    for col in range(DIM):
-        chi = basis_element(col)
-        value, twice = apply_dual(label, chi)
-        if value != chi:
-            raise AssertionError(f"action of {label} at alpha=0 is not the identity")
-        for row, v in enumerate(to_coords(twice)):
-            if v:
-                mat.setdefault(row, {})[col] = Fraction(v, 2)
+    for col, row, v in entries:
+        mat.setdefault(row, {})[col] = Fraction(v, 2)
     return mat
 
 
@@ -321,7 +378,7 @@ def _rebuilds(comm4: dict, coeffs: dict, doubled: list[AlgebraElement]) -> bool:
         six = 6 * c
         if six.denominator != 1:
             return False
-        total = _mat_add(total, doubled[k].mat, int(six))
+        _mat_iadd(total, doubled[k].mat, int(six))
     return total == _mat_add({}, comm4, 3)
 
 
@@ -767,7 +824,11 @@ def _second_difference(label1, label2, h, chi):
 
 
 def calibration_constant(h: float = 1e-3) -> float:
-    """Measured once on (A_i, A_j) and frozen for the session."""
+    """The curve constant fitted on (A_i, A_j), measured once per process.
+
+    curve_commutator divides by the exact 1/2; this fit is the check that
+    the second difference really is half the bracket.
+    """
     global _CALIBRATION
     if _CALIBRATION is None:
         l1 = GeneratorLabel("A", 1, axis="i")
@@ -786,10 +847,12 @@ def calibration_constant(h: float = 1e-3) -> float:
 def curve_commutator(label1: GeneratorLabel, label2: GeneratorLabel,
                      h: float, chi: jordan.JordanElement,
                      tol: Optional[float] = None) -> list[float]:
-    """Finite-difference estimate of [T1, T2] applied to chi (calibrated)."""
-    c = calibration_constant()
-    fd = _second_difference(label1, label2, h, chi)
-    est = [v / c for v in fd]
+    """Finite-difference estimate of [T1, T2] applied to chi.
+
+    The second difference of the curve g2(-a/2) g1(-a/2) g2(a/2) g1(a/2)
+    approaches 1/2 [T1, T2] chi, so the estimate is twice it.
+    """
+    est = [2 * v for v in _second_difference(label1, label2, h, chi)]
     if tol is not None:
         mc = commutator(tangent(label1), tangent(label2)).apply_coords(
             [Fraction(v) for v in to_coords(chi)])

@@ -176,6 +176,8 @@ def _verify_det(out, seed: int, tol: float) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol <= 0:
+        raise InputError(f"--tol must be positive, got {args.tol:g}")
     suites = ["dependencies", "jacobi", "det"] if args.suite == "all" else [args.suite]
     with _output(args.out) as out:
         for suite in suites:
@@ -292,7 +294,10 @@ def cmd_roots(args) -> int:
             raise InputError("--highest must be a comma list of integers") from None
         if len(marks) != d.rank:
             raise InputError(f"--highest needs {d.rank} marks")
-        wd = rootweight.weights_from_highest(d, marks)
+        try:
+            wd = rootweight.weights_from_highest(d, marks)
+        except ValueError as exc:
+            raise InputError(exc) from None
         index = {w.mark: n for n, w in enumerate(wd.weights)}
         data["weights"] = [{"mark": list(w.mark),
                             "coords": [round(x, 12) for x in w.coords]}

@@ -9,7 +9,9 @@ single complex subalgebra of O so the nest is well defined.
 Entries are symbolic in the parameter alpha.  `apply` evaluates them in
 floating point at a finite alpha; `apply_dual` evaluates the value and the
 doubled derivative at alpha = 0 in exact integers, which is where the
-tangents of the Lie algebra come from.
+tangents of the Lie algebra come from: one call per type-1 label, on a
+generic element whose coordinates are integer linear forms, gives the whole
+tangent matrix.
 """
 
 from __future__ import annotations
@@ -335,7 +337,10 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
 
         X <- (M X) M†,    D <- (M' X + M D) M† + (M X) M'†.
 
-    For integer chi both results have integer coordinates; the value is chi.
+    Only integer stage entries multiply the coordinates of chi, so chi may
+    have any coefficients that add and scale by int, such as the linear
+    forms of algebra's generic element.  For integer chi both results have
+    integer coordinates; the value is chi.
     """
     x = to_matrix(chi)
     d = [[Octonion.zero()] * 3 for _ in range(3)]

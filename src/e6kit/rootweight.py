@@ -198,11 +198,14 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
     """All weights reached by mark subtraction from the highest mark.
 
     Lowering along node j subtracts t copies of the j-th Cartan column from
-    the mark, for t = 1 .. mark[j].
+    the mark, for t = 1 .. mark[j].  A negative mark is not a highest
+    weight and raises ValueError.
     """
     a = cartan_matrix(d)
     roots = simple_roots(d)
     highest = tuple(int(x) for x in highest)
+    if any(x < 0 for x in highest):
+        raise ValueError(f"highest-weight marks must be non-negative, got {list(highest)}")
     seen = {highest}
     frontier = [highest]
     edges = []

@@ -133,12 +133,14 @@ def test_calibration_constant():
 def test_curve_commutator_matches_bracket():
     rng = random.Random(9)
     chi = from_coords([rng.randint(-5, 5) / 2.0 for _ in range(27)])
-    l1, l2 = parse_label("A:i"), parse_label("B:t,z")
+    # a pair that does not commute, so a wrong curve constant cannot pass
+    l1, l2 = parse_label("A:i"), parse_label("B:t,j")
     from e6kit.jordan import to_coords
     est = curve_commutator(l1, l2, 1e-3, chi)
     exact = commutator(tangent(l1), tangent(l2)).apply_coords(
         [Fraction(float(v)) for v in to_coords(chi)])
     exact = [float(v) for v in exact]
+    assert max(abs(v) for v in exact) > 1
     assert max(abs(a - b) for a, b in zip(est, exact)) < 1e-4
 
 

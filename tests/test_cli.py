@@ -154,11 +154,25 @@ def test_apply_preserves_det():
     ["apply", "--label", "A:i", "--alpha", "nan", "--chi", "-"],
     ["apply", "--label", "B:t,x", "--alpha", "1e3", "--chi", "-"],  # inf/nan result
     ["apply", "--label", "B:t,x", "--alpha", "1e4", "--chi", "-"],  # cosh overflows
+    ["verify", "--suite", "det", "--tol", "-1"],
+    ["verify", "--suite", "det", "--tol", "0"],
+    ["roots", "--algebra", "A2", "--highest", "1,-1"],  # not a highest weight
 ])
 def test_usage_errors_exit_2(args):
     proc = run_cli(*args, stdin=json.dumps({"coords": [1, 2, 3] + [0.5] * 24}))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "det", "--tol", "-1"],
+    ["roots", "--algebra", "A2", "--highest", "1,-1"],
+])
+def test_bad_value_is_one_stderr_line(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def _cache_copy(tmp_path, damage):

@@ -23,11 +23,24 @@ def _direct_tangent(label):
 
 
 def test_derived_tangents_match_direct_evaluation():
-    derived = [lab for lab in all_labels() if lab.type_index != 1]
-    assert len(derived) == 90
-    wrong = [group.format_label(lab) for lab in derived
+    """The 45 generic-element tangents and the 90 derived ones equal 27 calls per label."""
+    wrong = [group.format_label(lab) for lab in all_labels()
              if algebra.tangent(lab).mat != _direct_tangent(lab)]
     assert wrong == []
+
+
+@pytest.mark.parametrize("misuse", [
+    lambda x, y: x * y,
+    lambda x, y: x + 1,
+    lambda x, y: 1 - x,
+    lambda x, y: x * Fraction(1, 2),
+    lambda x, y: 0.5 * x,
+])
+def test_linear_form_misuse_raises(misuse):
+    """A non-linear use of the generic coordinates is a TypeError, not a wrong number."""
+    x, y = algebra._Form({0: 1}), algebra._Form({1: 2})
+    with pytest.raises(TypeError):
+        misuse(x, y)
 
 
 def test_tangent_entries_in_half_integers():
@@ -74,23 +87,23 @@ def test_integral_stage_sums_are_accepted():
 
 
 def test_tangent_work_count(monkeypatch):
-    """135 tangents computed cold make 45 x 27 apply_dual calls; repeats make none."""
+    """135 cold tangents make 45 apply_dual calls, all on the generic element; none on repeat."""
     monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
     monkeypatch.setattr(algebra, "_TANGENTS", {})
     calls = []
 
     def counted(label, chi):
-        calls.append(label.type_index)
+        calls.append((label.type_index, chi is algebra._GENERIC))
         return apply_dual(label, chi)
 
     monkeypatch.setattr(algebra, "apply_dual", counted)
     for label in all_labels():
         algebra.tangent(label)
-    assert len(calls) == 1215 == 45 * 27
-    assert set(calls) == {1}
+    assert len(calls) == 45
+    assert set(calls) == {(1, True)}
     for label in all_labels():
         algebra.tangent(label)
-    assert len(calls) == 1215
+    assert len(calls) == 45
 
 
 @pytest.fixture

@@ -44,6 +44,13 @@ def test_b3_vector_representation_marks():
                      (0, 1, -2), (1, -1, 0), (-1, 0, 0)}
 
 
+@pytest.mark.parametrize("marks", [[1, -1], [-1, 0], [0, -3]])
+def test_negative_highest_mark_raises(marks):
+    """A mark below zero is no highest weight: no diagram is made up for it."""
+    with pytest.raises(ValueError):
+        weights_from_highest(diagram("A2"), marks)
+
+
 @pytest.mark.parametrize("name,count", ROOT_COUNTS)
 def test_root_counts(name, count):
     assert len(root_system(diagram(name))) == count
