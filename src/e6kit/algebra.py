@@ -1,19 +1,24 @@
 """The Lie algebra sl(3,O) as exact 27x27 tangent matrices.
 
-Each of the 45 type-1 tangents is differentiated at alpha = 0 in exact
-integers by one group.apply_dual call on a generic element, whose 27
+Every generator is a product of cores (group.cores), each the identity at
+alpha = 0, so a type-1 tangent is the angle-weighted sum of its cores'
+tangents.  Each of the 45 type-1 cores (24 B/R generators, 21 transverse
+rotations shared by the A/G/S generators) is differentiated at alpha = 0 in
+exact integers by one group.apply_dual call on a generic element, whose 27
 coordinates are the integer linear forms x_0 .. x_26; the 90 type-2/3
-tangents are their conjugates by the type-cycle permutation.  Every tangent
-entry lies in 1/2 Z and every structure constant in 1/6 Z, so the structure
-table on the preferred 78-element basis is built and verified in integers.
-Everything downstream (adjoint, Killing form, Casimirs, Gell-Mann
-comparison, Stab(l)) is computed from that table over the rationals.
+tangents are the type-1 ones conjugated by the type-cycle permutation.
+Every tangent entry lies in 1/2 Z and every structure constant in 1/6 Z, so
+the structure table on the preferred 78-element basis is built through an
+integer dual basis and verified in integers, and the Killing form is summed
+in integers.  Everything downstream (Casimirs, Gell-Mann comparison,
+Stab(l)) is computed from the table over the rationals.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import random
 import zlib
@@ -22,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import jordan
-from .group import (GeneratorLabel, all_labels, apply, apply_dual,
+from .group import (GeneratorLabel, all_labels, apply, apply_dual, cores,
                     format_label, parse_label, type_cycle)
 from .jordan import from_coords, to_coords
 from .linalg import SpanBasis, rank_mod_p, signature_symmetric, span_of
@@ -194,9 +199,9 @@ _CYCLED = {i: n for n, i in enumerate(to_coords(type_cycle(from_coords(range(DIM
 def tangent(label: GeneratorLabel) -> AlgebraElement:
     """Exact d/dalpha at 0 of the label's action, as a 27x27 matrix.
 
-    Type-1 tangents come from one group.apply_dual call on the generic
-    element; the type-2 and type-3 tangents are P T P^-1 of the type
-    before, where P is the type cycle.
+    Type-1 tangents are sums of core tangents, each core differentiated
+    once per process; the type-2 and type-3 tangents are P T P^-1 of the
+    type before, where P is the type cycle.
     """
     el = _TANGENTS.get(label)
     if el is not None:
@@ -219,16 +224,37 @@ def tangent(label: GeneratorLabel) -> AlgebraElement:
 
 
 def _evaluated_tangent(label: GeneratorLabel) -> dict:
-    value, twice = apply_dual(label, _GENERIC)
-    if value != _GENERIC:
-        raise AssertionError(f"action of {label} at alpha=0 is not the identity")
+    """sum over the label's cores of angle * T(core), by the product rule.
+
+    Every core is the identity at alpha = 0, so the derivative of their
+    product is the sum of their derivatives.
+    """
+    twice: dict = {}
+    for core, angle in cores(label):
+        for key, v in _core_tangent(core).items():
+            twice[key] = twice.get(key, 0) + angle * v
     # insert column by column: the dicts iterate as if each basis column were applied
-    entries = sorted((col, row, v) for row, form in enumerate(to_coords(twice)) if form
-                     for col, v in form.terms.items())
     mat: dict = {}
-    for col, row, v in entries:
-        mat.setdefault(row, {})[col] = Fraction(v, 2)
+    for col, row in sorted(twice):
+        v = twice[col, row]
+        if v:
+            mat.setdefault(row, {})[col] = Fraction(v, 2)
     return mat
+
+
+_CORE_TANGENTS: dict[GeneratorLabel, dict] = {}
+
+
+def _core_tangent(core: GeneratorLabel) -> dict:
+    """2T of a type-1 core as {(col, row): int}, from one group.apply_dual call."""
+    twice = _CORE_TANGENTS.get(core)
+    if twice is None:
+        value, d = apply_dual(core, _GENERIC)
+        if value != _GENERIC:
+            raise AssertionError(f"action of {core} at alpha=0 is not the identity")
+        twice = _CORE_TANGENTS[core] = {(col, row): v for row, form in enumerate(to_coords(d))
+                                        if form for col, v in form.terms.items()}
+    return twice
 
 
 def preferred_basis() -> list[GeneratorLabel]:
@@ -320,9 +346,11 @@ def structure_table() -> StructureTable:
 
     Tangent entries lie in 1/2 Z, so the doubled tangents 2T are integer
     matrices and commutators of them are 4 [T_i, T_j].  The coefficients are
-    read off the pivot coordinates of the reduced span of the basis, and each
-    bracket is checked by rebuilding 12 [T_i, T_j] = sum 6c_k 2T_k in
-    integers; NotInSpan if a 6c_k is not an integer or the rebuild differs.
+    read off the pivot coordinates of the reduced span of the basis through
+    the integer dual rows D = L * combos, where L is the lcm of the combos'
+    denominators: c_k = sum over pivots of entry * D[row][k] / 4L.  Each
+    bracket is checked by the integer residual 3 [2T_i, 2T_j] - sum 6c_k 2T_k,
+    which must vanish; NotInSpan if a 6c_k is not an integer or it does not.
     """
     global _TABLE
     if _TABLE is not None:
@@ -334,8 +362,12 @@ def structure_table() -> StructureTable:
     # w in the span is sum over reduced rows n of w[pivot n] * row n, and
     # combos[n] is row n on the basis.
     span = _basis_span()
-    row_of, combos = span.pivot_row, span.combos
+    row_of = span.pivot_row
+    scale = math.lcm(*(x.denominator for combo in span.combos for x in combo.values()))
+    dual = [{k: x.numerator * (scale // x.denominator) for k, x in combo.items()}
+            for combo in span.combos]
     doubled = [AlgebraElement(_doubled(tangent(label).mat)) for label in basis]
+    flat = [el.flat() for el in doubled]
     constants = {}
     for i in range(78):
         for j in range(i + 1, 78):
@@ -343,14 +375,26 @@ def structure_table() -> StructureTable:
             if not comm:
                 continue
             acc: dict = {}
+            residual = {}
             for r, row in comm.items():
                 for c, v in row.items():
-                    n = row_of.get(r * DIM + c)
+                    key = r * DIM + c
+                    residual[key] = 3 * v
+                    n = row_of.get(key)
                     if n is not None:
-                        for k, x in combos[n].items():
+                        for k, x in dual[n].items():
                             acc[k] = acc.get(k, 0) + v * x
-            coeffs = {k: acc[k] / 4 for k in sorted(acc) if acc[k]}
-            if not _rebuilds(comm, coeffs, doubled):
+            coeffs = {}
+            for k in sorted(acc):
+                if not acc[k]:
+                    continue
+                six, rem = divmod(3 * acc[k], 2 * scale)    # 6 c_k
+                if rem:
+                    raise NotInSpan(f"[{basis[i]}, {basis[j]}] has a constant outside 1/6 Z")
+                for key, w in flat[k].items():
+                    residual[key] = residual.get(key, 0) - six * w
+                coeffs[k] = Fraction(acc[k], 4 * scale)
+            if any(residual.values()):
                 raise NotInSpan(f"[{basis[i]}, {basis[j]}] escapes the basis span")
             constants[(i, j)] = coeffs
     _TABLE = StructureTable(basis, constants)
@@ -369,17 +413,6 @@ def _doubled(mat: dict) -> dict:
                 raise AssertionError(f"tangent entry {v} is not in 1/2 Z")
             out[r][c] = int(twice)
     return out
-
-
-def _rebuilds(comm4: dict, coeffs: dict, doubled: list[AlgebraElement]) -> bool:
-    """sum_k 6 coeffs[k] * 2T_k == 3 * comm4 exactly, in integers."""
-    total: dict = {}
-    for k, c in coeffs.items():
-        six = 6 * c
-        if six.denominator != 1:
-            return False
-        _mat_iadd(total, doubled[k].mat, int(six))
-    return total == _mat_add({}, comm4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -469,46 +502,43 @@ def _maybe_store_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# adjoint, Killing form, signature
-
-def adjoint_matrices() -> list[dict]:
-    """ad_i as sparse maps col -> {row: value}."""
-    table = structure_table()
-    out = []
-    for i in range(78):
-        ad: dict = {}
-        for j in range(78):
-            row = table.bracket(i, j)
-            if row:
-                ad[j] = row
-        out.append(ad)
-    return out
-
+# Killing form, signature
 
 _KILLING: Optional[list[list[Fraction]]] = None
 
 
 def killing_matrix() -> list[list[Fraction]]:
-    """B_ij = tr(ad_i ad_j) on the preferred basis."""
+    """B_ij = tr(ad_i ad_j) on the preferred basis, summed in integers.
+
+    ad_i maps b_a to sum_k c_{ia}^k b_k; call c_{ia}^k its entry (a -> k).
+    Then B_ij = sum over entries (a -> k) of ad_i of
+    (L'c)_{i, a->k} (L'c)_{j, k->a} / L'^2, where L' is the lcm of the
+    constants' denominators, so the sum is taken in integers.
+    """
     global _KILLING
     if _KILLING is not None:
         return _KILLING
-    ads = adjoint_matrices()
-    n = 78
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        adi = ads[i]
-        for j in range(i, n):
-            adj = ads[j]
-            total = Fraction(0)
-            for a, col in adi.items():
-                for k, v in col.items():
-                    w = adj.get(k, {}).get(a)
-                    if w:
-                        total += v * w
-            out[i][j] = out[j][i] = total
-    _KILLING = out
-    return out
+    table = structure_table()
+    n = len(table.basis)
+    scale = math.lcm(*(v.denominator for row in table.constants.values() for v in row.values()))
+    # (a, k) -> [(i, L' c_{ia}^k)]; [b_i, b_j] = c b_k puts c at (j -> k) of
+    # ad_i and -c at (i -> k) of ad_j
+    entries: dict = {}
+    for (i, j), row in table.constants.items():
+        for k, v in row.items():
+            x = v.numerator * (scale // v.denominator)
+            entries.setdefault((j, k), []).append((i, x))
+            entries.setdefault((i, k), []).append((j, -x))
+    total = [[0] * n for _ in range(n)]
+    for (a, k), col in entries.items():
+        back = entries.get((k, a))
+        if back:
+            for i, x in col:
+                row = total[i]
+                for j, y in back:
+                    row[j] += x * y
+    _KILLING = [[Fraction(v, scale * scale) for v in row] for row in total]
+    return _KILLING
 
 
 def signature(bilinear: list[list[Fraction]]) -> tuple[int, int, int]:

@@ -341,7 +341,7 @@ def cmd_apply(args) -> int:
             raise ValueError("need 27 coordinates")
     except OSError as exc:
         raise InputError(f"cannot read --chi {args.chi}: {exc.strerror or exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise InputError(f"bad chi JSON: {exc}") from None
     try:
         moved = group.apply(label, args.alpha, jordan.from_coords(coords))

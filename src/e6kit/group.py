@@ -9,9 +9,11 @@ single complex subalgebra of O so the nest is well defined.
 Entries are symbolic in the parameter alpha.  `apply` evaluates them in
 floating point at a finite alpha; `apply_dual` evaluates the value and the
 doubled derivative at alpha = 0 in exact integers, which is where the
-tangents of the Lie algebra come from: one call per type-1 label, on a
-generic element whose coordinates are integer linear forms, gives the whole
-tangent matrix.
+tangents of the Lie algebra come from.  Every generator is a product of
+cores (`cores`): a B or R generator is its own core, and an A/G/S generator
+is two or three transverse rotations at fixed angles.  One apply_dual call
+per type-1 core, on a generic element whose coordinates are integer linear
+forms, gives the core's whole tangent matrix.
 """
 
 from __future__ import annotations
@@ -197,12 +199,12 @@ _ONE = (("const", Fraction(0), 0, Fraction(1)),)
 _EMPTY = ()
 
 
-def _scale_terms(terms, angle: Fraction):
+def _scale_terms(terms, angle: int):
     """Replace alpha by angle*alpha inside every term."""
     return tuple((kind, k * angle, unit, coeff) for kind, k, unit, coeff in terms)
 
 
-def _core_stages(category: str, plane: tuple[str, str], angle: Fraction = Fraction(1)):
+def _core_stages(category: str, plane: tuple[str, str], angle: int = 1):
     """2x2 stage matrices (application order) for a basic transformation."""
     h = Fraction(1, 2)
 
@@ -266,19 +268,39 @@ def _embed(stage, type_index: int) -> ParamMatrix:
     return ParamMatrix(tuple(tuple(row) for row in m))
 
 
-def build_sequence(label: GeneratorLabel) -> list[ParamMatrix]:
-    """Stage matrices in application order (innermost first)."""
+# An A/G/S generator rotates in the planes _AGS_PAIRS[axis] in turn, by these
+# multiples of alpha.
+_AGS_ANGLES = {"A": (1, -1), "G": (1, 1, -2), "S": (1, 1, 1)}
+
+
+def cores(label: GeneratorLabel) -> list[tuple[GeneratorLabel, int]]:
+    """The label's action as a product of cores, each with its angle.
+
+    A B or R generator is its own core, with angle 1.  An A/G/S generator is
+    the transverse rotations R in the planes _AGS_PAIRS[axis], applied in turn
+    at angle * alpha.  A transverse rotation is a core only: it is not one of
+    the 135 generators, so parse_label rejects it, but build_sequence and
+    apply_dual accept it.  Every core is the identity at alpha = 0.
+    """
     validate_label(label)
     if label.category in ("B", "R"):
-        stages = _core_stages(label.category, label.plane)
-    else:
-        pairs = _AGS_PAIRS[label.axis]
-        angles = {"A": (Fraction(1), Fraction(-1)),
-                  "G": (Fraction(1), Fraction(1), Fraction(-2)),
-                  "S": (Fraction(1), Fraction(1), Fraction(1))}[label.category]
-        stages = []
-        for pair, angle in zip(pairs, angles):
-            stages += _core_stages("R", pair, angle)
+        return [(label, 1)]
+    return [(GeneratorLabel("R", label.type_index, plane=pair), angle)
+            for pair, angle in zip(_AGS_PAIRS[label.axis], _AGS_ANGLES[label.category])]
+
+
+def _is_transverse(label: GeneratorLabel) -> bool:
+    """R in the plane of two imaginary units: a core of the A/G/S generators."""
+    return (label.category == "R" and label.plane is not None
+            and all(u in IMAGINARY_UNITS for u in label.plane))
+
+
+def build_sequence(label: GeneratorLabel) -> list[ParamMatrix]:
+    """Stage matrices in application order (innermost first)."""
+    parts = [(label, 1)] if _is_transverse(label) else cores(label)
+    stages = []
+    for core, angle in parts:
+        stages += _core_stages(core.category, core.plane, angle)
     return [_embed(stage, label.type_index) for stage in stages]
 
 

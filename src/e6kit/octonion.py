@@ -101,6 +101,15 @@ class Octonion:
     def __mul__(self, other: "Octonion") -> "Octonion":
         if not isinstance(other, Octonion):
             return self.scale(other)
+        # A real factor (e_0 * e_b = +e_b): each product coefficient is the
+        # one term ca * cb the loop below would make, with the same zeros.
+        sa, sb = self.coeffs, other.coeffs
+        if sa[0] and not any(sa[1:]):
+            ca, zero = sa[0], sa[0] * 0
+            return Octonion(tuple(ca * cb if cb else zero for cb in sb))
+        if sb[0] and not any(sb[1:]):
+            cb, zero = sb[0], sa[0] * 0
+            return Octonion(tuple(ca * cb if ca else zero for ca in sa))
         out = [None] * 8
         for a, ca in enumerate(self.coeffs):
             if not ca:

@@ -23,6 +23,12 @@ from .linalg import span_of
 ROUND = 7
 TOL = 1e-7
 
+# The largest diagram weights_from_highest builds: distinct weights, and
+# edges, which repeat and grow faster (A2 with marks (40, 40) has 4921
+# weights and 155000 edges, A1 with mark n about n^2 / 4 edges).
+MAX_WEIGHTS = 10_000
+MAX_EDGES = 200_000
+
 
 class SingularCartan(ValueError):
     """Malformed diagram: the Cartan matrix is singular."""
@@ -199,7 +205,8 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
 
     Lowering along node j subtracts t copies of the j-th Cartan column from
     the mark, for t = 1 .. mark[j].  A negative mark is not a highest
-    weight and raises ValueError.
+    weight and raises ValueError, as does a diagram of more than
+    MAX_WEIGHTS distinct weights or MAX_EDGES edges, as soon as it has them.
     """
     a = cartan_matrix(d)
     roots = simple_roots(d)
@@ -220,9 +227,15 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
                     new = tuple(cur[k] - a[k][j] for k in range(d.rank))
                     edges.append((cur, new, j))
                     if new not in seen:
+                        if len(seen) == MAX_WEIGHTS:
+                            raise ValueError(f"the diagram of {list(highest)} has more than "
+                                             f"{MAX_WEIGHTS} weights")
                         seen.add(new)
                         nxt.append(new)
                     cur = new
+                if len(edges) > MAX_EDGES:
+                    raise ValueError(f"the diagram of {list(highest)} has more than "
+                                     f"{MAX_EDGES} edges")
         frontier = nxt
     inv = inverse_cartan(d)
     weights = [Weight(m, _mark_coords(inv, m, roots)) for m in sorted(seen)]

@@ -40,6 +40,16 @@ def test_golden_output_cold(verb, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[verb]
 
 
+@pytest.mark.parametrize("verb", sorted(GOLDEN_SHA256))
+def test_golden_output_from_cache(verb, tmp_path):
+    """Read from a filled disk cache, the table and the Killing form are the seed's too."""
+    assert run_cli("table").returncode == 0  # fills the shared cache if needed
+    out = tmp_path / f"{verb}.json"
+    proc = run_cli(verb, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[verb]
+
+
 def test_killing_prints_signature():
     proc = run_cli("killing")
     assert proc.returncode == 0
@@ -157,6 +167,8 @@ def test_apply_preserves_det():
     ["verify", "--suite", "det", "--tol", "-1"],
     ["verify", "--suite", "det", "--tol", "0"],
     ["roots", "--algebra", "A2", "--highest", "1,-1"],  # not a highest weight
+    ["roots", "--algebra", "A2", "--highest", "1000000,1000000"],  # too many weights
+    ["apply", "--label", "R:i,j", "--alpha", "0.1", "--chi", "-"],  # a core, not a generator
 ])
 def test_usage_errors_exit_2(args):
     proc = run_cli(*args, stdin=json.dumps({"coords": [1, 2, 3] + [0.5] * 24}))
@@ -167,6 +179,7 @@ def test_usage_errors_exit_2(args):
 @pytest.mark.parametrize("args", [
     ["verify", "--suite", "det", "--tol", "-1"],
     ["roots", "--algebra", "A2", "--highest", "1,-1"],
+    ["roots", "--algebra", "A2", "--highest", "1000000,1000000"],
 ])
 def test_bad_value_is_one_stderr_line(args):
     proc = run_cli(*args)

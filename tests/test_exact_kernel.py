@@ -29,6 +29,38 @@ def test_derived_tangents_match_direct_evaluation():
     assert wrong == []
 
 
+def _exp_column(mat: dict, alpha: float, col: int) -> list:
+    """exp(alpha * mat) e_col as a Taylor series, summed until a term is below 1e-18."""
+    rows = [(r, [(c, float(v)) for c, v in row.items()]) for r, row in mat.items()]
+    term = [0.0] * 27
+    term[col] = 1.0
+    total = list(term)
+    n = 0
+    while max(map(abs, term)) > 1e-18:
+        n += 1
+        nxt = [0.0] * 27
+        for r, row in rows:
+            nxt[r] = alpha / n * sum(v * term[c] for c, v in row)
+        term = nxt
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+def test_action_matrix_is_exponential_of_tangent():
+    """The float action at alpha equals exp(alpha * T) of the exact tangent, for all 135 labels."""
+    alpha = 0.7
+    worst, where = 0.0, None
+    for label in all_labels():
+        action = group.action_matrix(label, alpha)
+        mat = algebra.tangent(label).mat
+        for col in range(27):
+            for row, x in enumerate(_exp_column(mat, alpha, col)):
+                err = abs(action[row][col] - x)
+                if err > worst:
+                    worst, where = err, group.format_label(label)
+    assert worst <= 1e-12, (worst, where)
+
+
 @pytest.mark.parametrize("misuse", [
     lambda x, y: x * y,
     lambda x, y: x + 1,
@@ -87,23 +119,43 @@ def test_integral_stage_sums_are_accepted():
 
 
 def test_tangent_work_count(monkeypatch):
-    """135 cold tangents make 45 apply_dual calls, all on the generic element; none on repeat."""
+    """135 cold tangents differentiate 45 cores (66 stages) on the generic element; none on repeat."""
     monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
     monkeypatch.setattr(algebra, "_TANGENTS", {})
-    calls = []
+    monkeypatch.setattr(algebra, "_CORE_TANGENTS", {})
+    calls, stages = [], []
 
     def counted(label, chi):
-        calls.append((label.type_index, chi is algebra._GENERIC))
+        calls.append((label, chi is algebra._GENERIC))
         return apply_dual(label, chi)
 
+    def counted_at_zero(self):
+        stages.append(self)
+        return at_zero(self)
+
+    at_zero = ParamMatrix.at_zero
     monkeypatch.setattr(algebra, "apply_dual", counted)
+    monkeypatch.setattr(ParamMatrix, "at_zero", counted_at_zero)
     for label in all_labels():
         algebra.tangent(label)
-    assert len(calls) == 45
-    assert set(calls) == {(1, True)}
+    assert len(calls) == 45 and len(stages) == 66
+    assert len({core for core, _ in calls}) == 45  # each core is evaluated once
+    assert {(core.type_index, generic) for core, generic in calls} == {(1, True)}
     for label in all_labels():
         algebra.tangent(label)
-    assert len(calls) == 45
+    assert len(calls) == 45 and len(stages) == 66
+
+
+def test_cores_are_transverse_rotations_not_labels():
+    """A/G/S cores are the pairs of _AGS_PAIRS at the build_sequence angles; none is a generator."""
+    label = GeneratorLabel("G", 1, axis="i")
+    parts = group.cores(label)
+    assert [(core.plane, angle) for core, angle in parts] == [
+        (("j", "k"), 1), (("kl", "jl"), 1), (("l", "il"), -2)]
+    assert len(group.build_sequence(label)) == 2 * len(parts)
+    for core, _ in parts:
+        with pytest.raises(group.IllegalLabel):
+            group.parse_label(group.format_label(core))
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ def test_parse_accepts_ascii_and_display_units():
 
 
 @pytest.mark.parametrize("bad", ["Q:i", "B:t", "B:t,z:4", "R:t,z", "A:w",
-                                 "B:x,z", "A:i:0", "nonsense"])
+                                 "B:x,z", "A:i:0", "nonsense", "R:i,j", "R:l,il:2"])
 def test_illegal_labels_rejected(bad):
     with pytest.raises(IllegalLabel):
         parse_label(bad)

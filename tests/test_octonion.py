@@ -1,12 +1,13 @@
 """Octonion arithmetic: multiplication table, alternativity, norm composition."""
 
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e6kit.octonion import (Octonion, TRIPLES, UNITS, UNIT_INDEX,
+from e6kit.octonion import (MULT_TABLE, Octonion, TRIPLES, UNITS, UNIT_INDEX,
                             IMAGINARY_UNITS, associator, quaternionic_triples)
 
 
@@ -110,3 +111,50 @@ def test_real_and_imaginary_split(x):
 
 def test_nonassociativity_present():
     assert associator(u("i"), u("j"), u("l")) != Octonion.zero()
+
+
+def _loop_product(x: Octonion, y: Octonion) -> tuple:
+    """The general 8x8 product loop, without the real-factor shortcut."""
+    out = [None] * 8
+    for a, ca in enumerate(x.coeffs):
+        if not ca:
+            continue
+        for b, cb in enumerate(y.coeffs):
+            if not cb:
+                continue
+            sign, idx = MULT_TABLE[a][b]
+            term = ca * cb
+            if sign < 0:
+                term = -term
+            out[idx] = term if out[idx] is None else out[idx] + term
+    zero = x.coeffs[0] * 0
+    return tuple(zero if v is None else v for v in out)
+
+
+def _bits(coeffs: tuple) -> tuple:
+    """Coefficients with each float as its bit pattern, so -0.0 != 0.0."""
+    return tuple((type(c), struct.pack("<d", c) if isinstance(c, float) else c)
+                 for c in coeffs)
+
+
+_float = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _real_factor_pair(draw):
+    """(x, y), one of them real (zero included), the other arbitrary, of one coefficient type."""
+    kind = draw(st.sampled_from([st.integers(-5, 5), rational,
+                                 st.one_of(_float, st.sampled_from([0.0, -0.0]))]))
+    real = [draw(kind)] + [draw(st.sampled_from([0, 0.0, -0.0, Fraction(0)]))
+                                        for _ in range(7)]
+    other = draw(st.lists(kind, min_size=8, max_size=8))
+    pair = (Octonion(real), Octonion(other))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@given(_real_factor_pair())
+@settings(max_examples=300, deadline=None)
+def test_real_factor_product_matches_loop(pair):
+    """The real-factor shortcut gives the loop's coefficients, types and float bits."""
+    x, y = pair
+    assert _bits((x * y).coeffs) == _bits(_loop_product(x, y))

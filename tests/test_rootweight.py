@@ -1,10 +1,12 @@
 """Root systems, weight diagrams, slicing, projection, embedding checks."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from e6kit import rootweight
 from e6kit.rootweight import (DynkinDiagram, SingularCartan, cartan_matrix,
                               diagram, embed_check,
                               fundamental_weights, inverse_cartan,
@@ -49,6 +51,38 @@ def test_negative_highest_mark_raises(marks):
     """A mark below zero is no highest weight: no diagram is made up for it."""
     with pytest.raises(ValueError):
         weights_from_highest(diagram("A2"), marks)
+
+
+@pytest.mark.parametrize("name,marks", [
+    ("A2", [10**6, 10**6]),      # weights grow with the marks
+    ("A1", [10**12]),
+    ("E6", [3, 3, 3, 3, 3, 3]),
+    ("A1", [1000]),             # 1001 weights but 250500 edges
+    ("A2", [60, 60]),
+])
+def test_oversized_diagram_raises_fast(name, marks):
+    """A diagram past MAX_WEIGHTS weights or MAX_EDGES edges is refused as soon as it gets there."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than"):
+        weights_from_highest(diagram(name), marks)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_diagram_at_the_bounds_is_built(monkeypatch):
+    """The bounds are inclusive: a diagram of exactly MAX_WEIGHTS weights and MAX_EDGES edges passes."""
+    wd = weights_from_highest(diagram("A2"), [20, 20])
+    weights, edges = len(wd.weights), len(wd.edges)
+    assert (weights, edges) == (1261, 20100)
+    monkeypatch.setattr(rootweight, "MAX_WEIGHTS", weights)
+    monkeypatch.setattr(rootweight, "MAX_EDGES", edges)
+    assert len(weights_from_highest(diagram("A2"), [20, 20]).weights) == weights
+    monkeypatch.setattr(rootweight, "MAX_WEIGHTS", weights - 1)
+    with pytest.raises(ValueError):
+        weights_from_highest(diagram("A2"), [20, 20])
+    monkeypatch.setattr(rootweight, "MAX_WEIGHTS", weights)
+    monkeypatch.setattr(rootweight, "MAX_EDGES", edges - 1)
+    with pytest.raises(ValueError):
+        weights_from_highest(diagram("A2"), [20, 20])
 
 
 @pytest.mark.parametrize("name,count", ROOT_COUNTS)
