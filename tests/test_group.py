@@ -1,15 +1,21 @@
 """One-parameter group actions: labels, finite evaluation, tangents."""
 
+import hashlib
 import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from e6kit.group import (GeneratorLabel, IllegalLabel, action_matrix,
-                         all_labels, apply, format_label,
-                         one_parameter_check, parse_label, type_cycle)
-from e6kit.jordan import det, from_coords, to_coords
-from e6kit.octonion import UNIT_INDEX
+from e6kit.group import (GeneratorLabel, IllegalLabel, _float_term,
+                         action_matrix, all_labels, apply, build_sequence,
+                         format_label, one_parameter_check, parse_label,
+                         type_cycle)
+from e6kit.jordan import (JordanElement, det, from_coords, from_matrix,
+                          matmul, to_coords, to_matrix)
+from e6kit.octonion import UNIT_INDEX, Octonion
 
 
 def random_chi(rng):
@@ -90,3 +96,66 @@ def test_type_cycle_order_three():
     cycled = type_cycle(type_cycle(type_cycle(chi)))
     assert to_coords(cycled) == to_coords(chi)
     assert det(type_cycle(chi)) == det(chi)
+
+
+# SHA-256 of action_matrix over all_labels() x (0.3, -0.7), every entry packed
+# as a little-endian double, row by row.
+ACTION_MATRIX_SHA256 = "c02aa48e9ce2157e8a8c4ebee8bbe47e475e85dab729128a6c7bbe5492a13545"
+
+
+def test_action_matrix_golden_bits():
+    h = hashlib.sha256()
+    for label in all_labels():
+        for alpha in (0.3, -0.7):
+            for row in action_matrix(label, alpha):
+                h.update(b"".join(struct.pack("<d", v) for v in row))
+    assert h.hexdigest() == ACTION_MATRIX_SHA256
+
+
+def _reference_apply(label, alpha, chi):
+    """apply as the Octonion/matmul computation: X -> (M X) M† per stage."""
+    alpha = float(alpha)
+    x = JordanElement(float(chi.p), float(chi.m), float(chi.n),
+                      Octonion([float(c) for c in chi.a.coeffs]),
+                      Octonion([float(c) for c in chi.b.coeffs]),
+                      Octonion([float(c) for c in chi.c.coeffs]))
+    mat = to_matrix(x)
+    for stage in build_sequence(label):
+        m = []
+        for row in stage.entries:
+            mrow = []
+            for terms in row:
+                coeffs = [0.0] * 8
+                for kind, k, unit, coeff in terms:
+                    coeffs[unit] = coeffs[unit] + _float_term(kind, k, coeff, alpha)
+                mrow.append(Octonion(coeffs))
+            m.append(mrow)
+        dagger = [[m[j][i].conj() for j in range(3)] for i in range(3)]
+        mat = matmul(matmul(m, mat), dagger)
+    return from_matrix(mat)
+
+
+def _bits(chi):
+    return [struct.pack("<d", float(v)) for v in to_coords(chi)]
+
+
+def _coords(values):
+    # Mostly zeros, so the sparse skips of the reference are exercised.
+    return st.lists(st.one_of(st.just(0), values), min_size=27, max_size=27)
+
+
+_LABELS_BY_STAGES = {n: [lab for lab in all_labels() if len(build_sequence(lab)) == n]
+                     for n in (1, 4, 6)}
+
+
+@given(label=st.sampled_from(sorted(_LABELS_BY_STAGES)).flatmap(
+           lambda n: st.sampled_from(_LABELS_BY_STAGES[n])),
+       alpha=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       coords=st.one_of(
+           _coords(st.integers(-9, 9)),
+           _coords(st.fractions(-10, 10, max_denominator=12)),
+           _coords(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))))
+@settings(max_examples=300, deadline=None)
+def test_apply_matches_reference_bits(label, alpha, coords):
+    chi = from_coords(coords)
+    assert _bits(apply(label, alpha, chi)) == _bits(_reference_apply(label, alpha, chi))
