@@ -6,19 +6,39 @@ constants, Killing form, and distinguished subalgebras, and provides root- and
 weight-diagram utilities for the classical and exceptional series.
 """
 
+import importlib
+
 from .octonion import Octonion, UNITS, TRIPLES
 from .jordan import JordanElement, from_coords, to_coords, det, lorentz_dot
 from .group import GeneratorLabel, parse_label, format_label, all_labels, apply
-from .algebra import (AlgebraElement, tangent, commutator, preferred_basis,
-                      reduce_basis, structure_table, killing_matrix,
-                      signature, casimir_labels, gellmann_check,
-                      stabilizer_of_l, calibration_constant, curve_commutator)
-from .subalgebra import (make_involution, fixed_subalgebra, compact_preimage,
-                         refine_subspaces, assemble, identify)
-from .rootweight import (diagram, cartan_matrix, inverse_cartan, simple_roots,
-                         fundamental_weights, weights_from_highest,
-                         root_system, slice_diagram, middle_slice, project,
-                         embed_check)
+
+# The algebra, subalgebra and rootweight names are imported on first use
+# (PEP 562), so that `import e6kit.group` does not compile those modules.
+_LAZY = {
+    "algebra": ("AlgebraElement", "tangent", "commutator", "preferred_basis",
+                "reduce_basis", "structure_table", "killing_matrix",
+                "signature", "casimir_labels", "gellmann_check",
+                "stabilizer_of_l", "calibration_constant", "curve_commutator"),
+    "subalgebra": ("make_involution", "fixed_subalgebra", "compact_preimage",
+                   "refine_subspaces", "assemble", "identify"),
+    "rootweight": ("diagram", "cartan_matrix", "inverse_cartan", "simple_roots",
+                   "fundamental_weights", "weights_from_highest",
+                   "root_system", "slice_diagram", "middle_slice", "project",
+                   "embed_check"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

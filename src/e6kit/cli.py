@@ -29,7 +29,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import algebra, group, jordan, rootweight, subalgebra
+from . import algebra, group, jordan, subalgebra
 from .octonion import IMAGINARY_UNITS
 
 
@@ -222,11 +222,13 @@ def cmd_stab_l(args) -> int:
     }
     with _output(args.out) as out:
         _dump_json(data, out)
-    ok = (report["dim"] == 52 and report["documented_basis_in_kernel"]
-          and report["so81_closed"] and report["b_abelian"]
-          and report["b_is_ideal_under_so81"] and report["b2_killing_null"])
-    if not ok:
-        print("FAILED: stabilizer structure does not match the documented form",
+    checks = {"dim == 52": report["dim"] == 52}
+    for flag in ("documented_basis_in_kernel", "so81_closed", "b_abelian",
+                 "b_is_ideal_under_so81", "b2_killing_null"):
+        checks[flag] = report[flag]
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        print(f"FAILED: stabilizer check {', '.join(failed)} does not hold",
               file=sys.stderr)
         return 1
     return 0
@@ -278,6 +280,7 @@ def cmd_subalg(args) -> int:
 # roots
 
 def cmd_roots(args) -> int:
+    from . import rootweight
     try:
         d = rootweight.diagram(args.algebra)
     except ValueError as exc:

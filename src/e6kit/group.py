@@ -7,9 +7,12 @@ conjugations chi -> M(...(M1 chi M1†)...)M†, with matrix entries drawn from 
 single complex subalgebra of O so the nest is well defined.
 
 Entries are symbolic in the parameter alpha.  `apply` evaluates them in
-floating point at a finite alpha; `apply_dual` evaluates the value and the
-doubled derivative at alpha = 0 in exact integers, which is where the
-tangents of the Lie algebra come from.  Every generator is a product of
+floating point at a finite alpha, through a stage kernel compiled once per
+sparsity structure of the stage matrices: flat index tables over the 72
+floats of the full 3x3 matrix, whose results are bit for bit those of the
+same computation with `Octonion` entries and `jordan.matmul`.  `apply_dual`
+evaluates the value and the doubled derivative at alpha = 0 in exact
+integers, which is where the tangents of the Lie algebra come from.  Every generator is a product of
 cores (`cores`): a B or R generator is its own core, and an A/G/S generator
 is two or three transverse rotations at fixed angles.  One apply_dual call
 per type-1 core, on a generic element whose coordinates are integer linear
@@ -21,11 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .jordan import JordanElement, from_matrix, matmul, to_matrix
-from .octonion import (DISPLAY, DISPLAY_TO_NAME, IMAGINARY_UNITS, UNIT_INDEX,
-                       Octonion, _AGS_PAIRS)
+from .octonion import (DISPLAY, DISPLAY_TO_NAME, IMAGINARY_UNITS, MULT_TABLE,
+                       UNIT_INDEX, Octonion, _AGS_PAIRS)
 
 
 class IllegalLabel(ValueError):
@@ -153,19 +157,6 @@ def _float_term(kind: str, k: Fraction, coeff: Fraction, alpha: float) -> float:
 @dataclass(frozen=True)
 class ParamMatrix:
     entries: tuple  # 3x3 nested tuples of term tuples
-
-    def evaluate(self, alpha: float) -> list[list[Octonion]]:
-        """Float entries at parameter alpha."""
-        out = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                coeffs = [0.0] * 8
-                for kind, k, unit, coeff in self.entries[i][j]:
-                    coeffs[unit] = coeffs[unit] + _float_term(kind, k, coeff, alpha)
-                row.append(Octonion(coeffs))
-            out.append(row)
-        return out
 
     def at_zero(self) -> tuple[list[list[Octonion]], list[list[Octonion]]]:
         """(M(0), 2 M'(0)) with int coefficients; NotIntegral if either is not integral."""
@@ -322,18 +313,178 @@ def _matadd(xm: list[list[Octonion]], ym: list[list[Octonion]]) -> list[list[Oct
     return [[x + y for x, y in zip(xr, yr)] for xr, yr in zip(xm, ym)]
 
 
+# ---------------------------------------------------------------------------
+# float stage kernel
+#
+# `apply` keeps the whole 3x3 octonion matrix X of `jordan.to_matrix` as a
+# state of 72 floats, entry (i, j) unit u at 8 * (3 * i + j) + u.  A stage's
+# values at alpha fill 144 floats: the coefficients of M in the same layout,
+# then their negations.  Each half-step, M X and then (M X) M†, gives every
+# state float as the sum of one or two products m * x: the products that
+# `jordan.matmul` and `Octonion.__mul__` form, less the zero factors they
+# skip.  A zero product changes no sum of two, and float addition of two
+# terms is commutative, so every nonzero float has the bits of the
+# Octonion computation; a zero may differ in sign, which the final + 0.0
+# clears.  (For finite values: the Octonion loop skips zero factors, and
+# 0 * inf is nan.)  Which products appear depends only on which units each
+# entry of M uses, so the tables are built once per such sparsity structure.
+
+_NEG = 72
+
+# An 8-byte index pattern read as an int: adding d * _EACH_BYTE adds d to each
+# of its bytes (every index stays below 256, so no byte carries).
+_EACH_BYTE = int.from_bytes(bytes([1] * 8), "little")
+
+
+def _unit_products(left: bool) -> tuple:
+    """Per unit u of M, (negation offsets, state units) of the 8 products, by c.
+
+    left: e_u e_b = s e_c gives (s < 0, b) for the products of M X.
+    right: e_a conj(e_u) = s' e_c gives (s' < 0, a) for those of Y M†.
+    Both patterns are 8-byte ints (see _EACH_BYTE).
+    """
+    negs, units = [[0] * 8 for _ in range(8)], [[0] * 8 for _ in range(8)]
+    for a in range(8):
+        for b in range(8):
+            s, c = MULT_TABLE[a][b]
+            if left:
+                negs[a][c], units[a][c] = (_NEG if s < 0 else 0), b
+            else:
+                negs[b][c], units[b][c] = (_NEG if (s < 0) != (b > 0) else 0), a
+    return tuple((int.from_bytes(bytes(n), "little"), int.from_bytes(bytes(v), "little"))
+                 for n, v in zip(negs, units))
+
+
+_PRODUCTS = (_unit_products(False), _unit_products(True))
+_GATHERS: dict[tuple, itemgetter] = {}
+
+
+def _half_step_table(units: tuple, left: bool) -> tuple:
+    """Index tables of the half-step M X (left) or Y M† for one structure.
+
+    units[e] lists the units that entry e of M uses, or is None for an
+    identity entry.  Output block (i, j) of 8 floats takes one product from
+    each unit of each nonzero entry (i, k) of M (left) or (j, k) (right); a
+    block that takes only an identity entry is a copy.  Products of blocks
+    with one and with two products go to two flat lists, and the gather puts
+    them and the copies back in state order.
+    """
+    products = _PRODUCTS[left]
+    ones, twos, blocks = [], [], []
+    for i in range(3):
+        for j in range(3):
+            cols, copy = [], None
+            for k in range(3):
+                e, x0 = (3 * i + k, 24 * k + 8 * j) if left else (3 * j + k, 24 * i + 8 * k)
+                entry = units[e]
+                if entry is None:
+                    copy, entry = x0, (0,)
+                for u in entry:
+                    negs, others = products[u]
+                    cols.append(((negs + (8 * e + u) * _EACH_BYTE).to_bytes(8, "little"),
+                                 (others + x0 * _EACH_BYTE).to_bytes(8, "little")))
+            if len(cols) == 1 and copy is not None:
+                blocks.append((2, copy))
+            elif len(cols) == 1:
+                blocks.append((0, 8 * len(ones)))
+                ones.append(cols[0])
+            elif len(cols) == 2:
+                blocks.append((1, 8 * len(twos)))
+                twos.append(cols)
+            else:
+                raise AssertionError(f"stage block {i},{j} takes {len(cols)} products")
+    bases = (0, 8 * len(ones), 8 * len(ones) + 8 * len(twos))
+    where = []
+    for kind, first in blocks:
+        where += range(bases[kind] + first, bases[kind] + first + 8)
+    where = tuple(where)
+    gather = _GATHERS.get(where)
+    if gather is None:
+        gather = _GATHERS[where] = itemgetter(*where)
+    return (b"".join(m for m, _ in ones), b"".join(x for _, x in ones),
+            b"".join(c[0][0] for c in twos), b"".join(c[0][1] for c in twos),
+            b"".join(c[1][0] for c in twos), b"".join(c[1][1] for c in twos), gather)
+
+
+def _float(q: Fraction) -> float:
+    """float(q), by the correctly rounded int division that float(q) makes."""
+    return q.numerator / q.denominator
+
+
+_STAGE_TABLES: dict[tuple, tuple] = {}
+_STAGES: dict[tuple, tuple] = {}
+
+
+def _compile_stage(stage: ParamMatrix) -> tuple:
+    """(terms, slots, half-step tables) of one stage, shared by equal stages.
+
+    terms are the stage's symbolic terms with their value slot and float
+    constants; slots are the slots whose negation the tables read.
+    """
+    flat = [terms for row in stage.entries for terms in row]
+    terms = tuple((8 * e + unit, kind, _float(k), _float(coeff))
+                  for e, entry in enumerate(flat) for kind, k, unit, coeff in entry)
+    compiled = _STAGES.get(terms)
+    if compiled is None:
+        units = tuple(None if entry == _ONE else tuple(sorted({t[2] for t in entry}))
+                      for entry in flat)
+        tables = _STAGE_TABLES.get(units)
+        if tables is None:
+            tables = _STAGE_TABLES[units] = (_half_step_table(units, True),
+                                             _half_step_table(units, False))
+        compiled = _STAGES[terms] = (terms, tuple(sorted({t[0] for t in terms})), tables)
+    return compiled
+
+
+_KERNELS: dict[GeneratorLabel, tuple] = {}
+
+
+def _kernel(label: GeneratorLabel) -> tuple:
+    kernel = _KERNELS.get(label)
+    if kernel is None:
+        kernel = _KERNELS[label] = tuple(map(_compile_stage, _sequence(label)))
+    return kernel
+
+
+def _half_step(table: tuple, m: list, x) -> tuple:
+    ones_m, ones_x, twos_m, twos_x, twos_m2, twos_x2, gather = table
+    v = [m[i] * x[j] for i, j in zip(ones_m, ones_x)]
+    v += [m[i] * x[j] + m[k] * x[l] for i, j, k, l in zip(twos_m, twos_x, twos_m2, twos_x2)]
+    v += x
+    return gather(v)
+
+
+def _conj(coeffs: list) -> list:
+    return coeffs[:1] + [-v for v in coeffs[1:]]
+
+
+def _octonion(x: tuple, start: int) -> Octonion:
+    return Octonion([v + 0.0 for v in x[start:start + 8]])
+
+
 def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElement:
-    """Float evaluation of the finite group action at parameter alpha."""
+    """Float evaluation of the finite group action at parameter alpha.
+
+    Each stage acts by X -> (M X) M† on the full matrix of chi, through the
+    stage kernel above; for finite values every coordinate has the bits of
+    the same computation with `Octonion` entries and `jordan.matmul`.
+    """
     alpha = float(alpha)
-    x = JordanElement(float(chi.p), float(chi.m), float(chi.n),
-                      Octonion([float(c) for c in chi.a.coeffs]),
-                      Octonion([float(c) for c in chi.b.coeffs]),
-                      Octonion([float(c) for c in chi.c.coeffs]))
-    mat = to_matrix(x)
-    for stage in _sequence(label):
-        m = stage.evaluate(alpha)
-        mat = matmul(matmul(m, mat), _dagger(m))
-    return from_matrix(mat)
+    a, b, c = ([float(v) for v in o.coeffs] for o in (chi.a, chi.b, chi.c))
+    zeros = [0.0] * 7
+    x = ([float(chi.p)] + zeros + _conj(a) + c
+         + a + [float(chi.m)] + zeros + _conj(b)
+         + _conj(c) + b + [float(chi.n)] + zeros)
+    for terms, slots, (left, right) in _kernel(label):
+        m = [0.0] * (2 * _NEG)
+        for slot, kind, k, coeff in terms:
+            m[slot] = m[slot] + _float_term(kind, k, coeff, alpha)
+        for slot in slots:
+            m[_NEG + slot] = -m[slot]
+        x = _half_step(right, m, _half_step(left, m, x))
+    return JordanElement(x[0] + 0.0, x[32] + 0.0, x[64] + 0.0,
+                         _octonion(x, 24), _octonion(x, 56), _octonion(x, 16))
+
 
 
 def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:

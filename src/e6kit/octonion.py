@@ -145,7 +145,12 @@ class Octonion:
         return self.coeffs[0]
 
     def norm2(self):
-        return sum(c * c for c in self.coeffs)
+        # Left to right, not sum(): from Python 3.12 on, sum() compensates
+        # float rounding, which would make float norms depend on the version.
+        total = 0
+        for c in self.coeffs:
+            total = total + c * c
+        return total
 
     def inverse(self) -> "Octonion":
         n = self.norm2()

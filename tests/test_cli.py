@@ -134,6 +134,51 @@ def test_stab_l():
     assert data["b_dims"] == [6, 6, 4]
 
 
+_STAB_L_REPORT = {"dim": 52, "kernel": [], "documented_basis_in_kernel": True,
+                  "so81_dim": 36, "so81_closed": True, "b_dims": (6, 6, 4),
+                  "b_abelian": True, "b_is_ideal_under_so81": True,
+                  "b2_killing_null": True}
+
+
+@pytest.mark.parametrize("check, field, value", [
+    ("dim == 52", "dim", 51),
+    ("documented_basis_in_kernel", "documented_basis_in_kernel", False),
+    ("so81_closed", "so81_closed", False),
+    ("b_abelian", "b_abelian", False),
+    ("b_is_ideal_under_so81", "b_is_ideal_under_so81", False),
+    ("b2_killing_null", "b2_killing_null", False),
+])
+def test_stab_l_names_the_failed_check(monkeypatch, capsys, check, field, value):
+    from e6kit import algebra, cli
+    monkeypatch.setattr(algebra, "stabilizer_of_l", lambda: dict(_STAB_L_REPORT))
+    assert cli.run(["stab-l"]) == 0
+    passing = capsys.readouterr()
+    assert passing.err == ""
+    monkeypatch.setattr(algebra, "stabilizer_of_l",
+                        lambda: dict(_STAB_L_REPORT, **{field: value}))
+    assert cli.run(["stab-l"]) == 1
+    failing = capsys.readouterr()
+    assert failing.err == f"FAILED: stabilizer check {check} does not hold\n"
+    assert json.loads(failing.out) == dict(json.loads(passing.out), **{field: value})
+
+
+def test_import_group_leaves_other_modules_unloaded():
+    """import e6kit.group compiles no algebra, subalgebra or rootweight; e6kit.__all__ still resolves."""
+    code = ("import sys, e6kit.group\n"
+            "lazy = [m for m in ('algebra', 'subalgebra', 'rootweight')\n"
+            "        if 'e6kit.' + m in sys.modules]\n"
+            "import e6kit\n"
+            "missing = [n for n in e6kit.__all__ if getattr(e6kit, n, None) is None]\n"
+            "print(lazy, missing)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] []\n"
+
+
 def test_gellmann():
     proc = run_cli("gellmann")
     assert proc.returncode == 0

@@ -101,6 +101,10 @@ def test_type_cycle_order_three():
 # SHA-256 of action_matrix over all_labels() x (0.3, -0.7), every entry packed
 # as a little-endian double, row by row.
 ACTION_MATRIX_SHA256 = "c02aa48e9ce2157e8a8c4ebee8bbe47e475e85dab729128a6c7bbe5492a13545"
+# SHA-256 of det(apply(label, 0.7, chi)) over all_labels(), packed the same
+# way, for chi of 27 random.Random(0).randint(-4, 4) / 2 coordinates.  It is
+# the same on every Python version (Octonion.norm2 does not use sum()).
+DET_SHA256 = "3f3f16f0615257c184b379b0ed10f27ac02fe9feb6398e8f8cd941feaeaace63"
 
 
 def test_action_matrix_golden_bits():
@@ -110,6 +114,14 @@ def test_action_matrix_golden_bits():
             for row in action_matrix(label, alpha):
                 h.update(b"".join(struct.pack("<d", v) for v in row))
     assert h.hexdigest() == ACTION_MATRIX_SHA256
+
+
+def test_det_golden_bits():
+    rng = random.Random(0)
+    chi = from_coords([rng.randint(-4, 4) / 2 for _ in range(27)])
+    dets = [float(det(apply(label, 0.7, chi))) for label in all_labels()]
+    packed = b"".join(struct.pack("<d", d) for d in dets)
+    assert hashlib.sha256(packed).hexdigest() == DET_SHA256
 
 
 def _reference_apply(label, alpha, chi):

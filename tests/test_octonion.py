@@ -158,3 +158,10 @@ def test_real_factor_product_matches_loop(pair):
     """The real-factor shortcut gives the loop's coefficients, types and float bits."""
     x, y = pair
     assert _bits((x * y).coeffs) == _bits(_loop_product(x, y))
+
+
+def test_norm2_sums_left_to_right():
+    # 1 + 1e16 rounds to 1e16, and so does each later + 1; a compensated sum
+    # (sum() from Python 3.12 on) would give 1e16 + 8.
+    x = Octonion([1.0, 1e8, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    assert x.norm2() == 1e16
