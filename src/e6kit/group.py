@@ -12,11 +12,11 @@ sparsity structure of the stage matrices: flat index tables over the 72
 floats of the full 3x3 matrix, whose results are bit for bit those of the
 same computation with `Octonion` entries and `jordan.matmul`.  `apply_dual`
 evaluates the value and the doubled derivative at alpha = 0 in exact
-integers, which is where the tangents of the Lie algebra come from.  Every generator is a product of
-cores (`cores`): a B or R generator is its own core, and an A/G/S generator
-is two or three transverse rotations at fixed angles.  One apply_dual call
-per type-1 core, on a generic element whose coordinates are integer linear
-forms, gives the core's whole tangent matrix.
+integers, which is where the tangents of the Lie algebra come from.  Every
+generator is a product of cores (`cores`): a B or R generator is its own
+core, and an A/G/S generator is two or three transverse rotations at fixed
+angles.  One apply_dual call per type-1 core, on a generic element whose
+coordinates are integer linear forms, gives the core's whole tangent matrix.
 """
 
 from __future__ import annotations
@@ -321,12 +321,12 @@ def _matadd(xm: list[list[Octonion]], ym: list[list[Octonion]]) -> list[list[Oct
 # values at alpha fill 144 floats: the coefficients of M in the same layout,
 # then their negations.  Each half-step, M X and then (M X) M†, gives every
 # state float as the sum of one or two products m * x: the products that
-# `jordan.matmul` and `Octonion.__mul__` form, less the zero factors they
-# skip.  A zero product changes no sum of two, and float addition of two
-# terms is commutative, so every nonzero float has the bits of the
-# Octonion computation; a zero may differ in sign, which the final + 0.0
-# clears.  (For finite values: the Octonion loop skips zero factors, and
-# 0 * inf is nan.)  Which products appear depends only on which units each
+# `jordan.matmul` and `Octonion.__mul__` form, and those they skip because
+# a factor is zero.  A zero product changes no sum of two, and float
+# addition of two terms is commutative, so every nonzero float has the bits
+# of the Octonion computation; a zero may differ in sign, which the final
+# + 0.0 clears.  (For finite values: the Octonion loop never forms 0 * inf,
+# which is nan.)  Which products appear depends only on which units each
 # entry of M uses, so the tables are built once per such sparsity structure.
 
 _NEG = 72
@@ -484,7 +484,6 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
         x = _half_step(right, m, _half_step(left, m, x))
     return JordanElement(x[0] + 0.0, x[32] + 0.0, x[64] + 0.0,
                          _octonion(x, 24), _octonion(x, 56), _octonion(x, 16))
-
 
 
 def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:

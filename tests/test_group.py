@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from e6kit.group import (GeneratorLabel, IllegalLabel, _float_term,
@@ -166,7 +166,9 @@ _LABELS_BY_STAGES = {n: [lab for lab in all_labels() if len(build_sequence(lab))
        coords=st.one_of(
            _coords(st.integers(-9, 9)),
            _coords(st.fractions(-10, 10, max_denominator=12)),
-           _coords(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))))
+           _coords(st.one_of(st.just(-0.0), st.floats(-1e3, 1e3, allow_nan=False,
+                                                       allow_infinity=False)))))
+@example(label=parse_label("B:t,z"), alpha=0.3, coords=[-0.0] * 27)
 @settings(max_examples=300, deadline=None)
 def test_apply_matches_reference_bits(label, alpha, coords):
     chi = from_coords(coords)
