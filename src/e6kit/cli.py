@@ -342,6 +342,8 @@ def cmd_apply(args) -> int:
         coords = [float(x) for x in coords]
         if len(coords) != 27:
             raise ValueError("need 27 coordinates")
+        if not all(math.isfinite(x) for x in coords):
+            raise ValueError("coordinates must be finite")
     except OSError as exc:
         raise InputError(f"cannot read --chi {args.chi}: {exc.strerror or exc}") from None
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:

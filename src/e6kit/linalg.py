@@ -4,21 +4,15 @@ Vectors are dicts index -> Fraction (zero entries omitted); dense matrices are
 lists of lists of Fraction.
 
 SpanBasis is the one exact elimination: spans, ranks, solutions of linear
-systems, inverses and kernels are all read off it (a column that does not
-enlarge the span gives the kernel vector e_i - express(col_i)).  Two other
-algorithms stay.  signature_symmetric diagonalizes by congruence, which row
-reduction cannot do.  rank_mod_p ranks the dense ad-matrices of
-rank_estimate modulo a large prime, because an exact Fraction rank through
-SpanBasis is about ten times slower there (0.11 s -> 1.04 s for the 38-dim
-fixed set of phi_hperp on a 2-vCPU Xeon, Python 3.11).
+systems, inverses and kernels are all read off it.  The one other algorithm,
+signature_symmetric, diagonalizes by congruence, which row reduction cannot
+do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Hashable, Iterable, Optional
-
-MOD_PRIME = (1 << 61) - 1
 
 
 def vec_add(a: dict, b: dict, scale: Fraction = Fraction(1)) -> dict:
@@ -75,6 +69,11 @@ class SpanBasis:
         vec, combo = self._reduce(vec, {tag: Fraction(1)})
         if not vec:
             return False
+        self._insert(vec, combo)
+        return True
+
+    def _insert(self, vec: dict, combo: dict) -> None:
+        """Append a reduced nonzero vector as a new row."""
         pivot = min(vec.keys(), key=_pivot_key)
         inv = Fraction(1) / Fraction(vec[pivot])
         vec = vec_scale(vec, inv)
@@ -88,7 +87,6 @@ class SpanBasis:
         self.pivot_row[pivot] = len(self.rows)
         self.rows.append(vec)
         self.combos.append(combo)
-        return True
 
     def express(self, vec: dict) -> Optional[dict]:
         """Coefficients {tag: Fraction} with vec = sum coeff * original, or None."""
@@ -112,6 +110,23 @@ def span_of(vectors: Iterable[dict]) -> SpanBasis:
     for n, v in enumerate(vectors):
         sb.add(v, n)
     return sb
+
+
+def kernel(columns: Iterable[dict]) -> list[dict]:
+    """A basis of {v : sum_i v_i columns[i] = 0}, as sparse vectors over i.
+
+    A column in the span of the ones before it gives the kernel vector
+    e_i - express(column i): the combination its reduction tracks.
+    """
+    sb = SpanBasis()
+    out = []
+    for i, col in enumerate(columns):
+        residual, combo = sb._reduce(col, {i: Fraction(1)})
+        if residual:
+            sb._insert(residual, combo)
+        else:
+            out.append(combo)
+    return out
 
 
 def signature_symmetric(mat: list[list[Fraction]]) -> tuple[int, int, int]:
@@ -161,32 +176,3 @@ def signature_symmetric(mat: list[list[Fraction]]) -> tuple[int, int, int]:
                 for k in range(n):
                     a[k][i] -= c * a[k][piv]
     return (neg, pos, zero)
-
-
-def rank_mod_p(rows: list[list[Fraction]], p: int = MOD_PRIME) -> int:
-    """Rank of a dense rational matrix modulo a large prime."""
-    m = []
-    for row in rows:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            r.append(f.numerator * pow(f.denominator, -1, p) % p)
-        m.append(r)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

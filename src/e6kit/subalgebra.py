@@ -127,7 +127,7 @@ class SubalgebraReport:
     indices: list
     dim: int
     signature: tuple
-    rank: Optional[int]
+    rank: int
     names: list
     notes: str = ""
 
@@ -160,22 +160,22 @@ def _closure_check(indices: list) -> None:
                     )
 
 
-def _report(indices: list, with_rank: bool = True, notes: str = "") -> SubalgebraReport:
+def _report(indices: list, notes: str) -> SubalgebraReport:
     _closure_check(indices)
     sig = signature(killing_restricted(unit_vectors(indices)))
     dim = len(indices)
-    rank = rank_estimate(unit_vectors(indices)) if with_rank else None
+    rank = rank_estimate(unit_vectors(indices))
     names = identify(dim, rank, (sig[0], sig[1]))
     return SubalgebraReport(list(indices), dim, sig, rank, names, notes)
 
 
-def fixed_subalgebra(phi: Involution, with_rank: bool = True) -> SubalgebraReport:
+def fixed_subalgebra(phi: Involution) -> SubalgebraReport:
     """The +1 eigenspace of a verified involution."""
     indices = [i for i, s in enumerate(phi.signs) if s == 1]
-    return _report(indices, with_rank, notes=f"fixed set of {phi.name}")
+    return _report(indices, notes=f"fixed set of {phi.name}")
 
 
-def compact_preimage(phi: Involution, with_rank: bool = True) -> SubalgebraReport:
+def compact_preimage(phi: Involution) -> SubalgebraReport:
     """Preimage of the maximal compact subalgebra of phi(sl(3,O)).
 
     Under the twisted Killing form the compact directions are the fixed
@@ -187,7 +187,7 @@ def compact_preimage(phi: Involution, with_rank: bool = True) -> SubalgebraRepor
         for i, s in enumerate(phi.signs)
         if (s == 1 and not flags.is_boost[i]) or (s == -1 and flags.is_boost[i])
     ]
-    return _report(indices, with_rank, notes=f"compact preimage of {phi.name}")
+    return _report(indices, notes=f"compact preimage of {phi.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def refine_subspaces() -> dict:
     return cells
 
 
-def assemble(cell_names: list, with_rank: bool = True) -> SubalgebraReport:
+def assemble(cell_names: list) -> SubalgebraReport:
     """Union of refinement cells, checked for closure and identified."""
     cells = refine_subspaces()
     indices = []
@@ -221,7 +221,7 @@ def assemble(cell_names: list, with_rank: bool = True) -> SubalgebraReport:
             raise ValueError(f"unknown cell {name!r}")
         indices.extend(cells[name])
     indices.sort()
-    return _report(indices, with_rank, notes="+".join(cell_names))
+    return _report(indices, notes="+".join(cell_names))
 
 
 # ---------------------------------------------------------------------------

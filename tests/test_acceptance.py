@@ -145,20 +145,20 @@ def test_06_det_preservation_all_labels():
 
 def test_07_involution_suite():
     rows = [
-        (["t"], (52, (52, 0)), (78, (52, 26))),
-        (["two_three"], (46, (36, 10)), (52, (36, 16))),
-        (["h_perp"], (38, (24, 14)), (36, (24, 12))),
-        (["two_three", "t"], (52, (36, 16)), (46, (36, 10))),
-        (["h_perp", "t"], (36, (24, 12)), (38, (24, 14))),
-        (["two_three", "h_perp"], (38, (24, 14)), (36, (24, 12))),
-        (["two_three", "h_perp", "t"], (36, (24, 12)), (38, (24, 14))),
+        (["t"], (52, 4, (52, 0)), (78, 6, (52, 26))),
+        (["two_three"], (46, 6, (36, 10)), (52, 4, (36, 16))),
+        (["h_perp"], (38, 6, (24, 14)), (36, 4, (24, 12))),
+        (["two_three", "t"], (52, 4, (36, 16)), (46, 6, (36, 10))),
+        (["h_perp", "t"], (36, 4, (24, 12)), (38, 6, (24, 14))),
+        (["two_three", "h_perp"], (38, 6, (24, 14)), (36, 4, (24, 12))),
+        (["two_three", "h_perp", "t"], (36, 4, (24, 12)), (38, 6, (24, 14))),
     ]
     for which, fixed, compact in rows:
         phi = subalgebra.make_involution(which)  # raises if not bracket-compatible
-        rep = subalgebra.fixed_subalgebra(phi, with_rank=False)
-        assert (rep.dim, rep.signature[:2]) == fixed, which
-        rep = subalgebra.compact_preimage(phi, with_rank=False)
-        assert (rep.dim, rep.signature[:2]) == compact, which
+        rep = subalgebra.fixed_subalgebra(phi)
+        assert (rep.dim, rep.rank, rep.signature[:2]) == fixed, which
+        rep = subalgebra.compact_preimage(phi)
+        assert (rep.dim, rep.rank, rep.signature[:2]) == compact, which
 
 
 def test_08_refinement_grid_and_assemblies():
@@ -169,25 +169,25 @@ def test_08_refinement_grid_and_assemblies():
     assert (sizes["R23Hp"], sizes["B23Hp"]) == (8, 8)
     assert (sizes["R1Hp"], sizes["B1Hp"]) == (20, 4)
     assemblies = [
-        (["R1H"], 16, (16, 0)),
-        (["R1H", "R23Hp"], 24, (24, 0)),
-        (["R1H", "B1H"], 22, (16, 6)),
-        (["R1H", "B23Hp"], 24, (16, 8)),
-        (["R1H", "B23H"], 24, (16, 8)),
-        (["R1H", "R23H"], 24, (24, 0)),
-        (["R1H", "B1Hp"], 20, (16, 4)),
-        (["R1H", "R1Hp"], 36, (36, 0)),
-        (["R1H", "B1H", "B23H", "R23H"], 38, (24, 14)),
-        (["R1H", "B1H", "R23Hp", "B23Hp"], 38, (24, 14)),
-        (["R1H", "B1H", "B1Hp", "R1Hp"], 46, (36, 10)),
-        (["R1H", "B23Hp", "R23H", "B1Hp"], 36, (24, 12)),
-        (["R1H", "R23Hp", "B23H", "B1Hp"], 36, (24, 12)),
-        (["R1H", "R23Hp", "R23H", "R1Hp"], 52, (52, 0)),
-        (["R1H", "B23Hp", "B23H", "R1Hp"], 52, (36, 16)),
+        (["R1H"], 16, 4, (16, 0)),
+        (["R1H", "R23Hp"], 24, 4, (24, 0)),
+        (["R1H", "B1H"], 22, 6, (16, 6)),
+        (["R1H", "B23Hp"], 24, 4, (16, 8)),
+        (["R1H", "B23H"], 24, 4, (16, 8)),
+        (["R1H", "R23H"], 24, 4, (24, 0)),
+        (["R1H", "B1Hp"], 20, 4, (16, 4)),
+        (["R1H", "R1Hp"], 36, 4, (36, 0)),
+        (["R1H", "B1H", "B23H", "R23H"], 38, 6, (24, 14)),
+        (["R1H", "B1H", "R23Hp", "B23Hp"], 38, 6, (24, 14)),
+        (["R1H", "B1H", "B1Hp", "R1Hp"], 46, 6, (36, 10)),
+        (["R1H", "B23Hp", "R23H", "B1Hp"], 36, 4, (24, 12)),
+        (["R1H", "R23Hp", "B23H", "B1Hp"], 36, 4, (24, 12)),
+        (["R1H", "R23Hp", "R23H", "R1Hp"], 52, 4, (52, 0)),
+        (["R1H", "B23Hp", "B23H", "R1Hp"], 52, 4, (36, 16)),
     ]
-    for names, dim, sig in assemblies:
-        rep = subalgebra.assemble(names, with_rank=False)  # raises if not closed
-        assert (rep.dim, rep.signature[:2]) == (dim, sig), names
+    for names, dim, rank, sig in assemblies:
+        rep = subalgebra.assemble(names)  # raises if not closed
+        assert (rep.dim, rep.rank, rep.signature[:2]) == (dim, rank, sig), names
 
 
 def test_09_stabilizer_of_l():

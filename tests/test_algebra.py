@@ -14,6 +14,7 @@ from e6kit.algebra import (GELLMANN_LABELS, calibration_constant, commutator,
                            unit_vectors)
 from e6kit.group import GeneratorLabel, format_label, parse_label
 from e6kit.jordan import from_coords
+from e6kit.linalg import kernel
 from e6kit.octonion import IMAGINARY_UNITS
 
 
@@ -107,6 +108,38 @@ def test_casimir_sextet_commutes_and_rank():
             assert commutator(tangent(a), tangent(b)).is_zero()
     full = unit_vectors(list(range(78)))
     assert rank_estimate(full, seed=0) == 6
+
+
+def test_kernel_reads_dependent_columns():
+    columns = [{0: 1}, {0: 2}, {}, {1: 1}, {0: 1, 1: 1}]
+    basis = kernel(columns)
+    assert basis == [{1: 1, 0: -2}, {2: 1}, {4: 1, 0: -1, 3: -1}]
+    for v in basis:
+        total = {}
+        for i, x in v.items():
+            for k, y in columns[i].items():
+                total[k] = total.get(k, 0) + x * y
+        assert not any(total.values())
+
+
+def test_rank_without_sextet_vectors():
+    """Mixing each sextet vector with another leaves only the seeded draws."""
+    sextet = {preferred_basis().index(lab) for lab in algebra.casimir_labels()}
+    mixed = [{n: 1, (n + 1) % 78: 1} if n in sextet else {n: 1} for n in range(78)]
+    assert rank_estimate(mixed) == 6
+
+
+def test_rank_of_a_subspace_that_is_not_closed():
+    boosts = [n for n, lab in enumerate(preferred_basis()) if lab.category == "B"]
+    with pytest.raises(algebra.NotClosed):
+        rank_estimate(unit_vectors(boosts))
+
+
+def test_stabilizer_of_l_rank():
+    """Stab(l) is not reductive, but an abelian self-normalizing centralizer certifies rank 4."""
+    stab = stabilizer_of_l()["kernel"]
+    assert signature(killing_restricted(stab)) == (28, 8, 16)
+    assert rank_estimate(stab) == 4
 
 
 def test_gellmann_correspondence():

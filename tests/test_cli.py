@@ -225,12 +225,23 @@ def test_usage_errors_exit_2(args):
     ["verify", "--suite", "det", "--tol", "-1"],
     ["roots", "--algebra", "A2", "--highest", "1,-1"],
     ["roots", "--algebra", "A2", "--highest", "1000000,1000000"],
+    ["roots", "--algebra", "A200"],   # rank above rootweight.MAX_RANK
+    ["roots", "--algebra", "D13"],
 ])
 def test_bad_value_is_one_stderr_line(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_apply_rejects_non_finite_chi(bad):
+    text = '{"coords": [%s' % bad + ", 0.5" * 26 + "]}"
+    proc = run_cli("apply", "--label", "A:i", "--alpha", "0.1", "--chi", "-", stdin=text)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["apply: bad chi JSON: coordinates must be finite"]
 
 
 def _cache_copy(tmp_path, damage):

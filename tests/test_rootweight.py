@@ -85,6 +85,19 @@ def test_diagram_at_the_bounds_is_built(monkeypatch):
         weights_from_highest(diagram("A2"), [20, 20])
 
 
+@pytest.mark.parametrize("family", "ABCD")
+def test_classical_rank_is_bounded(family):
+    """The largest A/B/C/D rank builds its root system; one more is refused."""
+    n = rootweight.MAX_RANK
+    d = diagram(f"{family}{n}")
+    assert d.rank == n
+    roots = root_system(d)
+    assert len(roots) == {"A": n * (n + 1), "B": 2 * n * n, "C": 2 * n * n,
+                          "D": 2 * n * (n - 1)}[family]
+    with pytest.raises(ValueError):
+        diagram(f"{family}{n + 1}")
+
+
 @pytest.mark.parametrize("name,count", ROOT_COUNTS)
 def test_root_counts(name, count):
     assert len(root_system(diagram(name))) == count

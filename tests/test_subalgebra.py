@@ -65,9 +65,9 @@ def test_corrupted_signs_rejected():
 @pytest.mark.parametrize("which,fixed,compact", TABLE_ROWS)
 def test_fixed_and_compact_rows(which, fixed, compact):
     phi = make_involution(which)
-    rep_f = fixed_subalgebra(phi, with_rank=False)
+    rep_f = fixed_subalgebra(phi)
     assert (rep_f.dim, rep_f.signature[:2]) == fixed
-    rep_c = compact_preimage(phi, with_rank=False)
+    rep_c = compact_preimage(phi)
     assert (rep_c.dim, rep_c.signature[:2]) == compact
 
 
@@ -84,7 +84,7 @@ def test_refinement_grid_counts():
 
 @pytest.mark.parametrize("cells,dim,sig", ASSEMBLIES)
 def test_assemblies(cells, dim, sig):
-    report = assemble(cells, with_rank=False)
+    report = assemble(cells)
     assert report.dim == dim
     assert report.signature[:2] == sig
 
@@ -96,14 +96,14 @@ def test_identify_known_forms():
 
 
 def test_full_algebra_report():
-    report = assemble(list(CELL_NAMES), with_rank=False)
+    report = assemble(list(CELL_NAMES))
     assert report.dim == 78
     assert report.signature[:2] == (52, 26)
 
 
 def test_report_json_shape():
     phi = make_involution(["h_perp"])
-    data = fixed_subalgebra(phi, with_rank=False).to_json_dict()
+    data = fixed_subalgebra(phi).to_json_dict()
     assert data["dim"] == 38
     assert len(data["basis"]) == 38
     assert data["signature"][:2] == [24, 14]
