@@ -810,12 +810,8 @@ def stabilizer_of_l() -> dict:
     b_span = span_of(b_all)
     ideal_ok = all(b_span.contains(table.bracket_vectors(u, v))
                    for u in named["so81"] for v in b_all)
-    bmat = killing_matrix()
-
-    def bform(u, v):
-        return sum(x * y * bmat[i][j] for i, x in u.items() for j, y in v.items())
-
-    null_b2 = all(bform(v, v) == 0 for v in named["b2"])
+    b2_gram = killing_restricted(named["b2"])
+    null_b2 = all(b2_gram[n][n] == 0 for n in range(len(b2_gram)))
     so81_span = span_of(named["so81"])
     so81_closed = all(so81_span.contains(table.bracket_vectors(u, v))
                       for i, u in enumerate(named["so81"])

@@ -279,6 +279,10 @@ def cmd_subalg(args) -> int:
 # ---------------------------------------------------------------------------
 # roots
 
+def _rounded(v) -> list:
+    return [round(x, 12) + 0.0 for x in v]  # + 0.0: a -0.0 prints as 0.0
+
+
 def cmd_roots(args) -> int:
     from . import rootweight
     try:
@@ -287,8 +291,7 @@ def cmd_roots(args) -> int:
         raise InputError(exc) from None
     data: dict = {
         "rank": d.rank,
-        "simple_roots": [[round(x, 12) for x in r]
-                         for r in rootweight.simple_roots(d)],
+        "simple_roots": [_rounded(r) for r in rootweight.simple_roots(d)],
     }
     if args.highest:
         try:
@@ -303,21 +306,21 @@ def cmd_roots(args) -> int:
             raise InputError(exc) from None
         index = {w.mark: n for n, w in enumerate(wd.weights)}
         data["weights"] = [{"mark": list(w.mark),
-                            "coords": [round(x, 12) for x in w.coords]}
+                            "coords": _rounded(w.coords)}
                            for w in wd.weights]
         data["edges"] = [{"from": index[a], "to": index[b], "root": j}
                          for a, b, j in wd.edges]
         vertices = [w.coords for w in wd.weights]
     else:
         roots = rootweight.root_system(d)
-        data["roots"] = [[round(x, 12) for x in r] for r in roots]
+        data["roots"] = [_rounded(r) for r in roots]
         vertices = roots
     with _output(args.out) as out:
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow([f"x{i+1}" for i in range(len(vertices[0]))])
             for v in vertices:
-                writer.writerow([round(x, 12) for x in v])
+                writer.writerow(_rounded(v))
         else:
             _dump_json(data, out)
     return 0

@@ -1,9 +1,9 @@
 """Dynkin diagrams, Cartan matrices, root systems, and weight diagrams.
 
-Supports the classical families A/B/C/D plus G2, F4, and E6.  Cartan data
-is exact (integers and Fractions); root coordinates use floats built from a
-triangular factorization of the Gram matrix with the long-root length
-normalized to sqrt(2).  Vertex identity uses coordinates rounded at 1e-7.
+Supports the classical families A/B/C/D plus G2, F4, and E6.  Roots and
+weights are found on exact integer marks (Dynkin labels), then mapped to
+floats through a triangular factor of the Gram matrix, long roots of length
+sqrt(2).  Vertex identity in the geometry helpers uses 1e-7 rounding.
 
 Geometry helpers: slicing a diagram into parallel hyperplane levels,
 projecting along a direction (Gram-Schmidt, drop the first coordinate),
@@ -12,6 +12,7 @@ and a finite isometry search deciding diagram embeddings.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,15 +24,14 @@ from .linalg import span_of
 ROUND = 7
 TOL = 1e-7
 
-# The largest diagram weights_from_highest builds: distinct weights, and
-# edges, which repeat and grow faster (A2 with marks (40, 40) has 4921
-# weights and 155000 edges, A1 with mark n about n^2 / 4 edges).
+# The largest diagram weights_from_highest builds; it has at most rank edges per weight.
 MAX_WEIGHTS = 10_000
-MAX_EDGES = 200_000
 
-# The largest rank of an A/B/C/D diagram: the Weyl closure in root_system
-# grows about as rank^5 (B12 takes 0.3 s, B16 1.3 s on a 2-vCPU Xeon).
-MAX_RANK = 12
+# The largest rank of an A/B/C/D diagram: root_system takes 0.07 s for B24
+# and 0.1 s for A32 on a 2-vCPU Xeon, and A200 would take minutes.
+MAX_RANK = 24
+
+SEARCH_BUDGET = 200_000  # candidate images embed_check tries before it gives up
 
 
 class SingularCartan(ValueError):
@@ -49,13 +49,6 @@ class DynkinDiagram:
     name: str
     rank: int
     edges: tuple
-
-    def neighbors(self, i: int):
-        for a, b, m, short in self.edges:
-            if i == a:
-                yield b, m, short
-            elif i == b:
-                yield a, m, short
 
 
 def _chain(name: str, n: int, special=()):
@@ -132,8 +125,8 @@ def root_norms(d: DynkinDiagram) -> list:
     queue = [0]
     while queue:
         i = queue.pop()
-        for j, m, short in d.neighbors(i):
-            if norms[j] is None:
+        for j in range(d.rank):
+            if a[i][j] and norms[j] is None:
                 # n_j / n_i = a_ij / a_ji
                 norms[j] = norms[i] * Fraction(a[i][j], a[j][i])
                 queue.append(j)
@@ -152,6 +145,14 @@ def gram_matrix(d: DynkinDiagram) -> list:
     ]
 
 
+def _fsum(values) -> float:
+    """Left to right: from Python 3.12 on, sum() compensates float rounding."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def simple_roots(d: DynkinDiagram) -> list:
     """Float vectors in R^rank whose Gram matrix matches the diagram."""
     g = [[float(v) for v in row] for row in gram_matrix(d)]
@@ -159,7 +160,7 @@ def simple_roots(d: DynkinDiagram) -> list:
     low = [[0.0] * n for _ in range(n)]  # lower-triangular factor
     for i in range(n):
         for j in range(i + 1):
-            s = g[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
+            s = g[i][j] - _fsum(low[i][k] * low[j][k] for k in range(j))
             if i == j:
                 if s <= 0:
                     raise SingularCartan(d.name)
@@ -192,57 +193,58 @@ class WeightDiagram:
     edges: list  # (from_mark, to_mark, simple-root index)
 
 
-def _mark_coords(inv: list, mark: tuple, roots: list) -> tuple:
-    rank = len(inv)
-    # coefficients on simple roots: c_k = sum_i mark_i * (A^-1)_ki
-    cs = [sum(Fraction(mark[i]) * inv[k][i] for i in range(rank))
-          for k in range(rank)]
-    dim = len(roots[0])
-    return tuple(
-        sum(float(cs[k]) * roots[k][t] for k in range(rank))
-        for t in range(dim)
-    )
+def _mark_coords(d: DynkinDiagram):
+    """The map from a mark to float coordinates: c = A^-1 mark on the simple roots.
+
+    With A^-1 scaled by the lcm L of its denominators, c_k is an integer dot
+    product divided once by L, rounded correctly as float(Fraction) is.
+    """
+    inv = inverse_cartan(d)
+    scale = math.lcm(*(v.denominator for row in inv for v in row))
+    scaled = [[int(v * scale) for v in row] for row in inv]
+    roots = simple_roots(d)
+
+    def coords(mark: tuple) -> tuple:
+        cs = [sum(m * x for m, x in zip(mark, row)) / scale for row in scaled]
+        return tuple(_fsum(c * r[t] for c, r in zip(cs, roots)) for t in range(d.rank))
+
+    return coords
 
 
 def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
     """All weights reached by mark subtraction from the highest mark.
 
-    Lowering along node j subtracts t copies of the j-th Cartan column from
-    the mark, for t = 1 .. mark[j].  A negative mark is not a highest
-    weight and raises ValueError, as does a diagram of more than
-    MAX_WEIGHTS distinct weights or MAX_EDGES edges, as soon as it has them.
+    Weights are taken depth by depth, so those above are known, and each
+    alpha_j-string is walked once, from its top (mark[j] > 0, no weight one
+    alpha_j above): every edge appears once.  A negative mark raises
+    ValueError, as does a diagram past MAX_WEIGHTS, as soon as it gets there.
     """
     a = cartan_matrix(d)
-    roots = simple_roots(d)
+    n = d.rank
     highest = tuple(int(x) for x in highest)
     if any(x < 0 for x in highest):
         raise ValueError(f"highest-weight marks must be non-negative, got {list(highest)}")
     seen = {highest}
-    frontier = [highest]
+    queue = [(0, highest)]  # (simple roots below the highest, mark)
     edges = []
-    while frontier:
-        nxt = []
-        for mark in frontier:
-            for j in range(d.rank):
-                if mark[j] <= 0:
-                    continue
-                cur = mark
-                for _ in range(mark[j]):
-                    new = tuple(cur[k] - a[k][j] for k in range(d.rank))
-                    edges.append((cur, new, j))
-                    if new not in seen:
-                        if len(seen) == MAX_WEIGHTS:
-                            raise ValueError(f"the diagram of {list(highest)} has more than "
-                                             f"{MAX_WEIGHTS} weights")
-                        seen.add(new)
-                        nxt.append(new)
-                    cur = new
-                if len(edges) > MAX_EDGES:
-                    raise ValueError(f"the diagram of {list(highest)} has more than "
-                                     f"{MAX_EDGES} edges")
-        frontier = nxt
-    inv = inverse_cartan(d)
-    weights = [Weight(m, _mark_coords(inv, m, roots)) for m in sorted(seen)]
+    while queue:
+        depth, mark = heapq.heappop(queue)
+        for j in range(n):
+            if mark[j] <= 0 or tuple(mark[k] + a[k][j] for k in range(n)) in seen:
+                continue
+            cur = mark
+            for step in range(depth + 1, depth + mark[j] + 1):
+                new = tuple(cur[k] - a[k][j] for k in range(n))
+                edges.append((cur, new, j))
+                if new not in seen:
+                    if len(seen) == MAX_WEIGHTS:
+                        raise ValueError(f"the diagram of {list(highest)} has more than "
+                                         f"{MAX_WEIGHTS} weights")
+                    seen.add(new)
+                    heapq.heappush(queue, (step, new))
+                cur = new
+    coords = _mark_coords(d)
+    weights = [Weight(m, coords(m)) for m in sorted(seen)]
     return WeightDiagram(d, highest, weights, edges)
 
 
@@ -259,20 +261,21 @@ def reflect(x: tuple, r: tuple) -> tuple:
 
 
 def root_system(d: DynkinDiagram) -> list:
-    """Nonzero roots: closure of the simple roots under Weyl reflections."""
-    simple = simple_roots(d)
-    roots = {_key(r): r for r in simple}
-    changed = True
-    while changed:
-        changed = False
-        for x in list(roots.values()):
-            for r in simple:
-                y = reflect(x, r)
-                k = _key(y)
-                if k not in roots:
-                    roots[k] = y
-                    changed = True
-    return list(roots.values())
+    """Nonzero roots: the simple roots' marks (Cartan columns) closed first in,
+    first out under s_j(mu) = mu - mu_j * (column j), then mapped to floats."""
+    a = cartan_matrix(d)
+    n = d.rank
+    marks = [tuple(a[k][i] for k in range(n)) for i in range(n)]
+    seen = set(marks)
+    for mark in marks:  # the loop reaches the roots appended while it runs
+        for j in range(n):
+            if mark[j]:
+                new = tuple(mark[k] - mark[j] * a[k][j] for k in range(n))
+                if new not in seen:
+                    seen.add(new)
+                    marks.append(new)
+    coords = _mark_coords(d)
+    return [coords(m) for m in marks]
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +354,9 @@ def orthogonal_direction(vectors: list) -> tuple:
     return basis[len(vectors)]
 
 
-def project(points: list, direction: tuple, perturb: bool = False) -> list:
-    """Project along `direction`: orthonormalize with it first, drop coord 1.
-
-    With perturb=True the direction is first nudged by 0.015 along each
-    coordinate axis (the degenerate-span escape used for display).
-    """
+def project(points: list, direction: tuple) -> list:
+    """Project along `direction`: orthonormalize with it first, drop coord 1."""
     p = tuple(direction)
-    if perturb:
-        p = tuple(x + 0.015 for x in p)
     basis, _ = _orthonormalize([p] + _axes(len(p)), 1e-9)
     return [tuple(sum(a * x for a, x in zip(pt, b)) for b in basis[1:])
             for pt in points]
@@ -369,14 +366,15 @@ def _norm2(v: tuple) -> float:
     return sum(x * x for x in v)
 
 
-def embed_check(points1: list, points2: list, budget: int = 200000) -> bool:
+def embed_check(points1: list, points2: list) -> bool:
     """Is there a scaled isometry taking diagram 1 into diagram 2?
 
     The map must send every vertex of diagram 1 onto a vertex of diagram 2
     and must send the maximal-norm shell of diagram 1 into the
     maximal-norm shell of diagram 2 (the highest-weight rule).  Search:
     pick a spanning tuple of diagram-1 vertices and try Gram-compatible
-    image tuples in diagram 2.
+    image tuples in diagram 2.  Past SEARCH_BUDGET candidates it raises
+    SearchBudgetExceeded.
     """
     if not points1:
         return True
@@ -401,7 +399,7 @@ def embed_check(points1: list, points2: list, budget: int = 200000) -> bool:
                 return False
         return True
 
-    def solve_map(images: list, scale2: float) -> Optional[list]:
+    def solve_map(images: list) -> list:
         # linear map T with T(span[i]) = images[i]; build via the
         # orthonormal basis of span ("basis" above extends span exactly)
         # express each span vector in `basis`, invert the triangular system
@@ -432,20 +430,16 @@ def embed_check(points1: list, points2: list, budget: int = 200000) -> bool:
         while stack:
             partial = stack.pop()
             if len(partial) == k:
-                timg = solve_map(partial, scale2)
-                if timg is None:
-                    continue
-                images = [apply_map(timg, p) for p in points1]
-                if all(_key(q) in keys2 for q in images) and all(
-                    _key(apply_map(timg, p)) in shell2
-                    for p in points1 if _key(p) in shell1
-                ):
+                timg = solve_map(partial)
+                images = [_key(apply_map(timg, p)) for p in points1]
+                if all(q in keys2 for q in images) and all(
+                        q in shell2 for p, q in zip(points1, images) if _key(p) in shell1):
                     return True
                 continue
             for q in points2:
                 tried += 1
-                if tried > budget:
-                    raise SearchBudgetExceeded(str(budget))
+                if tried > SEARCH_BUDGET:
+                    raise SearchBudgetExceeded(str(SEARCH_BUDGET))
                 cand = partial + [q]
                 if compatible(cand, scale2):
                     stack.append(cand)

@@ -226,7 +226,7 @@ def test_usage_errors_exit_2(args):
     ["roots", "--algebra", "A2", "--highest", "1,-1"],
     ["roots", "--algebra", "A2", "--highest", "1000000,1000000"],
     ["roots", "--algebra", "A200"],   # rank above rootweight.MAX_RANK
-    ["roots", "--algebra", "D13"],
+    ["roots", "--algebra", "D25"],
 ])
 def test_bad_value_is_one_stderr_line(args):
     proc = run_cli(*args)

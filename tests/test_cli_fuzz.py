@@ -53,6 +53,7 @@ _FLAGS = {
     "--assemble": st.one_of(_cells, _junk),
     "--part": st.one_of(st.sampled_from(["fixed", "compact"]), _junk),
     "--algebra": st.sampled_from(["A1", "A2", "a3", "B2", "B3", "C3", "D4", "G2", "F4", "E6",
+                                  "B24", "D24", "A25",
                                   "A0", "B1", "D2", "E7", "G3", "Z9", "A-1", "A", "", "1e3"]),
     "--highest": _marks,
     "--label": _label,
@@ -60,7 +61,8 @@ _FLAGS = {
     "--chi": st.sampled_from([_CHI, "-", os.path.join(_DIR, "missing.json")]),
     "--jobs": st.just("2"),
 }
-_RANKS = {"A1": 1, "A2": 2, "a3": 3, "B2": 2, "B3": 3, "C3": 3, "D4": 4, "G2": 2, "F4": 4, "E6": 6}
+_RANKS = {"A1": 1, "A2": 2, "a3": 3, "B2": 2, "B3": 3, "C3": 3, "D4": 4, "G2": 2, "F4": 4, "E6": 6,
+          "B24": 24, "D24": 24}
 _VERBS = ["table", "verify", "killing", "subalg", "roots", "stab-l", "apply", "gellmann"]
 # the flags each verb reads; the first ones are required or needed for real work
 _OWN = {"table": ["--format", "--out"], "verify": ["--seed", "--tol", "--out"],

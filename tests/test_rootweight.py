@@ -1,13 +1,16 @@
 """Root systems, weight diagrams, slicing, projection, embedding checks."""
 
+import contextlib
+import hashlib
+import io
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from e6kit import rootweight
-from e6kit.rootweight import (DynkinDiagram, SingularCartan, cartan_matrix,
+from e6kit import cli, rootweight
+from e6kit.rootweight import (DynkinDiagram, SingularCartan, _key, cartan_matrix,
                               diagram, embed_check,
                               fundamental_weights, inverse_cartan,
                               middle_slice, orthogonal_direction, project,
@@ -57,11 +60,11 @@ def test_negative_highest_mark_raises(marks):
     ("A2", [10**6, 10**6]),      # weights grow with the marks
     ("A1", [10**12]),
     ("E6", [3, 3, 3, 3, 3, 3]),
-    ("A1", [1000]),             # 1001 weights but 250500 edges
+    ("A1", [10**4]),            # 10001 weights
     ("A2", [60, 60]),
 ])
 def test_oversized_diagram_raises_fast(name, marks):
-    """A diagram past MAX_WEIGHTS weights or MAX_EDGES edges is refused as soon as it gets there."""
+    """A diagram past MAX_WEIGHTS weights is refused as soon as it gets there."""
     start = time.perf_counter()
     with pytest.raises(ValueError, match="more than"):
         weights_from_highest(diagram(name), marks)
@@ -69,18 +72,13 @@ def test_oversized_diagram_raises_fast(name, marks):
 
 
 def test_diagram_at_the_bounds_is_built(monkeypatch):
-    """The bounds are inclusive: a diagram of exactly MAX_WEIGHTS weights and MAX_EDGES edges passes."""
+    """The bound is inclusive: a diagram of exactly MAX_WEIGHTS weights passes."""
     wd = weights_from_highest(diagram("A2"), [20, 20])
     weights, edges = len(wd.weights), len(wd.edges)
-    assert (weights, edges) == (1261, 20100)
+    assert (weights, edges) == (1261, 2440)
     monkeypatch.setattr(rootweight, "MAX_WEIGHTS", weights)
-    monkeypatch.setattr(rootweight, "MAX_EDGES", edges)
     assert len(weights_from_highest(diagram("A2"), [20, 20]).weights) == weights
     monkeypatch.setattr(rootweight, "MAX_WEIGHTS", weights - 1)
-    with pytest.raises(ValueError):
-        weights_from_highest(diagram("A2"), [20, 20])
-    monkeypatch.setattr(rootweight, "MAX_WEIGHTS", weights)
-    monkeypatch.setattr(rootweight, "MAX_EDGES", edges - 1)
     with pytest.raises(ValueError):
         weights_from_highest(diagram("A2"), [20, 20])
 
@@ -259,3 +257,114 @@ def test_e6_inverse_cartan_denominators():
     d = diagram("E6")
     inv = inverse_cartan(d)
     assert all(v.denominator in (1, 3) for row in inv for v in row)
+
+
+# ---------------------------------------------------------------------------
+# the exact-mark closure and walk against the float closure and the walk
+# from every weight that they replaced
+
+SMALL_DIAGRAMS = ([f"{family}{n}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                   for n in range(low, 9)] + ["G2", "F4", "E6"])
+
+# the diagrams of the float-stream benchmark, and one with long strings
+WEIGHT_CASES = [("A2", (1, 1)), ("B3", (1, 0, 0)), ("G2", (1, 0)), ("C3", (0, 1, 0)),
+                ("A3", (0, 1, 1)), ("B4", (0, 0, 0, 1)), ("D4", (0, 1, 0, 0)),
+                ("C4", (0, 0, 1, 0)), ("F4", (0, 0, 0, 1)), ("E6", (0, 0, 0, 0, 1, 0)),
+                ("B3", (0, 1, 1)), ("C3", (1, 1, 0)), ("G2", (2, 1)),
+                ("E6", (0, 0, 0, 0, 0, 1)), ("A5", (1, 0, 1, 0, 0)), ("B4", (1, 0, 0, 1)),
+                ("D4", (0, 1, 0, 1)), ("C4", (0, 0, 1, 1)), ("C3", (1, 1, 1)),
+                ("B4", (1, 0, 1, 0)), ("B4", (0, 0, 1, 1)), ("C4", (0, 1, 1, 0)),
+                ("C4", (1, 0, 1, 0)), ("A2", (20, 20))]
+
+
+def _reference_root_system(d):
+    """Closure of the float simple roots under reflections, rescanning every root per pass."""
+    simple = simple_roots(d)
+    roots = {_key(r): r for r in simple}
+    changed = True
+    while changed:
+        changed = False
+        for x in list(roots.values()):
+            for r in simple:
+                y = reflect(x, r)
+                k = _key(y)
+                if k not in roots:
+                    roots[k] = y
+                    changed = True
+    return list(roots.values())
+
+
+def _reference_weights(d, highest):
+    """Marks, coordinates and edges (with repeats) of the walk down from every weight."""
+    a = cartan_matrix(d)
+    seen = {highest}
+    frontier = [highest]
+    edges = []
+    while frontier:
+        nxt = []
+        for mark in frontier:
+            for j in range(d.rank):
+                cur = mark
+                for _ in range(mark[j]):
+                    new = tuple(cur[k] - a[k][j] for k in range(d.rank))
+                    edges.append((cur, new, j))
+                    if new not in seen:
+                        seen.add(new)
+                        nxt.append(new)
+                    cur = new
+        frontier = nxt
+    inv = inverse_cartan(d)
+    roots = simple_roots(d)
+    coords = []
+    for mark in sorted(seen):
+        cs = [float(sum(Fraction(mark[i]) * inv[k][i] for i in range(d.rank)))
+              for k in range(d.rank)]
+        point = []
+        for t in range(d.rank):
+            x = 0.0  # left to right, as sum() adds floats up to Python 3.11
+            for k in range(d.rank):
+                x += cs[k] * roots[k][t]
+            point.append(x)
+        coords.append(tuple(point))
+    return sorted(seen), coords, edges
+
+
+@pytest.mark.parametrize("name", SMALL_DIAGRAMS)
+def test_root_system_matches_float_closure(name):
+    """Same roots in the same order as the float closure, within float rounding."""
+    d = diagram(name)
+    roots, reference = root_system(d), _reference_root_system(d)
+    assert [_key(r) for r in roots] == [_key(r) for r in reference]
+    assert all(close(r, s, 1e-12) for r, s in zip(roots, reference))
+
+
+@pytest.mark.parametrize("name,highest", WEIGHT_CASES)
+def test_weights_match_walk_from_every_weight(name, highest):
+    """Same marks and coordinate bits; the edges are the reference's distinct edges, once each."""
+    d = diagram(name)
+    marks, coords, edges = _reference_weights(d, highest)
+    wd = weights_from_highest(d, highest)
+    assert [w.mark for w in wd.weights] == marks
+    assert [[x.hex() for x in w.coords] for w in wd.weights] == \
+        [[x.hex() for x in p] for p in coords]
+    assert len(wd.edges) == len(set(wd.edges))
+    assert set(wd.edges) == set(edges)
+
+
+ROOTS_HIGHEST = [("A2", "1,1"), ("B3", "1,0,0"), ("C3", "1,1,1"), ("G2", "2,1"),
+                 ("B4", "1,0,1,0"), ("E6", "0,0,0,0,0,1")]
+ROOTS_SHA256 = "2611ed8f5752653848c8bfc356a1731f14d478a95a5c7ec4a6657cb8e56da9b3"
+
+
+def test_roots_output_golden_hash():
+    """roots stdout, JSON and CSV, is pinned and the same on every supported Python."""
+    argvs = [["--algebra", name] for name in SMALL_DIAGRAMS]
+    argvs += [["--algebra", name, "--highest", marks] for name, marks in ROOTS_HIGHEST]
+    h = hashlib.sha256()
+    for argv in argvs:
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(["roots", *argv, "--format", fmt]) == 0
+            h.update(out.getvalue().encode())
+    assert h.hexdigest() == ROOTS_SHA256
