@@ -10,8 +10,10 @@ tangents are the type-1 ones conjugated by the type-cycle permutation.
 Every tangent entry lies in 1/2 Z and every structure constant in 1/6 Z, so
 the structure table on the preferred 78-element basis is built through an
 integer dual basis and verified in integers, and the Killing form is summed
-in integers.  Everything downstream (Casimirs, Gell-Mann comparison,
-Stab(l)) is computed from the table over the rationals.
+in integers.  Only one basis pair per orbit of 64 octonion symmetries of the
+basis is computed (868 of 3003); the rest are derived from it exactly.
+Everything downstream (Casimirs, Gell-Mann comparison, Stab(l)) is computed
+from the table over the rationals.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .group import (GeneratorLabel, all_labels, apply, apply_dual, cores,
                     format_label, parse_label, type_cycle)
 from .jordan import from_coords, to_coords
 from .linalg import SpanBasis, kernel, signature_symmetric, span_of
-from .octonion import IMAGINARY_UNITS, UNIT_INDEX
+from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX
 
 CACHE_ENV = "E6KIT_CACHE"
 _CACHE_VERSION = "e6kit-structure-3"
@@ -342,15 +344,18 @@ _TABLE: Optional[StructureTable] = None
 
 
 def structure_table() -> StructureTable:
-    """The bracket of every basis pair, computed exactly in integers.
+    """The bracket of every basis pair, exact: one pair per symmetry orbit is computed.
 
     Tangent entries lie in 1/2 Z, so the doubled tangents 2T are integer
     matrices and commutators of them are 4 [T_i, T_j].  The coefficients are
     read off the pivot coordinates of the reduced span of the basis through
     the integer dual rows D = L * combos, where L is the lcm of the combos'
     denominators: c_k = sum over pivots of entry * D[row][k] / 4L.  Each
-    bracket is checked by the integer residual 3 [2T_i, 2T_j] - sum 6c_k 2T_k,
-    which must vanish; NotInSpan if a 6c_k is not an integer or it does not.
+    computed bracket is checked by the integer residual
+    3 [2T_i, 2T_j] - sum 6c_k 2T_k, which must vanish; NotInSpan if a 6c_k is
+    not an integer or it does not.  The pairs are walked in (i, j) order, and
+    a computed pair's whole orbit under the basis symmetries is derived from
+    it, so the other pairs of the orbit are never computed.
     """
     global _TABLE
     if _TABLE is not None:
@@ -368,12 +373,13 @@ def structure_table() -> StructureTable:
             for combo in span.combos]
     doubled = [AlgebraElement(_doubled(tangent(label).mat)) for label in basis]
     flat = [el.flat() for el in doubled]
-    constants = {}
+    moves = _basis_symmetries(flat)
+    brackets: dict = {}  # (i, j) -> {k: c}, zero brackets included
     for i in range(78):
         for j in range(i + 1, 78):
-            comm = commutator(doubled[i], doubled[j]).mat
-            if not comm:
+            if (i, j) in brackets:
                 continue
+            comm = commutator(doubled[i], doubled[j]).mat
             acc: dict = {}
             residual = {}
             for r, row in comm.items():
@@ -396,10 +402,92 @@ def structure_table() -> StructureTable:
                 coeffs[k] = Fraction(acc[k], 4 * scale)
             if any(residual.values()):
                 raise NotInSpan(f"[{basis[i]}, {basis[j]}] escapes the basis span")
-            constants[(i, j)] = coeffs
+            brackets[(i, j)] = coeffs
+            _derive_orbit(brackets, (i, j), moves)
+    constants = {pair: brackets[pair] for pair in sorted(brackets) if brackets[pair]}
     _TABLE = StructureTable(basis, constants)
     _maybe_store_cache()
     return _TABLE
+
+
+# Octonion automorphisms that permute the imaginary units up to sign, as
+# {unit: image} with the units not named fixed.  Applied to the a, b and c
+# blocks of Coord27 (p, m, n fixed), each carries every preferred tangent to
+# plus or minus a preferred tangent.  Together they generate 64 such maps,
+# which split the 3003 basis pairs into 868 orbits.
+_SYMMETRIES = (
+    {"i": "j", "j": "il", "k": "kl", "kl": "k", "jl": "i", "il": "-jl", "l": "-l"},
+    {"j": "jl", "k": "-kl", "kl": "-k", "jl": "j", "il": "-il", "l": "-l"},
+    {"i": "-jl", "j": "i", "k": "-kl", "kl": "k", "jl": "il", "il": "j"},
+)
+
+
+def _unit_map(images: dict) -> tuple[list, list]:
+    """(perm, sign) over the 8 octonion units, e_u -> sign[u] e_perm[u].
+
+    AssertionError unless the map is an automorphism of MULT_TABLE.
+    """
+    perm, sign = list(range(8)), [1] * 8
+    for unit, image in images.items():
+        u = UNIT_INDEX[unit]
+        perm[u] = UNIT_INDEX[image.lstrip("-")]
+        sign[u] = -1 if image.startswith("-") else 1
+    for a in range(8):
+        for b in range(8):
+            s, c = MULT_TABLE[a][b]
+            t, d = MULT_TABLE[perm[a]][perm[b]]
+            if d != perm[c] or sign[a] * sign[b] * t != s * sign[c]:
+                raise AssertionError(f"the unit map {images} is not an octonion automorphism")
+    return perm, sign
+
+
+def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
+    """Each of _SYMMETRIES as a signed permutation (perm, sign) of the basis.
+
+    Q T_k Q^-1 = sign[k] T_perm[k] is checked on the doubled tangents (given
+    flat) for every k, so a bracket derived through Q is exact:
+    [T_perm[i], T_perm[j]] = sign[i] sign[j] sum_k c_ij^k sign[k] T_perm[k].
+    NotInSpan if some Q T_k Q^-1 is not plus or minus a basis tangent.
+    """
+    index = {}
+    for k, f in enumerate(flat):
+        index[frozenset(f.items())] = (k, 1)
+        index[frozenset((key, -v) for key, v in f.items())] = (k, -1)
+    out = []
+    for images in _SYMMETRIES:
+        perm8, sign8 = _unit_map(images)
+        q, s = [0, 1, 2], [1, 1, 1]
+        for start in (3, 11, 19):
+            q += [start + perm8[u] for u in range(8)]
+            s += sign8
+        perm, sign = [], []
+        for k, f in enumerate(flat):
+            image = frozenset((q[key // DIM] * DIM + q[key % DIM], s[key // DIM] * s[key % DIM] * v)
+                              for key, v in f.items())
+            hit = index.get(image)
+            if hit is None:
+                raise NotInSpan(f"the unit map {images} carries the tangent of "
+                                f"{format_label(preferred_basis()[k])} outside the basis")
+            perm.append(hit[0])
+            sign.append(hit[1])
+        out.append((perm, sign))
+    return out
+
+
+def _derive_orbit(brackets: dict, pair: tuple, moves: list) -> None:
+    """Add to brackets every pair the moves reach from `pair`, each derived once."""
+    stack = [pair]
+    while stack:
+        i, j = stack.pop()
+        row = brackets[(i, j)]
+        for perm, sign in moves:
+            a, b, s = perm[i], perm[j], sign[i] * sign[j]
+            if a > b:
+                a, b, s = b, a, -s
+            if (a, b) not in brackets:
+                brackets[(a, b)] = dict(sorted((perm[k], v if s * sign[k] > 0 else -v)
+                                               for k, v in row.items()))
+                stack.append((a, b))
 
 
 def _doubled(mat: dict) -> dict:
@@ -581,7 +669,8 @@ def rank_estimate(subspace: list[dict], seed: int = 0) -> int:
     """The rank of the subalgebra spanned by `subspace`, certified exactly.
 
     The subspace is given as sparse coefficient vectors over the preferred
-    basis and must close under the bracket (NotClosed otherwise).  For a
+    basis and must close under the bracket (NotClosed otherwise); for unit
+    vectors the bracket is read off the table's constants.  For a
     sparse element x of it the centralizer c = ker(ad x) is computed
     exactly; if c is abelian and is its own normalizer, it is a Cartan
     subalgebra and the rank is dim c.  x is first a fixed combination of the
@@ -592,17 +681,31 @@ def rank_estimate(subspace: list[dict], seed: int = 0) -> int:
     """
     table = structure_table()
     d = len(subspace)
-    sb = span_of(subspace)
-    if sb.rank != d:
-        raise ValueError("subspace vectors are dependent")
     # the bracket in coordinates over the subspace vectors
     sub = StructureTable(list(range(d)))
-    for a in range(d):
-        for b in range(a + 1, d):
-            coeffs = sb.express(table.bracket_vectors(subspace[a], subspace[b]))
-            if coeffs is None:
+    position = {k: n for n, v in enumerate(subspace) if list(v.values()) == [1] for k in v}
+    if len(position) == d:
+        # distinct unit vectors: the sub-table is the table renumbered
+        for (i, j), row in table.constants.items():
+            a, b = position.get(i), position.get(j)
+            if a is None or b is None:
+                continue
+            if any(k not in position for k in row):
                 raise NotClosed(f"[v_{a}, v_{b}] escapes the subspace")
-            sub.constants[(a, b)] = coeffs
+            if a < b:
+                sub.constants[(a, b)] = {position[k]: v for k, v in row.items()}
+            else:
+                sub.constants[(b, a)] = {position[k]: -v for k, v in row.items()}
+    else:
+        sb = span_of(subspace)
+        if sb.rank != d:
+            raise ValueError("subspace vectors are dependent")
+        for a in range(d):
+            for b in range(a + 1, d):
+                coeffs = sb.express(table.bracket_vectors(subspace[a], subspace[b]))
+                if coeffs is None:
+                    raise NotClosed(f"[v_{a}, v_{b}] escapes the subspace")
+                sub.constants[(a, b)] = coeffs
     sextet = {_basis_index()[label]: w for w, label in enumerate(casimir_labels(), 1)}
     first = {n: sextet[k] for n, v in enumerate(subspace)
              if len(v) == 1 for k in v if k in sextet}

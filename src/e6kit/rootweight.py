@@ -12,6 +12,7 @@ and a finite isometry search deciding diagram embeddings.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -193,11 +194,13 @@ class WeightDiagram:
     edges: list  # (from_mark, to_mark, simple-root index)
 
 
+@functools.lru_cache(maxsize=128)
 def _mark_coords(d: DynkinDiagram):
     """The map from a mark to float coordinates: c = A^-1 mark on the simple roots.
 
     With A^-1 scaled by the lcm L of its denominators, c_k is an integer dot
-    product divided once by L, rounded correctly as float(Fraction) is.
+    product divided once by L, rounded correctly as float(Fraction) is.  Built
+    once per diagram, so root_system and weights_from_highest share it.
     """
     inv = inverse_cartan(d)
     scale = math.lcm(*(v.denominator for row in inv for v in row))

@@ -1,5 +1,6 @@
 """The integer tangent kernel: derived tangents, lattices, work counts, guards."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from e6kit import algebra, group
 from e6kit.group import GeneratorLabel, ParamMatrix, all_labels, apply_dual
 from e6kit.jordan import basis_element, to_coords
+from e6kit.linalg import SpanBasis
+from e6kit.octonion import UNIT_INDEX, UNITS, Octonion
 
 
 def _direct_tangent(label):
@@ -190,3 +193,164 @@ def test_corrupt_tangent_is_caught(monkeypatch, fresh_span):
     monkeypatch.setattr(algebra, "_TABLE", None)
     with pytest.raises(algebra.NotInSpan):
         algebra.structure_table()
+
+
+def _reference_constants():
+    """The bracket of every one of the 3003 basis pairs, each computed and residual-checked."""
+    basis = algebra.preferred_basis()
+    span = algebra._basis_span()
+    scale = math.lcm(*(x.denominator for combo in span.combos for x in combo.values()))
+    dual = [{k: x.numerator * (scale // x.denominator) for k, x in combo.items()}
+            for combo in span.combos]
+    doubled = [algebra.AlgebraElement(algebra._doubled(algebra.tangent(lab).mat)) for lab in basis]
+    flat = [el.flat() for el in doubled]
+    constants = {}
+    for i in range(78):
+        for j in range(i + 1, 78):
+            comm = algebra.commutator(doubled[i], doubled[j]).mat
+            if not comm:
+                continue
+            acc, residual = {}, {}
+            for r, row in comm.items():
+                for c, v in row.items():
+                    key = r * 27 + c
+                    residual[key] = 3 * v
+                    n = span.pivot_row.get(key)
+                    if n is not None:
+                        for k, x in dual[n].items():
+                            acc[k] = acc.get(k, 0) + v * x
+            coeffs = {}
+            for k in sorted(acc):
+                if not acc[k]:
+                    continue
+                six, rem = divmod(3 * acc[k], 2 * scale)
+                assert rem == 0
+                for key, w in flat[k].items():
+                    residual[key] = residual.get(key, 0) - six * w
+                coeffs[k] = Fraction(acc[k], 4 * scale)
+            assert not any(residual.values())
+            constants[(i, j)] = coeffs
+    return constants
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """structure_table() builds the table anew, with no disk cache."""
+    monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
+    monkeypatch.setattr(algebra, "_TABLE", None)
+
+
+def _as_lists(constants):
+    return [(pair, list(row.items())) for pair, row in constants.items()]
+
+
+def test_derived_table_equals_every_pair_computed(cold_table):
+    """The orbit-derived constants equal the 3003-pair loop, in key and row order too."""
+    assert _as_lists(algebra.structure_table().constants) == _as_lists(_reference_constants())
+
+
+def _closure(identity, generators, compose):
+    """Every product of the generators."""
+    group, frontier = {identity}, [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = compose(g, x)
+                if y not in group:
+                    group.add(y)
+                    new.append(y)
+        frontier = new
+    return group
+
+
+def _unit_perm(images):
+    perm, sign = list(range(8)), [1] * 8
+    for unit, image in images.items():
+        perm[UNIT_INDEX[unit]] = UNIT_INDEX[image.lstrip("-")]
+        sign[UNIT_INDEX[unit]] = -1 if image.startswith("-") else 1
+    return perm, sign
+
+
+def _signed(perm, sign, x):
+    """The signed permutation applied to an octonion."""
+    out = [0] * 8
+    for u, c in enumerate(x.coeffs):
+        out[perm[u]] = sign[u] * c
+    return Octonion(out)
+
+
+def _compose(g, h):
+    """g after h, for signed permutations given as (perm, sign) tuples."""
+    (gp, gs), (hp, hs) = g, h
+    return (tuple(gp[hp[u]] for u in range(len(hp))),
+            tuple(hs[u] * gs[hp[u]] for u in range(len(hp))))
+
+
+def test_symmetries_are_automorphisms_generating_64_maps_and_868_orbits():
+    units = [Octonion.unit(name, 1) for name in UNITS]
+    unit_maps = []
+    for images in algebra._SYMMETRIES:
+        perm, sign = _unit_perm(images)
+        for x in units:
+            for y in units:
+                assert _signed(perm, sign, x * y) == _signed(perm, sign, x) * _signed(perm, sign, y)
+        unit_maps.append((tuple(perm), tuple(sign)))
+    assert len(_closure((tuple(range(8)), (1,) * 8), unit_maps, _compose)) == 64
+    flat = [{k: int(2 * v) for k, v in algebra.tangent(lab).flat().items()}
+            for lab in algebra.preferred_basis()]
+    moves = [(tuple(p), tuple(s)) for p, s in algebra._basis_symmetries(flat)]
+    group = _closure((tuple(range(78)), (1,) * 78), moves, _compose)
+    assert len(group) == 64
+    orbits = {frozenset((min(p[i], p[j]), max(p[i], p[j])) for p, _ in group)
+              for i in range(78) for j in range(i + 1, 78)}
+    assert sum(map(len, orbits)) == 3003 and len(orbits) == 868
+
+
+def test_one_commutator_per_orbit(monkeypatch, cold_table):
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return commutator(x, y)
+
+    commutator = algebra.commutator
+    monkeypatch.setattr(algebra, "commutator", counted)
+    algebra.structure_table()
+    assert len(calls) <= 868
+
+
+def test_map_that_moves_a_tangent_off_the_basis_is_caught(monkeypatch, cold_table):
+    """An octonion automorphism that is not a symmetry of the basis tangents is refused."""
+    cycle = {"i": "j", "j": "k", "k": "i", "il": "jl", "jl": "kl", "kl": "il"}
+    perm, sign = _unit_perm(cycle)
+    units = [Octonion.unit(name, 1) for name in UNITS]
+    assert all(_signed(perm, sign, x * y) == _signed(perm, sign, x) * _signed(perm, sign, y)
+               for x in units for y in units)
+    monkeypatch.setattr(algebra, "_SYMMETRIES", algebra._SYMMETRIES + (cycle,))
+    with pytest.raises(algebra.NotInSpan):
+        algebra.structure_table()
+
+
+def test_unit_map_that_is_not_an_automorphism_is_refused(monkeypatch, cold_table):
+    monkeypatch.setattr(algebra, "_SYMMETRIES", ({"i": "j", "j": "i"},))
+    with pytest.raises(AssertionError):
+        algebra.structure_table()
+
+
+def test_rank_of_unit_vectors_reads_the_table(monkeypatch):
+    """Unit vectors take the renumbered table: no express call, the same rank as scaled vectors."""
+    indices = [n for n, lab in enumerate(algebra.preferred_basis()) if lab.category != "B"]
+    algebra.structure_table()
+    express = []
+    original = SpanBasis.express
+
+    def counted(self, vector):
+        express.append(1)
+        return original(self, vector)
+
+    monkeypatch.setattr(SpanBasis, "express", counted)
+    assert algebra.rank_estimate(algebra.unit_vectors(indices)) == 4
+    assert express == []
+    assert algebra.rank_estimate([{i: 2} for i in indices]) == 4
+    assert express

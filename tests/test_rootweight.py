@@ -259,6 +259,23 @@ def test_e6_inverse_cartan_denominators():
     assert all(v.denominator in (1, 3) for row in inv for v in row)
 
 
+def test_mark_coords_built_once_per_diagram(monkeypatch):
+    """The roots and weights of one diagram share one A^-1 and one triangular factor."""
+    rootweight._mark_coords.cache_clear()
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return inverse_cartan(d)
+
+    monkeypatch.setattr(rootweight, "inverse_cartan", counted)
+    d = diagram("E6")
+    root_system(d)
+    weights_from_highest(d, (1, 0, 0, 0, 0, 0))
+    root_system(d)
+    assert calls == [d]
+
+
 # ---------------------------------------------------------------------------
 # the exact-mark closure and walk against the float closure and the walk
 # from every weight that they replaced
