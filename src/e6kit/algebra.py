@@ -2,18 +2,23 @@
 
 Every generator is a product of cores (group.cores), each the identity at
 alpha = 0, so a type-1 tangent is the angle-weighted sum of its cores'
-tangents.  Each of the 45 type-1 cores (24 B/R generators, 21 transverse
-rotations shared by the A/G/S generators) is differentiated at alpha = 0 in
-exact integers by one group.apply_dual call on a generic element, whose 27
-coordinates are the integer linear forms x_0 .. x_26; the 90 type-2/3
-tangents are the type-1 ones conjugated by the type-cycle permutation.
-Every tangent entry lies in 1/2 Z and every structure constant in 1/6 Z, so
-the structure table on the preferred 78-element basis is built through an
-integer dual basis and verified in integers, and the Killing form is summed
-in integers.  Only one basis pair per orbit of 64 octonion symmetries of the
-basis is computed (868 of 3003); the rest are derived from it exactly.
-Everything downstream (Casimirs, Gell-Mann comparison, Stab(l)) is computed
-from the table over the rationals.
+tangents.  The 45 type-1 cores (24 B/R generators, 21 transverse rotations
+shared by the A/G/S generators) fall into 7 orbits under the 21 sign-free
+octonion automorphisms.  One core per orbit is differentiated at alpha = 0
+in exact integers, by one group.apply_dual call on a generic element whose
+27 coordinates are the integer linear forms x_0 .. x_26; the other 38 are
+conjugates of those, each move checked on the stage matrices.  The 90
+type-2/3 tangents are the type-1 ones conjugated by the type-cycle
+permutation.  Every tangent entry lies in 1/2 Z.  The structure table is
+built on the core basis (the preferred basis with the 21 transverse cores
+in place of A/G/S), on which all 1344 automorphisms that permute the
+imaginary units up to sign act as signed permutations: one basis pair per
+orbit is computed (166 of 3003) through an integer dual basis and verified
+in integers, and the rest are derived from it exactly.  Seven exact 3x3
+changes of basis carry the constants to the preferred basis, where they
+lie in 1/6 Z, and the Killing form is summed in integers.  Everything
+downstream (Casimirs, Gell-Mann comparison, Stab(l)) is computed from the
+table over the rationals.
 """
 
 from __future__ import annotations
@@ -29,11 +34,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import jordan
-from .group import (GeneratorLabel, all_labels, apply, apply_dual, cores,
-                    format_label, parse_label, type_cycle)
+from .group import (GeneratorLabel, _is_transverse, all_labels, apply, apply_dual,
+                    build_sequence, cores, format_label, parse_label, type_cycle)
 from .jordan import from_coords, to_coords
 from .linalg import SpanBasis, kernel, signature_symmetric, span_of
-from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX
+from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
 
 CACHE_ENV = "E6KIT_CACHE"
 _CACHE_VERSION = "e6kit-structure-3"
@@ -201,9 +206,9 @@ _CYCLED = {i: n for n, i in enumerate(to_coords(type_cycle(from_coords(range(DIM
 def tangent(label: GeneratorLabel) -> AlgebraElement:
     """Exact d/dalpha at 0 of the label's action, as a 27x27 matrix.
 
-    Type-1 tangents are sums of core tangents, each core differentiated
-    once per process; the type-2 and type-3 tangents are P T P^-1 of the
-    type before, where P is the type cycle.
+    Type-1 tangents are sums of core tangents (_core_tangent); the type-2
+    and type-3 tangents are P T P^-1 of the type before, where P is the
+    type cycle.
     """
     el = _TANGENTS.get(label)
     if el is not None:
@@ -244,19 +249,148 @@ def _evaluated_tangent(label: GeneratorLabel) -> dict:
     return mat
 
 
+# Octonion automorphisms that permute the imaginary units up to sign, as
+# {unit: image} with the units not named fixed.  _SEVEN and _THREE are
+# sign-free and generate the 21 sign-free automorphisms, which carry every
+# core's stages to its image core's; _SEVEN and _FLIP generate all 1344
+# (Baez, "The Octonions", arXiv math/0105155), which act on the core basis
+# as signed permutations.
+_SEVEN = {"i": "j", "j": "l", "l": "il", "il": "kl", "kl": "k", "k": "jl", "jl": "i"}
+_THREE = {"i": "j", "j": "k", "k": "i", "kl": "il", "il": "jl", "jl": "kl"}
+_FLIP = {"j": "-j", "k": "-k", "kl": "l", "l": "kl", "jl": "il", "il": "jl"}
+_TANGENT_MOVES = (_SEVEN, _THREE)
+_TABLE_MOVES = (_SEVEN, _FLIP)
+
 _CORE_TANGENTS: dict[GeneratorLabel, dict] = {}
 
 
 def _core_tangent(core: GeneratorLabel) -> dict:
-    """2T of a type-1 core as {(col, row): int}, from one group.apply_dual call."""
+    """2T of a type-1 core as {(col, row): int}, derived with the rest of its orbit.
+
+    The 45 cores fall into 7 orbits under _TANGENT_MOVES.  The orbit's first
+    core (_orbit_rep) is differentiated by one group.apply_dual call on the
+    generic element; every other core is reached from it by moves, each
+    checked on the stages (_check_stages), and its tangent is the conjugate
+    sign * Q T Q^-1, where Q applies the move to the a, b and c blocks.
+    """
     twice = _CORE_TANGENTS.get(core)
-    if twice is None:
-        value, d = apply_dual(core, _GENERIC)
+    if twice is not None:
+        return twice
+    rep = _orbit_rep(core)
+    if rep not in _CORE_TANGENTS:
+        value, d = apply_dual(rep, _GENERIC)
         if value != _GENERIC:
-            raise AssertionError(f"action of {core} at alpha=0 is not the identity")
-        twice = _CORE_TANGENTS[core] = {(col, row): v for row, form in enumerate(to_coords(d))
-                                        if form for col, v in form.terms.items()}
-    return twice
+            raise AssertionError(f"action of {rep} at alpha=0 is not the identity")
+        _CORE_TANGENTS[rep] = {(col, row): v for row, form in enumerate(to_coords(d))
+                               if form for col, v in form.terms.items()}
+    moves = [_unit_map(images) for images in _TANGENT_MOVES]
+    todo, seen = [rep], {rep}
+    while todo:
+        src = todo.pop()
+        for move in moves:
+            dst, sign = _core_image(src, move)
+            if dst in seen:
+                continue
+            _check_stages(src, dst, move, sign)
+            q, s = _coordinate_map(move)
+            _CORE_TANGENTS[dst] = {(q[col], q[row]): sign * s[col] * s[row] * v
+                                   for (col, row), v in _CORE_TANGENTS[src].items()}
+            seen.add(dst)
+            todo.append(dst)
+    if core not in seen:
+        raise AssertionError(f"the moves do not carry {rep} to {core}")
+    return _CORE_TANGENTS[core]
+
+
+def _orbit_rep(core: GeneratorLabel) -> GeneratorLabel:
+    """The first core of the core's orbit: its unit, or its plane, made that of i."""
+    if _is_transverse(core):
+        return replace(core, plane=_AGS_PAIRS["i"][0])
+    if core.plane[1] in IMAGINARY_UNITS:
+        return replace(core, plane=(core.plane[0], "i"))
+    return core
+
+
+def _core_image(core: GeneratorLabel, move: tuple) -> tuple[GeneratorLabel, int]:
+    """(image core, sign) of a type-1 core under a unit map (perm, sign).
+
+    A plane's imaginary units move with their signs.  A transverse plane is
+    ordered as in _AGS_PAIRS, p q = +axis; a move that reverses that order
+    (only a signed one can) fails _check_stages, since R(q, p) at -alpha is
+    another two-stage factorization of R(p, q) at alpha.
+    """
+    perm, sign = move
+    plane, s = [], 1
+    for u in core.plane:
+        if u in IMAGINARY_UNITS:
+            s *= sign[UNIT_INDEX[u]]
+            u = UNITS[perm[UNIT_INDEX[u]]]
+        plane.append(u)
+    if _is_transverse(core) and MULT_TABLE[UNIT_INDEX[plane[0]]][UNIT_INDEX[plane[1]]][0] < 0:
+        plane.reverse()
+    return replace(core, plane=tuple(plane)), s
+
+
+def _check_stages(core: GeneratorLabel, image: GeneratorLabel, move: tuple, s: int) -> None:
+    """AssertionError unless the move carries the core's stages to the image's.
+
+    The move, applied entrywise to (M(0), 2 M'(0)) of every stage of the
+    core, must give those of the image, up to one sign per stage (M and -M
+    act alike) and the sign s on 2 M'(0).  Then T(image) = s * Q T(core) Q^-1.
+    """
+    perm, sign = move
+    src, dst = _stage_coeffs(core), _stage_coeffs(image)
+    ok = len(src) == len(dst)
+    for x, y in zip(src, dst):
+        moved = [0] * len(x)
+        for n, v in enumerate(x):
+            if v:
+                moved[n - n % 8 + perm[n % 8]] = sign[n % 8] * v
+        half = len(y) // 2
+        ok = ok and any(moved[:half] == [t * v for v in y[:half]]
+                        and moved[half:] == [t * s * v for v in y[half:]] for t in (1, -1))
+    if not ok:
+        raise AssertionError(f"the unit map {move} does not carry the stages "
+                             f"of {format_label(core)} to those of {format_label(image)}")
+
+
+@functools.cache
+def _stage_coeffs(core: GeneratorLabel) -> list[list[int]]:
+    """Per stage, the unit coefficients of M(0) then of 2 M'(0), entry by entry."""
+    return [[c for mat in stage.at_zero() for row in mat for o in row for c in o.coeffs]
+            for stage in build_sequence(core)]
+
+
+def _unit_map(images: dict) -> tuple[list, list]:
+    """(perm, sign) over the 8 octonion units, e_u -> sign[u] e_perm[u].
+
+    AssertionError unless the map is an automorphism of MULT_TABLE.
+    """
+    perm, sign = list(range(8)), [1] * 8
+    for unit, image in images.items():
+        u = UNIT_INDEX[unit]
+        perm[u] = UNIT_INDEX[image.lstrip("-")]
+        sign[u] = -1 if image.startswith("-") else 1
+    for a in range(8):
+        for b in range(8):
+            s, c = MULT_TABLE[a][b]
+            t, d = MULT_TABLE[perm[a]][perm[b]]
+            if d != perm[c] or sign[a] * sign[b] * t != s * sign[c]:
+                raise AssertionError(f"the unit map {images} is not an octonion automorphism")
+    return perm, sign
+
+
+def _coordinate_map(move: tuple) -> tuple[list, list]:
+    """(q, s): the unit map on Coord27, coordinate i -> s[i] coordinate q[i].
+
+    It acts on the a, b and c blocks and fixes p, m and n.
+    """
+    perm, sign = move
+    q, s = [0, 1, 2], [1, 1, 1]
+    for start in (3, 11, 19):
+        q += [start + perm[u] for u in range(8)]
+        s += sign
+    return q, s
 
 
 def preferred_basis() -> list[GeneratorLabel]:
@@ -281,15 +415,78 @@ def _basis_index() -> dict[GeneratorLabel, int]:
 
 
 @functools.cache
+def _core_basis() -> list[GeneratorLabel]:
+    """The preferred basis with A/G/S:q replaced by the 21 transverse cores.
+
+    The 57 B and R labels keep their preferred indices; then come the cores
+    of each axis q in turn, in the planes _AGS_PAIRS[q].
+    """
+    out = [label for label in preferred_basis() if label.category in ("B", "R")]
+    out += [core for q in IMAGINARY_UNITS for core, _ in cores(GeneratorLabel("S", 1, axis=q))]
+    return out
+
+
+@functools.cache
+def _change_of_basis() -> tuple[list[dict], list[dict], int]:
+    """(P, W, d), ints: b_a = sum_c P[a][c] core_c and d core_c = sum_f W[c][f] b_f.
+
+    A B or R label is its own core.  For each axis q, A/G/S:q are the
+    _AGS_ANGLES combinations of q's three cores (group.cores), a 3x3 block
+    M of determinant d = 6; W holds the adjugate of each block.
+    """
+    core_index = {core: n for n, core in enumerate(_core_basis())}
+    expand = [{core_index[core]: angle for core, angle in cores(label)}
+              for label in preferred_basis()]
+    back: list[dict] = [{} for _ in expand]
+    dets = set()
+    for q in IMAGINARY_UNITS:
+        rows = [_basis_index()[GeneratorLabel(cat, 1, axis=q)] for cat in ("A", "G", "S")]
+        cols = [core_index[core] for core, _ in cores(GeneratorLabel("S", 1, axis=q))]
+        m = [[expand[a].get(c, 0) for c in cols] for a in rows]
+        adj = [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+                - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        dets.add(sum(m[0][k] * adj[k][0] for k in range(3)))
+        for i, c in enumerate(cols):
+            back[c] = {a: adj[i][j] for j, a in enumerate(rows) if adj[i][j]}
+    (d,) = dets    # the seven blocks are alike
+    for c, row in enumerate(back):
+        if not row:    # a B or R label, the same index on both bases
+            row[c] = d
+    return expand, back, d
+
+
+def _scaled_preferred(coeffs: dict) -> dict:
+    """d times the preferred coordinates of a vector given on the core basis."""
+    back = _change_of_basis()[1]
+    out: dict = {}
+    for c, x in coeffs.items():
+        for f, w in back[c].items():
+            out[f] = out.get(f, 0) + x * w
+    return {f: out[f] for f in sorted(out) if out[f]}
+
+
+@functools.cache
 def _basis_span() -> SpanBasis:
-    """The reduced span of the 78 preferred tangents, tagged by basis index.
+    """The reduced span of the 78 core-basis tangents, tagged by core-basis index.
 
     Built once per process; reduce_basis, structure_table and _combo read it.
     """
-    sb = span_of(tangent(label).flat() for label in preferred_basis())
+    doubled = (AlgebraElement(_doubled_core(core)).flat() for core in _core_basis())
+    sb = span_of({key: Fraction(v, 2) for key, v in flat.items()} for flat in doubled)
     if sb.rank != 78:
-        raise RankMismatch(f"the preferred tangents span only {sb.rank} dimensions")
+        raise RankMismatch(f"the core-basis tangents span only {sb.rank} dimensions")
     return sb
+
+
+def _doubled_core(core: GeneratorLabel) -> dict:
+    """2T of a core-basis label as {row: {col: int}}: its type-1 core's, type-cycled."""
+    mat: dict = {}
+    for (col, row), v in _core_tangent(replace(core, type_index=1)).items():
+        for _ in range(core.type_index - 1):
+            col, row = _CYCLED[col], _CYCLED[row]
+        mat.setdefault(row, {})[col] = v
+    return mat
 
 
 def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
@@ -299,6 +496,7 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
     """
     basis = preferred_basis()
     sb = _basis_span()
+    d = _change_of_basis()[2]
     certificates = {}
     for label in all_labels():
         if label in _basis_index():
@@ -306,7 +504,7 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
         coeffs = sb.express(tangent(label).flat())
         if coeffs is None:
             raise RankMismatch(f"tangent of {label} escapes the preferred span")
-        certificates[label] = {basis[i]: v for i, v in coeffs.items()}
+        certificates[label] = {basis[f]: v / d for f, v in _scaled_preferred(coeffs).items()}
     return basis, certificates
 
 
@@ -346,16 +544,19 @@ _TABLE: Optional[StructureTable] = None
 def structure_table() -> StructureTable:
     """The bracket of every basis pair, exact: one pair per symmetry orbit is computed.
 
-    Tangent entries lie in 1/2 Z, so the doubled tangents 2T are integer
-    matrices and commutators of them are 4 [T_i, T_j].  The coefficients are
-    read off the pivot coordinates of the reduced span of the basis through
-    the integer dual rows D = L * combos, where L is the lcm of the combos'
+    The table is built on the core basis, on which the 1344 automorphisms
+    generated by _TABLE_MOVES act as signed permutations, and then carried
+    to the preferred basis (_preferred_constants).  Tangent entries lie in
+    1/2 Z, so the doubled tangents 2T are integer matrices and commutators
+    of them are 4 [T_i, T_j].  The coefficients are read off the pivot
+    coordinates of the reduced span of the core basis through the integer
+    dual rows D = L * combos, where L is the lcm of the combos'
     denominators: c_k = sum over pivots of entry * D[row][k] / 4L.  Each
     computed bracket is checked by the integer residual
-    3 [2T_i, 2T_j] - sum 6c_k 2T_k, which must vanish; NotInSpan if a 6c_k is
-    not an integer or it does not.  The pairs are walked in (i, j) order, and
-    a computed pair's whole orbit under the basis symmetries is derived from
-    it, so the other pairs of the orbit are never computed.
+    [2T_i, 2T_j] - sum 2c_k 2T_k, which must vanish; NotInSpan if a 2c_k is
+    not an integer or it does not.  The pairs are walked in (i, j) order,
+    and a computed pair's whole orbit is derived from it, so only 166 of
+    the 3003 pairs are computed.
     """
     global _TABLE
     if _TABLE is not None:
@@ -363,18 +564,18 @@ def structure_table() -> StructureTable:
     _maybe_load_cache()
     if _TABLE is not None:
         return _TABLE
-    basis = preferred_basis()
+    basis = _core_basis()
     # w in the span is sum over reduced rows n of w[pivot n] * row n, and
-    # combos[n] is row n on the basis.
+    # combos[n] is row n on the core basis.
     span = _basis_span()
     row_of = span.pivot_row
     scale = math.lcm(*(x.denominator for combo in span.combos for x in combo.values()))
     dual = [{k: x.numerator * (scale // x.denominator) for k, x in combo.items()}
             for combo in span.combos]
-    doubled = [AlgebraElement(_doubled(tangent(label).mat)) for label in basis]
+    doubled = [AlgebraElement(_doubled_core(core)) for core in basis]
     flat = [el.flat() for el in doubled]
     moves = _basis_symmetries(flat)
-    brackets: dict = {}  # (i, j) -> {k: c}, zero brackets included
+    brackets: dict = {}  # (i, j) -> {k: 2c}, zero brackets included
     for i in range(78):
         for j in range(i + 1, 78):
             if (i, j) in brackets:
@@ -385,7 +586,7 @@ def structure_table() -> StructureTable:
             for r, row in comm.items():
                 for c, v in row.items():
                     key = r * DIM + c
-                    residual[key] = 3 * v
+                    residual[key] = v
                     n = row_of.get(key)
                     if n is not None:
                         for k, x in dual[n].items():
@@ -394,55 +595,51 @@ def structure_table() -> StructureTable:
             for k in sorted(acc):
                 if not acc[k]:
                     continue
-                six, rem = divmod(3 * acc[k], 2 * scale)    # 6 c_k
+                two, rem = divmod(acc[k], 2 * scale)    # 2 c_k
                 if rem:
-                    raise NotInSpan(f"[{basis[i]}, {basis[j]}] has a constant outside 1/6 Z")
+                    raise NotInSpan(f"[{basis[i]}, {basis[j]}] has a constant outside 1/2 Z")
                 for key, w in flat[k].items():
-                    residual[key] = residual.get(key, 0) - six * w
-                coeffs[k] = Fraction(acc[k], 4 * scale)
+                    residual[key] = residual.get(key, 0) - two * w
+                coeffs[k] = two
             if any(residual.values()):
                 raise NotInSpan(f"[{basis[i]}, {basis[j]}] escapes the basis span")
             brackets[(i, j)] = coeffs
             _derive_orbit(brackets, (i, j), moves)
-    constants = {pair: brackets[pair] for pair in sorted(brackets) if brackets[pair]}
-    _TABLE = StructureTable(basis, constants)
+    _TABLE = StructureTable(preferred_basis(), _preferred_constants(brackets))
     _maybe_store_cache()
     return _TABLE
 
 
-# Octonion automorphisms that permute the imaginary units up to sign, as
-# {unit: image} with the units not named fixed.  Applied to the a, b and c
-# blocks of Coord27 (p, m, n fixed), each carries every preferred tangent to
-# plus or minus a preferred tangent.  Together they generate 64 such maps,
-# which split the 3003 basis pairs into 868 orbits.
-_SYMMETRIES = (
-    {"i": "j", "j": "il", "k": "kl", "kl": "k", "jl": "i", "il": "-jl", "l": "-l"},
-    {"j": "jl", "k": "-kl", "kl": "-k", "jl": "j", "il": "-il", "l": "-l"},
-    {"i": "-jl", "j": "i", "k": "-kl", "kl": "k", "jl": "il", "il": "j"},
-)
+def _preferred_constants(brackets: dict) -> dict:
+    """The preferred-basis constants from the core ones, given as {(c, e): {g: 2k}}.
 
-
-def _unit_map(images: dict) -> tuple[list, list]:
-    """(perm, sign) over the 8 octonion units, e_u -> sign[u] e_perm[u].
-
-    AssertionError unless the map is an automorphism of MULT_TABLE.
+    [b_a, b_b] = sum P[a][c] P[b][e] [core_c, core_e], and each core_g is
+    sum_f W[g][f] b_f / d (_change_of_basis), so 2d c_ab^f is a sum of ints;
+    each nonzero one is divided once.  Keys and rows come out sorted.
     """
-    perm, sign = list(range(8)), [1] * 8
-    for unit, image in images.items():
-        u = UNIT_INDEX[unit]
-        perm[u] = UNIT_INDEX[image.lstrip("-")]
-        sign[u] = -1 if image.startswith("-") else 1
-    for a in range(8):
-        for b in range(8):
-            s, c = MULT_TABLE[a][b]
-            t, d = MULT_TABLE[perm[a]][perm[b]]
-            if d != perm[c] or sign[a] * sign[b] * t != s * sign[c]:
-                raise AssertionError(f"the unit map {images} is not an octonion automorphism")
-    return perm, sign
+    expand, _, d = _change_of_basis()
+    moved = {pair: _scaled_preferred(row) for pair, row in brackets.items() if row}
+    constants, fractions = {}, {}
+    for a in range(78):
+        for b in range(a + 1, 78):
+            acc: dict = {}
+            for c, x in expand[a].items():
+                for e, y in expand[b].items():
+                    row, s = (moved.get((c, e)), x * y) if c < e else (moved.get((e, c)), -x * y)
+                    for f, v in (row or {}).items():
+                        acc[f] = acc.get(f, 0) + s * v
+            row = {}
+            for f in sorted(acc):
+                v = acc[f]
+                if v:    # equal constants share one Fraction
+                    row[f] = fractions.get(v) or fractions.setdefault(v, Fraction(v, 2 * d))
+            if row:
+                constants[(a, b)] = row
+    return constants
 
 
 def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
-    """Each of _SYMMETRIES as a signed permutation (perm, sign) of the basis.
+    """Each of _TABLE_MOVES as a signed permutation (perm, sign) of the core basis.
 
     Q T_k Q^-1 = sign[k] T_perm[k] is checked on the doubled tangents (given
     flat) for every k, so a bracket derived through Q is exact:
@@ -454,12 +651,8 @@ def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
         index[frozenset(f.items())] = (k, 1)
         index[frozenset((key, -v) for key, v in f.items())] = (k, -1)
     out = []
-    for images in _SYMMETRIES:
-        perm8, sign8 = _unit_map(images)
-        q, s = [0, 1, 2], [1, 1, 1]
-        for start in (3, 11, 19):
-            q += [start + perm8[u] for u in range(8)]
-            s += sign8
+    for images in _TABLE_MOVES:
+        q, s = _coordinate_map(_unit_map(images))
         perm, sign = [], []
         for k, f in enumerate(flat):
             image = frozenset((q[key // DIM] * DIM + q[key % DIM], s[key // DIM] * s[key % DIM] * v)
@@ -467,7 +660,7 @@ def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
             hit = index.get(image)
             if hit is None:
                 raise NotInSpan(f"the unit map {images} carries the tangent of "
-                                f"{format_label(preferred_basis()[k])} outside the basis")
+                                f"{format_label(_core_basis()[k])} outside the basis")
             perm.append(hit[0])
             sign.append(hit[1])
         out.append((perm, sign))
@@ -488,19 +681,6 @@ def _derive_orbit(brackets: dict, pair: tuple, moves: list) -> None:
                 brackets[(a, b)] = dict(sorted((perm[k], v if s * sign[k] > 0 else -v)
                                                for k, v in row.items()))
                 stack.append((a, b))
-
-
-def _doubled(mat: dict) -> dict:
-    """2 * mat as int entries; every tangent entry lies in 1/2 Z."""
-    out = {}
-    for r, row in mat.items():
-        out[r] = {}
-        for c, v in row.items():
-            twice = 2 * v
-            if twice.denominator != 1:
-                raise AssertionError(f"tangent entry {v} is not in 1/2 Z")
-            out[r][c] = int(twice)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +1028,9 @@ def _combo(parts: list[tuple[int, GeneratorLabel]]) -> dict:
         coeffs = _basis_span().express(pending)
         if coeffs is None:
             raise NotInSpan("tangent combination outside the basis span")
-        for k, v in coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+        d = _change_of_basis()[2]
+        for k, v in _scaled_preferred(coeffs).items():
+            out[k] = out.get(k, Fraction(0)) + v / d
     return {k: v for k, v in out.items() if v}
 
 

@@ -23,7 +23,7 @@ from .algebra import (
     NotClosed,
     preferred_basis,
     structure_table,
-    killing_restricted,
+    killing_matrix,
     signature,
     unit_vectors,
     rank_estimate,
@@ -162,7 +162,9 @@ def _closure_check(indices: list) -> None:
 
 def _report(indices: list, notes: str) -> SubalgebraReport:
     _closure_check(indices)
-    sig = signature(killing_restricted(unit_vectors(indices)))
+    # on unit vectors the restricted Killing form is a submatrix
+    bmat = killing_matrix()
+    sig = signature([[bmat[i][j] for j in indices] for i in indices])
     dim = len(indices)
     rank = rank_estimate(unit_vectors(indices))
     names = identify(dim, rank, (sig[0], sig[1]))

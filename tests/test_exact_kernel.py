@@ -1,6 +1,9 @@
 """The integer tangent kernel: derived tangents, lattices, work counts, guards."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,8 +11,8 @@ import pytest
 from e6kit import algebra, group
 from e6kit.group import GeneratorLabel, ParamMatrix, all_labels, apply_dual
 from e6kit.jordan import basis_element, to_coords
-from e6kit.linalg import SpanBasis
-from e6kit.octonion import UNIT_INDEX, UNITS, Octonion
+from e6kit.linalg import SpanBasis, span_of
+from e6kit.octonion import _AGS_PAIRS, MULT_TABLE, UNIT_INDEX, UNITS, Octonion
 
 
 def _direct_tangent(label):
@@ -121,32 +124,56 @@ def test_integral_stage_sums_are_accepted():
     assert value[0][0].coeffs == (1, 0, 0, 0, 0, 0, 0, 0)
 
 
-def test_tangent_work_count(monkeypatch):
-    """135 cold tangents differentiate 45 cores (66 stages) on the generic element; none on repeat."""
+@pytest.fixture
+def fresh_tangents(monkeypatch):
+    """Tangents are derived anew, with no disk cache."""
     monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
     monkeypatch.setattr(algebra, "_TANGENTS", {})
     monkeypatch.setattr(algebra, "_CORE_TANGENTS", {})
-    calls, stages = [], []
+
+
+def _count_core_evaluations(monkeypatch):
+    """(apply_dual calls as (core, on the generic element), stages they evaluate)."""
+    calls, stages, inside = [], [], []
 
     def counted(label, chi):
         calls.append((label, chi is algebra._GENERIC))
-        return apply_dual(label, chi)
+        inside.append(True)
+        try:
+            return apply_dual(label, chi)
+        finally:
+            inside.pop()
 
     def counted_at_zero(self):
-        stages.append(self)
+        if inside:
+            stages.append(self)
         return at_zero(self)
 
     at_zero = ParamMatrix.at_zero
     monkeypatch.setattr(algebra, "apply_dual", counted)
     monkeypatch.setattr(ParamMatrix, "at_zero", counted_at_zero)
+    return calls, stages
+
+
+def test_tangent_work_count(monkeypatch, fresh_tangents):
+    """135 cold tangents evaluate one core per orbit, 7 cores (8 stages), on the generic element."""
+    calls, stages = _count_core_evaluations(monkeypatch)
     for label in all_labels():
         algebra.tangent(label)
-    assert len(calls) == 45 and len(stages) == 66
-    assert len({core for core, _ in calls}) == 45  # each core is evaluated once
+    assert len(calls) == 7 and len(stages) == 8
+    assert len({core for core, _ in calls}) == 7  # each core is evaluated once
     assert {(core.type_index, generic) for core, generic in calls} == {(1, True)}
+    assert len(algebra._CORE_TANGENTS) == 45
     for label in all_labels():
         algebra.tangent(label)
-    assert len(calls) == 45 and len(stages) == 66
+    assert len(calls) == 7 and len(stages) == 8
+
+
+def test_gellmann_evaluates_one_core(monkeypatch, fresh_tangents):
+    """The eight su(3) labels are A/G/S labels, whose 21 cores form one orbit."""
+    calls, _ = _count_core_evaluations(monkeypatch)
+    assert algebra.gellmann_check()["match"]
+    assert [core for core, _ in calls] == [GeneratorLabel("R", 1, plane=_AGS_PAIRS["i"][0])]
 
 
 def test_cores_are_transverse_rotations_not_labels():
@@ -180,29 +207,33 @@ def test_basis_span_built_once(monkeypatch, fresh_span):
     assert info.misses == 1 and info.hits >= 1
 
 
-def test_corrupt_tangent_is_caught(monkeypatch, fresh_span):
-    """A basis tangent that is off by 1/2 in one entry cannot pass the integer rebuild."""
-    monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
-    tangents = {lab: algebra.tangent(lab) for lab in algebra.preferred_basis()}
-    label = GeneratorLabel("A", 1, axis="l")
-    mat = {r: dict(row) for r, row in tangents[label].mat.items()}
-    row = mat.setdefault(0, {})
-    row[0] = row.get(0, 0) + Fraction(1, 2)
-    tangents[label] = algebra.AlgebraElement(mat, provenance=label)
-    monkeypatch.setattr(algebra, "_TANGENTS", tangents)
+def test_corrupt_tangent_is_caught(monkeypatch, fresh_span, fresh_tangents):
+    """An orbit representative off by 1/2 in one entry cannot pass the integer rebuild."""
+    rep = GeneratorLabel("R", 1, plane=_AGS_PAIRS["i"][0])
+    twice = dict(_direct_core_tangent(rep))
+    twice[0, 0] = twice.get((0, 0), 0) + 1
+    monkeypatch.setattr(algebra, "_CORE_TANGENTS", {rep: twice})
     monkeypatch.setattr(algebra, "_TABLE", None)
     with pytest.raises(algebra.NotInSpan):
         algebra.structure_table()
 
 
+def _direct_core_tangent(core):
+    """2T of a type-1 core as {(col, row): int}, from 27 apply_dual calls."""
+    return {(col, row): int(2 * v) for row, cols in _direct_tangent(core).items()
+            for col, v in cols.items()}
+
+
 def _reference_constants():
     """The bracket of every one of the 3003 basis pairs, each computed and residual-checked."""
     basis = algebra.preferred_basis()
-    span = algebra._basis_span()
+    span = span_of(algebra.tangent(lab).flat() for lab in basis)
     scale = math.lcm(*(x.denominator for combo in span.combos for x in combo.values()))
     dual = [{k: x.numerator * (scale // x.denominator) for k, x in combo.items()}
             for combo in span.combos]
-    doubled = [algebra.AlgebraElement(algebra._doubled(algebra.tangent(lab).mat)) for lab in basis]
+    doubled = [algebra.AlgebraElement({r: {c: int(2 * v) for c, v in row.items()}
+                                       for r, row in algebra.tangent(lab).mat.items()})
+               for lab in basis]
     flat = [el.flat() for el in doubled]
     constants = {}
     for i in range(78):
@@ -245,7 +276,8 @@ def _as_lists(constants):
 
 
 def test_derived_table_equals_every_pair_computed(cold_table):
-    """The orbit-derived constants equal the 3003-pair loop, in key and row order too."""
+    """The core-basis orbits, carried to the preferred basis, equal the 3003-pair loop,
+    in key and row order too."""
     assert _as_lists(algebra.structure_table().constants) == _as_lists(_reference_constants())
 
 
@@ -287,24 +319,87 @@ def _compose(g, h):
             tuple(hs[u] * gs[hp[u]] for u in range(len(hp))))
 
 
-def test_symmetries_are_automorphisms_generating_64_maps_and_868_orbits():
+def _is_automorphism(images):
+    perm, sign = _unit_perm(images)
     units = [Octonion.unit(name, 1) for name in UNITS]
-    unit_maps = []
-    for images in algebra._SYMMETRIES:
-        perm, sign = _unit_perm(images)
-        for x in units:
-            for y in units:
-                assert _signed(perm, sign, x * y) == _signed(perm, sign, x) * _signed(perm, sign, y)
-        unit_maps.append((tuple(perm), tuple(sign)))
-    assert len(_closure((tuple(range(8)), (1,) * 8), unit_maps, _compose)) == 64
-    flat = [{k: int(2 * v) for k, v in algebra.tangent(lab).flat().items()}
-            for lab in algebra.preferred_basis()]
+    return all(_signed(perm, sign, x * y) == _signed(perm, sign, x) * _signed(perm, sign, y)
+               for x in units for y in units)
+
+
+_IDENTITY8 = (tuple(range(8)), (1,) * 8)
+
+
+def test_tangent_moves_generate_21_stage_checked_maps_and_7_core_orbits():
+    """Every sign-free automorphism carries each of the 45 cores' stages to its image's."""
+    assert all(_is_automorphism(images) for images in algebra._TANGENT_MOVES)
+    moves = [tuple(map(tuple, _unit_perm(images))) for images in algebra._TANGENT_MOVES]
+    maps = _closure(_IDENTITY8, moves, _compose)
+    assert len(maps) == 21 and all(set(sign) == {1} for _, sign in maps)
+    type1 = [GeneratorLabel("R", 1, plane=pair) for pairs in _AGS_PAIRS.values() for pair in pairs]
+    type1 += [lab for lab in algebra.preferred_basis()
+              if lab.category in ("B", "R") and lab.type_index == 1]
+    assert len(set(type1)) == 45
+    orbits = set()
+    for core in type1:
+        orbit = set()
+        for move in maps:
+            image, sign = algebra._core_image(core, move)
+            algebra._check_stages(core, image, move, sign)
+            orbit.add(image)
+        orbits.add(frozenset(orbit))
+        assert algebra._orbit_rep(core) in orbit
+    assert sorted(map(len, orbits)) == [1, 1, 1, 7, 7, 7, 21]
+
+
+def test_transverse_planes_are_ordered_by_their_axis():
+    """_AGS_PAIRS orders each plane (p, q) so that p q = +axis, the order _core_image keeps."""
+    for axis, pairs in _AGS_PAIRS.items():
+        for p, q in pairs:
+            assert MULT_TABLE[UNIT_INDEX[p]][UNIT_INDEX[q]] == (1, UNIT_INDEX[axis])
+
+
+def test_flip_as_a_tangent_move_is_refused(monkeypatch, fresh_tangents):
+    """The signed involution reverses some transverse planes, so its stages do not match."""
+    monkeypatch.setattr(algebra, "_TANGENT_MOVES", (algebra._SEVEN, algebra._FLIP))
+    with pytest.raises(AssertionError, match="does not carry the stages"):
+        algebra.tangent(GeneratorLabel("A", 1, axis="i"))
+    flip = algebra._unit_map(algebra._FLIP)
+    refused = 0
+    for pairs in _AGS_PAIRS.values():
+        for pair in pairs:
+            core = GeneratorLabel("R", 1, plane=pair)
+            image, sign = algebra._core_image(core, flip)
+            try:
+                algebra._check_stages(core, image, flip, sign)
+            except AssertionError:
+                refused += 1
+    assert refused == 14
+
+
+def test_table_moves_are_automorphisms_generating_1344_maps_and_166_orbits():
+    assert all(_is_automorphism(images) for images in algebra._TABLE_MOVES)
+    moves = [tuple(map(tuple, _unit_perm(images))) for images in algebra._TABLE_MOVES]
+    assert len(_closure(_IDENTITY8, moves, _compose)) == 1344
+    flat = [algebra.AlgebraElement(algebra._doubled_core(core)).flat()
+            for core in algebra._core_basis()]
     moves = [(tuple(p), tuple(s)) for p, s in algebra._basis_symmetries(flat)]
     group = _closure((tuple(range(78)), (1,) * 78), moves, _compose)
-    assert len(group) == 64
+    assert len(group) == 1344
     orbits = {frozenset((min(p[i], p[j]), max(p[i], p[j])) for p, _ in group)
               for i in range(78) for j in range(i + 1, 78)}
-    assert sum(map(len, orbits)) == 3003 and len(orbits) == 868
+    assert sum(map(len, orbits)) == 3003 and len(orbits) == 166
+
+
+def test_change_of_basis_inverts_the_ags_blocks():
+    """P W = d I, with d = 6 the determinant of each A/G/S block."""
+    expand, back, d = algebra._change_of_basis()
+    assert d == 6
+    for a, row in enumerate(expand):
+        out = {}
+        for c, x in row.items():
+            for f, w in back[c].items():
+                out[f] = out.get(f, 0) + x * w
+        assert {f: v for f, v in out.items() if v} == {a: d}
 
 
 def test_one_commutator_per_orbit(monkeypatch, cold_table):
@@ -317,25 +412,51 @@ def test_one_commutator_per_orbit(monkeypatch, cold_table):
     commutator = algebra.commutator
     monkeypatch.setattr(algebra, "commutator", counted)
     algebra.structure_table()
-    assert len(calls) <= 868
+    assert len(calls) <= 166
 
 
-def test_map_that_moves_a_tangent_off_the_basis_is_caught(monkeypatch, cold_table):
-    """An octonion automorphism that is not a symmetry of the basis tangents is refused."""
-    cycle = {"i": "j", "j": "k", "k": "i", "il": "jl", "jl": "kl", "kl": "il"}
-    perm, sign = _unit_perm(cycle)
-    units = [Octonion.unit(name, 1) for name in UNITS]
-    assert all(_signed(perm, sign, x * y) == _signed(perm, sign, x) * _signed(perm, sign, y)
-               for x in units for y in units)
-    monkeypatch.setattr(algebra, "_SYMMETRIES", algebra._SYMMETRIES + (cycle,))
-    with pytest.raises(algebra.NotInSpan):
+def test_tangent_moved_off_the_basis_is_caught(monkeypatch, cold_table, fresh_span, fresh_tangents):
+    """A core tangent that the moves do not carry to a basis tangent is refused."""
+    core = GeneratorLabel("B", 1, plane=("t", "x"))
+    twice = dict(_direct_core_tangent(core))
+    twice[3 + UNIT_INDEX["i"], 0] = 1    # moves with a_i, which B:t,x does not
+    monkeypatch.setattr(algebra, "_CORE_TANGENTS", {core: twice})
+    with pytest.raises(algebra.NotInSpan, match="outside the basis"):
         algebra.structure_table()
 
 
-def test_unit_map_that_is_not_an_automorphism_is_refused(monkeypatch, cold_table):
-    monkeypatch.setattr(algebra, "_SYMMETRIES", ({"i": "j", "j": "i"},))
-    with pytest.raises(AssertionError):
+def test_unit_map_that_is_not_an_automorphism_is_refused(monkeypatch, cold_table, fresh_tangents):
+    monkeypatch.setattr(algebra, "_TABLE_MOVES", ({"i": "j", "j": "i"},))
+    with pytest.raises(AssertionError, match="not an octonion automorphism"):
         algebra.structure_table()
+    monkeypatch.setattr(algebra, "_TANGENT_MOVES", ({"i": "j", "j": "i"},))
+    monkeypatch.setattr(algebra, "_TANGENTS", {})
+    monkeypatch.setattr(algebra, "_CORE_TANGENTS", {})
+    with pytest.raises(AssertionError, match="not an octonion automorphism"):
+        algebra.tangent(GeneratorLabel("A", 1, axis="i"))
+
+
+def test_import_does_no_algebra_work():
+    """Importing algebra evaluates no core, reads no stage and builds no automorphism."""
+    code = (
+        "import sys\n"
+        "from e6kit import group\n"
+        "called = set()\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call'"
+        " and called.add(frame.f_code.co_name))\n"
+        "from e6kit import algebra\n"
+        "sys.setprofile(None)\n"
+        "assert not algebra._CORE_TANGENTS and not algebra._TANGENTS\n"
+        "print(' '.join(sorted(called)))\n")
+    root = os.path.dirname(os.path.dirname(algebra.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    env.pop(algebra.CACHE_ENV, None)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    called = set(run.stdout.split())
+    assert "from_coords" in called    # the profile saw the import's own work
+    assert not called & {"apply_dual", "at_zero", "build_sequence", "_unit_map",
+                         "_core_tangent", "_basis_symmetries", "_coordinate_map"}
 
 
 def test_rank_of_unit_vectors_reads_the_table(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from e6kit.algebra import killing_matrix, killing_restricted, signature, unit_vectors
 from e6kit.subalgebra import (CELL_NAMES, NotAutomorphism, assemble,
                               basis_flags, compact_preimage, fixed_subalgebra,
                               identify, make_involution, refine_subspaces,
@@ -107,3 +108,13 @@ def test_report_json_shape():
     assert data["dim"] == 38
     assert len(data["basis"]) == 38
     assert data["signature"][:2] == [24, 14]
+
+
+def test_report_killing_form_is_the_submatrix():
+    """On unit vectors the restricted Killing form is a submatrix of killing_matrix()."""
+    report = fixed_subalgebra(make_involution(["two_three", "h_perp"]))
+    bmat = killing_matrix()
+    sub = [[bmat[i][j] for j in report.indices] for i in report.indices]
+    assert len(sub) == 38
+    assert sub == killing_restricted(unit_vectors(report.indices))
+    assert signature(sub) == report.signature == (24, 14, 0)
