@@ -356,9 +356,8 @@ def _check_stages(core: GeneratorLabel, image: GeneratorLabel, move: tuple, s: i
 
 @functools.cache
 def _stage_coeffs(core: GeneratorLabel) -> list[list[int]]:
-    """Per stage, the unit coefficients of M(0) then of 2 M'(0), entry by entry."""
-    return [[c for mat in stage.at_zero() for row in mat for o in row for c in o.coeffs]
-            for stage in build_sequence(core)]
+    """Per stage, the slots of M(0) then of 2 M'(0) (ParamMatrix.at_zero)."""
+    return [value + twice for value, twice in (stage.at_zero() for stage in build_sequence(core))]
 
 
 def _unit_map(images: dict) -> tuple[list, list]:

@@ -6,17 +6,17 @@ at each of the three type positions.  Every generator acts by a nest of
 conjugations chi -> M(...(M1 chi M1†)...)M†, with matrix entries drawn from a
 single complex subalgebra of O so the nest is well defined.
 
-Entries are symbolic in the parameter alpha.  `apply` evaluates them in
-floating point at a finite alpha, through a stage kernel compiled once per
-sparsity structure of the stage matrices: flat index tables over the 72
-floats of the full 3x3 matrix, whose results are bit for bit those of the
-same computation with `Octonion` entries and `jordan.matmul`.  `apply_dual`
-evaluates the value and the doubled derivative at alpha = 0 in exact
-integers, which is where the tangents of the Lie algebra come from.  Every
-generator is a product of cores (`cores`): a B or R generator is its own
-core, and an A/G/S generator is two or three transverse rotations at fixed
-angles.  One apply_dual call per type-1 core, on a generic element whose
-coordinates are integer linear forms, gives the core's whole tangent matrix.
+Entries are symbolic in the parameter alpha.  One stage kernel, compiled
+once per sparsity structure of the stage matrices, runs both evaluations as
+flat index tables over the 72 coefficients of the full 3x3 matrix.  `apply`
+evaluates at a finite alpha in floating point, bit for bit as 3x3 products
+of `Octonion` entries would.  `apply_dual` evaluates the value and the
+doubled derivative at alpha = 0 in exact integers, which is where the
+tangents of the Lie algebra come from.  Every generator is a product of
+cores (`cores`): a B or R generator is its own core, and an A/G/S generator
+is two or three transverse rotations at fixed angles.  One apply_dual call
+per type-1 core, on a generic element whose coordinates are integer linear
+forms, gives the core's whole tangent matrix.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Optional
 
-from .jordan import JordanElement, from_matrix, matmul, to_matrix
+from .jordan import JordanElement
 from .octonion import (DISPLAY, DISPLAY_TO_NAME, IMAGINARY_UNITS, MULT_TABLE,
                        UNIT_INDEX, Octonion, _AGS_PAIRS)
 
@@ -158,32 +158,19 @@ def _float_term(kind: str, k: Fraction, coeff: Fraction, alpha: float) -> float:
 class ParamMatrix:
     entries: tuple  # 3x3 nested tuples of term tuples
 
-    def at_zero(self) -> tuple[list[list[Octonion]], list[list[Octonion]]]:
-        """(M(0), 2 M'(0)) with int coefficients; NotIntegral if either is not integral."""
-        value, twice = [], []
-        for row in self.entries:
-            vrow, drow = [], []
-            for terms in row:
-                v, d = {}, {}
-                for kind, k, unit, coeff in terms:
-                    if kind in ("const", "cos", "cosh", "exp"):    # f(0) = 1
-                        v[unit] = v.get(unit, 0) + coeff
-                    if kind in ("sin", "sinh", "exp"):             # f'(0) = 1
-                        d[unit] = d.get(unit, 0) + 2 * coeff * k
-                vrow.append(_integral_octonion(v))
-                drow.append(_integral_octonion(d))
-            value.append(vrow)
-            twice.append(drow)
-        return value, twice
-
-
-def _integral_octonion(parts: dict) -> Octonion:
-    coeffs = [0] * 8
-    for unit, x in parts.items():
-        if x.denominator != 1:
-            raise NotIntegral(f"stage entry {x} at alpha = 0 is not an integer")
-        coeffs[unit] = x.numerator
-    return Octonion(coeffs)
+    def at_zero(self) -> tuple[list[int], list[int]]:
+        """(M(0), 2 M'(0)) as the stage kernel's 72 int slots; NotIntegral if not integral."""
+        value, twice = [0] * 72, [0] * 72
+        for e, terms in enumerate(terms for row in self.entries for terms in row):
+            for kind, k, unit, coeff in terms:
+                if kind in ("const", "cos", "cosh", "exp"):    # f(0) = 1
+                    value[8 * e + unit] += coeff
+                if kind in ("sin", "sinh", "exp"):             # f'(0) = 1
+                    twice[8 * e + unit] += 2 * coeff * k
+        for x in value + twice:
+            if x.denominator != 1:
+                raise NotIntegral(f"stage entry {x} at alpha = 0 is not an integer")
+        return [int(x) for x in value], [int(x) for x in twice]
 
 
 _ONE = (("const", Fraction(0), 0, Fraction(1)),)
@@ -305,31 +292,27 @@ def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
     return seq
 
 
-def _dagger(mat: list[list[Octonion]]) -> list[list[Octonion]]:
-    return [[mat[j][i].conj() for j in range(3)] for i in range(3)]
-
-
-def _matadd(xm: list[list[Octonion]], ym: list[list[Octonion]]) -> list[list[Octonion]]:
-    return [[x + y for x, y in zip(xr, yr)] for xr, yr in zip(xm, ym)]
-
-
 # ---------------------------------------------------------------------------
-# float stage kernel
+# stage kernel
 #
-# `apply` keeps the whole 3x3 octonion matrix X of `jordan.to_matrix` as a
-# state of 72 floats, entry (i, j) unit u at 8 * (3 * i + j) + u.  A stage's
-# values at alpha fill 144 floats: the coefficients of M in the same layout,
-# then their negations.  Each half-step, M X and then (M X) M†, gives every
-# state float as the sum of one or two products m * x: the products that
-# `jordan.matmul` and `Octonion.__mul__` form, and those they skip because
-# a factor is zero.  A zero product changes no sum of two, and float
-# addition of two terms is commutative, so every nonzero float has the bits
-# of the Octonion computation; a zero may differ in sign, which the final
-# + 0.0 clears.  (For finite values: the Octonion loop never forms 0 * inf,
-# which is nan.)  Which products appear depends only on which units each
-# entry of M uses, so the tables are built once per such sparsity structure.
+# The kernel keeps the full 3x3 octonion matrix X of chi as a state of 72
+# coefficients, entry (i, j) unit u at 8 * (3 * i + j) + u.  A stage fills 144
+# slots: the coefficients of M in the same layout, then their negations.  Each
+# half-step, M X and then (M X) M†, gives every state coefficient as the sum
+# of one or two products m * x: the products that a 3x3 product of `Octonion`
+# entries forms, and those it skips because a factor is zero.  A block that
+# only an identity entry (`_ONE`) reaches is a copy of a source the caller
+# passes: the state for M, zeros for M' (the derivative of a constant is 0).
+# `apply` runs the tables on floats, `apply_dual` on ints and linear forms.
+# For floats, a zero product changes no sum of two, and float addition of two
+# terms is commutative, so every nonzero float has the bits of the Octonion
+# computation; a zero may differ in sign, which the final + 0.0 clears.  (For
+# finite values: the Octonion loop never forms 0 * inf, which is nan.)  Which
+# products appear depends only on which units each entry of M uses, so the
+# tables are built once per such sparsity structure.
 
 _NEG = 72
+_ZEROS = (0,) * _NEG
 
 # An 8-byte index pattern read as an int: adding d * _EACH_BYTE adds d to each
 # of its bytes (every index stays below 256, so no byte carries).
@@ -446,16 +429,24 @@ def _kernel(label: GeneratorLabel) -> tuple:
     return kernel
 
 
-def _half_step(table: tuple, m: list, x) -> tuple:
+def _half_step(table: tuple, m: list, x, copies) -> tuple:
+    """One half-step of the stage: products of m and x, copies from `copies`."""
     ones_m, ones_x, twos_m, twos_x, twos_m2, twos_x2, gather = table
     v = [m[i] * x[j] for i, j in zip(ones_m, ones_x)]
     v += [m[i] * x[j] + m[k] * x[l] for i, j, k, l in zip(twos_m, twos_x, twos_m2, twos_x2)]
-    v += x
+    v += copies
     return gather(v)
 
 
 def _conj(coeffs: list) -> list:
     return coeffs[:1] + [-v for v in coeffs[1:]]
+
+
+def _state(p, m, n, a: list, b: list, c: list, zeros: list) -> list:
+    """The 72 coefficients of the full matrix of chi = (p, m, n, a, b, c)."""
+    return ([p] + zeros + _conj(a) + c
+            + a + [m] + zeros + _conj(b)
+            + _conj(c) + b + [n] + zeros)
 
 
 def _octonion(x: tuple, start: int) -> Octonion:
@@ -467,21 +458,19 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
 
     Each stage acts by X -> (M X) M† on the full matrix of chi, through the
     stage kernel above; for finite values every coordinate has the bits of
-    the same computation with `Octonion` entries and `jordan.matmul`.
+    the same computation with 3x3 products of `Octonion` entries.
     """
     alpha = float(alpha)
     a, b, c = ([float(v) for v in o.coeffs] for o in (chi.a, chi.b, chi.c))
-    zeros = [0.0] * 7
-    x = ([float(chi.p)] + zeros + _conj(a) + c
-         + a + [float(chi.m)] + zeros + _conj(b)
-         + _conj(c) + b + [float(chi.n)] + zeros)
+    x = _state(float(chi.p), float(chi.m), float(chi.n), a, b, c, [0.0] * 7)
     for terms, slots, (left, right) in _kernel(label):
         m = [0.0] * (2 * _NEG)
         for slot, kind, k, coeff in terms:
             m[slot] = m[slot] + _float_term(kind, k, coeff, alpha)
         for slot in slots:
             m[_NEG + slot] = -m[slot]
-        x = _half_step(right, m, _half_step(left, m, x))
+        y = _half_step(left, m, x, x)
+        x = _half_step(right, m, y, y)
     return JordanElement(x[0] + 0.0, x[32] + 0.0, x[64] + 0.0,
                          _octonion(x, 24), _octonion(x, 56), _octonion(x, 16))
 
@@ -504,8 +493,8 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     """(value, 2 * d/dalpha) of the label's action on chi at alpha = 0, exactly.
 
     Each stage X -> (M X) M† is differentiated by the product rule on the
-    integer matrices M(0) and 2 M'(0) (ParamMatrix.at_zero), with the same
-    association as `apply`:
+    integer slot vectors M(0) and 2 M'(0) (ParamMatrix.at_zero), through the
+    stage kernel's tables and with the same association as `apply`:
 
         X <- (M X) M†,    D <- (M' X + M D) M† + (M X) M'†.
 
@@ -514,16 +503,24 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     forms of algebra's generic element.  For integer chi both results have
     integer coordinates; the value is chi.
     """
-    x = to_matrix(chi)
-    d = [[Octonion.zero()] * 3 for _ in range(3)]
+    x = _state(chi.p, chi.m, chi.n, list(chi.a.coeffs), list(chi.b.coeffs),
+               list(chi.c.coeffs), [0] * 7)
+    d = _ZEROS
     for stage in _sequence(label):
-        m, dm = stage.at_zero()
-        mh = _dagger(m)
-        mx = matmul(m, x)
-        d = _matadd(matmul(_matadd(matmul(dm, x), matmul(m, d)), mh),
-                    matmul(mx, _dagger(dm)))
-        x = matmul(mx, mh)
-    return from_matrix(x), from_matrix(d)
+        value, twice = stage.at_zero()
+        m, dm = value + [-v for v in value], twice + [-v for v in twice]
+        left, right = _compile_stage(stage)[2]
+        mx = _half_step(left, m, x, x)
+        inner = list(map(add, _half_step(left, dm, x, _ZEROS), _half_step(left, m, d, d)))
+        d = list(map(add, _half_step(right, m, inner, inner), _half_step(right, dm, mx, _ZEROS)))
+        x = _half_step(right, m, mx, mx)
+    return _element(x), _element(d)
+
+
+def _element(x) -> JordanElement:
+    """chi read off the coefficients of its full matrix."""
+    return JordanElement(x[0], x[32], x[64],
+                         Octonion(x[24:32]), Octonion(x[56:64]), Octonion(x[16:24]))
 
 
 def type_cycle(chi: JordanElement) -> JordanElement:

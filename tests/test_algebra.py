@@ -14,8 +14,9 @@ from e6kit.algebra import (GELLMANN_LABELS, calibration_constant, commutator,
                            unit_vectors)
 from e6kit.group import GeneratorLabel, format_label, parse_label
 from e6kit.jordan import from_coords
-from e6kit.linalg import kernel
+from e6kit.linalg import kernel, vec_add
 from e6kit.octonion import IMAGINARY_UNITS
+from e6kit.rootweight import cartan_matrix, diagram
 
 
 def combo(parts):
@@ -108,6 +109,50 @@ def test_casimir_sextet_commutes_and_rank():
             assert commutator(tangent(a), tangent(b)).is_zero()
     full = unit_vectors(list(range(78)))
     assert rank_estimate(full, seed=0) == 6
+
+
+def test_restricted_roots_are_a2_with_multiplicity_8():
+    """h1 = B:t,z and h2 = B:t,z:2 span a maximal split torus of E6(-26).
+
+    sl(3,K) has real rank 2 and restricted roots A2, each of multiplicity
+    dim K (Baez, "The Octonions", arXiv math/0105155): the joint eigenspaces
+    of ad h1, ad h2 are a 30-dim centralizer and six 8-dim root spaces.
+    """
+    table = structure_table()
+    n = len(table.basis)
+    h = [preferred_basis().index(parse_label(text)) for text in ("B:t,z", "B:t,z:2")]
+    assert table.bracket(*h) == {}
+
+    def joint_eigenspace(values):
+        columns = []
+        for a in range(n):
+            col = {}
+            for block, (i, lam) in enumerate(zip(h, values)):
+                shifted = vec_add(table.bracket(i, a), {a: lam}, Fraction(-1))
+                col.update({block * n + k: v for k, v in shifted.items()})
+            columns.append(col)
+        return kernel(columns)
+
+    half = Fraction(1, 2)
+    alpha, beta = (half, half), (half, -1)
+    positive = [alpha, beta, (alpha[0] + beta[0], alpha[1] + beta[1])]
+    roots = positive + [(-x, -y) for x, y in positive]
+    assert len(joint_eigenspace((0, 0))) == 30
+    assert [len(joint_eigenspace(root)) for root in roots] == [8] * 6
+    assert 30 + 8 * len(roots) == n
+
+    killing = killing_matrix()
+    gram = [[killing[i][j] for j in h] for i in h]
+    assert gram == [[24, -12], [-12, 24]]
+    det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    inverse = [[gram[1][1] / det, -gram[0][1] / det], [-gram[1][0] / det, gram[0][0] / det]]
+
+    def dot(u, v):
+        return sum(u[i] * inverse[i][j] * v[j] for i in range(2) for j in range(2))
+
+    simple = (alpha, beta)
+    assert [[2 * dot(a, b) / dot(a, a) for b in simple] for a in simple] == \
+        cartan_matrix(diagram("A2"))
 
 
 def test_kernel_reads_dependent_columns():

@@ -7,10 +7,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e6kit import algebra, group
 from e6kit.group import GeneratorLabel, ParamMatrix, all_labels, apply_dual
-from e6kit.jordan import basis_element, to_coords
+from e6kit.jordan import basis_element, from_coords, from_matrix, matmul, to_coords, to_matrix
 from e6kit.linalg import SpanBasis, span_of
 from e6kit.octonion import _AGS_PAIRS, MULT_TABLE, UNIT_INDEX, UNITS, Octonion
 
@@ -120,8 +122,70 @@ def test_integral_stage_sums_are_accepted():
     # two half-integer terms of one entry add up to an integer
     terms = (("sin", Fraction(1, 4), 1, Fraction(1)), ("sin", Fraction(1, 4), 1, Fraction(1)))
     value, twice = _stage(0, 1, terms).at_zero()
-    assert twice[0][1].coeffs == (0, 1, 0, 0, 0, 0, 0, 0)
-    assert value[0][0].coeffs == (1, 0, 0, 0, 0, 0, 0, 0)
+    assert twice[9] == 1 and type(twice[9]) is int        # entry (0, 1), unit i
+    assert value[0] == 1 and type(value[0]) is int        # entry (0, 0), unit 1
+    assert sum(map(abs, twice)) == 1 and sum(map(abs, value)) == 3
+
+
+def _octonion_matrix(slots):
+    """72 stage slots as a 3x3 Octonion matrix: unit u of entry (i, j) at 8 * (3i + j) + u."""
+    return [[Octonion(slots[8 * (3 * i + j):8 * (3 * i + j) + 8]) for j in range(3)]
+            for i in range(3)]
+
+
+def _dagger(mat):
+    return [[mat[j][i].conj() for j in range(3)] for i in range(3)]
+
+
+def _matadd(xm, ym):
+    return [[x + y for x, y in zip(xr, yr)] for xr, yr in zip(xm, ym)]
+
+
+def _reference_apply_dual(label, chi):
+    """apply_dual as the Octonion/matmul computation, by the product rule per stage."""
+    x = to_matrix(chi)
+    d = [[Octonion.zero()] * 3 for _ in range(3)]
+    for stage in group.build_sequence(label):
+        m, dm = map(_octonion_matrix, stage.at_zero())
+        mh = _dagger(m)
+        mx = matmul(m, x)
+        d = _matadd(matmul(_matadd(matmul(dm, x), matmul(m, d)), mh),
+                    matmul(mx, _dagger(dm)))
+        x = matmul(mx, mh)
+    return from_matrix(x), from_matrix(d)
+
+
+def _zeroed(el):
+    """The coordinates, with every zero (an empty linear form too) as the int 0."""
+    return [v if v else 0 for v in to_coords(el)]
+
+
+_TRANSVERSE = [GeneratorLabel("R", 1, plane=pair) for pairs in _AGS_PAIRS.values()
+               for pair in pairs]
+
+
+def test_apply_dual_matches_reference_on_the_generic_element():
+    """All 135 labels and the 21 transverse cores, on the linear forms of the generic element."""
+    wrong = []
+    for label in all_labels() + _TRANSVERSE:
+        new = apply_dual(label, algebra._GENERIC)
+        old = _reference_apply_dual(label, algebra._GENERIC)
+        if [_zeroed(el) for el in new] != [_zeroed(el) for el in old]:
+            wrong.append(group.format_label(label))
+    assert wrong == []
+
+
+@given(label=st.sampled_from(all_labels() + _TRANSVERSE),
+       coords=st.lists(st.one_of(st.just(0), st.integers(-9, 9),
+                                 st.fractions(-10, 10, max_denominator=12)),
+                       min_size=27, max_size=27))
+@settings(max_examples=150, deadline=None)
+def test_apply_dual_matches_reference(label, coords):
+    chi = from_coords(coords)
+    value, twice = apply_dual(label, chi)
+    assert to_coords(value) == coords
+    assert [to_coords(value), to_coords(twice)] == \
+        [to_coords(el) for el in _reference_apply_dual(label, chi)]
 
 
 @pytest.fixture
@@ -335,9 +399,8 @@ def test_tangent_moves_generate_21_stage_checked_maps_and_7_core_orbits():
     moves = [tuple(map(tuple, _unit_perm(images))) for images in algebra._TANGENT_MOVES]
     maps = _closure(_IDENTITY8, moves, _compose)
     assert len(maps) == 21 and all(set(sign) == {1} for _, sign in maps)
-    type1 = [GeneratorLabel("R", 1, plane=pair) for pairs in _AGS_PAIRS.values() for pair in pairs]
-    type1 += [lab for lab in algebra.preferred_basis()
-              if lab.category in ("B", "R") and lab.type_index == 1]
+    type1 = _TRANSVERSE + [lab for lab in algebra.preferred_basis()
+                           if lab.category in ("B", "R") and lab.type_index == 1]
     assert len(set(type1)) == 45
     orbits = set()
     for core in type1:
