@@ -35,13 +35,13 @@ from typing import Optional
 
 from . import jordan
 from .group import (GeneratorLabel, _is_transverse, all_labels, apply, apply_dual,
-                    build_sequence, cores, format_label, parse_label, type_cycle)
+                    build_sequence, cores, format_label, type_cycle)
 from .jordan import from_coords, to_coords
 from .linalg import SpanBasis, kernel, signature_symmetric, span_of
 from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
 
 CACHE_ENV = "E6KIT_CACHE"
-_CACHE_VERSION = "e6kit-structure-3"
+_CACHE_VERSION = "e6kit-structure-4"
 
 DIM = 27
 
@@ -210,10 +210,6 @@ def tangent(label: GeneratorLabel) -> AlgebraElement:
     and type-3 tangents are P T P^-1 of the type before, where P is the
     type cycle.
     """
-    el = _TANGENTS.get(label)
-    if el is not None:
-        return el
-    _maybe_load_cache()
     el = _TANGENTS.get(label)
     if el is not None:
         return el
@@ -469,7 +465,7 @@ def _scaled_preferred(coeffs: dict) -> dict:
 def _basis_span() -> SpanBasis:
     """The reduced span of the 78 core-basis tangents, tagged by core-basis index.
 
-    Built once per process; reduce_basis, structure_table and _combo read it.
+    Built once per process; reduce_basis and structure_table read it.
     """
     doubled = (AlgebraElement(_doubled_core(core)).flat() for core in _core_basis())
     sb = span_of({key: Fraction(v, 2) for key, v in flat.items()} for flat in doubled)
@@ -555,14 +551,19 @@ def structure_table() -> StructureTable:
     [2T_i, 2T_j] - sum 2c_k 2T_k, which must vanish; NotInSpan if a 2c_k is
     not an integer or it does not.  The pairs are walked in (i, j) order,
     and a computed pair's whole orbit is derived from it, so only 166 of
-    the 3003 pairs are computed.
+    the 3003 pairs are computed.  With E6KIT_CACHE set, the constants are
+    read from that file if it is intact, and written to it otherwise.
     """
     global _TABLE
     if _TABLE is not None:
         return _TABLE
-    _maybe_load_cache()
-    if _TABLE is not None:
-        return _TABLE
+    path = os.environ.get(CACHE_ENV)
+    if path:
+        try:
+            _TABLE = StructureTable(preferred_basis(), _read_cache(path))
+            return _TABLE
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+            pass    # a stale, damaged or incomplete file is ignored as a whole
     basis = _core_basis()
     # w in the span is sum over reduced rows n of w[pivot n] * row n, and
     # combos[n] is row n on the core basis.
@@ -605,7 +606,8 @@ def structure_table() -> StructureTable:
             brackets[(i, j)] = coeffs
             _derive_orbit(brackets, (i, j), moves)
     _TABLE = StructureTable(preferred_basis(), _preferred_constants(brackets))
-    _maybe_store_cache()
+    if path:
+        _store_cache(path, _TABLE.constants)
     return _TABLE
 
 
@@ -683,57 +685,21 @@ def _derive_orbit(brackets: dict, pair: tuple, moves: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# disk cache
+# disk cache: the structure constants only; tangents are always derived
 
-def _cache_path() -> Optional[str]:
-    return os.environ.get(CACHE_ENV) or None
-
-
-_CACHE_READ = False
-
-
-def _maybe_load_cache() -> None:
-    """Publish the cached tangents and table, all or nothing, once per process.
-
-    A file that is stale, damaged or incomplete is ignored.
-    """
-    global _TABLE, _CACHE_READ
-    path = _cache_path()
-    if not path or _CACHE_READ or _TABLE is not None:
-        return
-    _CACHE_READ = True
-    try:
-        tangents, constants = _read_cache(path)
-    except (OSError, ValueError, KeyError, TypeError):
-        return
-    _TANGENTS.update(tangents)
-    _TABLE = StructureTable(preferred_basis(), constants)
-
-
-def _read_cache(path: str) -> tuple[dict, dict]:
-    """(tangents, constants) from the file; ValueError unless intact and complete."""
+def _read_cache(path: str) -> dict:
+    """The constants from the file; ValueError unless intact and in range."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    body = {"tangents": data["tangents"], "constants": data["constants"]}
+    body = {"constants": data["constants"]}
     if data["version"] != _CACHE_VERSION or data["crc32"] != _checksum(body):
         raise ValueError("stale or damaged cache")
-    tangents = {}
-    for text, entries in body["tangents"].items():
-        label = parse_label(text)
-        mat: dict = {}
-        for r, c, v in entries:
-            if not (0 <= r < DIM and 0 <= c < DIM):
-                raise ValueError(f"tangent entry ({r}, {c}) out of range")
-            mat.setdefault(r, {})[c] = Fraction(v)
-        tangents[label] = AlgebraElement(mat, provenance=label)
-    if set(tangents) != set(all_labels()):
-        raise ValueError("the cache does not hold all 135 tangents")
     constants: dict = {}
     for i, j, k, v in body["constants"]:
         if not (0 <= i < j < 78 and 0 <= k < 78):
             raise ValueError(f"constant ({i}, {j}, {k}) out of range")
         constants.setdefault((i, j), {})[k] = Fraction(v)
-    return tangents, constants
+    return constants
 
 
 def _checksum(body: dict) -> int:
@@ -742,21 +708,10 @@ def _checksum(body: dict) -> int:
     return zlib.crc32(json.dumps(body, sort_keys=True).encode())
 
 
-def _maybe_store_cache() -> None:
+def _store_cache(path: str, constants: dict) -> None:
     """Write the cache through a temporary file, so readers never see half of it."""
-    path = _cache_path()
-    if not path or _TABLE is None:
-        return
-    tangents = {}
-    for label in all_labels():
-        el = tangent(label)
-        tangents[format_label(label)] = [
-            [r, c, str(v)] for r, row in sorted(el.mat.items())
-            for c, v in sorted(row.items())]
-    constants = [[i, j, k, str(v)]
-                 for (i, j), row in sorted(_TABLE.constants.items())
-                 for k, v in sorted(row.items())]
-    body = {"tangents": tangents, "constants": constants}
+    body = {"constants": [[i, j, k, str(v)] for (i, j), row in sorted(constants.items())
+                          for k, v in sorted(row.items())]}
     data = {"version": _CACHE_VERSION, "crc32": _checksum(body), **body}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -844,7 +799,7 @@ def unit_vectors(indices: list[int]) -> list[dict]:
     return [{i: Fraction(1)} for i in indices]
 
 
-def rank_estimate(subspace: list[dict], seed: int = 0) -> int:
+def rank_estimate(subspace: list[dict]) -> int:
     """The rank of the subalgebra spanned by `subspace`, certified exactly.
 
     The subspace is given as sparse coefficient vectors over the preferred
@@ -869,8 +824,11 @@ def rank_estimate(subspace: list[dict], seed: int = 0) -> int:
             a, b = position.get(i), position.get(j)
             if a is None or b is None:
                 continue
-            if any(k not in position for k in row):
-                raise NotClosed(f"[v_{a}, v_{b}] escapes the subspace")
+            for k in row:
+                if k not in position:
+                    raise NotClosed(f"[{format_label(table.basis[i])}, "
+                                    f"{format_label(table.basis[j])}] leaves the span "
+                                    f"(hits {format_label(table.basis[k])})")
             if a < b:
                 sub.constants[(a, b)] = {position[k]: v for k, v in row.items()}
             else:
@@ -888,7 +846,7 @@ def rank_estimate(subspace: list[dict], seed: int = 0) -> int:
     sextet = {_basis_index()[label]: w for w, label in enumerate(casimir_labels(), 1)}
     first = {n: sextet[k] for n, v in enumerate(subspace)
              if len(v) == 1 for k in v if k in sextet}
-    rng = random.Random(seed)
+    rng = random.Random(0)
     draws = [first] * bool(first) + [
         {n: rng.choice((-3, -2, -1, 1, 2, 3)) for n in rng.sample(range(d), min(d, 4))}
         for _ in range(8)]
@@ -1006,30 +964,11 @@ A_L_COORD = 3 + UNIT_INDEX["l"]  # index of the a_l coordinate in Coord27
 
 
 def _combo(parts: list[tuple[int, GeneratorLabel]]) -> dict:
-    """Coefficients (on the preferred basis) of a sum of labeled tangents.
-
-    Labels outside the preferred basis (e.g. R2_xq) are expressed through
-    the dependency relations by solving against the span of the basis
-    tangents.
-    """
+    """Coefficients (on the preferred basis) of a sum of preferred-basis labels."""
     out: dict = {}
-    pending: dict = {}
     for s, lab in parts:
-        idx = _basis_index().get(lab)
-        if idx is not None:
-            out[idx] = out.get(idx, Fraction(0)) + Fraction(s)
-        else:
-            flat = tangent(lab).flat()
-            for k, v in flat.items():
-                pending[k] = pending.get(k, Fraction(0)) + Fraction(s) * v
-    pending = {k: v for k, v in pending.items() if v}
-    if pending:
-        coeffs = _basis_span().express(pending)
-        if coeffs is None:
-            raise NotInSpan("tangent combination outside the basis span")
-        d = _change_of_basis()[2]
-        for k, v in _scaled_preferred(coeffs).items():
-            out[k] = out.get(k, Fraction(0)) + v / d
+        idx = _basis_index()[lab]
+        out[idx] = out.get(idx, Fraction(0)) + Fraction(s)
     return {k: v for k, v in out.items() if v}
 
 

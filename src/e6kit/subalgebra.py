@@ -20,7 +20,7 @@ from typing import Optional
 
 from .group import GeneratorLabel, format_label
 from .algebra import (
-    NotClosed,
+    NotClosed,  # raised by _report through rank_estimate
     preferred_basis,
     structure_table,
     killing_matrix,
@@ -143,25 +143,7 @@ class SubalgebraReport:
         }
 
 
-def _closure_check(indices: list) -> None:
-    table = structure_table()
-    inside = set(indices)
-    for a in indices:
-        for b in indices:
-            if a >= b:
-                continue
-            comps = table.constants.get((a, b), {})
-            for k in comps:
-                if k not in inside:
-                    basis = preferred_basis()
-                    raise NotClosed(
-                        f"[{format_label(basis[a])}, {format_label(basis[b])}]"
-                        f" leaves the span (hits {format_label(basis[k])})"
-                    )
-
-
 def _report(indices: list, notes: str) -> SubalgebraReport:
-    _closure_check(indices)
     # on unit vectors the restricted Killing form is a submatrix
     bmat = killing_matrix()
     sig = signature([[bmat[i][j] for j in indices] for i in indices])

@@ -108,7 +108,7 @@ def test_casimir_sextet_commutes_and_rank():
         for b in labels:
             assert commutator(tangent(a), tangent(b)).is_zero()
     full = unit_vectors(list(range(78)))
-    assert rank_estimate(full, seed=0) == 6
+    assert rank_estimate(full) == 6
 
 
 def test_restricted_roots_are_a2_with_multiplicity_8():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ def run_cli(*args, stdin=None):
 GOLDEN_SHA256 = {
     "table": "8bbe61ca9cacaf584f5825733cd407b5beb93ecf8e90ec8da2a50021272b7925",
     "killing": "ad1c84d7ba8cfcfae8600e0a6644c364eaf372ed95bbfb7474367bc5e9c5cf81",
+    "stab-l": "54e118e03bf290a67ffd2417839e33efa927f67e6aabfe80907328f1db39ea67",
+    "gellmann": "2f1456b917466fe5cd6b030e81ae558f0b29367b43fa93d336d4f2a091d758d6",
 }
 
 
@@ -42,7 +45,7 @@ def test_golden_output_cold(verb, tmp_path):
 
 @pytest.mark.parametrize("verb", sorted(GOLDEN_SHA256))
 def test_golden_output_from_cache(verb, tmp_path):
-    """Read from a filled disk cache, the table and the Killing form are the seed's too."""
+    """With a filled disk cache the outputs are the seed's too (tangents are still derived)."""
     assert run_cli("table").returncode == 0  # fills the shared cache if needed
     out = tmp_path / f"{verb}.json"
     proc = run_cli(verb, "--out", str(out))
@@ -124,6 +127,14 @@ def test_subalg_assemble():
     data = json.loads(proc.stdout)
     assert data["dim"] == 52
     assert data["signature"][:2] == [36, 16]
+
+
+def test_subalg_assemble_not_closed_names_the_bracket():
+    proc = run_cli("subalg", "--assemble", "B1H")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "FAILED: assembly not closed: [B:t,z, B:t,x] leaves the span (hits R:x,z)"]
 
 
 def test_stab_l():
@@ -269,13 +280,40 @@ def test_cache_with_empty_constants_is_ignored(tmp_path):
 
 def test_cache_with_one_bad_entry_is_ignored_whole(tmp_path):
     def damage(data):
-        labels = sorted(data["tangents"])
-        first, last = data["tangents"][labels[0]], data["tangents"][labels[-1]]
-        first[0][2] = str(Fraction(first[0][2]) + 1)  # parses, but is wrong
-        last[0][2] = "not a number"                    # makes the load give up
+        first, last = data["constants"][0], data["constants"][-1]
+        first[3] = str(Fraction(first[3]) + 1)  # parses, but is wrong
+        last[3] = "not a number"                # makes the load give up
     proc = _killing_with_cache(_cache_copy(tmp_path, damage))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "(52,26)"
+
+
+@pytest.mark.parametrize("entry", [[0, 1, 2, "1/0"], [0, 1, 78, "1"], [1, 1, 2, "1"]])
+def test_cache_with_a_bad_constant_and_a_good_crc_is_ignored(tmp_path, entry):
+    def damage(data):
+        data["constants"][0] = entry
+        body = {"constants": data["constants"]}
+        data["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
+    proc = _killing_with_cache(_cache_copy(tmp_path, damage))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(52,26)"
+
+
+def test_cache_holds_only_the_constants():
+    assert run_cli("table").returncode == 0  # fills the shared cache if needed
+    with open(_CACHE_FILE, encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert set(data) == {"version", "crc32", "constants"}
+    assert len(data["constants"]) == 2750
+
+
+def test_stale_cache_is_rewritten(tmp_path):
+    path = _cache_copy(tmp_path, lambda data: data.update(version="e6kit-structure-3"))
+    proc = _killing_with_cache(path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(52,26)"
+    with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
+        assert json.load(gh) == json.load(fh)
 
 
 def test_subalg_requires_exactly_one_mode():
