@@ -59,9 +59,7 @@ class NotClosed(RuntimeError):
 
 
 class MismatchAt(RuntimeError):
-    def __init__(self, i, j, detail=""):
-        super().__init__(f"structure constants differ at pair ({i}, {j}) {detail}")
-        self.pair = (i, j)
+    pass
 
 
 class StepTooLarge(RuntimeError):
@@ -70,9 +68,8 @@ class StepTooLarge(RuntimeError):
 
 @dataclass
 class AlgebraElement:
-    """Sparse exact 27x27 matrix acting on Coord27: mat[row][col] = Fraction."""
+    """Sparse exact matrix, mat[row][col]: 27x27 on Coord27, or a 6x6 Gell-Mann oracle."""
     mat: dict
-    provenance: Optional[GeneratorLabel] = None
 
     def flat(self) -> dict:
         return {r * DIM + c: v for r, row in self.mat.items() for c, v in row.items()}
@@ -142,6 +139,26 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     # is the convention under which the published structure constants (the
     # Gell-Mann correspondence in particular) hold.
     return AlgebraElement(_mat_add(_mat_mul(y.mat, x.mat), _mat_mul(x.mat, y.mat), -1))
+
+
+def _span_constants(elements: list, flat, bracket) -> dict:
+    """{(a, b): coefficients of [e_a, e_b] over the elements} for every a < b.
+
+    flat turns an element, or a bracket of two, into a sparse vector.
+    ValueError if the elements are dependent; NotClosed at the first pair
+    whose bracket escapes their span.
+    """
+    span = span_of(flat(el) for el in elements)
+    if span.rank != len(elements):
+        raise ValueError("subspace vectors are dependent")
+    out = {}
+    for a, x in enumerate(elements):
+        for b in range(a + 1, len(elements)):
+            coeffs = span.express(flat(bracket(x, elements[b])))
+            if coeffs is None:
+                raise NotClosed(f"[v_{a}, v_{b}] escapes the subspace")
+            out[(a, b)] = coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +238,7 @@ def tangent(label: GeneratorLabel) -> AlgebraElement:
         for r, row in below.items():
             for c, v in row.items():
                 mat.setdefault(_CYCLED[r], {})[_CYCLED[c]] = v
-    el = AlgebraElement(mat, provenance=label)
+    el = AlgebraElement(mat)
     _TANGENTS[label] = el
     return el
 
@@ -803,8 +820,10 @@ def rank_estimate(subspace: list[dict]) -> int:
     """The rank of the subalgebra spanned by `subspace`, certified exactly.
 
     The subspace is given as sparse coefficient vectors over the preferred
-    basis and must close under the bracket (NotClosed otherwise); for unit
-    vectors the bracket is read off the table's constants.  For a
+    basis and must close under the bracket (NotClosed otherwise).  For
+    distinct unit vectors the bracket is the table's constants renumbered;
+    any other list goes through _span_constants, which also raises
+    ValueError if the vectors are dependent.  For a
     sparse element x of it the centralizer c = ker(ad x) is computed
     exactly; if c is abelian and is its own normalizer, it is a Cartan
     subalgebra and the rank is dim c.  x is first a fixed combination of the
@@ -834,15 +853,7 @@ def rank_estimate(subspace: list[dict]) -> int:
             else:
                 sub.constants[(b, a)] = {position[k]: -v for k, v in row.items()}
     else:
-        sb = span_of(subspace)
-        if sb.rank != d:
-            raise ValueError("subspace vectors are dependent")
-        for a in range(d):
-            for b in range(a + 1, d):
-                coeffs = sb.express(table.bracket_vectors(subspace[a], subspace[b]))
-                if coeffs is None:
-                    raise NotClosed(f"[v_{a}, v_{b}] escapes the subspace")
-                sub.constants[(a, b)] = coeffs
+        sub.constants = _span_constants(subspace, dict, table.bracket_vectors)
     sextet = {_basis_index()[label]: w for w, label in enumerate(casimir_labels(), 1)}
     first = {n: sextet[k] for n, v in enumerate(subspace)
              if len(v) == 1 for k in v if k in sextet}
@@ -879,82 +890,52 @@ GELLMANN_LABELS = [GeneratorLabel("A", 1, axis="k"),
                    GeneratorLabel("G", 1, axis="l")]
 
 
-def _gellmann_matrices() -> list[list[list[tuple[Fraction, Fraction]]]]:
-    """The eight matrices of the correspondence table, entries (re, im)."""
-    def c(re=0, im=0):
-        return (Fraction(re), Fraction(im))
+def _gellmann_matrices() -> list[AlgebraElement]:
+    """The eight matrices of the correspondence table, transposed and realified.
 
-    z = c()
-    return [
-        [[z, c(0, -1), z], [c(0, -1), z, z], [z, z, z]],            # -i * lambda1-like
-        [[z, c(-1), z], [c(1), z, z], [z, z, z]],
-        [[c(0, 1), z, z], [z, c(0, -1), z], [z, z, z]],
-        [[z, z, c(0, -1)], [z, z, z], [c(0, -1), z, z]],
-        [[z, z, c(1)], [z, z, z], [c(-1), z, z]],
-        [[z, z, z], [z, z, c(0, -1)], [z, c(0, -1), z]],
-        [[z, z, z], [z, z, c(-1)], [z, c(1), z]],
-        [[c(0, -1), z, z], [z, c(0, -1), z], [z, z, c(0, 2)]],
+    A complex 3x3 matrix X + iY becomes the real 6x6 matrix [[X, -Y], [Y, X]],
+    and that is transposed: commutator takes YX - XY, which on transposes is
+    (XY - YX)^T, so the constants read off are those of ab - ba.
+    """
+    table = [
+        {(0, 1): -1j, (1, 0): -1j},            # -i * lambda1-like
+        {(0, 1): -1, (1, 0): 1},
+        {(0, 0): 1j, (1, 1): -1j},
+        {(0, 2): -1j, (2, 0): -1j},
+        {(0, 2): 1, (2, 0): -1},
+        {(1, 2): -1j, (2, 1): -1j},
+        {(1, 2): -1, (2, 1): 1},
+        {(0, 0): -1j, (1, 1): -1j, (2, 2): 2j},
     ]
-
-
-def _cmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _commutator3(a, b):
-    out = [[(Fraction(0), Fraction(0))] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            re = im = Fraction(0)
-            for k in range(3):
-                p = _cmul(a[i][k], b[k][j])
-                q = _cmul(b[i][k], a[k][j])
-                re += p[0] - q[0]
-                im += p[1] - q[1]
-            out[i][j] = (re, im)
-    return out
-
-
-def _flat3(m) -> dict:
-    """A complex 3x3 matrix as a sparse real 18-vector (re, im interleaved)."""
-    return {n: v for n, v in enumerate(x for row in m for entry in row for x in entry) if v}
-
-
-def _oracle_constants() -> dict:
-    """Structure constants of the matrix side: (a,b) a<b -> {c: Fraction}."""
-    mats = _gellmann_matrices()
-    span = span_of(_flat3(m) for m in mats)
-    if span.rank != 8:
-        raise MismatchAt(-1, -1, "(oracle matrices are dependent)")
-    out = {}
-    for a in range(8):
-        for b in range(a + 1, 8):
-            x = span.express(_flat3(_commutator3(mats[a], mats[b])))
-            if x is None:
-                raise MismatchAt(a, b, "(oracle commutator escapes the span)")
-            out[(a, b)] = x
+    out = []
+    for entries in table:
+        mat: dict = {}
+        for (r, c), z in entries.items():
+            x, y = int(z.real), int(z.imag)
+            for row, col, v in ((c, r, x), (c + 3, r, -y), (c, r + 3, y), (c + 3, r + 3, x)):
+                if v:
+                    mat.setdefault(row, {})[col] = v
+        out.append(AlgebraElement(mat))
     return out
 
 
 def gellmann_check() -> dict:
     """Compare the octonionic su(3) constants against the matrix oracle.
 
-    Returns {"pairs_checked": 28, "match": True} or raises MismatchAt.
+    Both sides are spans of eight AlgebraElements under commutator: the
+    tangents of GELLMANN_LABELS and the _gellmann_matrices.  Returns
+    {"pairs_checked": 28, "match": True}; raises MismatchAt at the first pair
+    whose constants differ, and ValueError or NotClosed (_span_constants) if
+    either side is dependent or does not close.
     """
-    tangents = [tangent(label) for label in GELLMANN_LABELS]
-    sb = span_of(el.flat() for el in tangents)
-    if sb.rank != 8:
-        raise MismatchAt(-1, -1, "(octonionic su(3) span is degenerate)")
-    oracle = _oracle_constants()
-    for a in range(8):
-        for b in range(a + 1, 8):
-            comm = commutator(tangents[a], tangents[b]).flat()
-            coeffs = sb.express(comm)
-            if coeffs is None:
-                raise MismatchAt(a, b, "(octonionic commutator escapes the span)")
-            if coeffs != oracle[(a, b)]:
-                raise MismatchAt(a, b, f"(got {coeffs}, oracle {oracle[(a, b)]})")
-    return {"pairs_checked": 28, "match": True}
+    octonionic = _span_constants([tangent(label) for label in GELLMANN_LABELS],
+                                 AlgebraElement.flat, commutator)
+    oracle = _span_constants(_gellmann_matrices(), AlgebraElement.flat, commutator)
+    for pair, coeffs in octonionic.items():
+        if coeffs != oracle[pair]:
+            raise MismatchAt(f"structure constants differ at pair {pair} "
+                             f"(got {coeffs}, oracle {oracle[pair]})")
+    return {"pairs_checked": len(octonionic), "match": True}
 
 
 # ---------------------------------------------------------------------------
@@ -1034,10 +1015,11 @@ def stabilizer_of_l() -> dict:
                    for u in named["so81"] for v in b_all)
     b2_gram = killing_restricted(named["b2"])
     null_b2 = all(b2_gram[n][n] == 0 for n in range(len(b2_gram)))
-    so81_span = span_of(named["so81"])
-    so81_closed = all(so81_span.contains(table.bracket_vectors(u, v))
-                      for i, u in enumerate(named["so81"])
-                      for v in named["so81"][i + 1:])
+    try:
+        _span_constants(named["so81"], dict, table.bracket_vectors)
+        so81_closed = True
+    except NotClosed:
+        so81_closed = False
     return {
         "dim": len(stab),
         "kernel": stab,

@@ -99,34 +99,28 @@ def _verify_dependencies(out) -> int:
     """The 15 vanishing sums, 14 type-2 expressions, and A/G independence."""
     checks = []
     for q in IMAGINARY_UNITS:
-        d = q
-        checks.append((f"S:{d} + S:{d}:2 + S:{d}:3 = 0",
-                       [(1, f"S:{d}"), (1, f"S:{d}:2"), (1, f"S:{d}:3")]))
+        checks.append((f"S:{q} + S:{q}:2 + S:{q}:3 = 0",
+                       [(1, f"S:{q}"), (1, f"S:{q}:2"), (1, f"S:{q}:3")]))
     for q in IMAGINARY_UNITS:
-        d = q
-        checks.append((f"R:x,{d} + R:x,{d}:2 + R:x,{d}:3 = 0",
-                       [(1, f"R:x,{d}"), (1, f"R:x,{d}:2"), (1, f"R:x,{d}:3")]))
+        checks.append((f"R:x,{q} + R:x,{q}:2 + R:x,{q}:3 = 0",
+                       [(1, f"R:x,{q}"), (1, f"R:x,{q}:2"), (1, f"R:x,{q}:3")]))
     checks.append(("B:t,z + B:t,z:2 + B:t,z:3 = 0",
                    [(1, "B:t,z"), (1, "B:t,z:2"), (1, "B:t,z:3")]))
     for q in IMAGINARY_UNITS:
-        d = q
-        checks.append((f"R:x,{d}:2 = -1/2 R:x,{d} - 1/2 S:{d}",
-                       [(1, f"R:x,{d}:2"), (Fraction(1, 2), f"R:x,{d}"),
-                        (Fraction(1, 2), f"S:{d}")]))
+        checks.append((f"R:x,{q}:2 = -1/2 R:x,{q} - 1/2 S:{q}",
+                       [(1, f"R:x,{q}:2"), (Fraction(1, 2), f"R:x,{q}"),
+                        (Fraction(1, 2), f"S:{q}")]))
     for q in IMAGINARY_UNITS:
-        d = q
-        checks.append((f"S:{d}:2 = 3/2 R:x,{d} - 1/2 S:{d}",
-                       [(1, f"S:{d}:2"), (Fraction(-3, 2), f"R:x,{d}"),
-                        (Fraction(1, 2), f"S:{d}")]))
+        checks.append((f"S:{q}:2 = 3/2 R:x,{q} - 1/2 S:{q}",
+                       [(1, f"S:{q}:2"), (Fraction(-3, 2), f"R:x,{q}"),
+                        (Fraction(1, 2), f"S:{q}")]))
+    # one identity, 14 differences, each checked on its own so none can cancel another
     for cat in ("A", "G"):
-        parts = []
-        for q in IMAGINARY_UNITS:
-            d = q
-            parts += [(1, f"{cat}:{d}"), (-1, f"{cat}:{d}:2")]
-            parts += [(1, f"{cat}:{q}"), (-1, f"{cat}:{q}:3")]
-        checks.append((f"{cat}:q = {cat}:q:2 = {cat}:q:3 for all q", parts))
-    for name, parts in checks:
-        if not _tangent_combo(parts).is_zero():
+        checks.append((f"{cat}:q = {cat}:q:2 = {cat}:q:3 for all q",
+                       *([(1, f"{cat}:{q}"), (-1, f"{cat}:{q}:{t}")]
+                         for q in IMAGINARY_UNITS for t in (2, 3))))
+    for name, *combos in checks:
+        if not all(_tangent_combo(parts).is_zero() for parts in combos):
             out.write(f"FAILED: {name}\n")
             return 1
         out.write(f"confirmed: {name}\n")
@@ -235,10 +229,14 @@ def cmd_stab_l(args) -> int:
 
 
 def cmd_gellmann(args) -> int:
-    result = algebra.gellmann_check()
+    try:
+        result = algebra.gellmann_check()
+    except (algebra.MismatchAt, algebra.NotClosed, ValueError) as exc:
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 1
     with _output(args.out) as out:
         _dump_json(result, out)
-    return 0 if result["match"] else 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

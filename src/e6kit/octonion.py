@@ -179,30 +179,6 @@ class Octonion:
 _ZERO = Octonion(_ZERO8)  # values are immutable, so one zero serves everywhere
 
 
-def mul(a: Octonion, b: Octonion) -> Octonion:
-    return a * b
-
-
-def conj(a: Octonion) -> Octonion:
-    return a.conj()
-
-
-def norm2(a: Octonion):
-    return a.norm2()
-
-
-def re(a: Octonion) -> Octonion:
-    return a.re()
-
-
-def im(a: Octonion) -> Octonion:
-    return a.im()
-
-
-def inverse(a: Octonion) -> Octonion:
-    return a.inverse()
-
-
 def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
     return (a * b) * c - a * (b * c)
 

@@ -180,6 +180,15 @@ def test_rank_of_a_subspace_that_is_not_closed():
         rank_estimate(unit_vectors(boosts))
 
 
+def test_rank_of_scaled_vectors_takes_the_general_path():
+    """Vectors that are not unit vectors go through _span_constants and its two errors."""
+    boosts = [n for n, lab in enumerate(preferred_basis()) if lab.category == "B"]
+    with pytest.raises(algebra.NotClosed, match="escapes the subspace"):
+        rank_estimate([{i: 2} for i in boosts])
+    with pytest.raises(ValueError, match="dependent"):
+        rank_estimate([{0: 1}, {1: 2}, {1: 2}])
+
+
 def test_stabilizer_of_l_rank():
     """Stab(l) is not reductive, but an abelian self-normalizing centralizer certifies rank 4."""
     stab = stabilizer_of_l()["kernel"]

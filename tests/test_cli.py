@@ -68,6 +68,25 @@ def test_verify_dependencies():
     assert lines[-1] == "31 identities confirmed"
 
 
+def test_verify_dependencies_checks_each_difference(monkeypatch, capsys):
+    """Errors in A:i:2 and A:j:2 that cancel in a sum over q still fail the A identity."""
+    from e6kit import algebra, cli, group
+    original = algebra.tangent
+    extra = original(group.parse_label("B:t,z"))
+    shifted = {group.parse_label("A:i:2"): 1, group.parse_label("A:j:2"): -1}
+
+    def tangent(label):
+        if label in shifted:
+            return algebra.element_sum([(1, original(label)), (shifted[label], extra)])
+        return original(label)
+
+    monkeypatch.setattr(algebra, "tangent", tangent)
+    assert cli.run(["verify", "--suite", "dependencies"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAILED: A:q = A:q:2 = A:q:3 for all q"
+    assert len(lines) == 30    # the 29 identities before it were confirmed
+
+
 def test_verify_jacobi_seeded():
     proc = run_cli("verify", "--suite", "jacobi", "--seed", "1")
     assert proc.returncode == 0
@@ -194,6 +213,37 @@ def test_gellmann():
     proc = run_cli("gellmann")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"match": True, "pairs_checked": 28}
+
+
+def _swap_first_two(mats):
+    mats[0], mats[1] = mats[1], mats[0]
+
+
+def _repeat_first(mats):
+    mats[1] = mats[0]
+
+
+def _real_diagonal_last(mats):
+    from e6kit import algebra
+    mats[7] = algebra.AlgebraElement({0: {0: 1}, 3: {3: 1}})    # diag(1, 0, 0), realified
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_swap_first_two, "FAILED: structure constants differ at pair (0, "),
+    (_repeat_first, "FAILED: subspace vectors are dependent"),
+    (_real_diagonal_last, "FAILED: [v_"),
+])
+def test_gellmann_failure_exits_1(monkeypatch, capsys, corrupt, message):
+    """A corrupted oracle fails the check: exit 1, stdout empty, one stderr line."""
+    from e6kit import algebra, cli
+    mats = algebra._gellmann_matrices()
+    corrupt(mats)
+    monkeypatch.setattr(algebra, "_gellmann_matrices", lambda: mats)
+    assert cli.run(["gellmann"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
 
 
 def test_apply_preserves_det():
