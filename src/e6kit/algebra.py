@@ -29,7 +29,6 @@ import math
 import os
 import random
 import zlib
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -42,6 +41,7 @@ from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
 
 CACHE_ENV = "E6KIT_CACHE"
 _CACHE_VERSION = "e6kit-structure-4"
+_CONSTANT_COUNT = 2750    # nonzero c_ij^k with i < j on the preferred basis
 
 DIM = 27
 
@@ -66,10 +66,13 @@ class StepTooLarge(RuntimeError):
     pass
 
 
-@dataclass
 class AlgebraElement:
     """Sparse exact matrix, mat[row][col]: 27x27 on Coord27, or a 6x6 Gell-Mann oracle."""
-    mat: dict
+
+    __slots__ = ("mat",)
+
+    def __init__(self, mat: dict):
+        self.mat = mat
 
     def flat(self) -> dict:
         return {r * DIM + c: v for r, row in self.mat.items() for c, v in row.items()}
@@ -233,7 +236,7 @@ def tangent(label: GeneratorLabel) -> AlgebraElement:
     if label.type_index == 1:
         mat = _evaluated_tangent(label)
     else:
-        below = tangent(replace(label, type_index=label.type_index - 1)).mat
+        below = tangent(label._replace(type_index=label.type_index - 1)).mat
         mat = {}
         for r, row in below.items():
             for c, v in row.items():
@@ -318,9 +321,9 @@ def _core_tangent(core: GeneratorLabel) -> dict:
 def _orbit_rep(core: GeneratorLabel) -> GeneratorLabel:
     """The first core of the core's orbit: its unit, or its plane, made that of i."""
     if _is_transverse(core):
-        return replace(core, plane=_AGS_PAIRS["i"][0])
+        return core._replace(plane=_AGS_PAIRS["i"][0])
     if core.plane[1] in IMAGINARY_UNITS:
-        return replace(core, plane=(core.plane[0], "i"))
+        return core._replace(plane=(core.plane[0], "i"))
     return core
 
 
@@ -341,7 +344,7 @@ def _core_image(core: GeneratorLabel, move: tuple) -> tuple[GeneratorLabel, int]
         plane.append(u)
     if _is_transverse(core) and MULT_TABLE[UNIT_INDEX[plane[0]]][UNIT_INDEX[plane[1]]][0] < 0:
         plane.reverse()
-    return replace(core, plane=tuple(plane)), s
+    return core._replace(plane=tuple(plane)), s
 
 
 def _check_stages(core: GeneratorLabel, image: GeneratorLabel, move: tuple, s: int) -> None:
@@ -494,7 +497,7 @@ def _basis_span() -> SpanBasis:
 def _doubled_core(core: GeneratorLabel) -> dict:
     """2T of a core-basis label as {row: {col: int}}: its type-1 core's, type-cycled."""
     mat: dict = {}
-    for (col, row), v in _core_tangent(replace(core, type_index=1)).items():
+    for (col, row), v in _core_tangent(core._replace(type_index=1)).items():
         for _ in range(core.type_index - 1):
             col, row = _CYCLED[col], _CYCLED[row]
         mat.setdefault(row, {})[col] = v
@@ -523,10 +526,13 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
 # ---------------------------------------------------------------------------
 # structure table
 
-@dataclass
 class StructureTable:
-    basis: list[GeneratorLabel]
-    constants: dict = field(default_factory=dict)  # (i,j) i<j -> {k: Fraction}
+    """The constants of a basis, {(i, j): {k: c_ij^k}} for i < j; a missing pair brackets to 0."""
+
+    __slots__ = ("basis", "constants")
+
+    def __init__(self, basis: list, constants: dict):
+        self.basis, self.constants = basis, constants
 
     def bracket(self, i: int, j: int) -> dict:
         """Sparse coefficients of [b_i, b_j]."""
@@ -705,16 +711,26 @@ def _derive_orbit(brackets: dict, pair: tuple, moves: list) -> None:
 # disk cache: the structure constants only; tangents are always derived
 
 def _read_cache(path: str) -> dict:
-    """The constants from the file; ValueError unless intact and in range."""
+    """The constants from the file; ValueError unless intact, complete and in range.
+
+    Complete means the _CONSTANT_COUNT keys (i, j, k) in strictly increasing
+    order, as _store_cache writes them: the CRC of a short list, or of one
+    with a key repeated, matches as well as the full one's.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     body = {"constants": data["constants"]}
     if data["version"] != _CACHE_VERSION or data["crc32"] != _checksum(body):
         raise ValueError("stale or damaged cache")
+    if len(body["constants"]) != _CONSTANT_COUNT:
+        raise ValueError(f"the cache holds {len(body['constants'])} constants, "
+                         f"not {_CONSTANT_COUNT}")
     constants: dict = {}
+    last = (0, 0, -1)
     for i, j, k, v in body["constants"]:
-        if not (0 <= i < j < 78 and 0 <= k < 78):
-            raise ValueError(f"constant ({i}, {j}, {k}) out of range")
+        if not (0 <= i < j < 78 and 0 <= k < 78 and (i, j, k) > last):
+            raise ValueError(f"constant ({i}, {j}, {k}) out of range or out of order")
+        last = (i, j, k)
         constants.setdefault((i, j), {})[k] = Fraction(v)
     return constants
 
@@ -776,7 +792,9 @@ def killing_matrix() -> list[list[Fraction]]:
                 row = total[i]
                 for j, y in back:
                     row[j] += x * y
-    _KILLING = [[Fraction(v, scale * scale) for v in row] for row in total]
+    # the 6084 entries take a few distinct values, and equal ones share one Fraction
+    shared = {v: Fraction(v, scale * scale) for v in {v for row in total for v in row}}
+    _KILLING = [[shared[v] for v in row] for row in total]
     return _KILLING
 
 
@@ -835,7 +853,7 @@ def rank_estimate(subspace: list[dict]) -> int:
     table = structure_table()
     d = len(subspace)
     # the bracket in coordinates over the subspace vectors
-    sub = StructureTable(list(range(d)))
+    sub = StructureTable(list(range(d)), {})
     position = {k: n for n, v in enumerate(subspace) if list(v.values()) == [1] for k in v}
     if len(position) == d:
         # distinct unit vectors: the sub-table is the table renumbered

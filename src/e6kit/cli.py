@@ -195,8 +195,10 @@ def cmd_killing(args) -> int:
     if args.out in (None, "-"):
         print(f"({neg},{pos})")
         return 0
+    text: dict = {}    # the 6084 entries take a few distinct values; format each once
     data = {"signature": [neg, pos, zero],
-            "matrix": [[_frac_str(v) for v in row] for row in km]}
+            "matrix": [[text.get(v) or text.setdefault(v, _frac_str(v)) for v in row]
+                       for row in km]}
     with _output(args.out) as out:
         _dump_json(data, out)
     return 0

@@ -22,10 +22,9 @@ forms, gives the core's whole tangent matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .jordan import JordanElement
 from .octonion import (DISPLAY, DISPLAY_TO_NAME, IMAGINARY_UNITS, MULT_TABLE,
@@ -36,8 +35,7 @@ class IllegalLabel(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
+class GeneratorLabel(NamedTuple):
     """One of the 135 generators.
 
     category "B" or "R": plane is a pair over {t, x, z} + imaginary units.
@@ -154,8 +152,7 @@ def _float_term(kind: str, k: Fraction, coeff: Fraction, alpha: float) -> float:
     raise AssertionError(kind)
 
 
-@dataclass(frozen=True)
-class ParamMatrix:
+class ParamMatrix(NamedTuple):
     entries: tuple  # 3x3 nested tuples of term tuples
 
     def at_zero(self) -> tuple[list[int], list[int]]:

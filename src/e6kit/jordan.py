@@ -13,20 +13,43 @@ the fixed octonion basis order inside each block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .octonion import Octonion
 
 
-@dataclass(frozen=True)
-class JordanElement:
-    p: object
-    m: object
-    n: object
-    a: Octonion
-    b: Octonion
-    c: Octonion
+class _Value:
+    """Equality, hash and repr over the fields in __slots__.
+
+    Values are immutable by convention, as Octonion's are: arithmetic never
+    mutates.  They are not tuples, so `2 * chi` raises TypeError instead of
+    repeating the fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class JordanElement(_Value):
+    """chi = (p, m, n, a, b, c), as in the module docstring."""
+
+    __slots__ = ("p", "m", "n", "a", "b", "c")
+
+    def __init__(self, p, m, n, a: Octonion, b: Octonion, c: Octonion):
+        self.p, self.m, self.n, self.a, self.b, self.c = p, m, n, a, b, c
 
     @staticmethod
     def zero() -> "JordanElement":
@@ -126,12 +149,13 @@ def det_trace_form(x: JordanElement):
     return (t3 - Fraction(3, 2) * t2 * t1 + Fraction(1, 2) * t1 * t1 * t1) / 3
 
 
-@dataclass(frozen=True)
-class Vector2:
+class Vector2(_Value):
     """Hermitian 2x2 octonionic matrix [[t+z, conj(q)], [q, t-z]]."""
-    tz_plus: object
-    tz_minus: object
-    q: Octonion
+
+    __slots__ = ("tz_plus", "tz_minus", "q")
+
+    def __init__(self, tz_plus, tz_minus, q: Octonion):
+        self.tz_plus, self.tz_minus, self.q = tz_plus, tz_minus, q
 
     def __add__(self, other: "Vector2") -> "Vector2":
         return Vector2(self.tz_plus + other.tz_plus,
@@ -148,8 +172,7 @@ def lorentz_dot(a: Vector2, b: Vector2):
     return -(a.tz_plus * b.tz_minus) - (a.tz_minus * b.tz_plus) + 2 * cross
 
 
-@dataclass(frozen=True)
-class Spinor:
+class Spinor(NamedTuple):
     top: Octonion
     bottom: Octonion
 

@@ -132,47 +132,48 @@ def kernel(columns: Iterable[dict]) -> list[dict]:
 def signature_symmetric(mat: list[list[Fraction]]) -> tuple[int, int, int]:
     """Signature (n_neg, n_pos, n_zero) of a symmetric rational matrix.
 
-    Uses congruence transformations (Lagrange diagonalization): the returned
-    counts are those of any diagonalizing congruence, by Sylvester's law.
+    Lagrange diagonalization by congruence on the nonzero entries only.  A
+    nonzero diagonal pivot d is eliminated by its Schur complement,
+    a_ik -= a_ip a_pk / d over the pivot's neighbours.  When every diagonal
+    entry left is 0, a nonzero a_ij is first folded onto it: row and column
+    i += row and column j makes a_ii = 2 a_ij.  The counts are those of any
+    diagonalizing congruence, by Sylvester's law.
     """
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
-    neg = pos = zero = 0
-    todo = list(range(n))
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in mat]
+    neg = pos = 0
+    todo = list(range(len(rows)))
     while todo:
-        # find a usable diagonal pivot
-        piv = next((i for i in todo if a[i][i]), None)
+        piv = next((i for i in todo if i in rows[i]), None)
         if piv is None:
-            # look for an off-diagonal nonzero; fold it onto the diagonal
-            found = None
-            for i in todo:
-                for j in todo:
-                    if j != i and a[i][j]:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                zero += len(todo)
+            piv = next((i for i in todo if rows[i]), None)
+            if piv is None:
                 break
-            i, j = found
-            # row/col operation: row_i += row_j (congruence) makes a[i][i] = 2a[i][j] != 0
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            piv = i
-        d = a[piv][piv]
+            # only off-diagonal entries are left, and a_piv,piv = a_jj = 0
+            row = rows[piv]
+            j = next(iter(row))
+            for k, v in rows[j].items():
+                if k != piv:
+                    s = row.get(k, 0) + v
+                    if s:
+                        row[k] = rows[k][piv] = s
+                    else:
+                        del row[k], rows[k][piv]
+            row[piv] = 2 * row[j]
+        todo.remove(piv)
+        pivot_row = rows[piv]
+        d = pivot_row.pop(piv)
         if d > 0:
             pos += 1
         else:
             neg += 1
-        todo.remove(piv)
-        for i in todo:
-            c = a[i][piv] / d
-            if c:
-                for k in range(n):
-                    a[i][k] -= c * a[piv][k]
-                for k in range(n):
-                    a[k][i] -= c * a[k][piv]
-    return (neg, pos, zero)
+        for i, v in pivot_row.items():
+            c = v / d
+            row = rows[i]
+            del row[piv]
+            for k, w in pivot_row.items():
+                s = row.get(k, 0) - c * w
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+    return (neg, pos, len(todo))

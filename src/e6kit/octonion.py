@@ -8,8 +8,8 @@ the next element cyclically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 UNITS = ("1", "i", "j", "k", "kl", "jl", "il", "l")
 UNIT_INDEX = {name: n for n, name in enumerate(UNITS)}
@@ -183,8 +183,7 @@ def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
     return (a * b) * c - a * (b * c)
 
 
-@dataclass(frozen=True)
-class QuaternionTriple:
+class QuaternionTriple(NamedTuple):
     axis: str
     pairs: tuple[tuple[str, str], tuple[str, str], tuple[str, str]]
 

@@ -16,9 +16,8 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import span_of
 
@@ -43,8 +42,7 @@ class SearchBudgetExceeded(RuntimeError):
     """The embedding search ran out of candidate budget."""
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     """Nodes 0..rank-1; edges (i, j, multiplicity, shorter-node or None)."""
 
     name: str
@@ -180,18 +178,19 @@ def fundamental_weights(d: DynkinDiagram) -> list:
 # ---------------------------------------------------------------------------
 # weight diagrams by the mark algorithm
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     mark: tuple
     coords: tuple
 
 
-@dataclass
 class WeightDiagram:
-    diagram: DynkinDiagram
-    highest: tuple
-    weights: list
-    edges: list  # (from_mark, to_mark, simple-root index)
+    """The weights of a highest-weight module, and the edges between them."""
+
+    __slots__ = ("diagram", "highest", "weights", "edges")
+
+    def __init__(self, diagram: DynkinDiagram, highest: tuple, weights: list, edges: list):
+        self.diagram, self.highest, self.weights = diagram, highest, weights
+        self.edges = edges  # (from_mark, to_mark, simple-root index)
 
 
 @functools.lru_cache(maxsize=128)
@@ -284,10 +283,13 @@ def root_system(d: DynkinDiagram) -> list:
 # ---------------------------------------------------------------------------
 # slicing, projection, embedding
 
-@dataclass
 class Slice:
-    level: float
-    vertices: list
+    """The points of one hyperplane level."""
+
+    __slots__ = ("level", "vertices")
+
+    def __init__(self, level: float, vertices: list):
+        self.level, self.vertices = level, vertices
 
 
 def slice_diagram(points: list, normal: tuple, roots: Optional[list] = None):

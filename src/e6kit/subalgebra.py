@@ -15,8 +15,7 @@ maximal subalgebras of sl(3,O), each identified by (dim, rank, signature).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .group import GeneratorLabel, format_label
 from .algebra import (
@@ -45,8 +44,7 @@ def _label_unit(label: GeneratorLabel) -> Optional[str]:
     return q if q not in ("x", "z") else None
 
 
-@dataclass(frozen=True)
-class BasisFlags:
+class BasisFlags(NamedTuple):
     """Per-basis-element membership in the three orthogonal splittings."""
 
     is_boost: tuple
@@ -73,8 +71,7 @@ def basis_flags() -> BasisFlags:
     return _FLAGS
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(NamedTuple):
     """Diagonal +-1 map on the preferred basis, verified as an automorphism."""
 
     name: str
@@ -122,14 +119,15 @@ def make_involution(which) -> Involution:
     return phi
 
 
-@dataclass
 class SubalgebraReport:
-    indices: list
-    dim: int
-    signature: tuple
-    rank: int
-    names: list
-    notes: str = ""
+    """A subalgebra spanned by basis elements, with its identification."""
+
+    __slots__ = ("indices", "dim", "signature", "rank", "names", "notes")
+
+    def __init__(self, indices: list, dim: int, signature: tuple, rank: int,
+                 names: list, notes: str):
+        self.indices, self.dim, self.signature = indices, dim, signature
+        self.rank, self.names, self.notes = rank, names, notes
 
     def to_json_dict(self) -> dict:
         basis = preferred_basis()

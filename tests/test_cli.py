@@ -349,6 +349,25 @@ def test_cache_with_a_bad_constant_and_a_good_crc_is_ignored(tmp_path, entry):
     assert proc.stdout.strip() == "(52,26)"
 
 
+@pytest.mark.parametrize("keep", [
+    lambda c: [],                   # the CRC of an empty list matches too
+    lambda c: c[:1],
+    lambda c: c[:-1] + c[:1],       # 2750 entries, one key twice
+    lambda c: c[1::-1] + c[2:],     # 2750 distinct keys, out of order
+], ids=["empty", "one", "repeated", "unsorted"])
+def test_incomplete_cache_with_a_good_crc_is_rebuilt(tmp_path, keep):
+    def damage(data):
+        data["constants"] = keep(data["constants"])
+        body = {"constants": data["constants"]}
+        data["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
+    path = _cache_copy(tmp_path, damage)
+    proc = _killing_with_cache(path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(52,26)"
+    with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
+        assert json.load(gh) == json.load(fh)
+
+
 def test_cache_holds_only_the_constants():
     assert run_cli("table").returncode == 0  # fills the shared cache if needed
     with open(_CACHE_FILE, encoding="utf-8") as fh:
@@ -364,6 +383,15 @@ def test_stale_cache_is_rewritten(tmp_path):
     assert proc.stdout.strip() == "(52,26)"
     with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
         assert json.load(gh) == json.load(fh)
+
+
+def test_start_up_imports_no_dataclasses():
+    """Each verb is a fresh process: `dataclasses` and its `inspect` would cost ~20 ms."""
+    code = ("import sys, e6kit.cli, e6kit.rootweight; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_subalg_requires_exactly_one_mode():

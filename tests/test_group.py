@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from e6kit.group import (GeneratorLabel, IllegalLabel, _float_term,
                          action_matrix, all_labels, apply, build_sequence,
                          format_label, one_parameter_check, parse_label,
-                         type_cycle)
+                         type_cycle, validate_label)
 from e6kit.jordan import (JordanElement, det, from_coords, from_matrix,
                           matmul, to_coords, to_matrix)
 from e6kit.octonion import UNIT_INDEX, Octonion
@@ -34,6 +34,20 @@ def test_parse_accepts_ascii_and_display_units():
     assert parse_label("R:z,kl:2") == parse_label("R:z,kℓ:2")
     assert parse_label("A:l") == GeneratorLabel("A", 1, axis="l")
     assert parse_label("B:t,x:3") == GeneratorLabel("B", 3, plane=("t", "x"))
+
+
+def test_labels_are_immutable_values():
+    label = parse_label("R:z,kl:2")
+    twin = GeneratorLabel("R", 2, plane=("z", "kl"))
+    assert {label: "found"}[twin] == "found"
+    assert hash(label) == hash(("R", 2, ("z", "kl"), None))    # set and dict order
+    assert repr(label) == "GeneratorLabel(category='R', type_index=2, plane=('z', 'kl'), axis=None)"
+    with pytest.raises(AttributeError):
+        label.type_index = 1
+    with pytest.raises(IllegalLabel) as exc:
+        validate_label(GeneratorLabel("R", 1, plane=("t", "z")))
+    assert str(exc.value) == ("illegal label GeneratorLabel(category='R', type_index=1, "
+                              "plane=('t', 'z'), axis=None)")
 
 
 @pytest.mark.parametrize("bad", ["Q:i", "B:t", "B:t,z:4", "R:t,z", "A:w",

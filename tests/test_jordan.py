@@ -3,6 +3,7 @@
 import struct
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,17 @@ def test_basis_elements():
 def test_spinor_square_is_null(theta):
     v = spinor_square(theta)
     assert vector2_det(v) == 0
+
+
+def test_elements_are_values_and_not_tuples():
+    chi = basis_element(4)
+    twin = from_coords(to_coords(chi))
+    assert chi == twin and hash(chi) == hash(twin) and chi != basis_element(5)
+    assert repr(Vector2(1, -1, Octonion.zero())) == "Vector2(tz_plus=1, tz_minus=-1, q=Octonion(0))"
+    with pytest.raises(TypeError):
+        2 * chi
+    with pytest.raises(TypeError):
+        2 * vector_block(chi)
 
 
 def test_lorentz_dot_mixed_signature():
