@@ -224,36 +224,26 @@ _CYCLED = {i: n for n, i in enumerate(to_coords(type_cycle(from_coords(range(DIM
 
 
 def tangent(label: GeneratorLabel) -> AlgebraElement:
-    """Exact d/dalpha at 0 of the label's action, as a 27x27 matrix.
-
-    Type-1 tangents are sums of core tangents (_core_tangent); the type-2
-    and type-3 tangents are P T P^-1 of the type before, where P is the
-    type cycle.
-    """
+    """Exact d/dalpha at 0 of the label's action, as a 27x27 matrix: doubled_tangent halved."""
     el = _TANGENTS.get(label)
-    if el is not None:
-        return el
-    if label.type_index == 1:
-        mat = _evaluated_tangent(label)
-    else:
-        below = tangent(label._replace(type_index=label.type_index - 1)).mat
-        mat = {}
-        for r, row in below.items():
-            for c, v in row.items():
-                mat.setdefault(_CYCLED[r], {})[_CYCLED[c]] = v
-    el = AlgebraElement(mat)
-    _TANGENTS[label] = el
+    if el is None:
+        el = _TANGENTS[label] = AlgebraElement({
+            r: {c: Fraction(v, 2) for c, v in row.items()}
+            for r, row in doubled_tangent(label).items()})
     return el
 
 
-def _evaluated_tangent(label: GeneratorLabel) -> dict:
-    """sum over the label's cores of angle * T(core), by the product rule.
+def doubled_tangent(label: GeneratorLabel) -> dict:
+    """2T, the label's tangent doubled, as {row: {col: int}}; every entry of T lies in 1/2 Z.
 
-    Every core is the identity at alpha = 0, so the derivative of their
-    product is the sum of their derivatives.
+    The type-1 2T of a label, or of a transverse core, is the angle-weighted
+    sum of its cores' 2T (_core_tangent): every core is the identity at
+    alpha = 0, so the derivative of their product is the sum of their
+    derivatives.  Type t is P^(t-1) T P^(1-t), where P is the type cycle.
+    Not cached: all 135 take about 5 ms once the cores are known.
     """
     twice: dict = {}
-    for core, angle in cores(label):
+    for core, angle in cores(label._replace(type_index=1)):
         for key, v in _core_tangent(core).items():
             twice[key] = twice.get(key, 0) + angle * v
     # insert column by column: the dicts iterate as if each basis column were applied
@@ -261,7 +251,9 @@ def _evaluated_tangent(label: GeneratorLabel) -> dict:
     for col, row in sorted(twice):
         v = twice[col, row]
         if v:
-            mat.setdefault(row, {})[col] = Fraction(v, 2)
+            for _ in range(label.type_index - 1):
+                col, row = _CYCLED[col], _CYCLED[row]
+            mat.setdefault(row, {})[col] = v
     return mat
 
 
@@ -487,21 +479,11 @@ def _basis_span() -> SpanBasis:
 
     Built once per process; reduce_basis and structure_table read it.
     """
-    doubled = (AlgebraElement(_doubled_core(core)).flat() for core in _core_basis())
+    doubled = (AlgebraElement(doubled_tangent(core)).flat() for core in _core_basis())
     sb = span_of({key: Fraction(v, 2) for key, v in flat.items()} for flat in doubled)
     if sb.rank != 78:
         raise RankMismatch(f"the core-basis tangents span only {sb.rank} dimensions")
     return sb
-
-
-def _doubled_core(core: GeneratorLabel) -> dict:
-    """2T of a core-basis label as {row: {col: int}}: its type-1 core's, type-cycled."""
-    mat: dict = {}
-    for (col, row), v in _core_tangent(core._replace(type_index=1)).items():
-        for _ in range(core.type_index - 1):
-            col, row = _CYCLED[col], _CYCLED[row]
-        mat.setdefault(row, {})[col] = v
-    return mat
 
 
 def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
@@ -541,6 +523,13 @@ class StructureTable:
         if i < j:
             return self.constants.get((i, j), {})
         return {k: -v for k, v in self.constants.get((j, i), {}).items()}
+
+    def scaled(self) -> tuple[int, "StructureTable"]:
+        """(L, the table of the integers L c_ij^k), where L is the lcm of the constants' denominators."""
+        scale = math.lcm(*(v.denominator for row in self.constants.values() for v in row.values()))
+        return scale, StructureTable(self.basis, {
+            pair: {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
+            for pair, row in self.constants.items()})
 
     def bracket_vectors(self, u: dict, v: dict) -> dict:
         """[u, v] for sparse coefficient vectors over the basis."""
@@ -595,7 +584,7 @@ def structure_table() -> StructureTable:
     scale = math.lcm(*(x.denominator for combo in span.combos for x in combo.values()))
     dual = [{k: x.numerator * (scale // x.denominator) for k, x in combo.items()}
             for combo in span.combos]
-    doubled = [AlgebraElement(_doubled_core(core)) for core in basis]
+    doubled = [AlgebraElement(doubled_tangent(core)) for core in basis]
     flat = [el.flat() for el in doubled]
     moves = _basis_symmetries(flat)
     brackets: dict = {}  # (i, j) -> {k: 2c}, zero brackets included
@@ -767,21 +756,19 @@ def killing_matrix() -> list[list[Fraction]]:
 
     ad_i maps b_a to sum_k c_{ia}^k b_k; call c_{ia}^k its entry (a -> k).
     Then B_ij = sum over entries (a -> k) of ad_i of
-    (L'c)_{i, a->k} (L'c)_{j, k->a} / L'^2, where L' is the lcm of the
-    constants' denominators, so the sum is taken in integers.
+    (Lc)_{i, a->k} (Lc)_{j, k->a} / L^2, where Lc are the integer constants
+    of StructureTable.scaled, so the sum is taken in integers.
     """
     global _KILLING
     if _KILLING is not None:
         return _KILLING
-    table = structure_table()
+    scale, table = structure_table().scaled()
     n = len(table.basis)
-    scale = math.lcm(*(v.denominator for row in table.constants.values() for v in row.values()))
-    # (a, k) -> [(i, L' c_{ia}^k)]; [b_i, b_j] = c b_k puts c at (j -> k) of
+    # (a, k) -> [(i, L c_{ia}^k)]; [b_i, b_j] = c b_k puts c at (j -> k) of
     # ad_i and -c at (i -> k) of ad_j
     entries: dict = {}
     for (i, j), row in table.constants.items():
-        for k, v in row.items():
-            x = v.numerator * (scale // v.denominator)
+        for k, x in row.items():
             entries.setdefault((j, k), []).append((i, x))
             entries.setdefault((i, k), []).append((j, -x))
     total = [[0] * n for _ in range(n)]

@@ -90,13 +90,20 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _tangent_combo(parts):
-    return algebra.element_sum([(Fraction(c), algebra.tangent(group.parse_label(lab)))
-                                for c, lab in parts])
+def _doubled_combo(parts) -> algebra.AlgebraElement:
+    """2 sum c T(label) in integers: the weights 2c times the doubled tangents 2T."""
+    terms = []
+    for c, lab in parts:
+        two = 2 * Fraction(c)
+        if two.denominator != 1:
+            raise AssertionError(f"2 * {c} is not an integer")
+        terms.append((two.numerator,
+                      algebra.AlgebraElement(algebra.doubled_tangent(group.parse_label(lab)))))
+    return algebra.element_sum(terms)
 
 
 def _verify_dependencies(out) -> int:
-    """The 15 vanishing sums, 14 type-2 expressions, and A/G independence."""
+    """The 15 vanishing sums, 14 type-2 expressions, and A/G independence, in integers."""
     checks = []
     for q in IMAGINARY_UNITS:
         checks.append((f"S:{q} + S:{q}:2 + S:{q}:3 = 0",
@@ -120,7 +127,7 @@ def _verify_dependencies(out) -> int:
                        *([(1, f"{cat}:{q}"), (-1, f"{cat}:{q}:{t}")]
                          for q in IMAGINARY_UNITS for t in (2, 3))))
     for name, *combos in checks:
-        if not all(_tangent_combo(parts).is_zero() for parts in combos):
+        if not all(_doubled_combo(parts).is_zero() for parts in combos):
             out.write(f"FAILED: {name}\n")
             return 1
         out.write(f"confirmed: {name}\n")
@@ -129,19 +136,23 @@ def _verify_dependencies(out) -> int:
 
 
 def _verify_jacobi(out, seed: int) -> int:
-    """Antisymmetry and a seeded sample of Jacobi triples (exact arithmetic)."""
-    table = algebra.structure_table()
+    """A seeded sample of Jacobi triples, exact.
+
+    The brackets use the integer constants L c_ij^k; each Jacobi sum is then
+    L^2 times the exact one, and vanishes exactly when it does.
+    """
+    _, table = algebra.structure_table().scaled()
     n = len(table.basis)
     rng = random.Random(seed)
     triples = [tuple(sorted(rng.sample(range(n), 3))) for _ in range(500)]
     for (a, b, c) in triples:
-        ua, ub, uc = ({a: Fraction(1)}, {b: Fraction(1)}, {c: Fraction(1)})
+        ua, ub, uc = {a: 1}, {b: 1}, {c: 1}
         total: dict = {}
         for x, y, z in ((ua, ub, uc), (ub, uc, ua), (uc, ua, ub)):
             inner = table.bracket_vectors(y, z)
             for k, v in table.bracket_vectors(x, inner).items():
-                total[k] = total.get(k, Fraction(0)) + v
-        if any(v != 0 for v in total.values()):
+                total[k] = total.get(k, 0) + v
+        if any(total.values()):
             la, lb, lc = (group.format_label(table.basis[i]) for i in (a, b, c))
             out.write(f"FAILED: jacobi({la}, {lb}, {lc}) != 0\n")
             return 1
@@ -154,12 +165,12 @@ def _verify_det(out, seed: int, tol: float) -> int:
     rng = random.Random(seed)
     chis = []
     for _ in range(3):
-        coords = [rng.randint(-4, 4) / 2.0 for _ in range(27)]
-        chis.append((coords, float(jordan.det(jordan.from_coords(coords)))))
+        chi = jordan.from_coords([rng.randint(-4, 4) / 2.0 for _ in range(27)])
+        chis.append((chi, float(jordan.det(chi))))
     for label in group.all_labels():
         for alpha in (0.3, -0.7):
-            for coords, det_before in chis:
-                moved = group.apply(label, alpha, jordan.from_coords(coords))
+            for chi, det_before in chis:
+                moved = group.apply(label, alpha, chi)
                 det_after = float(jordan.det(moved))
                 if abs(det_after - det_before) > tol:
                     out.write(f"FAILED: det drift {abs(det_after - det_before):.3e}"

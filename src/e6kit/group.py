@@ -254,9 +254,12 @@ def cores(label: GeneratorLabel) -> list[tuple[GeneratorLabel, int]]:
     A B or R generator is its own core, with angle 1.  An A/G/S generator is
     the transverse rotations R in the planes _AGS_PAIRS[axis], applied in turn
     at angle * alpha.  A transverse rotation is a core only: it is not one of
-    the 135 generators, so parse_label rejects it, but build_sequence and
-    apply_dual accept it.  Every core is the identity at alpha = 0.
+    the 135 generators, so parse_label rejects it, but cores, build_sequence
+    and apply_dual accept it, as its own core.  Every core is the identity at
+    alpha = 0.
     """
+    if _is_transverse(label):
+        return [(label, 1)]
     validate_label(label)
     if label.category in ("B", "R"):
         return [(label, 1)]
@@ -272,9 +275,8 @@ def _is_transverse(label: GeneratorLabel) -> bool:
 
 def build_sequence(label: GeneratorLabel) -> list[ParamMatrix]:
     """Stage matrices in application order (innermost first)."""
-    parts = [(label, 1)] if _is_transverse(label) else cores(label)
     stages = []
-    for core, angle in parts:
+    for core, angle in cores(label):
         stages += _core_stages(core.category, core.plane, angle)
     return [_embed(stage, label.type_index) for stage in stages]
 

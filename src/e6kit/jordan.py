@@ -134,11 +134,24 @@ def sigma(x: JordanElement):
 
 
 def det(x: JordanElement):
-    """det chi = pmn - (p|b|^2 + m|c|^2 + n|a|^2) + 2 Re(conj(a) conj(b) conj(c))."""
-    abc = (x.a.conj() * x.b.conj()) * x.c.conj()
+    """det chi = pmn - (p|b|^2 + m|c|^2 + n|a|^2) + 2 Re(conj(a) conj(b) conj(c)).
+
+    With w = conj(a) conj(b), Re(w conj(c)) is the dot product of w and c.
+    It is summed as Octonion.__mul__ would sum the real part of w * conj(c):
+    left to right over the units where both factors are nonzero, starting
+    from the first term, and w_0 * 0 when there is none.  So one octonion
+    product gives the same value as two, and the same bits for floats.
+    """
+    w = (x.a.conj() * x.b.conj()).coeffs
+    re = None
+    for wu, cu in zip(w, x.c.coeffs):
+        if wu and cu:
+            re = wu * cu if re is None else re + wu * cu
+    if re is None:
+        re = w[0] * 0
     return (x.p * x.m * x.n
             - (x.p * x.b.norm2() + x.m * x.c.norm2() + x.n * x.a.norm2())
-            + 2 * abc.real_part())
+            + 2 * re)
 
 
 def det_trace_form(x: JordanElement):

@@ -71,16 +71,17 @@ def test_verify_dependencies():
 def test_verify_dependencies_checks_each_difference(monkeypatch, capsys):
     """Errors in A:i:2 and A:j:2 that cancel in a sum over q still fail the A identity."""
     from e6kit import algebra, cli, group
-    original = algebra.tangent
-    extra = original(group.parse_label("B:t,z"))
+    original = algebra.doubled_tangent
+    extra = algebra.AlgebraElement(original(group.parse_label("B:t,z")))
     shifted = {group.parse_label("A:i:2"): 1, group.parse_label("A:j:2"): -1}
 
-    def tangent(label):
+    def doubled_tangent(label):
         if label in shifted:
-            return algebra.element_sum([(1, original(label)), (shifted[label], extra)])
+            return algebra.element_sum([(1, algebra.AlgebraElement(original(label))),
+                                        (shifted[label], extra)]).mat
         return original(label)
 
-    monkeypatch.setattr(algebra, "tangent", tangent)
+    monkeypatch.setattr(algebra, "doubled_tangent", doubled_tangent)
     assert cli.run(["verify", "--suite", "dependencies"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "FAILED: A:q = A:q:2 = A:q:3 for all q"
@@ -91,6 +92,28 @@ def test_verify_jacobi_seeded():
     proc = run_cli("verify", "--suite", "jacobi", "--seed", "1")
     assert proc.returncode == 0
     assert "jacobi holds" in proc.stdout
+
+
+def test_verify_jacobi_reports_the_failing_triple(monkeypatch, capsys):
+    """A constant put on a pair that brackets to 0 breaks Jacobi on a seed-1 triple."""
+    from e6kit import algebra, cli
+    table = algebra.structure_table()
+    assert (0, 1) not in table.constants    # [B:t,z, B:t,z:2] = 0; seed 1 samples (0, 1, 5)
+    constants = {**table.constants, (0, 1): {2: Fraction(1)}}
+    monkeypatch.setattr(algebra, "_TABLE", algebra.StructureTable(table.basis, constants))
+    assert cli.run(["verify", "--suite", "jacobi", "--seed", "1"]) == 1
+    assert capsys.readouterr().out == "FAILED: jacobi(B:t,z, B:t,z:2, B:t,i) != 0\n"
+
+
+def test_verify_det_reports_drift(monkeypatch, capsys):
+    """An action that scales chi by 1.001 fails the det suite at the first label."""
+    from e6kit import cli, group
+    original = group.apply
+    monkeypatch.setattr(group, "apply",
+                        lambda label, alpha, chi: original(label, alpha, chi).scale(1.001))
+    assert cli.run(["verify", "--suite", "det"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED: det drift ") and out.endswith(" for B:t,z at alpha=0.3\n")
 
 
 def test_table_json_schema_and_determinism():

@@ -443,7 +443,7 @@ def test_table_moves_are_automorphisms_generating_1344_maps_and_166_orbits():
     assert all(_is_automorphism(images) for images in algebra._TABLE_MOVES)
     moves = [tuple(map(tuple, _unit_perm(images))) for images in algebra._TABLE_MOVES]
     assert len(_closure(_IDENTITY8, moves, _compose)) == 1344
-    flat = [algebra.AlgebraElement(algebra._doubled_core(core)).flat()
+    flat = [algebra.AlgebraElement(algebra.doubled_tangent(core)).flat()
             for core in algebra._core_basis()]
     moves = [(tuple(p), tuple(s)) for p, s in algebra._basis_symmetries(flat)]
     group = _closure((tuple(range(78)), (1,) * 78), moves, _compose)

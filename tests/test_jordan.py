@@ -174,3 +174,38 @@ def test_matmul_keeps_scalar_type_and_float_bits(pair):
                     assert type(gc) is int
                 if isinstance(wc, float):
                     assert isinstance(gc, float) and _bits(gc) == _bits(wc)
+
+
+def _two_product_det(x):
+    """det through two full octonion products, as it was computed before the dot product."""
+    abc = (x.a.conj() * x.b.conj()) * x.c.conj()
+    return (x.p * x.m * x.n
+            - (x.p * x.b.norm2() + x.m * x.c.norm2() + x.n * x.a.norm2())
+            + 2 * abc.real_part())
+
+
+_HALVES = [k / 2 for k in range(-8, 9)] + [-0.0]
+# mostly zeros, so that real and empty octonion factors come up often
+_SPARSE_HALVES = [0.0, -0.0] * 4 + [-1.5, 0.5, 2.0, -4.0]
+
+
+@given(st.one_of(*(st.lists(values, min_size=27, max_size=27)
+                   for values in (st.sampled_from(_HALVES), st.sampled_from(_SPARSE_HALVES),
+                                  st.floats(-4, 4, allow_nan=False)))))    # sums that round
+@example([0.0] * 27)
+@example([1.0, 2.0, -0.5] + [0.0] * 24)
+@example([-0.0] * 3 + [-1.0] + [0.0] * 7 + [0.5] + [0.0] * 7 + [0.0, -2.0] + [0.0] * 6)
+@settings(max_examples=200, deadline=None)
+def test_det_has_the_bits_of_two_products(coords):
+    x = from_coords(coords)
+    got, want = det(x), _two_product_det(x)
+    assert isinstance(got, float) and _bits(got) == _bits(want)
+
+
+@given(st.one_of(coord_lists, st.lists(st.integers(-4, 4), min_size=27, max_size=27)))
+@example([0] * 27)
+@settings(max_examples=60, deadline=None)
+def test_det_is_exact_as_two_products(coords):
+    x = from_coords(coords)
+    got, want = det(x), _two_product_det(x)
+    assert got == want and type(got) is type(want)
