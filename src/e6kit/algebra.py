@@ -16,9 +16,8 @@ imaginary units up to sign act as signed permutations: one basis pair per
 orbit is computed (166 of 3003) through an integer dual basis and verified
 in integers, and the rest are derived from it exactly.  Seven exact 3x3
 changes of basis carry the constants to the preferred basis, where they
-lie in 1/6 Z, and the Killing form is summed in integers.  Everything
-downstream (Casimirs, Gell-Mann comparison, Stab(l)) is computed from the
-table over the rationals.
+lie in 1/6 Z.  After the build, the Killing form, the ranks and Stab(l)
+all bracket one integer table, L c with L = 6 (StructureTable.scaled).
 """
 
 from __future__ import annotations
@@ -509,12 +508,15 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
 # structure table
 
 class StructureTable:
-    """The constants of a basis, {(i, j): {k: c_ij^k}} for i < j; a missing pair brackets to 0."""
+    """The constants of a basis, {(i, j): {k: c_ij^k}} for i < j; a missing pair brackets to 0.
 
-    __slots__ = ("basis", "constants")
+    structure_table() gives the pairs, and each row, in increasing order.
+    """
+
+    __slots__ = ("basis", "constants", "_scaled")
 
     def __init__(self, basis: list, constants: dict):
-        self.basis, self.constants = basis, constants
+        self.basis, self.constants, self._scaled = basis, constants, None
 
     def bracket(self, i: int, j: int) -> dict:
         """Sparse coefficients of [b_i, b_j]."""
@@ -525,11 +527,18 @@ class StructureTable:
         return {k: -v for k, v in self.constants.get((j, i), {}).items()}
 
     def scaled(self) -> tuple[int, "StructureTable"]:
-        """(L, the table of the integers L c_ij^k), where L is the lcm of the constants' denominators."""
-        scale = math.lcm(*(v.denominator for row in self.constants.values() for v in row.values()))
-        return scale, StructureTable(self.basis, {
-            pair: {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
-            for pair, row in self.constants.items()})
+        """(L, the table of the integers L c_ij^k), where L is the lcm of the constants' denominators.
+
+        Computed once per table.  Everything after the build brackets this
+        table: a uniform scale changes no kernel, span or zero test.
+        """
+        if self._scaled is None:
+            scale = math.lcm(*(v.denominator for row in self.constants.values()
+                               for v in row.values()))
+            self._scaled = scale, StructureTable(self.basis, {
+                pair: {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
+                for pair, row in self.constants.items()})
+        return self._scaled
 
     def bracket_vectors(self, u: dict, v: dict) -> dict:
         """[u, v] for sparse coefficient vectors over the basis."""
@@ -825,10 +834,12 @@ def rank_estimate(subspace: list[dict]) -> int:
     """The rank of the subalgebra spanned by `subspace`, certified exactly.
 
     The subspace is given as sparse coefficient vectors over the preferred
-    basis and must close under the bracket (NotClosed otherwise).  For
-    distinct unit vectors the bracket is the table's constants renumbered;
-    any other list goes through _span_constants, which also raises
-    ValueError if the vectors are dependent.  For a
+    basis and must close under the bracket (NotClosed otherwise).  The
+    bracket is that of the integer table L c (StructureTable.scaled): it is
+    L times the true one, which changes none of the kernels below.  For
+    distinct unit vectors it is the table renumbered; any other list goes
+    through _span_constants, which also raises ValueError if the vectors
+    are dependent.  For a
     sparse element x of it the centralizer c = ker(ad x) is computed
     exactly; if c is abelian and is its own normalizer, it is a Cartan
     subalgebra and the rank is dim c.  x is first a fixed combination of the
@@ -837,7 +848,7 @@ def rank_estimate(subspace: list[dict]) -> int:
     centralizer found is returned: an upper bound on min dim ker(ad x),
     which is the rank when the subalgebra is reductive.
     """
-    table = structure_table()
+    table = structure_table().scaled()[1]
     d = len(subspace)
     # the bracket in coordinates over the subspace vectors
     sub = StructureTable(list(range(d)), {})
@@ -950,12 +961,8 @@ A_L_COORD = 3 + UNIT_INDEX["l"]  # index of the a_l coordinate in Coord27
 
 
 def _combo(parts: list[tuple[int, GeneratorLabel]]) -> dict:
-    """Coefficients (on the preferred basis) of a sum of preferred-basis labels."""
-    out: dict = {}
-    for s, lab in parts:
-        idx = _basis_index()[lab]
-        out[idx] = out.get(idx, Fraction(0)) + Fraction(s)
-    return {k: v for k, v in out.items() if v}
+    """Integer coefficients (on the preferred basis) of a sum of distinct basis labels."""
+    return {_basis_index()[lab]: s for s, lab in parts}
 
 
 def stab_l_documented_basis() -> dict:
@@ -1004,37 +1011,33 @@ def stabilizer_of_l() -> dict:
     """Report on Stab(l): the elements whose tangent kills the a_l coordinate.
 
     The defining condition is linear: row a_l of the 27x27 tangent matrix
-    vanishes.  Returns the kernel basis plus the verified decomposition facts.
+    vanishes, and the kernel is taken on the rows of the doubled tangents.
+    Returns the kernel basis plus the verified decomposition facts; the
+    brackets are those of the integer table L c (StructureTable.scaled),
+    which no span or zero test can tell from c.
     """
-    # the kernel of x -> sum_i x_i * (row a_l of T_i)
-    stab = kernel(tangent(label).mat.get(A_L_COORD, {}) for label in preferred_basis())
-    table = structure_table()
+    # the kernel of x -> sum_i x_i * (row a_l of 2T_i)
+    stab = kernel(doubled_tangent(label).get(A_L_COORD, {}) for label in preferred_basis())
+    table = structure_table().scaled()[1]
     named = stab_l_documented_basis()
-    b_all = named["b2"] + named["b3"] + named["bl"]
-    stab_span = span_of(stab)
-    doc_ok = all(stab_span.contains(v) for v in named["so81"] + b_all)
-    b_abelian = all(not table.bracket_vectors(u, v)
-                    for i, u in enumerate(b_all) for v in b_all[i + 1:])
-    b_span = span_of(b_all)
-    ideal_ok = all(b_span.contains(table.bracket_vectors(u, v))
-                   for u in named["so81"] for v in b_all)
+    so81, b_all = named["so81"], named["b2"] + named["b3"] + named["bl"]
+
+    def pairs(xs):    # [u, v] for each pair of the vectors
+        return (table.bracket_vectors(u, v) for n, u in enumerate(xs) for v in xs[n + 1:])
+
+    so81_span = span_of(so81)
     b2_gram = killing_restricted(named["b2"])
-    null_b2 = all(b2_gram[n][n] == 0 for n in range(len(b2_gram)))
-    try:
-        _span_constants(named["so81"], dict, table.bracket_vectors)
-        so81_closed = True
-    except NotClosed:
-        so81_closed = False
     return {
         "dim": len(stab),
         "kernel": stab,
-        "documented_basis_in_kernel": doc_ok,
-        "so81_dim": len(named["so81"]),
-        "so81_closed": so81_closed,
+        "documented_basis_in_kernel": all(map(span_of(stab).contains, so81 + b_all)),
+        "so81_dim": so81_span.rank,    # 36 unless the documented vectors are dependent
+        "so81_closed": all(map(so81_span.contains, pairs(so81))),
         "b_dims": (len(named["b2"]), len(named["b3"]), len(named["bl"])),
-        "b_abelian": b_abelian,
-        "b_is_ideal_under_so81": ideal_ok,
-        "b2_killing_null": null_b2,
+        "b_abelian": not any(pairs(b_all)),
+        "b_is_ideal_under_so81": all(map(span_of(b_all).contains, (
+            table.bracket_vectors(u, v) for u in so81 for v in b_all))),
+        "b2_killing_null": all(b2_gram[n][n] == 0 for n in range(len(b2_gram))),
     }
 
 

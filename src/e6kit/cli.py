@@ -23,8 +23,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -33,57 +35,62 @@ from . import algebra, group, jordan, subalgebra
 from .octonion import IMAGINARY_UNITS
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(Fraction(v))
-
-
 def _dump_json(obj, out) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    out.write(text)
+    out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 class InputError(Exception):
-    """Bad input: reported as one line on stderr, exit status 2."""
+    """Bad input, or output that cannot be written: one line on stderr, exit status 2."""
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so bytes it failed to write are not retried at exit."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 @contextlib.contextmanager
 def _output(path):
-    """stdout for None or "-", else the file at path."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
+    """stdout for None or "-", else the file at path; flushed on leaving.
+
+    Callers compute first, so an OSError here is a failed write: an
+    InputError, except a closed pipe, which is left to main.
+    """
+    to_stdout = path is None or path == "-"
     try:
-        fh = open(path, "w", encoding="utf-8")
+        out = sys.stdout if to_stdout else open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write --out {path}: {exc.strerror or exc}") from None
-    with fh:
-        yield fh
+    try:
+        with contextlib.nullcontext() if to_stdout else out:
+            yield out
+            out.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        if to_stdout:
+            _drop_stdout()
+        raise InputError(f"cannot write output: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # table
 
-def _table_json() -> dict:
-    table = algebra.structure_table()
-    labels = [group.format_label(lab) for lab in table.basis]
-    constants = []
-    for (i, j), row in table.constants.items():
-        for k, v in row.items():
-            constants.append({"i": i, "j": j, "k": k, "v": _frac_str(v)})
-    constants.sort(key=lambda e: (e["i"], e["j"], e["k"]))
-    return {"basis": labels, "constants": constants}
-
-
 def cmd_table(args) -> int:
-    data = _table_json()
+    """Each constant c_ij^k as (i, j, k, "p/q"), in the table's sorted order."""
+    table = algebra.structure_table()
+    rows = ((i, j, k, str(v)) for (i, j), row in table.constants.items() for k, v in row.items())
     with _output(args.out) as out:
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(["i", "j", "k", "v"])
-            for e in data["constants"]:
-                writer.writerow([e["i"], e["j"], e["k"], e["v"]])
+            writer.writerows(rows)
         else:
-            _dump_json(data, out)
+            # the text json.dumps(..., sort_keys=True) gives, one constant at a time
+            labels = json.dumps([group.format_label(lab) for lab in table.basis],
+                                separators=(",", ":"))
+            out.write(f'{{"basis":{labels},"constants":[')
+            out.write(",".join('{"i":%d,"j":%d,"k":%d,"v":"%s"}' % row for row in rows))
+            out.write("]}\n")
     return 0
 
 
@@ -102,7 +109,7 @@ def _doubled_combo(parts) -> algebra.AlgebraElement:
     return algebra.element_sum(terms)
 
 
-def _verify_dependencies(out) -> int:
+def _verify_dependencies(out, args) -> int:
     """The 15 vanishing sums, 14 type-2 expressions, and A/G independence, in integers."""
     checks = []
     for q in IMAGINARY_UNITS:
@@ -135,7 +142,7 @@ def _verify_dependencies(out) -> int:
     return 0
 
 
-def _verify_jacobi(out, seed: int) -> int:
+def _verify_jacobi(out, args) -> int:
     """A seeded sample of Jacobi triples, exact.
 
     The brackets use the integer constants L c_ij^k; each Jacobi sum is then
@@ -143,7 +150,7 @@ def _verify_jacobi(out, seed: int) -> int:
     """
     _, table = algebra.structure_table().scaled()
     n = len(table.basis)
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     triples = [tuple(sorted(rng.sample(range(n), 3))) for _ in range(500)]
     for (a, b, c) in triples:
         ua, ub, uc = {a: 1}, {b: 1}, {c: 1}
@@ -160,9 +167,9 @@ def _verify_jacobi(out, seed: int) -> int:
     return 0
 
 
-def _verify_det(out, seed: int, tol: float) -> int:
+def _verify_det(out, args) -> int:
     """det preservation for every label over seeded rational chi samples."""
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     chis = []
     for _ in range(3):
         chi = jordan.from_coords([rng.randint(-4, 4) / 2.0 for _ in range(27)])
@@ -172,29 +179,28 @@ def _verify_det(out, seed: int, tol: float) -> int:
             for chi, det_before in chis:
                 moved = group.apply(label, alpha, chi)
                 det_after = float(jordan.det(moved))
-                if abs(det_after - det_before) > tol:
+                if abs(det_after - det_before) > args.tol:
                     out.write(f"FAILED: det drift {abs(det_after - det_before):.3e}"
                               f" for {group.format_label(label)} at alpha={alpha}\n")
                     return 1
-    out.write(f"det preserved for all {len(group.all_labels())} labels (tol {tol:g})\n")
+    out.write(f"det preserved for all {len(group.all_labels())} labels (tol {args.tol:g})\n")
     return 0
+
+
+_SUITES = {"dependencies": _verify_dependencies, "jacobi": _verify_jacobi, "det": _verify_det}
 
 
 def cmd_verify(args) -> int:
     if args.tol <= 0:
         raise InputError(f"--tol must be positive, got {args.tol:g}")
-    suites = ["dependencies", "jacobi", "det"] if args.suite == "all" else [args.suite]
+    report, rc = io.StringIO(), 0
+    for suite in _SUITES if args.suite == "all" else [args.suite]:
+        rc = _SUITES[suite](report, args)
+        if rc != 0:
+            break
     with _output(args.out) as out:
-        for suite in suites:
-            if suite == "dependencies":
-                rc = _verify_dependencies(out)
-            elif suite == "jacobi":
-                rc = _verify_jacobi(out, args.seed)
-            else:
-                rc = _verify_det(out, args.seed, args.tol)
-            if rc != 0:
-                return rc
-    return 0
+        out.write(report.getvalue())
+    return rc
 
 
 # ---------------------------------------------------------------------------
@@ -203,37 +209,22 @@ def cmd_verify(args) -> int:
 def cmd_killing(args) -> int:
     km = algebra.killing_matrix()
     neg, pos, zero = algebra.signature(km)
-    if args.out in (None, "-"):
-        print(f"({neg},{pos})")
-        return 0
-    text: dict = {}    # the 6084 entries take a few distinct values; format each once
-    data = {"signature": [neg, pos, zero],
-            "matrix": [[text.get(v) or text.setdefault(v, _frac_str(v)) for v in row]
-                       for row in km]}
     with _output(args.out) as out:
-        _dump_json(data, out)
+        if args.out in (None, "-"):
+            out.write(f"({neg},{pos})\n")
+        else:
+            text: dict = {}    # the 6084 entries take a few distinct values; format each once
+            _dump_json({"signature": [neg, pos, zero],
+                        "matrix": [[text.get(v) or text.setdefault(v, str(v)) for v in row]
+                                   for row in km]}, out)
     return 0
 
 
 def cmd_stab_l(args) -> int:
-    report = algebra.stabilizer_of_l()
-    data = {
-        "dim": report["dim"],
-        "documented_basis_in_kernel": report["documented_basis_in_kernel"],
-        "so81_dim": report["so81_dim"],
-        "so81_closed": report["so81_closed"],
-        "b_dims": list(report["b_dims"]),
-        "b_abelian": report["b_abelian"],
-        "b_is_ideal_under_so81": report["b_is_ideal_under_so81"],
-        "b2_killing_null": report["b2_killing_null"],
-    }
+    data = {k: v for k, v in algebra.stabilizer_of_l().items() if k != "kernel"}
     with _output(args.out) as out:
         _dump_json(data, out)
-    checks = {"dim == 52": report["dim"] == 52}
-    for flag in ("documented_basis_in_kernel", "so81_closed", "b_abelian",
-                 "b_is_ideal_under_so81", "b2_killing_null"):
-        checks[flag] = report[flag]
-    failed = [name for name, ok in checks.items() if not ok]
+    failed = ["dim == 52"] * (data["dim"] != 52) + [k for k, v in data.items() if v is False]
     if failed:
         print(f"FAILED: stabilizer check {', '.join(failed)} does not hold",
               file=sys.stderr)
@@ -401,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("table", "structure-constant table")
     p.add_argument("--format", **formats)
     p = verb("verify", "identity suites")
-    p.add_argument("--suite", choices=("dependencies", "jacobi", "det", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_finite, default=1e-9)
     verb("killing", "Killing-form signature")
@@ -446,9 +436,12 @@ def run(argv=None) -> int:
 
 def main() -> None:
     try:
-        sys.exit(run())
+        code = run()
+        sys.stdout.flush()    # argparse's help is still buffered here
     except BrokenPipeError:
-        sys.exit(0)
+        _drop_stdout()
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

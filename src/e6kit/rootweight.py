@@ -63,7 +63,10 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 def diagram(name: str) -> DynkinDiagram:
     """Named diagrams: An (n >= 1), Bn/Cn (n >= 2), Dn (n >= 3) up to MAX_RANK, G2, F4, E6."""
-    family, n = name[:1].upper(), int(name[1:])
+    try:
+        family, n = name[:1].upper(), int(name[1:])
+    except ValueError:
+        raise ValueError(f"unsupported diagram {name!r}") from None
     low = _MIN_RANK.get(family)
     if low is not None and not low <= n <= MAX_RANK:
         raise ValueError(f"{family} needs rank {low} to {MAX_RANK}")

@@ -1,6 +1,9 @@
 """Lie algebra layer: basis reduction, structure table, Killing form."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -211,6 +214,59 @@ def test_stabilizer_of_l():
     assert report["b_abelian"]
     assert report["b_is_ideal_under_so81"]
     assert report["b2_killing_null"]
+
+
+def _swap_last_so81_with_bl0(named):
+    named["so81"][-1], named["bl"][0] = named["bl"][0], named["so81"][-1]
+
+
+def _last_b2_to_boost_tz(named):
+    named["b2"][-1] = {preferred_basis().index(parse_label("B:t,z")): 1}
+
+
+@pytest.mark.parametrize("corrupt, flags", [
+    (_swap_last_so81_with_bl0, {"documented_basis_in_kernel": True, "so81_closed": False,
+                                "b_abelian": False, "b_is_ideal_under_so81": False,
+                                "b2_killing_null": True}),
+    (_last_b2_to_boost_tz, {"documented_basis_in_kernel": True, "so81_closed": True,
+                            "b_abelian": False, "b_is_ideal_under_so81": False,
+                            "b2_killing_null": False}),
+])
+def test_stabilizer_of_l_flags_a_corrupted_basis(monkeypatch, corrupt, flags):
+    """Each containment check fails on its own: a failed one does not hide another."""
+    documented = algebra.stab_l_documented_basis
+
+    def corrupted():
+        named = documented()
+        corrupt(named)
+        return named
+
+    monkeypatch.setattr(algebra, "stab_l_documented_basis", corrupted)
+    report = stabilizer_of_l()
+    assert {flag: report[flag] for flag in flags} == flags
+    assert report["dim"] == 52 and report["b_dims"] == (6, 6, 4)
+
+
+def test_stabilizer_of_l_builds_no_tangent():
+    """In a fresh interpreter, Stab(l) reads the doubled tangents and the table only."""
+    code = ("from e6kit import algebra\n"
+            "assert algebra.stabilizer_of_l()['dim'] == 52\n"
+            "print(len(algebra._TANGENTS))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(algebra.__file__)))
+    env.pop(algebra.CACHE_ENV, None)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
+
+
+def test_scaled_table_is_computed_once():
+    table = structure_table()
+    scale, scaled = table.scaled()
+    assert table.scaled() is table.scaled()
+    assert scale == 6
+    assert scaled.constants.keys() == table.constants.keys()
+    assert all(Fraction(v, scale) == table.constants[pair][k]
+               for pair, row in scaled.constants.items() for k, v in row.items())
 
 
 def test_calibration_constant():

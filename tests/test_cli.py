@@ -282,6 +282,10 @@ def test_apply_preserves_det():
     assert abs(data["det"] - json.loads(base.stdout)["det"]) < 1e-9
 
 
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                     reason="no /dev/full to fail a write")
+
+
 @pytest.mark.parametrize("args", [
     ["nonsense-verb"],
     ["roots"],                       # missing --algebra
@@ -298,25 +302,63 @@ def test_apply_preserves_det():
     ["roots", "--algebra", "A2", "--highest", "1,-1"],  # not a highest weight
     ["roots", "--algebra", "A2", "--highest", "1000000,1000000"],  # too many weights
     ["apply", "--label", "R:i,j", "--alpha", "0.1", "--chi", "-"],  # a core, not a generator
+    pytest.param(["stab-l", "--out", "/dev/full"], marks=_NEEDS_DEV_FULL),
 ])
 def test_usage_errors_exit_2(args):
+    """Bad input, or output that cannot be written, exits 2 without a traceback."""
     proc = run_cli(*args, stdin=json.dumps({"coords": [1, 2, 3] + [0.5] * 24}))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("args", [
-    ["verify", "--suite", "det", "--tol", "-1"],
-    ["roots", "--algebra", "A2", "--highest", "1,-1"],
-    ["roots", "--algebra", "A2", "--highest", "1000000,1000000"],
-    ["roots", "--algebra", "A200"],   # rank above rootweight.MAX_RANK
-    ["roots", "--algebra", "D25"],
-])
+def _run_buffered(args, stdout):
+    """Run the CLI with a buffered stdout, which retries unwritten bytes at exit."""
+    env = dict(os.environ, E6KIT_CACHE=_CACHE_FILE)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(CLI + args, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env)
+
+
+@_NEEDS_DEV_FULL
+@pytest.mark.parametrize("args", [["gellmann"], ["killing"], ["table", "--out", "/dev/full"]])
+def test_failed_write_is_one_stderr_line(args):
+    with open("/dev/full", "w") as full:
+        proc = _run_buffered(args, full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"{args[0]}: cannot write output: No space left on device\n"
+
+
+@pytest.mark.parametrize("args", [["gellmann"], ["--help"]])
+def test_closed_pipe_exits_0_quietly(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)    # every write to the pipe now fails with EPIPE
+    try:
+        proc = _run_buffered(args, write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+_BAD_VALUES = {
+    ("verify", "--suite", "det", "--tol", "-1"): "verify: --tol must be positive, got -1",
+    ("roots", "--algebra", "A2", "--highest", "1,-1"):
+        "roots: highest-weight marks must be non-negative, got [1, -1]",
+    ("roots", "--algebra", "A2", "--highest", "1000000,1000000"):
+        "roots: the diagram of [1000000, 1000000] has more than 10000 weights",
+    ("roots", "--algebra", "A200"): "roots: A needs rank 1 to 24",   # above MAX_RANK
+    ("roots", "--algebra", "D25"): "roots: D needs rank 3 to 24",
+    ("roots", "--algebra", "X"): "roots: unsupported diagram 'X'",
+    ("roots", "--algebra", "A"): "roots: unsupported diagram 'A'",
+    ("roots", "--algebra", "Ax"): "roots: unsupported diagram 'Ax'",
+}
+
+
+@pytest.mark.parametrize("args", [list(args) for args in _BAD_VALUES])
 def test_bad_value_is_one_stderr_line(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr == _BAD_VALUES[tuple(args)] + "\n"
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
