@@ -473,16 +473,17 @@ def _scaled_preferred(coeffs: dict) -> dict:
 
 
 @functools.cache
-def _basis_span() -> SpanBasis:
-    """The reduced span of the 78 core-basis tangents, tagged by core-basis index.
+def _basis_span() -> tuple[SpanBasis, list[AlgebraElement], list[dict]]:
+    """(span, 2T, 2T flat) of the 78 core-basis tangents, the span tagged by core-basis index.
 
     Built once per process; reduce_basis and structure_table read it.
     """
-    doubled = (AlgebraElement(doubled_tangent(core)).flat() for core in _core_basis())
-    sb = span_of({key: Fraction(v, 2) for key, v in flat.items()} for flat in doubled)
+    doubled = [AlgebraElement(doubled_tangent(core)) for core in _core_basis()]
+    flat = [el.flat() for el in doubled]
+    sb = span_of(flat)
     if sb.rank != 78:
         raise RankMismatch(f"the core-basis tangents span only {sb.rank} dimensions")
-    return sb
+    return sb, doubled, flat
 
 
 def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
@@ -491,13 +492,13 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
     Raises RankMismatch unless the 135 tangents span exactly the preferred 78.
     """
     basis = preferred_basis()
-    sb = _basis_span()
+    sb = _basis_span()[0]
     d = _change_of_basis()[2]
     certificates = {}
     for label in all_labels():
         if label in _basis_index():
             continue
-        coeffs = sb.express(tangent(label).flat())
+        coeffs = sb.express(AlgebraElement(doubled_tangent(label)).flat())
         if coeffs is None:
             raise RankMismatch(f"tangent of {label} escapes the preferred span")
         certificates[label] = {basis[f]: v / d for f, v in _scaled_preferred(coeffs).items()}
@@ -565,9 +566,9 @@ def structure_table() -> StructureTable:
     to the preferred basis (_preferred_constants).  Tangent entries lie in
     1/2 Z, so the doubled tangents 2T are integer matrices and commutators
     of them are 4 [T_i, T_j].  The coefficients are read off the pivot
-    coordinates of the reduced span of the core basis through the integer
-    dual rows D = L * combos, where L is the lcm of the combos'
-    denominators: c_k = sum over pivots of entry * D[row][k] / 4L.  Each
+    coordinates of the integer reduced span of the 2T through the dual rows
+    D = L * combo / pivot entry, where L is the lcm of the pivot entries:
+    2c_k = sum over pivots of entry * D[row][k] / L.  Each
     computed bracket is checked by the integer residual
     [2T_i, 2T_j] - sum 2c_k 2T_k, which must vanish; NotInSpan if a 2c_k is
     not an integer or it does not.  The pairs are walked in (i, j) order,
@@ -586,15 +587,14 @@ def structure_table() -> StructureTable:
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
             pass    # a stale, damaged or incomplete file is ignored as a whole
     basis = _core_basis()
-    # w in the span is sum over reduced rows n of w[pivot n] * row n, and
-    # combos[n] is row n on the core basis.
-    span = _basis_span()
+    # w in the span is sum over reduced rows n of w[pivot n] / row n[pivot n]
+    # * row n, and combos[n] is row n on the 2T.
+    span, doubled, flat = _basis_span()
     row_of = span.pivot_row
-    scale = math.lcm(*(x.denominator for combo in span.combos for x in combo.values()))
-    dual = [{k: x.numerator * (scale // x.denominator) for k, x in combo.items()}
-            for combo in span.combos]
-    doubled = [AlgebraElement(doubled_tangent(core)) for core in basis]
-    flat = [el.flat() for el in doubled]
+    pivots = {n: span.rows[n][p] for p, n in row_of.items()}
+    scale = math.lcm(*pivots.values())
+    dual = [{k: x * (scale // pivots[n]) for k, x in combo.items()}
+            for n, combo in enumerate(span.combos)]
     moves = _basis_symmetries(flat)
     brackets: dict = {}  # (i, j) -> {k: 2c}, zero brackets included
     for i in range(78):
@@ -616,7 +616,7 @@ def structure_table() -> StructureTable:
             for k in sorted(acc):
                 if not acc[k]:
                     continue
-                two, rem = divmod(acc[k], 2 * scale)    # 2 c_k
+                two, rem = divmod(acc[k], scale)    # 2 c_k
                 if rem:
                     raise NotInSpan(f"[{basis[i]}, {basis[j]}] has a constant outside 1/2 Z")
                 for key, w in flat[k].items():
@@ -699,9 +699,9 @@ def _derive_orbit(brackets: dict, pair: tuple, moves: list) -> None:
             a, b, s = perm[i], perm[j], sign[i] * sign[j]
             if a > b:
                 a, b, s = b, a, -s
-            if (a, b) not in brackets:
-                brackets[(a, b)] = dict(sorted((perm[k], v if s * sign[k] > 0 else -v)
-                                               for k, v in row.items()))
+            if (a, b) not in brackets:    # rows in any order: _scaled_preferred sorts
+                brackets[(a, b)] = {perm[k]: v if s * sign[k] > 0 else -v
+                                    for k, v in row.items()}
                 stack.append((a, b))
 
 

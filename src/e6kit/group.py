@@ -418,7 +418,7 @@ def _compile_stage(stage: ParamMatrix) -> tuple:
     return compiled
 
 
-_KERNELS: dict[GeneratorLabel, tuple] = {}
+_KERNELS: dict[GeneratorLabel, tuple] = {}    # type-1 labels only
 
 
 def _kernel(label: GeneratorLabel) -> tuple:
@@ -457,12 +457,19 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
 
     Each stage acts by X -> (M X) M† on the full matrix of chi, through the
     stage kernel above; for finite values every coordinate has the bits of
-    the same computation with 3x3 products of `Octonion` entries.
+    the same computation with 3x3 products of `Octonion` entries.  A type-t
+    label runs as P^(t-1) A P^(1-t), with A its type-1 action and P the type
+    cycle, by rotating chi's fields and the result's; each coefficient is
+    the same sum of at most two products, so the bits are the type-t ones.
     """
     alpha = float(alpha)
-    a, b, c = ([float(v) for v in o.coeffs] for o in (chi.a, chi.b, chi.c))
-    x = _state(float(chi.p), float(chi.m), float(chi.n), a, b, c, [0.0] * 7)
-    for terms, slots, (left, right) in _kernel(label):
+    shift = label.type_index - 1
+    scalars, octonions = (chi.p, chi.m, chi.n), (chi.a, chi.b, chi.c)
+    x = _state(*(float(v) for v in scalars[shift:] + scalars[:shift]),
+               *([float(v) for v in o.coeffs] for o in octonions[shift:] + octonions[:shift]),
+               [0.0] * 7)
+    type_1 = GeneratorLabel(label.category, 1, label.plane, label.axis) if shift else label
+    for terms, slots, (left, right) in _kernel(type_1):
         m = [0.0] * (2 * _NEG)
         for slot, kind, k, coeff in terms:
             m[slot] = m[slot] + _float_term(kind, k, coeff, alpha)
@@ -470,8 +477,10 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
             m[_NEG + slot] = -m[slot]
         y = _half_step(left, m, x, x)
         x = _half_step(right, m, y, y)
-    return JordanElement(x[0] + 0.0, x[32] + 0.0, x[64] + 0.0,
-                         _octonion(x, 24), _octonion(x, 56), _octonion(x, 16))
+    scalars = (x[0] + 0.0, x[32] + 0.0, x[64] + 0.0)
+    octonions = (_octonion(x, 24), _octonion(x, 56), _octonion(x, 16))
+    return JordanElement(*scalars[-shift:], *scalars[:-shift],
+                         *octonions[-shift:], *octonions[:-shift])
 
 
 def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:

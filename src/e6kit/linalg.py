@@ -1,102 +1,117 @@
 """Exact rational linear algebra over sparse and dense vectors.
 
-Vectors are dicts index -> Fraction (zero entries omitted); dense matrices are
-lists of lists of Fraction.
+Vectors are dicts index -> int or Fraction (zero entries omitted); dense
+matrices are lists of lists of Fraction.
 
 SpanBasis is the one exact elimination: spans, ranks, solutions of linear
-systems, inverses and kernels are all read off it.  The one other algorithm,
+systems, inverses and kernels are all read off it.  It eliminates in
+integers, and Fractions appear only in the results.  The one other algorithm,
 signature_symmetric, diagonalizes by congruence, which row reduction cannot
 do.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Hashable, Iterable, Optional
 
 
-def vec_add(a: dict, b: dict, scale: Fraction = Fraction(1)) -> dict:
-    """Return a + scale*b as a sparse vector."""
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + scale * v
+def _integral(vec: dict) -> tuple[dict, int]:
+    """(d vec, d) for the least d > 0 that makes every entry an int; zero entries are dropped."""
+    d = math.lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (d // v.denominator) for k, v in vec.items() if v}, d
+
+
+def _combine(r: int, vec: dict, c: int, row: dict) -> dict:
+    """r vec - c row, sparse."""
+    out = {k: r * v for k, v in vec.items()}
+    for k, v in row.items():
+        s = out.get(k, 0) - c * v
         if s:
             out[k] = s
         else:
-            out.pop(k, None)
+            del out[k]
     return out
 
 
-def vec_scale(a: dict, scale: Fraction) -> dict:
-    if not scale:
-        return {}
-    return {k: scale * v for k, v in a.items()}
+def _clear(p, vec: dict, combo: dict, row: dict, row_combo: dict) -> tuple[dict, dict, int]:
+    """(a vec - b row, a combo - b row_combo, a): entry p cleared, for ints a > 0 and b."""
+    g = math.gcd(row[p], vec[p])
+    a, b = row[p] // g, vec[p] // g
+    return _combine(a, vec, b, row), _combine(a, combo, b, row_combo), a
 
 
 class SpanBasis:
-    """Incremental reduced row-echelon span of sparse vectors.
+    """Incremental reduced row-echelon span of sparse vectors, eliminated in integers.
 
     Each inserted vector is reduced against the existing rows; surviving rows
-    are kept fully reduced (each row is 1 at its own pivot and 0 at every
-    other pivot).  Alongside each row we track its expression in terms of the
-    originally inserted vectors, so `express` can return coefficients in the
-    caller's basis.
+    are kept fully reduced (0 at every other pivot, positive at their own).
+    Alongside each row is its combo {tag: int}: row = sum combo[tag] * the
+    vector inserted under tag.  Row and combo are ints of common gcd 1, a
+    positive multiple of the rational reduced row and its combo, so `express`
+    and `kernel`, where Fractions first appear, give exactly the results of
+    Fraction elimination.
     """
 
     def __init__(self) -> None:
-        self.rows: list[dict] = []          # reduced vectors
-        self.combos: list[dict] = []        # row -> {tag: coeff}
+        self.rows: list[dict] = []          # reduced int vectors
+        self.combos: list[dict] = []        # row -> {tag: int}
         self.pivot_row: dict = {}           # pivot index -> row number
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: dict, combo: dict) -> tuple[dict, dict]:
-        vec = dict(vec)
-        combo = dict(combo)
-        for p in list(vec.keys()):
-            r = self.pivot_row.get(p)
-            if r is None:
-                continue
-            coeff = vec[p]
-            vec = vec_add(vec, self.rows[r], -coeff)
-            combo = vec_add(combo, self.combos[r], -coeff)
-        return vec, combo
+    def _reduce(self, vec: dict, combo: dict) -> tuple[dict, dict, int]:
+        """(s vec - rows, s combo - their combos, s) for an int s > 0, 0 at every pivot."""
+        scale = 1
+        for p in list(vec):
+            n = self.pivot_row.get(p)
+            if n is not None:
+                vec, combo, a = _clear(p, vec, combo, self.rows[n], self.combos[n])
+                scale *= a
+        return vec, combo, scale
 
     def add(self, vec: dict, tag: Hashable) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        vec, combo = self._reduce(vec, {tag: Fraction(1)})
+        vec, d = _integral(vec)
+        vec, combo, _ = self._reduce(vec, {tag: d})
         if not vec:
             return False
         self._insert(vec, combo)
         return True
 
     def _insert(self, vec: dict, combo: dict) -> None:
-        """Append a reduced nonzero vector as a new row."""
+        """Append a reduced nonzero int vector, with its combo, as a new row."""
         pivot = min(vec.keys(), key=_pivot_key)
-        inv = Fraction(1) / Fraction(vec[pivot])
-        vec = vec_scale(vec, inv)
-        combo = vec_scale(combo, inv)
-        # back-eliminate the new pivot from existing rows
-        for r, row in enumerate(self.rows):
-            c = row.get(pivot)
-            if c:
-                self.rows[r] = vec_add(row, vec, -c)
-                self.combos[r] = vec_add(self.combos[r], combo, -c)
+        vec, combo = _primitive(vec, combo, vec[pivot] < 0)
+        for n, row in enumerate(self.rows):    # back-eliminate the new pivot
+            if pivot in row:
+                self.rows[n], self.combos[n] = _primitive(
+                    *_clear(pivot, row, self.combos[n], vec, combo)[:2])
         self.pivot_row[pivot] = len(self.rows)
         self.rows.append(vec)
         self.combos.append(combo)
 
     def express(self, vec: dict) -> Optional[dict]:
         """Coefficients {tag: Fraction} with vec = sum coeff * original, or None."""
-        residual, combo = self._reduce(vec, {})
+        vec, d = _integral(vec)
+        residual, combo, scale = self._reduce(vec, {})
         if residual:
             return None
-        return {t: -c for t, c in combo.items() if c}
+        return {t: Fraction(-c, scale * d) for t, c in combo.items() if c}
 
     def contains(self, vec: dict) -> bool:
         return self.express(vec) is not None
+
+
+def _primitive(vec: dict, combo: dict, negate: bool = False) -> tuple[dict, dict]:
+    """vec and combo divided by their common gcd, and negated if asked."""
+    g = math.gcd(*vec.values(), *combo.values()) * (-1 if negate else 1)
+    if g == 1:
+        return vec, combo
+    return {k: v // g for k, v in vec.items()}, {k: v // g for k, v in combo.items()}
 
 
 def _pivot_key(k):
@@ -116,16 +131,18 @@ def kernel(columns: Iterable[dict]) -> list[dict]:
     """A basis of {v : sum_i v_i columns[i] = 0}, as sparse vectors over i.
 
     A column in the span of the ones before it gives the kernel vector
-    e_i - express(column i): the combination its reduction tracks.
+    e_i - express(column i): the combination its reduction tracks, divided
+    by its entry at i.
     """
     sb = SpanBasis()
     out = []
     for i, col in enumerate(columns):
-        residual, combo = sb._reduce(col, {i: Fraction(1)})
+        col, d = _integral(col)
+        residual, combo, _ = sb._reduce(col, {i: d})
         if residual:
             sb._insert(residual, combo)
         else:
-            out.append(combo)
+            out.append({t: Fraction(c, combo[i]) for t, c in combo.items()})
     return out
 
 

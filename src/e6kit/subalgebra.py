@@ -195,8 +195,12 @@ def refine_subspaces() -> dict:
 
 
 def assemble(cell_names: list) -> SubalgebraReport:
-    """Union of refinement cells, checked for closure and identified."""
+    """Union of refinement cells, checked for closure and identified.
+
+    The cells are disjoint, so a repeated name adds nothing and is dropped.
+    """
     cells = refine_subspaces()
+    cell_names = list(dict.fromkeys(cell_names))
     indices = []
     for name in cell_names:
         if name not in cells:

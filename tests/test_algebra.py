@@ -17,7 +17,7 @@ from e6kit.algebra import (GELLMANN_LABELS, calibration_constant, commutator,
                            unit_vectors)
 from e6kit.group import GeneratorLabel, format_label, parse_label
 from e6kit.jordan import from_coords
-from e6kit.linalg import kernel, vec_add
+from e6kit.linalg import kernel
 from e6kit.octonion import IMAGINARY_UNITS
 from e6kit.rootweight import cartan_matrix, diagram
 
@@ -131,8 +131,9 @@ def test_restricted_roots_are_a2_with_multiplicity_8():
         for a in range(n):
             col = {}
             for block, (i, lam) in enumerate(zip(h, values)):
-                shifted = vec_add(table.bracket(i, a), {a: lam}, Fraction(-1))
-                col.update({block * n + k: v for k, v in shifted.items()})
+                shifted = dict(table.bracket(i, a))
+                shifted[a] = shifted.get(a, 0) - lam
+                col.update({block * n + k: v for k, v in shifted.items() if v})
             columns.append(col)
         return kernel(columns)
 
@@ -257,6 +258,21 @@ def test_stabilizer_of_l_builds_no_tangent():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "0\n"
+
+
+def test_structure_table_builds_each_core_tangent_once():
+    """In a fresh interpreter, the span and the table share one 2T per core-basis label."""
+    code = ("from e6kit import algebra\n"
+            "calls = []\n"
+            "doubled = algebra.doubled_tangent\n"
+            "algebra.doubled_tangent = lambda label: calls.append(label) or doubled(label)\n"
+            "algebra.structure_table()\n"
+            "print(len(calls), len(set(calls)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(algebra.__file__)))
+    env.pop(algebra.CACHE_ENV, None)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "78 78\n"
 
 
 def test_scaled_table_is_computed_once():

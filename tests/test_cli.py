@@ -179,6 +179,14 @@ def test_subalg_assemble_not_closed_names_the_bracket():
         "FAILED: assembly not closed: [B:t,z, B:t,x] leaves the span (hits R:x,z)"]
 
 
+def test_subalg_assemble_repeated_cell_is_the_cell():
+    """The cells are disjoint: R1H,R1H is R1H, byte for byte."""
+    once = run_cli("subalg", "--assemble", "R1H")
+    twice = run_cli("subalg", "--assemble", "R1H,R1H")
+    assert (twice.returncode, twice.stderr) == (0, "")
+    assert twice.stdout == once.stdout
+
+
 def test_stab_l():
     proc = run_cli("stab-l")
     assert proc.returncode == 0

@@ -292,9 +292,13 @@ def _reference_constants():
     """The bracket of every one of the 3003 basis pairs, each computed and residual-checked."""
     basis = algebra.preferred_basis()
     span = span_of(algebra.tangent(lab).flat() for lab in basis)
-    scale = math.lcm(*(x.denominator for combo in span.combos for x in combo.values()))
+    # row n of the span is sum_k combos[n][k] T_k, and w[pivot n] / row n[pivot n] its weight in w
+    pivots = {n: span.rows[n][p] for p, n in span.pivot_row.items()}
+    combos = [{k: Fraction(x, pivots[n]) for k, x in combo.items()}
+              for n, combo in enumerate(span.combos)]
+    scale = math.lcm(*(x.denominator for combo in combos for x in combo.values()))
     dual = [{k: x.numerator * (scale // x.denominator) for k, x in combo.items()}
-            for combo in span.combos]
+            for combo in combos]
     doubled = [algebra.AlgebraElement({r: {c: int(2 * v) for c, v in row.items()}
                                        for r, row in algebra.tangent(lab).mat.items()})
                for lab in basis]

@@ -1,14 +1,18 @@
 """One-parameter group actions: labels, finite evaluation, tangents."""
 
 import hashlib
+import os
 import random
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from e6kit import group
 from e6kit.group import (GeneratorLabel, IllegalLabel, _float_term,
                          action_matrix, all_labels, apply, build_sequence,
                          format_label, one_parameter_check, parse_label,
@@ -110,6 +114,19 @@ def test_type_cycle_order_three():
     cycled = type_cycle(type_cycle(type_cycle(chi)))
     assert to_coords(cycled) == to_coords(chi)
     assert det(type_cycle(chi)) == det(chi)
+
+
+def test_kernels_are_compiled_for_type_1_labels_only():
+    """In a fresh interpreter, apply on all 135 labels compiles the 45 type-1 kernels."""
+    code = ("from e6kit import group, jordan\n"
+            "chi = jordan.from_coords([0.5] * 27)\n"
+            "for label in group.all_labels():\n"
+            "    group.apply(label, 0.3, chi)\n"
+            "print(len(group._KERNELS), {label.type_index for label in group._KERNELS})\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(group.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "45 {1}\n"
 
 
 # SHA-256 of action_matrix over all_labels() x (0.3, -0.7), every entry packed

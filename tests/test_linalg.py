@@ -1,12 +1,127 @@
-"""Exact linear algebra: the sparse signature against the dense elimination."""
+"""Exact linear algebra: the integer span against Fraction elimination, the sparse
+signature against the dense one."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e6kit.algebra import killing_matrix
-from e6kit.linalg import signature_symmetric
+from e6kit.linalg import kernel, signature_symmetric, span_of
+
+
+def _vec_add(a, b, scale):
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, 0) + scale * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+class _FractionSpan:
+    """The reference: reduced row echelon form in Fractions, each row 1 at its pivot."""
+
+    def __init__(self):
+        self.rows, self.combos, self.pivot_row = [], [], {}
+
+    def reduce(self, vec, combo):
+        for p in list(vec):
+            r = self.pivot_row.get(p)
+            if r is not None:
+                coeff = vec[p]
+                vec = _vec_add(vec, self.rows[r], -coeff)
+                combo = _vec_add(combo, self.combos[r], -coeff)
+        return vec, combo
+
+    def insert(self, vec, combo):
+        pivot = min(vec, key=lambda k: (str(type(k)), repr(k)))
+        inv = 1 / Fraction(vec[pivot])
+        vec = {k: inv * v for k, v in vec.items()}
+        combo = {k: inv * v for k, v in combo.items()}
+        for r, row in enumerate(self.rows):
+            c = row.get(pivot)
+            if c:
+                self.rows[r] = _vec_add(row, vec, -c)
+                self.combos[r] = _vec_add(self.combos[r], combo, -c)
+        self.pivot_row[pivot] = len(self.rows)
+        self.rows.append(vec)
+        self.combos.append(combo)
+
+    def add(self, vec, tag):
+        vec, combo = self.reduce(vec, {tag: Fraction(1)})
+        if vec:
+            self.insert(vec, combo)
+
+    def express(self, vec):
+        residual, combo = self.reduce(vec, {})
+        return None if residual else {t: -c for t, c in combo.items() if c}
+
+    def kernel(self, columns):
+        out = []
+        for i, col in enumerate(columns):
+            residual, combo = self.reduce(col, {i: Fraction(1)})
+            if residual:
+                self.insert(residual, combo)
+            else:
+                out.append(combo)
+        return out
+
+
+_entry = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6)).filter(bool)
+# keys up to 11, so that the pivot order (by repr) puts 10 before 2
+_sparse = st.dictionaries(st.integers(0, 11), _entry, max_size=5)
+
+
+def _combination(x, a, y, b):
+    out = {}
+    for k in set(a) | set(b):
+        v = x * a.get(k, 0) + y * b.get(k, 0)
+        if v:
+            out[k] = v
+    return out
+
+
+@st.composite
+def _vectors(draw):
+    """Sparse int and Fraction vectors, with zero, repeated and dependent ones among them."""
+    out = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat", "dependent"]))
+        if kind == "zero":
+            out.append({})
+        elif kind == "new" or not out:
+            out.append(draw(_sparse))
+        elif kind == "repeat":
+            out.append(dict(draw(st.sampled_from(out))))
+        else:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append(_combination(draw(_entry), a, draw(_entry), b))
+    return out
+
+
+@given(_vectors(), st.lists(_sparse, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_integer_span_matches_fraction_elimination(vectors, probes):
+    span, ref = span_of(vectors), _FractionSpan()
+    for n, v in enumerate(vectors):
+        ref.add(v, n)
+    assert span.rank == len(ref.rows)
+    assert span.pivot_row == ref.pivot_row
+    for row, combo, ref_row, ref_combo in zip(span.rows, span.combos, ref.rows, ref.combos):
+        pivot = min(row, key=lambda k: (str(type(k)), repr(k)))
+        assert row[pivot] > 0 and all(type(v) is int for v in [*row.values(), *combo.values()])
+        assert math.gcd(*row.values(), *combo.values()) == 1
+        assert {k: Fraction(v, row[pivot]) for k, v in row.items()} == ref_row
+        assert {k: Fraction(v, row[pivot]) for k, v in combo.items()} == ref_combo
+    sums = [_combination(1, a, 2, b) for a, b in zip(vectors, vectors[1:])]
+    for probe in vectors + sums + probes:
+        assert span.express(probe) == ref.express(probe)
+        assert span.contains(probe) == (ref.express(probe) is not None)
+    assert kernel(vectors) == _FractionSpan().kernel(vectors)
 
 
 def _dense_signature(mat):
