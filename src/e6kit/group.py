@@ -428,6 +428,16 @@ def _kernel(label: GeneratorLabel) -> tuple:
     return kernel
 
 
+def _stage_values(terms: tuple, slots: tuple, alpha: float) -> list:
+    """The stage's 144 float slots at alpha: M's coefficients, then negations."""
+    m = [0.0] * (2 * _NEG)
+    for slot, kind, k, coeff in terms:
+        m[slot] = m[slot] + _float_term(kind, k, coeff, alpha)
+    for slot in slots:
+        m[_NEG + slot] = -m[slot]
+    return m
+
+
 def _half_step(table: tuple, m: list, x, copies) -> tuple:
     """One half-step of the stage: products of m and x, copies from `copies`."""
     ones_m, ones_x, twos_m, twos_x, twos_m2, twos_x2, gather = table
@@ -470,11 +480,7 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
                [0.0] * 7)
     type_1 = GeneratorLabel(label.category, 1, label.plane, label.axis) if shift else label
     for terms, slots, (left, right) in _kernel(type_1):
-        m = [0.0] * (2 * _NEG)
-        for slot, kind, k, coeff in terms:
-            m[slot] = m[slot] + _float_term(kind, k, coeff, alpha)
-        for slot in slots:
-            m[_NEG + slot] = -m[slot]
+        m = _stage_values(terms, slots, alpha)
         y = _half_step(left, m, x, x)
         x = _half_step(right, m, y, y)
     scalars = (x[0] + 0.0, x[32] + 0.0, x[64] + 0.0)
@@ -483,18 +489,85 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
                          *octonions[-shift:], *octonions[:-shift])
 
 
+# action_matrix reads each half-step table from the source side: per state
+# slot, the one or two (output slot, m slot) pairs it feeds, with m slot
+# _COPY = 1.0 for a copy.  A basis column fills few slots, so its pass follows
+# the nonzeros.  It forms the products `apply` forms, in either order (a sum
+# of two floats is commutative), and skips those of unreached slots: +-0 in
+# `apply`, times a finite stage value, changes no sum of two.  So each column
+# has the bits of `apply` on that basis element; every sum starts from +0.0,
+# so no zero is negative.
+
+_COPY = 2 * _NEG
+_SOURCES: dict[tuple, tuple] = {}     # by half-step table
+_PAIRS: dict[tuple, tuple] = {}       # one copy of each (output slot, m slot) pair
+_BASIS_COLUMNS: list[dict] = []
+_COORD_SLOTS = (0, 32, 64, *range(24, 32), *range(56, 64), *range(16, 24))   # as apply reads
+
+
+def _sources(table: tuple) -> tuple:
+    """(first pair, second pair or None) that each state slot feeds, by slot."""
+    ones_m, ones_x, twos_m, twos_x, twos_m2, twos_x2, gather = table
+    products = [((i, j),) for i, j in zip(ones_m, ones_x)]
+    products += [((i, j), (k, l)) for i, j, k, l in zip(twos_m, twos_x, twos_m2, twos_x2)]
+    products += [((_COPY, j),) for j in range(_NEG)]
+    feeds = [[] for _ in range(_NEG)]
+    for out, pairs in enumerate(gather(products)):
+        for i, j in pairs:
+            feeds[j].append(_PAIRS.setdefault((out, i), (out, i)))
+    if max(map(len, feeds)) > 2:
+        raise AssertionError("a state slot feeds more than two products")
+    return tuple(f[0] for f in feeds), tuple(f[1] if len(f) == 2 else None for f in feeds)
+
+
+def _basis_columns() -> list[dict]:
+    """The 27 coordinate basis elements as sparse states {slot: +-1.0}."""
+    if not _BASIS_COLUMNS:
+        for v in ([float(i == j) for i in range(27)] for j in range(27)):
+            x = _state(*v[:3], v[3:11], v[11:19], v[19:27], [0.0] * 7)
+            _BASIS_COLUMNS.append({slot: c for slot, c in enumerate(x) if c})
+    return _BASIS_COLUMNS
+
+
 def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
     """The finite action at parameter alpha as a 27x27 float matrix.
 
     Columns are the images of the coordinate basis elements, so
-    action_matrix(label, alpha) @ to_coords(chi) == to_coords(apply(label, alpha, chi)).
+    action_matrix(label, alpha) @ to_coords(chi) == to_coords(apply(label, alpha, chi)),
+    and column j has the bits of to_coords(apply(label, alpha, e_j)).  The
+    27 columns pass sparsely through the type-1 kernel, with each stage's
+    values computed once; as `apply` rotates fields, coordinate i of type t
+    is coordinate sigma[i] of type 1, its field shifted by -(t - 1).
     """
-    from .jordan import from_coords, to_coords
+    alpha = float(alpha)
+    shift = label.type_index - 1
+    type_1 = GeneratorLabel(label.category, 1, label.plane, label.axis) if shift else label
+    stages = []
+    for terms, slots, tables in _kernel(type_1):
+        m = _stage_values(terms, slots, alpha) + [1.0]     # m[_COPY] = 1.0
+        for table in tables:
+            sources = _SOURCES.get(table)
+            if sources is None:
+                sources = _SOURCES[table] = _sources(table)
+            stages.append((*sources, m))
+    sigma = [(i - shift) % 3 if i < 3 else 3 + (i - 3 - 8 * shift) % 24 for i in range(27)]
+    rows = [_COORD_SLOTS[i] for i in sigma]
+    basis = _basis_columns()
     cols = []
-    for idx in range(27):
-        basis = from_coords([1.0 if i == idx else 0.0 for i in range(27)])
-        cols.append([float(v) for v in to_coords(apply(label, alpha, basis))])
-    return [[cols[j][i] for j in range(27)] for i in range(27)]
+    for j in sigma:
+        x = basis[j]
+        for first, second, m in stages:
+            y = {}
+            for slot, v in x.items():
+                out, i = first[slot]
+                y[out] = y.get(out, 0.0) + m[i] * v
+                pair = second[slot]
+                if pair:
+                    out, i = pair
+                    y[out] = y.get(out, 0.0) + m[i] * v
+            x = y
+        cols.append([x.get(slot, 0.0) for slot in rows])
+    return [list(row) for row in zip(*cols)]
 
 
 def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement, JordanElement]:

@@ -1,6 +1,7 @@
 """One-parameter group actions: labels, finite evaluation, tangents."""
 
 import hashlib
+import math
 import os
 import random
 import struct
@@ -17,8 +18,8 @@ from e6kit.group import (GeneratorLabel, IllegalLabel, _float_term,
                          action_matrix, all_labels, apply, build_sequence,
                          format_label, one_parameter_check, parse_label,
                          type_cycle, validate_label)
-from e6kit.jordan import (JordanElement, det, from_coords, from_matrix,
-                          matmul, to_coords, to_matrix)
+from e6kit.jordan import (JordanElement, basis_element, det, from_coords,
+                          from_matrix, matmul, to_coords, to_matrix)
 from e6kit.octonion import UNIT_INDEX, Octonion
 
 
@@ -127,6 +128,75 @@ def test_kernels_are_compiled_for_type_1_labels_only():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "45 {1}\n"
+
+
+def test_action_matrix_columns_have_the_bits_of_apply():
+    """Column j is to_coords(apply(label, alpha, e_j)), bit for bit.
+
+    |alpha| in 700-1420 makes the B labels' products overflow to +-inf and
+    nan; packed doubles compare the sign of zero and nan as well.
+    """
+    rng = random.Random(19)
+    basis = [basis_element(j) for j in range(27)]
+    kinds = set()
+    for label in all_labels():
+        alphas = [0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-3, 3)]
+        alphas += [rng.choice((-1, 1)) * rng.uniform(700, 1420) for _ in range(2)]
+        for alpha in alphas:
+            mat = action_matrix(label, alpha)
+            for j, e_j in enumerate(basis):
+                column = [struct.pack("<d", mat[i][j]) for i in range(27)]
+                assert column == _bits(apply(label, alpha, e_j)), (label, alpha, j)
+            kinds |= {"inf" if math.isinf(v) else "nan" if math.isnan(v) else "finite"
+                      for row in mat for v in row}
+    assert kinds == {"finite", "inf", "nan"}
+
+
+@pytest.mark.parametrize("alpha", [1500.0, -1500.0, 1e6])
+def test_action_matrix_raises_where_apply_overflows(alpha):
+    for label in all_labels():
+        if label.category == "B":
+            with pytest.raises(OverflowError):
+                apply(label, alpha, basis_element(0))
+            with pytest.raises(OverflowError):
+                action_matrix(label, alpha)
+
+
+def test_action_matrix_builds_source_tables_once_per_gather_table():
+    """In a fresh interpreter: nothing is built at import; then, for all 135
+    labels, the 45 type-1 kernels, at most one source-side form per gather
+    table, no apply call, and at most 512 KiB kept."""
+    code = ("import gc, tracemalloc\n"
+            "from e6kit import group\n"
+            "print(len(group._SOURCES), len(group._PAIRS), len(group._BASIS_COLUMNS))\n"
+            "calls = {'apply': 0, '_sources': 0}\n"
+            "def counted(name):\n"
+            "    f = getattr(group, name)\n"
+            "    def wrapper(*args):\n"
+            "        calls[name] += 1\n"
+            "        return f(*args)\n"
+            "    setattr(group, name, wrapper)\n"
+            "counted('apply'); counted('_sources')\n"
+            "labels = group.all_labels()\n"
+            "for label in labels:\n"
+            "    if label.type_index == 1:\n"
+            "        group._kernel(label)\n"
+            "gc.collect()\n"
+            "tracemalloc.start()\n"
+            "for label in labels:\n"
+            "    group.action_matrix(label, 0.7)\n"
+            "gc.collect()\n"
+            "kept = tracemalloc.get_traced_memory()[0]\n"
+            "tables = {t for kernel in group._KERNELS.values() for stage in kernel for t in stage[2]}\n"
+            "print(len(group._KERNELS), {label.type_index for label in group._KERNELS})\n"
+            "print(calls, len(tables), len(group._SOURCES) == len(tables))\n"
+            "print(kept <= 512 * 1024, kept)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(group.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[:3] == ["0 0 0", "45 {1}", "{'apply': 0, '_sources': 88} 88 True"]
+    assert lines[3].startswith("True "), lines[3]
 
 
 # SHA-256 of action_matrix over all_labels() x (0.3, -0.7), every entry packed
