@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import jordan
-from .group import (GeneratorLabel, _is_transverse, all_labels, apply, apply_dual,
-                    build_sequence, cores, format_label, type_cycle)
+from .group import (GeneratorLabel, _is_transverse, _sequence, all_labels, apply,
+                    apply_dual, cores, format_label, type_cycle)
 from .jordan import from_coords, to_coords
 from .linalg import SpanBasis, kernel, signature_symmetric, span_of
 from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
@@ -364,7 +364,7 @@ def _check_stages(core: GeneratorLabel, image: GeneratorLabel, move: tuple, s: i
 @functools.cache
 def _stage_coeffs(core: GeneratorLabel) -> list[list[int]]:
     """Per stage, the slots of M(0) then of 2 M'(0) (ParamMatrix.at_zero)."""
-    return [value + twice for value, twice in (stage.at_zero() for stage in build_sequence(core))]
+    return [value + twice for value, twice in (stage.at_zero() for stage in _sequence(core))]
 
 
 def _unit_map(images: dict) -> tuple[list, list]:

@@ -21,14 +21,15 @@ forms, gives the core's whole tangent matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, itemgetter, neg
 from typing import NamedTuple, Optional
 
-from .jordan import JordanElement
+from .jordan import JordanElement, from_coords, to_coords
 from .octonion import (DISPLAY, DISPLAY_TO_NAME, IMAGINARY_UNITS, MULT_TABLE,
-                       UNIT_INDEX, Octonion, _AGS_PAIRS)
+                       UNIT_INDEX, _AGS_PAIRS)
 
 
 class IllegalLabel(ValueError):
@@ -64,7 +65,13 @@ def format_label(label: GeneratorLabel) -> str:
     return core
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_label(text: str) -> GeneratorLabel:
+    """The label that text names; IllegalLabel if it names none.
+
+    Memoised, for callers that parse the same texts over and over; a text
+    that raises is parsed afresh each time, as exceptions are not cached.
+    """
     parts = text.strip().split(":")
     if len(parts) not in (2, 3):
         raise IllegalLabel(f"bad label {text!r}")
@@ -447,19 +454,52 @@ def _half_step(table: tuple, m: list, x, copies) -> tuple:
     return gather(v)
 
 
-def _conj(coeffs: list) -> list:
-    return coeffs[:1] + [-v for v in coeffs[1:]]
+# The state of chi and its readout are single gathers.  The state gathers
+# from chi's 27 coordinates, their 27 negations (conj negates the imaginary
+# units) and one zero for the empty units of the diagonal entries; the
+# readout gathers the 27 coordinates from the state.  A type-t label runs
+# the type-1 kernel on chi's fields rotated back by shift = t - 1, and the
+# result's fields are rotated forward again; both rotations are folded into
+# the gathers of that shift.
+
+def _rotation(shift: int) -> list[int]:
+    """[k]: the coordinate of chi that is coordinate k once p, m, n and a, b, c
+    are each rotated back by shift; _rotation(-shift) undoes it."""
+    return [(k + shift) % 3 if k < 3 else 3 + (k - 3 + 8 * shift) % 24 for k in range(27)]
 
 
-def _state(p, m, n, a: list, b: list, c: list, zeros: list) -> list:
-    """The 72 coefficients of the full matrix of chi = (p, m, n, a, b, c)."""
-    return ([p] + zeros + _conj(a) + c
-            + a + [m] + zeros + _conj(b)
-            + _conj(c) + b + [n] + zeros)
+def _entry(start: int, conj: bool) -> list[int]:
+    """The 8 gather indices of octonion coordinates start.. or of their conj."""
+    return [start] + [start + u + 27 * conj for u in range(1, 8)]
 
 
-def _octonion(x: tuple, start: int) -> Octonion:
-    return Octonion([v + 0.0 for v in x[start:start + 8]])
+_ZERO_AT = 54
+_PAD = [_ZERO_AT] * 7      # the empty units of a diagonal entry
+_STATE_INDICES = ([0] + _PAD + _entry(3, True) + _entry(19, False)       # p, conj(a), c
+                  + _entry(3, False) + [1] + _PAD + _entry(11, True)     # a, m, conj(b)
+                  + _entry(19, True) + _entry(11, False) + [2] + _PAD)   # conj(c), b, n
+_READ_SLOTS = (0, 32, 64, *range(24, 32), *range(56, 64), *range(16, 24))
+
+
+def _layouts(shift: int) -> tuple:
+    """(state gather, readout slots, readout gather) for one shift."""
+    rotated = _rotation(shift)
+    state = [i if i == _ZERO_AT else i - i % 27 + rotated[i % 27] for i in _STATE_INDICES]
+    read = tuple(_READ_SLOTS[k] for k in _rotation(-shift))
+    return itemgetter(*state), read, itemgetter(*read)
+
+
+_LAYOUTS = tuple(map(_layouts, range(3)))
+
+
+def _state(coords: list, zero, shift: int = 0) -> tuple:
+    """The 72 coefficients of the full matrix of chi, from its coordinates."""
+    return _LAYOUTS[shift][0](coords + list(map(neg, coords)) + [zero])
+
+
+def _element(x) -> JordanElement:
+    """chi read off the coefficients of its full matrix."""
+    return from_coords(_LAYOUTS[0][2](x))
 
 
 def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElement:
@@ -474,19 +514,13 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
     """
     alpha = float(alpha)
     shift = label.type_index - 1
-    scalars, octonions = (chi.p, chi.m, chi.n), (chi.a, chi.b, chi.c)
-    x = _state(*(float(v) for v in scalars[shift:] + scalars[:shift]),
-               *([float(v) for v in o.coeffs] for o in octonions[shift:] + octonions[:shift]),
-               [0.0] * 7)
+    x = _state(list(map(float, to_coords(chi))), 0.0, shift)
     type_1 = GeneratorLabel(label.category, 1, label.plane, label.axis) if shift else label
     for terms, slots, (left, right) in _kernel(type_1):
         m = _stage_values(terms, slots, alpha)
         y = _half_step(left, m, x, x)
         x = _half_step(right, m, y, y)
-    scalars = (x[0] + 0.0, x[32] + 0.0, x[64] + 0.0)
-    octonions = (_octonion(x, 24), _octonion(x, 56), _octonion(x, 16))
-    return JordanElement(*scalars[-shift:], *scalars[:-shift],
-                         *octonions[-shift:], *octonions[:-shift])
+    return from_coords([v + 0.0 for v in _LAYOUTS[shift][2](x)])
 
 
 # action_matrix reads each half-step table from the source side: per state
@@ -502,7 +536,6 @@ _COPY = 2 * _NEG
 _SOURCES: dict[tuple, tuple] = {}     # by half-step table
 _PAIRS: dict[tuple, tuple] = {}       # one copy of each (output slot, m slot) pair
 _BASIS_COLUMNS: list[dict] = []
-_COORD_SLOTS = (0, 32, 64, *range(24, 32), *range(56, 64), *range(16, 24))   # as apply reads
 
 
 def _sources(table: tuple) -> tuple:
@@ -523,8 +556,8 @@ def _sources(table: tuple) -> tuple:
 def _basis_columns() -> list[dict]:
     """The 27 coordinate basis elements as sparse states {slot: +-1.0}."""
     if not _BASIS_COLUMNS:
-        for v in ([float(i == j) for i in range(27)] for j in range(27)):
-            x = _state(*v[:3], v[3:11], v[11:19], v[19:27], [0.0] * 7)
+        for j in range(27):
+            x = _state([float(i == j) for i in range(27)], 0.0)
             _BASIS_COLUMNS.append({slot: c for slot, c in enumerate(x) if c})
     return _BASIS_COLUMNS
 
@@ -550,11 +583,10 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
             if sources is None:
                 sources = _SOURCES[table] = _sources(table)
             stages.append((*sources, m))
-    sigma = [(i - shift) % 3 if i < 3 else 3 + (i - 3 - 8 * shift) % 24 for i in range(27)]
-    rows = [_COORD_SLOTS[i] for i in sigma]
+    rows = _LAYOUTS[shift][1]
     basis = _basis_columns()
     cols = []
-    for j in sigma:
+    for j in _rotation(-shift):
         x = basis[j]
         for first, second, m in stages:
             y = {}
@@ -584,8 +616,7 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     forms of algebra's generic element.  For integer chi both results have
     integer coordinates; the value is chi.
     """
-    x = _state(chi.p, chi.m, chi.n, list(chi.a.coeffs), list(chi.b.coeffs),
-               list(chi.c.coeffs), [0] * 7)
+    x = _state(to_coords(chi), 0)
     d = _ZEROS
     for stage in _sequence(label):
         value, twice = stage.at_zero()
@@ -598,12 +629,6 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     return _element(x), _element(d)
 
 
-def _element(x) -> JordanElement:
-    """chi read off the coefficients of its full matrix."""
-    return JordanElement(x[0], x[32], x[64],
-                         Octonion(x[24:32]), Octonion(x[56:64]), Octonion(x[16:24]))
-
-
 def type_cycle(chi: JordanElement) -> JordanElement:
     """The discrete transformation chi -> T chi T†: (p,m,n,a,b,c) -> (n,p,m,c,a,b)."""
     return JordanElement(chi.n, chi.p, chi.m, chi.c, chi.a, chi.b)
@@ -612,7 +637,6 @@ def type_cycle(chi: JordanElement) -> JordanElement:
 def one_parameter_check(label: GeneratorLabel, alpha: float, beta: float,
                         chi: JordanElement, tol: float = 1e-9) -> bool:
     """apply(alpha) ∘ apply(beta) == apply(alpha+beta) within tol."""
-    from .jordan import to_coords
     lhs = to_coords(apply(label, alpha, apply(label, beta, chi)))
     rhs = to_coords(apply(label, alpha + beta, chi))
     return max(abs(float(x) - float(y)) for x, y in zip(lhs, rhs)) < tol

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .octonion import Octonion
+from .octonion import MULT_TABLE, Octonion
 
 
 class _Value:
@@ -133,22 +133,57 @@ def sigma(x: JordanElement):
     return (t * t - trace(jordan_product(x, x))) / 2
 
 
+def _conj_product_terms() -> tuple:
+    """Per unit of conj(a) conj(b), the (a, b, negate) of its 8 terms.
+
+    They come in the order Octonion.__mul__ adds them (a ascending), and
+    negate folds in the signs of both conjugations: conj negates the
+    imaginary units.
+    """
+    terms = [[] for _ in range(8)]
+    for u in range(8):
+        for v in range(8):
+            s, c = MULT_TABLE[u][v]
+            terms[c].append((u, v, (s < 0) ^ (u > 0) ^ (v > 0)))
+    return tuple(map(tuple, terms))
+
+
+_CONJ_PRODUCT = _conj_product_terms()
+
+
+def _conj_product_unit(a: tuple, b: tuple, terms: tuple):
+    """One unit of conj(a) conj(b), summed as Octonion.__mul__ sums it."""
+    w = None
+    for u, v, negate in terms:
+        au, bv = a[u], b[v]
+        if au and bv:
+            t = -(au * bv) if negate else au * bv
+            w = t if w is None else w + t
+    return a[0] * 0 if w is None else w
+
+
 def det(x: JordanElement):
     """det chi = pmn - (p|b|^2 + m|c|^2 + n|a|^2) + 2 Re(conj(a) conj(b) conj(c)).
 
     With w = conj(a) conj(b), Re(w conj(c)) is the dot product of w and c.
-    It is summed as Octonion.__mul__ would sum the real part of w * conj(c):
-    left to right over the units where both factors are nonzero, starting
-    from the first term, and w_0 * 0 when there is none.  So one octonion
-    product gives the same value as two, and the same bits for floats.
+    Each w_u that meets a nonzero c_u is summed from the sign table as
+    Octonion.__mul__ sums it, and the dot product as Octonion.__mul__ would
+    sum the real part of w * conj(c): left to right over the units where
+    both factors are nonzero, starting from the first term, and w_0 * 0
+    when there is none.  So ints and Fractions give the two-product value,
+    and floats its bits up to the sign of a nan: the table negates a
+    product where the two-product form negates a factor, and the two differ
+    when the other factor is a nan.
     """
-    w = (x.a.conj() * x.b.conj()).coeffs
+    a, b = x.a.coeffs, x.b.coeffs
     re = None
-    for wu, cu in zip(w, x.c.coeffs):
-        if wu and cu:
-            re = wu * cu if re is None else re + wu * cu
+    for cu, terms in zip(x.c.coeffs, _CONJ_PRODUCT):
+        if cu:
+            wu = _conj_product_unit(a, b, terms)
+            if wu:
+                re = wu * cu if re is None else re + wu * cu
     if re is None:
-        re = w[0] * 0
+        re = _conj_product_unit(a, b, _CONJ_PRODUCT[0]) * 0
     return (x.p * x.m * x.n
             - (x.p * x.b.norm2() + x.m * x.c.norm2() + x.n * x.a.norm2())
             + 2 * re)
@@ -202,7 +237,7 @@ def vector_block(x: JordanElement) -> Vector2:
 
 
 def to_coords(x: JordanElement) -> list:
-    return [x.p, x.m, x.n] + list(x.a.coeffs) + list(x.b.coeffs) + list(x.c.coeffs)
+    return [x.p, x.m, x.n, *x.a.coeffs, *x.b.coeffs, *x.c.coeffs]
 
 
 def from_coords(v) -> JordanElement:

@@ -130,6 +130,28 @@ def test_kernels_are_compiled_for_type_1_labels_only():
     assert run.stdout == "45 {1}\n"
 
 
+
+def test_verify_builds_each_stage_sequence_once():
+    """In a fresh interpreter with no disk cache, `verify --suite all` builds
+    each label's stage sequence at most once."""
+    code = ("import collections, contextlib, io\n"
+            "from e6kit import group\n"
+            "built = collections.Counter()\n"
+            "build = group.build_sequence\n"
+            "def counted(label):\n"
+            "    built[label] += 1\n"
+            "    return build(label)\n"
+            "group.build_sequence = counted\n"
+            "from e6kit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.run(['verify', '--suite', 'all'])\n"
+            "print(code, len(built) > 0, [str(k) for k, n in built.items() if n > 1])\n")
+    env = {k: v for k, v in os.environ.items() if k != "E6KIT_CACHE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(group.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0 True []\n"
+
 def test_action_matrix_columns_have_the_bits_of_apply():
     """Column j is to_coords(apply(label, alpha, e_j)), bit for bit.
 
@@ -223,6 +245,51 @@ def test_det_golden_bits():
     dets = [float(det(apply(label, 0.7, chi))) for label in all_labels()]
     packed = b"".join(struct.pack("<d", d) for d in dets)
     assert hashlib.sha256(packed).hexdigest() == DET_SHA256
+
+
+# Nonfinite inputs: SHA-256 of det over 5000 seeded coordinate lists, mostly
+# zeros, drawn from _NONFINITE or its finite part (where 1e308 overflows), and
+# of apply over all_labels() x _NONFINITE_ALPHAS x three zero-heavy chis.  Every value
+# is packed as a little-endian double, except that a nan is packed as b"nan":
+# CPython gives a nan from two nan operands the sign of either one depending
+# on whether the interpreter has specialized the operation yet (on 3.11,
+# x + y returns y's nan in a cold function and x's in a warm one), so no code
+# pins the sign of a nan.  Zeros keep their signs and infinities theirs.
+_NONFINITE = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 3.25, 7, 0]
+_NONFINITE_ALPHAS = (0.3, -0.7, 0.0, -0.0, 705.0, -1200.0)
+DET_NONFINITE_SHA256 = "d37e4393f31607956a2fed218af2c82a5c78c2401e6dde51b39132e792ed4426"
+APPLY_NONFINITE_SHA256 = "16fb473f5c0ed6b36cdefea72c2a52ff5f62d27966571dd53897358da5faa698"
+
+
+def _pack(values) -> bytes:
+    return b"".join(b"nan" if math.isnan(v) else struct.pack("<d", v) for v in map(float, values))
+
+
+def test_det_golden_bits_on_nonfinite_input():
+    finite = [v for v in _NONFINITE if math.isfinite(v)]
+    rng = random.Random(20)
+    h = hashlib.sha256()
+    for _ in range(5000):
+        pool, density = rng.choice((_NONFINITE, finite)), rng.choice((0.05, 0.15, 0.3, 1.0))
+        coords = [rng.choice(pool) if rng.random() < density else rng.choice((0.0, -0.0, 0))
+                  for _ in range(27)]
+        h.update(_pack([det(from_coords(coords))]))
+    assert h.hexdigest() == DET_NONFINITE_SHA256
+
+
+def test_apply_golden_bits_on_nonfinite_input():
+    rng = random.Random(21)
+    chis = [from_coords([rng.choice(_NONFINITE) if rng.random() < 0.3 else 0.0
+                         for _ in range(27)]) for _ in range(3)]
+    h = hashlib.sha256()
+    for label in all_labels():
+        for alpha in _NONFINITE_ALPHAS:
+            for chi in chis:
+                try:
+                    h.update(_pack(to_coords(apply(label, alpha, chi))))
+                except OverflowError:
+                    h.update(b"OverflowError")
+    assert h.hexdigest() == APPLY_NONFINITE_SHA256
 
 
 def _reference_apply(label, alpha, chi):
