@@ -219,7 +219,7 @@ _GENERIC = from_coords([_Form({i: 1}) for i in range(DIM)])
 _TANGENTS: dict[GeneratorLabel, AlgebraElement] = {}
 
 # group.type_cycle as a coordinate permutation P: coordinate i moves to _CYCLED[i].
-_CYCLED = {i: n for n, i in enumerate(to_coords(type_cycle(from_coords(range(DIM)))))}
+_CYCLED = {i: n for n, i in enumerate(type_cycle(from_coords(range(DIM))).coords)}
 
 
 def tangent(label: GeneratorLabel) -> AlgebraElement:

@@ -253,6 +253,8 @@ _AUTO_TOKENS = {"t": "t", "23": "two_three", "two_three": "two_three",
 def cmd_subalg(args) -> int:
     if bool(args.auto) == bool(args.assemble):
         raise InputError("exactly one of --auto or --assemble is required")
+    if args.part and args.assemble:
+        raise InputError("--part applies only to --auto")
     if args.auto:
         try:
             which = [_AUTO_TOKENS[tok.strip()] for tok in args.auto.split(",")]
@@ -344,9 +346,11 @@ def cmd_apply(args) -> int:
                 raw = fh.read()
         payload = json.loads(raw)
         coords = payload["coords"] if isinstance(payload, dict) else payload
+        if not isinstance(coords, list) or len(coords) != 27:
+            raise ValueError("need a list of 27 coordinates")
+        if any(type(x) not in (int, float) for x in coords):    # not isinstance: bool is an int
+            raise ValueError("coordinates must be JSON numbers")
         coords = [float(x) for x in coords]
-        if len(coords) != 27:
-            raise ValueError("need 27 coordinates")
         if not all(math.isfinite(x) for x in coords):
             raise ValueError("coordinates must be finite")
     except OSError as exc:
@@ -355,7 +359,7 @@ def cmd_apply(args) -> int:
         raise InputError(f"bad chi JSON: {exc}") from None
     try:
         moved = group.apply(label, args.alpha, jordan.from_coords(coords))
-        coords, det = [float(x) for x in jordan.to_coords(moved)], float(jordan.det(moved))
+        coords, det = jordan.to_coords(moved), float(jordan.det(moved))
     except OverflowError:
         coords, det = [math.inf], math.inf
     if not all(math.isfinite(x) for x in coords + [det]):
@@ -401,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of involutions: t, 23, hperp")
     p.add_argument("--assemble", default=None,
                    help="comma list of cells: " + ",".join(subalgebra.CELL_NAMES))
-    p.add_argument("--part", choices=("fixed", "compact"), default="fixed")
+    p.add_argument("--part", choices=("fixed", "compact"),
+                   help="with --auto: the fixed part (default) or its compact preimage")
     p = verb("roots", "root/weight diagram data")
     p.add_argument("--algebra", required=True, help="e.g. A2, B3, C4, D4, G2, F4, E6")
     p.add_argument("--highest", default=None, help="comma list of Dynkin marks")
@@ -411,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", required=True, help='e.g. "R:z,kl:2", "A:i", "B:t,x:3"')
     p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--chi", required=True,
-                   help='JSON path or "-" for stdin; {"coords":[27 numbers]}')
+                   help='JSON path or "-" for stdin: 27 JSON numbers, as a list '
+                        'or as {"coords": [...]}')
     verb("gellmann", "su(3) correspondence check")
     return parser
 

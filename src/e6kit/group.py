@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add, itemgetter, neg
 from typing import NamedTuple, Optional
 
-from .jordan import JordanElement, from_coords, to_coords
+from .jordan import JordanElement
 from .octonion import (DISPLAY, DISPLAY_TO_NAME, IMAGINARY_UNITS, MULT_TABLE,
                        UNIT_INDEX, _AGS_PAIRS)
 
@@ -492,14 +492,14 @@ def _layouts(shift: int) -> tuple:
 _LAYOUTS = tuple(map(_layouts, range(3)))
 
 
-def _state(coords: list, zero, shift: int = 0) -> tuple:
+def _state(coords, zero, shift: int = 0) -> tuple:
     """The 72 coefficients of the full matrix of chi, from its coordinates."""
-    return _LAYOUTS[shift][0](coords + list(map(neg, coords)) + [zero])
+    return _LAYOUTS[shift][0]([*coords, *map(neg, coords), zero])
 
 
 def _element(x) -> JordanElement:
     """chi read off the coefficients of its full matrix."""
-    return from_coords(_LAYOUTS[0][2](x))
+    return JordanElement(_LAYOUTS[0][2](x))
 
 
 def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElement:
@@ -514,13 +514,13 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
     """
     alpha = float(alpha)
     shift = label.type_index - 1
-    x = _state(list(map(float, to_coords(chi))), 0.0, shift)
+    x = _state(tuple(map(float, chi.coords)), 0.0, shift)
     type_1 = GeneratorLabel(label.category, 1, label.plane, label.axis) if shift else label
     for terms, slots, (left, right) in _kernel(type_1):
         m = _stage_values(terms, slots, alpha)
         y = _half_step(left, m, x, x)
         x = _half_step(right, m, y, y)
-    return from_coords([v + 0.0 for v in _LAYOUTS[shift][2](x)])
+    return JordanElement(tuple([v + 0.0 for v in _LAYOUTS[shift][2](x)]))
 
 
 # action_matrix reads each half-step table from the source side: per state
@@ -616,7 +616,7 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     forms of algebra's generic element.  For integer chi both results have
     integer coordinates; the value is chi.
     """
-    x = _state(to_coords(chi), 0)
+    x = _state(chi.coords, 0)
     d = _ZEROS
     for stage in _sequence(label):
         value, twice = stage.at_zero()
@@ -629,14 +629,17 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     return _element(x), _element(d)
 
 
+_CYCLE = itemgetter(*_rotation(-1))     # fields rotated forward by one, as in `apply`
+
+
 def type_cycle(chi: JordanElement) -> JordanElement:
     """The discrete transformation chi -> T chi T†: (p,m,n,a,b,c) -> (n,p,m,c,a,b)."""
-    return JordanElement(chi.n, chi.p, chi.m, chi.c, chi.a, chi.b)
+    return JordanElement(_CYCLE(chi.coords))
 
 
 def one_parameter_check(label: GeneratorLabel, alpha: float, beta: float,
                         chi: JordanElement, tol: float = 1e-9) -> bool:
     """apply(alpha) ∘ apply(beta) == apply(alpha+beta) within tol."""
-    lhs = to_coords(apply(label, alpha, apply(label, beta, chi)))
-    rhs = to_coords(apply(label, alpha + beta, chi))
+    lhs = apply(label, alpha, apply(label, beta, chi)).coords
+    rhs = apply(label, alpha + beta, chi).coords
     return max(abs(float(x) - float(y)) for x, y in zip(lhs, rhs)) < tol

@@ -6,17 +6,19 @@ A general element is
            [ a,    m,       conj(b) ],
            [ conj(c), b,    n       ]]
 
-with rational diagonal (p, m, n) = (t+z, t-z, n) and octonions a, b, c.  The
-flat coordinate order (Coord27) is (p, m, n, a[0..7], b[0..7], c[0..7]) with
-the fixed octonion basis order inside each block.
+with rational diagonal (p, m, n) = (t+z, t-z, n) and octonions a, b, c.  A
+JordanElement is its 27 coordinates in the flat order Coord27: (p, m, n,
+a[0..7], b[0..7], c[0..7]), with the fixed octonion basis order inside each
+block.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .octonion import MULT_TABLE, Octonion
+from .octonion import MULT_TABLE, Octonion, norm2
+
+_A, _B, _C = slice(3, 11), slice(11, 19), slice(19, 27)     # a, b, c in Coord27
 
 
 class _Value:
@@ -44,93 +46,15 @@ class _Value:
 
 
 class JordanElement(_Value):
-    """chi = (p, m, n, a, b, c), as in the module docstring."""
+    """chi as its 27 coordinates: `coords`, a tuple in Coord27 order.
 
-    __slots__ = ("p", "m", "n", "a", "b", "c")
+    from_coords is the validating constructor.
+    """
 
-    def __init__(self, p, m, n, a: Octonion, b: Octonion, c: Octonion):
-        self.p, self.m, self.n, self.a, self.b, self.c = p, m, n, a, b, c
+    __slots__ = ("coords",)
 
-    @staticmethod
-    def zero() -> "JordanElement":
-        z = Fraction(0)
-        o = Octonion.zero()
-        return JordanElement(z, z, z, o, o, o)
-
-    @staticmethod
-    def identity() -> "JordanElement":
-        one = Fraction(1)
-        o = Octonion.zero()
-        return JordanElement(one, one, one, o, o, o)
-
-    @staticmethod
-    def diag(p, m, n) -> "JordanElement":
-        o = Octonion.zero()
-        return JordanElement(p, m, n, o, o, o)
-
-    def __add__(self, other: "JordanElement") -> "JordanElement":
-        return JordanElement(self.p + other.p, self.m + other.m, self.n + other.n,
-                             self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __sub__(self, other: "JordanElement") -> "JordanElement":
-        return JordanElement(self.p - other.p, self.m - other.m, self.n - other.n,
-                             self.a - other.a, self.b - other.b, self.c - other.c)
-
-    def scale(self, s) -> "JordanElement":
-        return JordanElement(s * self.p, s * self.m, s * self.n,
-                             self.a.scale(s), self.b.scale(s), self.c.scale(s))
-
-
-def to_matrix(x: JordanElement) -> list[list[Octonion]]:
-    """Full 3x3 octonionic matrix (private plumbing for products)."""
-    sp = Octonion.scalar
-    return [
-        [sp(x.p), x.a.conj(), x.c],
-        [x.a, sp(x.m), x.b.conj()],
-        [x.c.conj(), x.b, sp(x.n)],
-    ]
-
-
-def matmul(xm: list[list[Octonion]], ym: list[list[Octonion]]) -> list[list[Octonion]]:
-    """3x3 octonionic matrix product; int, Fraction and float entries keep their type."""
-    y_nonzero = [[not y.is_zero() for y in row] for row in ym]
-    out = []
-    for xrow in xm:
-        terms = [(k, x) for k, x in enumerate(xrow) if not x.is_zero()]
-        row = []
-        for j in range(3):
-            acc = Octonion.zero()
-            for k, x in terms:
-                if y_nonzero[k][j]:
-                    acc = acc + x * ym[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def from_matrix(mat: list[list[Octonion]]) -> JordanElement:
-    """Read off a hermitian matrix; the caller guarantees hermiticity."""
-    return JordanElement(
-        mat[0][0].real_part(), mat[1][1].real_part(), mat[2][2].real_part(),
-        mat[1][0], mat[2][1], mat[0][2])
-
-
-def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
-    xm, ym = to_matrix(x), to_matrix(y)
-    xy, yx = matmul(xm, ym), matmul(ym, xm)
-    half = Fraction(1, 2)
-    sym = [[(xy[i][j] + yx[i][j]).scale(half) for j in range(3)] for i in range(3)]
-    return from_matrix(sym)
-
-
-def trace(x: JordanElement):
-    return x.p + x.m + x.n
-
-
-def sigma(x: JordanElement):
-    """sigma(A) = ((tr A)^2 - tr(A∘A)) / 2."""
-    t = trace(x)
-    return (t * t - trace(jordan_product(x, x))) / 2
+    def __init__(self, coords: tuple):
+        self.coords = coords
 
 
 def _conj_product_terms() -> tuple:
@@ -175,26 +99,17 @@ def det(x: JordanElement):
     product where the two-product form negates a factor, and the two differ
     when the other factor is a nan.
     """
-    a, b = x.a.coeffs, x.b.coeffs
+    v = x.coords
+    p, m, n, a, b, c = v[0], v[1], v[2], v[_A], v[_B], v[_C]
     re = None
-    for cu, terms in zip(x.c.coeffs, _CONJ_PRODUCT):
+    for cu, terms in zip(c, _CONJ_PRODUCT):
         if cu:
             wu = _conj_product_unit(a, b, terms)
             if wu:
                 re = wu * cu if re is None else re + wu * cu
     if re is None:
         re = _conj_product_unit(a, b, _CONJ_PRODUCT[0]) * 0
-    return (x.p * x.m * x.n
-            - (x.p * x.b.norm2() + x.m * x.c.norm2() + x.n * x.a.norm2())
-            + 2 * re)
-
-
-def det_trace_form(x: JordanElement):
-    """det via the characteristic-equation form (Jordan powers)."""
-    x2 = jordan_product(x, x)
-    x3 = jordan_product(x2, x)
-    t1, t2, t3 = trace(x), trace(x2), trace(x3)
-    return (t3 - Fraction(3, 2) * t2 * t1 + Fraction(1, 2) * t1 * t1 * t1) / 3
+    return p * m * n - (p * norm2(b) + m * norm2(c) + n * norm2(a)) + 2 * re
 
 
 class Vector2(_Value):
@@ -233,23 +148,16 @@ def spinor_square(theta: Spinor) -> Vector2:
 
 def vector_block(x: JordanElement) -> Vector2:
     """Upper-left 2x2 block of chi viewed as a vector."""
-    return Vector2(x.p, x.m, x.a)
+    v = x.coords
+    return Vector2(v[0], v[1], Octonion(v[_A]))
 
 
 def to_coords(x: JordanElement) -> list:
-    return [x.p, x.m, x.n, *x.a.coeffs, *x.b.coeffs, *x.c.coeffs]
+    return list(x.coords)
 
 
 def from_coords(v) -> JordanElement:
-    v = list(v)
-    if len(v) != 27:
+    coords = tuple(v)
+    if len(coords) != 27:
         raise ValueError("Coord27 needs 27 entries")
-    return JordanElement(v[0], v[1], v[2],
-                         Octonion(v[3:11]), Octonion(v[11:19]), Octonion(v[19:27]))
-
-
-def basis_element(k: int) -> JordanElement:
-    """The k-th coordinate unit, with integer coordinates."""
-    coords = [0] * 27
-    coords[k] = 1
-    return from_coords(coords)
+    return JordanElement(coords)

@@ -145,12 +145,7 @@ class Octonion:
         return self.coeffs[0]
 
     def norm2(self):
-        # Left to right, not sum(): from Python 3.12 on, sum() compensates
-        # float rounding, which would make float norms depend on the version.
-        total = 0
-        for c in self.coeffs:
-            total = total + c * c
-        return total
+        return norm2(self.coeffs)
 
     def inverse(self) -> "Octonion":
         n = self.norm2()
@@ -174,6 +169,17 @@ class Octonion:
                 label = "" if name == "1" else DISPLAY.get(name, name)
                 terms.append(f"{c}{('*' + label) if label else ''}")
         return "Octonion(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+def norm2(coeffs):
+    """The sum of the squares of coeffs, left to right from the int 0.
+
+    Not sum(): from Python 3.12 on it compensates float rounding, so float
+    norms would depend on the version."""
+    total = 0
+    for c in coeffs:
+        total = total + c * c
+    return total
 
 
 _ZERO = Octonion(_ZERO8)  # values are immutable, so one zero serves everywhere

@@ -1,0 +1,145 @@
+"""The tests' reference: Jordan elements as 3x3 matrices of `Octonion` entries.
+
+e6kit acts on the 27 coordinates of chi through index tables (the stage
+kernel of e6kit.group, the sign table of jordan.det).  The functions here
+compute the same things the textbook way, with `Octonion` arithmetic and
+3x3 matrix products, so that the tests check the tables against a
+computation that shares none of them.
+"""
+
+from fractions import Fraction
+
+from e6kit.group import _float_term, build_sequence
+from e6kit.jordan import JordanElement, from_coords
+from e6kit.octonion import Octonion
+
+
+def off_diagonal(x: JordanElement) -> tuple:
+    """The off-diagonal octonions (a, b, c) of chi."""
+    v = x.coords
+    return Octonion(v[3:11]), Octonion(v[11:19]), Octonion(v[19:27])
+
+
+def to_matrix(x: JordanElement) -> list[list[Octonion]]:
+    """The full 3x3 octonionic matrix of chi."""
+    p, m, n = x.coords[:3]
+    a, b, c = off_diagonal(x)
+    sp = Octonion.scalar
+    return [
+        [sp(p), a.conj(), c],
+        [a, sp(m), b.conj()],
+        [c.conj(), b, sp(n)],
+    ]
+
+
+def matmul(xm: list[list[Octonion]], ym: list[list[Octonion]]) -> list[list[Octonion]]:
+    """3x3 octonionic matrix product; int, Fraction and float entries keep their type."""
+    y_nonzero = [[not y.is_zero() for y in row] for row in ym]
+    out = []
+    for xrow in xm:
+        terms = [(k, x) for k, x in enumerate(xrow) if not x.is_zero()]
+        row = []
+        for j in range(3):
+            acc = Octonion.zero()
+            for k, x in terms:
+                if y_nonzero[k][j]:
+                    acc = acc + x * ym[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def from_matrix(mat: list[list[Octonion]]) -> JordanElement:
+    """Read off a hermitian matrix; the caller guarantees hermiticity."""
+    return from_coords([mat[0][0].real_part(), mat[1][1].real_part(), mat[2][2].real_part(),
+                        *mat[1][0].coeffs, *mat[2][1].coeffs, *mat[0][2].coeffs])
+
+
+def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
+    xm, ym = to_matrix(x), to_matrix(y)
+    xy, yx = matmul(xm, ym), matmul(ym, xm)
+    half = Fraction(1, 2)
+    sym = [[(xy[i][j] + yx[i][j]).scale(half) for j in range(3)] for i in range(3)]
+    return from_matrix(sym)
+
+
+def trace(x: JordanElement):
+    p, m, n = x.coords[:3]
+    return p + m + n
+
+
+def sigma(x: JordanElement):
+    """sigma(A) = ((tr A)^2 - tr(A∘A)) / 2."""
+    t = trace(x)
+    return (t * t - trace(jordan_product(x, x))) / 2
+
+
+def det_trace_form(x: JordanElement):
+    """det via the characteristic-equation form (Jordan powers)."""
+    x2 = jordan_product(x, x)
+    x3 = jordan_product(x2, x)
+    t1, t2, t3 = trace(x), trace(x2), trace(x3)
+    return (t3 - Fraction(3, 2) * t2 * t1 + Fraction(1, 2) * t1 * t1 * t1) / 3
+
+
+def two_product_det(x: JordanElement):
+    """det with 2 Re(conj(a) conj(b) conj(c)) through two full octonion products."""
+    p, m, n = x.coords[:3]
+    a, b, c = off_diagonal(x)
+    abc = (a.conj() * b.conj()) * c.conj()
+    return (p * m * n
+            - (p * b.norm2() + m * c.norm2() + n * a.norm2())
+            + 2 * abc.real_part())
+
+
+def basis_element(k: int) -> JordanElement:
+    """The k-th coordinate unit, with integer coordinates."""
+    coords = [0] * 27
+    coords[k] = 1
+    return from_coords(coords)
+
+
+def dagger(mat):
+    return [[mat[j][i].conj() for j in range(3)] for i in range(3)]
+
+
+def matadd(xm, ym):
+    return [[x + y for x, y in zip(xr, yr)] for xr, yr in zip(xm, ym)]
+
+
+def apply(label, alpha, chi: JordanElement) -> JordanElement:
+    """group.apply as 3x3 products of float `Octonion` entries: X -> (M X) M† per stage."""
+    alpha = float(alpha)
+    mat = to_matrix(from_coords([float(v) for v in chi.coords]))
+    for stage in build_sequence(label):
+        m = []
+        for row in stage.entries:
+            mrow = []
+            for terms in row:
+                coeffs = [0.0] * 8
+                for kind, k, unit, coeff in terms:
+                    coeffs[unit] = coeffs[unit] + _float_term(kind, k, coeff, alpha)
+                mrow.append(Octonion(coeffs))
+            m.append(mrow)
+        mat = matmul(matmul(m, mat), dagger(m))
+    return from_matrix(mat)
+
+
+def _slot_matrix(slots):
+    """72 stage slots as a 3x3 Octonion matrix: unit u of entry (i, j) at 8 * (3i + j) + u."""
+    return [[Octonion(slots[8 * (3 * i + j):8 * (3 * i + j) + 8]) for j in range(3)]
+            for i in range(3)]
+
+
+def apply_dual(label, chi: JordanElement) -> tuple[JordanElement, JordanElement]:
+    """group.apply_dual as the Octonion/matmul computation, by the product rule per stage."""
+    x = to_matrix(chi)
+    d = [[Octonion.zero()] * 3 for _ in range(3)]
+    for stage in build_sequence(label):
+        m, dm = map(_slot_matrix, stage.at_zero())
+        mh = dagger(m)
+        mx = matmul(m, x)
+        d = matadd(matmul(matadd(matmul(dm, x), matmul(m, d)), mh),
+                   matmul(mx, dagger(dm)))
+        x = matmul(mx, mh)
+    return from_matrix(x), from_matrix(d)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 import zlib
 from fractions import Fraction
 
@@ -107,10 +108,10 @@ def test_verify_jacobi_reports_the_failing_triple(monkeypatch, capsys):
 
 def test_verify_det_reports_drift(monkeypatch, capsys):
     """An action that scales chi by 1.001 fails the det suite at the first label."""
-    from e6kit import cli, group
+    from e6kit import cli, group, jordan
     original = group.apply
-    monkeypatch.setattr(group, "apply",
-                        lambda label, alpha, chi: original(label, alpha, chi).scale(1.001))
+    monkeypatch.setattr(group, "apply", lambda label, alpha, chi: jordan.from_coords(
+        [1.001 * v for v in original(label, alpha, chi).coords]))
     assert cli.run(["verify", "--suite", "det"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAILED: det drift ") and out.endswith(" for B:t,z at alpha=0.3\n")
@@ -378,6 +379,25 @@ def test_apply_rejects_non_finite_chi(bad):
     assert proc.stderr.splitlines() == ["apply: bad chi JSON: coordinates must be finite"]
 
 
+_CHI_TAIL = [2, 3] + [0.5] * 24
+
+
+@pytest.mark.parametrize("payload", [
+    "1" * 27,                                  # a string of 27 digits is not 27 numbers
+    {"coords": "1" * 27},
+    [True] + _CHI_TAIL,                        # JSON true is not the number 1
+    {"coords": [False] + _CHI_TAIL},
+    ["1e5"] + _CHI_TAIL,                       # nor is a numeric string
+    {"coords": {str(k): 1 for k in range(27)}},  # nor are the keys of an object
+])
+def test_apply_accepts_only_27_json_numbers(payload):
+    proc = run_cli("apply", "--label", "A:i", "--alpha", "0.1", "--chi", "-",
+                   stdin=json.dumps(payload))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("apply: bad chi JSON: ")
+
+
 def _cache_copy(tmp_path, damage):
     """A copy of the filled shared cache, damaged by `damage(data)`."""
     assert run_cli("killing").returncode == 0  # fills the shared cache if needed
@@ -471,6 +491,50 @@ def test_subalg_requires_exactly_one_mode():
     assert run_cli("subalg").returncode == 2
     assert run_cli("subalg", "--auto", "t",
                    "--assemble", "R1H").returncode == 2
+
+
+@pytest.mark.parametrize("part", ["fixed", "compact"])
+def test_subalg_part_with_assemble_is_bad_input(part):
+    proc = run_cli("subalg", "--assemble", "R1H", "--part", part)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "subalg: --part applies only to --auto\n"
+
+
+def test_no_runtime_path_builds_an_octonion():
+    """In a fresh interpreter with no disk cache, the benchmark's six verbs and
+    the float requests (apply, det, action_matrix on every label) build no
+    Octonion: they work on the 27 coordinates through index tables."""
+    code = textwrap.dedent("""
+        import contextlib, io, json, random
+        from e6kit import octonion
+        step = "import"
+        built = {step: 0}
+        init = octonion.Octonion.__init__
+        def counted(self, coeffs):
+            built[step] += 1
+            init(self, coeffs)
+        octonion.Octonion.__init__ = counted
+        from e6kit import cli, group, jordan
+        for argv in (["killing"], ["table"], ["verify", "--suite", "all"], ["stab-l"],
+                     ["gellmann"], ["subalg", "--auto", "23,hperp"]):
+            step = " ".join(argv)
+            built[step] = 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(argv) == 0, argv
+        step = "float"
+        built[step] = 0
+        rng = random.Random(0)
+        chi = jordan.from_coords([rng.randint(-4, 4) / 2 for _ in range(27)])
+        for label in group.all_labels():
+            jordan.det(group.apply(label, 0.7, chi))
+            group.action_matrix(label, -0.3)
+        print(json.dumps(built, sort_keys=True))
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "E6KIT_CACHE"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    built = json.loads(proc.stdout)
+    assert len(built) == 8 and set(built.values()) == {0}, built
 
 
 def test_bad_label_exit_2():

@@ -142,7 +142,8 @@ def test_generated_argv_keeps_the_cli_contract(argv, payload):
 
 
 _entry = st.one_of(st.integers(-5, 5), st.floats(-5, 5), st.floats(),
-                   st.integers(-10**400, 10**400), st.none(), st.text(max_size=2))
+                   st.integers(-10**400, 10**400), st.none(), st.text(max_size=2),
+                   st.booleans(), st.sampled_from(["1", "1e5", "-0.5"]))
 
 
 @given(st.sampled_from(["A:i", "G:l:2", "B:t,x:3", "R:z,kl"]),
@@ -152,13 +153,19 @@ _entry = st.one_of(st.integers(-5, 5), st.floats(-5, 5), st.floats(),
        st.booleans())
 @example("A:i", "0.1", "-", [10**400] + [1] * 26, True)           # float() overflows
 @example("A:i", "0.1", _CHI, [[[[[[0]]]]]] * 27, False)
+@example("A:i", "0.1", "-", [True] * 27, True)                    # bools are not numbers
+@example("A:i", "0.1", "-", ["1"] * 27, False)
 @settings(max_examples=100, deadline=None)
 def test_generated_chi_payloads_keep_the_cli_contract(label, alpha, chi, coords, wrapped):
-    """A well-formed apply with any coordinate list: numbers, huge ints, nulls, text."""
+    """A well-formed apply with any coordinate list: numbers, huge ints, nulls, text, bools.
+
+    It succeeds only on 27 JSON numbers: ints and floats, not bools.
+    """
     payload = json.dumps({"coords": coords} if wrapped else coords)
     rc = _run(["apply", "--label", label, "--alpha", alpha, "--chi", chi], payload)
     if rc == 0:
         assert len(coords) == 27
+        assert all(type(x) in (int, float) for x in coords), coords
 
 
 def test_deeply_nested_chi_is_bad_input():

@@ -14,13 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from e6kit import group
-from e6kit.group import (GeneratorLabel, IllegalLabel, _float_term,
-                         action_matrix, all_labels, apply, build_sequence,
-                         format_label, one_parameter_check, parse_label,
-                         type_cycle, validate_label)
-from e6kit.jordan import (JordanElement, basis_element, det, from_coords,
-                          from_matrix, matmul, to_coords, to_matrix)
-from e6kit.octonion import UNIT_INDEX, Octonion
+from e6kit.group import (GeneratorLabel, IllegalLabel, action_matrix, all_labels,
+                         apply, build_sequence, format_label, one_parameter_check,
+                         parse_label, type_cycle, validate_label)
+from e6kit.jordan import det, from_coords, to_coords
+from e6kit.octonion import UNIT_INDEX
+from reference import apply as reference_apply, basis_element
 
 
 def random_chi(rng):
@@ -226,7 +225,7 @@ def test_action_matrix_builds_source_tables_once_per_gather_table():
 ACTION_MATRIX_SHA256 = "c02aa48e9ce2157e8a8c4ebee8bbe47e475e85dab729128a6c7bbe5492a13545"
 # SHA-256 of det(apply(label, 0.7, chi)) over all_labels(), packed the same
 # way, for chi of 27 random.Random(0).randint(-4, 4) / 2 coordinates.  It is
-# the same on every Python version (Octonion.norm2 does not use sum()).
+# the same on every Python version (det sums norms left to right, not by sum()).
 DET_SHA256 = "3f3f16f0615257c184b379b0ed10f27ac02fe9feb6398e8f8cd941feaeaace63"
 
 
@@ -292,29 +291,6 @@ def test_apply_golden_bits_on_nonfinite_input():
     assert h.hexdigest() == APPLY_NONFINITE_SHA256
 
 
-def _reference_apply(label, alpha, chi):
-    """apply as the Octonion/matmul computation: X -> (M X) M† per stage."""
-    alpha = float(alpha)
-    x = JordanElement(float(chi.p), float(chi.m), float(chi.n),
-                      Octonion([float(c) for c in chi.a.coeffs]),
-                      Octonion([float(c) for c in chi.b.coeffs]),
-                      Octonion([float(c) for c in chi.c.coeffs]))
-    mat = to_matrix(x)
-    for stage in build_sequence(label):
-        m = []
-        for row in stage.entries:
-            mrow = []
-            for terms in row:
-                coeffs = [0.0] * 8
-                for kind, k, unit, coeff in terms:
-                    coeffs[unit] = coeffs[unit] + _float_term(kind, k, coeff, alpha)
-                mrow.append(Octonion(coeffs))
-            m.append(mrow)
-        dagger = [[m[j][i].conj() for j in range(3)] for i in range(3)]
-        mat = matmul(matmul(m, mat), dagger)
-    return from_matrix(mat)
-
-
 def _bits(chi):
     return [struct.pack("<d", float(v)) for v in to_coords(chi)]
 
@@ -340,4 +316,4 @@ _LABELS_BY_STAGES = {n: [lab for lab in all_labels() if len(build_sequence(lab))
 @settings(max_examples=300, deadline=None)
 def test_apply_matches_reference_bits(label, alpha, coords):
     chi = from_coords(coords)
-    assert _bits(apply(label, alpha, chi)) == _bits(_reference_apply(label, alpha, chi))
+    assert _bits(apply(label, alpha, chi)) == _bits(reference_apply(label, alpha, chi))
