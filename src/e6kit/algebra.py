@@ -16,8 +16,9 @@ imaginary units up to sign act as signed permutations: one basis pair per
 orbit is computed (166 of 3003) through an integer dual basis and verified
 in integers, and the rest are derived from it exactly.  Seven exact 3x3
 changes of basis carry the constants to the preferred basis, where they
-lie in 1/6 Z.  After the build, the Killing form, the ranks and Stab(l)
-all bracket one integer table, L c with L = 6 (StructureTable.scaled).
+lie in 1/6 Z.  After the build, the ranks, the Jacobi suite and Stab(l)
+bracket one integer table, L c with L = 6 (StructureTable.scaled); the
+Killing form is the trace form of the doubled tangents (killing_matrix).
 """
 
 from __future__ import annotations
@@ -530,8 +531,9 @@ class StructureTable:
     def scaled(self) -> tuple[int, "StructureTable"]:
         """(L, the table of the integers L c_ij^k), where L is the lcm of the constants' denominators.
 
-        Computed once per table.  Everything after the build brackets this
-        table: a uniform scale changes no kernel, span or zero test.
+        Computed once per table.  The ranks, the Jacobi suite and Stab(l)
+        bracket this table: a uniform scale changes no kernel, span or zero
+        test.
         """
         if self._scaled is None:
             scale = math.lcm(*(v.denominator for row in self.constants.values()
@@ -757,41 +759,38 @@ def _store_cache(path: str, constants: dict) -> None:
 # ---------------------------------------------------------------------------
 # Killing form, signature
 
-_KILLING: Optional[list[list[Fraction]]] = None
+@functools.cache
+def _preferred_doubled() -> list[dict]:
+    """2T of the 78 preferred-basis labels; killing_matrix and stabilizer_of_l read it."""
+    return [doubled_tangent(label) for label in preferred_basis()]
 
 
-def killing_matrix() -> list[list[Fraction]]:
-    """B_ij = tr(ad_i ad_j) on the preferred basis, summed in integers.
+@functools.cache
+def killing_matrix() -> list[list[int]]:
+    """B_ij = tr(ad_i ad_j) on the preferred basis: the trace form tr(2T_i 2T_j).
 
-    ad_i maps b_a to sum_k c_{ia}^k b_k; call c_{ia}^k its entry (a -> k).
-    Then B_ij = sum over entries (a -> k) of ad_i of
-    (Lc)_{i, a->k} (Lc)_{j, k->a} / L^2, where Lc are the integer constants
-    of StructureTable.scaled, so the sum is taken in integers.
+    E6 is simple, so on the 27 its Killing form is a fixed multiple of the
+    trace form, B(T_i, T_j) = 4 tr(T_i T_j), 4 being the ratio 24/6 of the
+    Dynkin indices of the adjoint and the 27 (Slansky, Phys. Rep. 79, 1981).
+    4 tr(T_i T_j) = tr(2T_i 2T_j) is a sum of products of integers, and each
+    entry of 2T_i at (row, col) pairs with the entry of 2T_j at (col, row).
     """
-    global _KILLING
-    if _KILLING is not None:
-        return _KILLING
-    scale, table = structure_table().scaled()
-    n = len(table.basis)
-    # (a, k) -> [(i, L c_{ia}^k)]; [b_i, b_j] = c b_k puts c at (j -> k) of
-    # ad_i and -c at (i -> k) of ad_j
+    # (row, col) -> [(i, 2T_i at (row, col))]
+    doubled = _preferred_doubled()
     entries: dict = {}
-    for (i, j), row in table.constants.items():
-        for k, x in row.items():
-            entries.setdefault((j, k), []).append((i, x))
-            entries.setdefault((i, k), []).append((j, -x))
-    total = [[0] * n for _ in range(n)]
-    for (a, k), col in entries.items():
-        back = entries.get((k, a))
+    for i, mat in enumerate(doubled):
+        for r, row in mat.items():
+            for c, v in row.items():
+                entries.setdefault((r, c), []).append((i, v))
+    total = [[0] * len(doubled) for _ in doubled]
+    for (r, c), col in entries.items():
+        back = entries.get((c, r))
         if back:
             for i, x in col:
                 row = total[i]
                 for j, y in back:
                     row[j] += x * y
-    # the 6084 entries take a few distinct values, and equal ones share one Fraction
-    shared = {v: Fraction(v, scale * scale) for v in {v for row in total for v in row}}
-    _KILLING = [[shared[v] for v in row] for row in total]
-    return _KILLING
+    return total
 
 
 def signature(bilinear: list[list[Fraction]]) -> tuple[int, int, int]:
@@ -839,14 +838,14 @@ def rank_estimate(subspace: list[dict]) -> int:
     L times the true one, which changes none of the kernels below.  For
     distinct unit vectors it is the table renumbered; any other list goes
     through _span_constants, which also raises ValueError if the vectors
-    are dependent.  For a
-    sparse element x of it the centralizer c = ker(ad x) is computed
-    exactly; if c is abelian and is its own normalizer, it is a Cartan
-    subalgebra and the rank is dim c.  x is first a fixed combination of the
-    subspace vectors that are Casimir-sextet basis elements, then seeded
-    combinations of four subspace vectors.  If no x certifies, the smallest
-    centralizer found is returned: an upper bound on min dim ker(ad x),
-    which is the rank when the subalgebra is reductive.
+    are dependent.  For a sparse element x of it the centralizer
+    c = ker(ad x) is computed exactly; if c is abelian and is its own
+    normalizer, it is a Cartan subalgebra and the rank is dim c.  x is
+    first a fixed combination of the subspace vectors that are
+    Casimir-sextet basis elements, then seeded combinations of four subspace
+    vectors.  If no x certifies, the smallest centralizer found is returned:
+    an upper bound on min dim ker(ad x), which is the rank when the
+    subalgebra is reductive.
     """
     table = structure_table().scaled()[1]
     d = len(subspace)
@@ -1011,13 +1010,14 @@ def stabilizer_of_l() -> dict:
     """Report on Stab(l): the elements whose tangent kills the a_l coordinate.
 
     The defining condition is linear: row a_l of the 27x27 tangent matrix
-    vanishes, and the kernel is taken on the rows of the doubled tangents.
-    Returns the kernel basis plus the verified decomposition facts; the
-    brackets are those of the integer table L c (StructureTable.scaled),
-    which no span or zero test can tell from c.
+    vanishes, and the kernel is taken on that row of the preferred 2T, the
+    list killing_matrix reads too (_preferred_doubled).  Returns the kernel
+    basis plus the verified decomposition facts; the brackets are those of
+    the integer table L c (StructureTable.scaled), which no span or zero
+    test can tell from c.
     """
     # the kernel of x -> sum_i x_i * (row a_l of 2T_i)
-    stab = kernel(doubled_tangent(label).get(A_L_COORD, {}) for label in preferred_basis())
+    stab = kernel(mat.get(A_L_COORD, {}) for mat in _preferred_doubled())
     table = structure_table().scaled()[1]
     named = stab_l_documented_basis()
     so81, b_all = named["so81"], named["b2"] + named["b3"] + named["bl"]

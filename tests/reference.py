@@ -4,7 +4,9 @@ e6kit acts on the 27 coordinates of chi through index tables (the stage
 kernel of e6kit.group, the sign table of jordan.det).  The functions here
 compute the same things the textbook way, with `Octonion` arithmetic and
 3x3 matrix products, so that the tests check the tables against a
-computation that shares none of them.
+computation that shares none of them.  The Killing form is here too as
+tr(ad ad) summed over the structure constants, the oracle of the trace form
+that e6kit.algebra.killing_matrix computes.
 """
 
 from fractions import Fraction
@@ -143,3 +145,31 @@ def apply_dual(label, chi: JordanElement) -> tuple[JordanElement, JordanElement]
                    matmul(mx, dagger(dm)))
         x = matmul(mx, mh)
     return from_matrix(x), from_matrix(d)
+
+
+def killing_from_table(table) -> list[list[Fraction]]:
+    """B_ij = tr(ad_i ad_j) on the table's basis, summed in integers.
+
+    ad_i maps b_a to sum_k c_{ia}^k b_k; call c_{ia}^k its entry (a -> k).
+    Then B_ij = sum over entries (a -> k) of ad_i of
+    (Lc)_{i, a->k} (Lc)_{j, k->a} / L^2, where Lc are the integer constants
+    of StructureTable.scaled, so the sum is taken in integers.
+    """
+    scale, scaled = table.scaled()
+    n = len(scaled.basis)
+    # (a, k) -> [(i, L c_{ia}^k)]; [b_i, b_j] = c b_k puts c at (j -> k) of
+    # ad_i and -c at (i -> k) of ad_j
+    entries: dict = {}
+    for (i, j), row in scaled.constants.items():
+        for k, x in row.items():
+            entries.setdefault((j, k), []).append((i, x))
+            entries.setdefault((i, k), []).append((j, -x))
+    total = [[0] * n for _ in range(n)]
+    for (a, k), col in entries.items():
+        back = entries.get((k, a))
+        if back:
+            for i, x in col:
+                row = total[i]
+                for j, y in back:
+                    row[j] += x * y
+    return [[Fraction(v, scale * scale) for v in row] for row in total]

@@ -20,6 +20,7 @@ from e6kit.jordan import from_coords
 from e6kit.linalg import kernel
 from e6kit.octonion import IMAGINARY_UNITS
 from e6kit.rootweight import cartan_matrix, diagram
+from reference import killing_from_table
 
 
 def combo(parts):
@@ -148,7 +149,7 @@ def test_restricted_roots_are_a2_with_multiplicity_8():
     killing = killing_matrix()
     gram = [[killing[i][j] for j in h] for i in h]
     assert gram == [[24, -12], [-12, 24]]
-    det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    det = Fraction(gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0])    # exact inverse
     inverse = [[gram[1][1] / det, -gram[0][1] / det], [-gram[1][0] / det, gram[0][0] / det]]
 
     def dot(u, v):
@@ -248,31 +249,71 @@ def test_stabilizer_of_l_flags_a_corrupted_basis(monkeypatch, corrupt, flags):
     assert report["dim"] == 52 and report["b_dims"] == (6, 6, 4)
 
 
+def _fresh_run(code, extra_env=None):
+    """stdout of `code` run in a fresh interpreter, with no disk cache unless extra_env sets one."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(algebra.__file__)))
+    env.pop(algebra.CACHE_ENV, None)
+    env.update(extra_env or {})
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_stabilizer_of_l_builds_no_tangent():
     """In a fresh interpreter, Stab(l) reads the doubled tangents and the table only."""
     code = ("from e6kit import algebra\n"
             "assert algebra.stabilizer_of_l()['dim'] == 52\n"
             "print(len(algebra._TANGENTS))\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(algebra.__file__)))
-    env.pop(algebra.CACHE_ENV, None)
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "0\n"
+    assert _fresh_run(code) == "0\n"
 
 
-def test_structure_table_builds_each_core_tangent_once():
-    """In a fresh interpreter, the span and the table share one 2T per core-basis label."""
+def _doubled_tangent_calls(statement):
+    """(calls, distinct labels) of doubled_tangent while a fresh interpreter runs `statement`."""
     code = ("from e6kit import algebra\n"
             "calls = []\n"
             "doubled = algebra.doubled_tangent\n"
             "algebra.doubled_tangent = lambda label: calls.append(label) or doubled(label)\n"
-            "algebra.structure_table()\n"
+            f"{statement}\n"
             "print(len(calls), len(set(calls)))\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(algebra.__file__)))
-    env.pop(algebra.CACHE_ENV, None)
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "78 78\n"
+    return tuple(map(int, _fresh_run(code).split()))
+
+
+def test_structure_table_builds_each_core_tangent_once():
+    """In a fresh interpreter, the span and the table share one 2T per core-basis label."""
+    assert _doubled_tangent_calls("algebra.structure_table()") == (78, 78)
+
+
+def test_stabilizer_of_l_builds_each_preferred_tangent_once():
+    """Stab(l) needs the table (78 core-basis 2T) and one list of the 78 preferred 2T,
+    which its kernel and the Killing form of b2 share: 156 calls, not 234."""
+    assert _doubled_tangent_calls("algebra.stabilizer_of_l()") == (156, 99)
+
+
+def test_killing_matches_the_table_oracle():
+    """The trace form tr(2T_i 2T_j) is tr(ad_i ad_j) summed over the structure constants."""
+    killing = killing_matrix()
+    assert killing == killing_from_table(structure_table())
+    assert all(isinstance(v, int) for row in killing for v in row)
+    assert sum(1 for row in killing for v in row if v) == 80
+
+
+def test_killing_verb_builds_no_span_no_table_and_no_cache(tmp_path):
+    """In a fresh interpreter, `killing` and `killing --out` differentiate the 7 orbit
+    cores and read neither the span, the structure table nor the disk cache."""
+    cache = tmp_path / "cache.json"
+    code = ("import contextlib, io\n"
+            "from e6kit import algebra, cli\n"
+            "calls = []\n"
+            "dual = algebra.apply_dual\n"
+            "algebra.apply_dual = lambda label, chi: calls.append(label) or dual(label, chi)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['killing']) == 0\n"
+            f"    assert cli.run(['killing', '--out', {str(tmp_path / 'killing.json')!r}]) == 0\n"
+            "print(len(calls), algebra._TABLE is None,"
+            " algebra._basis_span.cache_info().currsize)\n")
+    assert _fresh_run(code, {algebra.CACHE_ENV: str(cache)}) == "7 True 0\n"
+    assert not cache.exists()
+    assert (tmp_path / "killing.json").exists()
 
 
 def test_scaled_table_is_computed_once():

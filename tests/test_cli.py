@@ -400,7 +400,7 @@ def test_apply_accepts_only_27_json_numbers(payload):
 
 def _cache_copy(tmp_path, damage):
     """A copy of the filled shared cache, damaged by `damage(data)`."""
-    assert run_cli("killing").returncode == 0  # fills the shared cache if needed
+    assert run_cli("table").returncode == 0  # fills the shared cache if needed
     with open(_CACHE_FILE, encoding="utf-8") as fh:
         data = json.load(fh)
     damage(data)
@@ -409,16 +409,17 @@ def _cache_copy(tmp_path, damage):
     return str(path)
 
 
-def _killing_with_cache(path):
+def _table_with_cache(path):
+    """`table` run with the cache at `path`; its stdout must be the golden table,
+    so a wrong constant loaded from a damaged file would show."""
     env = dict(os.environ, E6KIT_CACHE=path)
-    return subprocess.run(CLI + ["killing"], capture_output=True, text=True, env=env)
+    proc = subprocess.run(CLI + ["table"], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256["table"]
 
 
 def test_cache_with_empty_constants_is_ignored(tmp_path):
-    path = _cache_copy(tmp_path, lambda data: data.update(constants=[]))
-    proc = _killing_with_cache(path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "(52,26)"
+    _table_with_cache(_cache_copy(tmp_path, lambda data: data.update(constants=[])))
 
 
 def test_cache_with_one_bad_entry_is_ignored_whole(tmp_path):
@@ -426,9 +427,7 @@ def test_cache_with_one_bad_entry_is_ignored_whole(tmp_path):
         first, last = data["constants"][0], data["constants"][-1]
         first[3] = str(Fraction(first[3]) + 1)  # parses, but is wrong
         last[3] = "not a number"                # makes the load give up
-    proc = _killing_with_cache(_cache_copy(tmp_path, damage))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "(52,26)"
+    _table_with_cache(_cache_copy(tmp_path, damage))
 
 
 @pytest.mark.parametrize("entry", [[0, 1, 2, "1/0"], [0, 1, 78, "1"], [1, 1, 2, "1"]])
@@ -437,9 +436,7 @@ def test_cache_with_a_bad_constant_and_a_good_crc_is_ignored(tmp_path, entry):
         data["constants"][0] = entry
         body = {"constants": data["constants"]}
         data["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
-    proc = _killing_with_cache(_cache_copy(tmp_path, damage))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "(52,26)"
+    _table_with_cache(_cache_copy(tmp_path, damage))
 
 
 @pytest.mark.parametrize("keep", [
@@ -454,9 +451,7 @@ def test_incomplete_cache_with_a_good_crc_is_rebuilt(tmp_path, keep):
         body = {"constants": data["constants"]}
         data["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
     path = _cache_copy(tmp_path, damage)
-    proc = _killing_with_cache(path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "(52,26)"
+    _table_with_cache(path)
     with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
         assert json.load(gh) == json.load(fh)
 
@@ -471,9 +466,7 @@ def test_cache_holds_only_the_constants():
 
 def test_stale_cache_is_rewritten(tmp_path):
     path = _cache_copy(tmp_path, lambda data: data.update(version="e6kit-structure-3"))
-    proc = _killing_with_cache(path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "(52,26)"
+    _table_with_cache(path)
     with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
         assert json.load(gh) == json.load(fh)
 
