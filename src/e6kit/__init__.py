@@ -4,17 +4,19 @@ The package builds the 78-dimensional Lie algebra sl(3,O) from one-parameter
 group actions on the exceptional Jordan algebra h3(O), exposes its structure
 constants, Killing form, and distinguished subalgebras, and provides root- and
 weight-diagram utilities for the classical and exceptional series.
+
+Every name below, and every submodule, is imported on first use (PEP 562),
+so `import e6kit` compiles no submodule and each CLI verb compiles only the
+modules it runs.
 """
 
 import importlib
 
-from .octonion import Octonion, UNITS, TRIPLES
-from .jordan import JordanElement, from_coords, to_coords, det, lorentz_dot
-from .group import GeneratorLabel, parse_label, format_label, all_labels, apply
-
-# The algebra, subalgebra and rootweight names are imported on first use
-# (PEP 562), so that `import e6kit.group` does not compile those modules.
+# module -> the names the package re-exports from it
 _LAZY = {
+    "octonion": ("Octonion", "UNITS", "TRIPLES"),
+    "jordan": ("JordanElement", "from_coords", "to_coords", "det", "lorentz_dot"),
+    "group": ("GeneratorLabel", "parse_label", "format_label", "all_labels", "apply"),
     "algebra": ("AlgebraElement", "tangent", "commutator", "preferred_basis",
                 "reduce_basis", "structure_table", "killing_matrix",
                 "signature", "casimir_labels", "gellmann_check",
@@ -42,18 +44,4 @@ def __getattr__(name: str):
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Octonion", "UNITS", "TRIPLES",
-    "JordanElement", "from_coords", "to_coords", "det", "lorentz_dot",
-    "GeneratorLabel", "parse_label", "format_label", "all_labels", "apply",
-    "AlgebraElement", "tangent", "commutator", "preferred_basis",
-    "reduce_basis", "structure_table", "killing_matrix",
-    "signature", "casimir_labels", "gellmann_check", "stabilizer_of_l",
-    "calibration_constant", "curve_commutator",
-    "make_involution", "fixed_subalgebra", "compact_preimage",
-    "refine_subspaces", "assemble", "identify",
-    "diagram", "cartan_matrix", "inverse_cartan", "simple_roots",
-    "fundamental_weights", "weights_from_highest", "root_system",
-    "slice_diagram", "middle_slice", "project", "embed_check",
-    "__version__",
-]
+__all__ = [*_LAZY_NAMES, "__version__"]

@@ -474,12 +474,22 @@ def _scaled_preferred(coeffs: dict) -> dict:
 
 
 @functools.cache
+def _core_doubled() -> list[dict]:
+    """2T of the 78 core-basis labels, built once per process.
+
+    The span and the preferred list (_preferred_doubled) share these dicts;
+    no caller mutates them.
+    """
+    return [doubled_tangent(core) for core in _core_basis()]
+
+
+@functools.cache
 def _basis_span() -> tuple[SpanBasis, list[AlgebraElement], list[dict]]:
     """(span, 2T, 2T flat) of the 78 core-basis tangents, the span tagged by core-basis index.
 
     Built once per process; reduce_basis and structure_table read it.
     """
-    doubled = [AlgebraElement(doubled_tangent(core)) for core in _core_basis()]
+    doubled = [AlgebraElement(mat) for mat in _core_doubled()]
     flat = [el.flat() for el in doubled]
     sb = span_of(flat)
     if sb.rank != 78:
@@ -639,26 +649,41 @@ def _preferred_constants(brackets: dict) -> dict:
 
     [b_a, b_b] = sum P[a][c] P[b][e] [core_c, core_e], and each core_g is
     sum_f W[g][f] b_f / d (_change_of_basis), so 2d c_ab^f is a sum of ints;
-    each nonzero one is divided once.  Keys and rows come out sorted.
+    each nonzero one is divided once.  Each nonzero core row is scattered
+    into the pairs (a, b) it feeds, [b_b, b_a] = -[b_a, b_b] and
+    [b_a, b_a] = 0.  Keys and rows come out sorted.
     """
-    expand, _, d = _change_of_basis()
-    moved = {pair: _scaled_preferred(row) for pair, row in brackets.items() if row}
+    expand, back, d = _change_of_basis()
+    users: list[list] = [[] for _ in expand]    # core c -> [(a, P[a][c])]
+    for a, parts in enumerate(expand):
+        for c, x in parts.items():
+            users[c].append((a, x))
+    acc: dict = {}    # (a, b) -> {f: 2d c_ab^f}
+    for (c, e), row in brackets.items():
+        if not row:
+            continue
+        moved: dict = {}    # 2d [core_c, core_e] on the preferred basis, unsorted
+        for g, v in row.items():
+            for f, w in back[g].items():
+                moved[f] = moved.get(f, 0) + v * w
+        for a, x in users[c]:
+            for b, y in users[e]:
+                if a == b:
+                    continue
+                key, s = ((a, b), x * y) if a < b else ((b, a), -x * y)
+                dst = acc.setdefault(key, {})
+                for f, v in moved.items():
+                    dst[f] = dst.get(f, 0) + s * v
     constants, fractions = {}, {}
-    for a in range(78):
-        for b in range(a + 1, 78):
-            acc: dict = {}
-            for c, x in expand[a].items():
-                for e, y in expand[b].items():
-                    row, s = (moved.get((c, e)), x * y) if c < e else (moved.get((e, c)), -x * y)
-                    for f, v in (row or {}).items():
-                        acc[f] = acc.get(f, 0) + s * v
-            row = {}
-            for f in sorted(acc):
-                v = acc[f]
-                if v:    # equal constants share one Fraction
-                    row[f] = fractions.get(v) or fractions.setdefault(v, Fraction(v, 2 * d))
-            if row:
-                constants[(a, b)] = row
+    for key in sorted(acc):
+        sums = acc[key]
+        row = {}
+        for f in sorted(sums):
+            v = sums[f]
+            if v:    # equal constants share one Fraction
+                row[f] = fractions.get(v) or fractions.setdefault(v, Fraction(v, 2 * d))
+        if row:
+            constants[key] = row
     return constants
 
 
@@ -761,8 +786,14 @@ def _store_cache(path: str, constants: dict) -> None:
 
 @functools.cache
 def _preferred_doubled() -> list[dict]:
-    """2T of the 78 preferred-basis labels; killing_matrix and stabilizer_of_l read it."""
-    return [doubled_tangent(label) for label in preferred_basis()]
+    """2T of the 78 preferred-basis labels; killing_matrix and stabilizer_of_l read it.
+
+    A B or R label is the core-basis label of the same index and shares its
+    dict with _core_doubled.
+    """
+    core = _core_doubled()
+    return [core[n] if label.category in ("B", "R") else doubled_tangent(label)
+            for n, label in enumerate(preferred_basis())]
 
 
 @functools.cache

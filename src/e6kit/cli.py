@@ -22,20 +22,22 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import math
 import os
 import random
 import sys
-from fractions import Fraction
 
-from . import algebra, group, jordan, subalgebra
-from .octonion import IMAGINARY_UNITS
+# Each verb is a fresh process, which compiles every e6kit module it imports:
+# the commands import the modules they run (and json, csv and fractions, which
+# the parser does not need), so `--help` compiles only this one.
+
+# subalgebra.CELL_NAMES, for the --assemble help; a test keeps the two equal
+_CELL_NAMES = ("R1H", "B1H", "R23H", "B23H", "R1Hp", "B1Hp", "R23Hp", "B23Hp")
 
 
 def _dump_json(obj, out) -> None:
+    import json
     out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -77,14 +79,17 @@ def _output(path):
 
 def cmd_table(args) -> int:
     """Each constant c_ij^k as (i, j, k, "p/q"), in the table's sorted order."""
+    from . import algebra, group
     table = algebra.structure_table()
     rows = ((i, j, k, str(v)) for (i, j), row in table.constants.items() for k, v in row.items())
     with _output(args.out) as out:
         if args.format == "csv":
+            import csv
             writer = csv.writer(out)
             writer.writerow(["i", "j", "k", "v"])
             writer.writerows(rows)
         else:
+            import json
             # the text json.dumps(..., sort_keys=True) gives, one constant at a time
             labels = json.dumps([group.format_label(lab) for lab in table.basis],
                                 separators=(",", ":"))
@@ -97,8 +102,12 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _doubled_combo(parts) -> algebra.AlgebraElement:
-    """2 sum c T(label) in integers: the weights 2c times the doubled tangents 2T."""
+def _doubled_combo(parts):
+    """2 sum c T(label) as an AlgebraElement in integers: the weights 2c times
+    the doubled tangents 2T."""
+    from fractions import Fraction
+
+    from . import algebra, group
     terms = []
     for c, lab in parts:
         two = 2 * Fraction(c)
@@ -111,6 +120,9 @@ def _doubled_combo(parts) -> algebra.AlgebraElement:
 
 def _verify_dependencies(out, args) -> int:
     """The 15 vanishing sums, 14 type-2 expressions, and A/G independence, in integers."""
+    from fractions import Fraction
+
+    from .octonion import IMAGINARY_UNITS
     checks = []
     for q in IMAGINARY_UNITS:
         checks.append((f"S:{q} + S:{q}:2 + S:{q}:3 = 0",
@@ -148,6 +160,7 @@ def _verify_jacobi(out, args) -> int:
     The brackets use the integer constants L c_ij^k; each Jacobi sum is then
     L^2 times the exact one, and vanishes exactly when it does.
     """
+    from . import algebra, group
     _, table = algebra.structure_table().scaled()
     n = len(table.basis)
     rng = random.Random(args.seed)
@@ -169,6 +182,7 @@ def _verify_jacobi(out, args) -> int:
 
 def _verify_det(out, args) -> int:
     """det preservation for every label over seeded rational chi samples."""
+    from . import group, jordan
     rng = random.Random(args.seed)
     chis = []
     for _ in range(3):
@@ -207,6 +221,7 @@ def cmd_verify(args) -> int:
 # killing / stab-l / gellmann
 
 def cmd_killing(args) -> int:
+    from . import algebra
     km = algebra.killing_matrix()
     neg, pos, zero = algebra.signature(km)
     with _output(args.out) as out:
@@ -221,6 +236,7 @@ def cmd_killing(args) -> int:
 
 
 def cmd_stab_l(args) -> int:
+    from . import algebra
     data = {k: v for k, v in algebra.stabilizer_of_l().items() if k != "kernel"}
     with _output(args.out) as out:
         _dump_json(data, out)
@@ -233,6 +249,7 @@ def cmd_stab_l(args) -> int:
 
 
 def cmd_gellmann(args) -> int:
+    from . import algebra
     try:
         result = algebra.gellmann_check()
     except (algebra.MismatchAt, algebra.NotClosed, ValueError) as exc:
@@ -251,6 +268,7 @@ _AUTO_TOKENS = {"t": "t", "23": "two_three", "two_three": "two_three",
 
 
 def cmd_subalg(args) -> int:
+    from . import subalgebra
     if bool(args.auto) == bool(args.assemble):
         raise InputError("exactly one of --auto or --assemble is required")
     if args.part and args.assemble:
@@ -321,6 +339,7 @@ def cmd_roots(args) -> int:
         vertices = roots
     with _output(args.out) as out:
         if args.format == "csv":
+            import csv
             writer = csv.writer(out)
             writer.writerow([f"x{i+1}" for i in range(len(vertices[0]))])
             for v in vertices:
@@ -334,6 +353,9 @@ def cmd_roots(args) -> int:
 # apply
 
 def cmd_apply(args) -> int:
+    import json
+
+    from . import group, jordan
     try:
         label = group.parse_label(args.label)
     except group.IllegalLabel as exc:
@@ -404,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto", default=None,
                    help="comma list of involutions: t, 23, hperp")
     p.add_argument("--assemble", default=None,
-                   help="comma list of cells: " + ",".join(subalgebra.CELL_NAMES))
+                   help="comma list of cells: " + ",".join(_CELL_NAMES))
     p.add_argument("--part", choices=("fixed", "compact"),
                    help="with --auto: the fixed part (default) or its compact preimage")
     p = verb("roots", "root/weight diagram data")

@@ -6,11 +6,13 @@ compute the same things the textbook way, with `Octonion` arithmetic and
 3x3 matrix products, so that the tests check the tables against a
 computation that shares none of them.  The Killing form is here too as
 tr(ad ad) summed over the structure constants, the oracle of the trace form
-that e6kit.algebra.killing_matrix computes.
+that e6kit.algebra.killing_matrix computes, and the preferred-basis
+constants pair by pair, the oracle of e6kit.algebra._preferred_constants.
 """
 
 from fractions import Fraction
 
+from e6kit import algebra
 from e6kit.group import _float_term, build_sequence
 from e6kit.jordan import JordanElement, from_coords
 from e6kit.octonion import Octonion
@@ -173,3 +175,31 @@ def killing_from_table(table) -> list[list[Fraction]]:
                 for j, y in back:
                     row[j] += x * y
     return [[Fraction(v, scale * scale) for v in row] for row in total]
+
+
+def preferred_constants(brackets: dict) -> dict:
+    """The preferred-basis constants from the core ones {(c, e): {g: 2k}}, one pair at a time.
+
+    For each preferred pair a < b, 2d c_ab^f = sum over c, e of
+    P[a][c] P[b][e] (2d [core_c, core_e])^f, with [core_e, core_c] =
+    -[core_c, core_e] (algebra._change_of_basis, algebra._scaled_preferred).
+    """
+    expand, _, d = algebra._change_of_basis()
+    moved = {pair: algebra._scaled_preferred(row) for pair, row in brackets.items() if row}
+    constants, fractions = {}, {}
+    for a in range(78):
+        for b in range(a + 1, 78):
+            acc: dict = {}
+            for c, x in expand[a].items():
+                for e, y in expand[b].items():
+                    row, s = (moved.get((c, e)), x * y) if c < e else (moved.get((e, c)), -x * y)
+                    for f, v in (row or {}).items():
+                        acc[f] = acc.get(f, 0) + s * v
+            row = {}
+            for f in sorted(acc):
+                v = acc[f]
+                if v:    # equal constants share one Fraction
+                    row[f] = fractions.get(v) or fractions.setdefault(v, Fraction(v, 2 * d))
+            if row:
+                constants[(a, b)] = row
+    return constants

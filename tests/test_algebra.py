@@ -284,9 +284,10 @@ def test_structure_table_builds_each_core_tangent_once():
 
 
 def test_stabilizer_of_l_builds_each_preferred_tangent_once():
-    """Stab(l) needs the table (78 core-basis 2T) and one list of the 78 preferred 2T,
-    which its kernel and the Killing form of b2 share: 156 calls, not 234."""
-    assert _doubled_tangent_calls("algebra.stabilizer_of_l()") == (156, 99)
+    """Stab(l) needs the table (78 core-basis 2T) and the 78 preferred 2T, which its
+    kernel and the Killing form of b2 share; the 57 B/R labels are on both lists and
+    are built once: 99 calls, not 156."""
+    assert _doubled_tangent_calls("algebra.stabilizer_of_l()") == (99, 99)
 
 
 def test_killing_matches_the_table_oracle():

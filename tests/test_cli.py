@@ -480,6 +480,60 @@ def test_start_up_imports_no_dataclasses():
     assert proc.stdout == "[]\n"
 
 
+def _e6kit_modules_after(argv, stdin=None):
+    """(exit code, the e6kit modules loaded) after cli.run(argv) in a fresh interpreter."""
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from e6kit import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run({argv!r})
+        print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "e6kit"))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "E6KIT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          input=stdin, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    return int(code), set(modules)
+
+
+def test_help_compiles_only_the_cli():
+    """Every verb is a fresh process that compiles what it imports: the parser needs no algebra."""
+    assert _e6kit_modules_after(["--help"]) == (0, {"e6kit", "e6kit.cli"})
+
+
+_CHI = json.dumps({"coords": [1, 2, 3, 0.5] + [0] * 23})
+
+
+@pytest.mark.parametrize("argv, ran, unloaded", [
+    (["killing"], "algebra", {"subalgebra", "rootweight"}),
+    (["table"], "algebra", {"subalgebra", "rootweight"}),
+    (["verify", "--suite", "all"], "algebra", {"subalgebra", "rootweight"}),
+    (["stab-l"], "algebra", {"subalgebra", "rootweight"}),
+    (["gellmann"], "algebra", {"subalgebra", "rootweight"}),
+    (["roots", "--algebra", "E6"], "rootweight", {"algebra", "group", "subalgebra"}),
+    (["apply", "--label", "A:i", "--alpha", "0.1", "--chi", "-"], "group",
+     {"algebra", "linalg", "subalgebra"}),
+], ids=["killing", "table", "verify", "stab-l", "gellmann", "roots", "apply"])
+def test_each_verb_compiles_only_the_modules_it_runs(argv, ran, unloaded):
+    code, modules = _e6kit_modules_after(argv, stdin=_CHI)
+    assert code == 0 and f"e6kit.{ran}" in modules
+    assert not modules & {f"e6kit.{m}" for m in unloaded}
+
+
+def test_assemble_help_lists_the_cell_names():
+    """The parser's copy of the cell names is subalgebra.CELL_NAMES, in order."""
+    from e6kit import cli, subalgebra
+    names = ",".join(subalgebra.CELL_NAMES)
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "verb")
+    assemble = next(a for a in subparsers.choices["subalg"]._actions if a.dest == "assemble")
+    assert assemble.help == f"comma list of cells: {names}"
+    proc = run_cli("subalg", "--help")
+    assert proc.returncode == 0 and names in proc.stdout
+
+
 def test_subalg_requires_exactly_one_mode():
     assert run_cli("subalg").returncode == 2
     assert run_cli("subalg", "--auto", "t",

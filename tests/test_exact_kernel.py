@@ -2,6 +2,8 @@
 
 import math
 import os
+import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ from e6kit.jordan import from_coords, to_coords
 from e6kit.linalg import SpanBasis, span_of
 from e6kit.octonion import _AGS_PAIRS, MULT_TABLE, UNIT_INDEX, UNITS, Octonion
 from reference import apply_dual as reference_apply_dual, basis_element
+from reference import preferred_constants as reference_preferred_constants
 
 
 def _direct_tangent(label):
@@ -225,12 +228,17 @@ def test_cores_are_transverse_rotations_not_labels():
             group.parse_label(group.format_label(core))
 
 
+def _clear_basis_caches():
+    for cached in (algebra._core_doubled, algebra._basis_span, algebra._preferred_doubled):
+        cached.cache_clear()
+
+
 @pytest.fixture
 def fresh_span():
-    """Build the span of the basis tangents anew, and drop it after the test."""
-    algebra._basis_span.cache_clear()
+    """Build the basis 2T and their span anew, and drop them after the test."""
+    _clear_basis_caches()
     yield
-    algebra._basis_span.cache_clear()
+    _clear_basis_caches()
 
 
 def test_basis_span_built_once(monkeypatch, fresh_span):
@@ -314,6 +322,25 @@ def cold_table(monkeypatch):
 
 def _as_lists(constants):
     return [(pair, list(row.items())) for pair, row in constants.items()]
+
+
+def test_preferred_constants_scatter_matches_the_per_pair_loop(monkeypatch, cold_table):
+    """The table's core constants, and a seeded sparse set that puts nonzero rows
+    on pairs inside the A/G/S blocks, carry to the same preferred constants both
+    ways: pickled, so keys, row order, values and shared Fractions all agree."""
+    seen = []
+    scatter = algebra._preferred_constants
+    monkeypatch.setattr(algebra, "_preferred_constants",
+                        lambda brackets: seen.append(brackets) or scatter(brackets))
+    algebra.structure_table()
+    rng = random.Random(23)
+    pairs = [(i, j) for i in range(78) for j in range(i + 1, 78)]
+    seeded = {pair: {k: rng.choice((-6, -3, -2, -1, 1, 2, 3, 6))
+                     for k in rng.sample(range(78), rng.randint(0, 4))}
+              for pair in rng.sample(pairs, 600)}
+    for brackets in (seen[0], seeded):
+        assert pickle.dumps(scatter(brackets)) == \
+            pickle.dumps(reference_preferred_constants(brackets))
 
 
 def test_derived_table_equals_every_pair_computed(cold_table):
