@@ -28,8 +28,10 @@ import json
 import math
 import os
 import random
+import sys
 import zlib
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from . import jordan
@@ -167,8 +169,24 @@ def _span_constants(elements: list, flat, bracket) -> dict:
 # ---------------------------------------------------------------------------
 # tangent extraction
 
+_WIDTH = 32                      # bits per coefficient field of a _Form
+_LIMIT = 1 << (_WIDTH - 1)       # every coefficient of every _Form is below this in size
+_BIAS = sum(_LIMIT << (_WIDTH * c) for c in range(DIM))
+
+
 class _Form:
-    """An integer linear form in the 27 coordinates, as {column: int}.
+    """An integer linear form in the 27 coordinates, packed into one int.
+
+    The coefficient v_c of column c is the signed field c, _WIDTH = 32 bits
+    wide: packed = sum over c of v_c 2^(32 c).  So adding forms adds their
+    packed ints, and an int times a form scales its packed int, each one
+    big-int operation; a product that is zero is the int 0, which adds to
+    other ints without calling a form's method.  bound is an upper bound on every |v_c|, carried
+    through each operation; a form whose bound reaches _LIMIT = 2^31 raises
+    OverflowError when it is made.  Every form's fields therefore lie in
+    (-2^31, 2^31), where the packing is one-to-one: packed + _BIAS holds
+    v_c + 2^31, in [0, 2^32), in field c, so `terms` reads the fields off
+    its bytes and never decodes a wrong coefficient.
 
     The coordinates of _GENERIC are the forms {i: 1}, so one apply_dual call
     on it returns the whole doubled tangent: coordinate i of the doubled
@@ -177,50 +195,71 @@ class _Form:
     nonzero scalar, would not be linear and raises TypeError.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("packed", "bound")
 
     def __init__(self, terms: dict):
-        self.terms = terms
+        """The form sum of v x_c over terms {c: v}, for columns 0 <= c < 27."""
+        self._set(sum(v << (_WIDTH * c) for c, v in terms.items()),
+                  max(map(abs, terms.values()), default=0))
+
+    def _set(self, packed: int, bound: int) -> "_Form":
+        if bound >= _LIMIT:
+            raise OverflowError(f"a coefficient of up to {bound} overflows the "
+                                f"{_WIDTH}-bit field of a linear form")
+        self.packed, self.bound = packed, bound
+        return self
+
+    @property
+    def terms(self) -> dict:
+        """{column: int} over the nonzero coefficients, by column."""
+        fields = memoryview((self.packed + _BIAS).to_bytes(_WIDTH // 8 * DIM, sys.byteorder))
+        fields = fields.cast("I")    # C unsigned int: 32 bits
+        return {c: v - _LIMIT for c, v in enumerate(fields) if v != _LIMIT}
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return self.packed != 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, _Form) and self.terms == other.terms
+        return isinstance(other, _Form) and self.packed == other.packed
 
     def __neg__(self) -> "_Form":
-        return _Form({c: -v for c, v in self.terms.items()})
+        return _NEW_FORM(_Form)._set(-self.packed, self.bound)
 
     def __add__(self, other) -> "_Form":
         if not isinstance(other, _Form):
             if other:
                 raise TypeError(f"cannot add the scalar {other!r} to a linear form")
             return self
-        out = dict(self.terms)
-        for c, v in other.terms.items():
-            s = out.get(c, 0) + v
-            if s:
-                out[c] = s
-            else:
-                del out[c]
-        return _Form(out)
+        if not other.packed:
+            return self
+        if not self.packed:
+            return other
+        return _NEW_FORM(_Form)._set(self.packed + other.packed, self.bound + other.bound)
 
     __radd__ = __add__
 
     def __mul__(self, k) -> "_Form":
         if not isinstance(k, int):
             raise TypeError(f"a linear form can only be scaled by an int, not {k!r}")
-        return _Form({c: k * v for c, v in self.terms.items()} if k else {})
+        if k == 1:
+            return self
+        if not k or not self.packed:
+            return 0    # zero, as an int: sums of ints stay out of the form's methods
+        return _NEW_FORM(_Form)._set(k * self.packed, abs(k) * self.bound)
 
     __rmul__ = __mul__
 
 
+_NEW_FORM = object.__new__
 _GENERIC = from_coords([_Form({i: 1}) for i in range(DIM)])
 
 _TANGENTS: dict[GeneratorLabel, AlgebraElement] = {}
 
-# group.type_cycle as a coordinate permutation P: coordinate i moves to _CYCLED[i].
+# group.type_cycle as a coordinate permutation P: coordinate i moves to _CYCLED[i],
+# and P^(t-1) moves it to _CYCLES[t - 1][i].
 _CYCLED = {i: n for n, i in enumerate(type_cycle(from_coords(range(DIM))).coords)}
+_CYCLES = (tuple(range(DIM)), tuple(_CYCLED[i] for i in range(DIM)),
+           tuple(_CYCLED[_CYCLED[i]] for i in range(DIM)))
 
 
 def tangent(label: GeneratorLabel) -> AlgebraElement:
@@ -242,18 +281,20 @@ def doubled_tangent(label: GeneratorLabel) -> dict:
     derivatives.  Type t is P^(t-1) T P^(1-t), where P is the type cycle.
     Not cached: all 135 take about 5 ms once the cores are known.
     """
-    twice: dict = {}
-    for core, angle in cores(label._replace(type_index=1)):
-        for key, v in _core_tangent(core).items():
-            twice[key] = twice.get(key, 0) + angle * v
+    parts = cores(GeneratorLabel(label.category, 1, label.plane, label.axis))
+    if len(parts) == 1 and parts[0][1] == 1:    # a core: its own 2T
+        twice = _core_tangent(parts[0][0])
+    else:
+        twice = {}
+        for core, angle in parts:
+            for key, v in _core_tangent(core).items():
+                twice[key] = twice.get(key, 0) + angle * v
     # insert column by column: the dicts iterate as if each basis column were applied
+    cycle = _CYCLES[label.type_index - 1]
     mat: dict = {}
-    for col, row in sorted(twice):
-        v = twice[col, row]
+    for (col, row), v in sorted(twice.items()):
         if v:
-            for _ in range(label.type_index - 1):
-                col, row = _CYCLED[col], _CYCLED[row]
-            mat.setdefault(row, {})[col] = v
+            mat.setdefault(cycle[row], {})[cycle[col]] = v
     return mat
 
 
@@ -350,31 +391,33 @@ def _check_stages(core: GeneratorLabel, image: GeneratorLabel, move: tuple, s: i
     src, dst = _stage_coeffs(core), _stage_coeffs(image)
     ok = len(src) == len(dst)
     for x, y in zip(src, dst):
-        moved = [0] * len(x)
-        for n, v in enumerate(x):
-            if v:
-                moved[n - n % 8 + perm[n % 8]] = sign[n % 8] * v
-        half = len(y) // 2
-        ok = ok and any(moved[:half] == [t * v for v in y[:half]]
-                        and moved[half:] == [t * s * v for v in y[half:]] for t in (1, -1))
+        moved = {n - n % 8 + perm[n % 8]: sign[n % 8] * v for n, v in x.items()}
+        ok = ok and any(moved == {n: (t if n < 72 else t * s) * v for n, v in y.items()}
+                        for t in (1, -1))
     if not ok:
         raise AssertionError(f"the unit map {move} does not carry the stages "
                              f"of {format_label(core)} to those of {format_label(image)}")
 
 
 @functools.cache
-def _stage_coeffs(core: GeneratorLabel) -> list[list[int]]:
-    """Per stage, the slots of M(0) then of 2 M'(0) (ParamMatrix.at_zero)."""
-    return [value + twice for value, twice in (stage.at_zero() for stage in _sequence(core))]
+def _stage_coeffs(core: GeneratorLabel) -> list[dict]:
+    """Per stage, the nonzero slots of M(0), then of 2 M'(0) from slot 72 on (ParamMatrix.at_zero)."""
+    slots = [value + twice for value, twice in (stage.at_zero() for stage in _sequence(core))]
+    return [dict(zip(compress(range(144), x), compress(x, x))) for x in slots]
 
 
-def _unit_map(images: dict) -> tuple[list, list]:
+def _unit_map(images: dict) -> tuple[tuple, tuple]:
     """(perm, sign) over the 8 octonion units, e_u -> sign[u] e_perm[u].
 
     AssertionError unless the map is an automorphism of MULT_TABLE.
     """
+    return _checked_unit_map(tuple(images.items()))
+
+
+@functools.cache
+def _checked_unit_map(images: tuple) -> tuple[tuple, tuple]:
     perm, sign = list(range(8)), [1] * 8
-    for unit, image in images.items():
+    for unit, image in images:
         u = UNIT_INDEX[unit]
         perm[u] = UNIT_INDEX[image.lstrip("-")]
         sign[u] = -1 if image.startswith("-") else 1
@@ -383,11 +426,12 @@ def _unit_map(images: dict) -> tuple[list, list]:
             s, c = MULT_TABLE[a][b]
             t, d = MULT_TABLE[perm[a]][perm[b]]
             if d != perm[c] or sign[a] * sign[b] * t != s * sign[c]:
-                raise AssertionError(f"the unit map {images} is not an octonion automorphism")
-    return perm, sign
+                raise AssertionError(f"the unit map {dict(images)} is not an octonion automorphism")
+    return tuple(perm), tuple(sign)
 
 
-def _coordinate_map(move: tuple) -> tuple[list, list]:
+@functools.cache
+def _coordinate_map(move: tuple) -> tuple[tuple, tuple]:
     """(q, s): the unit map on Coord27, coordinate i -> s[i] coordinate q[i].
 
     It acts on the a, b and c blocks and fixes p, m and n.
@@ -397,7 +441,7 @@ def _coordinate_map(move: tuple) -> tuple[list, list]:
     for start in (3, 11, 19):
         q += [start + perm[u] for u in range(8)]
         s += sign
-    return q, s
+    return tuple(q), tuple(s)
 
 
 def preferred_basis() -> list[GeneratorLabel]:
@@ -474,27 +518,33 @@ def _scaled_preferred(coeffs: dict) -> dict:
 
 
 @functools.cache
-def _core_doubled() -> list[dict]:
-    """2T of the 78 core-basis labels, built once per process.
-
-    The span and the preferred list (_preferred_doubled) share these dicts;
-    no caller mutates them.
-    """
-    return [doubled_tangent(core) for core in _core_basis()]
+def _shared_doubled() -> list[dict]:
+    """2T of the 57 B and R labels: the first 57 of both the core and the preferred basis."""
+    return [doubled_tangent(label) for label in preferred_basis() if label.category in ("B", "R")]
 
 
 @functools.cache
-def _basis_span() -> tuple[SpanBasis, list[AlgebraElement], list[dict]]:
-    """(span, 2T, 2T flat) of the 78 core-basis tangents, the span tagged by core-basis index.
+def _core_doubled() -> list[dict]:
+    """2T of the 78 core-basis labels, built once per process.
+
+    The span and the table read these dicts, and the B and R ones are those
+    of the preferred list (_preferred_doubled) too; no caller mutates them.
+    """
+    shared = _shared_doubled()
+    return shared + [doubled_tangent(core) for core in _core_basis()[len(shared):]]
+
+
+@functools.cache
+def _basis_span() -> tuple[SpanBasis, list[dict]]:
+    """(span, 2T flat) of the 78 core-basis tangents, the span tagged by core-basis index.
 
     Built once per process; reduce_basis and structure_table read it.
     """
-    doubled = [AlgebraElement(mat) for mat in _core_doubled()]
-    flat = [el.flat() for el in doubled]
+    flat = [AlgebraElement(mat).flat() for mat in _core_doubled()]
     sb = span_of(flat)
     if sb.rank != 78:
         raise RankMismatch(f"the core-basis tangents span only {sb.rank} dimensions")
-    return sb, doubled, flat
+    return sb, flat
 
 
 def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
@@ -541,9 +591,10 @@ class StructureTable:
     def scaled(self) -> tuple[int, "StructureTable"]:
         """(L, the table of the integers L c_ij^k), where L is the lcm of the constants' denominators.
 
-        Computed once per table.  The ranks, the Jacobi suite and Stab(l)
-        bracket this table: a uniform scale changes no kernel, span or zero
-        test.
+        Computed once per table, here from the Fractions after a cache read;
+        a built table comes with it (_preferred_constants).  The ranks, the
+        Jacobi suite and Stab(l) bracket this table: a uniform scale changes
+        no kernel, span or zero test.
         """
         if self._scaled is None:
             scale = math.lcm(*(v.denominator for row in self.constants.values()
@@ -573,20 +624,11 @@ _TABLE: Optional[StructureTable] = None
 def structure_table() -> StructureTable:
     """The bracket of every basis pair, exact: one pair per symmetry orbit is computed.
 
-    The table is built on the core basis, on which the 1344 automorphisms
-    generated by _TABLE_MOVES act as signed permutations, and then carried
-    to the preferred basis (_preferred_constants).  Tangent entries lie in
-    1/2 Z, so the doubled tangents 2T are integer matrices and commutators
-    of them are 4 [T_i, T_j].  The coefficients are read off the pivot
-    coordinates of the integer reduced span of the 2T through the dual rows
-    D = L * combo / pivot entry, where L is the lcm of the pivot entries:
-    2c_k = sum over pivots of entry * D[row][k] / L.  Each
-    computed bracket is checked by the integer residual
-    [2T_i, 2T_j] - sum 2c_k 2T_k, which must vanish; NotInSpan if a 2c_k is
-    not an integer or it does not.  The pairs are walked in (i, j) order,
-    and a computed pair's whole orbit is derived from it, so only 166 of
-    the 3003 pairs are computed.  With E6KIT_CACHE set, the constants are
-    read from that file if it is intact, and written to it otherwise.
+    The table is built on the core basis (_core_constants) and then carried
+    to the preferred basis (_preferred_constants), which reads the Fraction
+    constants and the integer table of scaled() off the same ints.  With
+    E6KIT_CACHE set, the constants are read from that file if it is intact,
+    and written to it otherwise.
     """
     global _TABLE
     if _TABLE is not None:
@@ -598,10 +640,38 @@ def structure_table() -> StructureTable:
             return _TABLE
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
             pass    # a stale, damaged or incomplete file is ignored as a whole
+    constants, lcm, scaled = _preferred_constants(_core_constants())
+    _TABLE = StructureTable(preferred_basis(), constants)
+    _TABLE._scaled = lcm, StructureTable(_TABLE.basis, scaled)
+    if path:
+        _store_cache(path, _TABLE.constants)
+    return _TABLE
+
+
+def _core_constants() -> dict:
+    """{(i, j): {k: 2c_ij^k}} on the core basis for every i < j, zero brackets included.
+
+    The 1344 automorphisms generated by _TABLE_MOVES act on the core basis
+    as signed permutations (_basis_symmetries).  Tangent entries lie in
+    1/2 Z, so the doubled tangents 2T are integer matrices and commutators
+    of them are 4 [T_i, T_j].  The coefficients are read off the pivot
+    coordinates of the integer reduced span of the 2T through the dual rows
+    D = L * combo / pivot entry, where L is the lcm of the pivot entries:
+    2c_k = sum over pivots of entry * D[row][k] / L.  Each
+    computed bracket is checked by the integer residual
+    [2T_i, 2T_j] - sum 2c_k 2T_k, which must vanish; NotInSpan if a 2c_k is
+    not an integer or it does not.  The pairs are walked in (i, j) order,
+    and a computed pair's whole orbit is derived from it, so only 166 of
+    the 3003 pairs are computed.
+    """
     basis = _core_basis()
     # w in the span is sum over reduced rows n of w[pivot n] / row n[pivot n]
     # * row n, and combos[n] is row n on the 2T.
-    span, doubled, flat = _basis_span()
+    span, flat = _basis_span()
+    # each 2T as (its entries (row * DIM, col, v), its rows {row: ((col, v), ...)})
+    doubled = [([(key - key % DIM, key % DIM, v) for key, v in f.items()],
+                {r: tuple(row.items()) for r, row in mat.items()})
+               for f, mat in zip(flat, _core_doubled())]
     row_of = span.pivot_row
     pivots = {n: span.rows[n][p] for p, n in row_of.items()}
     scale = math.lcm(*pivots.values())
@@ -613,17 +683,13 @@ def structure_table() -> StructureTable:
         for j in range(i + 1, 78):
             if (i, j) in brackets:
                 continue
-            comm = commutator(doubled[i], doubled[j]).mat
+            residual = _flat_commutator(doubled[i], doubled[j])
             acc: dict = {}
-            residual = {}
-            for r, row in comm.items():
-                for c, v in row.items():
-                    key = r * DIM + c
-                    residual[key] = v
-                    n = row_of.get(key)
-                    if n is not None:
-                        for k, x in dual[n].items():
-                            acc[k] = acc.get(k, 0) + v * x
+            for key, v in residual.items():
+                n = row_of.get(key)
+                if n is not None:
+                    for k, x in dual[n].items():
+                        acc[k] = acc.get(k, 0) + v * x
             coeffs = {}
             for k in sorted(acc):
                 if not acc[k]:
@@ -638,53 +704,76 @@ def structure_table() -> StructureTable:
                 raise NotInSpan(f"[{basis[i]}, {basis[j]}] escapes the basis span")
             brackets[(i, j)] = coeffs
             _derive_orbit(brackets, (i, j), moves)
-    _TABLE = StructureTable(preferred_basis(), _preferred_constants(brackets))
-    if path:
-        _store_cache(path, _TABLE.constants)
-    return _TABLE
+    return brackets
 
 
-def _preferred_constants(brackets: dict) -> dict:
-    """The preferred-basis constants from the core ones, given as {(c, e): {g: 2k}}.
+def _flat_commutator(x: tuple, y: tuple) -> dict:
+    """commutator of two integer matrices, flat as {row * DIM + col: int}, zero sums kept.
+
+    Each matrix is given as (entries, rows): its entries (row * DIM, col, v)
+    and its rows {row: ((col, v), ...)}.
+    """
+    out: dict = {}
+    get = out.get
+    for (entries, _), (_, rows), s in ((y, x, 1), (x, y, -1)):
+        for r, j, v in entries:
+            row = rows.get(j)
+            if row:
+                v *= s
+                for c, w in row:
+                    out[r + c] = get(r + c, 0) + v * w
+    return out
+
+
+def _preferred_constants(brackets: dict) -> tuple[dict, int, dict]:
+    """(c, L, L c): the preferred-basis constants from the core ones, given as {(c, e): {g: 2k}}.
 
     [b_a, b_b] = sum P[a][c] P[b][e] [core_c, core_e], and each core_g is
-    sum_f W[g][f] b_f / d (_change_of_basis), so 2d c_ab^f is a sum of ints;
-    each nonzero one is divided once.  Each nonzero core row is scattered
-    into the pairs (a, b) it feeds, [b_b, b_a] = -[b_a, b_b] and
-    [b_a, b_a] = 0.  Keys and rows come out sorted.
+    sum_f W[g][f] b_f / d (_change_of_basis), so 2d c_ab^f is a sum of ints.
+    Each core constant is scattered into the (a, b, f) it feeds, with
+    [b_b, b_a] = -[b_a, b_b] and [b_a, b_a] = 0.  L = 2d / gcd(2d, every
+    2d c) is the lcm of the constants' denominators (StructureTable.scaled),
+    and L c = 2d c / gcd is read off the same ints; each distinct 2d c is
+    divided into a Fraction once, and equal constants share it.  Keys and
+    rows come out sorted, and the two tables share their keys.
     """
     expand, back, d = _change_of_basis()
+    n = len(expand)
     users: list[list] = [[] for _ in expand]    # core c -> [(a, P[a][c])]
     for a, parts in enumerate(expand):
         for c, x in parts.items():
             users[c].append((a, x))
-    acc: dict = {}    # (a, b) -> {f: 2d c_ab^f}
+    acc: dict = {}    # (a n + b) n + f -> 2d c_ab^f, so the keys sort as (a, b, f)
+    get = acc.get
     for (c, e), row in brackets.items():
         if not row:
             continue
-        moved: dict = {}    # 2d [core_c, core_e] on the preferred basis, unsorted
-        for g, v in row.items():
-            for f, w in back[g].items():
-                moved[f] = moved.get(f, 0) + v * w
         for a, x in users[c]:
-            for b, y in users[e]:
-                if a == b:
+            for b, y in users[e]:    # [core_c, core_e] feeds pair (a, b) with P[a][c] P[b][e]
+                if a < b:
+                    key, s = (a * n + b) * n, x * y
+                elif a > b:
+                    key, s = (b * n + a) * n, -x * y
+                else:
                     continue
-                key, s = ((a, b), x * y) if a < b else ((b, a), -x * y)
-                dst = acc.setdefault(key, {})
-                for f, v in moved.items():
-                    dst[f] = dst.get(f, 0) + s * v
-    constants, fractions = {}, {}
-    for key in sorted(acc):
-        sums = acc[key]
-        row = {}
-        for f in sorted(sums):
-            v = sums[f]
-            if v:    # equal constants share one Fraction
-                row[f] = fractions.get(v) or fractions.setdefault(v, Fraction(v, 2 * d))
-        if row:
-            constants[key] = row
-    return constants
+                for g, v in row.items():
+                    for f, w in back[g].items():
+                        acc[key + f] = get(key + f, 0) + s * v * w
+    values = set(acc.values())
+    common = math.gcd(2 * d, *values)
+    fractions = {v: Fraction(v, 2 * d) for v in values}
+    constants, scaled, last = {}, {}, None
+    for flat_key in sorted(acc):
+        v = acc[flat_key]
+        if v:
+            pair, f = divmod(flat_key, n)
+            if pair != last:
+                last, key = pair, divmod(pair, n)
+                row = constants[key] = {}
+                scaled_row = scaled[key] = {}
+            row[f] = fractions[v]
+            scaled_row[f] = v // common
+    return constants, 2 * d // common, scaled
 
 
 def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
@@ -695,23 +784,22 @@ def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
     [T_perm[i], T_perm[j]] = sign[i] sign[j] sum_k c_ij^k sign[k] T_perm[k].
     NotInSpan if some Q T_k Q^-1 is not plus or minus a basis tangent.
     """
-    index = {}
-    for k, f in enumerate(flat):
-        index[frozenset(f.items())] = (k, 1)
-        index[frozenset((key, -v) for key, v in f.items())] = (k, -1)
+    index = {frozenset(f.items()): k for k, f in enumerate(flat)}
     out = []
     for images in _TABLE_MOVES:
         q, s = _coordinate_map(_unit_map(images))
         perm, sign = [], []
         for k, f in enumerate(flat):
-            image = frozenset((q[key // DIM] * DIM + q[key % DIM], s[key // DIM] * s[key % DIM] * v)
-                              for key, v in f.items())
-            hit = index.get(image)
+            image = {q[key // DIM] * DIM + q[key % DIM]: s[key // DIM] * s[key % DIM] * v
+                     for key, v in f.items()}
+            hit, t = index.get(frozenset(image.items())), 1
+            if hit is None:
+                hit, t = index.get(frozenset((key, -v) for key, v in image.items())), -1
             if hit is None:
                 raise NotInSpan(f"the unit map {images} carries the tangent of "
                                 f"{format_label(_core_basis()[k])} outside the basis")
-            perm.append(hit[0])
-            sign.append(hit[1])
+            perm.append(hit)
+            sign.append(t)
         out.append((perm, sign))
     return out
 
@@ -720,16 +808,18 @@ def _derive_orbit(brackets: dict, pair: tuple, moves: list) -> None:
     """Add to brackets every pair the moves reach from `pair`, each derived once."""
     stack = [pair]
     while stack:
-        i, j = stack.pop()
-        row = brackets[(i, j)]
+        pair = stack.pop()
+        i, j = pair
+        row = brackets[pair]
         for perm, sign in moves:
-            a, b, s = perm[i], perm[j], sign[i] * sign[j]
-            if a > b:
-                a, b, s = b, a, -s
-            if (a, b) not in brackets:    # rows in any order: _scaled_preferred sorts
-                brackets[(a, b)] = {perm[k]: v if s * sign[k] > 0 else -v
-                                    for k, v in row.items()}
-                stack.append((a, b))
+            a, b = perm[i], perm[j]
+            key = (a, b) if a < b else (b, a)
+            if key not in brackets:    # rows in any order: _preferred_constants sorts
+                s = sign[i] * sign[j] if a < b else -sign[i] * sign[j]
+                image = brackets[key] = {}
+                for k, v in row.items():
+                    image[perm[k]] = s * sign[k] * v
+                stack.append(key)
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +878,11 @@ def _store_cache(path: str, constants: dict) -> None:
 def _preferred_doubled() -> list[dict]:
     """2T of the 78 preferred-basis labels; killing_matrix and stabilizer_of_l read it.
 
-    A B or R label is the core-basis label of the same index and shares its
-    dict with _core_doubled.
+    The 57 B and R labels share their dicts with _core_doubled, but building
+    this list builds no transverse-core 2T: 57 + 21 doubled_tangent calls.
     """
-    core = _core_doubled()
-    return [core[n] if label.category in ("B", "R") else doubled_tangent(label)
-            for n, label in enumerate(preferred_basis())]
+    shared = _shared_doubled()
+    return shared + [doubled_tangent(label) for label in preferred_basis()[len(shared):]]
 
 
 @functools.cache

@@ -164,17 +164,27 @@ class ParamMatrix(NamedTuple):
 
     def at_zero(self) -> tuple[list[int], list[int]]:
         """(M(0), 2 M'(0)) as the stage kernel's 72 int slots; NotIntegral if not integral."""
-        value, twice = [0] * 72, [0] * 72
+        value, twice = {}, {}    # the slots terms reach, as ints or Fractions
         for e, terms in enumerate(terms for row in self.entries for terms in row):
             for kind, k, unit, coeff in terms:
+                slot = 8 * e + unit
                 if kind in ("const", "cos", "cosh", "exp"):    # f(0) = 1
-                    value[8 * e + unit] += coeff
+                    value[slot] = value.get(slot, 0) + _exact(coeff.numerator, coeff.denominator)
                 if kind in ("sin", "sinh", "exp"):             # f'(0) = 1
-                    twice[8 * e + unit] += 2 * coeff * k
-        for x in value + twice:
-            if x.denominator != 1:
-                raise NotIntegral(f"stage entry {x} at alpha = 0 is not an integer")
-        return [int(x) for x in value], [int(x) for x in twice]
+                    twice[slot] = twice.get(slot, 0) + _exact(
+                        2 * coeff.numerator * k.numerator, coeff.denominator * k.denominator)
+        out = ([0] * 72, [0] * 72)
+        for slots, sums in zip(out, (value, twice)):
+            for slot, x in sums.items():
+                if x.denominator != 1:
+                    raise NotIntegral(f"stage entry {x} at alpha = 0 is not an integer")
+                slots[slot] = int(x)
+        return out
+
+
+def _exact(n: int, d: int):
+    """n / d: an int if d divides n, else a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 _ONE = (("const", Fraction(0), 0, Fraction(1)),)
@@ -183,6 +193,8 @@ _EMPTY = ()
 
 def _scale_terms(terms, angle: int):
     """Replace alpha by angle*alpha inside every term."""
+    if angle == 1:
+        return terms
     return tuple((kind, k * angle, unit, coeff) for kind, k, unit, coeff in terms)
 
 

@@ -8,6 +8,8 @@ computation that shares none of them.  The Killing form is here too as
 tr(ad ad) summed over the structure constants, the oracle of the trace form
 that e6kit.algebra.killing_matrix computes, and the preferred-basis
 constants pair by pair, the oracle of e6kit.algebra._preferred_constants.
+DictForm is the integer linear form as a plain {column: int} dict, the
+oracle of the packed e6kit.algebra._Form.
 """
 
 from fractions import Fraction
@@ -203,3 +205,48 @@ def preferred_constants(brackets: dict) -> dict:
             if row:
                 constants[(a, b)] = row
     return constants
+
+
+class DictForm:
+    """An integer linear form in the 27 coordinates, as {column: int}.
+
+    It supports what apply_dual does to the generic element's coordinates:
+    adding forms, scaling by an int, and negating.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __neg__(self) -> "DictForm":
+        return DictForm({c: -v for c, v in self.terms.items()})
+
+    def __add__(self, other) -> "DictForm":
+        if not isinstance(other, DictForm):
+            if other:
+                raise TypeError(f"cannot add the scalar {other!r} to a linear form")
+            return self
+        out = dict(self.terms)
+        for c, v in other.terms.items():
+            s = out.get(c, 0) + v
+            if s:
+                out[c] = s
+            else:
+                del out[c]
+        return DictForm(out)
+
+    __radd__ = __add__
+
+    def __mul__(self, k) -> "DictForm":
+        if not isinstance(k, int):
+            raise TypeError(f"a linear form can only be scaled by an int, not {k!r}")
+        return DictForm({c: k * v for c, v in self.terms.items()} if k else {})
+
+    __rmul__ = __mul__
+
+
+GENERIC = from_coords([DictForm({i: 1}) for i in range(27)])

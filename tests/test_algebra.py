@@ -290,6 +290,12 @@ def test_stabilizer_of_l_builds_each_preferred_tangent_once():
     assert _doubled_tangent_calls("algebra.stabilizer_of_l()") == (99, 99)
 
 
+def test_killing_builds_each_preferred_tangent_once():
+    """The Killing form reads the 78 preferred 2T only: the 21 transverse-core 2T,
+    which the table's span reads, are not built."""
+    assert _doubled_tangent_calls("algebra.killing_matrix()") == (78, 78)
+
+
 def test_killing_matches_the_table_oracle():
     """The trace form tr(2T_i 2T_j) is tr(ad_i ad_j) summed over the structure constants."""
     killing = killing_matrix()
@@ -317,14 +323,31 @@ def test_killing_verb_builds_no_span_no_table_and_no_cache(tmp_path):
     assert (tmp_path / "killing.json").exists()
 
 
-def test_scaled_table_is_computed_once():
+@pytest.fixture(params=["build", "cache"])
+def table_source(request, monkeypatch, tmp_path):
+    """structure_table() builds the table anew, or reads it from a cache file it filled."""
+    monkeypatch.setattr(algebra, "_TABLE", None)
+    if request.param == "build":
+        monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
+    else:
+        monkeypatch.setenv(algebra.CACHE_ENV, str(tmp_path / "cache.json"))
+        structure_table()
+        monkeypatch.setattr(algebra, "_TABLE", None)
+    return request.param
+
+
+def test_scaled_table_is_computed_once(table_source):
+    """The build fills the integer table from its own ints, a cache read derives it
+    from the Fractions; both are (6, 6 c), in the order of the constants."""
     table = structure_table()
+    assert (table._scaled is None) == (table_source == "cache")
     scale, scaled = table.scaled()
     assert table.scaled() is table.scaled()
     assert scale == 6
-    assert scaled.constants.keys() == table.constants.keys()
-    assert all(Fraction(v, scale) == table.constants[pair][k]
-               for pair, row in scaled.constants.items() for k, v in row.items())
+    assert [(pair, list(row.items())) for pair, row in scaled.constants.items()] == \
+        [(pair, [(k, int(6 * v)) for k, v in row.items()])
+         for pair, row in table.constants.items()]
+    assert all(type(v) is int for row in scaled.constants.values() for v in row.values())
 
 
 def test_calibration_constant():

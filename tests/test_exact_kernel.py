@@ -17,6 +17,7 @@ from e6kit.group import GeneratorLabel, ParamMatrix, all_labels, apply_dual
 from e6kit.jordan import from_coords, to_coords
 from e6kit.linalg import SpanBasis, span_of
 from e6kit.octonion import _AGS_PAIRS, MULT_TABLE, UNIT_INDEX, UNITS, Octonion
+from reference import GENERIC as reference_generic, DictForm
 from reference import apply_dual as reference_apply_dual, basis_element
 from reference import preferred_constants as reference_preferred_constants
 
@@ -85,6 +86,58 @@ def test_linear_form_misuse_raises(misuse):
     x, y = algebra._Form({0: 1}), algebra._Form({1: 2})
     with pytest.raises(TypeError):
         misuse(x, y)
+
+
+def _terms(v):
+    """A linear form as {column: int}, an int 0 or an empty form as {}."""
+    return v.terms if v else {}
+
+
+def _decoded(el):
+    return [_terms(v) for v in to_coords(el)]
+
+
+def test_packed_forms_match_dict_forms_on_the_orbit_representatives():
+    """apply_dual on the packed generic element decodes to what it gives on dict forms."""
+    reps = {algebra._orbit_rep(core) for label in all_labels()
+            for core, _ in group.cores(label._replace(type_index=1))}
+    assert len(reps) == 7
+    for rep in reps:
+        packed = apply_dual(rep, algebra._GENERIC)
+        oracle = apply_dual(rep, reference_generic)
+        assert [_decoded(el) for el in packed] == [_decoded(el) for el in oracle], rep
+
+
+@given(st.lists(st.tuples(st.integers(0, 26), st.integers(-2**12, 2**12)), max_size=40),
+       st.integers(-2**12, 2**12))
+@settings(max_examples=200, deadline=None)
+def test_packed_form_arithmetic_matches_dict_forms(terms, k):
+    """Sums, negations and int multiples decode to the dict-form results, whatever
+    the signs of neighbouring fields."""
+    packed, oracle = algebra._Form({}), DictForm({})
+    for n, (c, v) in enumerate(terms):
+        x, y = algebra._Form({c: v}), DictForm({c: v} if v else {})
+        packed, oracle = (packed + x, oracle + y) if n % 3 else (-packed + x, -oracle + y)
+    assert _terms(packed) == _terms(oracle)
+    assert _terms(k * packed) == _terms(k * oracle)
+    assert bool(packed) == bool(oracle)
+
+
+def test_form_coefficient_past_the_field_raises():
+    """A coefficient that may reach 2^31 raises OverflowError; it never decodes wrong."""
+    top = algebra._Form({0: 1}) * (algebra._LIMIT - 1)
+    assert top.terms == {0: algebra._LIMIT - 1}
+    assert (-top).terms == {0: 1 - algebra._LIMIT}
+    assert (algebra._Form({0: algebra._LIMIT - 2}) + algebra._Form({1: -1})).terms == \
+        {0: algebra._LIMIT - 2, 1: -1}
+    with pytest.raises(OverflowError):
+        top + algebra._Form({0: 1})
+    with pytest.raises(OverflowError):
+        top + algebra._Form({0: -1})    # the bound adds sizes, so even a cancelling sum
+    with pytest.raises(OverflowError):
+        algebra._Form({0: 1}) * algebra._LIMIT
+    with pytest.raises(OverflowError):
+        -algebra._Form({5: algebra._LIMIT})
 
 
 def test_tangent_entries_in_half_integers():
@@ -229,7 +282,8 @@ def test_cores_are_transverse_rotations_not_labels():
 
 
 def _clear_basis_caches():
-    for cached in (algebra._core_doubled, algebra._basis_span, algebra._preferred_doubled):
+    for cached in (algebra._shared_doubled, algebra._core_doubled, algebra._basis_span,
+                   algebra._preferred_doubled):
         cached.cache_clear()
 
 
@@ -327,7 +381,9 @@ def _as_lists(constants):
 def test_preferred_constants_scatter_matches_the_per_pair_loop(monkeypatch, cold_table):
     """The table's core constants, and a seeded sparse set that puts nonzero rows
     on pairs inside the A/G/S blocks, carry to the same preferred constants both
-    ways: pickled, so keys, row order, values and shared Fractions all agree."""
+    ways: pickled, so keys, row order, values and shared Fractions all agree.
+    The integer table L c that comes with them is the constants scaled by the lcm
+    L of their denominators, in the same order."""
     seen = []
     scatter = algebra._preferred_constants
     monkeypatch.setattr(algebra, "_preferred_constants",
@@ -339,8 +395,12 @@ def test_preferred_constants_scatter_matches_the_per_pair_loop(monkeypatch, cold
                      for k in rng.sample(range(78), rng.randint(0, 4))}
               for pair in rng.sample(pairs, 600)}
     for brackets in (seen[0], seeded):
-        assert pickle.dumps(scatter(brackets)) == \
-            pickle.dumps(reference_preferred_constants(brackets))
+        constants, scale, scaled = scatter(brackets)
+        assert pickle.dumps(constants) == pickle.dumps(reference_preferred_constants(brackets))
+        assert scale == math.lcm(*(v.denominator for row in constants.values()
+                                   for v in row.values()))
+        assert _as_lists(scaled) == [(pair, [(k, int(scale * v)) for k, v in row])
+                                     for pair, row in _as_lists(constants)]
 
 
 def test_derived_table_equals_every_pair_computed(cold_table):
@@ -476,10 +536,10 @@ def test_one_commutator_per_orbit(monkeypatch, cold_table):
         calls.append(1)
         return commutator(x, y)
 
-    commutator = algebra.commutator
-    monkeypatch.setattr(algebra, "commutator", counted)
+    commutator = algebra._flat_commutator
+    monkeypatch.setattr(algebra, "_flat_commutator", counted)
     algebra.structure_table()
-    assert len(calls) <= 166
+    assert len(calls) == 166
 
 
 def test_tangent_moved_off_the_basis_is_caught(monkeypatch, cold_table, fresh_span, fresh_tangents):
