@@ -16,9 +16,11 @@ imaginary units up to sign act as signed permutations: one basis pair per
 orbit is computed (166 of 3003) through an integer dual basis and verified
 in integers, and the rest are derived from it exactly.  Seven exact 3x3
 changes of basis carry the constants to the preferred basis, where they
-lie in 1/6 Z.  After the build, the ranks, the Jacobi suite and Stab(l)
-bracket one integer table, L c with L = 6 (StructureTable.scaled); the
-Killing form is the trace form of the doubled tangents (killing_matrix).
+lie in 1/6 Z.  The table holds them as one integer table, L c with L = 6
+(StructureTable), which the ranks, the Jacobi suite and Stab(l) bracket;
+the rational constant is Fraction(L c, L), formed only where `table`
+prints it.  The Killing form is the trace form of the doubled tangents
+(killing_matrix).
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from .linalg import SpanBasis, kernel, signature_symmetric, span_of
 from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
 
 CACHE_ENV = "E6KIT_CACHE"
-_CACHE_VERSION = "e6kit-structure-4"
+_CACHE_VERSION = "e6kit-structure-5"
 _CONSTANT_COUNT = 2750    # nonzero c_ij^k with i < j on the preferred basis
+_SCALE = 6                # the lcm of their denominators
 
 DIM = 27
 
@@ -507,7 +510,7 @@ def _change_of_basis() -> tuple[list[dict], list[dict], int]:
     return expand, back, d
 
 
-def _scaled_preferred(coeffs: dict) -> dict:
+def _to_preferred(coeffs: dict) -> dict:
     """d times the preferred coordinates of a vector given on the core basis."""
     back = _change_of_basis()[1]
     out: dict = {}
@@ -562,7 +565,7 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
         coeffs = sb.express(AlgebraElement(doubled_tangent(label)).flat())
         if coeffs is None:
             raise RankMismatch(f"tangent of {label} escapes the preferred span")
-        certificates[label] = {basis[f]: v / d for f, v in _scaled_preferred(coeffs).items()}
+        certificates[label] = {basis[f]: v / d for f, v in _to_preferred(coeffs).items()}
     return basis, certificates
 
 
@@ -570,15 +573,19 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
 # structure table
 
 class StructureTable:
-    """The constants of a basis, {(i, j): {k: c_ij^k}} for i < j; a missing pair brackets to 0.
+    """The integer constants of a basis, {(i, j): {k: L c_ij^k}} for i < j, and their scale L.
 
-    structure_table() gives the pairs, and each row, in increasing order.
+    The constant c_ij^k is Fraction(v, scale); a missing pair brackets to 0.
+    structure_table() gives the pairs, and each row, in increasing order,
+    with L the lcm of the constants' denominators.  The ranks, the Jacobi
+    suite and Stab(l) bracket the integers: a uniform scale changes no
+    kernel, span or zero test.
     """
 
-    __slots__ = ("basis", "constants", "_scaled")
+    __slots__ = ("basis", "scale", "constants")
 
-    def __init__(self, basis: list, constants: dict):
-        self.basis, self.constants, self._scaled = basis, constants, None
+    def __init__(self, basis: list, scale: int, constants: dict):
+        self.basis, self.scale, self.constants = basis, scale, constants
 
     def bracket(self, i: int, j: int) -> dict:
         """Sparse coefficients of [b_i, b_j]."""
@@ -587,22 +594,6 @@ class StructureTable:
         if i < j:
             return self.constants.get((i, j), {})
         return {k: -v for k, v in self.constants.get((j, i), {}).items()}
-
-    def scaled(self) -> tuple[int, "StructureTable"]:
-        """(L, the table of the integers L c_ij^k), where L is the lcm of the constants' denominators.
-
-        Computed once per table, here from the Fractions after a cache read;
-        a built table comes with it (_preferred_constants).  The ranks, the
-        Jacobi suite and Stab(l) bracket this table: a uniform scale changes
-        no kernel, span or zero test.
-        """
-        if self._scaled is None:
-            scale = math.lcm(*(v.denominator for row in self.constants.values()
-                               for v in row.values()))
-            self._scaled = scale, StructureTable(self.basis, {
-                pair: {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
-                for pair, row in self.constants.items()})
-        return self._scaled
 
     def bracket_vectors(self, u: dict, v: dict) -> dict:
         """[u, v] for sparse coefficient vectors over the basis."""
@@ -625,9 +616,8 @@ def structure_table() -> StructureTable:
     """The bracket of every basis pair, exact: one pair per symmetry orbit is computed.
 
     The table is built on the core basis (_core_constants) and then carried
-    to the preferred basis (_preferred_constants), which reads the Fraction
-    constants and the integer table of scaled() off the same ints.  With
-    E6KIT_CACHE set, the constants are read from that file if it is intact,
+    to the preferred basis (_preferred_constants).  With E6KIT_CACHE set,
+    the integers and their scale are read from that file if it is intact,
     and written to it otherwise.
     """
     global _TABLE
@@ -636,15 +626,13 @@ def structure_table() -> StructureTable:
     path = os.environ.get(CACHE_ENV)
     if path:
         try:
-            _TABLE = StructureTable(preferred_basis(), _read_cache(path))
+            _TABLE = StructureTable(preferred_basis(), *_read_cache(path))
             return _TABLE
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        except (OSError, ValueError, KeyError, TypeError):
             pass    # a stale, damaged or incomplete file is ignored as a whole
-    constants, lcm, scaled = _preferred_constants(_core_constants())
-    _TABLE = StructureTable(preferred_basis(), constants)
-    _TABLE._scaled = lcm, StructureTable(_TABLE.basis, scaled)
+    _TABLE = StructureTable(preferred_basis(), *_preferred_constants(_core_constants()))
     if path:
-        _store_cache(path, _TABLE.constants)
+        _store_cache(path, _TABLE)
     return _TABLE
 
 
@@ -725,17 +713,15 @@ def _flat_commutator(x: tuple, y: tuple) -> dict:
     return out
 
 
-def _preferred_constants(brackets: dict) -> tuple[dict, int, dict]:
-    """(c, L, L c): the preferred-basis constants from the core ones, given as {(c, e): {g: 2k}}.
+def _preferred_constants(brackets: dict) -> tuple[int, dict]:
+    """(L, L c): the preferred-basis constants from the core ones, given as {(c, e): {g: 2k}}.
 
     [b_a, b_b] = sum P[a][c] P[b][e] [core_c, core_e], and each core_g is
     sum_f W[g][f] b_f / d (_change_of_basis), so 2d c_ab^f is a sum of ints.
     Each core constant is scattered into the (a, b, f) it feeds, with
     [b_b, b_a] = -[b_a, b_b] and [b_a, b_a] = 0.  L = 2d / gcd(2d, every
-    2d c) is the lcm of the constants' denominators (StructureTable.scaled),
-    and L c = 2d c / gcd is read off the same ints; each distinct 2d c is
-    divided into a Fraction once, and equal constants share it.  Keys and
-    rows come out sorted, and the two tables share their keys.
+    2d c) is the lcm of the constants' denominators, and L c = 2d c / gcd.
+    Keys and rows come out sorted.
     """
     expand, back, d = _change_of_basis()
     n = len(expand)
@@ -759,21 +745,17 @@ def _preferred_constants(brackets: dict) -> tuple[dict, int, dict]:
                 for g, v in row.items():
                     for f, w in back[g].items():
                         acc[key + f] = get(key + f, 0) + s * v * w
-    values = set(acc.values())
-    common = math.gcd(2 * d, *values)
-    fractions = {v: Fraction(v, 2 * d) for v in values}
-    constants, scaled, last = {}, {}, None
+    common = math.gcd(2 * d, *acc.values())
+    constants, last = {}, None
     for flat_key in sorted(acc):
         v = acc[flat_key]
         if v:
             pair, f = divmod(flat_key, n)
             if pair != last:
-                last, key = pair, divmod(pair, n)
-                row = constants[key] = {}
-                scaled_row = scaled[key] = {}
-            row[f] = fractions[v]
-            scaled_row[f] = v // common
-    return constants, 2 * d // common, scaled
+                last = pair
+                row = constants[divmod(pair, n)] = {}
+            row[f] = v // common
+    return 2 * d // common, constants
 
 
 def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
@@ -823,18 +805,20 @@ def _derive_orbit(brackets: dict, pair: tuple, moves: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# disk cache: the structure constants only; tangents are always derived
+# disk cache: the integer constants and their scale only; tangents are always derived
 
-def _read_cache(path: str) -> dict:
-    """The constants from the file; ValueError unless intact, complete and in range.
+def _read_cache(path: str) -> tuple[int, dict]:
+    """(L, L c) from the file; ValueError unless intact, complete and in range.
 
     Complete means the _CONSTANT_COUNT keys (i, j, k) in strictly increasing
     order, as _store_cache writes them: the CRC of a short list, or of one
-    with a key repeated, matches as well as the full one's.
+    with a key repeated, matches as well as the full one's.  Each constant
+    is a nonzero int, and the scale is _SCALE, prime to the constants as a
+    whole, so that it is the lcm of the denominators of the c they give.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    body = {"constants": data["constants"]}
+    body = {"constants": data["constants"], "scale": data["scale"]}
     if data["version"] != _CACHE_VERSION or data["crc32"] != _checksum(body):
         raise ValueError("stale or damaged cache")
     if len(body["constants"]) != _CONSTANT_COUNT:
@@ -843,11 +827,17 @@ def _read_cache(path: str) -> dict:
     constants: dict = {}
     last = (0, 0, -1)
     for i, j, k, v in body["constants"]:
-        if not (0 <= i < j < 78 and 0 <= k < 78 and (i, j, k) > last):
-            raise ValueError(f"constant ({i}, {j}, {k}) out of range or out of order")
+        if not (type(i) is type(j) is type(k) is type(v) is int and v
+                and 0 <= i < j < 78 and 0 <= k < 78 and (i, j, k) > last):
+            raise ValueError(f"constant ({i}, {j}, {k}, {v!r}) not a nonzero int, "
+                             f"out of range or out of order")
         last = (i, j, k)
-        constants.setdefault((i, j), {})[k] = Fraction(v)
-    return constants
+        constants.setdefault((i, j), {})[k] = v
+    scale = body["scale"]
+    if type(scale) is not int or scale != _SCALE or \
+            math.gcd(scale, *(v for row in constants.values() for v in row.values())) != 1:
+        raise ValueError(f"scale {scale!r} is not the lcm of the constants' denominators")
+    return scale, constants
 
 
 def _checksum(body: dict) -> int:
@@ -856,10 +846,11 @@ def _checksum(body: dict) -> int:
     return zlib.crc32(json.dumps(body, sort_keys=True).encode())
 
 
-def _store_cache(path: str, constants: dict) -> None:
+def _store_cache(path: str, table: StructureTable) -> None:
     """Write the cache through a temporary file, so readers never see half of it."""
-    body = {"constants": [[i, j, k, str(v)] for (i, j), row in sorted(constants.items())
-                          for k, v in sorted(row.items())]}
+    body = {"constants": [[i, j, k, v] for (i, j), row in sorted(table.constants.items())
+                          for k, v in sorted(row.items())],
+            "scale": table.scale}
     data = {"version": _CACHE_VERSION, "crc32": _checksum(body), **body}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -954,7 +945,7 @@ def rank_estimate(subspace: list[dict]) -> int:
 
     The subspace is given as sparse coefficient vectors over the preferred
     basis and must close under the bracket (NotClosed otherwise).  The
-    bracket is that of the integer table L c (StructureTable.scaled): it is
+    bracket is that of the integer table L c (structure_table): it is
     L times the true one, which changes none of the kernels below.  For
     distinct unit vectors it is the table renumbered; any other list goes
     through _span_constants, which also raises ValueError if the vectors
@@ -967,10 +958,10 @@ def rank_estimate(subspace: list[dict]) -> int:
     an upper bound on min dim ker(ad x), which is the rank when the
     subalgebra is reductive.
     """
-    table = structure_table().scaled()[1]
+    table = structure_table()
     d = len(subspace)
     # the bracket in coordinates over the subspace vectors
-    sub = StructureTable(list(range(d)), {})
+    sub = StructureTable(list(range(d)), table.scale, {})
     position = {k: n for n, v in enumerate(subspace) if list(v.values()) == [1] for k in v}
     if len(position) == d:
         # distinct unit vectors: the sub-table is the table renumbered
@@ -1133,12 +1124,12 @@ def stabilizer_of_l() -> dict:
     vanishes, and the kernel is taken on that row of the preferred 2T, the
     list killing_matrix reads too (_preferred_doubled).  Returns the kernel
     basis plus the verified decomposition facts; the brackets are those of
-    the integer table L c (StructureTable.scaled), which no span or zero
-    test can tell from c.
+    the integer table L c (structure_table), which no span or zero test can
+    tell from c.
     """
     # the kernel of x -> sum_i x_i * (row a_l of 2T_i)
     stab = kernel(mat.get(A_L_COORD, {}) for mat in _preferred_doubled())
-    table = structure_table().scaled()[1]
+    table = structure_table()
     named = stab_l_documented_basis()
     so81, b_all = named["so81"], named["b2"] + named["b3"] + named["bl"]
 

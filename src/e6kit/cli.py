@@ -79,9 +79,13 @@ def _output(path):
 
 def cmd_table(args) -> int:
     """Each constant c_ij^k as (i, j, k, "p/q"), in the table's sorted order."""
+    from fractions import Fraction
+
     from . import algebra, group
     table = algebra.structure_table()
-    rows = ((i, j, k, str(v)) for (i, j), row in table.constants.items() for k, v in row.items())
+    text: dict = {}    # the 2750 integers L c take a few distinct values; format each once
+    rows = ((i, j, k, text.get(v) or text.setdefault(v, str(Fraction(v, table.scale))))
+            for (i, j), row in table.constants.items() for k, v in row.items())
     with _output(args.out) as out:
         if args.format == "csv":
             import csv
@@ -161,7 +165,7 @@ def _verify_jacobi(out, args) -> int:
     L^2 times the exact one, and vanishes exactly when it does.
     """
     from . import algebra, group
-    _, table = algebra.structure_table().scaled()
+    table = algebra.structure_table()
     n = len(table.basis)
     rng = random.Random(args.seed)
     triples = [tuple(sorted(rng.sample(range(n), 3))) for _ in range(500)]

@@ -156,15 +156,14 @@ def killing_from_table(table) -> list[list[Fraction]]:
 
     ad_i maps b_a to sum_k c_{ia}^k b_k; call c_{ia}^k its entry (a -> k).
     Then B_ij = sum over entries (a -> k) of ad_i of
-    (Lc)_{i, a->k} (Lc)_{j, k->a} / L^2, where Lc are the integer constants
-    of StructureTable.scaled, so the sum is taken in integers.
+    (Lc)_{i, a->k} (Lc)_{j, k->a} / L^2, where Lc are the table's integer
+    constants and L its scale, so the sum is taken in integers.
     """
-    scale, scaled = table.scaled()
-    n = len(scaled.basis)
+    n = len(table.basis)
     # (a, k) -> [(i, L c_{ia}^k)]; [b_i, b_j] = c b_k puts c at (j -> k) of
     # ad_i and -c at (i -> k) of ad_j
     entries: dict = {}
-    for (i, j), row in scaled.constants.items():
+    for (i, j), row in table.constants.items():
         for k, x in row.items():
             entries.setdefault((j, k), []).append((i, x))
             entries.setdefault((i, k), []).append((j, -x))
@@ -176,7 +175,7 @@ def killing_from_table(table) -> list[list[Fraction]]:
                 row = total[i]
                 for j, y in back:
                     row[j] += x * y
-    return [[Fraction(v, scale * scale) for v in row] for row in total]
+    return [[Fraction(v, table.scale ** 2) for v in row] for row in total]
 
 
 def preferred_constants(brackets: dict) -> dict:
@@ -184,11 +183,11 @@ def preferred_constants(brackets: dict) -> dict:
 
     For each preferred pair a < b, 2d c_ab^f = sum over c, e of
     P[a][c] P[b][e] (2d [core_c, core_e])^f, with [core_e, core_c] =
-    -[core_c, core_e] (algebra._change_of_basis, algebra._scaled_preferred).
+    -[core_c, core_e] (algebra._change_of_basis, algebra._to_preferred).
     """
     expand, _, d = algebra._change_of_basis()
-    moved = {pair: algebra._scaled_preferred(row) for pair, row in brackets.items() if row}
-    constants, fractions = {}, {}
+    moved = {pair: algebra._to_preferred(row) for pair, row in brackets.items() if row}
+    constants = {}
     for a in range(78):
         for b in range(a + 1, 78):
             acc: dict = {}
@@ -197,11 +196,7 @@ def preferred_constants(brackets: dict) -> dict:
                     row, s = (moved.get((c, e)), x * y) if c < e else (moved.get((e, c)), -x * y)
                     for f, v in (row or {}).items():
                         acc[f] = acc.get(f, 0) + s * v
-            row = {}
-            for f in sorted(acc):
-                v = acc[f]
-                if v:    # equal constants share one Fraction
-                    row[f] = fractions.get(v) or fractions.setdefault(v, Fraction(v, 2 * d))
+            row = {f: Fraction(acc[f], 2 * d) for f in sorted(acc) if acc[f]}
             if row:
                 constants[(a, b)] = row
     return constants

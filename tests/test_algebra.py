@@ -132,8 +132,8 @@ def test_restricted_roots_are_a2_with_multiplicity_8():
         for a in range(n):
             col = {}
             for block, (i, lam) in enumerate(zip(h, values)):
-                shifted = dict(table.bracket(i, a))
-                shifted[a] = shifted.get(a, 0) - lam
+                shifted = dict(table.bracket(i, a))    # L times ad b_i
+                shifted[a] = shifted.get(a, 0) - table.scale * lam
                 col.update({block * n + k: v for k, v in shifted.items() if v})
             columns.append(col)
         return kernel(columns)
@@ -323,31 +323,27 @@ def test_killing_verb_builds_no_span_no_table_and_no_cache(tmp_path):
     assert (tmp_path / "killing.json").exists()
 
 
-@pytest.fixture(params=["build", "cache"])
-def table_source(request, monkeypatch, tmp_path):
-    """structure_table() builds the table anew, or reads it from a cache file it filled."""
-    monkeypatch.setattr(algebra, "_TABLE", None)
-    if request.param == "build":
-        monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
-    else:
-        monkeypatch.setenv(algebra.CACHE_ENV, str(tmp_path / "cache.json"))
-        structure_table()
-        monkeypatch.setattr(algebra, "_TABLE", None)
-    return request.param
-
-
-def test_scaled_table_is_computed_once(table_source):
-    """The build fills the integer table from its own ints, a cache read derives it
-    from the Fractions; both are (6, 6 c), in the order of the constants."""
-    table = structure_table()
-    assert (table._scaled is None) == (table_source == "cache")
-    scale, scaled = table.scaled()
-    assert table.scaled() is table.scaled()
-    assert scale == 6
-    assert [(pair, list(row.items())) for pair, row in scaled.constants.items()] == \
-        [(pair, [(k, int(6 * v)) for k, v in row.items()])
-         for pair, row in table.constants.items()]
-    assert all(type(v) is int for row in scaled.constants.values() for v in row.values())
+def test_cold_table_is_one_integer_table():
+    """In a fresh interpreter, a cold structure_table() makes one StructureTable and
+    constructs no Fraction outside e6kit.group, whose stage terms (the generators'
+    definitions) are Fractions: the rational constants are formed only by `table`."""
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from e6kit import algebra\n"
+            "made = []\n"
+            "new, init = Fraction.__new__, algebra.StructureTable.__init__\n"
+            "def counted(cls, *args, **kwargs):\n"
+            "    frame = sys._getframe(1)\n"
+            "    while frame.f_globals['__name__'] == 'fractions':    # Fraction arithmetic\n"
+            "        frame = frame.f_back\n"
+            "    if frame.f_globals['__name__'] != 'e6kit.group':\n"
+            "        made.append('F')\n"
+            "    return new(cls, *args, **kwargs)\n"
+            "Fraction.__new__ = counted\n"
+            "algebra.StructureTable.__init__ = lambda self, *a: made.append('T') or init(self, *a)\n"
+            "algebra.structure_table()\n"
+            "print(made.count('T'), made.count('F'))\n")
+    assert _fresh_run(code) == "1 0\n"
 
 
 def test_calibration_constant():
@@ -386,8 +382,9 @@ def test_structure_constants_are_rational_and_sparse():
     table = structure_table()
     total = sum(len(row) for row in table.constants.values())
     assert total > 0
+    assert table.scale == 6
     for row in table.constants.values():
         for v in row.values():
-            assert isinstance(v, Fraction) and v != 0
+            assert type(v) is int and v != 0
     labels = {format_label(lab) for lab in preferred_basis()}
     assert len(labels) == 78

@@ -100,8 +100,9 @@ def test_verify_jacobi_reports_the_failing_triple(monkeypatch, capsys):
     from e6kit import algebra, cli
     table = algebra.structure_table()
     assert (0, 1) not in table.constants    # [B:t,z, B:t,z:2] = 0; seed 1 samples (0, 1, 5)
-    constants = {**table.constants, (0, 1): {2: Fraction(1)}}
-    monkeypatch.setattr(algebra, "_TABLE", algebra.StructureTable(table.basis, constants))
+    constants = {**table.constants, (0, 1): {2: 1}}
+    monkeypatch.setattr(algebra, "_TABLE",
+                        algebra.StructureTable(table.basis, table.scale, constants))
     assert cli.run(["verify", "--suite", "jacobi", "--seed", "1"]) == 1
     assert capsys.readouterr().out == "FAILED: jacobi(B:t,z, B:t,z:2, B:t,i) != 0\n"
 
@@ -409,6 +410,13 @@ def _cache_copy(tmp_path, damage):
     return str(path)
 
 
+def _set_crc(data):
+    """The CRC-32 that _store_cache gives the file's body, so that only the checks
+    after it can refuse the file."""
+    body = {"constants": data["constants"], "scale": data["scale"]}
+    data["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
+
+
 def _table_with_cache(path):
     """`table` run with the cache at `path`; its stdout must be the golden table,
     so a wrong constant loaded from a damaged file would show."""
@@ -425,17 +433,27 @@ def test_cache_with_empty_constants_is_ignored(tmp_path):
 def test_cache_with_one_bad_entry_is_ignored_whole(tmp_path):
     def damage(data):
         first, last = data["constants"][0], data["constants"][-1]
-        first[3] = str(Fraction(first[3]) + 1)  # parses, but is wrong
+        first[3] += 1                           # an int, but wrong
         last[3] = "not a number"                # makes the load give up
     _table_with_cache(_cache_copy(tmp_path, damage))
 
 
-@pytest.mark.parametrize("entry", [[0, 1, 2, "1/0"], [0, 1, 78, "1"], [1, 1, 2, "1"]])
+@pytest.mark.parametrize("entry", [
+    [0, 1, 2, "1/2"], [0, 1, 78, 1], [1, 1, 2, 1],
+    [0, 1, 2, 0], [0, 1, 2, True], [0, 1, 2, 1.5],
+])
 def test_cache_with_a_bad_constant_and_a_good_crc_is_ignored(tmp_path, entry):
     def damage(data):
         data["constants"][0] = entry
-        body = {"constants": data["constants"]}
-        data["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
+        _set_crc(data)
+    _table_with_cache(_cache_copy(tmp_path, damage))
+
+
+@pytest.mark.parametrize("scale", [0, 12])    # 12 is prime to the constants too, but halves every c
+def test_cache_with_a_bad_scale_and_a_good_crc_is_ignored(tmp_path, scale):
+    def damage(data):
+        data["scale"] = scale
+        _set_crc(data)
     _table_with_cache(_cache_copy(tmp_path, damage))
 
 
@@ -448,8 +466,7 @@ def test_cache_with_a_bad_constant_and_a_good_crc_is_ignored(tmp_path, entry):
 def test_incomplete_cache_with_a_good_crc_is_rebuilt(tmp_path, keep):
     def damage(data):
         data["constants"] = keep(data["constants"])
-        body = {"constants": data["constants"]}
-        data["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
+        _set_crc(data)
     path = _cache_copy(tmp_path, damage)
     _table_with_cache(path)
     with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
@@ -460,8 +477,10 @@ def test_cache_holds_only_the_constants():
     assert run_cli("table").returncode == 0  # fills the shared cache if needed
     with open(_CACHE_FILE, encoding="utf-8") as fh:
         data = json.load(fh)
-    assert set(data) == {"version", "crc32", "constants"}
+    assert set(data) == {"version", "crc32", "scale", "constants"}
+    assert data["scale"] == 6
     assert len(data["constants"]) == 2750
+    assert all(type(v) is int and v for *_, v in data["constants"])
 
 
 def test_stale_cache_is_rewritten(tmp_path):
@@ -469,6 +488,23 @@ def test_stale_cache_is_rewritten(tmp_path):
     _table_with_cache(path)
     with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
         assert json.load(gh) == json.load(fh)
+
+
+def test_version_4_cache_is_rewritten_as_version_5(tmp_path):
+    """A version-4 file, the constants as "p/q" strings under a valid CRC and no
+    scale, is ignored and rewritten in the integer format."""
+    def version_4(data):
+        scale = data.pop("scale")
+        constants = [[i, j, k, str(Fraction(v, scale))] for i, j, k, v in data["constants"]]
+        data.update(version="e6kit-structure-4", constants=constants,
+                    crc32=zlib.crc32(json.dumps({"constants": constants},
+                                                sort_keys=True).encode()))
+    path = _cache_copy(tmp_path, version_4)
+    _table_with_cache(path)
+    with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
+        rewritten = json.load(gh)
+        assert rewritten == json.load(fh)
+    assert rewritten["version"] == "e6kit-structure-5"
 
 
 def test_start_up_imports_no_dataclasses():

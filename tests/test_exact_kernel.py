@@ -2,7 +2,6 @@
 
 import math
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -149,7 +148,7 @@ def test_tangent_entries_in_half_integers():
 
 def test_structure_constants_in_sixth_integers():
     table = algebra.structure_table()
-    values = [v for row in table.constants.values() for v in row.values()]
+    values = [Fraction(v, table.scale) for row in table.constants.values() for v in row.values()]
     assert len(table.constants) == 2334 and len(values) == 2750
     assert all((6 * v).denominator == 1 for v in values)
     assert any((2 * v).denominator == 3 for v in values)  # 1/6 Z is needed, not 1/2 Z
@@ -378,12 +377,22 @@ def _as_lists(constants):
     return [(pair, list(row.items())) for pair, row in constants.items()]
 
 
+def _rational(scale, constants):
+    """The integer constants L c as the rationals c, in their order; each must be an int."""
+    assert all(type(v) is int for row in constants.values() for v in row.values())
+    return [(pair, [(k, Fraction(v, scale)) for k, v in row.items()])
+            for pair, row in constants.items()]
+
+
+def _lcm_of_denominators(constants):
+    return math.lcm(*(v.denominator for row in constants.values() for v in row.values()))
+
+
 def test_preferred_constants_scatter_matches_the_per_pair_loop(monkeypatch, cold_table):
     """The table's core constants, and a seeded sparse set that puts nonzero rows
     on pairs inside the A/G/S blocks, carry to the same preferred constants both
-    ways: pickled, so keys, row order, values and shared Fractions all agree.
-    The integer table L c that comes with them is the constants scaled by the lcm
-    L of their denominators, in the same order."""
+    ways: the integers L c over L are the per-pair Fractions, keys and row order
+    included, and L is the lcm of their denominators."""
     seen = []
     scatter = algebra._preferred_constants
     monkeypatch.setattr(algebra, "_preferred_constants",
@@ -395,18 +404,18 @@ def test_preferred_constants_scatter_matches_the_per_pair_loop(monkeypatch, cold
                      for k in rng.sample(range(78), rng.randint(0, 4))}
               for pair in rng.sample(pairs, 600)}
     for brackets in (seen[0], seeded):
-        constants, scale, scaled = scatter(brackets)
-        assert pickle.dumps(constants) == pickle.dumps(reference_preferred_constants(brackets))
-        assert scale == math.lcm(*(v.denominator for row in constants.values()
-                                   for v in row.values()))
-        assert _as_lists(scaled) == [(pair, [(k, int(scale * v)) for k, v in row])
-                                     for pair, row in _as_lists(constants)]
+        scale, constants = scatter(brackets)
+        reference = reference_preferred_constants(brackets)
+        assert _rational(scale, constants) == _as_lists(reference)
+        assert scale == _lcm_of_denominators(reference)
 
 
 def test_derived_table_equals_every_pair_computed(cold_table):
     """The core-basis orbits, carried to the preferred basis, equal the 3003-pair loop,
-    in key and row order too."""
-    assert _as_lists(algebra.structure_table().constants) == _as_lists(_reference_constants())
+    in key and row order too; the scale is the lcm of the denominators."""
+    table, reference = algebra.structure_table(), _reference_constants()
+    assert _rational(table.scale, table.constants) == _as_lists(reference)
+    assert table.scale == _lcm_of_denominators(reference) == 6
 
 
 def _closure(identity, generators, compose):
