@@ -17,9 +17,8 @@ _LAZY = {
     "octonion": ("Octonion", "UNITS", "TRIPLES"),
     "jordan": ("JordanElement", "from_coords", "to_coords", "det", "lorentz_dot"),
     "group": ("GeneratorLabel", "parse_label", "format_label", "all_labels", "apply"),
-    "algebra": ("AlgebraElement", "tangent", "commutator", "preferred_basis",
-                "reduce_basis", "structure_table", "killing_matrix",
-                "signature", "casimir_labels", "gellmann_check",
+    "algebra": ("tangent", "preferred_basis", "reduce_basis", "structure_table",
+                "killing_matrix", "signature", "casimir_labels", "gellmann_check",
                 "stabilizer_of_l", "calibration_constant", "curve_commutator"),
     "subalgebra": ("make_involution", "fixed_subalgebra", "compact_preimage",
                    "refine_subspaces", "assemble", "identify"),

@@ -9,18 +9,23 @@ in exact integers, by one group.apply_dual call on a generic element whose
 27 coordinates are the integer linear forms x_0 .. x_26; the other 38 are
 conjugates of those, each move checked on the stage matrices.  The 90
 type-2/3 tangents are the type-1 ones conjugated by the type-cycle
-permutation.  Every tangent entry lies in 1/2 Z.  The structure table is
-built on the core basis (the preferred basis with the 21 transverse cores
-in place of A/G/S), on which all 1344 automorphisms that permute the
-imaginary units up to sign act as signed permutations: one basis pair per
-orbit is computed (166 of 3003) through an integer dual basis and verified
-in integers, and the rest are derived from it exactly.  Seven exact 3x3
-changes of basis carry the constants to the preferred basis, where they
-lie in 1/6 Z.  The table holds them as one integer table, L c with L = 6
-(StructureTable), which the ranks, the Jacobi suite and Stab(l) bracket;
-the rational constant is Fraction(L c, L), formed only where `table`
-prints it.  The Killing form is the trace form of the doubled tangents
-(killing_matrix).
+permutation.  Every tangent entry lies in 1/2 Z, so every runtime path
+holds an element as its doubled tangent 2T, an integer matrix
+{row: {col: int}} (doubled_tangent), and brackets two of them with one
+kernel, _flat_commutator: the table, the span, the su(3) check and the
+curve cross-check alike.  tangent() halves 2T for callers that want T.
+
+The structure table is built on the core basis (the preferred basis with
+the 21 transverse cores in place of A/G/S), on which all 1344 automorphisms
+that permute the imaginary units up to sign act as signed permutations: one
+basis pair per orbit is computed (166 of 3003) through an integer dual basis
+and verified in integers, and the rest are derived from it exactly.  Seven
+exact 3x3 changes of basis carry the constants to the preferred basis,
+where they lie in 1/6 Z.  The table holds them as one integer table, L c
+with L = 6 (StructureTable), which the ranks, the Jacobi suite and Stab(l)
+bracket; the rational constant is Fraction(L c, L), formed only where
+`table` prints it.  The Killing form is the trace form of the doubled
+tangents (killing_matrix).
 """
 
 from __future__ import annotations
@@ -71,98 +76,39 @@ class StepTooLarge(RuntimeError):
     pass
 
 
-class AlgebraElement:
-    """Sparse exact matrix, mat[row][col]: 27x27 on Coord27, or a 6x6 Gell-Mann oracle."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat: dict):
-        self.mat = mat
-
-    def flat(self) -> dict:
-        return {r * DIM + c: v for r, row in self.mat.items() for c, v in row.items()}
-
-    def is_zero(self) -> bool:
-        return not any(row for row in self.mat.values())
-
-    def apply_coords(self, coords: list) -> list:
-        out = [0 * coords[0]] * DIM
-        for r, row in self.mat.items():
-            acc = out[r]
-            for c, v in row.items():
-                acc = acc + v * coords[c]
-            out[r] = acc
-        return out
+def _flat(mat: dict) -> dict:
+    """A matrix {row: {col: v}} as the sparse vector {row * DIM + col: v}."""
+    return {r * DIM + c: v for r, row in mat.items() for c, v in row.items()}
 
 
-def _mat_add(a: dict, b: dict, scale=1) -> dict:
-    out = {r: dict(row) for r, row in a.items()}
-    _mat_iadd(out, b, scale)
-    return out
+def _operand(flat: dict) -> tuple:
+    """A flat matrix as _flat_commutator takes it: (entries, rows).
+
+    entries lists (row * DIM, col, v) and rows maps row to [(col, v)], both
+    in the order of the flat dict.
+    """
+    entries, rows = [], {}
+    for key, v in flat.items():
+        r, c = divmod(key, DIM)
+        entries.append((key - c, c, v))
+        rows.setdefault(r, []).append((c, v))
+    return entries, rows
 
 
-def _mat_iadd(acc: dict, b: dict, scale=1) -> None:
-    """acc += scale * b in place; zero entries and empty rows are dropped."""
-    for r, row in b.items():
-        dst = acc.setdefault(r, {})
-        for c, v in row.items():
-            s = dst.get(c, 0) + scale * v
-            if s:
-                dst[c] = s
-            else:
-                dst.pop(c, None)
-        if not dst:
-            acc.pop(r, None)
+def _span_constants(vectors: list[dict], bracket) -> dict:
+    """{(a, b): coefficients of [v_a, v_b] over the vectors} for every a < b.
 
-
-def _mat_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for i, arow in a.items():
-        acc: dict = {}
-        for j, v in arow.items():
-            brow = b.get(j)
-            if not brow:
-                continue
-            for k, w in brow.items():
-                s = acc.get(k, 0) + v * w
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
-        if acc:
-            out[i] = acc
-    return out
-
-
-def element_sum(parts: list[tuple[Fraction, AlgebraElement]]) -> AlgebraElement:
-    acc: dict = {}
-    for coeff, el in parts:
-        _mat_iadd(acc, el.mat, coeff)
-    return AlgebraElement(acc)
-
-
-def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    # The bracket uses the group-orbit (vector-field) convention, which is
-    # the negative of the raw operator commutator on tangent matrices.  This
-    # is the convention under which the published structure constants (the
-    # Gell-Mann correspondence in particular) hold.
-    return AlgebraElement(_mat_add(_mat_mul(y.mat, x.mat), _mat_mul(x.mat, y.mat), -1))
-
-
-def _span_constants(elements: list, flat, bracket) -> dict:
-    """{(a, b): coefficients of [e_a, e_b] over the elements} for every a < b.
-
-    flat turns an element, or a bracket of two, into a sparse vector.
-    ValueError if the elements are dependent; NotClosed at the first pair
+    The vectors are sparse, and bracket takes two of them to a sparse vector.
+    ValueError if the vectors are dependent; NotClosed at the first pair
     whose bracket escapes their span.
     """
-    span = span_of(flat(el) for el in elements)
-    if span.rank != len(elements):
+    span = span_of(vectors)
+    if span.rank != len(vectors):
         raise ValueError("subspace vectors are dependent")
     out = {}
-    for a, x in enumerate(elements):
-        for b in range(a + 1, len(elements)):
-            coeffs = span.express(flat(bracket(x, elements[b])))
+    for a, x in enumerate(vectors):
+        for b in range(a + 1, len(vectors)):
+            coeffs = span.express(bracket(x, vectors[b]))
             if coeffs is None:
                 raise NotClosed(f"[v_{a}, v_{b}] escapes the subspace")
             out[(a, b)] = coeffs
@@ -256,8 +202,6 @@ class _Form:
 _NEW_FORM = object.__new__
 _GENERIC = from_coords([_Form({i: 1}) for i in range(DIM)])
 
-_TANGENTS: dict[GeneratorLabel, AlgebraElement] = {}
-
 # group.type_cycle as a coordinate permutation P: coordinate i moves to _CYCLED[i],
 # and P^(t-1) moves it to _CYCLES[t - 1][i].
 _CYCLED = {i: n for n, i in enumerate(type_cycle(from_coords(range(DIM))).coords)}
@@ -265,14 +209,10 @@ _CYCLES = (tuple(range(DIM)), tuple(_CYCLED[i] for i in range(DIM)),
            tuple(_CYCLED[_CYCLED[i]] for i in range(DIM)))
 
 
-def tangent(label: GeneratorLabel) -> AlgebraElement:
-    """Exact d/dalpha at 0 of the label's action, as a 27x27 matrix: doubled_tangent halved."""
-    el = _TANGENTS.get(label)
-    if el is None:
-        el = _TANGENTS[label] = AlgebraElement({
-            r: {c: Fraction(v, 2) for c, v in row.items()}
-            for r, row in doubled_tangent(label).items()})
-    return el
+def tangent(label: GeneratorLabel) -> dict:
+    """Exact d/dalpha at 0 of the label's action as {row: {col: Fraction}}: 2T halved."""
+    return {r: {c: Fraction(v, 2) for c, v in row.items()}
+            for r, row in doubled_tangent(label).items()}
 
 
 def doubled_tangent(label: GeneratorLabel) -> dict:
@@ -543,7 +483,7 @@ def _basis_span() -> tuple[SpanBasis, list[dict]]:
 
     Built once per process; reduce_basis and structure_table read it.
     """
-    flat = [AlgebraElement(mat).flat() for mat in _core_doubled()]
+    flat = [_flat(mat) for mat in _core_doubled()]
     sb = span_of(flat)
     if sb.rank != 78:
         raise RankMismatch(f"the core-basis tangents span only {sb.rank} dimensions")
@@ -562,7 +502,7 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
     for label in all_labels():
         if label in _basis_index():
             continue
-        coeffs = sb.express(AlgebraElement(doubled_tangent(label)).flat())
+        coeffs = sb.express(_flat(doubled_tangent(label)))
         if coeffs is None:
             raise RankMismatch(f"tangent of {label} escapes the preferred span")
         certificates[label] = {basis[f]: v / d for f, v in _to_preferred(coeffs).items()}
@@ -656,10 +596,7 @@ def _core_constants() -> dict:
     # w in the span is sum over reduced rows n of w[pivot n] / row n[pivot n]
     # * row n, and combos[n] is row n on the 2T.
     span, flat = _basis_span()
-    # each 2T as (its entries (row * DIM, col, v), its rows {row: ((col, v), ...)})
-    doubled = [([(key - key % DIM, key % DIM, v) for key, v in f.items()],
-                {r: tuple(row.items()) for r, row in mat.items()})
-               for f, mat in zip(flat, _core_doubled())]
+    doubled = [_operand(f) for f in flat]
     row_of = span.pivot_row
     pivots = {n: span.rows[n][p] for p, n in row_of.items()}
     scale = math.lcm(*pivots.values())
@@ -696,10 +633,12 @@ def _core_constants() -> dict:
 
 
 def _flat_commutator(x: tuple, y: tuple) -> dict:
-    """commutator of two integer matrices, flat as {row * DIM + col: int}, zero sums kept.
+    """The bracket YX - XY of two matrices X, Y, flat as {row * DIM + col: v}, zero sums kept.
 
-    Each matrix is given as (entries, rows): its entries (row * DIM, col, v)
-    and its rows {row: ((col, v), ...)}.
+    Each matrix is given as _operand makes it.  The bracket uses the
+    group-orbit (vector-field) convention, the negative of the raw operator
+    commutator on tangent matrices: the one under which the published
+    structure constants, the Gell-Mann correspondence in particular, hold.
     """
     out: dict = {}
     get = out.get
@@ -909,14 +848,14 @@ def signature(bilinear: list[list[Fraction]]) -> tuple[int, int, int]:
     return signature_symmetric(bilinear)
 
 
-def killing_restricted(vectors: list[dict]) -> list[list[Fraction]]:
-    """Killing form restricted to a span of sparse 78-coefficient vectors."""
+def killing_restricted(vectors: list[dict]) -> list[list]:
+    """Killing form restricted to a span of sparse 78-coefficient vectors; ints for int vectors."""
     bmat = killing_matrix()
     n = len(vectors)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            total = Fraction(0)
+            total = 0
             for i, x in vectors[a].items():
                 for j, y in vectors[b].items():
                     total += x * y * bmat[i][j]
@@ -937,7 +876,7 @@ def casimir_labels() -> list[GeneratorLabel]:
 
 
 def unit_vectors(indices: list[int]) -> list[dict]:
-    return [{i: Fraction(1)} for i in indices]
+    return [{i: 1} for i in indices]
 
 
 def rank_estimate(subspace: list[dict]) -> int:
@@ -979,7 +918,7 @@ def rank_estimate(subspace: list[dict]) -> int:
             else:
                 sub.constants[(b, a)] = {position[k]: -v for k, v in row.items()}
     else:
-        sub.constants = _span_constants(subspace, dict, table.bracket_vectors)
+        sub.constants = _span_constants(subspace, table.bracket_vectors)
     sextet = {_basis_index()[label]: w for w, label in enumerate(casimir_labels(), 1)}
     first = {n: sextet[k] for n, v in enumerate(subspace)
              if len(v) == 1 for k in v if k in sextet}
@@ -1016,12 +955,13 @@ GELLMANN_LABELS = [GeneratorLabel("A", 1, axis="k"),
                    GeneratorLabel("G", 1, axis="l")]
 
 
-def _gellmann_matrices() -> list[AlgebraElement]:
-    """The eight matrices of the correspondence table, transposed and realified.
+def _gellmann_matrices() -> list[dict]:
+    """The eight matrices of the correspondence table, transposed, realified and doubled.
 
     A complex 3x3 matrix X + iY becomes the real 6x6 matrix [[X, -Y], [Y, X]],
-    and that is transposed: commutator takes YX - XY, which on transposes is
-    (XY - YX)^T, so the constants read off are those of ab - ba.
+    and that is transposed: _flat_commutator takes YX - XY, which on
+    transposes is (XY - YX)^T, so the constants read off are those of ab - ba.
+    Each is doubled, {row: {col: 2v}}, as the tangents are (doubled_tangent).
     """
     table = [
         {(0, 1): -1j, (1, 0): -1j},            # -i * lambda1-like
@@ -1040,23 +980,27 @@ def _gellmann_matrices() -> list[AlgebraElement]:
             x, y = int(z.real), int(z.imag)
             for row, col, v in ((c, r, x), (c + 3, r, -y), (c, r + 3, y), (c + 3, r + 3, x)):
                 if v:
-                    mat.setdefault(row, {})[col] = v
-        out.append(AlgebraElement(mat))
+                    mat.setdefault(row, {})[col] = 2 * v
+        out.append(mat)
     return out
 
 
 def gellmann_check() -> dict:
     """Compare the octonionic su(3) constants against the matrix oracle.
 
-    Both sides are spans of eight AlgebraElements under commutator: the
-    tangents of GELLMANN_LABELS and the _gellmann_matrices.  Returns
+    Both sides are spans of eight doubled integer matrices under
+    _flat_commutator: the 2T of GELLMANN_LABELS and the _gellmann_matrices.
+    [2a, 2b] = 4 [a, b], so each side gives 2c, twice its constants.  Returns
     {"pairs_checked": 28, "match": True}; raises MismatchAt at the first pair
     whose constants differ, and ValueError or NotClosed (_span_constants) if
     either side is dependent or does not close.
     """
-    octonionic = _span_constants([tangent(label) for label in GELLMANN_LABELS],
-                                 AlgebraElement.flat, commutator)
-    oracle = _span_constants(_gellmann_matrices(), AlgebraElement.flat, commutator)
+    def bracket(x, y):
+        return _flat_commutator(_operand(x), _operand(y))
+
+    octonionic = _span_constants([_flat(doubled_tangent(label)) for label in GELLMANN_LABELS],
+                                 bracket)
+    oracle = _span_constants(list(map(_flat, _gellmann_matrices())), bracket)
     for pair, coeffs in octonionic.items():
         if coeffs != oracle[pair]:
             raise MismatchAt(f"structure constants differ at pair {pair} "
@@ -1176,6 +1120,17 @@ def _second_difference(label1, label2, h, chi):
     return [(a - 2 * b + c) / (h * h) for a, c, b in zip(fp, fm, f0)]
 
 
+def _bracket_on(label1: GeneratorLabel, label2: GeneratorLabel, chi) -> list[Fraction]:
+    """[T1, T2] chi, exact: a quarter of [2T1, 2T2] (_flat_commutator) applied to chi."""
+    x, y = (_operand(_flat(doubled_tangent(label))) for label in (label1, label2))
+    coords = [Fraction(v) for v in to_coords(chi)]
+    out = [Fraction(0)] * DIM
+    for key, v in _flat_commutator(x, y).items():
+        r, c = divmod(key, DIM)
+        out[r] += v * coords[c]
+    return [v / 4 for v in out]
+
+
 def calibration_constant(h: float = 1e-3) -> float:
     """The curve constant fitted on (A_i, A_j), measured once per process.
 
@@ -1188,9 +1143,7 @@ def calibration_constant(h: float = 1e-3) -> float:
         l2 = GeneratorLabel("A", 1, axis="j")
         chi = _calibration_chi()
         fd = _second_difference(l1, l2, h, chi)
-        mc = commutator(tangent(l1), tangent(l2)).apply_coords(
-            [Fraction(v) for v in to_coords(chi)])
-        mc = [float(v) for v in mc]
+        mc = [float(v) for v in _bracket_on(l1, l2, chi)]
         num = sum(a * b for a, b in zip(fd, mc))
         den = sum(b * b for b in mc)
         _CALIBRATION = num / den
@@ -1207,8 +1160,7 @@ def curve_commutator(label1: GeneratorLabel, label2: GeneratorLabel,
     """
     est = [2 * v for v in _second_difference(label1, label2, h, chi)]
     if tol is not None:
-        mc = commutator(tangent(label1), tangent(label2)).apply_coords(
-            [Fraction(v) for v in to_coords(chi)])
+        mc = _bracket_on(label1, label2, chi)
         err = max(abs(a - float(b)) for a, b in zip(est, mc))
         scale = max(1.0, max(abs(float(b)) for b in mc))
         if err / scale > tol:

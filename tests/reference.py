@@ -9,7 +9,9 @@ tr(ad ad) summed over the structure constants, the oracle of the trace form
 that e6kit.algebra.killing_matrix computes, and the preferred-basis
 constants pair by pair, the oracle of e6kit.algebra._preferred_constants.
 DictForm is the integer linear form as a plain {column: int} dict, the
-oracle of the packed e6kit.algebra._Form.
+oracle of the packed e6kit.algebra._Form.  The matrix bracket YX - XY on
+{row: {col: v}} dicts, through a plain matrix product, is the oracle of
+e6kit.algebra._flat_commutator.
 """
 
 from fractions import Fraction
@@ -245,3 +247,60 @@ class DictForm:
 
 
 GENERIC = from_coords([DictForm({i: 1}) for i in range(27)])
+
+
+def _mat_iadd(acc: dict, b: dict, scale=1) -> None:
+    """acc += scale * b in place; zero entries and empty rows are dropped."""
+    for r, row in b.items():
+        dst = acc.setdefault(r, {})
+        for c, v in row.items():
+            s = dst.get(c, 0) + scale * v
+            if s:
+                dst[c] = s
+            else:
+                dst.pop(c, None)
+        if not dst:
+            acc.pop(r, None)
+
+
+def _mat_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for i, arow in a.items():
+        acc: dict = {}
+        for j, v in arow.items():
+            brow = b.get(j)
+            if not brow:
+                continue
+            for k, w in brow.items():
+                s = acc.get(k, 0) + v * w
+                if s:
+                    acc[k] = s
+                else:
+                    acc.pop(k, None)
+        if acc:
+            out[i] = acc
+    return out
+
+
+def mat_sum(parts: list) -> dict:
+    """sum of coeff * mat over [(coeff, {row: {col: v}})]; {} if it vanishes."""
+    acc: dict = {}
+    for coeff, mat in parts:
+        _mat_iadd(acc, mat, coeff)
+    return acc
+
+
+def commutator(x: dict, y: dict) -> dict:
+    """YX - XY of two {row: {col: v}} matrices, the group-orbit (vector-field) bracket."""
+    return mat_sum([(1, _mat_mul(y, x)), (-1, _mat_mul(x, y))])
+
+
+def apply_matrix(mat: dict, coords: list) -> list:
+    """The matrix {row: {col: v}} times the 27 coordinates."""
+    out = [0 * coords[0]] * 27
+    for r, row in mat.items():
+        acc = out[r]
+        for c, v in row.items():
+            acc = acc + v * coords[c]
+        out[r] = acc
+    return out

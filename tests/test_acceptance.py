@@ -21,8 +21,8 @@ import random
 from fractions import Fraction
 
 from e6kit import algebra, jordan, rootweight, subalgebra
-from e6kit.algebra import (calibration_constant, commutator, element_sum,
-                           gellmann_check, killing_matrix, killing_restricted,
+from e6kit.algebra import (calibration_constant, gellmann_check,
+                           killing_matrix, killing_restricted,
                            rank_estimate, reduce_basis, signature,
                            stabilizer_of_l, structure_table, tangent,
                            unit_vectors)
@@ -32,11 +32,12 @@ from e6kit.rootweight import (cartan_matrix, diagram, embed_check,
                               inverse_cartan, middle_slice,
                               orthogonal_direction, root_system, simple_roots,
                               weights_from_highest)
+from reference import apply_matrix, commutator, mat_sum
 
 
 def combo(parts):
-    return element_sum([(Fraction(c), tangent(parse_label(text)))
-                        for c, text in parts])
+    return mat_sum([(Fraction(c), tangent(parse_label(text)))
+                    for c, text in parts])
 
 
 def test_01_basis_reduction_and_dependency_families():
@@ -44,24 +45,24 @@ def test_01_basis_reduction_and_dependency_families():
     assert len(all_labels()) == 135
     assert len(basis) == 78
     assert len(certificates) == 57
-    assert combo([(1, "B:t,z"), (1, "B:t,z:2"), (1, "B:t,z:3")]).is_zero()
+    assert combo([(1, "B:t,z"), (1, "B:t,z:2"), (1, "B:t,z:3")]) == {}
     for q in IMAGINARY_UNITS:
         assert combo([(1, f"S:{q}"), (1, f"S:{q}:2"),
-                      (1, f"S:{q}:3")]).is_zero()
+                      (1, f"S:{q}:3")]) == {}
         assert combo([(1, f"R:x,{q}"), (1, f"R:x,{q}:2"),
-                      (1, f"R:x,{q}:3")]).is_zero()
+                      (1, f"R:x,{q}:3")]) == {}
         assert combo([(1, f"R:x,{q}:2"), (Fraction(1, 2), f"R:x,{q}"),
-                      (Fraction(1, 2), f"S:{q}")]).is_zero()
+                      (Fraction(1, 2), f"S:{q}")]) == {}
         assert combo([(1, f"S:{q}:2"), (Fraction(-3, 2), f"R:x,{q}"),
-                      (Fraction(1, 2), f"S:{q}")]).is_zero()
+                      (Fraction(1, 2), f"S:{q}")]) == {}
 
 
 def test_02_type_independence_of_a_and_g():
     for cat in ("A", "G"):
         for q in IMAGINARY_UNITS:
-            t1 = tangent(parse_label(f"{cat}:{q}")).flat()
-            assert tangent(parse_label(f"{cat}:{q}:2")).flat() == t1
-            assert tangent(parse_label(f"{cat}:{q}:3")).flat() == t1
+            t1 = tangent(parse_label(f"{cat}:{q}"))
+            assert tangent(parse_label(f"{cat}:{q}:2")) == t1
+            assert tangent(parse_label(f"{cat}:{q}:3")) == t1
 
 
 def test_03_antisymmetry_and_jacobi_full():
@@ -119,7 +120,7 @@ def test_05_casimir_sextet_and_rank():
     assert texts == {"B:t,z", "B:t,z:2", "R:x,ℓ", "A:ℓ", "G:ℓ", "S:ℓ"}
     for a in labels:
         for b in labels:
-            assert commutator(tangent(a), tangent(b)).is_zero()
+            assert commutator(tangent(a), tangent(b)) == {}
     assert rank_estimate(unit_vectors(list(range(78)))) == 6
 
 
@@ -240,7 +241,7 @@ def test_12_curve_commutator_cross_oracle():
     for _ in range(30):
         l1, l2 = rng.sample(labels, 2)
         est = algebra.curve_commutator(l1, l2, 1e-3, chi)
-        exact = commutator(tangent(l1), tangent(l2)).apply_coords(chi_coords)
+        exact = apply_matrix(commutator(tangent(l1), tangent(l2)), chi_coords)
         exact = [float(v) for v in exact]
         scale = max(1.0, max(abs(v) for v in exact))
         err = max(abs(a - b) for a, b in zip(est, exact))

@@ -72,14 +72,14 @@ def test_verify_dependencies():
 def test_verify_dependencies_checks_each_difference(monkeypatch, capsys):
     """Errors in A:i:2 and A:j:2 that cancel in a sum over q still fail the A identity."""
     from e6kit import algebra, cli, group
+    from reference import mat_sum
     original = algebra.doubled_tangent
-    extra = algebra.AlgebraElement(original(group.parse_label("B:t,z")))
+    extra = original(group.parse_label("B:t,z"))
     shifted = {group.parse_label("A:i:2"): 1, group.parse_label("A:j:2"): -1}
 
     def doubled_tangent(label):
         if label in shifted:
-            return algebra.element_sum([(1, algebra.AlgebraElement(original(label))),
-                                        (shifted[label], extra)]).mat
+            return mat_sum([(1, original(label)), (shifted[label], extra)])
         return original(label)
 
     monkeypatch.setattr(algebra, "doubled_tangent", doubled_tangent)
@@ -257,8 +257,7 @@ def _repeat_first(mats):
 
 
 def _real_diagonal_last(mats):
-    from e6kit import algebra
-    mats[7] = algebra.AlgebraElement({0: {0: 1}, 3: {3: 1}})    # diag(1, 0, 0), realified
+    mats[7] = {0: {0: 2}, 3: {3: 2}}    # diag(1, 0, 0), realified and doubled
 
 
 @pytest.mark.parametrize("corrupt, message", [

@@ -19,7 +19,7 @@ from e6kit.group import (GeneratorLabel, IllegalLabel, action_matrix, all_labels
                          parse_label, type_cycle, validate_label)
 from e6kit.jordan import det, from_coords, to_coords
 from e6kit.octonion import UNIT_INDEX
-from reference import apply as reference_apply, basis_element
+from reference import apply as reference_apply, apply_matrix, basis_element
 
 
 def random_chi(rng):
@@ -77,7 +77,7 @@ def test_a_l_tangent_on_off_diagonal_block():
     for name, value in (("i", 2), ("j", 3), ("jl", 5), ("il", 7)):
         coords[base + UNIT_INDEX[name]] = Fraction(value)
     from e6kit.algebra import tangent
-    moved = tangent(parse_label("A:l")).apply_coords(coords)
+    moved = apply_matrix(tangent(parse_label("A:l")), coords)
     dot = {name: moved[base + UNIT_INDEX[name]]
            for name in ("i", "j", "k", "kl", "jl", "il", "l")}
     assert dot == {"i": -7, "il": 2, "j": 5, "jl": -3,
