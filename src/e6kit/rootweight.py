@@ -31,7 +31,9 @@ MAX_WEIGHTS = 10_000
 # and 0.1 s for A32 on a 2-vCPU Xeon, and A200 would take minutes.
 MAX_RANK = 24
 
-SEARCH_BUDGET = 200_000  # candidate images embed_check tries before it gives up
+# The candidate images embed_check tries before it gives up.  It counts
+# norm-matched candidates only: each search level draws from one norm shell.
+SEARCH_BUDGET = 200_000
 
 
 class SingularCartan(ValueError):
@@ -295,13 +297,22 @@ class Slice:
         self.level, self.vertices = level, vertices
 
 
+def _direction_norm(direction: tuple, name: str) -> float:
+    """The length of `direction`; ValueError when it is at most 1e-9, no direction at all."""
+    nn = math.sqrt(sum(x * x for x in direction))
+    if not nn > 1e-9:
+        raise ValueError(f"zero {name} {tuple(direction)}: it defines no direction")
+    return nn
+
+
 def slice_diagram(points: list, normal: tuple, roots: Optional[list] = None):
     """Bucket points by inner product with the (normalized) normal.
 
     Returns (slices sorted by level, struts).  Struts are pairs of points in
     different levels whose difference is a root (only when roots given).
+    A zero normal raises ValueError.
     """
-    nn = math.sqrt(sum(x * x for x in normal))
+    nn = _direction_norm(normal, "normal")
     unit = tuple(x / nn for x in normal)
     buckets: dict = {}
     for p in points:
@@ -363,8 +374,13 @@ def orthogonal_direction(vectors: list) -> tuple:
 
 
 def project(points: list, direction: tuple) -> list:
-    """Project along `direction`: orthonormalize with it first, drop coord 1."""
+    """Project along `direction`: orthonormalize with it first, drop coord 1.
+
+    A zero direction raises ValueError (Gram-Schmidt would skip it and drop
+    the first axis instead).
+    """
     p = tuple(direction)
+    _direction_norm(p, "direction")
     basis, _ = _orthonormalize([p] + _axes(len(p)), 1e-9)
     return [tuple(sum(a * x for a, x in zip(pt, b)) for b in basis[1:])
             for pt in points]
@@ -374,33 +390,61 @@ def _norm2(v: tuple) -> float:
     return sum(x * x for x in v)
 
 
+def _near(got: float, want: float) -> bool:
+    """Equal within the search's tolerance, 1e-6 relative (absolute below 1)."""
+    return abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+
 def embed_check(points1: list, points2: list) -> bool:
     """Is there a scaled isometry taking diagram 1 into diagram 2?
 
     The map must send every vertex of diagram 1 onto a vertex of diagram 2
     and must send the maximal-norm shell of diagram 1 into the
-    maximal-norm shell of diagram 2 (the highest-weight rule).  Search:
-    pick a spanning tuple of diagram-1 vertices and try Gram-compatible
-    image tuples in diagram 2.  Past SEARCH_BUDGET candidates it raises
-    SearchBudgetExceeded.
+    maximal-norm shell of diagram 2 (the highest-weight rule).  An empty
+    diagram 1 embeds anywhere and a non-empty one in no empty target.  A
+    diagram 1 of zero vectors only has the zero map, which embeds iff the
+    zero vertex is a vertex of the target's maximal shell.
+
+    Search: pick a spanning tuple of diagram-1 vertices and try
+    Gram-compatible image tuples in diagram 2, depth first.  Two exact
+    rules prune it; neither changes which tuples can succeed:
+
+    * the shells fix the scale: a map of squared scale s sends the shell of
+      norm max1 to norm s * max1, and the highest-weight rule needs max2
+      there, so only the candidate s within tolerance of max2 / max1 is
+      searched;
+    * each level draws from one norm shell: level i tries only the target
+      vertices q with |q|^2 = s * |span[i]|^2, listed once per level in
+      target order, so the surviving tuples come in the same order.
+
+    Past SEARCH_BUDGET norm-matched candidates it raises SearchBudgetExceeded.
     """
     if not points1:
         return True
+    if not points2:
+        return False
     # a linearly independent spanning subset of points1
     basis, span = _orthonormalize(points1, 1e-6)
     k = len(span)
+    norms2 = [_norm2(q) for q in points2]
     max1 = max(_norm2(p) for p in points1)
-    max2 = max(_norm2(p) for p in points2)
+    max2 = max(norms2)
     shell1 = {_key(p) for p in points1 if abs(_norm2(p) - max1) < 1e-6}
     keys2 = {_key(p) for p in points2}
-    shell2 = {_key(p) for p in points2 if abs(_norm2(p) - max2) < 1e-6}
+    shell2 = {_key(q) for q, nq in zip(points2, norms2) if abs(nq - max2) < 1e-6}
+    if not k:  # the zero map
+        return _key((0.0,) * len(points2[0])) in shell2
     gram1 = [[sum(a * b for a, b in zip(u, v)) for v in span] for u in span]
+    # each span vector in the orthonormal basis that extends span: lower-triangular
+    coords = [[sum(a * x for a, x in zip(v, b)) for b in basis] for v in span]
 
     tried = 0
 
     def compatible(partial: list, scale2: float) -> bool:
+        # the norm (t = n) was matched when the level was drawn; _near is
+        # inlined in this inner loop
         n = len(partial) - 1
-        for t in range(len(partial)):
+        for t in range(n):
             want = gram1[n][t] * scale2
             got = sum(a * b for a, b in zip(partial[n], partial[t]))
             if abs(got - want) > 1e-6 * max(1.0, abs(want)):
@@ -408,12 +452,8 @@ def embed_check(points1: list, points2: list) -> bool:
         return True
 
     def solve_map(images: list) -> list:
-        # linear map T with T(span[i]) = images[i]; build via the
-        # orthonormal basis of span ("basis" above extends span exactly)
-        # express each span vector in `basis`, invert the triangular system
-        coords = [[sum(a * x for a, x in zip(v, b)) for b in basis]
-                  for v in span]
-        # solve for T(basis[j]) column by column (coords is lower-triangular)
+        # linear map T with T(span[i]) = images[i]: solve for T(basis[j])
+        # column by column through the triangular coords
         timg = []
         for i in range(k):
             rhs = list(images[i])
@@ -429,11 +469,16 @@ def embed_check(points1: list, points2: list) -> bool:
             out = [o + c * x for o, x in zip(out, t)]
         return tuple(out)
 
-    # candidate scale^2 values from matching the first spanning vector
+    # candidate scale^2 values from matching the first spanning vector;
+    # the shells leave only max2 / max1
     n1 = _norm2(span[0])
-    scales = sorted({round(_norm2(q) / n1, ROUND) for q in points2})
+    scales = sorted({round(nq / n1, ROUND) for nq in norms2})
 
     for scale2 in scales:
+        if not _near(scale2, max2 / max1):
+            continue
+        levels = [[q for q, nq in zip(points2, norms2) if _near(nq, gram1[i][i] * scale2)]
+                  for i in range(k)]
         stack = [[]]
         while stack:
             partial = stack.pop()
@@ -444,7 +489,7 @@ def embed_check(points1: list, points2: list) -> bool:
                         q in shell2 for p, q in zip(points1, images) if _key(p) in shell1):
                     return True
                 continue
-            for q in points2:
+            for q in levels[len(partial)]:
                 tried += 1
                 if tried > SEARCH_BUDGET:
                     raise SearchBudgetExceeded(str(SEARCH_BUDGET))

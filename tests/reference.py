@@ -11,7 +11,9 @@ constants pair by pair, the oracle of e6kit.algebra._preferred_constants.
 DictForm is the integer linear form as a plain {column: int} dict, the
 oracle of the packed e6kit.algebra._Form.  The matrix bracket YX - XY on
 {row: {col: v}} dicts, through a plain matrix product, is the oracle of
-e6kit.algebra._flat_commutator.
+e6kit.algebra._flat_commutator.  `embed_check` is the unpruned isometry
+search, trying every norm ratio as the scale and every target vertex at
+every level: the oracle of e6kit.rootweight.embed_check.
 """
 
 from fractions import Fraction
@@ -20,6 +22,8 @@ from e6kit import algebra
 from e6kit.group import _float_term, build_sequence
 from e6kit.jordan import JordanElement, from_coords
 from e6kit.octonion import Octonion
+from e6kit.rootweight import (ROUND, SEARCH_BUDGET, SearchBudgetExceeded, _key, _norm2,
+                              _orthonormalize)
 
 
 def off_diagonal(x: JordanElement) -> tuple:
@@ -304,3 +308,80 @@ def apply_matrix(mat: dict, coords: list) -> list:
             acc = acc + v * coords[c]
         out[r] = acc
     return out
+
+
+def embed_check(points1: list, points2: list) -> bool:
+    """Is there a scaled isometry taking diagram 1 into diagram 2?
+
+    The map must send every vertex of diagram 1 onto a vertex of diagram 2
+    and its maximal-norm shell into the maximal-norm shell of diagram 2.
+    Every norm ratio |q|^2 / |span[0]|^2 of the target is tried as the
+    scale, and every target vertex at every level of the depth-first
+    search; past SEARCH_BUDGET candidates it raises SearchBudgetExceeded.
+    """
+    if not points1:
+        return True
+    # a linearly independent spanning subset of points1
+    basis, span = _orthonormalize(points1, 1e-6)
+    k = len(span)
+    max1 = max(_norm2(p) for p in points1)
+    max2 = max(_norm2(p) for p in points2)
+    shell1 = {_key(p) for p in points1 if abs(_norm2(p) - max1) < 1e-6}
+    keys2 = {_key(p) for p in points2}
+    shell2 = {_key(p) for p in points2 if abs(_norm2(p) - max2) < 1e-6}
+    gram1 = [[sum(a * b for a, b in zip(u, v)) for v in span] for u in span]
+
+    tried = 0
+
+    def compatible(partial: list, scale2: float) -> bool:
+        n = len(partial) - 1
+        for t in range(len(partial)):
+            want = gram1[n][t] * scale2
+            got = sum(a * b for a, b in zip(partial[n], partial[t]))
+            if abs(got - want) > 1e-6 * max(1.0, abs(want)):
+                return False
+        return True
+
+    def solve_map(images: list) -> list:
+        # linear map T with T(span[i]) = images[i], solved column by column
+        # through span's lower-triangular coordinates in `basis`
+        coords = [[sum(a * x for a, x in zip(v, b)) for b in basis]
+                  for v in span]
+        timg = []
+        for i in range(k):
+            rhs = list(images[i])
+            for j in range(i):
+                rhs = [r - coords[i][j] * t for r, t in zip(rhs, timg[j])]
+            timg.append(tuple(r / coords[i][i] for r in rhs))
+        return timg
+
+    def apply_map(timg: list, v: tuple) -> tuple:
+        cs = [sum(a * x for a, x in zip(v, b)) for b in basis]
+        out = [0.0] * len(points2[0])
+        for c, t in zip(cs, timg):
+            out = [o + c * x for o, x in zip(out, t)]
+        return tuple(out)
+
+    # candidate scale^2 values from matching the first spanning vector
+    n1 = _norm2(span[0])
+    scales = sorted({round(_norm2(q) / n1, ROUND) for q in points2})
+
+    for scale2 in scales:
+        stack = [[]]
+        while stack:
+            partial = stack.pop()
+            if len(partial) == k:
+                timg = solve_map(partial)
+                images = [_key(apply_map(timg, p)) for p in points1]
+                if all(q in keys2 for q in images) and all(
+                        q in shell2 for p, q in zip(points1, images) if _key(p) in shell1):
+                    return True
+                continue
+            for q in points2:
+                tried += 1
+                if tried > SEARCH_BUDGET:
+                    raise SearchBudgetExceeded(str(SEARCH_BUDGET))
+                cand = partial + [q]
+                if compatible(cand, scale2):
+                    stack.append(cand)
+    return False

@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import io
 import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
+from reference import embed_check as unpruned_embed_check
 
 from e6kit import cli, rootweight
 from e6kit.rootweight import (DynkinDiagram, SingularCartan, _key, cartan_matrix,
@@ -194,6 +196,77 @@ def test_embed_identity_and_rejections():
     assert embed_check(a3, a3)
     # the highest-shell rule rejects A3 inside C3 (long roots missed)
     assert not embed_check(a3, c3)
+
+
+@pytest.mark.parametrize("small,big,expected", [
+    ("D4", "F4", True), ("B4", "F4", True), ("C3", "F4", True), ("A2", "F4", True),
+    ("A5", "E6", True), ("D5", "E6", True),
+    ("F4", "E6", False),  # E6 has no short roots for F4's short shell
+    ("G2", "F4", False),  # no norm ratio 3 in F4
+])
+def test_known_embeddings(small, big, expected):
+    assert embed_check(root_system(diagram(small)), root_system(diagram(big))) is expected
+
+
+def test_search_budget_exceeded(monkeypatch):
+    """Past SEARCH_BUDGET norm-matched candidates the search gives up loudly."""
+    a2, e6 = root_system(diagram("A2")), root_system(diagram("E6"))
+    assert embed_check(a2, e6)  # 72 first images, then 72 second ones
+    monkeypatch.setattr(rootweight, "SEARCH_BUDGET", 100)
+    with pytest.raises(rootweight.SearchBudgetExceeded):
+        embed_check(a2, e6)
+
+
+def test_embed_into_empty_target():
+    """An empty diagram embeds anywhere; a non-empty one in no empty target."""
+    assert embed_check([], [])
+    assert embed_check([], root_system(diagram("A2")))
+    assert not embed_check(root_system(diagram("A2")), [])
+    assert not embed_check([(0.0, 0.0)], [])
+
+
+def test_embed_zero_diagram_is_the_zero_map():
+    """Zero vectors only: true iff the zero vertex is in the target's maximal shell."""
+    zero = [(0.0, 0.0)]
+    assert embed_check(zero, [(0.0, 0.0, 0.0)])
+    assert embed_check(zero + zero, [(0.0, 0.0)])
+    assert not embed_check(zero, root_system(diagram("A2")))  # zero is no root
+    wd = weights_from_highest(diagram("B3"), [1, 0, 0])  # zero is a weight of norm below the top
+    assert not embed_check(zero, [w.coords for w in wd.weights])
+
+
+@pytest.mark.parametrize("call", [project, slice_diagram, middle_slice])
+def test_zero_direction_raises(call):
+    """A zero direction or normal is refused, not read as a wrong projection or slice."""
+    roots = root_system(diagram("B3"))
+    for v in ((0.0, 0.0, 0.0), (1e-12, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="zero"):
+            call(roots, v)
+
+
+# the unpruned search in tests/reference.py as the oracle: every ordered pair
+# of these root systems, and the middle slices and projections of some below
+# against the diagrams of lower rank (a slice or projection of a rank-n
+# system spans n - 1 dimensions, so no higher rank fits)
+ORACLE_DIAGRAMS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                   "D3", "D4", "G2", "F4"]
+ORACLE_TARGETS = ["B3", "C3", "B4", "C4", "D4", "G2"]
+
+
+def test_embed_check_matches_unpruned_search():
+    """The shell and scale rules change no answer of the unpruned search."""
+    roots = {name: root_system(diagram(name)) for name in ORACLE_DIAGRAMS}
+    targets = [(name, roots[name], ORACLE_DIAGRAMS) for name in ORACLE_DIAGRAMS]
+    rng = random.Random(27)
+    for big in ORACLE_TARGETS:
+        lower = [name for name in ORACLE_DIAGRAMS if diagram(name).rank < diagram(big).rank]
+        for r in rng.sample(roots[big], 2):
+            targets.append((f"{big} mid {r}", middle_slice(roots[big], r), lower))
+            targets.append((f"{big} proj {r}", project(roots[big], r), lower))
+    for target, points2, names in targets:
+        for name in names:
+            assert embed_check(roots[name], points2) == \
+                unpruned_embed_check(roots[name], points2), (name, target)
 
 
 def test_c3_inside_projected_c4():
