@@ -42,8 +42,8 @@ from itertools import compress
 from typing import Optional
 
 from . import jordan
-from .group import (GeneratorLabel, _is_transverse, _sequence, all_labels, apply,
-                    apply_dual, cores, format_label, type_cycle)
+from .group import (GeneratorLabel, _is_transverse, _rotation, _sequence, all_labels,
+                    apply, apply_dual, cores, format_label)
 from .jordan import from_coords, to_coords
 from .linalg import SpanBasis, kernel, signature_symmetric, span_of
 from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
@@ -202,11 +202,9 @@ class _Form:
 _NEW_FORM = object.__new__
 _GENERIC = from_coords([_Form({i: 1}) for i in range(DIM)])
 
-# group.type_cycle as a coordinate permutation P: coordinate i moves to _CYCLED[i],
-# and P^(t-1) moves it to _CYCLES[t - 1][i].
-_CYCLED = {i: n for n, i in enumerate(type_cycle(from_coords(range(DIM))).coords)}
-_CYCLES = (tuple(range(DIM)), tuple(_CYCLED[i] for i in range(DIM)),
-           tuple(_CYCLED[_CYCLED[i]] for i in range(DIM)))
+# group.type_cycle as a coordinate permutation P: P^(t-1) moves coordinate i
+# to _CYCLES[t - 1][i], the type-cycle gather of group.apply.
+_CYCLES = tuple(map(_rotation, range(3)))
 
 
 def tangent(label: GeneratorLabel) -> dict:
@@ -568,7 +566,7 @@ def structure_table() -> StructureTable:
         try:
             _TABLE = StructureTable(preferred_basis(), *_read_cache(path))
             return _TABLE
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             pass    # a stale, damaged or incomplete file is ignored as a whole
     _TABLE = StructureTable(preferred_basis(), *_preferred_constants(_core_constants()))
     if path:
@@ -1099,9 +1097,6 @@ def stabilizer_of_l() -> dict:
 # ---------------------------------------------------------------------------
 # curve commutator cross-check
 
-_CALIBRATION: Optional[float] = None
-
-
 def _calibration_chi() -> jordan.JordanElement:
     rng = random.Random(0)
     return from_coords([Fraction(rng.randint(-9, 9)) for _ in range(DIM)])
@@ -1131,23 +1126,19 @@ def _bracket_on(label1: GeneratorLabel, label2: GeneratorLabel, chi) -> list[Fra
     return [v / 4 for v in out]
 
 
-def calibration_constant(h: float = 1e-3) -> float:
-    """The curve constant fitted on (A_i, A_j), measured once per process.
+@functools.cache
+def calibration_constant() -> float:
+    """The curve constant fitted on (A_i, A_j) at step 1e-3, measured once per process.
 
     curve_commutator divides by the exact 1/2; this fit is the check that
     the second difference really is half the bracket.
     """
-    global _CALIBRATION
-    if _CALIBRATION is None:
-        l1 = GeneratorLabel("A", 1, axis="i")
-        l2 = GeneratorLabel("A", 1, axis="j")
-        chi = _calibration_chi()
-        fd = _second_difference(l1, l2, h, chi)
-        mc = [float(v) for v in _bracket_on(l1, l2, chi)]
-        num = sum(a * b for a, b in zip(fd, mc))
-        den = sum(b * b for b in mc)
-        _CALIBRATION = num / den
-    return _CALIBRATION
+    l1 = GeneratorLabel("A", 1, axis="i")
+    l2 = GeneratorLabel("A", 1, axis="j")
+    chi = _calibration_chi()
+    fd = _second_difference(l1, l2, 1e-3, chi)
+    mc = [float(v) for v in _bracket_on(l1, l2, chi)]
+    return sum(a * b for a, b in zip(fd, mc)) / sum(b * b for b in mc)
 
 
 def curve_commutator(label1: GeneratorLabel, label2: GeneratorLabel,

@@ -6,24 +6,28 @@ at each of the three type positions.  Every generator acts by a nest of
 conjugations chi -> M(...(M1 chi M1†)...)M†, with matrix entries drawn from a
 single complex subalgebra of O so the nest is well defined.
 
-Entries are symbolic in the parameter alpha.  One stage kernel, compiled
-once per sparsity structure of the stage matrices, runs both evaluations as
-flat index tables over the 72 coefficients of the full 3x3 matrix.  `apply`
-evaluates at a finite alpha in floating point, bit for bit as 3x3 products
-of `Octonion` entries would.  `apply_dual` evaluates the value and the
-doubled derivative at alpha = 0 in exact integers, which is where the
-tangents of the Lie algebra come from.  Every generator is a product of
-cores (`cores`): a B or R generator is its own core, and an A/G/S generator
-is two or three transverse rotations at fixed angles.  One apply_dual call
-per type-1 core, on a generic element whose coordinates are integer linear
-forms, gives the core's whole tangent matrix.
+A stage is integer data: each matrix entry is a sum of terms
+coeff * f(k2 * alpha / 2) * e_unit with int k2, unit and coeff, and f one of
+the functions of _KINDS, which also gives f(0) and f'(0).  Only the stages
+of the type-1 action are built; type t is reached by rotating chi's fields
+before and after them, a rotation folded into the gathers that load and
+read the state.  One stage kernel, compiled once per sparsity structure of
+the stage matrices, runs both evaluations as flat index tables over the 72
+coefficients of the full 3x3 matrix.  `apply` evaluates at a finite alpha
+in floating point, bit for bit as 3x3 products of `Octonion` entries would.
+`apply_dual` evaluates the value and the doubled derivative at alpha = 0 in
+exact integers, which is where the tangents of the Lie algebra come from.
+Every generator is a product of cores (`cores`): a B or R generator is its
+own core, and an A/G/S generator is two or three transverse rotations at
+fixed angles.  One apply_dual call per type-1 core, on a generic element
+whose coordinates are integer linear forms, gives the core's whole tangent
+matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import add, itemgetter, neg
 from typing import NamedTuple, Optional
 
@@ -135,131 +139,84 @@ def all_labels() -> list[GeneratorLabel]:
 # ---------------------------------------------------------------------------
 # symbolic matrices
 
-# A matrix entry is a tuple of terms (kind, k, unit_index, coeff): the entry
-# value is sum over terms of coeff * kind(k * alpha) * e_unit.
-
-class NotIntegral(ArithmeticError):
-    """A stage matrix at alpha = 0 has a non-integer entry in M(0) or 2 M'(0)."""
-
-
-def _float_term(kind: str, k: Fraction, coeff: Fraction, alpha: float) -> float:
-    c, x = float(coeff), float(k) * alpha
-    if kind == "const":
-        return c
-    if kind == "cos":
-        return c * math.cos(x)
-    if kind == "sin":
-        return c * math.sin(x)
-    if kind == "cosh":
-        return c * math.cosh(x)
-    if kind == "sinh":
-        return c * math.sinh(x)
-    if kind == "exp":
-        return c * math.exp(x)
-    raise AssertionError(kind)
+# A matrix entry is a tuple of int terms (kind, k2, unit, coeff): the entry
+# value is the sum over its terms of coeff * f(k2 * alpha / 2) * e_unit, with
+# f the kind's function.  _KINDS gives each kind (f, f(0), f'(0)).
+_KINDS = {
+    "const": (lambda x: 1.0, 1, 0),
+    "cos": (math.cos, 1, 0),
+    "sin": (math.sin, 0, 1),
+    "cosh": (math.cosh, 1, 0),
+    "sinh": (math.sinh, 0, 1),
+    "exp": (math.exp, 1, 1),
+}
 
 
 class ParamMatrix(NamedTuple):
     entries: tuple  # 3x3 nested tuples of term tuples
 
     def at_zero(self) -> tuple[list[int], list[int]]:
-        """(M(0), 2 M'(0)) as the stage kernel's 72 int slots; NotIntegral if not integral."""
-        value, twice = {}, {}    # the slots terms reach, as ints or Fractions
+        """(M(0), 2 M'(0)) as the stage kernel's 72 int slots."""
+        value, twice = [0] * 72, [0] * 72
         for e, terms in enumerate(terms for row in self.entries for terms in row):
-            for kind, k, unit, coeff in terms:
-                slot = 8 * e + unit
-                if kind in ("const", "cos", "cosh", "exp"):    # f(0) = 1
-                    value[slot] = value.get(slot, 0) + _exact(coeff.numerator, coeff.denominator)
-                if kind in ("sin", "sinh", "exp"):             # f'(0) = 1
-                    twice[slot] = twice.get(slot, 0) + _exact(
-                        2 * coeff.numerator * k.numerator, coeff.denominator * k.denominator)
-        out = ([0] * 72, [0] * 72)
-        for slots, sums in zip(out, (value, twice)):
-            for slot, x in sums.items():
-                if x.denominator != 1:
-                    raise NotIntegral(f"stage entry {x} at alpha = 0 is not an integer")
-                slots[slot] = int(x)
-        return out
+            for kind, k2, unit, coeff in terms:
+                _, f0, slope = _KINDS[kind]
+                value[8 * e + unit] += coeff * f0
+                twice[8 * e + unit] += coeff * k2 * slope
+        return value, twice
 
 
-def _exact(n: int, d: int):
-    """n / d: an int if d divides n, else a Fraction."""
-    return n // d if n % d == 0 else Fraction(n, d)
-
-
-_ONE = (("const", Fraction(0), 0, Fraction(1)),)
+_ONE = (("const", 0, 0, 1),)
 _EMPTY = ()
 
 
-def _scale_terms(terms, angle: int):
-    """Replace alpha by angle*alpha inside every term."""
-    if angle == 1:
-        return terms
-    return tuple((kind, k * angle, unit, coeff) for kind, k, unit, coeff in terms)
+def _core_stages(category: str, plane: tuple[str, str], angle: int = 1) -> list[ParamMatrix]:
+    """Stage matrices (application order) of a basic transformation at type 1.
 
+    Each acts on the 2x2 block of the first two types and fixes the third
+    diagonal entry; angle scales alpha.
+    """
 
-def _core_stages(category: str, plane: tuple[str, str], angle: int = 1):
-    """2x2 stage matrices (application order) for a basic transformation."""
-    h = Fraction(1, 2)
-
-    def t(kind, k, unit, coeff=Fraction(1)):
-        return (kind, k, UNIT_INDEX[unit], Fraction(coeff))
+    def t(kind, k2, unit, coeff=1):
+        return (kind, k2 * angle, UNIT_INDEX[unit], coeff)
 
     if category == "B":
         if plane == ("t", "z"):
-            stages = [[[(t("exp", h, "1"),), _EMPTY],
-                       [_EMPTY, (t("exp", -h, "1"),)]]]
+            stages = [[[(t("exp", 1, "1"),), _EMPTY],
+                       [_EMPTY, (t("exp", -1, "1"),)]]]
         elif plane == ("t", "x"):
-            stages = [[[(t("cosh", h, "1"),), (t("sinh", h, "1"),)],
-                       [(t("sinh", h, "1"),), (t("cosh", h, "1"),)]]]
+            stages = [[[(t("cosh", 1, "1"),), (t("sinh", 1, "1"),)],
+                       [(t("sinh", 1, "1"),), (t("cosh", 1, "1"),)]]]
         else:
             q = plane[1]
-            stages = [[[(t("cosh", h, "1"),), (t("sinh", h, q),)],
-                       [(t("sinh", h, q, -1),), (t("cosh", h, "1"),)]]]
+            stages = [[[(t("cosh", 1, "1"),), (t("sinh", 1, q),)],
+                       [(t("sinh", 1, q, -1),), (t("cosh", 1, "1"),)]]]
     elif category == "R":
         if plane == ("x", "z"):
-            stages = [[[(t("cos", h, "1"),), (t("sin", h, "1", -1),)],
-                       [(t("sin", h, "1"),), (t("cos", h, "1"),)]]]
+            stages = [[[(t("cos", 1, "1"),), (t("sin", 1, "1", -1),)],
+                       [(t("sin", 1, "1"),), (t("cos", 1, "1"),)]]]
         elif plane[0] == "x":
             q = plane[1]
-            stages = [[[(t("cos", h, "1"), t("sin", h, q)), _EMPTY],
-                       [_EMPTY, (t("cos", h, "1"), t("sin", h, q, -1))]]]
+            stages = [[[(t("cos", 1, "1"), t("sin", 1, q)), _EMPTY],
+                       [_EMPTY, (t("cos", 1, "1"), t("sin", 1, q, -1))]]]
         elif plane[0] == "z":
             q = plane[1]
-            stages = [[[(t("cos", h, "1"),), (t("sin", h, q),)],
-                       [(t("sin", h, q),), (t("cos", h, "1"),)]]]
+            stages = [[[(t("cos", 1, "1"),), (t("sin", 1, q),)],
+                       [(t("sin", 1, q),), (t("cos", 1, "1"),)]]]
         else:
             # transverse rotation in the plane of two imaginary units p, q:
             # M1 = -q I, then M2 = (cos(alpha/2) q + sin(alpha/2) p) I.
             # This orientation is chosen so that the tangent vector of
             # A_l matches ada = -a_il i + a_jl j - a_j jl + a_i il exactly.
             p, q = plane
-            flip = (t("const", Fraction(0), q, -1),)
-            turn = (t("cos", h, q), t("sin", h, p))
+            flip = (t("const", 0, q, -1),)
+            turn = (t("cos", 1, q), t("sin", 1, p))
             stages = [[[flip, _EMPTY], [_EMPTY, flip]],
                       [[turn, _EMPTY], [_EMPTY, turn]]]
     else:
         raise IllegalLabel(f"no core for category {category}")
-    return [[[_scale_terms(e, angle) for e in row] for row in stage] for stage in stages]
-
-
-def _embed(stage, type_index: int) -> ParamMatrix:
-    m = [[_EMPTY] * 3 for _ in range(3)]
-    if type_index == 1:
-        m[0][0], m[0][1] = stage[0][0], stage[0][1]
-        m[1][0], m[1][1] = stage[1][0], stage[1][1]
-        m[2][2] = _ONE
-    elif type_index == 2:
-        m[0][0] = _ONE
-        m[1][1], m[1][2] = stage[0][0], stage[0][1]
-        m[2][1], m[2][2] = stage[1][0], stage[1][1]
-    elif type_index == 3:
-        m[0][0], m[0][2] = stage[1][1], stage[1][0]
-        m[1][1] = _ONE
-        m[2][0], m[2][2] = stage[0][1], stage[0][0]
-    else:
-        raise IllegalLabel(f"bad type index {type_index}")
-    return ParamMatrix(tuple(tuple(row) for row in m))
+    return [ParamMatrix(((a, b, _EMPTY), (c, d, _EMPTY), (_EMPTY, _EMPTY, _ONE)))
+            for (a, b), (c, d) in stages]
 
 
 # An A/G/S generator rotates in the planes _AGS_PAIRS[axis] in turn, by these
@@ -293,17 +250,28 @@ def _is_transverse(label: GeneratorLabel) -> bool:
 
 
 def build_sequence(label: GeneratorLabel) -> list[ParamMatrix]:
-    """Stage matrices in application order (innermost first)."""
+    """Stage matrices of the label's type-1 action, in application order (innermost first).
+
+    The label's type index is not read: type t acts as P^(t-1) A P^(1-t),
+    with A this action and P the type cycle, and the evaluators reach it
+    through the gathers of that shift (_LAYOUTS), not through other stages.
+    """
     stages = []
     for core, angle in cores(label):
         stages += _core_stages(core.category, core.plane, angle)
-    return [_embed(stage, label.type_index) for stage in stages]
+    return stages
 
 
-_SEQUENCE_CACHE: dict[GeneratorLabel, list[ParamMatrix]] = {}
+def _type_1(label: GeneratorLabel) -> GeneratorLabel:
+    return label if label.type_index == 1 else label._replace(type_index=1)
+
+
+_SEQUENCE_CACHE: dict[GeneratorLabel, list[ParamMatrix]] = {}    # type-1 labels only
 
 
 def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
+    """build_sequence(label), built once per type-1 label."""
+    label = _type_1(label)
     seq = _SEQUENCE_CACHE.get(label)
     if seq is None:
         seq = _SEQUENCE_CACHE[label] = build_sequence(label)
@@ -407,33 +375,29 @@ def _half_step_table(units: tuple, left: bool) -> tuple:
             b"".join(c[1][0] for c in twos), b"".join(c[1][1] for c in twos), gather)
 
 
-def _float(q: Fraction) -> float:
-    """float(q), by the correctly rounded int division that float(q) makes."""
-    return q.numerator / q.denominator
-
-
 _STAGE_TABLES: dict[tuple, tuple] = {}
-_STAGES: dict[tuple, tuple] = {}
+_STAGES: dict[ParamMatrix, tuple] = {}
 
 
 def _compile_stage(stage: ParamMatrix) -> tuple:
     """(terms, slots, half-step tables) of one stage, shared by equal stages.
 
-    terms are the stage's symbolic terms with their value slot and float
-    constants; slots are the slots whose negation the tables read.
+    terms are (value slot, f, k2 / 2, coeff) per term, with float constants:
+    the slot takes coeff * f(k2 / 2 * alpha).  slots are the slots whose
+    negation the tables read.
     """
-    flat = [terms for row in stage.entries for terms in row]
-    terms = tuple((8 * e + unit, kind, _float(k), _float(coeff))
-                  for e, entry in enumerate(flat) for kind, k, unit, coeff in entry)
-    compiled = _STAGES.get(terms)
+    compiled = _STAGES.get(stage)
     if compiled is None:
+        flat = [terms for row in stage.entries for terms in row]
+        terms = tuple((8 * e + unit, _KINDS[kind][0], k2 / 2, float(coeff))
+                      for e, entry in enumerate(flat) for kind, k2, unit, coeff in entry)
         units = tuple(None if entry == _ONE else tuple(sorted({t[2] for t in entry}))
                       for entry in flat)
         tables = _STAGE_TABLES.get(units)
         if tables is None:
             tables = _STAGE_TABLES[units] = (_half_step_table(units, True),
                                              _half_step_table(units, False))
-        compiled = _STAGES[terms] = (terms, tuple(sorted({t[0] for t in terms})), tables)
+        compiled = _STAGES[stage] = (terms, tuple(sorted({t[0] for t in terms})), tables)
     return compiled
 
 
@@ -441,6 +405,8 @@ _KERNELS: dict[GeneratorLabel, tuple] = {}    # type-1 labels only
 
 
 def _kernel(label: GeneratorLabel) -> tuple:
+    """The compiled stages of the label's type-1 action."""
+    label = _type_1(label)
     kernel = _KERNELS.get(label)
     if kernel is None:
         kernel = _KERNELS[label] = tuple(map(_compile_stage, _sequence(label)))
@@ -450,8 +416,8 @@ def _kernel(label: GeneratorLabel) -> tuple:
 def _stage_values(terms: tuple, slots: tuple, alpha: float) -> list:
     """The stage's 144 float slots at alpha: M's coefficients, then negations."""
     m = [0.0] * (2 * _NEG)
-    for slot, kind, k, coeff in terms:
-        m[slot] = m[slot] + _float_term(kind, k, coeff, alpha)
+    for slot, f, k, coeff in terms:
+        m[slot] = m[slot] + coeff * f(k * alpha)
     for slot in slots:
         m[_NEG + slot] = -m[slot]
     return m
@@ -509,11 +475,6 @@ def _state(coords, zero, shift: int = 0) -> tuple:
     return _LAYOUTS[shift][0]([*coords, *map(neg, coords), zero])
 
 
-def _element(x) -> JordanElement:
-    """chi read off the coefficients of its full matrix."""
-    return JordanElement(_LAYOUTS[0][2](x))
-
-
 def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElement:
     """Float evaluation of the finite group action at parameter alpha.
 
@@ -527,8 +488,7 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
     alpha = float(alpha)
     shift = label.type_index - 1
     x = _state(tuple(map(float, chi.coords)), 0.0, shift)
-    type_1 = GeneratorLabel(label.category, 1, label.plane, label.axis) if shift else label
-    for terms, slots, (left, right) in _kernel(type_1):
+    for terms, slots, (left, right) in _kernel(label):
         m = _stage_values(terms, slots, alpha)
         y = _half_step(left, m, x, x)
         x = _half_step(right, m, y, y)
@@ -586,9 +546,8 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
     """
     alpha = float(alpha)
     shift = label.type_index - 1
-    type_1 = GeneratorLabel(label.category, 1, label.plane, label.axis) if shift else label
     stages = []
-    for terms, slots, tables in _kernel(type_1):
+    for terms, slots, tables in _kernel(label):
         m = _stage_values(terms, slots, alpha) + [1.0]     # m[_COPY] = 1.0
         for table in tables:
             sources = _SOURCES.get(table)
@@ -626,9 +585,11 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     Only integer stage entries multiply the coordinates of chi, so chi may
     have any coefficients that add and scale by int, such as the linear
     forms of algebra's generic element.  For integer chi both results have
-    integer coordinates; the value is chi.
+    integer coordinates; the value is chi.  A type-t label runs its type-1
+    stages on chi's rotated fields, through the gathers that `apply` uses.
     """
-    x = _state(chi.coords, 0)
+    shift = label.type_index - 1
+    x = _state(chi.coords, 0, shift)
     d = _ZEROS
     for stage in _sequence(label):
         value, twice = stage.at_zero()
@@ -638,7 +599,8 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
         inner = list(map(add, _half_step(left, dm, x, _ZEROS), _half_step(left, m, d, d)))
         d = list(map(add, _half_step(right, m, inner, inner), _half_step(right, dm, mx, _ZEROS)))
         x = _half_step(right, m, mx, mx)
-    return _element(x), _element(d)
+    read = _LAYOUTS[shift][2]
+    return JordanElement(read(x)), JordanElement(read(d))
 
 
 _CYCLE = itemgetter(*_rotation(-1))     # fields rotated forward by one, as in `apply`

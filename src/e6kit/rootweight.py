@@ -411,8 +411,7 @@ def embed_check(points1: list, points2: list) -> bool:
 
     * the shells fix the scale: a map of squared scale s sends the shell of
       norm max1 to norm s * max1, and the highest-weight rule needs max2
-      there, so only the candidate s within tolerance of max2 / max1 is
-      searched;
+      there, so the search runs at s = max2 / max1 alone;
     * each level draws from one norm shell: level i tries only the target
       vertices q with |q|^2 = s * |span[i]|^2, listed once per level in
       target order, so the surviving tuples come in the same order.
@@ -438,9 +437,10 @@ def embed_check(points1: list, points2: list) -> bool:
     # each span vector in the orthonormal basis that extends span: lower-triangular
     coords = [[sum(a * x for a, x in zip(v, b)) for b in basis] for v in span]
 
+    scale2 = max2 / max1    # the shells fix the squared scale
     tried = 0
 
-    def compatible(partial: list, scale2: float) -> bool:
+    def compatible(partial: list) -> bool:
         # the norm (t = n) was matched when the level was drawn; _near is
         # inlined in this inner loop
         n = len(partial) - 1
@@ -469,31 +469,23 @@ def embed_check(points1: list, points2: list) -> bool:
             out = [o + c * x for o, x in zip(out, t)]
         return tuple(out)
 
-    # candidate scale^2 values from matching the first spanning vector;
-    # the shells leave only max2 / max1
-    n1 = _norm2(span[0])
-    scales = sorted({round(nq / n1, ROUND) for nq in norms2})
-
-    for scale2 in scales:
-        if not _near(scale2, max2 / max1):
+    levels = [[q for q, nq in zip(points2, norms2) if _near(nq, gram1[i][i] * scale2)]
+              for i in range(k)]
+    stack = [[]]
+    while stack:
+        partial = stack.pop()
+        if len(partial) == k:
+            timg = solve_map(partial)
+            images = [_key(apply_map(timg, p)) for p in points1]
+            if all(q in keys2 for q in images) and all(
+                    q in shell2 for p, q in zip(points1, images) if _key(p) in shell1):
+                return True
             continue
-        levels = [[q for q, nq in zip(points2, norms2) if _near(nq, gram1[i][i] * scale2)]
-                  for i in range(k)]
-        stack = [[]]
-        while stack:
-            partial = stack.pop()
-            if len(partial) == k:
-                timg = solve_map(partial)
-                images = [_key(apply_map(timg, p)) for p in points1]
-                if all(q in keys2 for q in images) and all(
-                        q in shell2 for p, q in zip(points1, images) if _key(p) in shell1):
-                    return True
-                continue
-            for q in levels[len(partial)]:
-                tried += 1
-                if tried > SEARCH_BUDGET:
-                    raise SearchBudgetExceeded(str(SEARCH_BUDGET))
-                cand = partial + [q]
-                if compatible(cand, scale2):
-                    stack.append(cand)
+        for q in levels[len(partial)]:
+            tried += 1
+            if tried > SEARCH_BUDGET:
+                raise SearchBudgetExceeded(str(SEARCH_BUDGET))
+            cand = partial + [q]
+            if compatible(cand):
+                stack.append(cand)
     return False

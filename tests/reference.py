@@ -4,10 +4,14 @@ e6kit acts on the 27 coordinates of chi through index tables (the stage
 kernel of e6kit.group, the sign table of jordan.det).  The functions here
 compute the same things the textbook way, with `Octonion` arithmetic and
 3x3 matrix products, so that the tests check the tables against a
-computation that shares none of them.  The Killing form is here too as
-tr(ad ad) summed over the structure constants, the oracle of the trace form
-that e6kit.algebra.killing_matrix computes, and the preferred-basis
-constants pair by pair, the oracle of e6kit.algebra._preferred_constants.
+computation that shares none of them.  e6kit.group builds only the stages
+of the type-1 action and reaches type t through the type-cycle gathers
+that rotate chi's fields; `placed` puts each stage matrix at type t the
+straight way instead, the oracle of those gathers.  The Killing form is
+here too as tr(ad ad) summed over the structure constants, the oracle of
+the trace form that e6kit.algebra.killing_matrix computes, and the
+preferred-basis constants pair by pair, the oracle of
+e6kit.algebra._preferred_constants.
 DictForm is the integer linear form as a plain {column: int} dict, the
 oracle of the packed e6kit.algebra._Form.  The matrix bracket YX - XY on
 {row: {col: v}} dicts, through a plain matrix product, is the oracle of
@@ -19,7 +23,7 @@ every level: the oracle of e6kit.rootweight.embed_check.
 from fractions import Fraction
 
 from e6kit import algebra
-from e6kit.group import _float_term, build_sequence
+from e6kit.group import _KINDS, build_sequence
 from e6kit.jordan import JordanElement, from_coords
 from e6kit.octonion import Octonion
 from e6kit.rootweight import (ROUND, SEARCH_BUDGET, SearchBudgetExceeded, _key, _norm2,
@@ -119,6 +123,16 @@ def matadd(xm, ym):
     return [[x + y for x, y in zip(xr, yr)] for xr, yr in zip(xm, ym)]
 
 
+def placed(mat, type_index: int):
+    """A type-1 stage matrix moved to type t: entry (i, j) goes to (i + t - 1, j + t - 1) mod 3."""
+    s = type_index - 1
+    out = [[None] * 3 for _ in range(3)]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            out[(i + s) % 3][(j + s) % 3] = x
+    return out
+
+
 def apply(label, alpha, chi: JordanElement) -> JordanElement:
     """group.apply as 3x3 products of float `Octonion` entries: X -> (M X) M† per stage."""
     alpha = float(alpha)
@@ -129,10 +143,11 @@ def apply(label, alpha, chi: JordanElement) -> JordanElement:
             mrow = []
             for terms in row:
                 coeffs = [0.0] * 8
-                for kind, k, unit, coeff in terms:
-                    coeffs[unit] = coeffs[unit] + _float_term(kind, k, coeff, alpha)
+                for kind, k2, unit, coeff in terms:
+                    coeffs[unit] = coeffs[unit] + coeff * _KINDS[kind][0](k2 / 2 * alpha)
                 mrow.append(Octonion(coeffs))
             m.append(mrow)
+        m = placed(m, label.type_index)
         mat = matmul(matmul(m, mat), dagger(m))
     return from_matrix(mat)
 
@@ -148,7 +163,7 @@ def apply_dual(label, chi: JordanElement) -> tuple[JordanElement, JordanElement]
     x = to_matrix(chi)
     d = [[Octonion.zero()] * 3 for _ in range(3)]
     for stage in build_sequence(label):
-        m, dm = map(_slot_matrix, stage.at_zero())
+        m, dm = (placed(_slot_matrix(slots), label.type_index) for slots in stage.at_zero())
         mh = dagger(m)
         mx = matmul(m, x)
         d = matadd(matmul(matadd(matmul(dm, x), matmul(m, d)), mh),

@@ -328,19 +328,14 @@ def test_killing_verb_builds_no_span_no_table_and_no_cache(tmp_path):
 
 def test_cold_table_is_one_integer_table():
     """In a fresh interpreter, a cold structure_table() makes one StructureTable and
-    constructs no Fraction outside e6kit.group, whose stage terms (the generators'
-    definitions) are Fractions: the rational constants are formed only by `table`."""
-    code = ("import sys\n"
-            "from fractions import Fraction\n"
+    constructs no Fraction at all: the stage terms are ints, and the rational
+    constants are formed only by `table`."""
+    code = ("from fractions import Fraction\n"
             "from e6kit import algebra\n"
             "made = []\n"
             "new, init = Fraction.__new__, algebra.StructureTable.__init__\n"
             "def counted(cls, *args, **kwargs):\n"
-            "    frame = sys._getframe(1)\n"
-            "    while frame.f_globals['__name__'] == 'fractions':    # Fraction arithmetic\n"
-            "        frame = frame.f_back\n"
-            "    if frame.f_globals['__name__'] != 'e6kit.group':\n"
-            "        made.append('F')\n"
+            "    made.append('F')\n"
             "    return new(cls, *args, **kwargs)\n"
             "Fraction.__new__ = counted\n"
             "algebra.StructureTable.__init__ = lambda self, *a: made.append('T') or init(self, *a)\n"

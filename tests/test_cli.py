@@ -418,10 +418,10 @@ def _set_crc(data):
 
 def _table_with_cache(path):
     """`table` run with the cache at `path`; its stdout must be the golden table,
-    so a wrong constant loaded from a damaged file would show."""
+    so a wrong constant loaded from a damaged file would show, and its stderr empty."""
     env = dict(os.environ, E6KIT_CACHE=path)
     proc = subprocess.run(CLI + ["table"], capture_output=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256["table"]
 
 
@@ -504,6 +504,16 @@ def test_version_4_cache_is_rewritten_as_version_5(tmp_path):
         rewritten = json.load(gh)
         assert rewritten == json.load(fh)
     assert rewritten["version"] == "e6kit-structure-5"
+
+
+def test_deeply_nested_cache_is_rewritten(tmp_path):
+    """A file that json.load cannot parse without recursing too deep is ignored as a whole."""
+    assert run_cli("table").returncode == 0  # fills the shared cache if needed
+    path = tmp_path / "cache.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    _table_with_cache(str(path))
+    with open(_CACHE_FILE, encoding="utf-8") as fh, open(path, encoding="utf-8") as gh:
+        assert json.load(gh) == json.load(fh)
 
 
 def test_start_up_imports_no_dataclasses():

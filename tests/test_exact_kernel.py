@@ -158,30 +158,30 @@ def test_structure_constants_in_sixth_integers():
 def _stage(i, j, terms):
     entries = [[() for _ in range(3)] for _ in range(3)]
     for n in range(3):
-        entries[n][n] = (("const", Fraction(0), 0, Fraction(1)),)
+        entries[n][n] = (("const", 0, 0, 1),)
     entries[i][j] = terms
     return ParamMatrix(tuple(tuple(row) for row in entries))
 
 
-@pytest.mark.parametrize("terms", [
-    (("sin", Fraction(1, 3), 1, Fraction(1)),),                    # 2 M'(0) = 2/3
-    (("const", Fraction(0), 0, Fraction(1, 2)),),                  # M(0) = 1/2
-    (("cos", Fraction(1, 2), 0, Fraction(1)),
-     ("exp", Fraction(1, 4), 0, Fraction(1))),                     # 2 M'(0) = 1/2
-])
-def test_non_integral_stage_raises(monkeypatch, terms):
-    monkeypatch.setattr(group, "_sequence", lambda label: [_stage(0, 1, terms)])
-    with pytest.raises(group.NotIntegral):
-        apply_dual(GeneratorLabel("A", 1, axis="i"), basis_element(0))
-
-
 def test_integral_stage_sums_are_accepted():
-    # two half-integer terms of one entry add up to an integer
-    terms = (("sin", Fraction(1, 4), 1, Fraction(1)), ("sin", Fraction(1, 4), 1, Fraction(1)))
+    # the terms of one entry add up: 2 M'(0) = 1 + 2, M(0) = -1
+    terms = (("sin", 1, 1, 1), ("sinh", 2, 1, 1), ("cos", 3, 1, -1))
     value, twice = _stage(0, 1, terms).at_zero()
-    assert twice[9] == 1 and type(twice[9]) is int        # entry (0, 1), unit i
+    assert twice[9] == 3 and type(twice[9]) is int        # entry (0, 1), unit i
+    assert value[9] == -1 and type(value[9]) is int
     assert value[0] == 1 and type(value[0]) is int        # entry (0, 0), unit 1
-    assert sum(map(abs, twice)) == 1 and sum(map(abs, value)) == 3
+    assert sum(map(abs, twice)) == 3 and sum(map(abs, value)) == 4
+
+
+def test_core_stage_terms_are_ints():
+    """Every term of the 45 type-1 cores' stages is a _KINDS kind with int k2, unit and coeff."""
+    core_set = {core for label in all_labels() if label.type_index == 1
+                for core, _ in group.cores(label)}
+    assert len(core_set) == 45 and {core.type_index for core in core_set} == {1}
+    terms = [term for core in core_set for stage in group.build_sequence(core)
+             for row in stage.entries for entry in row for term in entry]
+    assert {kind for kind, *_ in terms} == set(group._KINDS)
+    assert all(type(v) is int for _, *ints in terms for v in ints)
 
 
 def _zeroed(el):
