@@ -6,14 +6,15 @@ tangents.  The 45 type-1 cores (24 B/R generators, 21 transverse rotations
 shared by the A/G/S generators) fall into 7 orbits under the 21 sign-free
 octonion automorphisms.  One core per orbit is differentiated at alpha = 0
 in exact integers, by one group.apply_dual call on a generic element whose
-27 coordinates are the integer linear forms x_0 .. x_26; the other 38 are
-conjugates of those, each move checked on the stage matrices.  The 90
-type-2/3 tangents are the type-1 ones conjugated by the type-cycle
-permutation.  Every tangent entry lies in 1/2 Z, so every runtime path
-holds an element as its doubled tangent 2T, an integer matrix
-{row: {col: int}} (doubled_tangent), and brackets two of them with one
-kernel, _flat_commutator: the table, the span, the su(3) check and the
-curve cross-check alike.  tangent() halves 2T for callers that want T.
+27 coordinates are the integer linear forms x_0 .. x_26, packed as plain
+ints of 32-bit fields (_GENERIC); the other 38 are conjugates of those,
+each move checked on the stage matrices.  The 90 type-2/3 tangents are the
+type-1 ones conjugated by the type-cycle permutation.  Every tangent entry
+lies in 1/2 Z, so every runtime path holds an element as its doubled
+tangent 2T, an integer matrix {row: {col: int}} (doubled_tangent), and
+brackets two of them with one kernel, _flat_commutator: the table, the
+span, the su(3) check and the curve cross-check alike.  tangent() halves
+2T for callers that want T.
 
 The structure table is built on the core basis (the preferred basis with
 the 21 transverse cores in place of A/G/S), on which all 1344 automorphisms
@@ -118,89 +119,42 @@ def _span_constants(vectors: list[dict], bracket) -> dict:
 # ---------------------------------------------------------------------------
 # tangent extraction
 
-_WIDTH = 32                      # bits per coefficient field of a _Form
-_LIMIT = 1 << (_WIDTH - 1)       # every coefficient of every _Form is below this in size
+# A linear form in the 27 coordinates is one int, packed = sum over c of
+# v_c 2^(32 c): x_c is 2^(32 c) (_GENERIC), and apply_dual only adds packed
+# ints and scales them by int stage slots.  While every |v_c| < _LIMIT the
+# fields decode (_fields); _field_bound checks that once per core.
+_WIDTH = 32
+_LIMIT = 1 << (_WIDTH - 1)
 _BIAS = sum(_LIMIT << (_WIDTH * c) for c in range(DIM))
+_GENERIC = from_coords([1 << (_WIDTH * c) for c in range(DIM)])
 
 
-class _Form:
-    """An integer linear form in the 27 coordinates, packed into one int.
+def _fields(packed: int) -> dict:
+    """{column: int} over the nonzero v_c of a packed form: packed + _BIAS holds v_c + 2^31."""
+    fields = memoryview((packed + _BIAS).to_bytes(_WIDTH // 8 * DIM, sys.byteorder))
+    fields = fields.cast("I")    # C unsigned int: 32 bits
+    return {c: v - _LIMIT for c, v in enumerate(fields) if v != _LIMIT}
 
-    The coefficient v_c of column c is the signed field c, _WIDTH = 32 bits
-    wide: packed = sum over c of v_c 2^(32 c).  So adding forms adds their
-    packed ints, and an int times a form scales its packed int, each one
-    big-int operation; a product that is zero is the int 0, which adds to
-    other ints without calling a form's method.  bound is an upper bound on every |v_c|, carried
-    through each operation; a form whose bound reaches _LIMIT = 2^31 raises
-    OverflowError when it is made.  Every form's fields therefore lie in
-    (-2^31, 2^31), where the packing is one-to-one: packed + _BIAS holds
-    v_c + 2^31, in [0, 2^32), in field c, so `terms` reads the fields off
-    its bytes and never decodes a wrong coefficient.
 
-    The coordinates of _GENERIC are the forms {i: 1}, so one apply_dual call
-    on it returns the whole doubled tangent: coordinate i of the doubled
-    derivative is row i of 2T.  apply_dual only adds coordinates and scales
-    them by integer stage entries; a form times a form, or a form plus a
-    nonzero scalar, would not be linear and raises TypeError.
+def _field_bound(core: GeneratorLabel) -> int:
+    """A bound on every coefficient that apply_dual forms from the core on _GENERIC.
+
+    A half-step sums at most two products of a slot and a coefficient
+    (group._half_step_table), or copies a coefficient.  So a stage whose
+    slots of M(0) and 2 M'(0) are at most k >= 1 in size maps the bounds
+    (x, d) on the coefficients of the value and the derivative to
+    (4 k^2 x, 4 k^2 (2 x + d)), which also bound the half-steps between.
+    OverflowError if the bound reaches _LIMIT, where a field could decode wrong.
     """
+    x, d = 1, 0
+    for slots in _stage_coeffs(core):
+        grow = 4 * max(map(abs, slots.values()), default=1) ** 2
+        x, d = grow * x, grow * (2 * x + d)
+    if max(x, d) >= _LIMIT:
+        raise OverflowError(f"a coefficient of up to {max(x, d)} overflows the "
+                            f"{_WIDTH}-bit field of a linear form in {format_label(core)}")
+    return max(x, d)
 
-    __slots__ = ("packed", "bound")
-
-    def __init__(self, terms: dict):
-        """The form sum of v x_c over terms {c: v}, for columns 0 <= c < 27."""
-        self._set(sum(v << (_WIDTH * c) for c, v in terms.items()),
-                  max(map(abs, terms.values()), default=0))
-
-    def _set(self, packed: int, bound: int) -> "_Form":
-        if bound >= _LIMIT:
-            raise OverflowError(f"a coefficient of up to {bound} overflows the "
-                                f"{_WIDTH}-bit field of a linear form")
-        self.packed, self.bound = packed, bound
-        return self
-
-    @property
-    def terms(self) -> dict:
-        """{column: int} over the nonzero coefficients, by column."""
-        fields = memoryview((self.packed + _BIAS).to_bytes(_WIDTH // 8 * DIM, sys.byteorder))
-        fields = fields.cast("I")    # C unsigned int: 32 bits
-        return {c: v - _LIMIT for c, v in enumerate(fields) if v != _LIMIT}
-
-    def __bool__(self) -> bool:
-        return self.packed != 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Form) and self.packed == other.packed
-
-    def __neg__(self) -> "_Form":
-        return _NEW_FORM(_Form)._set(-self.packed, self.bound)
-
-    def __add__(self, other) -> "_Form":
-        if not isinstance(other, _Form):
-            if other:
-                raise TypeError(f"cannot add the scalar {other!r} to a linear form")
-            return self
-        if not other.packed:
-            return self
-        if not self.packed:
-            return other
-        return _NEW_FORM(_Form)._set(self.packed + other.packed, self.bound + other.bound)
-
-    __radd__ = __add__
-
-    def __mul__(self, k) -> "_Form":
-        if not isinstance(k, int):
-            raise TypeError(f"a linear form can only be scaled by an int, not {k!r}")
-        if k == 1:
-            return self
-        if not k or not self.packed:
-            return 0    # zero, as an int: sums of ints stay out of the form's methods
-        return _NEW_FORM(_Form)._set(k * self.packed, abs(k) * self.bound)
-
-    __rmul__ = __mul__
-
-
-_NEW_FORM = object.__new__
-_GENERIC = from_coords([_Form({i: 1}) for i in range(DIM)])
 
 # group.type_cycle as a coordinate permutation P: P^(t-1) moves coordinate i
 # to _CYCLES[t - 1][i], the type-cycle gather of group.apply.
@@ -268,11 +222,12 @@ def _core_tangent(core: GeneratorLabel) -> dict:
         return twice
     rep = _orbit_rep(core)
     if rep not in _CORE_TANGENTS:
+        _field_bound(rep)
         value, d = apply_dual(rep, _GENERIC)
         if value != _GENERIC:
             raise AssertionError(f"action of {rep} at alpha=0 is not the identity")
-        _CORE_TANGENTS[rep] = {(col, row): v for row, form in enumerate(to_coords(d))
-                               if form for col, v in form.terms.items()}
+        _CORE_TANGENTS[rep] = {(col, row): v for row, packed in enumerate(to_coords(d))
+                               if packed for col, v in _fields(packed).items()}
     moves = [_unit_map(images) for images in _TANGENT_MOVES]
     todo, seen = [rep], {rep}
     while todo:

@@ -20,8 +20,8 @@ exact integers, which is where the tangents of the Lie algebra come from.
 Every generator is a product of cores (`cores`): a B or R generator is its
 own core, and an A/G/S generator is two or three transverse rotations at
 fixed angles.  One apply_dual call per type-1 core, on a generic element
-whose coordinates are integer linear forms, gives the core's whole tangent
-matrix.
+whose coordinates are packed ints (one 32-bit field per column of a linear
+form), gives the core's whole tangent matrix.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
 # entries forms, and those it skips because a factor is zero.  A block that
 # only an identity entry (`_ONE`) reaches is a copy of a source the caller
 # passes: the state for M, zeros for M' (the derivative of a constant is 0).
-# `apply` runs the tables on floats, `apply_dual` on ints and linear forms.
+# `apply` runs the tables on floats, `apply_dual` on ints, packed ints included.
 # For floats, a zero product changes no sum of two, and float addition of two
 # terms is commutative, so every nonzero float has the bits of the Octonion
 # computation; a zero may differ in sign, which the final + 0.0 clears.  (For
@@ -583,8 +583,8 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
         X <- (M X) M†,    D <- (M' X + M D) M† + (M X) M'†.
 
     Only integer stage entries multiply the coordinates of chi, so chi may
-    have any coefficients that add and scale by int, such as the linear
-    forms of algebra's generic element.  For integer chi both results have
+    have any coefficients that add and scale by int, such as the packed
+    ints of algebra's generic element.  For integer chi both results have
     integer coordinates; the value is chi.  A type-t label runs its type-1
     stages on chi's rotated fields, through the gathers that `apply` uses.
     """

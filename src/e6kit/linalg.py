@@ -103,7 +103,7 @@ class SpanBasis:
         return {t: Fraction(-c, scale * d) for t, c in combo.items() if c}
 
     def contains(self, vec: dict) -> bool:
-        return self.express(vec) is not None
+        return not self._reduce(_integral(vec)[0], {})[0]
 
 
 def _primitive(vec: dict, combo: dict, negate: bool = False) -> tuple[dict, dict]:

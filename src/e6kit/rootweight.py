@@ -65,10 +65,10 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 def diagram(name: str) -> DynkinDiagram:
     """Named diagrams: An (n >= 1), Bn/Cn (n >= 2), Dn (n >= 3) up to MAX_RANK, G2, F4, E6."""
-    try:
-        family, n = name[:1].upper(), int(name[1:])
-    except ValueError:
-        raise ValueError(f"unsupported diagram {name!r}") from None
+    family, digits = name[:1].upper(), name[1:]
+    if not (digits.isascii() and digits.isdigit()):    # int() would take "1_0", "+3", " 2"
+        raise ValueError(f"unsupported diagram {name!r}")
+    n = int(digits)
     low = _MIN_RANK.get(family)
     if low is not None and not low <= n <= MAX_RANK:
         raise ValueError(f"{family} needs rank {low} to {MAX_RANK}")

@@ -13,7 +13,8 @@ the trace form that e6kit.algebra.killing_matrix computes, and the
 preferred-basis constants pair by pair, the oracle of
 e6kit.algebra._preferred_constants.
 DictForm is the integer linear form as a plain {column: int} dict, the
-oracle of the packed e6kit.algebra._Form.  The matrix bracket YX - XY on
+oracle of the packed ints of e6kit.algebra._GENERIC, which algebra._fields
+decodes.  The matrix bracket YX - XY on
 {row: {col: v}} dicts, through a plain matrix product, is the oracle of
 e6kit.algebra._flat_commutator.  `embed_check` is the unpruned isometry
 search, trying every norm ratio as the scale and every target vertex at

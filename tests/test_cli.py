@@ -359,6 +359,9 @@ _BAD_VALUES = {
     ("roots", "--algebra", "X"): "roots: unsupported diagram 'X'",
     ("roots", "--algebra", "A"): "roots: unsupported diagram 'A'",
     ("roots", "--algebra", "Ax"): "roots: unsupported diagram 'Ax'",
+    ("roots", "--algebra", "A1_0"): "roots: unsupported diagram 'A1_0'",   # not A10
+    ("roots", "--algebra", "B+3"): "roots: unsupported diagram 'B+3'",
+    ("roots", "--algebra", "A 2"): "roots: unsupported diagram 'A 2'",
 }
 
 

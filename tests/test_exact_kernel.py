@@ -74,22 +74,10 @@ def test_action_matrix_is_exponential_of_tangent():
     assert worst <= 1e-12, (worst, where)
 
 
-@pytest.mark.parametrize("misuse", [
-    lambda x, y: x * y,
-    lambda x, y: x + 1,
-    lambda x, y: 1 - x,
-    lambda x, y: x * Fraction(1, 2),
-    lambda x, y: 0.5 * x,
-])
-def test_linear_form_misuse_raises(misuse):
-    """A non-linear use of the generic coordinates is a TypeError, not a wrong number."""
-    x, y = algebra._Form({0: 1}), algebra._Form({1: 2})
-    with pytest.raises(TypeError):
-        misuse(x, y)
-
-
 def _terms(v):
-    """A linear form as {column: int}, an int 0 or an empty form as {}."""
+    """A linear form as {column: int}: a packed int decoded, a DictForm's terms, 0 as {}."""
+    if isinstance(v, int):
+        return algebra._fields(v)
     return v.terms if v else {}
 
 
@@ -98,7 +86,11 @@ def _decoded(el):
 
 
 def test_packed_forms_match_dict_forms_on_the_orbit_representatives():
-    """apply_dual on the packed generic element decodes to what it gives on dict forms."""
+    """apply_dual on the packed generic element decodes to what it gives on dict forms.
+
+    DictForm raises TypeError on any use that is not linear, so this also
+    checks that apply_dual only adds the coordinates and scales them by ints.
+    """
     reps = {algebra._orbit_rep(core) for label in all_labels()
             for core, _ in group.cores(label._replace(type_index=1))}
     assert len(reps) == 7
@@ -112,32 +104,39 @@ def test_packed_forms_match_dict_forms_on_the_orbit_representatives():
        st.integers(-2**12, 2**12))
 @settings(max_examples=200, deadline=None)
 def test_packed_form_arithmetic_matches_dict_forms(terms, k):
-    """Sums, negations and int multiples decode to the dict-form results, whatever
-    the signs of neighbouring fields."""
-    packed, oracle = algebra._Form({}), DictForm({})
+    """Sums, negations and int multiples of packed ints decode to the dict-form
+    results, whatever the signs of neighbouring fields."""
+    packed, oracle = 0, DictForm({})
     for n, (c, v) in enumerate(terms):
-        x, y = algebra._Form({c: v}), DictForm({c: v} if v else {})
+        x, y = v * algebra._GENERIC.coords[c], DictForm({c: v} if v else {})
         packed, oracle = (packed + x, oracle + y) if n % 3 else (-packed + x, -oracle + y)
     assert _terms(packed) == _terms(oracle)
     assert _terms(k * packed) == _terms(k * oracle)
     assert bool(packed) == bool(oracle)
 
 
-def test_form_coefficient_past_the_field_raises():
-    """A coefficient that may reach 2^31 raises OverflowError; it never decodes wrong."""
-    top = algebra._Form({0: 1}) * (algebra._LIMIT - 1)
-    assert top.terms == {0: algebra._LIMIT - 1}
-    assert (-top).terms == {0: 1 - algebra._LIMIT}
-    assert (algebra._Form({0: algebra._LIMIT - 2}) + algebra._Form({1: -1})).terms == \
-        {0: algebra._LIMIT - 2, 1: -1}
+def test_form_coefficient_past_the_field_raises(monkeypatch):
+    """Fields decode up to 2^31 - 1 in size; a core whose static bound may reach
+    2^31 raises OverflowError before it is evaluated, so no field decodes wrong."""
+    top, x1 = algebra._LIMIT - 1, algebra._GENERIC.coords[1]
+    assert algebra._fields(top) == {0: top}
+    assert algebra._fields(-top) == {0: -top}
+    assert algebra._fields(top - x1) == {0: top, 1: -1}
+    assert algebra._fields(-top - x1) == {0: -top, 1: -1}
+    assert algebra._fields(top * algebra._GENERIC.coords[26]) == {26: top}
+    cores = {core for label in all_labels() if label.type_index == 1
+             for core, _ in group.cores(label)}
+    assert len(cores) == 45
+    assert max(map(algebra._field_bound, cores)) <= 64
+
+    def not_evaluated(label, chi):
+        raise AssertionError(f"{group.format_label(label)} was evaluated")
+
+    monkeypatch.setattr(algebra, "_CORE_TANGENTS", {})
+    monkeypatch.setattr(algebra, "apply_dual", not_evaluated)
+    monkeypatch.setattr(algebra, "_stage_coeffs", lambda core: [{0: 1, 9: 2**15}])
     with pytest.raises(OverflowError):
-        top + algebra._Form({0: 1})
-    with pytest.raises(OverflowError):
-        top + algebra._Form({0: -1})    # the bound adds sizes, so even a cancelling sum
-    with pytest.raises(OverflowError):
-        algebra._Form({0: 1}) * algebra._LIMIT
-    with pytest.raises(OverflowError):
-        -algebra._Form({5: algebra._LIMIT})
+        algebra._core_tangent(GeneratorLabel("B", 1, plane=("t", "z")))
 
 
 def test_tangent_entries_in_half_integers():
@@ -184,22 +183,17 @@ def test_core_stage_terms_are_ints():
     assert all(type(v) is int for _, *ints in terms for v in ints)
 
 
-def _zeroed(el):
-    """The coordinates, with every zero (an empty linear form too) as the int 0."""
-    return [v if v else 0 for v in to_coords(el)]
-
-
 _TRANSVERSE = [GeneratorLabel("R", 1, plane=pair) for pairs in _AGS_PAIRS.values()
                for pair in pairs]
 
 
 def test_apply_dual_matches_reference_on_the_generic_element():
-    """All 135 labels and the 21 transverse cores, on the linear forms of the generic element."""
+    """All 135 labels and the 21 transverse cores, on the packed ints of the generic element."""
     wrong = []
     for label in all_labels() + _TRANSVERSE:
         new = apply_dual(label, algebra._GENERIC)
         old = reference_apply_dual(label, algebra._GENERIC)
-        if [_zeroed(el) for el in new] != [_zeroed(el) for el in old]:
+        if list(map(to_coords, new)) != list(map(to_coords, old)):
             wrong.append(group.format_label(label))
     assert wrong == []
 
