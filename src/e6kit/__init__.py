@@ -14,13 +14,16 @@ import importlib
 
 # module -> the names the package re-exports from it
 _LAZY = {
-    "octonion": ("Octonion", "UNITS", "TRIPLES"),
+    "units": ("UNITS", "TRIPLES"),
+    "octonion": ("Octonion",),
     "jordan": ("JordanElement", "from_coords", "to_coords", "det", "lorentz_dot"),
     "group": ("GeneratorLabel", "parse_label", "format_label", "all_labels", "apply"),
-    "algebra": ("tangent", "preferred_basis", "reduce_basis", "structure_table",
-                "killing_matrix", "signature", "casimir_labels", "gellmann_check",
-                "stabilizer_of_l", "calibration_constant", "curve_commutator"),
-    "subalgebra": ("make_involution", "fixed_subalgebra", "compact_preimage",
+    "algebra": ("tangent", "preferred_basis", "killing_matrix", "signature"),
+    "structure": ("reduce_basis", "structure_table"),
+    "stabilizer": ("stabilizer_of_l",),
+    "gellmann": ("gellmann_check",),
+    "curve": ("calibration_constant", "curve_commutator"),
+    "subalgebra": ("casimir_labels", "make_involution", "fixed_subalgebra", "compact_preimage",
                    "refine_subspaces", "assemble", "identify"),
     "rootweight": ("diagram", "cartan_matrix", "inverse_cartan", "simple_roots",
                    "fundamental_weights", "weights_from_highest",
@@ -41,6 +44,6 @@ def __getattr__(name: str):
     return value
 
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"    # the version of pyproject.toml; a test keeps the two equal
 
 __all__ = [*_LAZY_NAMES, "__version__"]

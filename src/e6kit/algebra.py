@@ -1,4 +1,4 @@
-"""The Lie algebra sl(3,O) as exact 27x27 tangent matrices.
+"""The Lie algebra sl(3,O) as exact 27x27 tangent matrices, and its Killing form.
 
 Every generator is a product of cores (group.cores), each the identity at
 alpha = 0, so a type-1 tangent is the angle-weighted sum of its cores'
@@ -14,66 +14,34 @@ lies in 1/2 Z, so every runtime path holds an element as its doubled
 tangent 2T, an integer matrix {row: {col: int}} (doubled_tangent), and
 brackets two of them with one kernel, _flat_commutator: the table, the
 span, the su(3) check and the curve cross-check alike.  tangent() halves
-2T for callers that want T.
+2T for callers that want T.  The Killing form is the trace form of the
+doubled tangents (killing_matrix).
 
-The structure table is built on the core basis (the preferred basis with
-the 21 transverse cores in place of A/G/S), on which all 1344 automorphisms
-that permute the imaginary units up to sign act as signed permutations: one
-basis pair per orbit is computed (166 of 3003) through an integer dual basis
-and verified in integers, and the rest are derived from it exactly.  Seven
-exact 3x3 changes of basis carry the constants to the preferred basis,
-where they lie in 1/6 Z.  The table holds them as one integer table, L c
-with L = 6 (StructureTable), which the ranks, the Jacobi suite and Stab(l)
-bracket; the rational constant is Fraction(L c, L), formed only where
-`table` prints it.  The Killing form is the trace form of the doubled
-tangents (killing_matrix).
+Each CLI verb is a fresh process that compiles every module it imports, so
+the code that only some verbs run lives in modules of its own, which this
+one names lazily (__getattr__ below): the structure table and its disk cache
+(structure), Stab(l) (stabilizer), the rank of a subalgebra (subalgebra),
+the su(3) check (gellmann) and the curve cross-check (curve).
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import math
-import os
-import random
+import importlib
 import sys
-import zlib
 from fractions import Fraction
 from itertools import compress
-from typing import Optional
 
-from . import jordan
-from .group import (GeneratorLabel, _is_transverse, _rotation, _sequence, all_labels,
-                    apply, apply_dual, cores, format_label)
+from .group import (GeneratorLabel, _is_transverse, _rotation, _sequence, apply_dual, cores,
+                    format_label)
 from .jordan import from_coords, to_coords
-from .linalg import SpanBasis, kernel, signature_symmetric, span_of
-from .octonion import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
-
-CACHE_ENV = "E6KIT_CACHE"
-_CACHE_VERSION = "e6kit-structure-5"
-_CONSTANT_COUNT = 2750    # nonzero c_ij^k with i < j on the preferred basis
-_SCALE = 6                # the lcm of their denominators
+from .linalg import signature_symmetric, span_of
+from .units import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
 
 DIM = 27
 
 
-class RankMismatch(RuntimeError):
-    pass
-
-
-class NotInSpan(RuntimeError):
-    pass
-
-
 class NotClosed(RuntimeError):
-    pass
-
-
-class MismatchAt(RuntimeError):
-    pass
-
-
-class StepTooLarge(RuntimeError):
     pass
 
 
@@ -94,6 +62,26 @@ def _operand(flat: dict) -> tuple:
         entries.append((key - c, c, v))
         rows.setdefault(r, []).append((c, v))
     return entries, rows
+
+
+def _flat_commutator(x: tuple, y: tuple) -> dict:
+    """The bracket YX - XY of two matrices X, Y, flat as {row * DIM + col: v}, zero sums kept.
+
+    Each matrix is given as _operand makes it.  The bracket uses the
+    group-orbit (vector-field) convention, the negative of the raw operator
+    commutator on tangent matrices: the one under which the published
+    structure constants, the Gell-Mann correspondence in particular, hold.
+    """
+    out: dict = {}
+    get = out.get
+    for (entries, _), (_, rows), s in ((y, x, 1), (x, y, -1)):
+        for r, j, v in entries:
+            row = rows.get(j)
+            if row:
+                v *= s
+                for c, w in row:
+                    out[r + c] = get(r + c, 0) + v * w
+    return out
 
 
 def _span_constants(vectors: list[dict], bracket) -> dict:
@@ -196,14 +184,11 @@ def doubled_tangent(label: GeneratorLabel) -> dict:
 # Octonion automorphisms that permute the imaginary units up to sign, as
 # {unit: image} with the units not named fixed.  _SEVEN and _THREE are
 # sign-free and generate the 21 sign-free automorphisms, which carry every
-# core's stages to its image core's; _SEVEN and _FLIP generate all 1344
-# (Baez, "The Octonions", arXiv math/0105155), which act on the core basis
-# as signed permutations.
+# core's stages to its image core's; _SEVEN and structure._FLIP generate all
+# 1344, which act on the core basis as signed permutations.
 _SEVEN = {"i": "j", "j": "l", "l": "il", "il": "kl", "kl": "k", "k": "jl", "jl": "i"}
 _THREE = {"i": "j", "j": "k", "k": "i", "kl": "il", "il": "jl", "jl": "kl"}
-_FLIP = {"j": "-j", "k": "-k", "kl": "l", "l": "kl", "jl": "il", "il": "jl"}
 _TANGENT_MOVES = (_SEVEN, _THREE)
-_TABLE_MOVES = (_SEVEN, _FLIP)
 
 _CORE_TANGENTS: dict[GeneratorLabel, dict] = {}
 
@@ -362,396 +347,9 @@ def _basis_index() -> dict[GeneratorLabel, int]:
 
 
 @functools.cache
-def _core_basis() -> list[GeneratorLabel]:
-    """The preferred basis with A/G/S:q replaced by the 21 transverse cores.
-
-    The 57 B and R labels keep their preferred indices; then come the cores
-    of each axis q in turn, in the planes _AGS_PAIRS[q].
-    """
-    out = [label for label in preferred_basis() if label.category in ("B", "R")]
-    out += [core for q in IMAGINARY_UNITS for core, _ in cores(GeneratorLabel("S", 1, axis=q))]
-    return out
-
-
-@functools.cache
-def _change_of_basis() -> tuple[list[dict], list[dict], int]:
-    """(P, W, d), ints: b_a = sum_c P[a][c] core_c and d core_c = sum_f W[c][f] b_f.
-
-    A B or R label is its own core.  For each axis q, A/G/S:q are the
-    _AGS_ANGLES combinations of q's three cores (group.cores), a 3x3 block
-    M of determinant d = 6; W holds the adjugate of each block.
-    """
-    core_index = {core: n for n, core in enumerate(_core_basis())}
-    expand = [{core_index[core]: angle for core, angle in cores(label)}
-              for label in preferred_basis()]
-    back: list[dict] = [{} for _ in expand]
-    dets = set()
-    for q in IMAGINARY_UNITS:
-        rows = [_basis_index()[GeneratorLabel(cat, 1, axis=q)] for cat in ("A", "G", "S")]
-        cols = [core_index[core] for core, _ in cores(GeneratorLabel("S", 1, axis=q))]
-        m = [[expand[a].get(c, 0) for c in cols] for a in rows]
-        adj = [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-                - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
-                for j in range(3)] for i in range(3)]
-        dets.add(sum(m[0][k] * adj[k][0] for k in range(3)))
-        for i, c in enumerate(cols):
-            back[c] = {a: adj[i][j] for j, a in enumerate(rows) if adj[i][j]}
-    (d,) = dets    # the seven blocks are alike
-    for c, row in enumerate(back):
-        if not row:    # a B or R label, the same index on both bases
-            row[c] = d
-    return expand, back, d
-
-
-def _to_preferred(coeffs: dict) -> dict:
-    """d times the preferred coordinates of a vector given on the core basis."""
-    back = _change_of_basis()[1]
-    out: dict = {}
-    for c, x in coeffs.items():
-        for f, w in back[c].items():
-            out[f] = out.get(f, 0) + x * w
-    return {f: out[f] for f in sorted(out) if out[f]}
-
-
-@functools.cache
 def _shared_doubled() -> list[dict]:
     """2T of the 57 B and R labels: the first 57 of both the core and the preferred basis."""
     return [doubled_tangent(label) for label in preferred_basis() if label.category in ("B", "R")]
-
-
-@functools.cache
-def _core_doubled() -> list[dict]:
-    """2T of the 78 core-basis labels, built once per process.
-
-    The span and the table read these dicts, and the B and R ones are those
-    of the preferred list (_preferred_doubled) too; no caller mutates them.
-    """
-    shared = _shared_doubled()
-    return shared + [doubled_tangent(core) for core in _core_basis()[len(shared):]]
-
-
-@functools.cache
-def _basis_span() -> tuple[SpanBasis, list[dict]]:
-    """(span, 2T flat) of the 78 core-basis tangents, the span tagged by core-basis index.
-
-    Built once per process; reduce_basis and structure_table read it.
-    """
-    flat = [_flat(mat) for mat in _core_doubled()]
-    sb = span_of(flat)
-    if sb.rank != 78:
-        raise RankMismatch(f"the core-basis tangents span only {sb.rank} dimensions")
-    return sb, flat
-
-
-def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
-    """(preferred basis, certificates expressing every dropped tangent in it).
-
-    Raises RankMismatch unless the 135 tangents span exactly the preferred 78.
-    """
-    basis = preferred_basis()
-    sb = _basis_span()[0]
-    d = _change_of_basis()[2]
-    certificates = {}
-    for label in all_labels():
-        if label in _basis_index():
-            continue
-        coeffs = sb.express(_flat(doubled_tangent(label)))
-        if coeffs is None:
-            raise RankMismatch(f"tangent of {label} escapes the preferred span")
-        certificates[label] = {basis[f]: v / d for f, v in _to_preferred(coeffs).items()}
-    return basis, certificates
-
-
-# ---------------------------------------------------------------------------
-# structure table
-
-class StructureTable:
-    """The integer constants of a basis, {(i, j): {k: L c_ij^k}} for i < j, and their scale L.
-
-    The constant c_ij^k is Fraction(v, scale); a missing pair brackets to 0.
-    structure_table() gives the pairs, and each row, in increasing order,
-    with L the lcm of the constants' denominators.  The ranks, the Jacobi
-    suite and Stab(l) bracket the integers: a uniform scale changes no
-    kernel, span or zero test.
-    """
-
-    __slots__ = ("basis", "scale", "constants")
-
-    def __init__(self, basis: list, scale: int, constants: dict):
-        self.basis, self.scale, self.constants = basis, scale, constants
-
-    def bracket(self, i: int, j: int) -> dict:
-        """Sparse coefficients of [b_i, b_j]."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.constants.get((i, j), {})
-        return {k: -v for k, v in self.constants.get((j, i), {}).items()}
-
-    def bracket_vectors(self, u: dict, v: dict) -> dict:
-        """[u, v] for sparse coefficient vectors over the basis."""
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                for k, c in self.bracket(i, j).items():
-                    s = out.get(k, 0) + a * b * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
-
-
-_TABLE: Optional[StructureTable] = None
-
-
-def structure_table() -> StructureTable:
-    """The bracket of every basis pair, exact: one pair per symmetry orbit is computed.
-
-    The table is built on the core basis (_core_constants) and then carried
-    to the preferred basis (_preferred_constants).  With E6KIT_CACHE set,
-    the integers and their scale are read from that file if it is intact,
-    and written to it otherwise.
-    """
-    global _TABLE
-    if _TABLE is not None:
-        return _TABLE
-    path = os.environ.get(CACHE_ENV)
-    if path:
-        try:
-            _TABLE = StructureTable(preferred_basis(), *_read_cache(path))
-            return _TABLE
-        except (OSError, ValueError, KeyError, TypeError, RecursionError):
-            pass    # a stale, damaged or incomplete file is ignored as a whole
-    _TABLE = StructureTable(preferred_basis(), *_preferred_constants(_core_constants()))
-    if path:
-        _store_cache(path, _TABLE)
-    return _TABLE
-
-
-def _core_constants() -> dict:
-    """{(i, j): {k: 2c_ij^k}} on the core basis for every i < j, zero brackets included.
-
-    The 1344 automorphisms generated by _TABLE_MOVES act on the core basis
-    as signed permutations (_basis_symmetries).  Tangent entries lie in
-    1/2 Z, so the doubled tangents 2T are integer matrices and commutators
-    of them are 4 [T_i, T_j].  The coefficients are read off the pivot
-    coordinates of the integer reduced span of the 2T through the dual rows
-    D = L * combo / pivot entry, where L is the lcm of the pivot entries:
-    2c_k = sum over pivots of entry * D[row][k] / L.  Each
-    computed bracket is checked by the integer residual
-    [2T_i, 2T_j] - sum 2c_k 2T_k, which must vanish; NotInSpan if a 2c_k is
-    not an integer or it does not.  The pairs are walked in (i, j) order,
-    and a computed pair's whole orbit is derived from it, so only 166 of
-    the 3003 pairs are computed.
-    """
-    basis = _core_basis()
-    # w in the span is sum over reduced rows n of w[pivot n] / row n[pivot n]
-    # * row n, and combos[n] is row n on the 2T.
-    span, flat = _basis_span()
-    doubled = [_operand(f) for f in flat]
-    row_of = span.pivot_row
-    pivots = {n: span.rows[n][p] for p, n in row_of.items()}
-    scale = math.lcm(*pivots.values())
-    dual = [{k: x * (scale // pivots[n]) for k, x in combo.items()}
-            for n, combo in enumerate(span.combos)]
-    moves = _basis_symmetries(flat)
-    brackets: dict = {}  # (i, j) -> {k: 2c}, zero brackets included
-    for i in range(78):
-        for j in range(i + 1, 78):
-            if (i, j) in brackets:
-                continue
-            residual = _flat_commutator(doubled[i], doubled[j])
-            acc: dict = {}
-            for key, v in residual.items():
-                n = row_of.get(key)
-                if n is not None:
-                    for k, x in dual[n].items():
-                        acc[k] = acc.get(k, 0) + v * x
-            coeffs = {}
-            for k in sorted(acc):
-                if not acc[k]:
-                    continue
-                two, rem = divmod(acc[k], scale)    # 2 c_k
-                if rem:
-                    raise NotInSpan(f"[{basis[i]}, {basis[j]}] has a constant outside 1/2 Z")
-                for key, w in flat[k].items():
-                    residual[key] = residual.get(key, 0) - two * w
-                coeffs[k] = two
-            if any(residual.values()):
-                raise NotInSpan(f"[{basis[i]}, {basis[j]}] escapes the basis span")
-            brackets[(i, j)] = coeffs
-            _derive_orbit(brackets, (i, j), moves)
-    return brackets
-
-
-def _flat_commutator(x: tuple, y: tuple) -> dict:
-    """The bracket YX - XY of two matrices X, Y, flat as {row * DIM + col: v}, zero sums kept.
-
-    Each matrix is given as _operand makes it.  The bracket uses the
-    group-orbit (vector-field) convention, the negative of the raw operator
-    commutator on tangent matrices: the one under which the published
-    structure constants, the Gell-Mann correspondence in particular, hold.
-    """
-    out: dict = {}
-    get = out.get
-    for (entries, _), (_, rows), s in ((y, x, 1), (x, y, -1)):
-        for r, j, v in entries:
-            row = rows.get(j)
-            if row:
-                v *= s
-                for c, w in row:
-                    out[r + c] = get(r + c, 0) + v * w
-    return out
-
-
-def _preferred_constants(brackets: dict) -> tuple[int, dict]:
-    """(L, L c): the preferred-basis constants from the core ones, given as {(c, e): {g: 2k}}.
-
-    [b_a, b_b] = sum P[a][c] P[b][e] [core_c, core_e], and each core_g is
-    sum_f W[g][f] b_f / d (_change_of_basis), so 2d c_ab^f is a sum of ints.
-    Each core constant is scattered into the (a, b, f) it feeds, with
-    [b_b, b_a] = -[b_a, b_b] and [b_a, b_a] = 0.  L = 2d / gcd(2d, every
-    2d c) is the lcm of the constants' denominators, and L c = 2d c / gcd.
-    Keys and rows come out sorted.
-    """
-    expand, back, d = _change_of_basis()
-    n = len(expand)
-    users: list[list] = [[] for _ in expand]    # core c -> [(a, P[a][c])]
-    for a, parts in enumerate(expand):
-        for c, x in parts.items():
-            users[c].append((a, x))
-    acc: dict = {}    # (a n + b) n + f -> 2d c_ab^f, so the keys sort as (a, b, f)
-    get = acc.get
-    for (c, e), row in brackets.items():
-        if not row:
-            continue
-        for a, x in users[c]:
-            for b, y in users[e]:    # [core_c, core_e] feeds pair (a, b) with P[a][c] P[b][e]
-                if a < b:
-                    key, s = (a * n + b) * n, x * y
-                elif a > b:
-                    key, s = (b * n + a) * n, -x * y
-                else:
-                    continue
-                for g, v in row.items():
-                    for f, w in back[g].items():
-                        acc[key + f] = get(key + f, 0) + s * v * w
-    common = math.gcd(2 * d, *acc.values())
-    constants, last = {}, None
-    for flat_key in sorted(acc):
-        v = acc[flat_key]
-        if v:
-            pair, f = divmod(flat_key, n)
-            if pair != last:
-                last = pair
-                row = constants[divmod(pair, n)] = {}
-            row[f] = v // common
-    return 2 * d // common, constants
-
-
-def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
-    """Each of _TABLE_MOVES as a signed permutation (perm, sign) of the core basis.
-
-    Q T_k Q^-1 = sign[k] T_perm[k] is checked on the doubled tangents (given
-    flat) for every k, so a bracket derived through Q is exact:
-    [T_perm[i], T_perm[j]] = sign[i] sign[j] sum_k c_ij^k sign[k] T_perm[k].
-    NotInSpan if some Q T_k Q^-1 is not plus or minus a basis tangent.
-    """
-    index = {frozenset(f.items()): k for k, f in enumerate(flat)}
-    out = []
-    for images in _TABLE_MOVES:
-        q, s = _coordinate_map(_unit_map(images))
-        perm, sign = [], []
-        for k, f in enumerate(flat):
-            image = {q[key // DIM] * DIM + q[key % DIM]: s[key // DIM] * s[key % DIM] * v
-                     for key, v in f.items()}
-            hit, t = index.get(frozenset(image.items())), 1
-            if hit is None:
-                hit, t = index.get(frozenset((key, -v) for key, v in image.items())), -1
-            if hit is None:
-                raise NotInSpan(f"the unit map {images} carries the tangent of "
-                                f"{format_label(_core_basis()[k])} outside the basis")
-            perm.append(hit)
-            sign.append(t)
-        out.append((perm, sign))
-    return out
-
-
-def _derive_orbit(brackets: dict, pair: tuple, moves: list) -> None:
-    """Add to brackets every pair the moves reach from `pair`, each derived once."""
-    stack = [pair]
-    while stack:
-        pair = stack.pop()
-        i, j = pair
-        row = brackets[pair]
-        for perm, sign in moves:
-            a, b = perm[i], perm[j]
-            key = (a, b) if a < b else (b, a)
-            if key not in brackets:    # rows in any order: _preferred_constants sorts
-                s = sign[i] * sign[j] if a < b else -sign[i] * sign[j]
-                image = brackets[key] = {}
-                for k, v in row.items():
-                    image[perm[k]] = s * sign[k] * v
-                stack.append(key)
-
-
-# ---------------------------------------------------------------------------
-# disk cache: the integer constants and their scale only; tangents are always derived
-
-def _read_cache(path: str) -> tuple[int, dict]:
-    """(L, L c) from the file; ValueError unless intact, complete and in range.
-
-    Complete means the _CONSTANT_COUNT keys (i, j, k) in strictly increasing
-    order, as _store_cache writes them: the CRC of a short list, or of one
-    with a key repeated, matches as well as the full one's.  Each constant
-    is a nonzero int, and the scale is _SCALE, prime to the constants as a
-    whole, so that it is the lcm of the denominators of the c they give.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    body = {"constants": data["constants"], "scale": data["scale"]}
-    if data["version"] != _CACHE_VERSION or data["crc32"] != _checksum(body):
-        raise ValueError("stale or damaged cache")
-    if len(body["constants"]) != _CONSTANT_COUNT:
-        raise ValueError(f"the cache holds {len(body['constants'])} constants, "
-                         f"not {_CONSTANT_COUNT}")
-    constants: dict = {}
-    last = (0, 0, -1)
-    for i, j, k, v in body["constants"]:
-        if not (type(i) is type(j) is type(k) is type(v) is int and v
-                and 0 <= i < j < 78 and 0 <= k < 78 and (i, j, k) > last):
-            raise ValueError(f"constant ({i}, {j}, {k}, {v!r}) not a nonzero int, "
-                             f"out of range or out of order")
-        last = (i, j, k)
-        constants.setdefault((i, j), {})[k] = v
-    scale = body["scale"]
-    if type(scale) is not int or scale != _SCALE or \
-            math.gcd(scale, *(v for row in constants.values() for v in row.values())) != 1:
-        raise ValueError(f"scale {scale!r} is not the lcm of the constants' denominators")
-    return scale, constants
-
-
-def _checksum(body: dict) -> int:
-    # CRC-32 catches damaged files; zlib is loaded at start-up anyway, while
-    # hashlib would load OpenSSL and add about 3.7 MB to every process.
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
-
-
-def _store_cache(path: str, table: StructureTable) -> None:
-    """Write the cache through a temporary file, so readers never see half of it."""
-    body = {"constants": [[i, j, k, v] for (i, j), row in sorted(table.constants.items())
-                          for k, v in sorted(row.items())],
-            "scale": table.scale}
-    data = {"version": _CACHE_VERSION, "crc32": _checksum(body), **body}
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +359,7 @@ def _store_cache(path: str, table: StructureTable) -> None:
 def _preferred_doubled() -> list[dict]:
     """2T of the 78 preferred-basis labels; killing_matrix and stabilizer_of_l read it.
 
-    The 57 B and R labels share their dicts with _core_doubled, but building
+    The 57 B and R labels share their dicts with structure._core_doubled, but building
     this list builds no transverse-core 2T: 57 + 21 doubled_tangent calls.
     """
     shared = _shared_doubled()
@@ -817,298 +415,26 @@ def killing_restricted(vectors: list[dict]) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# Casimirs and rank
+# names defined in the modules that only some verbs import
 
-def casimir_labels() -> list[GeneratorLabel]:
-    return [GeneratorLabel("B", 1, plane=("t", "z")),
-            GeneratorLabel("B", 2, plane=("t", "z")),
-            GeneratorLabel("R", 1, plane=("x", "l")),
-            GeneratorLabel("A", 1, axis="l"),
-            GeneratorLabel("G", 1, axis="l"),
-            GeneratorLabel("S", 1, axis="l")]
+# module -> the public names it defines that resolve here too
+_ELSEWHERE = {
+    "structure": ("CACHE_ENV", "RankMismatch", "NotInSpan", "StructureTable",
+                  "structure_table", "reduce_basis"),
+    "subalgebra": ("casimir_labels", "unit_vectors", "rank_estimate"),
+    "stabilizer": ("A_L_COORD", "stab_l_documented_basis", "stabilizer_of_l"),
+    "gellmann": ("GELLMANN_LABELS", "MismatchAt", "gellmann_check"),
+    "curve": ("StepTooLarge", "calibration_constant", "curve_commutator"),
+}
+_ELSEWHERE_NAMES = {name: module for module, names in _ELSEWHERE.items() for name in names}
 
 
-def unit_vectors(indices: list[int]) -> list[dict]:
-    return [{i: 1} for i in indices]
+def __getattr__(name: str):
+    """A name of _ELSEWHERE, from its module, imported on first use (PEP 562).
 
-
-def rank_estimate(subspace: list[dict]) -> int:
-    """The rank of the subalgebra spanned by `subspace`, certified exactly.
-
-    The subspace is given as sparse coefficient vectors over the preferred
-    basis and must close under the bracket (NotClosed otherwise).  The
-    bracket is that of the integer table L c (structure_table): it is
-    L times the true one, which changes none of the kernels below.  For
-    distinct unit vectors it is the table renumbered; any other list goes
-    through _span_constants, which also raises ValueError if the vectors
-    are dependent.  For a sparse element x of it the centralizer
-    c = ker(ad x) is computed exactly; if c is abelian and is its own
-    normalizer, it is a Cartan subalgebra and the rank is dim c.  x is
-    first a fixed combination of the subspace vectors that are
-    Casimir-sextet basis elements, then seeded combinations of four subspace
-    vectors.  If no x certifies, the smallest centralizer found is returned:
-    an upper bound on min dim ker(ad x), which is the rank when the
-    subalgebra is reductive.
+    Not stored here, so `algebra.x` is always the defining module's `x`.
     """
-    table = structure_table()
-    d = len(subspace)
-    # the bracket in coordinates over the subspace vectors
-    sub = StructureTable(list(range(d)), table.scale, {})
-    position = {k: n for n, v in enumerate(subspace) if list(v.values()) == [1] for k in v}
-    if len(position) == d:
-        # distinct unit vectors: the sub-table is the table renumbered
-        for (i, j), row in table.constants.items():
-            a, b = position.get(i), position.get(j)
-            if a is None or b is None:
-                continue
-            for k in row:
-                if k not in position:
-                    raise NotClosed(f"[{format_label(table.basis[i])}, "
-                                    f"{format_label(table.basis[j])}] leaves the span "
-                                    f"(hits {format_label(table.basis[k])})")
-            if a < b:
-                sub.constants[(a, b)] = {position[k]: v for k, v in row.items()}
-            else:
-                sub.constants[(b, a)] = {position[k]: -v for k, v in row.items()}
-    else:
-        sub.constants = _span_constants(subspace, table.bracket_vectors)
-    sextet = {_basis_index()[label]: w for w, label in enumerate(casimir_labels(), 1)}
-    first = {n: sextet[k] for n, v in enumerate(subspace)
-             if len(v) == 1 for k in v if k in sextet}
-    rng = random.Random(0)
-    draws = [first] * bool(first) + [
-        {n: rng.choice((-3, -2, -1, 1, 2, 3)) for n in rng.sample(range(d), min(d, 4))}
-        for _ in range(8)]
-    best = d
-    for x in draws:
-        c = kernel(sub.bracket_vectors(x, {b: 1}) for b in range(d))
-        best = min(best, len(c))
-        if any(sub.bracket_vectors(u, v) for n, u in enumerate(c) for v in c[n + 1:]):
-            continue
-        # N(c) is the y-part of the kernel of (y, z) -> [y, c_j] - sum_m z_jm c_m
-        # over all j; y fixes the z-part, so that kernel has dim N(c)
-        cols = [{(j, k): v for j, u in enumerate(c)
-                 for k, v in sub.bracket_vectors({b: 1}, u).items()} for b in range(d)]
-        cols += [{(j, k): -v for k, v in u.items()} for j in range(len(c)) for u in c]
-        if len(kernel(cols)) == len(c):
-            return len(c)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Gell-Mann comparison
-
-GELLMANN_LABELS = [GeneratorLabel("A", 1, axis="k"),
-                   GeneratorLabel("A", 1, axis="kl"),
-                   GeneratorLabel("A", 1, axis="l"),
-                   GeneratorLabel("A", 1, axis="i"),
-                   GeneratorLabel("A", 1, axis="il"),
-                   GeneratorLabel("A", 1, axis="jl"),
-                   GeneratorLabel("A", 1, axis="j"),
-                   GeneratorLabel("G", 1, axis="l")]
-
-
-def _gellmann_matrices() -> list[dict]:
-    """The eight matrices of the correspondence table, transposed, realified and doubled.
-
-    A complex 3x3 matrix X + iY becomes the real 6x6 matrix [[X, -Y], [Y, X]],
-    and that is transposed: _flat_commutator takes YX - XY, which on
-    transposes is (XY - YX)^T, so the constants read off are those of ab - ba.
-    Each is doubled, {row: {col: 2v}}, as the tangents are (doubled_tangent).
-    """
-    table = [
-        {(0, 1): -1j, (1, 0): -1j},            # -i * lambda1-like
-        {(0, 1): -1, (1, 0): 1},
-        {(0, 0): 1j, (1, 1): -1j},
-        {(0, 2): -1j, (2, 0): -1j},
-        {(0, 2): 1, (2, 0): -1},
-        {(1, 2): -1j, (2, 1): -1j},
-        {(1, 2): -1, (2, 1): 1},
-        {(0, 0): -1j, (1, 1): -1j, (2, 2): 2j},
-    ]
-    out = []
-    for entries in table:
-        mat: dict = {}
-        for (r, c), z in entries.items():
-            x, y = int(z.real), int(z.imag)
-            for row, col, v in ((c, r, x), (c + 3, r, -y), (c, r + 3, y), (c + 3, r + 3, x)):
-                if v:
-                    mat.setdefault(row, {})[col] = 2 * v
-        out.append(mat)
-    return out
-
-
-def gellmann_check() -> dict:
-    """Compare the octonionic su(3) constants against the matrix oracle.
-
-    Both sides are spans of eight doubled integer matrices under
-    _flat_commutator: the 2T of GELLMANN_LABELS and the _gellmann_matrices.
-    [2a, 2b] = 4 [a, b], so each side gives 2c, twice its constants.  Returns
-    {"pairs_checked": 28, "match": True}; raises MismatchAt at the first pair
-    whose constants differ, and ValueError or NotClosed (_span_constants) if
-    either side is dependent or does not close.
-    """
-    def bracket(x, y):
-        return _flat_commutator(_operand(x), _operand(y))
-
-    octonionic = _span_constants([_flat(doubled_tangent(label)) for label in GELLMANN_LABELS],
-                                 bracket)
-    oracle = _span_constants(list(map(_flat, _gellmann_matrices())), bracket)
-    for pair, coeffs in octonionic.items():
-        if coeffs != oracle[pair]:
-            raise MismatchAt(f"structure constants differ at pair {pair} "
-                             f"(got {coeffs}, oracle {oracle[pair]})")
-    return {"pairs_checked": len(octonionic), "match": True}
-
-
-# ---------------------------------------------------------------------------
-# Stab(l)
-
-A_L_COORD = 3 + UNIT_INDEX["l"]  # index of the a_l coordinate in Coord27
-
-
-def _combo(parts: list[tuple[int, GeneratorLabel]]) -> dict:
-    """Integer coefficients (on the preferred basis) of a sum of distinct basis labels."""
-    return {_basis_index()[lab]: s for s, lab in parts}
-
-
-def stab_l_documented_basis() -> dict:
-    """Named pieces of Stab(l): so(8,1) plus the abelian ideal b2+b3+bl."""
-    B, R, A, G, S = "B", "R", "A", "G", "S"
-    su3c = [_combo([(1, GeneratorLabel(A, 1, axis=q))]) for q in IMAGINARY_UNITS]
-    su3c.append(_combo([(1, GeneratorLabel(G, 1, axis="l"))]))
-    so6_extra = [_combo([(1, GeneratorLabel(G, 1, axis=q)),
-                         (2, GeneratorLabel(S, 1, axis=q))])
-                 for q in IMAGINARY_UNITS if q != "l"]
-    so6_extra.append(_combo([(1, GeneratorLabel(S, 1, axis="l"))]))
-    so21 = [_combo([(1, GeneratorLabel(R, 1, plane=("x", "z")))]),
-            _combo([(1, GeneratorLabel(B, 1, plane=("t", "x")))]),
-            _combo([(1, GeneratorLabel(B, 1, plane=("t", "z")))])]
-    so81_extra = []
-    for q in IMAGINARY_UNITS:
-        if q == "l":
-            continue
-        so81_extra += [_combo([(1, GeneratorLabel(B, 1, plane=("t", q)))]),
-                       _combo([(1, GeneratorLabel(R, 1, plane=("x", q)))]),
-                       _combo([(1, GeneratorLabel(R, 1, plane=("z", q)))])]
-    # In this realization the type-2/3 part of the kernel is spanned by
-    # B2_tq - R2_zq and B3_tq + R3_zq (all seven q) together with
-    # B2_tx + R2_xz and B3_tx - R3_xz; the q = l pair joins the x pair in
-    # the su(3)-invariant four-dimensional piece b_l.
-    b2 = [_combo([(1, GeneratorLabel(B, 2, plane=("t", q))),
-                  (-1, GeneratorLabel(R, 2, plane=("z", q)))])
-          for q in IMAGINARY_UNITS if q != "l"]
-    b3 = [_combo([(1, GeneratorLabel(B, 3, plane=("t", q))),
-                  (1, GeneratorLabel(R, 3, plane=("z", q)))])
-          for q in IMAGINARY_UNITS if q != "l"]
-    bl = [_combo([(1, GeneratorLabel(B, 2, plane=("t", "x"))),
-                  (1, GeneratorLabel(R, 2, plane=("x", "z")))]),
-          _combo([(1, GeneratorLabel(B, 3, plane=("t", "x"))),
-                  (-1, GeneratorLabel(R, 3, plane=("x", "z")))]),
-          _combo([(1, GeneratorLabel(B, 2, plane=("t", "l"))),
-                  (-1, GeneratorLabel(R, 2, plane=("z", "l")))]),
-          _combo([(1, GeneratorLabel(B, 3, plane=("t", "l"))),
-                  (1, GeneratorLabel(R, 3, plane=("z", "l")))])]
-    return {"su3c": su3c, "so6_extra": so6_extra,
-            "so81": su3c + so6_extra + so21 + so81_extra,
-            "b2": b2, "b3": b3, "bl": bl}
-
-
-def stabilizer_of_l() -> dict:
-    """Report on Stab(l): the elements whose tangent kills the a_l coordinate.
-
-    The defining condition is linear: row a_l of the 27x27 tangent matrix
-    vanishes, and the kernel is taken on that row of the preferred 2T, the
-    list killing_matrix reads too (_preferred_doubled).  Returns the kernel
-    basis plus the verified decomposition facts; the brackets are those of
-    the integer table L c (structure_table), which no span or zero test can
-    tell from c.
-    """
-    # the kernel of x -> sum_i x_i * (row a_l of 2T_i)
-    stab = kernel(mat.get(A_L_COORD, {}) for mat in _preferred_doubled())
-    table = structure_table()
-    named = stab_l_documented_basis()
-    so81, b_all = named["so81"], named["b2"] + named["b3"] + named["bl"]
-
-    def pairs(xs):    # [u, v] for each pair of the vectors
-        return (table.bracket_vectors(u, v) for n, u in enumerate(xs) for v in xs[n + 1:])
-
-    so81_span = span_of(so81)
-    b2_gram = killing_restricted(named["b2"])
-    return {
-        "dim": len(stab),
-        "kernel": stab,
-        "documented_basis_in_kernel": all(map(span_of(stab).contains, so81 + b_all)),
-        "so81_dim": so81_span.rank,    # 36 unless the documented vectors are dependent
-        "so81_closed": all(map(so81_span.contains, pairs(so81))),
-        "b_dims": (len(named["b2"]), len(named["b3"]), len(named["bl"])),
-        "b_abelian": not any(pairs(b_all)),
-        "b_is_ideal_under_so81": all(map(span_of(b_all).contains, (
-            table.bracket_vectors(u, v) for u in so81 for v in b_all))),
-        "b2_killing_null": all(b2_gram[n][n] == 0 for n in range(len(b2_gram))),
-    }
-
-
-# ---------------------------------------------------------------------------
-# curve commutator cross-check
-
-def _calibration_chi() -> jordan.JordanElement:
-    rng = random.Random(0)
-    return from_coords([Fraction(rng.randint(-9, 9)) for _ in range(DIM)])
-
-
-def _second_difference(label1, label2, h, chi):
-    def curve(alpha):
-        x = apply(label1, alpha / 2, chi)
-        x = apply(label2, alpha / 2, x)
-        x = apply(label1, -alpha / 2, x)
-        x = apply(label2, -alpha / 2, x)
-        return [float(v) for v in to_coords(x)]
-
-    f0 = [float(v) for v in to_coords(chi)]
-    fp, fm = curve(h), curve(-h)
-    return [(a - 2 * b + c) / (h * h) for a, c, b in zip(fp, fm, f0)]
-
-
-def _bracket_on(label1: GeneratorLabel, label2: GeneratorLabel, chi) -> list[Fraction]:
-    """[T1, T2] chi, exact: a quarter of [2T1, 2T2] (_flat_commutator) applied to chi."""
-    x, y = (_operand(_flat(doubled_tangent(label))) for label in (label1, label2))
-    coords = [Fraction(v) for v in to_coords(chi)]
-    out = [Fraction(0)] * DIM
-    for key, v in _flat_commutator(x, y).items():
-        r, c = divmod(key, DIM)
-        out[r] += v * coords[c]
-    return [v / 4 for v in out]
-
-
-@functools.cache
-def calibration_constant() -> float:
-    """The curve constant fitted on (A_i, A_j) at step 1e-3, measured once per process.
-
-    curve_commutator divides by the exact 1/2; this fit is the check that
-    the second difference really is half the bracket.
-    """
-    l1 = GeneratorLabel("A", 1, axis="i")
-    l2 = GeneratorLabel("A", 1, axis="j")
-    chi = _calibration_chi()
-    fd = _second_difference(l1, l2, 1e-3, chi)
-    mc = [float(v) for v in _bracket_on(l1, l2, chi)]
-    return sum(a * b for a, b in zip(fd, mc)) / sum(b * b for b in mc)
-
-
-def curve_commutator(label1: GeneratorLabel, label2: GeneratorLabel,
-                     h: float, chi: jordan.JordanElement,
-                     tol: Optional[float] = None) -> list[float]:
-    """Finite-difference estimate of [T1, T2] applied to chi.
-
-    The second difference of the curve g2(-a/2) g1(-a/2) g2(a/2) g1(a/2)
-    approaches 1/2 [T1, T2] chi, so the estimate is twice it.
-    """
-    est = [2 * v for v in _second_difference(label1, label2, h, chi)]
-    if tol is not None:
-        mc = _bracket_on(label1, label2, chi)
-        err = max(abs(a - float(b)) for a, b in zip(est, mc))
-        scale = max(1.0, max(abs(float(b)) for b in mc))
-        if err / scale > tol:
-            raise StepTooLarge(f"relative mismatch {err / scale:g} exceeds {tol:g}")
-    return est
+    module = _ELSEWHERE_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __package__), name)

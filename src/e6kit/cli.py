@@ -22,18 +22,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import math
 import os
-import random
 import sys
 
 # Each verb is a fresh process, which compiles every e6kit module it imports:
 # the commands import the modules they run (and json, csv and fractions, which
-# the parser does not need), so `--help` compiles only this one.
+# the parser does not need), so `--help` compiles only this one.  The bodies
+# of verify (the verify module) and of roots and apply (floatcli) are modules
+# of their own, so the other verbs do not compile them either.
 
 # subalgebra.CELL_NAMES, for the --assemble help; a test keeps the two equal
 _CELL_NAMES = ("R1H", "B1H", "R23H", "B23H", "R1Hp", "B1Hp", "R23Hp", "B23Hp")
+# verify.SUITES, for --suite; a test keeps the two equal
+_SUITE_NAMES = ("dependencies", "jacobi", "det")
 
 
 def _dump_json(obj, out) -> None:
@@ -81,8 +83,9 @@ def cmd_table(args) -> int:
     """Each constant c_ij^k as (i, j, k, "p/q"), in the table's sorted order."""
     from fractions import Fraction
 
-    from . import algebra, group
-    table = algebra.structure_table()
+    from . import group
+    from .structure import structure_table
+    table = structure_table()
     text: dict = {}    # the 2750 integers L c take a few distinct values; format each once
     rows = ((i, j, k, text.get(v) or text.setdefault(v, str(Fraction(v, table.scale))))
             for (i, j), row in table.constants.items() for k, v in row.items())
@@ -106,119 +109,13 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _doubled_combo(parts) -> dict:
-    """2 sum c T(label) in integers, {(row, col): int}: the weights 2c times
-    the doubled tangents 2T."""
-    from fractions import Fraction
-
-    from . import algebra, group
-    total: dict = {}
-    for c, lab in parts:
-        two = 2 * Fraction(c)
-        if two.denominator != 1:
-            raise AssertionError(f"2 * {c} is not an integer")
-        for r, row in algebra.doubled_tangent(group.parse_label(lab)).items():
-            for col, v in row.items():
-                total[r, col] = total.get((r, col), 0) + two.numerator * v
-    return total
-
-
-def _verify_dependencies(out, args) -> int:
-    """The 15 vanishing sums, 14 type-2 expressions, and A/G independence, in integers."""
-    from fractions import Fraction
-
-    from .octonion import IMAGINARY_UNITS
-    checks = []
-    for q in IMAGINARY_UNITS:
-        checks.append((f"S:{q} + S:{q}:2 + S:{q}:3 = 0",
-                       [(1, f"S:{q}"), (1, f"S:{q}:2"), (1, f"S:{q}:3")]))
-    for q in IMAGINARY_UNITS:
-        checks.append((f"R:x,{q} + R:x,{q}:2 + R:x,{q}:3 = 0",
-                       [(1, f"R:x,{q}"), (1, f"R:x,{q}:2"), (1, f"R:x,{q}:3")]))
-    checks.append(("B:t,z + B:t,z:2 + B:t,z:3 = 0",
-                   [(1, "B:t,z"), (1, "B:t,z:2"), (1, "B:t,z:3")]))
-    for q in IMAGINARY_UNITS:
-        checks.append((f"R:x,{q}:2 = -1/2 R:x,{q} - 1/2 S:{q}",
-                       [(1, f"R:x,{q}:2"), (Fraction(1, 2), f"R:x,{q}"),
-                        (Fraction(1, 2), f"S:{q}")]))
-    for q in IMAGINARY_UNITS:
-        checks.append((f"S:{q}:2 = 3/2 R:x,{q} - 1/2 S:{q}",
-                       [(1, f"S:{q}:2"), (Fraction(-3, 2), f"R:x,{q}"),
-                        (Fraction(1, 2), f"S:{q}")]))
-    # one identity, 14 differences, each checked on its own so none can cancel another
-    for cat in ("A", "G"):
-        checks.append((f"{cat}:q = {cat}:q:2 = {cat}:q:3 for all q",
-                       *([(1, f"{cat}:{q}"), (-1, f"{cat}:{q}:{t}")]
-                         for q in IMAGINARY_UNITS for t in (2, 3))))
-    for name, *combos in checks:
-        if any(any(_doubled_combo(parts).values()) for parts in combos):
-            out.write(f"FAILED: {name}\n")
-            return 1
-        out.write(f"confirmed: {name}\n")
-    out.write(f"{len(checks)} identities confirmed\n")
-    return 0
-
-
-def _verify_jacobi(out, args) -> int:
-    """A seeded sample of Jacobi triples, exact.
-
-    The brackets use the integer constants L c_ij^k; each Jacobi sum is then
-    L^2 times the exact one, and vanishes exactly when it does.
-    """
-    from . import algebra, group
-    table = algebra.structure_table()
-    n = len(table.basis)
-    rng = random.Random(args.seed)
-    triples = [tuple(sorted(rng.sample(range(n), 3))) for _ in range(500)]
-    for (a, b, c) in triples:
-        ua, ub, uc = {a: 1}, {b: 1}, {c: 1}
-        total: dict = {}
-        for x, y, z in ((ua, ub, uc), (ub, uc, ua), (uc, ua, ub)):
-            inner = table.bracket_vectors(y, z)
-            for k, v in table.bracket_vectors(x, inner).items():
-                total[k] = total.get(k, 0) + v
-        if any(total.values()):
-            la, lb, lc = (group.format_label(table.basis[i]) for i in (a, b, c))
-            out.write(f"FAILED: jacobi({la}, {lb}, {lc}) != 0\n")
-            return 1
-    out.write(f"jacobi holds on {len(triples)} seeded triples\n")
-    return 0
-
-
-def _verify_det(out, args) -> int:
-    """det preservation for every label over seeded rational chi samples."""
-    from . import group, jordan
-    rng = random.Random(args.seed)
-    chis = []
-    for _ in range(3):
-        chi = jordan.from_coords([rng.randint(-4, 4) / 2.0 for _ in range(27)])
-        chis.append((chi, float(jordan.det(chi))))
-    for label in group.all_labels():
-        for alpha in (0.3, -0.7):
-            for chi, det_before in chis:
-                moved = group.apply(label, alpha, chi)
-                det_after = float(jordan.det(moved))
-                if abs(det_after - det_before) > args.tol:
-                    out.write(f"FAILED: det drift {abs(det_after - det_before):.3e}"
-                              f" for {group.format_label(label)} at alpha={alpha}\n")
-                    return 1
-    out.write(f"det preserved for all {len(group.all_labels())} labels (tol {args.tol:g})\n")
-    return 0
-
-
-_SUITES = {"dependencies": _verify_dependencies, "jacobi": _verify_jacobi, "det": _verify_det}
-
-
 def cmd_verify(args) -> int:
     if args.tol <= 0:
         raise InputError(f"--tol must be positive, got {args.tol:g}")
-    report, rc = io.StringIO(), 0
-    for suite in _SUITES if args.suite == "all" else [args.suite]:
-        rc = _SUITES[suite](report, args)
-        if rc != 0:
-            break
+    from .verify import report
+    text, rc = report(args)
     with _output(args.out) as out:
-        out.write(report.getvalue())
+        out.write(text)
     return rc
 
 
@@ -241,8 +138,8 @@ def cmd_killing(args) -> int:
 
 
 def cmd_stab_l(args) -> int:
-    from . import algebra
-    data = {k: v for k, v in algebra.stabilizer_of_l().items() if k != "kernel"}
+    from .stabilizer import stabilizer_of_l
+    data = {k: v for k, v in stabilizer_of_l().items() if k != "kernel"}
     with _output(args.out) as out:
         _dump_json(data, out)
     failed = ["dim == 52"] * (data["dim"] != 52) + [k for k, v in data.items() if v is False]
@@ -254,10 +151,11 @@ def cmd_stab_l(args) -> int:
 
 
 def cmd_gellmann(args) -> int:
-    from . import algebra
+    from .algebra import NotClosed
+    from .gellmann import MismatchAt, gellmann_check
     try:
-        result = algebra.gellmann_check()
-    except (algebra.MismatchAt, algebra.NotClosed, ValueError) as exc:
+        result = gellmann_check()
+    except (MismatchAt, NotClosed, ValueError) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
     with _output(args.out) as out:
@@ -273,12 +171,12 @@ _AUTO_TOKENS = {"t": "t", "23": "two_three", "two_three": "two_three",
 
 
 def cmd_subalg(args) -> int:
-    from . import subalgebra
-    if bool(args.auto) == bool(args.assemble):
+    if (args.auto is None) == (args.assemble is None):
         raise InputError("exactly one of --auto or --assemble is required")
-    if args.part and args.assemble:
+    if args.part and args.assemble is not None:
         raise InputError("--part applies only to --auto")
-    if args.auto:
+    from . import subalgebra
+    if args.auto is not None:
         try:
             which = [_AUTO_TOKENS[tok.strip()] for tok in args.auto.split(",")]
         except KeyError as exc:
@@ -304,96 +202,16 @@ def cmd_subalg(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# roots
-
-def _rounded(v) -> list:
-    return [round(x, 12) + 0.0 for x in v]  # + 0.0: a -0.0 prints as 0.0
-
+# roots / apply: float verbs that no benchmark runs (floatcli)
 
 def cmd_roots(args) -> int:
-    from . import rootweight
-    try:
-        d = rootweight.diagram(args.algebra)
-    except ValueError as exc:
-        raise InputError(exc) from None
-    data: dict = {
-        "rank": d.rank,
-        "simple_roots": [_rounded(r) for r in rootweight.simple_roots(d)],
-    }
-    if args.highest:
-        try:
-            marks = [int(x) for x in args.highest.split(",")]
-        except ValueError:
-            raise InputError("--highest must be a comma list of integers") from None
-        if len(marks) != d.rank:
-            raise InputError(f"--highest needs {d.rank} marks")
-        try:
-            wd = rootweight.weights_from_highest(d, marks)
-        except ValueError as exc:
-            raise InputError(exc) from None
-        index = {w.mark: n for n, w in enumerate(wd.weights)}
-        data["weights"] = [{"mark": list(w.mark),
-                            "coords": _rounded(w.coords)}
-                           for w in wd.weights]
-        data["edges"] = [{"from": index[a], "to": index[b], "root": j}
-                         for a, b, j in wd.edges]
-        vertices = [w.coords for w in wd.weights]
-    else:
-        roots = rootweight.root_system(d)
-        data["roots"] = [_rounded(r) for r in roots]
-        vertices = roots
-    with _output(args.out) as out:
-        if args.format == "csv":
-            import csv
-            writer = csv.writer(out)
-            writer.writerow([f"x{i+1}" for i in range(len(vertices[0]))])
-            for v in vertices:
-                writer.writerow(_rounded(v))
-        else:
-            _dump_json(data, out)
-    return 0
+    from .floatcli import roots
+    return roots(args)
 
-
-# ---------------------------------------------------------------------------
-# apply
 
 def cmd_apply(args) -> int:
-    import json
-
-    from . import group, jordan
-    try:
-        label = group.parse_label(args.label)
-    except group.IllegalLabel as exc:
-        raise InputError(exc) from None
-    try:
-        if args.chi == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(args.chi, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        payload = json.loads(raw)
-        coords = payload["coords"] if isinstance(payload, dict) else payload
-        if not isinstance(coords, list) or len(coords) != 27:
-            raise ValueError("need a list of 27 coordinates")
-        if any(type(x) not in (int, float) for x in coords):    # not isinstance: bool is an int
-            raise ValueError("coordinates must be JSON numbers")
-        coords = [float(x) for x in coords]
-        if not all(math.isfinite(x) for x in coords):
-            raise ValueError("coordinates must be finite")
-    except OSError as exc:
-        raise InputError(f"cannot read --chi {args.chi}: {exc.strerror or exc}") from None
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        raise InputError(f"bad chi JSON: {exc}") from None
-    try:
-        moved = group.apply(label, args.alpha, jordan.from_coords(coords))
-        coords, det = jordan.to_coords(moved), float(jordan.det(moved))
-    except OverflowError:
-        coords, det = [math.inf], math.inf
-    if not all(math.isfinite(x) for x in coords + [det]):
-        raise InputError("the result is not finite; use a smaller --alpha or chi")
-    with _output(args.out) as out:
-        _dump_json({"coords": [round(x, 15) for x in coords], "det": round(det, 12)}, out)
-    return 0
+    from .floatcli import apply
+    return apply(args)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("table", "structure-constant table")
     p.add_argument("--format", **formats)
     p = verb("verify", "identity suites")
-    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
+    p.add_argument("--suite", choices=(*_SUITE_NAMES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_finite, default=1e-9)
     verb("killing", "Killing-form signature")
@@ -478,4 +296,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # `python -m e6kit.cli` runs this file as __main__: register it as e6kit.cli
+    # as well, so that floatcli's InputError is the one run() catches
+    sys.modules.setdefault("e6kit.cli", sys.modules[__name__])
     main()

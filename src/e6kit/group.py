@@ -32,8 +32,8 @@ from operator import add, itemgetter, neg
 from typing import NamedTuple, Optional
 
 from .jordan import JordanElement
-from .octonion import (DISPLAY, DISPLAY_TO_NAME, IMAGINARY_UNITS, MULT_TABLE,
-                       UNIT_INDEX, _AGS_PAIRS)
+from .units import (DISPLAY, DISPLAY_TO_NAME, IMAGINARY_UNITS, MULT_TABLE,
+                    UNIT_INDEX, _AGS_PAIRS)
 
 
 class IllegalLabel(ValueError):
@@ -105,7 +105,10 @@ def parse_label(text: str) -> GeneratorLabel:
         label = GeneratorLabel(cat, type_index, plane=plane)
     else:
         raise IllegalLabel(f"unknown category {cat!r}")
-    validate_label(label)
+    try:
+        validate_label(label)
+    except IllegalLabel:
+        raise IllegalLabel(f"illegal label {text!r}") from None
     return label
 
 

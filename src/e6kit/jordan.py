@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .octonion import MULT_TABLE, Octonion, norm2
+from .units import MULT_TABLE, norm2
 
 _A, _B, _C = slice(3, 11), slice(11, 19), slice(19, 27)     # a, b, c in Coord27
 
@@ -148,6 +148,7 @@ def spinor_square(theta: Spinor) -> Vector2:
 
 def vector_block(x: JordanElement) -> Vector2:
     """Upper-left 2x2 block of chi viewed as a vector."""
+    from .octonion import Octonion    # only here: the runtime paths build no Octonion
     v = x.coords
     return Vector2(v[0], v[1], Octonion(v[_A]))
 

@@ -223,12 +223,21 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
 
     Weights are taken depth by depth, so those above are known, and each
     alpha_j-string is walked once, from its top (mark[j] > 0, no weight one
-    alpha_j above): every edge appears once.  A negative mark raises
-    ValueError, as does a diagram past MAX_WEIGHTS, as soon as it gets there.
+    alpha_j above): every edge appears once.  ValueError unless there is one
+    mark per node, each a non-negative integer, and for a diagram past
+    MAX_WEIGHTS as soon as it gets there.
     """
     a = cartan_matrix(d)
     n = d.rank
-    highest = tuple(int(x) for x in highest)
+    marks = tuple(highest)
+    if len(marks) != n:
+        raise ValueError(f"{d.name} needs {n} highest-weight marks, got {len(marks)}")
+    try:
+        highest = tuple(int(x) for x in marks)
+    except (TypeError, ValueError, OverflowError):
+        highest = None
+    if highest != marks:    # 1.5 would truncate to 1
+        raise ValueError(f"highest-weight marks must be integers, got {list(marks)}")
     if any(x < 0 for x in highest):
         raise ValueError(f"highest-weight marks must be non-negative, got {list(highest)}")
     seen = {highest}

@@ -15,18 +15,14 @@ maximal subalgebras of sl(3,O), each identified by (dim, rank, signature).
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple, Optional
 
+from .algebra import (NotClosed, _basis_index, _span_constants, killing_matrix, preferred_basis,
+                      signature)
 from .group import GeneratorLabel, format_label
-from .algebra import (
-    NotClosed,  # raised by _report through rank_estimate
-    preferred_basis,
-    structure_table,
-    killing_matrix,
-    signature,
-    unit_vectors,
-    rank_estimate,
-)
+from .linalg import kernel
+from .structure import StructureTable, structure_table
 
 
 class NotAutomorphism(RuntimeError):
@@ -139,6 +135,85 @@ class SubalgebraReport:
             "names": self.names,
             "notes": self.notes,
         }
+
+
+# ---------------------------------------------------------------------------
+# Casimirs and rank
+
+def casimir_labels() -> list[GeneratorLabel]:
+    return [GeneratorLabel("B", 1, plane=("t", "z")),
+            GeneratorLabel("B", 2, plane=("t", "z")),
+            GeneratorLabel("R", 1, plane=("x", "l")),
+            GeneratorLabel("A", 1, axis="l"),
+            GeneratorLabel("G", 1, axis="l"),
+            GeneratorLabel("S", 1, axis="l")]
+
+
+def unit_vectors(indices: list[int]) -> list[dict]:
+    return [{i: 1} for i in indices]
+
+
+def rank_estimate(subspace: list[dict]) -> int:
+    """The rank of the subalgebra spanned by `subspace`, certified exactly.
+
+    The subspace is given as sparse coefficient vectors over the preferred
+    basis and must close under the bracket (NotClosed otherwise).  The
+    bracket is that of the integer table L c (structure_table): it is
+    L times the true one, which changes none of the kernels below.  For
+    distinct unit vectors it is the table renumbered; any other list goes
+    through _span_constants, which also raises ValueError if the vectors
+    are dependent.  For a sparse element x of it the centralizer
+    c = ker(ad x) is computed exactly; if c is abelian and is its own
+    normalizer, it is a Cartan subalgebra and the rank is dim c.  x is
+    first a fixed combination of the subspace vectors that are
+    Casimir-sextet basis elements, then seeded combinations of four subspace
+    vectors.  If no x certifies, the smallest centralizer found is returned:
+    an upper bound on min dim ker(ad x), which is the rank when the
+    subalgebra is reductive.
+    """
+    table = structure_table()
+    d = len(subspace)
+    # the bracket in coordinates over the subspace vectors
+    sub = StructureTable(list(range(d)), table.scale, {})
+    position = {k: n for n, v in enumerate(subspace) if list(v.values()) == [1] for k in v}
+    if len(position) == d:
+        # distinct unit vectors: the sub-table is the table renumbered
+        for (i, j), row in table.constants.items():
+            a, b = position.get(i), position.get(j)
+            if a is None or b is None:
+                continue
+            for k in row:
+                if k not in position:
+                    raise NotClosed(f"[{format_label(table.basis[i])}, "
+                                    f"{format_label(table.basis[j])}] leaves the span "
+                                    f"(hits {format_label(table.basis[k])})")
+            if a < b:
+                sub.constants[(a, b)] = {position[k]: v for k, v in row.items()}
+            else:
+                sub.constants[(b, a)] = {position[k]: -v for k, v in row.items()}
+    else:
+        sub.constants = _span_constants(subspace, table.bracket_vectors)
+    sextet = {_basis_index()[label]: w for w, label in enumerate(casimir_labels(), 1)}
+    first = {n: sextet[k] for n, v in enumerate(subspace)
+             if len(v) == 1 for k in v if k in sextet}
+    rng = random.Random(0)
+    draws = [first] * bool(first) + [
+        {n: rng.choice((-3, -2, -1, 1, 2, 3)) for n in rng.sample(range(d), min(d, 4))}
+        for _ in range(8)]
+    best = d
+    for x in draws:
+        c = kernel(sub.bracket_vectors(x, {b: 1}) for b in range(d))
+        best = min(best, len(c))
+        if any(sub.bracket_vectors(u, v) for n, u in enumerate(c) for v in c[n + 1:]):
+            continue
+        # N(c) is the y-part of the kernel of (y, z) -> [y, c_j] - sum_m z_jm c_m
+        # over all j; y fixes the z-part, so that kernel has dim N(c)
+        cols = [{(j, k): v for j, u in enumerate(c)
+                 for k, v in sub.bracket_vectors({b: 1}, u).items()} for b in range(d)]
+        cols += [{(j, k): -v for k, v in u.items()} for j in range(len(c)) for u in c]
+        if len(kernel(cols)) == len(c):
+            return len(c)
+    return best
 
 
 def _report(indices: list, notes: str) -> SubalgebraReport:

@@ -11,7 +11,7 @@ straight way instead, the oracle of those gathers.  The Killing form is
 here too as tr(ad ad) summed over the structure constants, the oracle of
 the trace form that e6kit.algebra.killing_matrix computes, and the
 preferred-basis constants pair by pair, the oracle of
-e6kit.algebra._preferred_constants.
+e6kit.structure._preferred_constants.
 DictForm is the integer linear form as a plain {column: int} dict, the
 oracle of the packed ints of e6kit.algebra._GENERIC, which algebra._fields
 decodes.  The matrix bracket YX - XY on
@@ -23,7 +23,7 @@ every level: the oracle of e6kit.rootweight.embed_check.
 
 from fractions import Fraction
 
-from e6kit import algebra
+from e6kit import structure
 from e6kit.group import _KINDS, build_sequence
 from e6kit.jordan import JordanElement, from_coords
 from e6kit.octonion import Octonion
@@ -205,10 +205,10 @@ def preferred_constants(brackets: dict) -> dict:
 
     For each preferred pair a < b, 2d c_ab^f = sum over c, e of
     P[a][c] P[b][e] (2d [core_c, core_e])^f, with [core_e, core_c] =
-    -[core_c, core_e] (algebra._change_of_basis, algebra._to_preferred).
+    -[core_c, core_e] (structure._change_of_basis, structure._to_preferred).
     """
-    expand, _, d = algebra._change_of_basis()
-    moved = {pair: algebra._to_preferred(row) for pair, row in brackets.items() if row}
+    expand, _, d = structure._change_of_basis()
+    moved = {pair: structure._to_preferred(row) for pair, row in brackets.items() if row}
     constants = {}
     for a in range(78):
         for b in range(a + 1, 78):

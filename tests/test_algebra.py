@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from e6kit import algebra
+from e6kit import algebra, gellmann, stabilizer
 from e6kit.algebra import (GELLMANN_LABELS, calibration_constant,
                            curve_commutator, gellmann_check,
                            killing_matrix, killing_restricted, preferred_basis,
@@ -236,14 +236,14 @@ def _last_b2_to_boost_tz(named):
 ])
 def test_stabilizer_of_l_flags_a_corrupted_basis(monkeypatch, corrupt, flags):
     """Each containment check fails on its own: a failed one does not hide another."""
-    documented = algebra.stab_l_documented_basis
+    documented = stabilizer.stab_l_documented_basis
 
     def corrupted():
         named = documented()
         corrupt(named)
         return named
 
-    monkeypatch.setattr(algebra, "stab_l_documented_basis", corrupted)
+    monkeypatch.setattr(stabilizer, "stab_l_documented_basis", corrupted)
     report = stabilizer_of_l()
     assert {flag: report[flag] for flag in flags} == flags
     assert report["dim"] == 52 and report["b_dims"] == (6, 6, 4)
@@ -309,9 +309,10 @@ def test_killing_matches_the_table_oracle():
 
 def test_killing_verb_builds_no_span_no_table_and_no_cache(tmp_path):
     """In a fresh interpreter, `killing` and `killing --out` differentiate the 7 orbit
-    cores and read neither the span, the structure table nor the disk cache."""
+    cores and do not even import the module of the span, the structure table and
+    the disk cache."""
     cache = tmp_path / "cache.json"
-    code = ("import contextlib, io\n"
+    code = ("import contextlib, io, sys\n"
             "from e6kit import algebra, cli\n"
             "calls = []\n"
             "dual = algebra.apply_dual\n"
@@ -319,9 +320,8 @@ def test_killing_verb_builds_no_span_no_table_and_no_cache(tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.run(['killing']) == 0\n"
             f"    assert cli.run(['killing', '--out', {str(tmp_path / 'killing.json')!r}]) == 0\n"
-            "print(len(calls), algebra._TABLE is None,"
-            " algebra._basis_span.cache_info().currsize)\n")
-    assert _fresh_run(code, {algebra.CACHE_ENV: str(cache)}) == "7 True 0\n"
+            "print(len(calls), 'e6kit.structure' in sys.modules)\n")
+    assert _fresh_run(code, {algebra.CACHE_ENV: str(cache)}) == "7 False\n"
     assert not cache.exists()
     assert (tmp_path / "killing.json").exists()
 
@@ -383,7 +383,7 @@ def test_flat_commutator_matches_reference_bracket():
     against the reference bracket, which shares no code with _flat_commutator.
     """
     sides = ([algebra.doubled_tangent(label) for label in GELLMANN_LABELS],
-             algebra._gellmann_matrices())
+             gellmann._gellmann_matrices())
     nonzero = 0
     for mats in sides:
         assert len(mats) == 8

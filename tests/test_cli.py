@@ -97,12 +97,12 @@ def test_verify_jacobi_seeded():
 
 def test_verify_jacobi_reports_the_failing_triple(monkeypatch, capsys):
     """A constant put on a pair that brackets to 0 breaks Jacobi on a seed-1 triple."""
-    from e6kit import algebra, cli
-    table = algebra.structure_table()
+    from e6kit import cli, structure
+    table = structure.structure_table()
     assert (0, 1) not in table.constants    # [B:t,z, B:t,z:2] = 0; seed 1 samples (0, 1, 5)
     constants = {**table.constants, (0, 1): {2: 1}}
-    monkeypatch.setattr(algebra, "_TABLE",
-                        algebra.StructureTable(table.basis, table.scale, constants))
+    monkeypatch.setattr(structure, "_TABLE",
+                        structure.StructureTable(table.basis, table.scale, constants))
     assert cli.run(["verify", "--suite", "jacobi", "--seed", "1"]) == 1
     assert capsys.readouterr().out == "FAILED: jacobi(B:t,z, B:t,z:2, B:t,i) != 0\n"
 
@@ -212,12 +212,12 @@ _STAB_L_REPORT = {"dim": 52, "kernel": [], "documented_basis_in_kernel": True,
     ("b2_killing_null", "b2_killing_null", False),
 ])
 def test_stab_l_names_the_failed_check(monkeypatch, capsys, check, field, value):
-    from e6kit import algebra, cli
-    monkeypatch.setattr(algebra, "stabilizer_of_l", lambda: dict(_STAB_L_REPORT))
+    from e6kit import cli, stabilizer
+    monkeypatch.setattr(stabilizer, "stabilizer_of_l", lambda: dict(_STAB_L_REPORT))
     assert cli.run(["stab-l"]) == 0
     passing = capsys.readouterr()
     assert passing.err == ""
-    monkeypatch.setattr(algebra, "stabilizer_of_l",
+    monkeypatch.setattr(stabilizer, "stabilizer_of_l",
                         lambda: dict(_STAB_L_REPORT, **{field: value}))
     assert cli.run(["stab-l"]) == 1
     failing = capsys.readouterr()
@@ -267,10 +267,10 @@ def _real_diagonal_last(mats):
 ])
 def test_gellmann_failure_exits_1(monkeypatch, capsys, corrupt, message):
     """A corrupted oracle fails the check: exit 1, stdout empty, one stderr line."""
-    from e6kit import algebra, cli
-    mats = algebra._gellmann_matrices()
+    from e6kit import cli, gellmann
+    mats = gellmann._gellmann_matrices()
     corrupt(mats)
-    monkeypatch.setattr(algebra, "_gellmann_matrices", lambda: mats)
+    monkeypatch.setattr(gellmann, "_gellmann_matrices", lambda: mats)
     assert cli.run(["gellmann"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -362,6 +362,8 @@ _BAD_VALUES = {
     ("roots", "--algebra", "A1_0"): "roots: unsupported diagram 'A1_0'",   # not A10
     ("roots", "--algebra", "B+3"): "roots: unsupported diagram 'B+3'",
     ("roots", "--algebra", "A 2"): "roots: unsupported diagram 'A 2'",
+    ("apply", "--label", "B:z,t", "--alpha", "0.1", "--chi", "chi.json"):
+        "apply: illegal label 'B:z,t'",    # the text typed, not the parsed label
 }
 
 
@@ -550,25 +552,67 @@ def _e6kit_modules_after(argv, stdin=None):
 def test_help_compiles_only_the_cli():
     """Every verb is a fresh process that compiles what it imports: the parser needs no algebra."""
     assert _e6kit_modules_after(["--help"]) == (0, {"e6kit", "e6kit.cli"})
+    # flags that name no mode are refused before any algebra is compiled
+    assert _e6kit_modules_after(["subalg"]) == (2, {"e6kit", "e6kit.cli"})
 
 
 _CHI = json.dumps({"coords": [1, 2, 3, 0.5] + [0] * 23})
 
 
-@pytest.mark.parametrize("argv, ran, unloaded", [
-    (["killing"], "algebra", {"subalgebra", "rootweight"}),
-    (["table"], "algebra", {"subalgebra", "rootweight"}),
-    (["verify", "--suite", "all"], "algebra", {"subalgebra", "rootweight"}),
-    (["stab-l"], "algebra", {"subalgebra", "rootweight"}),
-    (["gellmann"], "algebra", {"subalgebra", "rootweight"}),
-    (["roots", "--algebra", "E6"], "rootweight", {"algebra", "group", "subalgebra"}),
-    (["apply", "--label", "A:i", "--alpha", "0.1", "--chi", "-"], "group",
-     {"algebra", "linalg", "subalgebra"}),
-], ids=["killing", "table", "verify", "stab-l", "gellmann", "roots", "apply"])
-def test_each_verb_compiles_only_the_modules_it_runs(argv, ran, unloaded):
+# the modules every algebra verb runs: the tangents and the Killing form
+_ALGEBRA_CORE = {"cli", "algebra", "group", "jordan", "linalg", "units"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["killing"], _ALGEBRA_CORE),
+    (["gellmann"], _ALGEBRA_CORE | {"gellmann"}),
+    (["table"], _ALGEBRA_CORE | {"structure"}),
+    (["verify", "--suite", "all"], _ALGEBRA_CORE | {"structure", "verify"}),
+    (["stab-l"], _ALGEBRA_CORE | {"structure", "stabilizer"}),
+    (["subalg", "--auto", "23,hperp"], _ALGEBRA_CORE | {"structure", "subalgebra"}),
+    (["roots", "--algebra", "E6"], {"cli", "floatcli", "rootweight", "linalg"}),
+    (["apply", "--label", "A:i", "--alpha", "0.1", "--chi", "-"],
+     {"cli", "floatcli", "group", "jordan", "units"}),
+], ids=["killing", "gellmann", "table", "verify", "stab-l", "subalg", "roots", "apply"])
+def test_each_verb_compiles_only_the_modules_it_runs(argv, loaded):
+    """Exactly these e6kit modules: killing and gellmann load no table build
+    (structure), only verify its suites, and no verb the Octonion class (octonion)."""
     code, modules = _e6kit_modules_after(argv, stdin=_CHI)
-    assert code == 0 and f"e6kit.{ran}" in modules
-    assert not modules & {f"e6kit.{m}" for m in unloaded}
+    assert code == 0
+    assert modules == {"e6kit"} | {f"e6kit.{m}" for m in loaded}
+
+
+def test_verify_suite_names_match_the_suites():
+    """The parser's copy of the suite names is verify.SUITES, in order."""
+    from e6kit import cli, verify
+    assert cli._SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    """Each name of e6kit.__all__, and each name algebra hands on to the module
+    that defines it now, resolves after a bare `import e6kit`; others do not."""
+    code = ("import e6kit\n"
+            "from e6kit import algebra\n"
+            "missing = [n for n in e6kit.__all__ if getattr(e6kit, n, None) is None]\n"
+            "moved = [n for n in algebra._ELSEWHERE_NAMES if getattr(algebra, n, None) is None]\n"
+            "print(missing, moved, hasattr(e6kit, 'nothing'), hasattr(algebra, 'commutator'))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] [] False False\n"
+
+
+def test_version_is_the_one_in_pyproject():
+    import re
+
+    import e6kit
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
+    assert e6kit.__version__ == declared
 
 
 def test_assemble_help_lists_the_cell_names():
@@ -586,6 +630,11 @@ def test_subalg_requires_exactly_one_mode():
     assert run_cli("subalg").returncode == 2
     assert run_cli("subalg", "--auto", "t",
                    "--assemble", "R1H").returncode == 2
+    # an empty value is a given flag: the token check names the empty token
+    for flag, message in (("--auto", "unknown involution token ''"),
+                          ("--assemble", "unknown cell names ['']")):
+        proc = run_cli("subalg", flag, "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"subalg: {message}\n")
 
 
 @pytest.mark.parametrize("part", ["fixed", "compact"])

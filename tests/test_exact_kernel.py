@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e6kit import algebra, group
+from e6kit import algebra, group, structure
 from e6kit.group import GeneratorLabel, ParamMatrix, all_labels, apply_dual
 from e6kit.jordan import from_coords, to_coords
 from e6kit.linalg import SpanBasis, span_of
@@ -275,7 +275,7 @@ def test_cores_are_transverse_rotations_not_labels():
 
 
 def _clear_basis_caches():
-    for cached in (algebra._shared_doubled, algebra._core_doubled, algebra._basis_span,
+    for cached in (algebra._shared_doubled, structure._core_doubled, structure._basis_span,
                    algebra._preferred_doubled):
         cached.cache_clear()
 
@@ -291,11 +291,11 @@ def fresh_span():
 def test_basis_span_built_once(monkeypatch, fresh_span):
     """The table, the basis reduction and Stab(l) share one span of the 78 tangents."""
     monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
-    monkeypatch.setattr(algebra, "_TABLE", None)
+    monkeypatch.setattr(structure, "_TABLE", None)
     algebra.structure_table()
     algebra.reduce_basis()
     algebra.stabilizer_of_l()
-    info = algebra._basis_span.cache_info()
+    info = structure._basis_span.cache_info()
     assert info.misses == 1 and info.hits >= 1
 
 
@@ -305,8 +305,8 @@ def test_corrupt_tangent_is_caught(monkeypatch, fresh_span, fresh_tangents):
     twice = dict(_direct_core_tangent(rep))
     twice[0, 0] = twice.get((0, 0), 0) + 1
     monkeypatch.setattr(algebra, "_CORE_TANGENTS", {rep: twice})
-    monkeypatch.setattr(algebra, "_TABLE", None)
-    with pytest.raises(algebra.NotInSpan):
+    monkeypatch.setattr(structure, "_TABLE", None)
+    with pytest.raises(structure.NotInSpan):
         algebra.structure_table()
 
 
@@ -364,7 +364,7 @@ def _reference_constants():
 def cold_table(monkeypatch):
     """structure_table() builds the table anew, with no disk cache."""
     monkeypatch.delenv(algebra.CACHE_ENV, raising=False)
-    monkeypatch.setattr(algebra, "_TABLE", None)
+    monkeypatch.setattr(structure, "_TABLE", None)
 
 
 def _as_lists(constants):
@@ -388,8 +388,8 @@ def test_preferred_constants_scatter_matches_the_per_pair_loop(monkeypatch, cold
     ways: the integers L c over L are the per-pair Fractions, keys and row order
     included, and L is the lcm of their denominators."""
     seen = []
-    scatter = algebra._preferred_constants
-    monkeypatch.setattr(algebra, "_preferred_constants",
+    scatter = structure._preferred_constants
+    monkeypatch.setattr(structure, "_preferred_constants",
                         lambda brackets: seen.append(brackets) or scatter(brackets))
     algebra.structure_table()
     rng = random.Random(23)
@@ -490,10 +490,10 @@ def test_transverse_planes_are_ordered_by_their_axis():
 
 def test_flip_as_a_tangent_move_is_refused(monkeypatch, fresh_tangents):
     """The signed involution reverses some transverse planes, so its stages do not match."""
-    monkeypatch.setattr(algebra, "_TANGENT_MOVES", (algebra._SEVEN, algebra._FLIP))
+    monkeypatch.setattr(algebra, "_TANGENT_MOVES", (algebra._SEVEN, structure._FLIP))
     with pytest.raises(AssertionError, match="does not carry the stages"):
         algebra.tangent(GeneratorLabel("A", 1, axis="i"))
-    flip = algebra._unit_map(algebra._FLIP)
+    flip = algebra._unit_map(structure._FLIP)
     refused = 0
     for pairs in _AGS_PAIRS.values():
         for pair in pairs:
@@ -507,11 +507,11 @@ def test_flip_as_a_tangent_move_is_refused(monkeypatch, fresh_tangents):
 
 
 def test_table_moves_are_automorphisms_generating_1344_maps_and_166_orbits():
-    assert all(_is_automorphism(images) for images in algebra._TABLE_MOVES)
-    moves = [tuple(map(tuple, _unit_perm(images))) for images in algebra._TABLE_MOVES]
+    assert all(_is_automorphism(images) for images in structure._TABLE_MOVES)
+    moves = [tuple(map(tuple, _unit_perm(images))) for images in structure._TABLE_MOVES]
     assert len(_closure(_IDENTITY8, moves, _compose)) == 1344
-    flat = [algebra._flat(algebra.doubled_tangent(core)) for core in algebra._core_basis()]
-    moves = [(tuple(p), tuple(s)) for p, s in algebra._basis_symmetries(flat)]
+    flat = [algebra._flat(algebra.doubled_tangent(core)) for core in structure._core_basis()]
+    moves = [(tuple(p), tuple(s)) for p, s in structure._basis_symmetries(flat)]
     group = _closure((tuple(range(78)), (1,) * 78), moves, _compose)
     assert len(group) == 1344
     orbits = {frozenset((min(p[i], p[j]), max(p[i], p[j])) for p, _ in group)
@@ -521,7 +521,7 @@ def test_table_moves_are_automorphisms_generating_1344_maps_and_166_orbits():
 
 def test_change_of_basis_inverts_the_ags_blocks():
     """P W = d I, with d = 6 the determinant of each A/G/S block."""
-    expand, back, d = algebra._change_of_basis()
+    expand, back, d = structure._change_of_basis()
     assert d == 6
     for a, row in enumerate(expand):
         out = {}
@@ -538,9 +538,9 @@ def test_one_commutator_per_orbit(monkeypatch, cold_table):
         calls.append(1)
         return commutator(x, y)
 
-    commutator = algebra._flat_commutator
-    monkeypatch.setattr(algebra, "_flat_commutator", counted)
-    algebra.structure_table()
+    commutator = structure._flat_commutator
+    monkeypatch.setattr(structure, "_flat_commutator", counted)
+    structure.structure_table()
     assert len(calls) == 166
 
 
@@ -550,12 +550,12 @@ def test_tangent_moved_off_the_basis_is_caught(monkeypatch, cold_table, fresh_sp
     twice = dict(_direct_core_tangent(core))
     twice[3 + UNIT_INDEX["i"], 0] = 1    # moves with a_i, which B:t,x does not
     monkeypatch.setattr(algebra, "_CORE_TANGENTS", {core: twice})
-    with pytest.raises(algebra.NotInSpan, match="outside the basis"):
+    with pytest.raises(structure.NotInSpan, match="outside the basis"):
         algebra.structure_table()
 
 
 def test_unit_map_that_is_not_an_automorphism_is_refused(monkeypatch, cold_table, fresh_tangents):
-    monkeypatch.setattr(algebra, "_TABLE_MOVES", ({"i": "j", "j": "i"},))
+    monkeypatch.setattr(structure, "_TABLE_MOVES", ({"i": "j", "j": "i"},))
     with pytest.raises(AssertionError, match="not an octonion automorphism"):
         algebra.structure_table()
     monkeypatch.setattr(algebra, "_TANGENT_MOVES", ({"i": "j", "j": "i"},))

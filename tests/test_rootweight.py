@@ -58,6 +58,24 @@ def test_negative_highest_mark_raises(marks):
         weights_from_highest(diagram("A2"), marks)
 
 
+@pytest.mark.parametrize("marks, message", [
+    ((1, 0, 0), "A2 needs 2 highest-weight marks, got 3"),
+    ((1,), "A2 needs 2 highest-weight marks, got 1"),
+    ((1.5, 0), r"marks must be integers, got \[1.5, 0\]"),    # not truncated to (1, 0)
+    (("1", 0), "marks must be integers"),
+    ((float("nan"), 0), "marks must be integers"),
+    ((float("inf"), 0), "marks must be integers"),
+])
+def test_bad_highest_marks_raise(marks, message):
+    """One integer mark per node, or ValueError: no diagram is made up for other input."""
+    with pytest.raises(ValueError, match=message):
+        weights_from_highest(diagram("A2"), marks)
+
+
+def test_integral_float_marks_are_the_integers():
+    assert weights_from_highest(diagram("A2"), (1.0, 0)).highest == (1, 0)
+
+
 @pytest.mark.parametrize("name,marks", [
     ("A2", [10**6, 10**6]),      # weights grow with the marks
     ("A1", [10**12]),
