@@ -3,7 +3,10 @@
 The package builds the 78-dimensional Lie algebra sl(3,O) from one-parameter
 group actions on the exceptional Jordan algebra h3(O), exposes its structure
 constants, Killing form, and distinguished subalgebras, and provides root- and
-weight-diagram utilities for the classical and exceptional series.
+weight-diagram utilities for the classical and exceptional series.  It
+works on the 27 coordinates of h3(O) through the octonion unit tables
+(units) and has no octonion class; the tests' reference computations build
+one (tests/reference.py).
 
 Every name below, and every submodule, is imported on first use (PEP 562),
 so `import e6kit` compiles no submodule and each CLI verb compiles only the
@@ -15,14 +18,12 @@ import importlib
 # module -> the names the package re-exports from it
 _LAZY = {
     "units": ("UNITS", "TRIPLES"),
-    "octonion": ("Octonion",),
-    "jordan": ("JordanElement", "from_coords", "to_coords", "det", "lorentz_dot"),
+    "jordan": ("JordanElement", "from_coords", "to_coords", "det"),
     "group": ("GeneratorLabel", "parse_label", "format_label", "all_labels", "apply"),
     "algebra": ("tangent", "preferred_basis", "killing_matrix", "signature"),
     "structure": ("reduce_basis", "structure_table"),
     "stabilizer": ("stabilizer_of_l",),
     "gellmann": ("gellmann_check",),
-    "curve": ("calibration_constant", "curve_commutator"),
     "subalgebra": ("casimir_labels", "make_involution", "fixed_subalgebra", "compact_preimage",
                    "refine_subspaces", "assemble", "identify"),
     "rootweight": ("diagram", "cartan_matrix", "inverse_cartan", "simple_roots",

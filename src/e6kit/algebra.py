@@ -13,15 +13,15 @@ type-1 ones conjugated by the type-cycle permutation.  Every tangent entry
 lies in 1/2 Z, so every runtime path holds an element as its doubled
 tangent 2T, an integer matrix {row: {col: int}} (doubled_tangent), and
 brackets two of them with one kernel, _flat_commutator: the table, the
-span, the su(3) check and the curve cross-check alike.  tangent() halves
-2T for callers that want T.  The Killing form is the trace form of the
-doubled tangents (killing_matrix).
+span and the su(3) check alike.  tangent() halves 2T for callers that want
+T.  The Killing form is the trace form of the doubled tangents
+(killing_matrix).
 
 Each CLI verb is a fresh process that compiles every module it imports, so
 the code that only some verbs run lives in modules of its own, which this
 one names lazily (__getattr__ below): the structure table and its disk cache
-(structure), Stab(l) (stabilizer), the rank of a subalgebra (subalgebra),
-the su(3) check (gellmann) and the curve cross-check (curve).
+(structure), Stab(l) (stabilizer), the rank of a subalgebra (subalgebra)
+and the su(3) check (gellmann).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import sys
 from fractions import Fraction
 from itertools import compress
 
-from .group import (GeneratorLabel, _is_transverse, _rotation, _sequence, apply_dual, cores,
-                    format_label)
+from .group import (GeneratorLabel, _is_transverse, _rotation, _sequence, _shift, apply_dual,
+                    cores, format_label)
 from .jordan import from_coords, to_coords
 from .linalg import signature_symmetric, span_of
 from .units import IMAGINARY_UNITS, MULT_TABLE, UNIT_INDEX, UNITS, _AGS_PAIRS
@@ -144,8 +144,9 @@ def _field_bound(core: GeneratorLabel) -> int:
     return max(x, d)
 
 
-# group.type_cycle as a coordinate permutation P: P^(t-1) moves coordinate i
-# to _CYCLES[t - 1][i], the type-cycle gather of group.apply.
+# The type cycle chi -> T chi T†, (p,m,n,a,b,c) -> (n,p,m,c,a,b), as a
+# coordinate permutation P: P^(t-1) moves coordinate i to _CYCLES[t - 1][i],
+# the type-cycle gather of group.apply.
 _CYCLES = tuple(map(_rotation, range(3)))
 
 
@@ -164,6 +165,7 @@ def doubled_tangent(label: GeneratorLabel) -> dict:
     derivatives.  Type t is P^(t-1) T P^(1-t), where P is the type cycle.
     Not cached: all 135 take about 5 ms once the cores are known.
     """
+    cycle = _CYCLES[_shift(label)]
     parts = cores(GeneratorLabel(label.category, 1, label.plane, label.axis))
     if len(parts) == 1 and parts[0][1] == 1:    # a core: its own 2T
         twice = _core_tangent(parts[0][0])
@@ -173,7 +175,6 @@ def doubled_tangent(label: GeneratorLabel) -> dict:
             for key, v in _core_tangent(core).items():
                 twice[key] = twice.get(key, 0) + angle * v
     # insert column by column: the dicts iterate as if each basis column were applied
-    cycle = _CYCLES[label.type_index - 1]
     mat: dict = {}
     for (col, row), v in sorted(twice.items()):
         if v:
@@ -424,7 +425,6 @@ _ELSEWHERE = {
     "subalgebra": ("casimir_labels", "unit_vectors", "rank_estimate"),
     "stabilizer": ("A_L_COORD", "stab_l_documented_basis", "stabilizer_of_l"),
     "gellmann": ("GELLMANN_LABELS", "MismatchAt", "gellmann_check"),
-    "curve": ("StepTooLarge", "calibration_constant", "curve_commutator"),
 }
 _ELSEWHERE_NAMES = {name: module for module, names in _ELSEWHERE.items() for name in names}
 

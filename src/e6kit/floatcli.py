@@ -16,6 +16,14 @@ def _rounded(v) -> list:
     return [round(x, 12) + 0.0 for x in v]  # + 0.0: a -0.0 prints as 0.0
 
 
+def _mark(text: str) -> int:
+    """A Dynkin mark: ASCII digits after an optional "-" (int() takes "+1", "1_0", "١" too)."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a mark: {text!r}")
+    return int(text)
+
+
 def roots(args) -> int:
     from . import rootweight
     try:
@@ -28,7 +36,7 @@ def roots(args) -> int:
     }
     if args.highest:
         try:
-            marks = [int(x) for x in args.highest.split(",")]
+            marks = [_mark(x) for x in args.highest.split(",")]
         except ValueError:
             raise InputError("--highest must be a comma list of integers") from None
         if len(marks) != d.rank:

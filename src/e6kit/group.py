@@ -14,7 +14,8 @@ before and after them, a rotation folded into the gathers that load and
 read the state.  One stage kernel, compiled once per sparsity structure of
 the stage matrices, runs both evaluations as flat index tables over the 72
 coefficients of the full 3x3 matrix.  `apply` evaluates at a finite alpha
-in floating point, bit for bit as 3x3 products of `Octonion` entries would.
+in floating point, bit for bit as 3x3 products of octonion entries would
+(the `Octonion` reference of tests/reference.py).
 `apply_dual` evaluates the value and the doubled derivative at alpha = 0 in
 exact integers, which is where the tangents of the Lie algebra come from.
 Every generator is a product of cores (`cores`): a B or R generator is its
@@ -83,6 +84,8 @@ def parse_label(text: str) -> GeneratorLabel:
     type_index = 1
     if len(parts) == 3:
         try:
+            if not (parts[2].isascii() and parts[2].isdigit()):    # int() takes "+2", " 2", "٢"
+                raise ValueError
             type_index = int(parts[2])
         except ValueError:
             raise IllegalLabel(f"bad type index in {text!r}") from None
@@ -288,15 +291,16 @@ def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
 # coefficients, entry (i, j) unit u at 8 * (3 * i + j) + u.  A stage fills 144
 # slots: the coefficients of M in the same layout, then their negations.  Each
 # half-step, M X and then (M X) M†, gives every state coefficient as the sum
-# of one or two products m * x: the products that a 3x3 product of `Octonion`
-# entries forms, and those it skips because a factor is zero.  A block that
-# only an identity entry (`_ONE`) reaches is a copy of a source the caller
-# passes: the state for M, zeros for M' (the derivative of a constant is 0).
+# of one or two products m * x: the products that a 3x3 product of octonion
+# entries forms (the `Octonion` reference of tests/reference.py), and those
+# it skips because a factor is zero.  A block that only an identity entry
+# (`_ONE`) reaches is a copy of a source the caller passes: the state for M,
+# zeros for M' (the derivative of a constant is 0).
 # `apply` runs the tables on floats, `apply_dual` on ints, packed ints included.
 # For floats, a zero product changes no sum of two, and float addition of two
-# terms is commutative, so every nonzero float has the bits of the Octonion
+# terms is commutative, so every nonzero float has the bits of the octonion
 # computation; a zero may differ in sign, which the final + 0.0 clears.  (For
-# finite values: the Octonion loop never forms 0 * inf, which is nan.)  Which
+# finite values: the octonion product never forms 0 * inf, which is nan.)  Which
 # products appear depends only on which units each entry of M uses, so the
 # tables are built once per such sparsity structure.
 
@@ -471,6 +475,19 @@ def _layouts(shift: int) -> tuple:
 
 
 _LAYOUTS = tuple(map(_layouts, range(3)))
+_SHIFTS = {1: 0, 2: 1, 3: 2}
+
+
+def _shift(label: GeneratorLabel) -> int:
+    """t - 1 for the label's type t: the shift of its gathers.
+
+    IllegalLabel for any other type index, which as an index into the
+    gathers would run another type (0 and -1) or fail (4).
+    """
+    shift = _SHIFTS.get(label.type_index)
+    if shift is None:
+        raise IllegalLabel(f"type index out of range in {label!r}")
+    return shift
 
 
 def _state(coords, zero, shift: int = 0) -> tuple:
@@ -483,13 +500,13 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
 
     Each stage acts by X -> (M X) M† on the full matrix of chi, through the
     stage kernel above; for finite values every coordinate has the bits of
-    the same computation with 3x3 products of `Octonion` entries.  A type-t
+    the same computation with 3x3 products of octonion entries.  A type-t
     label runs as P^(t-1) A P^(1-t), with A its type-1 action and P the type
     cycle, by rotating chi's fields and the result's; each coefficient is
     the same sum of at most two products, so the bits are the type-t ones.
     """
     alpha = float(alpha)
-    shift = label.type_index - 1
+    shift = _shift(label)
     x = _state(tuple(map(float, chi.coords)), 0.0, shift)
     for terms, slots, (left, right) in _kernel(label):
         m = _stage_values(terms, slots, alpha)
@@ -548,7 +565,7 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
     is coordinate sigma[i] of type 1, its field shifted by -(t - 1).
     """
     alpha = float(alpha)
-    shift = label.type_index - 1
+    shift = _shift(label)
     stages = []
     for terms, slots, tables in _kernel(label):
         m = _stage_values(terms, slots, alpha) + [1.0]     # m[_COPY] = 1.0
@@ -591,7 +608,7 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     integer coordinates; the value is chi.  A type-t label runs its type-1
     stages on chi's rotated fields, through the gathers that `apply` uses.
     """
-    shift = label.type_index - 1
+    shift = _shift(label)
     x = _state(chi.coords, 0, shift)
     d = _ZEROS
     for stage in _sequence(label):
@@ -604,19 +621,3 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
         x = _half_step(right, m, mx, mx)
     read = _LAYOUTS[shift][2]
     return JordanElement(read(x)), JordanElement(read(d))
-
-
-_CYCLE = itemgetter(*_rotation(-1))     # fields rotated forward by one, as in `apply`
-
-
-def type_cycle(chi: JordanElement) -> JordanElement:
-    """The discrete transformation chi -> T chi T†: (p,m,n,a,b,c) -> (n,p,m,c,a,b)."""
-    return JordanElement(_CYCLE(chi.coords))
-
-
-def one_parameter_check(label: GeneratorLabel, alpha: float, beta: float,
-                        chi: JordanElement, tol: float = 1e-9) -> bool:
-    """apply(alpha) ∘ apply(beta) == apply(alpha+beta) within tol."""
-    lhs = apply(label, alpha, apply(label, beta, chi)).coords
-    rhs = apply(label, alpha + beta, chi).coords
-    return max(abs(float(x) - float(y)) for x, y in zip(lhs, rhs)) < tol

@@ -14,41 +14,17 @@ block.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .units import MULT_TABLE, norm2
 
 _A, _B, _C = slice(3, 11), slice(11, 19), slice(19, 27)     # a, b, c in Coord27
 
 
-class _Value:
-    """Equality, hash and repr over the fields in __slots__.
-
-    Values are immutable by convention, as Octonion's are: arithmetic never
-    mutates.  They are not tuples, so `2 * chi` raises TypeError instead of
-    repeating the fields.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class JordanElement(_Value):
+class JordanElement:
     """chi as its 27 coordinates: `coords`, a tuple in Coord27 order.
 
-    from_coords is the validating constructor.
+    A value: equal and hashed by its coordinates, and never mutated.  It is
+    not a tuple, so `2 * chi` raises TypeError instead of repeating the
+    coordinates.  from_coords is the validating constructor.
     """
 
     __slots__ = ("coords",)
@@ -56,13 +32,22 @@ class JordanElement(_Value):
     def __init__(self, coords: tuple):
         self.coords = coords
 
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"JordanElement(coords={self.coords!r})"
+
 
 def _conj_product_terms() -> tuple:
     """Per unit of conj(a) conj(b), the (a, b, negate) of its 8 terms.
 
-    They come in the order Octonion.__mul__ adds them (a ascending), and
-    negate folds in the signs of both conjugations: conj negates the
-    imaginary units.
+    They come in the order the octonion product adds them (a ascending: the
+    `Octonion.__mul__` of tests/reference.py), and negate folds in the
+    signs of both conjugations: conj negates the imaginary units.
     """
     terms = [[] for _ in range(8)]
     for u in range(8):
@@ -76,7 +61,7 @@ _CONJ_PRODUCT = _conj_product_terms()
 
 
 def _conj_product_unit(a: tuple, b: tuple, terms: tuple):
-    """One unit of conj(a) conj(b), summed as Octonion.__mul__ sums it."""
+    """One unit of conj(a) conj(b), summed as the octonion product sums it."""
     w = None
     for u, v, negate in terms:
         au, bv = a[u], b[v]
@@ -90,9 +75,9 @@ def det(x: JordanElement):
     """det chi = pmn - (p|b|^2 + m|c|^2 + n|a|^2) + 2 Re(conj(a) conj(b) conj(c)).
 
     With w = conj(a) conj(b), Re(w conj(c)) is the dot product of w and c.
-    Each w_u that meets a nonzero c_u is summed from the sign table as
-    Octonion.__mul__ sums it, and the dot product as Octonion.__mul__ would
-    sum the real part of w * conj(c): left to right over the units where
+    Each w_u that meets a nonzero c_u is summed from the sign table as the
+    octonion product sums it, and the dot product as that product would sum
+    the real part of w * conj(c): left to right over the units where
     both factors are nonzero, starting from the first term, and w_0 * 0
     when there is none.  So ints and Fractions give the two-product value,
     and floats its bits up to the sign of a nan: the table negates a
@@ -110,47 +95,6 @@ def det(x: JordanElement):
     if re is None:
         re = _conj_product_unit(a, b, _CONJ_PRODUCT[0]) * 0
     return p * m * n - (p * norm2(b) + m * norm2(c) + n * norm2(a)) + 2 * re
-
-
-class Vector2(_Value):
-    """Hermitian 2x2 octonionic matrix [[t+z, conj(q)], [q, t-z]]."""
-
-    __slots__ = ("tz_plus", "tz_minus", "q")
-
-    def __init__(self, tz_plus, tz_minus, q: Octonion):
-        self.tz_plus, self.tz_minus, self.q = tz_plus, tz_minus, q
-
-    def __add__(self, other: "Vector2") -> "Vector2":
-        return Vector2(self.tz_plus + other.tz_plus,
-                       self.tz_minus + other.tz_minus, self.q + other.q)
-
-
-def vector2_det(v: Vector2):
-    return v.tz_plus * v.tz_minus - v.q.norm2()
-
-
-def lorentz_dot(a: Vector2, b: Vector2):
-    """tr(A∘B) - trA trB = -(a+ b-) - (a- b+) + 2 Re(conj(a_q) b_q)."""
-    cross = (a.q.conj() * b.q).real_part()
-    return -(a.tz_plus * b.tz_minus) - (a.tz_minus * b.tz_plus) + 2 * cross
-
-
-class Spinor(NamedTuple):
-    top: Octonion
-    bottom: Octonion
-
-
-def spinor_square(theta: Spinor) -> Vector2:
-    """theta theta† — always a null vector (det 0)."""
-    return Vector2(theta.top.norm2(), theta.bottom.norm2(),
-                   theta.bottom * theta.top.conj())
-
-
-def vector_block(x: JordanElement) -> Vector2:
-    """Upper-left 2x2 block of chi viewed as a vector."""
-    from .octonion import Octonion    # only here: the runtime paths build no Octonion
-    v = x.coords
-    return Vector2(v[0], v[1], Octonion(v[_A]))
 
 
 def to_coords(x: JordanElement) -> list:

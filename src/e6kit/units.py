@@ -5,9 +5,9 @@ the product k*l and prints as "kℓ".  Multiplication is generated by seven
 oriented triples: within each triple, the product of consecutive elements is
 the next element cyclically.
 
-The runtime paths (jordan, group, algebra) work on coordinates through these
-tables and never build an `octonion.Octonion`, so they import this module
-and not that one.
+e6kit works on coordinates through these tables and has no octonion class:
+the `Octonion` of the tests' reference computations (tests/reference.py)
+multiplies by the same table.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
-"""The tests' reference: Jordan elements as 3x3 matrices of `Octonion` entries.
+"""The tests' reference: octonions, and Jordan elements as 3x3 matrices of them.
 
-e6kit acts on the 27 coordinates of chi through index tables (the stage
-kernel of e6kit.group, the sign table of jordan.det).  The functions here
-compute the same things the textbook way, with `Octonion` arithmetic and
-3x3 matrix products, so that the tests check the tables against a
-computation that shares none of them.  e6kit.group builds only the stages
-of the type-1 action and reaches type t through the type-cycle gathers
-that rotate chi's fields; `placed` puts each stage matrix at type t the
-straight way instead, the oracle of those gathers.  The Killing form is
-here too as tr(ad ad) summed over the structure constants, the oracle of
-the trace form that e6kit.algebra.killing_matrix computes, and the
-preferred-basis constants pair by pair, the oracle of
+e6kit has no octonion class: it acts on the 27 coordinates of chi through
+index tables (the stage kernel of e6kit.group, the sign table of
+jordan.det).  `Octonion` is exact octonion arithmetic on the unit table of
+e6kit.units, and the functions here compute the same things the textbook
+way, with `Octonion` arithmetic and 3x3 matrix products, so that the tests
+check the tables against a computation that shares none of them.
+e6kit.group builds only the stages of the type-1 action and reaches type t
+through the type-cycle gathers that rotate chi's fields; `placed` puts each
+stage matrix at type t the straight way instead, the oracle of those
+gathers, and `type_cycle` rotates chi's fields by hand.  The finite-curve
+commutator of two group actions is the float cross-check of the bracket.
+The Killing form is here too as tr(ad ad) summed over the structure
+constants, the oracle of the trace form that e6kit.algebra.killing_matrix
+computes, and the preferred-basis constants pair by pair, the oracle of
 e6kit.structure._preferred_constants.
 DictForm is the integer linear form as a plain {column: int} dict, the
 oracle of the packed ints of e6kit.algebra._GENERIC, which algebra._fields
@@ -21,14 +24,144 @@ search, trying every norm ratio as the scale and every target vertex at
 every level: the oracle of e6kit.rootweight.embed_check.
 """
 
+import functools
+import random
 from fractions import Fraction
+from typing import Optional
 
-from e6kit import structure
-from e6kit.group import _KINDS, build_sequence
-from e6kit.jordan import JordanElement, from_coords
-from e6kit.octonion import Octonion
+from e6kit import group, structure
+from e6kit.algebra import tangent
+from e6kit.group import _KINDS, GeneratorLabel, build_sequence
+from e6kit.jordan import JordanElement, from_coords, to_coords
 from e6kit.rootweight import (ROUND, SEARCH_BUDGET, SearchBudgetExceeded, _key, _norm2,
                               _orthonormalize)
+from e6kit.units import DISPLAY, MULT_TABLE, UNIT_INDEX, UNITS, norm2
+
+# Padding zeros are the int 0: it adds to int, Fraction and float
+# coefficients without changing their type, and 0 + x has the same float bits
+# as Fraction(0) + x (-0.0 included).
+_ZERO8 = (0,) * 8
+
+
+class Octonion:
+    """Octonion with coefficients in any commutative ring.
+
+    Values are immutable; arithmetic never mutates.  Coefficients may be
+    int, Fraction, float, or any scalar supporting +, -, * and truthiness.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+        if len(self.coeffs) != 8:
+            raise ValueError("octonion needs 8 coefficients")
+
+    @staticmethod
+    def zero() -> "Octonion":
+        return _ZERO
+
+    @staticmethod
+    def unit(name: str, scale=Fraction(1)) -> "Octonion":
+        c = list(_ZERO8)
+        c[UNIT_INDEX[name]] = scale
+        return Octonion(c)
+
+    @staticmethod
+    def scalar(value) -> "Octonion":
+        return Octonion((value,) + _ZERO8[1:])
+
+    @staticmethod
+    def from_rationals(values) -> "Octonion":
+        return Octonion(tuple(Fraction(v) for v in values))
+
+    def __add__(self, other: "Octonion") -> "Octonion":
+        return Octonion(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "Octonion") -> "Octonion":
+        return Octonion(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> "Octonion":
+        return Octonion(tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other: "Octonion") -> "Octonion":
+        if not isinstance(other, Octonion):
+            return self.scale(other)
+        # A real factor (e_0 * e_b = +e_b): each product coefficient is the
+        # one term ca * cb the loop below would make, with the same zeros.
+        sa, sb = self.coeffs, other.coeffs
+        if sa[0] and not any(sa[1:]):
+            ca, zero = sa[0], sa[0] * 0
+            return Octonion(tuple(ca * cb if cb else zero for cb in sb))
+        if sb[0] and not any(sb[1:]):
+            cb, zero = sb[0], sa[0] * 0
+            return Octonion(tuple(ca * cb if ca else zero for ca in sa))
+        out = [None] * 8
+        for a, ca in enumerate(self.coeffs):
+            if not ca:
+                continue
+            for b, cb in enumerate(other.coeffs):
+                if not cb:
+                    continue
+                sign, idx = MULT_TABLE[a][b]
+                term = ca * cb
+                if sign < 0:
+                    term = -term
+                out[idx] = term if out[idx] is None else out[idx] + term
+        zero = self.coeffs[0] * 0
+        return Octonion(tuple(zero if v is None else v for v in out))
+
+    def __rmul__(self, other) -> "Octonion":
+        return self.scale(other)
+
+    def scale(self, s) -> "Octonion":
+        return Octonion(tuple(s * c for c in self.coeffs))
+
+    def conj(self) -> "Octonion":
+        c = self.coeffs
+        return Octonion((c[0],) + tuple(-x for x in c[1:]))
+
+    def re(self) -> "Octonion":
+        return Octonion((self.coeffs[0],) + (self.coeffs[0] * 0,) * 7)
+
+    def im(self) -> "Octonion":
+        return Octonion((self.coeffs[0] * 0,) + self.coeffs[1:])
+
+    def real_part(self):
+        return self.coeffs[0]
+
+    def norm2(self):
+        return norm2(self.coeffs)
+
+    def inverse(self) -> "Octonion":
+        n = self.norm2()
+        if not n:
+            raise ZeroDivisionError("inverse of zero octonion")
+        return Octonion(tuple(c / n for c in self.conj().coeffs))
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Octonion) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        terms = []
+        for name, c in zip(UNITS, self.coeffs):
+            if c:
+                label = "" if name == "1" else DISPLAY.get(name, name)
+                terms.append(f"{c}{('*' + label) if label else ''}")
+        return "Octonion(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+_ZERO = Octonion(_ZERO8)  # values are immutable, so one zero serves everywhere
+
+
+def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
+    return (a * b) * c - a * (b * c)
 
 
 def off_diagonal(x: JordanElement) -> tuple:
@@ -132,6 +265,12 @@ def placed(mat, type_index: int):
         for j, x in enumerate(row):
             out[(i + s) % 3][(j + s) % 3] = x
     return out
+
+
+def type_cycle(chi: JordanElement) -> JordanElement:
+    """The discrete transformation chi -> T chi T†: (p,m,n,a,b,c) -> (n,p,m,c,a,b)."""
+    v = chi.coords
+    return from_coords([v[2], v[0], v[1], *v[19:27], *v[3:11], *v[11:19]])
 
 
 def apply(label, alpha, chi: JordanElement) -> JordanElement:
@@ -324,6 +463,63 @@ def apply_matrix(mat: dict, coords: list) -> list:
             acc = acc + v * coords[c]
         out[r] = acc
     return out
+
+
+class StepTooLarge(RuntimeError):
+    pass
+
+
+def _second_difference(label1, label2, h, chi):
+    def curve(alpha):
+        x = group.apply(label1, alpha / 2, chi)
+        x = group.apply(label2, alpha / 2, x)
+        x = group.apply(label1, -alpha / 2, x)
+        x = group.apply(label2, -alpha / 2, x)
+        return [float(v) for v in to_coords(x)]
+
+    f0 = [float(v) for v in to_coords(chi)]
+    fp, fm = curve(h), curve(-h)
+    return [(a - 2 * b + c) / (h * h) for a, c, b in zip(fp, fm, f0)]
+
+
+def _bracket_on(label1: GeneratorLabel, label2: GeneratorLabel, chi) -> list[Fraction]:
+    """[T1, T2] chi, exact."""
+    return apply_matrix(commutator(tangent(label1), tangent(label2)),
+                        [Fraction(v) for v in to_coords(chi)])
+
+
+@functools.cache
+def calibration_constant() -> float:
+    """The curve constant fitted on (A_i, A_j) at step 1e-3, measured once per process.
+
+    curve_commutator divides by the exact 1/2; this fit is the check that
+    the second difference really is half the bracket.
+    """
+    l1 = GeneratorLabel("A", 1, axis="i")
+    l2 = GeneratorLabel("A", 1, axis="j")
+    rng = random.Random(0)
+    chi = from_coords([Fraction(rng.randint(-9, 9)) for _ in range(27)])
+    fd = _second_difference(l1, l2, 1e-3, chi)
+    mc = [float(v) for v in _bracket_on(l1, l2, chi)]
+    return sum(a * b for a, b in zip(fd, mc)) / sum(b * b for b in mc)
+
+
+def curve_commutator(label1: GeneratorLabel, label2: GeneratorLabel,
+                     h: float, chi: JordanElement,
+                     tol: Optional[float] = None) -> list[float]:
+    """Finite-difference estimate of [T1, T2] applied to chi, by group.apply.
+
+    The second difference of the curve g2(-a/2) g1(-a/2) g2(a/2) g1(a/2)
+    approaches 1/2 [T1, T2] chi, so the estimate is twice it.
+    """
+    est = [2 * v for v in _second_difference(label1, label2, h, chi)]
+    if tol is not None:
+        mc = _bracket_on(label1, label2, chi)
+        err = max(abs(a - float(b)) for a, b in zip(est, mc))
+        scale = max(1.0, max(abs(float(b)) for b in mc))
+        if err / scale > tol:
+            raise StepTooLarge(f"relative mismatch {err / scale:g} exceeds {tol:g}")
+    return est
 
 
 def embed_check(points1: list, points2: list) -> bool:

@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from e6kit import algebra, gellmann, stabilizer
-from e6kit.algebra import (GELLMANN_LABELS, calibration_constant,
-                           curve_commutator, gellmann_check,
+from e6kit.algebra import (GELLMANN_LABELS, gellmann_check,
                            killing_matrix, killing_restricted, preferred_basis,
                            rank_estimate, reduce_basis, signature,
                            stabilizer_of_l, structure_table, tangent,
@@ -18,9 +17,10 @@ from e6kit.algebra import (GELLMANN_LABELS, calibration_constant,
 from e6kit.group import GeneratorLabel, format_label, parse_label
 from e6kit.jordan import from_coords
 from e6kit.linalg import kernel
-from e6kit.octonion import IMAGINARY_UNITS
 from e6kit.rootweight import cartan_matrix, diagram
-from reference import apply_matrix, commutator, killing_from_table, mat_sum
+from e6kit.units import IMAGINARY_UNITS
+from reference import (StepTooLarge, apply_matrix, calibration_constant, commutator,
+                       curve_commutator, killing_from_table, mat_sum)
 
 
 def combo(parts):
@@ -364,7 +364,7 @@ def test_curve_commutator_matches_bracket():
 
 def test_curve_commutator_step_guard():
     chi = from_coords([1.0] * 27)
-    with pytest.raises(algebra.StepTooLarge):
+    with pytest.raises(StepTooLarge):
         curve_commutator(parse_label("A:i"), parse_label("A:j"),
                          1.5, chi, tol=1e-8)
 

@@ -364,6 +364,21 @@ _BAD_VALUES = {
     ("roots", "--algebra", "A 2"): "roots: unsupported diagram 'A 2'",
     ("apply", "--label", "B:z,t", "--alpha", "0.1", "--chi", "chi.json"):
         "apply: illegal label 'B:z,t'",    # the text typed, not the parsed label
+    # only ASCII digits, as int() alone would read each of these as a number
+    ("roots", "--algebra", "A2", "--highest", "+1,0"):
+        "roots: --highest must be a comma list of integers",
+    ("roots", "--algebra", "A2", "--highest", "١,0"):    # an Arabic-Indic one
+        "roots: --highest must be a comma list of integers",
+    ("roots", "--algebra", "A2", "--highest", "1_0,0"):    # not 10
+        "roots: --highest must be a comma list of integers",
+    ("roots", "--algebra", "A2", "--highest", "1, 0"):
+        "roots: --highest must be a comma list of integers",
+    ("apply", "--label", "A:i:+2", "--alpha", "0.1", "--chi", "chi.json"):
+        "apply: bad type index in 'A:i:+2'",
+    ("apply", "--label", "A:i: 2", "--alpha", "0.1", "--chi", "chi.json"):
+        "apply: bad type index in 'A:i: 2'",
+    ("apply", "--label", "A:i:٢", "--alpha", "0.1", "--chi", "chi.json"):
+        "apply: bad type index in 'A:i:٢'",
 }
 
 
@@ -576,7 +591,7 @@ _ALGEBRA_CORE = {"cli", "algebra", "group", "jordan", "linalg", "units"}
 ], ids=["killing", "gellmann", "table", "verify", "stab-l", "subalg", "roots", "apply"])
 def test_each_verb_compiles_only_the_modules_it_runs(argv, loaded):
     """Exactly these e6kit modules: killing and gellmann load no table build
-    (structure), only verify its suites, and no verb the Octonion class (octonion)."""
+    (structure), and only verify its suites."""
     code, modules = _e6kit_modules_after(argv, stdin=_CHI)
     assert code == 0
     assert modules == {"e6kit"} | {f"e6kit.{m}" for m in loaded}
@@ -647,17 +662,18 @@ def test_subalg_part_with_assemble_is_bad_input(part):
 def test_no_runtime_path_builds_an_octonion():
     """In a fresh interpreter with no disk cache, the benchmark's six verbs and
     the float requests (apply, det, action_matrix on every label) build no
-    Octonion: they work on the 27 coordinates through index tables."""
+    `Octonion` of the tests' reference: e6kit has no octonion class, and
+    works on the 27 coordinates through index tables."""
     code = textwrap.dedent("""
         import contextlib, io, json, random
-        from e6kit import octonion
+        import reference
         step = "import"
         built = {step: 0}
-        init = octonion.Octonion.__init__
+        init = reference.Octonion.__init__
         def counted(self, coeffs):
             built[step] += 1
             init(self, coeffs)
-        octonion.Octonion.__init__ = counted
+        reference.Octonion.__init__ = counted
         from e6kit import cli, group, jordan
         for argv in (["killing"], ["table"], ["verify", "--suite", "all"], ["stab-l"],
                      ["gellmann"], ["subalg", "--auto", "23,hperp"]):
@@ -675,6 +691,9 @@ def test_no_runtime_path_builds_an_octonion():
         print(json.dumps(built, sort_keys=True))
     """)
     env = {k: v for k, v in os.environ.items() if k != "E6KIT_CACHE"}
+    tests = os.path.dirname(os.path.abspath(__file__))    # where reference.py lives
+    src = os.path.join(os.path.dirname(tests), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (tests, src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     built = json.loads(proc.stdout)

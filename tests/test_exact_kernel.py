@@ -15,8 +15,8 @@ from e6kit import algebra, group, structure
 from e6kit.group import GeneratorLabel, ParamMatrix, all_labels, apply_dual
 from e6kit.jordan import from_coords, to_coords
 from e6kit.linalg import SpanBasis, span_of
-from e6kit.octonion import _AGS_PAIRS, MULT_TABLE, UNIT_INDEX, UNITS, Octonion
-from reference import GENERIC as reference_generic, DictForm
+from e6kit.units import _AGS_PAIRS, MULT_TABLE, UNIT_INDEX, UNITS
+from reference import GENERIC as reference_generic, DictForm, Octonion
 from reference import apply_dual as reference_apply_dual, basis_element
 from reference import commutator as reference_commutator
 from reference import preferred_constants as reference_preferred_constants

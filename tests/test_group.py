@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from e6kit import group
 from e6kit.group import (GeneratorLabel, IllegalLabel, action_matrix, all_labels,
-                         apply, build_sequence, format_label, one_parameter_check,
-                         parse_label, type_cycle, validate_label)
+                         apply, apply_dual, build_sequence, format_label, parse_label,
+                         validate_label)
 from e6kit.jordan import det, from_coords, to_coords
-from e6kit.octonion import UNIT_INDEX
-from reference import apply as reference_apply, apply_matrix, basis_element
+from e6kit.units import UNIT_INDEX
+from reference import apply as reference_apply, apply_matrix, basis_element, type_cycle
 
 
 def random_chi(rng):
@@ -55,18 +55,38 @@ def test_labels_are_immutable_values():
 
 
 @pytest.mark.parametrize("bad", ["Q:i", "B:t", "B:t,z:4", "R:t,z", "A:w",
-                                 "B:x,z", "A:i:0", "nonsense", "R:i,j", "R:l,il:2"])
+                                 "B:x,z", "A:i:0", "nonsense", "R:i,j", "R:l,il:2",
+                                 "A:i:+2", "A:i: 2", "A:i:٢", "G:l:-1"])
 def test_illegal_labels_rejected(bad):
     with pytest.raises(IllegalLabel):
         parse_label(bad)
 
 
+@pytest.mark.parametrize("type_index", [0, -1, 4])
+@pytest.mark.parametrize("label", [GeneratorLabel("A", 1, axis="i"),
+                                   GeneratorLabel("B", 1, plane=("t", "z"))], ids=str)
+def test_out_of_range_type_index_is_an_illegal_label(label, type_index):
+    """A label built by hand with a type index other than 1, 2 or 3 runs no
+    action: 0 and -1 would index the gathers of types 3 and 2."""
+    from e6kit.algebra import doubled_tangent
+    label = label._replace(type_index=type_index)
+    chi = basis_element(3)
+    for call in (lambda: apply(label, 0.3, chi), lambda: action_matrix(label, 0.3),
+                 lambda: apply_dual(label, chi), lambda: doubled_tangent(label)):
+        with pytest.raises(IllegalLabel, match="type index out of range"):
+            call()
+
+
 @pytest.mark.parametrize("text", ["B:t,z", "B:t,kl:3", "R:x,z:2", "R:z,jl",
                                   "A:i", "G:l:2", "S:il:3"])
 def test_one_parameter_property(text):
+    """apply(alpha) after apply(beta) is apply(alpha + beta), to 1e-9."""
     rng = random.Random(7)
     chi = random_chi(rng)
-    assert one_parameter_check(parse_label(text), 0.31, -0.17, chi)
+    label, alpha, beta = parse_label(text), 0.31, -0.17
+    lhs = apply(label, alpha, apply(label, beta, chi)).coords
+    rhs = apply(label, alpha + beta, chi).coords
+    assert max(abs(x - y) for x, y in zip(lhs, rhs)) < 1e-9
 
 
 def test_a_l_tangent_on_off_diagonal_block():
