@@ -13,9 +13,12 @@ of the type-1 action are built; type t is reached by rotating chi's fields
 before and after them, a rotation folded into the gathers that load and
 read the state.  One stage kernel, compiled once per sparsity structure of
 the stage matrices, runs both evaluations as flat index tables over the 72
-coefficients of the full 3x3 matrix.  `apply` evaluates at a finite alpha
-in floating point, bit for bit as 3x3 products of octonion entries would
-(the `Octonion` reference of tests/reference.py).
+coefficients of the full 3x3 matrix.  A constant stage (the flip that starts
+each transverse rotation) runs as a signed permutation of the coefficients
+instead, and the last stage forms only the 27 that the readout keeps.
+`apply` evaluates at a finite alpha in floating point, bit for bit as 3x3
+products of octonion entries would (the `Octonion` reference of
+tests/reference.py).
 `apply_dual` evaluates the value and the doubled derivative at alpha = 0 in
 exact integers, which is where the tangents of the Lie algebra come from.
 Every generator is a product of cores (`cores`): a B or R generator is its
@@ -124,7 +127,8 @@ def validate_label(label: GeneratorLabel) -> None:
     ok = ((label.category == "B" and label.plane in _B_PLANES)
           or (label.category == "R" and label.plane in _R_PLANES)
           or (label.category in ("A", "G", "S") and label.axis in IMAGINARY_UNITS))
-    if not ok or label.type_index not in (1, 2, 3):
+    t = label.type_index
+    if not ok or type(t) is not int or t not in (1, 2, 3):    # 2.0 and True equal ints
         raise IllegalLabel(f"illegal label {label!r}")
 
 
@@ -303,9 +307,19 @@ def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
 # finite values: the octonion product never forms 0 * inf, which is nan.)  Which
 # products appear depends only on which units each entry of M uses, so the
 # tables are built once per such sparsity structure.
+#
+# A constant stage (the flip M = -q I of a transverse rotation) only
+# multiplies coefficients by +-1.0, so it runs as a signed permutation: one
+# gather from the state and its negations.  x * -1.0 and -x have the same
+# bits, signed zeros and infinities included; only a nan's sign may differ.
+# The last stage's right half-step forms only the 27 slots of _READ_RUNS.
 
 _NEG = 72
 _ZEROS = (0,) * _NEG
+# The slots a half-step forms, as runs (block, first unit, end unit): all 72
+# in state order, or the 27 coordinates p, m, n, a, b, c that the readout keeps.
+_ALL_RUNS = tuple((block, 0, 8) for block in range(9))
+_READ_RUNS = ((0, 0, 1), (4, 0, 1), (8, 0, 1), (3, 0, 8), (7, 0, 8), (2, 0, 8))
 
 # An 8-byte index pattern read as an int: adding d * _EACH_BYTE adds d to each
 # of its bytes (every index stays below 256, so no byte carries).
@@ -335,44 +349,47 @@ _PRODUCTS = (_unit_products(False), _unit_products(True))
 _GATHERS: dict[tuple, itemgetter] = {}
 
 
-def _half_step_table(units: tuple, left: bool) -> tuple:
+def _half_step_table(units: tuple, left: bool, runs: tuple = _ALL_RUNS) -> tuple:
     """Index tables of the half-step M X (left) or Y M† for one structure.
 
     units[e] lists the units that entry e of M uses, or is None for an
-    identity entry.  Output block (i, j) of 8 floats takes one product from
+    identity entry.  Output block (i, j) of 8 slots takes one product from
     each unit of each nonzero entry (i, k) of M (left) or (j, k) (right); a
-    block that takes only an identity entry is a copy.  Products of blocks
-    with one and with two products go to two flat lists, and the gather puts
-    them and the copies back in state order.
+    block that takes only an identity entry is a copy.  Only the slots of
+    runs are formed: products of one and of two terms go to two flat lists,
+    and the gather returns them and the copies in the order of runs.
     """
     products = _PRODUCTS[left]
-    ones, twos, blocks = [], [], []
-    for i in range(3):
-        for j in range(3):
-            cols, copy = [], None
-            for k in range(3):
-                e, x0 = (3 * i + k, 24 * k + 8 * j) if left else (3 * j + k, 24 * i + 8 * k)
-                entry = units[e]
-                if entry is None:
-                    copy, entry = x0, (0,)
-                for u in entry:
-                    negs, others = products[u]
-                    cols.append(((negs + (8 * e + u) * _EACH_BYTE).to_bytes(8, "little"),
-                                 (others + x0 * _EACH_BYTE).to_bytes(8, "little")))
-            if len(cols) == 1 and copy is not None:
-                blocks.append((2, copy))
-            elif len(cols) == 1:
-                blocks.append((0, 8 * len(ones)))
-                ones.append(cols[0])
-            elif len(cols) == 2:
-                blocks.append((1, 8 * len(twos)))
-                twos.append(cols)
-            else:
-                raise AssertionError(f"stage block {i},{j} takes {len(cols)} products")
-    bases = (0, 8 * len(ones), 8 * len(ones) + 8 * len(twos))
+    ones, twos, parts = [], [], []
+    n_ones = n_twos = 0
+    for block, lo, hi in runs:
+        i, j = divmod(block, 3)
+        cols, copy = [], None
+        for k in range(3):
+            e, x0 = (3 * i + k, 24 * k + 8 * j) if left else (3 * j + k, 24 * i + 8 * k)
+            entry = units[e]
+            if entry is None:
+                copy, entry = x0, (0,)
+            for u in entry:
+                negs, others = products[u]
+                cols.append(((negs + (8 * e + u) * _EACH_BYTE).to_bytes(8, "little")[lo:hi],
+                             (others + x0 * _EACH_BYTE).to_bytes(8, "little")[lo:hi]))
+        if len(cols) == 1 and copy is not None:
+            parts.append((2, copy + lo, hi - lo))
+        elif len(cols) == 1:
+            parts.append((0, n_ones, hi - lo))
+            ones.append(cols[0])
+            n_ones += hi - lo
+        elif len(cols) == 2:
+            parts.append((1, n_twos, hi - lo))
+            twos.append(cols)
+            n_twos += hi - lo
+        else:
+            raise AssertionError(f"stage block {i},{j} takes {len(cols)} products")
+    bases = (0, n_ones, n_ones + n_twos)
     where = []
-    for kind, first in blocks:
-        where += range(bases[kind] + first, bases[kind] + first + 8)
+    for kind, first, n in parts:
+        where += range(bases[kind] + first, bases[kind] + first + n)
     where = tuple(where)
     gather = _GATHERS.get(where)
     if gather is None:
@@ -382,30 +399,60 @@ def _half_step_table(units: tuple, left: bool) -> tuple:
             b"".join(c[1][0] for c in twos), b"".join(c[1][1] for c in twos), gather)
 
 
-_STAGE_TABLES: dict[tuple, tuple] = {}
-_STAGES: dict[ParamMatrix, tuple] = {}
+_STAGE_TABLES: dict[tuple, tuple] = {}    # by (units, left, last)
+_STAGES: dict[tuple, tuple] = {}          # by (stage, last)
 
 
-def _compile_stage(stage: ParamMatrix) -> tuple:
-    """(terms, slots, half-step tables) of one stage, shared by equal stages.
+def _table(units: tuple, left: bool, last: bool = False) -> tuple:
+    """The half-step table of one structure, built once; for the right
+    half-step of a last stage, only the slots of _READ_RUNS, in that order."""
+    table = _STAGE_TABLES.get((units, left, last))
+    if table is None:
+        table = _STAGE_TABLES[units, left, last] = _half_step_table(
+            units, left, _READ_RUNS if last else _ALL_RUNS)
+    return table
 
-    terms are (value slot, f, k2 / 2, coeff) per term, with float constants:
-    the slot takes coeff * f(k2 / 2 * alpha).  slots are the slots whose
-    negation the tables read.
+
+def _compile_stage(stage: ParamMatrix, last: bool) -> tuple:
+    """(perm, terms, slots, left table, right table, stage), shared by equal stages.
+
+    A constant stage that is not last has only perm (_signed_permutation);
+    the others have the rest.  terms are (value slot, f, k2 / 2, coeff) per
+    term, with float constants: the slot takes coeff * f(k2 / 2 * alpha).
+    slots are the slots whose negation the tables read.
     """
-    compiled = _STAGES.get(stage)
+    compiled = _STAGES.get((stage, last))
     if compiled is None:
         flat = [terms for row in stage.entries for terms in row]
         terms = tuple((8 * e + unit, _KINDS[kind][0], k2 / 2, float(coeff))
                       for e, entry in enumerate(flat) for kind, k2, unit, coeff in entry)
+        slots = tuple(sorted({t[0] for t in terms}))
         units = tuple(None if entry == _ONE else tuple(sorted({t[2] for t in entry}))
                       for entry in flat)
-        tables = _STAGE_TABLES.get(units)
-        if tables is None:
-            tables = _STAGE_TABLES[units] = (_half_step_table(units, True),
-                                             _half_step_table(units, False))
-        compiled = _STAGES[stage] = (terms, tuple(sorted({t[0] for t in terms})), tables)
+        if not last and all(t[0] == "const" and t[3] in (1, -1) for entry in flat for t in entry):
+            compiled = (_signed_permutation(units, terms, slots), None, None, None, None, stage)
+        else:
+            compiled = (None, terms, slots, _table(units, True), _table(units, False, last), stage)
+        _STAGES[stage, last] = compiled
     return compiled
+
+
+def _signed_permutation(units: tuple, terms: tuple, slots: tuple) -> itemgetter:
+    """The gather from [*x, *map(neg, x)] that gives a constant stage's result on x.
+
+    The stage's two half-step tables, built here and dropped, run once on
+    x[j] = j + 1: with no sums of two and slots of +-1, result o is
+    +-(source + 1).  AssertionError unless the sources are each slot once.
+    """
+    m = [int(v) for v in _stage_values(terms, slots, 0.0)]
+    left, right = _half_step_table(units, True), _half_step_table(units, False)
+    tags = range(1, _NEG + 1)
+    y = _half_step(left, m, tags, tags)
+    result = _half_step(right, m, y, y)
+    sources = [abs(v) - 1 for v in result]
+    if left[2] or right[2] or max(map(abs, m)) != 1 or sorted(sources) != list(range(_NEG)):
+        raise AssertionError("a constant stage is not a signed permutation of the state")
+    return itemgetter(*[j + _NEG * (v < 0) for v, j in zip(result, sources)])
 
 
 _KERNELS: dict[GeneratorLabel, tuple] = {}    # type-1 labels only
@@ -416,7 +463,9 @@ def _kernel(label: GeneratorLabel) -> tuple:
     label = _type_1(label)
     kernel = _KERNELS.get(label)
     if kernel is None:
-        kernel = _KERNELS[label] = tuple(map(_compile_stage, _sequence(label)))
+        seq = _sequence(label)
+        kernel = _KERNELS[label] = tuple(_compile_stage(stage, n == len(seq) - 1)
+                                         for n, stage in enumerate(seq))
     return kernel
 
 
@@ -441,11 +490,12 @@ def _half_step(table: tuple, m: list, x, copies) -> tuple:
 
 # The state of chi and its readout are single gathers.  The state gathers
 # from chi's 27 coordinates, their 27 negations (conj negates the imaginary
-# units) and one zero for the empty units of the diagonal entries; the
-# readout gathers the 27 coordinates from the state.  A type-t label runs
-# the type-1 kernel on chi's fields rotated back by shift = t - 1, and the
-# result's fields are rotated forward again; both rotations are folded into
-# the gathers of that shift.
+# units) and one zero for the empty units of the diagonal entries.  The last
+# stage leaves the 27 slots of _READ_RUNS, in that order, and the readout
+# gathers the coordinates from them.  A type-t label runs the type-1 kernel
+# on chi's fields rotated back by shift = t - 1, and the result's fields are
+# rotated forward again; both rotations are folded into the gathers of that
+# shift.
 
 def _rotation(shift: int) -> list[int]:
     """[k]: the coordinate of chi that is coordinate k once p, m, n and a, b, c
@@ -463,14 +513,13 @@ _PAD = [_ZERO_AT] * 7      # the empty units of a diagonal entry
 _STATE_INDICES = ([0] + _PAD + _entry(3, True) + _entry(19, False)       # p, conj(a), c
                   + _entry(3, False) + [1] + _PAD + _entry(11, True)     # a, m, conj(b)
                   + _entry(19, True) + _entry(11, False) + [2] + _PAD)   # conj(c), b, n
-_READ_SLOTS = (0, 32, 64, *range(24, 32), *range(56, 64), *range(16, 24))
 
 
 def _layouts(shift: int) -> tuple:
-    """(state gather, readout slots, readout gather) for one shift."""
+    """(state gather, readout positions in _READ_RUNS, readout gather) for one shift."""
     rotated = _rotation(shift)
     state = [i if i == _ZERO_AT else i - i % 27 + rotated[i % 27] for i in _STATE_INDICES]
-    read = tuple(_READ_SLOTS[k] for k in _rotation(-shift))
+    read = tuple(_rotation(-shift))
     return itemgetter(*state), read, itemgetter(*read)
 
 
@@ -482,9 +531,11 @@ def _shift(label: GeneratorLabel) -> int:
     """t - 1 for the label's type t: the shift of its gathers.
 
     IllegalLabel for any other type index, which as an index into the
-    gathers would run another type (0 and -1) or fail (4).
+    gathers would run another type (0 and -1) or fail (4), and for a float
+    or bool, which the dict lookup would take for the int it equals.
     """
-    shift = _SHIFTS.get(label.type_index)
+    t = label.type_index
+    shift = _SHIFTS.get(t) if type(t) is int else None
     if shift is None:
         raise IllegalLabel(f"type index out of range in {label!r}")
     return shift
@@ -508,30 +559,35 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
     alpha = float(alpha)
     shift = _shift(label)
     x = _state(tuple(map(float, chi.coords)), 0.0, shift)
-    for terms, slots, (left, right) in _kernel(label):
-        m = _stage_values(terms, slots, alpha)
-        y = _half_step(left, m, x, x)
-        x = _half_step(right, m, y, y)
+    for perm, terms, slots, left, right, _ in _kernel(label):
+        if perm:
+            x = perm([*x, *map(neg, x)])
+        else:
+            m = _stage_values(terms, slots, alpha)
+            y = _half_step(left, m, x, x)
+            x = _half_step(right, m, y, y)
     return JordanElement(tuple([v + 0.0 for v in _LAYOUTS[shift][2](x)]))
 
 
 # action_matrix reads each half-step table from the source side: per state
 # slot, the one or two (output slot, m slot) pairs it feeds, with m slot
-# _COPY = 1.0 for a copy.  A basis column fills few slots, so its pass follows
-# the nonzeros.  It forms the products `apply` forms, in either order (a sum
+# _COPY = 1.0 for a copy, or none where the last stage does not form the
+# slot fed.  A permutation stage moves each slot to one output, negated as
+# `apply` negates it.  A basis column fills few slots, so its pass follows the
+# nonzeros.  It forms the products `apply` forms, in either order (a sum
 # of two floats is commutative), and skips those of unreached slots: +-0 in
 # `apply`, times a finite stage value, changes no sum of two.  So each column
 # has the bits of `apply` on that basis element; every sum starts from +0.0,
 # so no zero is negative.
 
 _COPY = 2 * _NEG
-_SOURCES: dict[tuple, tuple] = {}     # by half-step table
+_SOURCES: dict[tuple, tuple] = {}     # by half-step table or permutation gather
 _PAIRS: dict[tuple, tuple] = {}       # one copy of each (output slot, m slot) pair
 _BASIS_COLUMNS: list[dict] = []
 
 
 def _sources(table: tuple) -> tuple:
-    """(first pair, second pair or None) that each state slot feeds, by slot."""
+    """(first pair, second pair) that each state slot feeds, by slot; None for none."""
     ones_m, ones_x, twos_m, twos_x, twos_m2, twos_x2, gather = table
     products = [((i, j),) for i, j in zip(ones_m, ones_x)]
     products += [((i, j), (k, l)) for i, j, k, l in zip(twos_m, twos_x, twos_m2, twos_x2)]
@@ -542,7 +598,24 @@ def _sources(table: tuple) -> tuple:
             feeds[j].append(_PAIRS.setdefault((out, i), (out, i)))
     if max(map(len, feeds)) > 2:
         raise AssertionError("a state slot feeds more than two products")
-    return tuple(f[0] for f in feeds), tuple(f[1] if len(f) == 2 else None for f in feeds)
+    return (tuple(f[0] if f else None for f in feeds),
+            tuple(f[1] if len(f) == 2 else None for f in feeds))
+
+
+def _moves(perm: itemgetter) -> tuple:
+    """(output slot, negated) that each state slot moves to, by slot."""
+    moves = [None] * _NEG
+    for out, source in enumerate(perm(range(2 * _NEG))):
+        moves[source % _NEG] = (out, source >= _NEG)
+    return tuple(moves)
+
+
+def _source_side(table, build) -> tuple:
+    """build(table), once per half-step table or permutation gather."""
+    form = _SOURCES.get(table)
+    if form is None:
+        form = _SOURCES[table] = build(table)
+    return form
 
 
 def _basis_columns() -> list[dict]:
@@ -566,30 +639,37 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
     """
     alpha = float(alpha)
     shift = _shift(label)
-    stages = []
-    for terms, slots, tables in _kernel(label):
-        m = _stage_values(terms, slots, alpha) + [1.0]     # m[_COPY] = 1.0
-        for table in tables:
-            sources = _SOURCES.get(table)
-            if sources is None:
-                sources = _SOURCES[table] = _sources(table)
-            stages.append((*sources, m))
+    passes = []
+    for perm, terms, slots, left, right, _ in _kernel(label):
+        if perm:
+            passes.append((_source_side(perm, _moves), None, None))
+        else:
+            m = _stage_values(terms, slots, alpha) + [1.0]     # m[_COPY] = 1.0
+            passes += [(*_source_side(table, _sources), m) for table in (left, right)]
     rows = _LAYOUTS[shift][1]
     basis = _basis_columns()
     cols = []
     for j in _rotation(-shift):
         x = basis[j]
-        for first, second, m in stages:
+        for first, second, m in passes:
             y = {}
+            if m is None:
+                for slot, v in x.items():
+                    out, negated = first[slot]
+                    y[out] = -v if negated else v
+                x = y
+                continue
             for slot, v in x.items():
-                out, i = first[slot]
-                y[out] = y.get(out, 0.0) + m[i] * v
-                pair = second[slot]
+                pair = first[slot]
                 if pair:
                     out, i = pair
                     y[out] = y.get(out, 0.0) + m[i] * v
+                    pair = second[slot]
+                    if pair:
+                        out, i = pair
+                        y[out] = y.get(out, 0.0) + m[i] * v
             x = y
-        cols.append([x.get(slot, 0.0) for slot in rows])
+        cols.append([x.get(k, 0.0) for k in rows])
     return [list(row) for row in zip(*cols)]
 
 
@@ -602,7 +682,8 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
 
         X <- (M X) M†,    D <- (M' X + M D) M† + (M X) M'†.
 
-    Only integer stage entries multiply the coordinates of chi, so chi may
+    A permutation stage has M' = 0, so it moves X and D alike.  Only
+    integer stage entries multiply the coordinates of chi, so chi may
     have any coefficients that add and scale by int, such as the packed
     ints of algebra's generic element.  For integer chi both results have
     integer coordinates; the value is chi.  A type-t label runs its type-1
@@ -611,10 +692,12 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     shift = _shift(label)
     x = _state(chi.coords, 0, shift)
     d = _ZEROS
-    for stage in _sequence(label):
+    for perm, _, _, left, right, stage in _kernel(label):
+        if perm:
+            x, d = perm([*x, *map(neg, x)]), perm([*d, *map(neg, d)])
+            continue
         value, twice = stage.at_zero()
         m, dm = value + [-v for v in value], twice + [-v for v in twice]
-        left, right = _compile_stage(stage)[2]
         mx = _half_step(left, m, x, x)
         inner = list(map(add, _half_step(left, dm, x, _ZEROS), _half_step(left, m, d, d)))
         d = list(map(add, _half_step(right, m, inner, inner), _half_step(right, dm, mx, _ZEROS)))

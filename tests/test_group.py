@@ -62,12 +62,13 @@ def test_illegal_labels_rejected(bad):
         parse_label(bad)
 
 
-@pytest.mark.parametrize("type_index", [0, -1, 4])
+@pytest.mark.parametrize("type_index", [0, -1, 4, 2.0, 1.0, True])
 @pytest.mark.parametrize("label", [GeneratorLabel("A", 1, axis="i"),
                                    GeneratorLabel("B", 1, plane=("t", "z"))], ids=str)
 def test_out_of_range_type_index_is_an_illegal_label(label, type_index):
-    """A label built by hand with a type index other than 1, 2 or 3 runs no
-    action: 0 and -1 would index the gathers of types 3 and 2."""
+    """A label built by hand with a type index other than the ints 1, 2 or 3
+    runs no action: 0 and -1 would index the gathers of types 3 and 2, and
+    2.0, 1.0 and True would run the type they equal."""
     from e6kit.algebra import doubled_tangent
     label = label._replace(type_index=type_index)
     chi = basis_element(3)
@@ -206,18 +207,24 @@ def test_action_matrix_raises_where_apply_overflows(alpha):
 def test_action_matrix_builds_source_tables_once_per_gather_table():
     """In a fresh interpreter: nothing is built at import; then, for all 135
     labels, the 45 type-1 kernels, at most one source-side form per gather
-    table, no apply call, and at most 512 KiB kept."""
+    table and per permutation, no apply call, and at most 512 KiB kept.
+
+    The kernels hold 81 half-step tables: 37 left ones, 14 right ones of
+    stages that some sequence continues after, and 30 right ones of last
+    stages, which form only the 27 read slots.  Their 7 flip stages are
+    permutations, with no table.
+    """
     code = ("import gc, tracemalloc\n"
             "from e6kit import group\n"
             "print(len(group._SOURCES), len(group._PAIRS), len(group._BASIS_COLUMNS))\n"
-            "calls = {'apply': 0, '_sources': 0}\n"
+            "calls = {'apply': 0, '_sources': 0, '_moves': 0}\n"
             "def counted(name):\n"
             "    f = getattr(group, name)\n"
             "    def wrapper(*args):\n"
             "        calls[name] += 1\n"
             "        return f(*args)\n"
             "    setattr(group, name, wrapper)\n"
-            "counted('apply'); counted('_sources')\n"
+            "counted('apply'); counted('_sources'); counted('_moves')\n"
             "labels = group.all_labels()\n"
             "for label in labels:\n"
             "    if label.type_index == 1:\n"
@@ -228,21 +235,86 @@ def test_action_matrix_builds_source_tables_once_per_gather_table():
             "    group.action_matrix(label, 0.7)\n"
             "gc.collect()\n"
             "kept = tracemalloc.get_traced_memory()[0]\n"
-            "tables = {t for kernel in group._KERNELS.values() for stage in kernel for t in stage[2]}\n"
+            "stages = [stage for kernel in group._KERNELS.values() for stage in kernel]\n"
+            "tables = {t for stage in stages for t in stage[3:5] if t}\n"
+            "perms = {stage[0] for stage in stages if stage[0]}\n"
             "print(len(group._KERNELS), {label.type_index for label in group._KERNELS})\n"
-            "print(calls, len(tables), len(group._SOURCES) == len(tables))\n"
+            "print(calls, len(tables), len(perms), len(group._SOURCES) == len(tables) + len(perms))\n"
             "print(kept <= 512 * 1024, kept)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(group.__file__)))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[:3] == ["0 0 0", "45 {1}", "{'apply': 0, '_sources': 88} 88 True"]
+    assert lines[:3] == ["0 0 0", "45 {1}",
+                         "{'apply': 0, '_sources': 81, '_moves': 7} 81 7 True"]
     assert lines[3].startswith("True "), lines[3]
+
+
+def _run_fresh(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(group.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_constant_stages_compile_to_signed_permutations():
+    """In a fresh interpreter, the 7 distinct flip stages M = -q I of the 45
+    kernels are signed permutations of the 72 slots, and no half-step table
+    is kept for their structures; every other stage has both tables."""
+    code = ("from e6kit import group\n"
+            "for label in group.all_labels():\n"
+            "    group._kernel(label)\n"
+            "stages = {stage for kernel in group._KERNELS.values() for stage in kernel}\n"
+            "perms = [s for s in stages if s[0]]\n"
+            "flips = {s[5] for s in perms}\n"
+            "const = all(t[0] == 'const' for s in flips for row in s.entries for e in row for t in e)\n"
+            "moved = [sorted(i % 72 for i in s[0](range(144))) == list(range(72)) for s in perms]\n"
+            "units = {key[0] for key in group._STAGE_TABLES}\n"
+            "kept = [tuple(None if e == group._ONE else tuple(sorted({t[2] for t in e}))\n"
+            "              for row in s.entries for e in row) in units for s in flips]\n"
+            "print(len(flips), const, all(moved), any(kept))\n"
+            "print(all(s[1:5] == (None,) * 4 for s in perms),\n"
+            "      all(s[3] and s[4] for s in stages if not s[0]))\n")
+    assert _run_fresh(code) == "7 True True False\nTrue True\n"
+
+
+def test_product_passes_of_a_g_s_apply():
+    """In a fresh interpreter, once its kernel is built, a G or S apply runs
+    product passes for its three turn stages only, and the last pass forms
+    just the 27 slots the readout keeps; action_matrix computes the stage
+    values of the same three stages (an A label has two)."""
+    code = ("from e6kit import group, jordan\n"
+            "chi = jordan.from_coords([0.5] * 27)\n"
+            "formed, values = [], []\n"
+            "half_step, stage_values = group._half_step, group._stage_values\n"
+            "def counted_half_step(*args):\n"
+            "    out = half_step(*args)\n"
+            "    formed.append(len(out))\n"
+            "    return out\n"
+            "def counted_values(*args):\n"
+            "    values.append(1)\n"
+            "    return stage_values(*args)\n"
+            "for text in ('G:kl:2', 'S:jl:3', 'A:i'):\n"
+            "    label = group.parse_label(text)\n"
+            "    group.apply(label, 0.3, chi)\n"
+            "    group._half_step, group._stage_values = counted_half_step, counted_values\n"
+            "    group.apply(label, 0.3, chi)\n"
+            "    group.action_matrix(label, 0.3)\n"
+            "    group._half_step, group._stage_values = half_step, stage_values\n"
+            "    print(text, formed, len(values))\n"
+            "    formed.clear(); values.clear()\n")
+    assert _run_fresh(code) == ("G:kl:2 [72, 72, 72, 72, 72, 27] 6\n"
+                                "S:jl:3 [72, 72, 72, 72, 72, 27] 6\n"
+                                "A:i [72, 72, 72, 27] 4\n")
 
 
 # SHA-256 of action_matrix over all_labels() x (0.3, -0.7), every entry packed
 # as a little-endian double, row by row.
 ACTION_MATRIX_SHA256 = "c02aa48e9ce2157e8a8c4ebee8bbe47e475e85dab729128a6c7bbe5492a13545"
+# SHA-256 of apply over all_labels() x (0.3, -0.7, 2.9) x four chis, each
+# result packed by _pack (below): three dense chis of random.Random(32).uniform(-3, 3)
+# coordinates, then one of coordinates drawn from {+-0.0, 1e-300, -1e300, 3.25}.
+APPLY_SHA256 = "08090822a58212249d105cd26c2dbe72ebd83730aa9873c47d17c62b4d9ea6b6"
 # SHA-256 of det(apply(label, 0.7, chi)) over all_labels(), packed the same
 # way, for chi of 27 random.Random(0).randint(-4, 4) / 2 coordinates.  It is
 # the same on every Python version (det sums norms left to right, not by sum()).
@@ -256,6 +328,18 @@ def test_action_matrix_golden_bits():
             for row in action_matrix(label, alpha):
                 h.update(b"".join(struct.pack("<d", v) for v in row))
     assert h.hexdigest() == ACTION_MATRIX_SHA256
+
+
+def test_apply_golden_bits():
+    rng = random.Random(32)
+    chis = [from_coords([rng.uniform(-3, 3) for _ in range(27)]) for _ in range(3)]
+    chis.append(from_coords([rng.choice((0.0, -0.0, 1e-300, -1e300, 3.25)) for _ in range(27)]))
+    h = hashlib.sha256()
+    for label in all_labels():
+        for alpha in (0.3, -0.7, 2.9):
+            for chi in chis:
+                h.update(_pack(to_coords(apply(label, alpha, chi))))
+    assert h.hexdigest() == APPLY_SHA256
 
 
 def test_det_golden_bits():
