@@ -132,8 +132,8 @@ def _field_bound(core: GeneratorLabel) -> int:
     slots of M(0) and 2 M'(0) are at most k >= 1 in size maps the bounds
     (x, d) on the coefficients of the value and the derivative to
     (4 k^2 x, 4 k^2 (2 x + d)), which also bound the half-steps between.
-    A constant stage, which apply_dual runs as a signed permutation, has
-    k = 1: it only moves coefficients, so the bound it adds is slack.
+    A constant stage, folded into the next stage's left table, has k = 1:
+    it only moves and negates coefficients, so the bound it adds is slack.
     OverflowError if the bound reaches _LIMIT, where a field could decode wrong.
     """
     x, d = 1, 0

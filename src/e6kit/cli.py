@@ -217,9 +217,21 @@ def cmd_apply(args) -> int:
 # ---------------------------------------------------------------------------
 # driver
 
+# int() and float() also take Unicode digits ("١"), "_" separators and
+# blanks, and float() "inf" and "nan": numeric flags take ASCII numbers only.
+_DECIMAL = frozenset("0123456789.eE+-")
+
+
+def _seed(text: str) -> int:
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _finite(text: str) -> float:
     try:
-        value = float(text)
+        value = float(text) if set(text) <= _DECIMAL else math.nan
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -242,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", **formats)
     p = verb("verify", "identity suites")
     p.add_argument("--suite", choices=(*_SUITE_NAMES, "all"), default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_finite, default=1e-9)
     verb("killing", "Killing-form signature")
     p = verb("subalg", "subalgebra reports")

@@ -14,8 +14,9 @@ before and after them, a rotation folded into the gathers that load and
 read the state.  One stage kernel, compiled once per sparsity structure of
 the stage matrices, runs both evaluations as flat index tables over the 72
 coefficients of the full 3x3 matrix.  A constant stage (the flip that starts
-each transverse rotation) runs as a signed permutation of the coefficients
-instead, and the last stage forms only the 27 that the readout keeps.
+each transverse rotation) is a signed permutation of the coefficients,
+folded into the tables of the stage after it, and the last stage forms only
+the 27 that the readout keeps, and the ones that those are formed from.
 `apply` evaluates at a finite alpha in floating point, bit for bit as 3x3
 products of octonion entries would (the `Octonion` reference of
 tests/reference.py).
@@ -292,14 +293,15 @@ def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
 # stage kernel
 #
 # The kernel keeps the full 3x3 octonion matrix X of chi as a state of 72
-# coefficients, entry (i, j) unit u at 8 * (3 * i + j) + u.  A stage fills 144
-# slots: the coefficients of M in the same layout, then their negations.  Each
-# half-step, M X and then (M X) M†, gives every state coefficient as the sum
-# of one or two products m * x: the products that a 3x3 product of octonion
-# entries forms (the `Octonion` reference of tests/reference.py), and those
-# it skips because a factor is zero.  A block that only an identity entry
-# (`_ONE`) reaches is a copy of a source the caller passes: the state for M,
-# zeros for M' (the derivative of a constant is 0).
+# coefficients, entry (i, j) unit u at 8 * (3 * i + j) + u.  A stage fills 146
+# slots m: the coefficients of M in the same layout, their negations, then
+# the constants 1 and -1 (_COPY, _MINUS).  Each half-step, M X and then
+# (M X) M†, gives every state coefficient as the sum of one or two products
+# m * x: the products that a 3x3 product of octonion entries forms (the
+# `Octonion` reference of tests/reference.py), and those it skips because a
+# factor is zero.  A block that only an identity entry (`_ONE`) reaches is a
+# copy of a source the caller passes: the state for M, zeros for M' (the
+# derivative of a constant is 0).
 # `apply` runs the tables on floats, `apply_dual` on ints, packed ints included.
 # For floats, a zero product changes no sum of two, and float addition of two
 # terms is commutative, so every nonzero float has the bits of the octonion
@@ -308,13 +310,18 @@ def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
 # products appear depends only on which units each entry of M uses, so the
 # tables are built once per such sparsity structure.
 #
-# A constant stage (the flip M = -q I of a transverse rotation) only
-# multiplies coefficients by +-1.0, so it runs as a signed permutation: one
-# gather from the state and its negations.  x * -1.0 and -x have the same
-# bits, signed zeros and infinities included; only a nan's sign may differ.
-# The last stage's right half-step forms only the 27 slots of _READ_RUNS.
+# A constant stage (the flip M = -q I that starts each transverse rotation)
+# is a signed permutation of the state, x[o] -> +-x[s], and is folded into
+# the left table of the stage after it: a product m[i] * x[o] reads x[s], and
+# the negation slot of m[i] where x[o] is negated; a copy of x[o] reads x[s],
+# or is the product m[_MINUS] * x[s] where negated.  (-m) * y and m * (-y)
+# have the same bits, as have -1.0 * y and -y, signed zeros and infinities
+# included; only a nan's sign may differ.  So a call runs no permutation,
+# only product passes.  The last stage's right half-step forms only the 27
+# slots of _READ_RUNS, and its left half-step only the slots that those read.
 
 _NEG = 72
+_COPY, _MINUS = 2 * _NEG, 2 * _NEG + 1
 _ZEROS = (0,) * _NEG
 # The slots a half-step forms, as runs (block, first unit, end unit): all 72
 # in state order, or the 27 coordinates p, m, n, a, b, c that the readout keeps.
@@ -324,6 +331,7 @@ _READ_RUNS = ((0, 0, 1), (4, 0, 1), (8, 0, 1), (3, 0, 8), (7, 0, 8), (2, 0, 8))
 # An 8-byte index pattern read as an int: adding d * _EACH_BYTE adds d to each
 # of its bytes (every index stays below 256, so no byte carries).
 _EACH_BYTE = int.from_bytes(bytes([1] * 8), "little")
+_IDENTITY, _MINUS_BYTE = bytes(range(256)), bytes([_MINUS])
 
 
 def _unit_products(left: bool) -> tuple:
@@ -346,36 +354,63 @@ def _unit_products(left: bool) -> tuple:
 
 
 _PRODUCTS = (_unit_products(False), _unit_products(True))
+# Per half-step (right, left) and output block (i, j): (entry e of M, first
+# x slot) of the factors M[i][k] X[k][j] (left) or Y[i][k] conj(M[j][k]).
+_FACTORS = tuple(tuple(tuple((3 * i + k, 24 * k + 8 * j) if left else (3 * j + k, 24 * i + 8 * k)
+                             for k in range(3)) for i in range(3) for j in range(3))
+                 for left in (False, True))
 _GATHERS: dict[tuple, itemgetter] = {}
 
 
-def _half_step_table(units: tuple, left: bool, runs: tuple = _ALL_RUNS) -> tuple:
-    """Index tables of the half-step M X (left) or Y M† for one structure.
+def _runs(slots: list) -> tuple:
+    """Sorted slots as runs (block, first unit, end unit) of consecutive slots."""
+    cuts = [n for n in range(1, len(slots)) if slots[n] != slots[n - 1] + 1 or slots[n] % 8 == 0]
+    return tuple((slots[a] // 8, slots[a] % 8, slots[b - 1] % 8 + 1)
+                 for a, b in zip([0, *cuts], [*cuts, len(slots)]))
+
+
+def _half_step_table(units: tuple, left: bool, runs: tuple = _ALL_RUNS,
+                     flip: Optional[tuple] = None, compact: bool = False) -> tuple:
+    """(index tables, x slots read) of the half-step M X (left) or Y M† for one structure.
 
     units[e] lists the units that entry e of M uses, or is None for an
     identity entry.  Output block (i, j) of 8 slots takes one product from
     each unit of each nonzero entry (i, k) of M (left) or (j, k) (right); a
     block that takes only an identity entry is a copy.  Only the slots of
     runs are formed: products of one and of two terms go to two flat lists,
-    and the gather returns them and the copies in the order of runs.
+    and the gather returns them and the copies in the order of runs.  With
+    a flip (_signed_permutation), x[o] is read as x[sources[o]], negated
+    where negations[o].  With compact, x holds only the slots that the table
+    reads, by position, and they are returned sorted; else None.
     """
-    products = _PRODUCTS[left]
+    products, factors = _PRODUCTS[left], _FACTORS[left]
+    sources, negations = flip or (None, None)
     ones, twos, parts = [], [], []
     n_ones = n_twos = 0
     for block, lo, hi in runs:
-        i, j = divmod(block, 3)
         cols, copy = [], None
-        for k in range(3):
-            e, x0 = (3 * i + k, 24 * k + 8 * j) if left else (3 * j + k, 24 * i + 8 * k)
+        for e, x0 in factors[block]:
             entry = units[e]
             if entry is None:
                 copy, entry = x0, (0,)
             for u in entry:
                 negs, others = products[u]
+                x = (others + x0 * _EACH_BYTE).to_bytes(8, "little")
+                if flip:    # XOR with _NEG swaps an m slot and its negation
+                    negs ^= int.from_bytes(x.translate(negations), "little")
+                    x = x.translate(sources)
                 cols.append(((negs + (8 * e + u) * _EACH_BYTE).to_bytes(8, "little")[lo:hi],
-                             (others + x0 * _EACH_BYTE).to_bytes(8, "little")[lo:hi]))
-        if len(cols) == 1 and copy is not None:
+                             x[lo:hi]))
+        if len(cols) == 1 and copy is not None and not flip:
             parts.append((2, copy + lo, hi - lo))
+        elif len(cols) == 1 and copy is not None:
+            for o in range(copy + lo, copy + hi):
+                if negations[o]:    # the product -1 * x[sources[o]]
+                    parts.append((0, n_ones, 1))
+                    ones.append((_MINUS_BYTE, sources[o:o + 1]))
+                    n_ones += 1
+                else:
+                    parts.append((2, sources[o], 1))
         elif len(cols) == 1:
             parts.append((0, n_ones, hi - lo))
             ones.append(cols[0])
@@ -385,93 +420,126 @@ def _half_step_table(units: tuple, left: bool, runs: tuple = _ALL_RUNS) -> tuple
             twos.append(cols)
             n_twos += hi - lo
         else:
-            raise AssertionError(f"stage block {i},{j} takes {len(cols)} products")
+            raise AssertionError(f"stage block {divmod(block, 3)} takes {len(cols)} products")
+    columns = [b"".join(m for m, _ in ones), b"".join(x for _, x in ones),
+               b"".join(c[0][0] for c in twos), b"".join(c[0][1] for c in twos),
+               b"".join(c[1][0] for c in twos), b"".join(c[1][1] for c in twos)]
+    at, reads = _IDENTITY, None
+    if compact:
+        copied = (range(first, first + n) for kind, first, n in parts if kind == 2)
+        reads = sorted(set(columns[1]).union(columns[3], columns[5], *copied))
+        at = bytes.maketrans(bytes(reads), bytes(range(len(reads))))
+        columns[1::2] = [c.translate(at) for c in columns[1::2]]
     bases = (0, n_ones, n_ones + n_twos)
     where = []
     for kind, first, n in parts:
-        where += range(bases[kind] + first, bases[kind] + first + n)
+        first = bases[kind] + (at[first] if kind == 2 else first)
+        where += range(first, first + n)
     where = tuple(where)
     gather = _GATHERS.get(where)
     if gather is None:
         gather = _GATHERS[where] = itemgetter(*where)
-    return (b"".join(m for m, _ in ones), b"".join(x for _, x in ones),
-            b"".join(c[0][0] for c in twos), b"".join(c[0][1] for c in twos),
-            b"".join(c[1][0] for c in twos), b"".join(c[1][1] for c in twos), gather)
+    return (*columns, gather), reads
 
 
-_STAGE_TABLES: dict[tuple, tuple] = {}    # by (units, left, last)
-_STAGES: dict[tuple, tuple] = {}          # by (stage, last)
+_STAGE_TABLES: dict[tuple, tuple] = {}    # by (units, last, flip)
+_STAGES: dict[tuple, tuple] = {}          # by (stage, flip, last)
+_FLIPS: dict[ParamMatrix, tuple] = {}
 
 
-def _table(units: tuple, left: bool, last: bool = False) -> tuple:
-    """The half-step table of one structure, built once; for the right
-    half-step of a last stage, only the slots of _READ_RUNS, in that order."""
-    table = _STAGE_TABLES.get((units, left, last))
-    if table is None:
-        table = _STAGE_TABLES[units, left, last] = _half_step_table(
-            units, left, _READ_RUNS if last else _ALL_RUNS)
-    return table
+def _parts(stage: ParamMatrix) -> tuple:
+    """(terms, slots, units) of a stage.
 
-
-def _compile_stage(stage: ParamMatrix, last: bool) -> tuple:
-    """(perm, terms, slots, left table, right table, stage), shared by equal stages.
-
-    A constant stage that is not last has only perm (_signed_permutation);
-    the others have the rest.  terms are (value slot, f, k2 / 2, coeff) per
-    term, with float constants: the slot takes coeff * f(k2 / 2 * alpha).
-    slots are the slots whose negation the tables read.
+    terms are (value slot, f, k2 / 2, coeff) per term, with float constants:
+    the slot takes coeff * f(k2 / 2 * alpha).  slots are the slots whose
+    negation the tables read; units, the structure the tables depend on.
     """
-    compiled = _STAGES.get((stage, last))
+    flat = [terms for row in stage.entries for terms in row]
+    terms = tuple((8 * e + unit, _KINDS[kind][0], k2 / 2, float(coeff))
+                  for e, entry in enumerate(flat) for kind, k2, unit, coeff in entry)
+    units = tuple(None if entry == _ONE else tuple(sorted({t[2] for t in entry}))
+                  for entry in flat)
+    return terms, tuple(sorted({t[0] for t in terms})), units
+
+
+def _compile_stage(stage: ParamMatrix, flip: Optional[ParamMatrix], last: bool) -> tuple:
+    """(terms, slots, left table, right table, stage), shared by equal stages.
+
+    The tables are built once per structure.  A last stage's right half-step
+    forms only _READ_RUNS, reading Y's slots by position among those it
+    reads, and its left one forms only those.  flip, the constant stage run
+    just before this one or None, is folded into the left table.
+    """
+    compiled = _STAGES.get((stage, flip, last))
     if compiled is None:
-        flat = [terms for row in stage.entries for terms in row]
-        terms = tuple((8 * e + unit, _KINDS[kind][0], k2 / 2, float(coeff))
-                      for e, entry in enumerate(flat) for kind, k2, unit, coeff in entry)
-        slots = tuple(sorted({t[0] for t in terms}))
-        units = tuple(None if entry == _ONE else tuple(sorted({t[2] for t in entry}))
-                      for entry in flat)
-        if not last and all(t[0] == "const" and t[3] in (1, -1) for entry in flat for t in entry):
-            compiled = (_signed_permutation(units, terms, slots), None, None, None, None, stage)
-        else:
-            compiled = (None, terms, slots, _table(units, True), _table(units, False, last), stage)
-        _STAGES[stage, last] = compiled
+        terms, slots, units = _parts(stage)
+        tables = _STAGE_TABLES.get((units, last, flip))
+        if tables is None:
+            right, reads = _half_step_table(units, False, _READ_RUNS if last else _ALL_RUNS,
+                                            compact=last)
+            left = _half_step_table(units, True, _runs(reads) if last else _ALL_RUNS,
+                                    flip and _signed_permutation(flip))[0]
+            tables = _STAGE_TABLES[units, last, flip] = (left, right)
+        compiled = _STAGES[stage, flip, last] = (terms, slots, *tables, stage)
     return compiled
 
 
-def _signed_permutation(units: tuple, terms: tuple, slots: tuple) -> itemgetter:
-    """The gather from [*x, *map(neg, x)] that gives a constant stage's result on x.
+def _signed_permutation(stage: ParamMatrix) -> tuple:
+    """(sources, negations) of a constant stage, as translation tables: its
+    result at slot o is x[sources[o]], negated where negations[o] (which is
+    then _NEG, else 0).
 
-    The stage's two half-step tables, built here and dropped, run once on
-    x[j] = j + 1: with no sums of two and slots of +-1, result o is
-    +-(source + 1).  AssertionError unless the sources are each slot once.
+    The stage's two half-steps run once on x[j] = j + 1: with no sums of
+    two and slots of +-1, result o is +-(source + 1).  AssertionError unless
+    the sources are each slot once.
     """
-    m = [int(v) for v in _stage_values(terms, slots, 0.0)]
-    left, right = _half_step_table(units, True), _half_step_table(units, False)
-    tags = range(1, _NEG + 1)
-    y = _half_step(left, m, tags, tags)
-    result = _half_step(right, m, y, y)
-    sources = [abs(v) - 1 for v in result]
-    if left[2] or right[2] or max(map(abs, m)) != 1 or sorted(sources) != list(range(_NEG)):
-        raise AssertionError("a constant stage is not a signed permutation of the state")
-    return itemgetter(*[j + _NEG * (v < 0) for v, j in zip(result, sources)])
+    perm = _FLIPS.get(stage)
+    if perm is None:
+        terms, slots, units = _parts(stage)
+        m = [int(v) for v in _stage_values(terms, slots, 0.0)]
+        left, right = (_half_step_table(units, half)[0] for half in (True, False))
+        tags = range(1, _NEG + 1)
+        y = _half_step(left, m, tags, tags)
+        result = _half_step(right, m, y, y)
+        if left[2] or right[2] or max(map(abs, m)) != 1 or sorted(map(abs, result)) != list(tags):
+            raise AssertionError("a constant stage is not a signed permutation of the state")
+        perm = _FLIPS[stage] = (bytes(abs(v) - 1 for v in result).ljust(256, b"\0"),
+                                bytes(_NEG * (v < 0) for v in result).ljust(256, b"\0"))
+    return perm
+
+
+def _is_constant(stage: ParamMatrix) -> bool:
+    """Whether every term of the stage is a constant +-1, as in a flip."""
+    return all(t[0] == "const" and t[3] in (1, -1) for row in stage.entries
+               for entry in row for t in entry)
 
 
 _KERNELS: dict[GeneratorLabel, tuple] = {}    # type-1 labels only
 
 
 def _kernel(label: GeneratorLabel) -> tuple:
-    """The compiled stages of the label's type-1 action."""
+    """The compiled product stages of the label's type-1 action.
+
+    A constant stage that another follows is folded into that one's left table.
+    """
     label = _type_1(label)
     kernel = _KERNELS.get(label)
     if kernel is None:
-        seq = _sequence(label)
-        kernel = _KERNELS[label] = tuple(_compile_stage(stage, n == len(seq) - 1)
-                                         for n, stage in enumerate(seq))
+        seq, stages, flip = _sequence(label), [], None
+        for n, stage in enumerate(seq):
+            if flip is None and n + 1 < len(seq) and _is_constant(stage):
+                flip = stage
+            else:
+                stages.append(_compile_stage(stage, flip, n + 1 == len(seq)))
+                flip = None
+        kernel = _KERNELS[label] = tuple(stages)
     return kernel
 
 
 def _stage_values(terms: tuple, slots: tuple, alpha: float) -> list:
-    """The stage's 144 float slots at alpha: M's coefficients, then negations."""
-    m = [0.0] * (2 * _NEG)
+    """The stage's 146 float slots at alpha: M's coefficients, negations, 1.0, -1.0."""
+    m = [0.0] * (2 * _NEG + 2)
+    m[_COPY], m[_MINUS] = 1.0, -1.0
     for slot, f, k, coeff in terms:
         m[slot] = m[slot] + coeff * f(k * alpha)
     for slot in slots:
@@ -559,29 +627,24 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
     alpha = float(alpha)
     shift = _shift(label)
     x = _state(tuple(map(float, chi.coords)), 0.0, shift)
-    for perm, terms, slots, left, right, _ in _kernel(label):
-        if perm:
-            x = perm([*x, *map(neg, x)])
-        else:
-            m = _stage_values(terms, slots, alpha)
-            y = _half_step(left, m, x, x)
-            x = _half_step(right, m, y, y)
+    for terms, slots, left, right, _ in _kernel(label):
+        m = _stage_values(terms, slots, alpha)
+        y = _half_step(left, m, x, x)
+        x = _half_step(right, m, y, y)
     return JordanElement(tuple([v + 0.0 for v in _LAYOUTS[shift][2](x)]))
 
 
 # action_matrix reads each half-step table from the source side: per state
 # slot, the one or two (output slot, m slot) pairs it feeds, with m slot
 # _COPY = 1.0 for a copy, or none where the last stage does not form the
-# slot fed.  A permutation stage moves each slot to one output, negated as
-# `apply` negates it.  A basis column fills few slots, so its pass follows the
-# nonzeros.  It forms the products `apply` forms, in either order (a sum
-# of two floats is commutative), and skips those of unreached slots: +-0 in
+# slot fed.  A basis column fills few slots, so its pass follows the
+# nonzeros.  It forms the products `apply` forms, in either order (a sum of
+# two floats is commutative), and skips those of unreached slots: +-0 in
 # `apply`, times a finite stage value, changes no sum of two.  So each column
 # has the bits of `apply` on that basis element; every sum starts from +0.0,
 # so no zero is negative.
 
-_COPY = 2 * _NEG
-_SOURCES: dict[tuple, tuple] = {}     # by half-step table or permutation gather
+_SOURCES: dict[tuple, tuple] = {}     # by half-step table
 _PAIRS: dict[tuple, tuple] = {}       # one copy of each (output slot, m slot) pair
 _BASIS_COLUMNS: list[dict] = []
 
@@ -602,19 +665,11 @@ def _sources(table: tuple) -> tuple:
             tuple(f[1] if len(f) == 2 else None for f in feeds))
 
 
-def _moves(perm: itemgetter) -> tuple:
-    """(output slot, negated) that each state slot moves to, by slot."""
-    moves = [None] * _NEG
-    for out, source in enumerate(perm(range(2 * _NEG))):
-        moves[source % _NEG] = (out, source >= _NEG)
-    return tuple(moves)
-
-
-def _source_side(table, build) -> tuple:
-    """build(table), once per half-step table or permutation gather."""
+def _source_side(table: tuple) -> tuple:
+    """_sources(table), once per half-step table."""
     form = _SOURCES.get(table)
     if form is None:
-        form = _SOURCES[table] = build(table)
+        form = _SOURCES[table] = _sources(table)
     return form
 
 
@@ -640,12 +695,9 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
     alpha = float(alpha)
     shift = _shift(label)
     passes = []
-    for perm, terms, slots, left, right, _ in _kernel(label):
-        if perm:
-            passes.append((_source_side(perm, _moves), None, None))
-        else:
-            m = _stage_values(terms, slots, alpha) + [1.0]     # m[_COPY] = 1.0
-            passes += [(*_source_side(table, _sources), m) for table in (left, right)]
+    for terms, slots, left, right, _ in _kernel(label):
+        m = _stage_values(terms, slots, alpha)
+        passes += [(*_source_side(left), m), (*_source_side(right), m)]
     rows = _LAYOUTS[shift][1]
     basis = _basis_columns()
     cols = []
@@ -653,12 +705,6 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
         x = basis[j]
         for first, second, m in passes:
             y = {}
-            if m is None:
-                for slot, v in x.items():
-                    out, negated = first[slot]
-                    y[out] = -v if negated else v
-                x = y
-                continue
             for slot, v in x.items():
                 pair = first[slot]
                 if pair:
@@ -682,22 +728,21 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
 
         X <- (M X) M†,    D <- (M' X + M D) M† + (M X) M'†.
 
-    A permutation stage has M' = 0, so it moves X and D alike.  Only
-    integer stage entries multiply the coordinates of chi, so chi may
-    have any coefficients that add and scale by int, such as the packed
-    ints of algebra's generic element.  For integer chi both results have
-    integer coordinates; the value is chi.  A type-t label runs its type-1
-    stages on chi's rotated fields, through the gathers that `apply` uses.
+    A flip folded into a left table has M' = 0: its constant slot _MINUS
+    is -1 in M and 0 in M'.  Only integer stage entries multiply the
+    coordinates of chi, so chi may have any coefficients that add and scale
+    by int, such as the packed ints of algebra's generic element.  For
+    integer chi both results have integer coordinates; the value is chi.  A
+    type-t label runs its type-1 stages on chi's rotated fields, through the
+    gathers that `apply` uses.
     """
     shift = _shift(label)
     x = _state(chi.coords, 0, shift)
     d = _ZEROS
-    for perm, _, _, left, right, stage in _kernel(label):
-        if perm:
-            x, d = perm([*x, *map(neg, x)]), perm([*d, *map(neg, d)])
-            continue
+    for _, _, left, right, stage in _kernel(label):
         value, twice = stage.at_zero()
-        m, dm = value + [-v for v in value], twice + [-v for v in twice]
+        m = value + [-v for v in value] + [1, -1]
+        dm = twice + [-v for v in twice] + [0, 0]
         mx = _half_step(left, m, x, x)
         inner = list(map(add, _half_step(left, dm, x, _ZEROS), _half_step(left, m, d, d)))
         d = list(map(add, _half_step(right, m, inner, inner), _half_step(right, dm, mx, _ZEROS)))

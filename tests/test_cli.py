@@ -311,6 +311,15 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
     ["roots", "--algebra", "A2", "--highest", "1,-1"],  # not a highest weight
     ["roots", "--algebra", "A2", "--highest", "1000000,1000000"],  # too many weights
     ["apply", "--label", "R:i,j", "--alpha", "0.1", "--chi", "-"],  # a core, not a generator
+    ["verify", "--suite", "det", "--seed", "١"],   # numeric flags take ASCII text only
+    ["verify", "--suite", "det", "--seed", "1_0"],
+    ["verify", "--suite", "det", "--seed", " 7 "],
+    ["verify", "--suite", "det", "--seed", "+7"],
+    ["verify", "--suite", "det", "--tol", "1_0e-9"],
+    ["verify", "--suite", "det", "--tol", " 1e-9"],
+    ["apply", "--label", "A:i", "--alpha", "٠.٣", "--chi", "-"],
+    ["apply", "--label", "A:i", "--alpha", "0.3 ", "--chi", "-"],
+    ["apply", "--label", "A:i", "--alpha", "inf", "--chi", "-"],
     pytest.param(["stab-l", "--out", "/dev/full"], marks=_NEEDS_DEV_FULL),
 ])
 def test_usage_errors_exit_2(args):
@@ -318,6 +327,23 @@ def test_usage_errors_exit_2(args):
     proc = run_cli(*args, stdin=json.dumps({"coords": [1, 2, 3] + [0.5] * 24}))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag, text, value", [
+    ("--seed", "0", 0), ("--seed", "17", 17), ("--seed", "-3", -3),
+    ("--tol", "1e-300", 1e-300), ("--tol", "2E+3", 2000.0), ("--tol", ".5", 0.5),
+    ("--tol", "3.", 3.0), ("--tol", "-1.5", -1.5), ("--tol", "7", 7.0),
+])
+def test_numeric_flags_take_ascii_numbers(flag, text, value):
+    """--seed takes ASCII digits after an optional "-"; --tol and --alpha an
+    ASCII decimal with an optional exponent, read as float() reads it."""
+    from e6kit import cli
+    args = cli.build_parser().parse_args(["verify", flag, text])
+    assert getattr(args, flag[2:]) == value and type(getattr(args, flag[2:])) is type(value)
+    if flag == "--tol":
+        args = cli.build_parser().parse_args(["apply", "--label", "A:i", "--alpha", text,
+                                              "--chi", "-"])
+        assert args.alpha == value
 
 
 def _run_buffered(args, stdout):

@@ -245,8 +245,8 @@ def test_tangent_work_count(monkeypatch, fresh_tangents):
     """135 cold tangents evaluate one core per orbit, 7 cores, on the generic element.
 
     The 7 cores have 8 stages; the flip of the transverse core is a signed
-    permutation, which apply_dual moves without evaluating it, so 7 stages
-    are evaluated at alpha = 0.
+    permutation folded into the left table of its turn, which apply_dual
+    does not evaluate, so 7 stages are evaluated at alpha = 0.
     """
     calls, stages = _count_core_evaluations(monkeypatch)
     for label in all_labels():

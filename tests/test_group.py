@@ -206,29 +206,30 @@ def test_action_matrix_raises_where_apply_overflows(alpha):
 
 def test_action_matrix_builds_source_tables_once_per_gather_table():
     """In a fresh interpreter: nothing is built at import; then, for all 135
-    labels, the 45 type-1 kernels, at most one source-side form per gather
-    table and per permutation, no apply call, and at most 512 KiB kept.
+    labels, the 45 type-1 kernels, one source-side form per half-step table,
+    no apply call, and at most 512 KiB kept.
 
-    The kernels hold 81 half-step tables: 37 left ones, 14 right ones of
-    stages that some sequence continues after, and 30 right ones of last
-    stages, which form only the 27 read slots.  Their 7 flip stages are
-    permutations, with no table.
+    The kernels hold 88 half-step tables, the left and right ones of 44
+    structures: 14 of stages that some sequence continues after, and 30 of
+    last stages, whose right table forms only the 27 read slots and whose
+    left table only the slots that those read.  The 7 flip stages are
+    folded into the left tables after them, so they add no table and no form.
     """
     code = ("import gc, tracemalloc\n"
             "from e6kit import group\n"
             "print(len(group._SOURCES), len(group._PAIRS), len(group._BASIS_COLUMNS))\n"
-            "calls = {'apply': 0, '_sources': 0, '_moves': 0}\n"
+            "calls = {'apply': 0, '_sources': 0, '_signed_permutation': 0}\n"
             "def counted(name):\n"
             "    f = getattr(group, name)\n"
             "    def wrapper(*args):\n"
             "        calls[name] += 1\n"
             "        return f(*args)\n"
             "    setattr(group, name, wrapper)\n"
-            "counted('apply'); counted('_sources'); counted('_moves')\n"
             "labels = group.all_labels()\n"
             "for label in labels:\n"
             "    if label.type_index == 1:\n"
             "        group._kernel(label)\n"
+            "counted('apply'); counted('_sources'); counted('_signed_permutation')\n"
             "gc.collect()\n"
             "tracemalloc.start()\n"
             "for label in labels:\n"
@@ -236,17 +237,13 @@ def test_action_matrix_builds_source_tables_once_per_gather_table():
             "gc.collect()\n"
             "kept = tracemalloc.get_traced_memory()[0]\n"
             "stages = [stage for kernel in group._KERNELS.values() for stage in kernel]\n"
-            "tables = {t for stage in stages for t in stage[3:5] if t}\n"
-            "perms = {stage[0] for stage in stages if stage[0]}\n"
+            "tables = {t for stage in stages for t in stage[2:4]}\n"
             "print(len(group._KERNELS), {label.type_index for label in group._KERNELS})\n"
-            "print(calls, len(tables), len(perms), len(group._SOURCES) == len(tables) + len(perms))\n"
+            "print(calls, len(tables), len(group._STAGE_TABLES), len(group._SOURCES) == len(tables))\n"
             "print(kept <= 512 * 1024, kept)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(group.__file__)))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+    lines = _run_fresh(code).splitlines()
     assert lines[:3] == ["0 0 0", "45 {1}",
-                         "{'apply': 0, '_sources': 81, '_moves': 7} 81 7 True"]
+                         "{'apply': 0, '_sources': 88, '_signed_permutation': 0} 88 44 True"]
     assert lines[3].startswith("True "), lines[3]
 
 
@@ -259,30 +256,47 @@ def _run_fresh(code: str) -> str:
 
 def test_constant_stages_compile_to_signed_permutations():
     """In a fresh interpreter, the 7 distinct flip stages M = -q I of the 45
-    kernels are signed permutations of the 72 slots, and no half-step table
-    is kept for their structures; every other stage has both tables."""
-    code = ("from e6kit import group\n"
+    kernels compile to signed permutations of the 72 slots, each folded into
+    the left table of the turn stage after it.  No kernel stage is constant,
+    so a kernel of shape S, PSPS or PSPSPS (P a flip, S a turn) runs 1, 2 or
+    3 product stages; no half-step table is kept for the flips' structures;
+    and once the kernels are built, apply, apply_dual and action_matrix
+    derive no permutation and build no gather."""
+    code = ("import collections\n"
+            "from e6kit import group, jordan\n"
             "for label in group.all_labels():\n"
             "    group._kernel(label)\n"
             "stages = {stage for kernel in group._KERNELS.values() for stage in kernel}\n"
-            "perms = [s for s in stages if s[0]]\n"
-            "flips = {s[5] for s in perms}\n"
-            "const = all(t[0] == 'const' for s in flips for row in s.entries for e in row for t in e)\n"
-            "moved = [sorted(i % 72 for i in s[0](range(144))) == list(range(72)) for s in perms]\n"
+            "flips = group._FLIPS\n"
+            "const = all(group._is_constant(f) for f in flips)\n"
+            "moved = [sorted(s[:72]) == list(range(72)) and set(n[:72]) <= {0, 72}\n"
+            "         for s, n in flips.values()]\n"
             "units = {key[0] for key in group._STAGE_TABLES}\n"
-            "kept = [tuple(None if e == group._ONE else tuple(sorted({t[2] for t in e}))\n"
-            "              for row in s.entries for e in row) in units for s in flips]\n"
+            "kept = [group._parts(f)[2] in units for f in flips]\n"
             "print(len(flips), const, all(moved), any(kept))\n"
-            "print(all(s[1:5] == (None,) * 4 for s in perms),\n"
-            "      all(s[3] and s[4] for s in stages if not s[0]))\n")
-    assert _run_fresh(code) == "7 True True False\nTrue True\n"
+            "print(any(group._is_constant(s[4]) for s in stages), all(len(s) == 5 for s in stages),\n"
+            "      sorted(collections.Counter(map(len, group._KERNELS.values())).items()))\n"
+            "calls = []\n"
+            "permutation, gathers = group._signed_permutation, dict(group._GATHERS)\n"
+            "group._signed_permutation = lambda *args: calls.append(args) or permutation(*args)\n"
+            "chi, ints = jordan.from_coords([0.5] * 27), jordan.from_coords(range(27))\n"
+            "for label in group.all_labels():\n"
+            "    group.apply(label, 0.3, chi)\n"
+            "    group.apply_dual(label, ints)\n"
+            "    group.action_matrix(label, 0.3)\n"
+            "print(len(calls), group._GATHERS == gathers)\n")
+    assert _run_fresh(code) == ("7 True True False\n"
+                                "False True [(1, 24), (2, 7), (3, 14)]\n"
+                                "0 True\n")
 
 
 def test_product_passes_of_a_g_s_apply():
-    """In a fresh interpreter, once its kernel is built, a G or S apply runs
-    product passes for its three turn stages only, and the last pass forms
-    just the 27 slots the readout keeps; action_matrix computes the stage
-    values of the same three stages (an A label has two)."""
+    """In a fresh interpreter, once its kernel is built, an apply runs one
+    left and one right pass per turn stage, with the flips folded in: three
+    for G and S, two for A, one for B.  The last right pass forms just the
+    27 slots the readout keeps, and the last left pass only the slots that
+    it reads: 29 for these turns, 27 for B:t,z, and 1 527 of 3 240 over the
+    45 kernels.  action_matrix computes the values of the same stages."""
     code = ("from e6kit import group, jordan\n"
             "chi = jordan.from_coords([0.5] * 27)\n"
             "formed, values = [], []\n"
@@ -294,7 +308,7 @@ def test_product_passes_of_a_g_s_apply():
             "def counted_values(*args):\n"
             "    values.append(1)\n"
             "    return stage_values(*args)\n"
-            "for text in ('G:kl:2', 'S:jl:3', 'A:i'):\n"
+            "for text in ('G:kl:2', 'S:jl:3', 'A:i', 'B:t,z'):\n"
             "    label = group.parse_label(text)\n"
             "    group.apply(label, 0.3, chi)\n"
             "    group._half_step, group._stage_values = counted_half_step, counted_values\n"
@@ -302,10 +316,14 @@ def test_product_passes_of_a_g_s_apply():
             "    group.action_matrix(label, 0.3)\n"
             "    group._half_step, group._stage_values = half_step, stage_values\n"
             "    print(text, formed, len(values))\n"
-            "    formed.clear(); values.clear()\n")
-    assert _run_fresh(code) == ("G:kl:2 [72, 72, 72, 72, 72, 27] 6\n"
-                                "S:jl:3 [72, 72, 72, 72, 72, 27] 6\n"
-                                "A:i [72, 72, 72, 27] 4\n")
+            "    formed.clear(); values.clear()\n"
+            "kernels = [group._kernel(label) for label in group.all_labels() if label.type_index == 1]\n"
+            "print(sum(len(kernel[-1][2][6](range(256))) for kernel in kernels), 72 * len(kernels))\n")
+    assert _run_fresh(code) == ("G:kl:2 [72, 72, 72, 72, 29, 27] 6\n"
+                                "S:jl:3 [72, 72, 72, 72, 29, 27] 6\n"
+                                "A:i [72, 72, 29, 27] 4\n"
+                                "B:t,z [27, 27] 2\n"
+                                "1527 3240\n")
 
 
 # SHA-256 of action_matrix over all_labels() x (0.3, -0.7), every entry packed
@@ -421,3 +439,54 @@ _LABELS_BY_STAGES = {n: [lab for lab in all_labels() if len(build_sequence(lab))
 def test_apply_matches_reference_bits(label, alpha, coords):
     chi = from_coords(coords)
     assert _bits(apply(label, alpha, chi)) == _bits(reference_apply(label, alpha, chi))
+
+
+def _product_stages(label):
+    """Per product stage of the label's kernel: (stage, the flip run just
+    before it or None, whether it is last), read off build_sequence."""
+    seq, out, flip = build_sequence(label), [], None
+    for n, stage in enumerate(seq):
+        if flip is None and n + 1 < len(seq) and group._is_constant(stage):
+            flip = stage
+        else:
+            out.append((stage, flip, n + 1 == len(seq)))
+            flip = None
+    return out
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+
+
+@given(label=st.sampled_from(sorted(_LABELS_BY_STAGES)).flatmap(
+           lambda n: st.sampled_from(_LABELS_BY_STAGES[n])),
+       alpha=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       y=st.lists(st.one_of(_SPECIAL, st.floats(-1e3, 1e3)), min_size=72, max_size=72),
+       ints=st.lists(st.integers(-9, 9), min_size=72, max_size=72))
+@example(label=parse_label("A:i"), alpha=0.3, y=[-0.0] * 36 + [math.inf] * 36, ints=[0] * 72)
+@settings(max_examples=200, deadline=None)
+def test_fused_left_tables_match_flip_then_table(label, alpha, y, ints):
+    """Each left table of a kernel (shapes S, PSPS, PSPSPS), run on y, has the
+    bits of the flip before its stage, negating by unary minus, then the
+    stage's full left table: at the slots it forms, on float y with float
+    stage values, and exactly on int y with the int values of apply_dual."""
+    kernel = group._kernel(label)
+    stages = _product_stages(label)
+    assert len(kernel) == len(stages)
+    for (terms, slots, left, _, stage), (seq_stage, flip, last) in zip(kernel, stages):
+        assert stage == seq_stage
+        units = group._parts(stage)[2]
+        full = group._half_step_table(units, True)[0]
+        formed = (group._half_step_table(units, False, group._READ_RUNS, compact=True)[1]
+                  if last else range(72))
+        value = stage.at_zero()[0]
+        for x, m in ((y, group._stage_values(terms, slots, alpha)),
+                     (ints, value + [-v for v in value] + [1, -1])):
+            z = x
+            if flip is not None:
+                sources, negations = group._signed_permutation(flip)
+                z = [-x[s] if negations[o] else x[s] for o, s in enumerate(sources[:72])]
+            old = group._half_step(full, m, z, z)
+            fused = group._half_step(left, m, x, x)
+            assert _pack(fused) == _pack([old[o] for o in formed])
+            if x is ints:
+                assert list(fused) == [old[o] for o in formed]
