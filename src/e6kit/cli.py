@@ -239,9 +239,33 @@ def _finite(text: str) -> float:
     return value
 
 
+_NUMERIC_FLAGS = ("--alpha", "--tol")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads `--alpha -1e-3` as `--alpha=-1e-3`.
+
+    argparse (that of Python 3.11, at least) takes a "-"-led token for an
+    option unless it is a plain negative decimal such as -0.001, so a
+    numeric flag would miss a negative value with an exponent.  Each flag of
+    _NUMERIC_FLAGS, or an abbreviation of one, is joined to a next token
+    that is "-", a digit or ".", and then decimal characters only.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for n in range(len(args) - 1, 0, -1):
+            flag, value = args[n - 1], args[n]
+            if (len(flag) > 2 and any(f.startswith(flag) for f in _NUMERIC_FLAGS)
+                    and len(value) > 1 and value[0] == "-" and value[1] in "0123456789."
+                    and set(value) <= _DECIMAL):
+                args[n - 1:n + 1] = [f"{flag}={value}"]
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="e6kit", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="e6kit", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
     formats = {"choices": ("json", "csv"), "default": "json"}
 

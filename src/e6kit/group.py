@@ -10,13 +10,15 @@ A stage is integer data: each matrix entry is a sum of terms
 coeff * f(k2 * alpha / 2) * e_unit with int k2, unit and coeff, and f one of
 the functions of _KINDS, which also gives f(0) and f'(0).  Only the stages
 of the type-1 action are built; type t is reached by rotating chi's fields
-before and after them, a rotation folded into the gathers that load and
-read the state.  One stage kernel, compiled once per sparsity structure of
-the stage matrices, runs both evaluations as flat index tables over the 72
-coefficients of the full 3x3 matrix.  A constant stage (the flip that starts
-each transverse rotation) is a signed permutation of the coefficients,
-folded into the tables of the stage after it, and the last stage forms only
-the 27 that the readout keeps, and the ones that those are formed from.
+before them and the result's after them, the latter folded into the last
+gather.  One stage kernel, compiled once per sparsity structure of the
+stage matrices, runs both evaluations as flat index tables over the 72
+coefficients of the full 3x3 matrix, with one gather per stage.  The
+coefficients of chi (its coordinates, some negated) and each constant stage
+(the flip that starts each transverse rotation, a signed permutation of the
+coefficients) are folded into the tables of the stage after them, and the
+last stage forms only the 27 coordinates of the result, and the products
+that those read.
 `apply` evaluates at a finite alpha in floating point, bit for bit as 3x3
 products of octonion entries would (the `Octonion` reference of
 tests/reference.py).
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import add, itemgetter, neg
+from itertools import groupby
+from operator import add, itemgetter
 from typing import NamedTuple, Optional
 
 from .jordan import JordanElement
@@ -265,7 +268,8 @@ def build_sequence(label: GeneratorLabel) -> list[ParamMatrix]:
 
     The label's type index is not read: type t acts as P^(t-1) A P^(1-t),
     with A this action and P the type cycle, and the evaluators reach it
-    through the gathers of that shift (_LAYOUTS), not through other stages.
+    through the rotations of that shift (_ROTATE, _ORDERS), not through
+    other stages.
     """
     stages = []
     for core, angle in cores(label):
@@ -273,16 +277,11 @@ def build_sequence(label: GeneratorLabel) -> list[ParamMatrix]:
     return stages
 
 
-def _type_1(label: GeneratorLabel) -> GeneratorLabel:
-    return label if label.type_index == 1 else label._replace(type_index=1)
-
-
-_SEQUENCE_CACHE: dict[GeneratorLabel, list[ParamMatrix]] = {}    # type-1 labels only
+_SEQUENCE_CACHE: dict[GeneratorLabel, list[ParamMatrix]] = {}
 
 
 def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
-    """build_sequence(label), built once per type-1 label."""
-    label = _type_1(label)
+    """build_sequence(label), built once per label: type 1 for the kernels and cores."""
     seq = _SEQUENCE_CACHE.get(label)
     if seq is None:
         seq = _SEQUENCE_CACHE[label] = build_sequence(label)
@@ -292,16 +291,16 @@ def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
 # ---------------------------------------------------------------------------
 # stage kernel
 #
-# The kernel keeps the full 3x3 octonion matrix X of chi as a state of 72
-# coefficients, entry (i, j) unit u at 8 * (3 * i + j) + u.  A stage fills 146
-# slots m: the coefficients of M in the same layout, their negations, then
-# the constants 1 and -1 (_COPY, _MINUS).  Each half-step, M X and then
-# (M X) M†, gives every state coefficient as the sum of one or two products
-# m * x: the products that a 3x3 product of octonion entries forms (the
-# `Octonion` reference of tests/reference.py), and those it skips because a
-# factor is zero.  A block that only an identity entry (`_ONE`) reaches is a
-# copy of a source the caller passes: the state for M, zeros for M' (the
-# derivative of a constant is 0).
+# The kernel works on the full 3x3 octonion matrix X of chi as 72
+# coefficients, entry (i, j) unit u at slot 8 * (3 * i + j) + u.  A stage
+# fills 146 slots m: the coefficients of M in the same layout, their
+# negations, then the constants 1 and -1 (_COPY, _MINUS).  Each half-step,
+# M X and then (M X) M†, gives every coefficient as the sum of one or two
+# products m * x: the products that a 3x3 product of octonion entries forms
+# (the `Octonion` reference of tests/reference.py), and those it skips
+# because a factor is zero.  A block that only an identity entry (`_ONE`)
+# reaches is a copy of a source the caller passes: the input for M, zeros
+# for M' (the derivative of a constant is 0).
 # `apply` runs the tables on floats, `apply_dual` on ints, packed ints included.
 # For floats, a zero product changes no sum of two, and float addition of two
 # terms is commutative, so every nonzero float has the bits of the octonion
@@ -310,19 +309,25 @@ def _sequence(label: GeneratorLabel) -> list[ParamMatrix]:
 # products appear depends only on which units each entry of M uses, so the
 # tables are built once per such sparsity structure.
 #
-# A constant stage (the flip M = -q I that starts each transverse rotation)
-# is a signed permutation of the state, x[o] -> +-x[s], and is folded into
-# the left table of the stage after it: a product m[i] * x[o] reads x[s], and
-# the negation slot of m[i] where x[o] is negated; a copy of x[o] reads x[s],
-# or is the product m[_MINUS] * x[s] where negated.  (-m) * y and m * (-y)
-# have the same bits, as have -1.0 * y and -y, signed zeros and infinities
-# included; only a nan's sign may differ.  So a call runs no permutation,
-# only product passes.  The last stage's right half-step forms only the 27
-# slots of _READ_RUNS, and its left half-step only the slots that those read.
+# Apart from one gather per stage, no pass moves a value without forming a
+# product.  X enters as the 28 values [*coords, 0]: each coefficient is a
+# coordinate, negated where conj negates an imaginary unit, or the 0 of an
+# empty unit of a diagonal entry (_state_fold).  A constant stage (the flip
+# M = -q I that starts each transverse rotation) is a signed permutation,
+# x[o] -> +-x[s].  Each such move is folded into the left table of the next
+# product stage: a product m[i] * x[o] reads x[s], and the negation slot of
+# m[i] where x[o] is negated; a copy of x[o] reads x[s], or is the product
+# m[_MINUS] * x[s] where negated.  (-m) * y and m * (-y) have the same bits,
+# as have -1.0 * y and -y, signed zeros and infinities included; only a
+# nan's sign may differ.  The left half-step returns its raw list
+# [products of one term, products of two, *x], which the right table reads
+# by position; the right half-step gathers the next stage's X, or, for the
+# last stage, the 27 coordinates of the result in the order of the label's
+# type.  So the last right half-step forms only those, and the last left
+# one only the slots that they read.
 
 _NEG = 72
 _COPY, _MINUS = 2 * _NEG, 2 * _NEG + 1
-_ZEROS = (0,) * _NEG
 # The slots a half-step forms, as runs (block, first unit, end unit): all 72
 # in state order, or the 27 coordinates p, m, n, a, b, c that the readout keeps.
 _ALL_RUNS = tuple((block, 0, 8) for block in range(9))
@@ -331,7 +336,43 @@ _READ_RUNS = ((0, 0, 1), (4, 0, 1), (8, 0, 1), (3, 0, 8), (7, 0, 8), (2, 0, 8))
 # An 8-byte index pattern read as an int: adding d * _EACH_BYTE adds d to each
 # of its bytes (every index stays below 256, so no byte carries).
 _EACH_BYTE = int.from_bytes(bytes([1] * 8), "little")
-_IDENTITY, _MINUS_BYTE = bytes(range(256)), bytes([_MINUS])
+_IDENTITY, _COPY_BYTE = bytes(range(256)), bytes([_COPY])
+_UNFOLDED = (_IDENTITY, bytes(256))
+# m slot -> the slot of its negation: s <-> _NEG + s, and _COPY <-> _MINUS.
+_SWAP = bytes([*range(_NEG, 2 * _NEG), *range(_NEG), _MINUS, _COPY, *range(2 * _NEG + 2, 256)])
+
+
+def _rotation(shift: int) -> list[int]:
+    """[k]: the coordinate of chi that is coordinate k once p, m, n and a, b, c
+    are each rotated back by shift; _rotation(-shift) undoes it."""
+    return [(k + shift) % 3 if k < 3 else 3 + (k - 3 + 8 * shift) % 24 for k in range(27)]
+
+
+# A type-t label runs the type-1 kernel on chi's coordinates rotated back by
+# shift = t - 1 (_ROTATE), and its last gather rotates the result's forward
+# again: coordinate k of the result is coordinate _ORDERS[shift][k] of the
+# type-1 readout.
+_ROTATE = (None, *(itemgetter(*_rotation(shift)) for shift in (1, 2)))
+_ORDERS = tuple(tuple(_rotation(-shift)) for shift in range(3))
+_READOUTS = tuple(itemgetter(*order) for order in _ORDERS)
+
+
+def _state_fold() -> tuple:
+    """The fold (see _half_step_table) that reads X's 72 coefficients from [*coords, 0]."""
+    sources, negations = [], []
+    for start, conj in ((0, None), (3, True), (19, False),      # p, conj(a), c
+                        (3, False), (1, None), (11, True),      # a, m, conj(b)
+                        (19, True), (11, False), (2, None)):    # conj(c), b, n
+        if conj is None:    # a real coordinate, then the 0 at 27 for the empty units
+            sources += [start] + [27] * 7
+            negations += [0] * 8
+        else:
+            sources += range(start, start + 8)
+            negations += [0] + [255 * conj] * 7
+    return bytes(sources).ljust(256, b"\0"), bytes(negations).ljust(256, b"\0")
+
+
+_STATE = _state_fold()
 
 
 def _unit_products(left: bool) -> tuple:
@@ -370,21 +411,23 @@ def _runs(slots: list) -> tuple:
 
 
 def _half_step_table(units: tuple, left: bool, runs: tuple = _ALL_RUNS,
-                     flip: Optional[tuple] = None, compact: bool = False) -> tuple:
-    """(index tables, x slots read) of the half-step M X (left) or Y M† for one structure.
+                     fold: tuple = _UNFOLDED) -> tuple:
+    """(index columns, parts) of the half-step M X (left) or Y M† for one structure.
 
     units[e] lists the units that entry e of M uses, or is None for an
     identity entry.  Output block (i, j) of 8 slots takes one product from
     each unit of each nonzero entry (i, k) of M (left) or (j, k) (right); a
     block that takes only an identity entry is a copy.  Only the slots of
-    runs are formed: products of one and of two terms go to two flat lists,
-    and the gather returns them and the copies in the order of runs.  With
-    a flip (_signed_permutation), x[o] is read as x[sources[o]], negated
-    where negations[o].  With compact, x holds only the slots that the table
-    reads, by position, and they are returned sorted; else None.
+    runs are formed: the columns are the m and x slots of the products of one
+    term, then of two (see _zipped), and parts lists the formed slots in the
+    order of runs as (kind, indices): products of one term (kind 0) or of two
+    (1) as a range of their indices, or copies (2) as the bytes of the x
+    slots copied.  A fold (sources, negations), as translation tables, reads
+    x[o] as x[sources[o]], negated where negations[o] (which is then 255,
+    else 0).
     """
     products, factors = _PRODUCTS[left], _FACTORS[left]
-    sources, negations = flip or (None, None)
+    sources, negations = fold
     ones, twos, parts = [], [], []
     n_ones = n_twos = 0
     for block, lo, hi in runs:
@@ -395,28 +438,23 @@ def _half_step_table(units: tuple, left: bool, runs: tuple = _ALL_RUNS,
                 copy, entry = x0, (0,)
             for u in entry:
                 negs, others = products[u]
-                x = (others + x0 * _EACH_BYTE).to_bytes(8, "little")
-                if flip:    # XOR with _NEG swaps an m slot and its negation
-                    negs ^= int.from_bytes(x.translate(negations), "little")
-                    x = x.translate(sources)
                 cols.append(((negs + (8 * e + u) * _EACH_BYTE).to_bytes(8, "little")[lo:hi],
-                             x[lo:hi]))
-        if len(cols) == 1 and copy is not None and not flip:
-            parts.append((2, copy + lo, hi - lo))
-        elif len(cols) == 1 and copy is not None:
-            for o in range(copy + lo, copy + hi):
-                if negations[o]:    # the product -1 * x[sources[o]]
-                    parts.append((0, n_ones, 1))
-                    ones.append((_MINUS_BYTE, sources[o:o + 1]))
-                    n_ones += 1
+                             (others + x0 * _EACH_BYTE).to_bytes(8, "little")[lo:hi]))
+        if len(cols) == 1 and copy is not None:
+            for negated, run in groupby(_IDENTITY[copy + lo:copy + hi], negations.__getitem__):
+                run = bytes(run)
+                if negated:    # products 1 * x[o], folded below into -1 * x[sources[o]]
+                    parts.append((0, range(n_ones, n_ones + len(run))))
+                    ones.append((_COPY_BYTE * len(run), run))
+                    n_ones += len(run)
                 else:
-                    parts.append((2, sources[o], 1))
+                    parts.append((2, run.translate(sources)))
         elif len(cols) == 1:
-            parts.append((0, n_ones, hi - lo))
+            parts.append((0, range(n_ones, n_ones + hi - lo)))
             ones.append(cols[0])
             n_ones += hi - lo
         elif len(cols) == 2:
-            parts.append((1, n_twos, hi - lo))
+            parts.append((1, range(n_twos, n_twos + hi - lo)))
             twos.append(cols)
             n_twos += hi - lo
         else:
@@ -424,70 +462,128 @@ def _half_step_table(units: tuple, left: bool, runs: tuple = _ALL_RUNS,
     columns = [b"".join(m for m, _ in ones), b"".join(x for _, x in ones),
                b"".join(c[0][0] for c in twos), b"".join(c[0][1] for c in twos),
                b"".join(c[1][0] for c in twos), b"".join(c[1][1] for c in twos)]
-    at, reads = _IDENTITY, None
-    if compact:
-        copied = (range(first, first + n) for kind, first, n in parts if kind == 2)
-        reads = sorted(set(columns[1]).union(columns[3], columns[5], *copied))
-        at = bytes.maketrans(bytes(reads), bytes(range(len(reads))))
-        columns[1::2] = [c.translate(at) for c in columns[1::2]]
-    bases = (0, n_ones, n_ones + n_twos)
-    where = []
-    for kind, first, n in parts:
-        first = bases[kind] + (at[first] if kind == 2 else first)
-        where += range(first, first + n)
-    where = tuple(where)
-    gather = _GATHERS.get(where)
-    if gather is None:
-        gather = _GATHERS[where] = itemgetter(*where)
-    return (*columns, gather), reads
+    if fold is not _UNFOLDED:    # m[i] * x[o] reads x[sources[o]], and -m[i] where negated
+        for n in (0, 2, 4):
+            m, x = columns[n], columns[n + 1]
+            keep, swap = int.from_bytes(m, "little"), int.from_bytes(m.translate(_SWAP), "little")
+            negate = int.from_bytes(x.translate(negations), "little")
+            m = (keep ^ (keep ^ swap) & negate).to_bytes(len(m), "little")
+            columns[n:n + 2] = m, x.translate(sources)
+    return columns, parts
 
 
-_STAGE_TABLES: dict[tuple, tuple] = {}    # by (units, last, flip)
-_STAGES: dict[tuple, tuple] = {}          # by (stage, flip, last)
+def _where(columns: list, parts: list, copies: bytes = _IDENTITY) -> bytes:
+    """Each formed slot's position in the raw list [products of one term,
+    products of two, *x], with x[s] at position copies[s] of x."""
+    n_ones, base = len(columns[0]), len(columns[0]) + len(columns[2])
+    copies = copies.translate(_IDENTITY[base:] + _IDENTITY[:base])    # + base
+    return b"".join(_IDENTITY[n_ones * kind + indices.start:n_ones * kind + indices.stop]
+                    if kind < 2 else indices.translate(copies) for kind, indices in parts)
+
+
+def _read_slots(columns: list, parts: list) -> list:
+    """The sorted x slots that a half-step table reads."""
+    copied = [slots for kind, slots in parts if kind == 2]
+    return sorted(set(columns[1]).union(columns[3], columns[5], *copied))
+
+
+def _zipped(columns: list) -> tuple:
+    """The index columns as (ones, twos): pairs (m slot, x slot) of the
+    products of one term, and 4-tuples (m slot, x slot, m slot, x slot) of
+    those of two."""
+    return tuple(zip(*columns[:2])), tuple(zip(*columns[2:]))
+
+
+def _table_pair(units: tuple, fold: tuple, last: bool) -> tuple:
+    """(left table, right table per shift) of one structure.
+
+    A table is (ones, twos, gather) (see _zipped).  The right half-step
+    forms _READ_RUNS if last, else all 72 slots, and its gather gives them
+    in state order, or the coordinates in the order of each type.  The left
+    half-step forms only the slots that the right one reads, through fold,
+    and has no gather: the right table reads them by their position in its
+    raw list, which stays below 256 (at most 72 products, then x).
+    """
+    columns, parts = _half_step_table(units, False, _READ_RUNS if last else _ALL_RUNS)
+    formed = _read_slots(columns, parts) if last else range(_NEG)
+    left, left_parts = _half_step_table(units, True, _runs(formed) if last else _ALL_RUNS, fold)
+    at = bytes.maketrans(bytes(formed), _where(left, left_parts))    # Y's slot -> position
+    columns[1::2] = [c.translate(at) for c in columns[1::2]]
+    where, right = _where(columns, parts, at), _zipped(columns)
+    wheres = [order(where) for order in _READOUTS] if last else [tuple(where)] * 3
+    return (*_zipped(left), None), tuple(
+        (*right, _GATHERS.get(w) or _GATHERS.setdefault(w, itemgetter(*w))) for w in wheres)
+
+
+_STAGE_TABLES: dict[tuple, int] = {}      # by (units, flip, first, last): an index into _TABLES
+_STAGES: dict[tuple, tuple] = {}          # by (stage, flip, first, last)
+_TABLES: list[tuple] = []                 # (left table, right tables, length of the left's x)
 _FLIPS: dict[ParamMatrix, tuple] = {}
+_TEMPLATES: dict[tuple, tuple] = {}       # by the terms they hold
+_CONST = _KINDS["const"][0]
+_BLANK = (0.0,) * _COPY + (1.0, -1.0)
 
 
 def _parts(stage: ParamMatrix) -> tuple:
-    """(terms, slots, units) of a stage.
+    """(template, terms, slots, units) of a stage.
 
-    terms are (value slot, f, k2 / 2, coeff) per term, with float constants:
-    the slot takes coeff * f(k2 / 2 * alpha).  slots are the slots whose
-    negation the tables read; units, the structure the tables depend on.
+    template holds the slots that only constant terms fill, their negations,
+    and 1.0 and -1.0 at _COPY and _MINUS.  terms are (value slot, f, k2 / 2,
+    coeff) per other term, with float constants: the slot takes
+    coeff * f(k2 / 2 * alpha).  slots are the slots of terms, whose
+    negations the tables read; units, the structure the tables depend on.
     """
     flat = [terms for row in stage.entries for terms in row]
-    terms = tuple((8 * e + unit, _KINDS[kind][0], k2 / 2, float(coeff))
-                  for e, entry in enumerate(flat) for kind, k2, unit, coeff in entry)
-    units = tuple(None if entry == _ONE else tuple(sorted({t[2] for t in entry}))
-                  for entry in flat)
-    return terms, tuple(sorted({t[0] for t in terms})), units
+    terms = [(8 * e + unit, _KINDS[kind][0], k2 / 2, float(coeff))
+             for e, entry in enumerate(flat) for kind, k2, unit, coeff in entry]
+    varying = {t[0] for t in terms if t[1] is not _CONST}
+    fixed = tuple(t for t in terms if t[0] not in varying)
+    template = _TEMPLATES.get(fixed)
+    if template is None:
+        template = tuple(_stage_values(_BLANK, fixed, {t[0] for t in fixed}, 0.0))
+        _TEMPLATES[fixed] = template
+    units = tuple([None if entry == _ONE else tuple(sorted({t[2] for t in entry})) if entry else ()
+                   for entry in flat])
+    return template, tuple(t for t in terms if t[0] in varying), tuple(sorted(varying)), units
 
 
-def _compile_stage(stage: ParamMatrix, flip: Optional[ParamMatrix], last: bool) -> tuple:
-    """(terms, slots, left table, right table, stage), shared by equal stages.
+def _fold(flip: Optional[ParamMatrix], first: bool) -> tuple:
+    """The fold of a stage's left table: flip's, after _STATE if first."""
+    fold = _signed_permutation(flip) if flip else _UNFOLDED
+    if first:    # the flip moves X's coefficients, which _STATE reads
+        sources, negations = fold
+        negate = int.from_bytes(negations, "little") ^ int.from_bytes(
+            sources.translate(_STATE[1]), "little")
+        fold = sources.translate(_STATE[0]), negate.to_bytes(256, "little")
+    return fold
 
-    The tables are built once per structure.  A last stage's right half-step
-    forms only _READ_RUNS, reading Y's slots by position among those it
-    reads, and its left one forms only those.  flip, the constant stage run
-    just before this one or None, is folded into the left table.
+
+def _compile_stage(stage: ParamMatrix, flip: Optional[ParamMatrix], first: bool,
+                   last: bool) -> tuple:
+    """Per shift, the stage's entry (template, terms, slots, left table,
+    right table, stage, index of the tables in _TABLES), shared by equal stages.
+
+    The tables are built once per structure and fold: flip, the constant
+    stage run just before this one or None, and for the first stage the
+    state gather, are folded into the left table.
     """
-    compiled = _STAGES.get((stage, flip, last))
+    compiled = _STAGES.get((stage, flip, first, last))
     if compiled is None:
-        terms, slots, units = _parts(stage)
-        tables = _STAGE_TABLES.get((units, last, flip))
-        if tables is None:
-            right, reads = _half_step_table(units, False, _READ_RUNS if last else _ALL_RUNS,
-                                            compact=last)
-            left = _half_step_table(units, True, _runs(reads) if last else _ALL_RUNS,
-                                    flip and _signed_permutation(flip))[0]
-            tables = _STAGE_TABLES[units, last, flip] = (left, right)
-        compiled = _STAGES[stage, flip, last] = (terms, slots, *tables, stage)
+        template, terms, slots, units = _parts(stage)
+        index = _STAGE_TABLES.get((units, flip, first, last))
+        if index is None:
+            index = _STAGE_TABLES[units, flip, first, last] = len(_TABLES)
+            _TABLES.append((*_table_pair(units, _fold(flip, first), last), 28 if first else _NEG))
+        left, rights, _ = _TABLES[index]
+        compiled = _STAGES[stage, flip, first, last] = tuple(
+            (template, terms, slots, left, right, stage, index) for right in rights)
     return compiled
 
 
 def _signed_permutation(stage: ParamMatrix) -> tuple:
     """(sources, negations) of a constant stage, as translation tables: its
     result at slot o is x[sources[o]], negated where negations[o] (which is
-    then _NEG, else 0).
+    then 255, else 0).
 
     The stage's two half-steps run once on x[j] = j + 1: with no sums of
     two and slots of +-1, result o is +-(source + 1).  AssertionError unless
@@ -495,16 +591,16 @@ def _signed_permutation(stage: ParamMatrix) -> tuple:
     """
     perm = _FLIPS.get(stage)
     if perm is None:
-        terms, slots, units = _parts(stage)
-        m = [int(v) for v in _stage_values(terms, slots, 0.0)]
-        left, right = (_half_step_table(units, half)[0] for half in (True, False))
+        template, terms, slots, units = _parts(stage)
+        m = [int(v) for v in _stage_values(template, terms, slots, 0.0)]
+        left, (right, *_) = _table_pair(units, _UNFOLDED, False)
         tags = range(1, _NEG + 1)
         y = _half_step(left, m, tags, tags)
         result = _half_step(right, m, y, y)
-        if left[2] or right[2] or max(map(abs, m)) != 1 or sorted(map(abs, result)) != list(tags):
+        if left[1] or right[1] or max(map(abs, m)) != 1 or sorted(map(abs, result)) != list(tags):
             raise AssertionError("a constant stage is not a signed permutation of the state")
         perm = _FLIPS[stage] = (bytes(abs(v) - 1 for v in result).ljust(256, b"\0"),
-                                bytes(_NEG * (v < 0) for v in result).ljust(256, b"\0"))
+                                bytes(255 * (v < 0) for v in result).ljust(256, b"\0"))
     return perm
 
 
@@ -514,32 +610,40 @@ def _is_constant(stage: ParamMatrix) -> bool:
                for entry in row for t in entry)
 
 
-_KERNELS: dict[GeneratorLabel, tuple] = {}    # type-1 labels only
+_KERNELS: dict[GeneratorLabel, tuple] = {}    # by label as passed
+_CHAINS: dict[GeneratorLabel, tuple] = {}     # by type-1 label
 
 
-def _kernel(label: GeneratorLabel) -> tuple:
-    """The compiled product stages of the label's type-1 action.
+def _chains(label: GeneratorLabel) -> tuple:
+    """Per shift, the compiled product stages of the type-1 label's action.
 
     A constant stage that another follows is folded into that one's left table.
     """
-    label = _type_1(label)
-    kernel = _KERNELS.get(label)
-    if kernel is None:
+    chains = _CHAINS.get(label)
+    if chains is None:
         seq, stages, flip = _sequence(label), [], None
         for n, stage in enumerate(seq):
             if flip is None and n + 1 < len(seq) and _is_constant(stage):
                 flip = stage
             else:
-                stages.append(_compile_stage(stage, flip, n + 1 == len(seq)))
+                stages.append(_compile_stage(stage, flip, not stages, n + 1 == len(seq)))
                 flip = None
-        kernel = _KERNELS[label] = tuple(stages)
+        chains = _CHAINS[label] = tuple(zip(*stages))
+    return chains
+
+
+def _kernel(label: GeneratorLabel) -> tuple:
+    """(shift, compiled product stages) of the label's action: one lookup once built."""
+    kernel = _KERNELS.get(label)
+    if kernel is None or type(label.type_index) is not int:    # 2.0 and True hash as ints
+        shift = _shift(label)
+        kernel = _KERNELS[label] = (shift, _chains(label._replace(type_index=1))[shift])
     return kernel
 
 
-def _stage_values(terms: tuple, slots: tuple, alpha: float) -> list:
+def _stage_values(template: tuple, terms: tuple, slots, alpha: float) -> list:
     """The stage's 146 float slots at alpha: M's coefficients, negations, 1.0, -1.0."""
-    m = [0.0] * (2 * _NEG + 2)
-    m[_COPY], m[_MINUS] = 1.0, -1.0
+    m = list(template)
     for slot, f, k, coeff in terms:
         m[slot] = m[slot] + coeff * f(k * alpha)
     for slot in slots:
@@ -547,51 +651,16 @@ def _stage_values(terms: tuple, slots: tuple, alpha: float) -> list:
     return m
 
 
-def _half_step(table: tuple, m: list, x, copies) -> tuple:
-    """One half-step of the stage: products of m and x, copies from `copies`."""
-    ones_m, ones_x, twos_m, twos_x, twos_m2, twos_x2, gather = table
-    v = [m[i] * x[j] for i, j in zip(ones_m, ones_x)]
-    v += [m[i] * x[j] + m[k] * x[l] for i, j, k, l in zip(twos_m, twos_x, twos_m2, twos_x2)]
+def _half_step(table: tuple, m: list, x, copies) -> list:
+    """One half-step of the stage: products of m and x, then the copy sources,
+    gathered, or as the raw list if the table has no gather."""
+    ones, twos, gather = table
+    v = [m[i] * x[j] for i, j in ones]
+    v += [m[i] * x[j] + m[k] * x[l] for i, j, k, l in twos]
     v += copies
-    return gather(v)
+    return v if gather is None else gather(v)
 
 
-# The state of chi and its readout are single gathers.  The state gathers
-# from chi's 27 coordinates, their 27 negations (conj negates the imaginary
-# units) and one zero for the empty units of the diagonal entries.  The last
-# stage leaves the 27 slots of _READ_RUNS, in that order, and the readout
-# gathers the coordinates from them.  A type-t label runs the type-1 kernel
-# on chi's fields rotated back by shift = t - 1, and the result's fields are
-# rotated forward again; both rotations are folded into the gathers of that
-# shift.
-
-def _rotation(shift: int) -> list[int]:
-    """[k]: the coordinate of chi that is coordinate k once p, m, n and a, b, c
-    are each rotated back by shift; _rotation(-shift) undoes it."""
-    return [(k + shift) % 3 if k < 3 else 3 + (k - 3 + 8 * shift) % 24 for k in range(27)]
-
-
-def _entry(start: int, conj: bool) -> list[int]:
-    """The 8 gather indices of octonion coordinates start.. or of their conj."""
-    return [start] + [start + u + 27 * conj for u in range(1, 8)]
-
-
-_ZERO_AT = 54
-_PAD = [_ZERO_AT] * 7      # the empty units of a diagonal entry
-_STATE_INDICES = ([0] + _PAD + _entry(3, True) + _entry(19, False)       # p, conj(a), c
-                  + _entry(3, False) + [1] + _PAD + _entry(11, True)     # a, m, conj(b)
-                  + _entry(19, True) + _entry(11, False) + [2] + _PAD)   # conj(c), b, n
-
-
-def _layouts(shift: int) -> tuple:
-    """(state gather, readout positions in _READ_RUNS, readout gather) for one shift."""
-    rotated = _rotation(shift)
-    state = [i if i == _ZERO_AT else i - i % 27 + rotated[i % 27] for i in _STATE_INDICES]
-    read = tuple(_rotation(-shift))
-    return itemgetter(*state), read, itemgetter(*read)
-
-
-_LAYOUTS = tuple(map(_layouts, range(3)))
 _SHIFTS = {1: 0, 2: 1, 3: 2}
 
 
@@ -609,11 +678,6 @@ def _shift(label: GeneratorLabel) -> int:
     return shift
 
 
-def _state(coords, zero, shift: int = 0) -> tuple:
-    """The 72 coefficients of the full matrix of chi, from its coordinates."""
-    return _LAYOUTS[shift][0]([*coords, *map(neg, coords), zero])
-
-
 def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElement:
     """Float evaluation of the finite group action at parameter alpha.
 
@@ -625,61 +689,54 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
     the same sum of at most two products, so the bits are the type-t ones.
     """
     alpha = float(alpha)
-    shift = _shift(label)
-    x = _state(tuple(map(float, chi.coords)), 0.0, shift)
-    for terms, slots, left, right, _ in _kernel(label):
-        m = _stage_values(terms, slots, alpha)
+    shift, stages = _kernel(label)
+    x = [*map(float, _ROTATE[shift](chi.coords) if shift else chi.coords), 0.0]
+    for template, terms, slots, left, right, _, _ in stages:
+        m = _stage_values(template, terms, slots, alpha)
         y = _half_step(left, m, x, x)
         x = _half_step(right, m, y, y)
-    return JordanElement(tuple([v + 0.0 for v in _LAYOUTS[shift][2](x)]))
+    return JordanElement(tuple([v + 0.0 for v in x]))
 
 
-# action_matrix reads each half-step table from the source side: per state
-# slot, the one or two (output slot, m slot) pairs it feeds, with m slot
-# _COPY = 1.0 for a copy, or none where the last stage does not form the
-# slot fed.  A basis column fills few slots, so its pass follows the
-# nonzeros.  It forms the products `apply` forms, in either order (a sum of
-# two floats is commutative), and skips those of unreached slots: +-0 in
-# `apply`, times a finite stage value, changes no sum of two.  So each column
-# has the bits of `apply` on that basis element; every sum starts from +0.0,
-# so no zero is negative.
+# action_matrix reads each half-step table from the source side: per input
+# position, the (output position, m slot) pairs it feeds, with m slot
+# _COPY = 1.0 for a copy; a left table's pairs whose output the right one
+# does not read are dropped.  A basis column fills few positions, so its pass
+# follows the nonzeros.  It forms the products `apply` forms, in either
+# order (a sum of two floats is commutative), and skips those of unreached
+# positions: +-0 in `apply`, times a finite stage value, changes no sum of
+# two.  So each column has the bits of `apply` on that basis element; every
+# sum starts from +0.0, so no zero is negative.
 
-_SOURCES: dict[tuple, tuple] = {}     # by half-step table
-_PAIRS: dict[tuple, tuple] = {}       # one copy of each (output slot, m slot) pair
-_BASIS_COLUMNS: list[dict] = []
+_SOURCES: dict[int, tuple] = {}       # by index into _TABLES
+_PAIRS: dict[tuple, tuple] = {}       # one copy of each (output position, m slot) pair
 
 
-def _sources(table: tuple) -> tuple:
-    """(first pair, second pair) that each state slot feeds, by slot; None for none."""
-    ones_m, ones_x, twos_m, twos_x, twos_m2, twos_x2, gather = table
-    products = [((i, j),) for i, j in zip(ones_m, ones_x)]
-    products += [((i, j), (k, l)) for i, j, k, l in zip(twos_m, twos_x, twos_m2, twos_x2)]
-    products += [((_COPY, j),) for j in range(_NEG)]
-    feeds = [[] for _ in range(_NEG)]
-    for out, pairs in enumerate(gather(products)):
+def _sources(table: tuple, n_in: int) -> list:
+    """Per input position of the table, the (output position, m slot) pairs it feeds."""
+    ones, twos, gather = table
+    products = [((i, j),) for i, j in ones]
+    products += [((i, j), (k, l)) for i, j, k, l in twos]
+    products += [((_COPY, j),) for j in range(n_in)]
+    feeds = [[] for _ in range(n_in)]
+    for out, pairs in enumerate(products if gather is None else gather(products)):
         for i, j in pairs:
             feeds[j].append(_PAIRS.setdefault((out, i), (out, i)))
-    if max(map(len, feeds)) > 2:
-        raise AssertionError("a state slot feeds more than two products")
-    return (tuple(f[0] if f else None for f in feeds),
-            tuple(f[1] if len(f) == 2 else None for f in feeds))
+    return feeds
 
 
-def _source_side(table: tuple) -> tuple:
-    """_sources(table), once per half-step table."""
-    form = _SOURCES.get(table)
+def _source_side(index: int) -> tuple:
+    """(left form, right form) of the tables _TABLES[index], built once.
+
+    The last right form gives the coordinates in type-1 order.
+    """
+    form = _SOURCES.get(index)
     if form is None:
-        form = _SOURCES[table] = _sources(table)
+        left, (right, *_), n_in = _TABLES[index]
+        second = _sources(right, len(left[0]) + len(left[1]) + n_in)
+        first = [tuple(p for p in pairs if second[p[0]]) for pairs in _sources(left, n_in)]
+        form = _SOURCES[index] = (tuple(first), tuple(map(tuple, second)))
     return form
-
-
-def _basis_columns() -> list[dict]:
-    """The 27 coordinate basis elements as sparse states {slot: +-1.0}."""
-    if not _BASIS_COLUMNS:
-        for j in range(27):
-            x = _state([float(i == j) for i in range(27)], 0.0)
-            _BASIS_COLUMNS.append({slot: c for slot, c in enumerate(x) if c})
-    return _BASIS_COLUMNS
 
 
 def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
@@ -693,29 +750,23 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
     is coordinate sigma[i] of type 1, its field shifted by -(t - 1).
     """
     alpha = float(alpha)
-    shift = _shift(label)
+    shift, stages = _kernel(label)
     passes = []
-    for terms, slots, left, right, _ in _kernel(label):
-        m = _stage_values(terms, slots, alpha)
-        passes += [(*_source_side(left), m), (*_source_side(right), m)]
-    rows = _LAYOUTS[shift][1]
-    basis = _basis_columns()
+    for template, terms, slots, _, _, _, index in stages:
+        m = _stage_values(template, terms, slots, alpha)
+        first, second = _source_side(index)
+        passes += [(first, m), (second, m)]
+    order = _ORDERS[shift]
     cols = []
-    for j in _rotation(-shift):
-        x = basis[j]
-        for first, second, m in passes:
+    for j in order:
+        x = {j: 1.0}
+        for feeds, m in passes:
             y = {}
             for slot, v in x.items():
-                pair = first[slot]
-                if pair:
-                    out, i = pair
+                for out, i in feeds[slot]:
                     y[out] = y.get(out, 0.0) + m[i] * v
-                    pair = second[slot]
-                    if pair:
-                        out, i = pair
-                        y[out] = y.get(out, 0.0) + m[i] * v
             x = y
-        cols.append([x.get(k, 0.0) for k in rows])
+        cols.append([x.get(k, 0.0) for k in order])
     return [list(row) for row in zip(*cols)]
 
 
@@ -736,16 +787,16 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     type-t label runs its type-1 stages on chi's rotated fields, through the
     gathers that `apply` uses.
     """
-    shift = _shift(label)
-    x = _state(chi.coords, 0, shift)
-    d = _ZEROS
-    for _, _, left, right, stage in _kernel(label):
+    shift, stages = _kernel(label)
+    x = [*(_ROTATE[shift](chi.coords) if shift else chi.coords), 0]
+    d = [0] * len(x)
+    for _, _, _, left, right, stage, _ in stages:
         value, twice = stage.at_zero()
         m = value + [-v for v in value] + [1, -1]
         dm = twice + [-v for v in twice] + [0, 0]
         mx = _half_step(left, m, x, x)
-        inner = list(map(add, _half_step(left, dm, x, _ZEROS), _half_step(left, m, d, d)))
-        d = list(map(add, _half_step(right, m, inner, inner), _half_step(right, dm, mx, _ZEROS)))
+        inner = list(map(add, _half_step(left, dm, x, [0] * len(x)), _half_step(left, m, d, d)))
+        d = list(map(add, _half_step(right, m, inner, inner),
+                     _half_step(right, dm, mx, [0] * len(mx))))
         x = _half_step(right, m, mx, mx)
-    read = _LAYOUTS[shift][2]
-    return JordanElement(read(x)), JordanElement(read(d))
+    return JordanElement(x), JordanElement(tuple(d))

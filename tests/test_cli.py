@@ -291,6 +291,14 @@ def test_apply_preserves_det():
     assert abs(data["det"] - json.loads(base.stdout)["det"]) < 1e-9
 
 
+def test_negative_alpha_with_an_exponent_reads_as_the_equals_form():
+    chi = json.dumps({"coords": [1, 2, 3] + [0.5] * 24})
+    spaced = run_cli("apply", "--label", "A:i", "--alpha", "-1e-3", "--chi", "-", stdin=chi)
+    joined = run_cli("apply", "--label", "A:i", "--alpha=-1e-3", "--chi", "-", stdin=chi)
+    assert (spaced.returncode, spaced.stderr) == (0, "")
+    assert spaced.stdout == joined.stdout
+
+
 _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                      reason="no /dev/full to fail a write")
 
@@ -320,6 +328,8 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
     ["apply", "--label", "A:i", "--alpha", "٠.٣", "--chi", "-"],
     ["apply", "--label", "A:i", "--alpha", "0.3 ", "--chi", "-"],
     ["apply", "--label", "A:i", "--alpha", "inf", "--chi", "-"],
+    ["verify", "--suite", "det", "--tol", "-1e-3"],     # read, then refused as not positive
+    ["apply", "--label", "A:i", "--alpha", "--chi", "-"],  # no number after --alpha
     pytest.param(["stab-l", "--out", "/dev/full"], marks=_NEEDS_DEV_FULL),
 ])
 def test_usage_errors_exit_2(args):
@@ -333,10 +343,12 @@ def test_usage_errors_exit_2(args):
     ("--seed", "0", 0), ("--seed", "17", 17), ("--seed", "-3", -3),
     ("--tol", "1e-300", 1e-300), ("--tol", "2E+3", 2000.0), ("--tol", ".5", 0.5),
     ("--tol", "3.", 3.0), ("--tol", "-1.5", -1.5), ("--tol", "7", 7.0),
+    ("--tol", "-1e-3", -0.001), ("--tol", "-.5E1", -5.0), ("--tol", "-2e+3", -2000.0),
 ])
 def test_numeric_flags_take_ascii_numbers(flag, text, value):
     """--seed takes ASCII digits after an optional "-"; --tol and --alpha an
-    ASCII decimal with an optional exponent, read as float() reads it."""
+    ASCII decimal with an optional exponent, read as float() reads it, also
+    when it is negative and follows the flag as a token of its own."""
     from e6kit import cli
     args = cli.build_parser().parse_args(["verify", flag, text])
     assert getattr(args, flag[2:]) == value and type(getattr(args, flag[2:])) is type(value)
@@ -376,6 +388,7 @@ def test_closed_pipe_exits_0_quietly(args):
 
 _BAD_VALUES = {
     ("verify", "--suite", "det", "--tol", "-1"): "verify: --tol must be positive, got -1",
+    ("verify", "--suite", "det", "--tol", "-1e-3"): "verify: --tol must be positive, got -0.001",
     ("roots", "--algebra", "A2", "--highest", "1,-1"):
         "roots: highest-weight marks must be non-negative, got [1, -1]",
     ("roots", "--algebra", "A2", "--highest", "1000000,1000000"):

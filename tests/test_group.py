@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 from fractions import Fraction
+from operator import itemgetter, neg
 
 import pytest
 from hypothesis import example, given, settings
@@ -68,10 +69,16 @@ def test_illegal_labels_rejected(bad):
 def test_out_of_range_type_index_is_an_illegal_label(label, type_index):
     """A label built by hand with a type index other than the ints 1, 2 or 3
     runs no action: 0 and -1 would index the gathers of types 3 and 2, and
-    2.0, 1.0 and True would run the type they equal."""
+    2.0, 1.0 and True would run the type they equal.  Kernels are kept by
+    label, and 2.0 and True hash as the ints they equal, so the int label
+    runs first: its kernel entry must not let the others through."""
     from e6kit.algebra import doubled_tangent
-    label = label._replace(type_index=type_index)
     chi = basis_element(3)
+    twin = label._replace(type_index=int(type_index))
+    if twin.type_index in (1, 2, 3):
+        apply(twin, 0.3, chi), apply_dual(twin, chi), action_matrix(twin, 0.3)
+        assert hash(twin) == hash(label._replace(type_index=type_index))
+    label = label._replace(type_index=type_index)
     for call in (lambda: apply(label, 0.3, chi), lambda: action_matrix(label, 0.3),
                  lambda: apply_dual(label, chi), lambda: doubled_tangent(label)):
         with pytest.raises(IllegalLabel, match="type index out of range"):
@@ -138,17 +145,40 @@ def test_type_cycle_order_three():
 
 
 def test_kernels_are_compiled_for_type_1_labels_only():
-    """In a fresh interpreter, apply on all 135 labels compiles the 45 type-1 kernels."""
-    code = ("from e6kit import group, jordan\n"
+    """In a fresh interpreter, apply on all 135 labels builds the stage
+    sequence of each of the 45 type-1 labels once, and 44 table pairs, one
+    per structure.  The 135 label entries share them: a type-2 or type-3
+    entry runs the type-1 stages, all but the last right table, whose gather
+    gives the coordinates in the order of that type."""
+    code = ("import collections\n"
+            "from e6kit import group, jordan\n"
+            "built = collections.Counter()\n"
+            "build = group.build_sequence\n"
+            "group.build_sequence = lambda label: built.update([label]) or build(label)\n"
             "chi = jordan.from_coords([0.5] * 27)\n"
             "for label in group.all_labels():\n"
             "    group.apply(label, 0.3, chi)\n"
-            "print(len(group._KERNELS), {label.type_index for label in group._KERNELS})\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(group.__file__)))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "45 {1}\n"
-
+            "kernels = group._KERNELS\n"
+            "print(sum(built.values()), len(built), {label.type_index for label in built})\n"
+            "types = collections.Counter(label.type_index for label in kernels)\n"
+            "print(len(kernels), sorted(types.items()))\n"
+            "print(len(group._CHAINS), len(group._STAGE_TABLES), len(group._TABLES))\n"
+            "tables = {id(t) for left, rights, _ in group._TABLES for t in (left, *rights)}\n"
+            "used = {id(t) for _, stages in kernels.values() for s in stages for t in s[3:5]}\n"
+            "print(used == tables)\n"
+            "def trim(stages):\n"
+            "    return [stage[:4] + stage[5:] for stage in stages]\n"
+            "shared, shifts = [], []\n"
+            "for label, (shift, stages) in kernels.items():\n"
+            "    base = kernels[label._replace(type_index=1)][1]\n"
+            "    shared.append(trim(stages) == trim(base) and stages[-1][4][:2] == base[-1][4][:2])\n"
+            "    shifts.append(shift == label.type_index - 1)\n"
+            "print(all(shared), all(shifts))\n")
+    assert _run_fresh(code) == ("45 45 {1}\n"
+                                "135 [(1, 45), (2, 45), (3, 45)]\n"
+                                "45 44 44\n"
+                                "True\n"
+                                "True True\n")
 
 
 def test_verify_builds_each_stage_sequence_once():
@@ -206,45 +236,43 @@ def test_action_matrix_raises_where_apply_overflows(alpha):
 
 def test_action_matrix_builds_source_tables_once_per_gather_table():
     """In a fresh interpreter: nothing is built at import; then, for all 135
-    labels, the 45 type-1 kernels, one source-side form per half-step table,
-    no apply call, and at most 512 KiB kept.
+    labels, one source-side form per half-step table, no apply call, no new
+    table, and at most 1.5 MiB kept by the kernels and the forms together.
 
-    The kernels hold 88 half-step tables, the left and right ones of 44
-    structures: 14 of stages that some sequence continues after, and 30 of
-    last stages, whose right table forms only the 27 read slots and whose
-    left table only the slots that those read.  The 7 flip stages are
-    folded into the left tables after them, so they add no table and no form.
+    The kernels hold 44 table pairs: 14 of stages that some sequence
+    continues after, and 30 of last stages, whose right table forms only the
+    27 read slots and whose left table only the slots that those read.  The
+    7 flip stages are folded into the left tables after them, so they add no
+    table and no form.  The tables are prezipped tuples, which the kept
+    memory includes (about 0.45 MiB, and 0.45 MiB of forms, on CPython 3.11).
     """
     code = ("import gc, tracemalloc\n"
             "from e6kit import group\n"
-            "print(len(group._SOURCES), len(group._PAIRS), len(group._BASIS_COLUMNS))\n"
-            "calls = {'apply': 0, '_sources': 0, '_signed_permutation': 0}\n"
+            "print(len(group._SOURCES), len(group._PAIRS), len(group._TABLES), len(group._KERNELS))\n"
+            "calls = {'apply': 0, '_sources': 0, '_signed_permutation': 0, '_table_pair': 0}\n"
             "def counted(name):\n"
             "    f = getattr(group, name)\n"
             "    def wrapper(*args):\n"
             "        calls[name] += 1\n"
             "        return f(*args)\n"
             "    setattr(group, name, wrapper)\n"
-            "labels = group.all_labels()\n"
-            "for label in labels:\n"
-            "    if label.type_index == 1:\n"
-            "        group._kernel(label)\n"
-            "counted('apply'); counted('_sources'); counted('_signed_permutation')\n"
             "gc.collect()\n"
             "tracemalloc.start()\n"
+            "labels = group.all_labels()\n"
+            "for label in labels:\n"
+            "    group._kernel(label)\n"
+            "for name in calls:\n"
+            "    counted(name)\n"
             "for label in labels:\n"
             "    group.action_matrix(label, 0.7)\n"
             "gc.collect()\n"
             "kept = tracemalloc.get_traced_memory()[0]\n"
-            "stages = [stage for kernel in group._KERNELS.values() for stage in kernel]\n"
-            "tables = {t for stage in stages for t in stage[2:4]}\n"
-            "print(len(group._KERNELS), {label.type_index for label in group._KERNELS})\n"
-            "print(calls, len(tables), len(group._STAGE_TABLES), len(group._SOURCES) == len(tables))\n"
-            "print(kept <= 512 * 1024, kept)\n")
+            "print(calls, len(group._SOURCES), len(group._TABLES))\n"
+            "print(kept <= 1536 * 1024, kept)\n")
     lines = _run_fresh(code).splitlines()
-    assert lines[:3] == ["0 0 0", "45 {1}",
-                         "{'apply': 0, '_sources': 88, '_signed_permutation': 0} 88 44 True"]
-    assert lines[3].startswith("True "), lines[3]
+    assert lines[:2] == ["0 0 0 0", "{'apply': 0, '_sources': 88, '_signed_permutation': 0, "
+                                    "'_table_pair': 0} 44 44"]
+    assert lines[2].startswith("True "), lines[2]
 
 
 def _run_fresh(code: str) -> str:
@@ -257,53 +285,64 @@ def _run_fresh(code: str) -> str:
 def test_constant_stages_compile_to_signed_permutations():
     """In a fresh interpreter, the 7 distinct flip stages M = -q I of the 45
     kernels compile to signed permutations of the 72 slots, each folded into
-    the left table of the turn stage after it.  No kernel stage is constant,
-    so a kernel of shape S, PSPS or PSPSPS (P a flip, S a turn) runs 1, 2 or
-    3 product stages; no half-step table is kept for the flips' structures;
-    and once the kernels are built, apply, apply_dual and action_matrix
-    derive no permutation and build no gather."""
+    the left table of the turn stage after it, as the state gather is into
+    the first one.  No kernel stage is constant, so a kernel of shape S,
+    PSPS or PSPSPS (P a flip, S a turn) runs 1, 2 or 3 product stages; no
+    table is kept for the flips' structures; and once the kernels are built,
+    apply, apply_dual and action_matrix derive no permutation, fold or table
+    and build no gather."""
     code = ("import collections\n"
             "from e6kit import group, jordan\n"
             "for label in group.all_labels():\n"
             "    group._kernel(label)\n"
-            "stages = {stage for kernel in group._KERNELS.values() for stage in kernel}\n"
+            "stages = [stage for chains in group._CHAINS.values() for stage in chains[0]]\n"
             "flips = group._FLIPS\n"
             "const = all(group._is_constant(f) for f in flips)\n"
-            "moved = [sorted(s[:72]) == list(range(72)) and set(n[:72]) <= {0, 72}\n"
+            "moved = [sorted(s[:72]) == list(range(72)) and set(n[:72]) <= {0, 255}\n"
             "         for s, n in flips.values()]\n"
             "units = {key[0] for key in group._STAGE_TABLES}\n"
-            "kept = [group._parts(f)[2] in units for f in flips]\n"
+            "kept = [group._parts(f)[3] in units for f in flips]\n"
             "print(len(flips), const, all(moved), any(kept))\n"
-            "print(any(group._is_constant(s[4]) for s in stages), all(len(s) == 5 for s in stages),\n"
-            "      sorted(collections.Counter(map(len, group._KERNELS.values())).items()))\n"
+            "print(any(group._is_constant(s[5]) for s in stages), all(len(s) == 7 for s in stages),\n"
+            "      sorted(collections.Counter(len(c[0]) for c in group._CHAINS.values()).items()))\n"
             "calls = []\n"
-            "permutation, gathers = group._signed_permutation, dict(group._GATHERS)\n"
-            "group._signed_permutation = lambda *args: calls.append(args) or permutation(*args)\n"
+            "for name in ('_signed_permutation', '_fold', '_table_pair'):\n"
+            "    f = getattr(group, name)\n"
+            "    setattr(group, name, lambda *args, f=f: calls.append(args) or f(*args))\n"
+            "gathers, tables = dict(group._GATHERS), len(group._TABLES)\n"
             "chi, ints = jordan.from_coords([0.5] * 27), jordan.from_coords(range(27))\n"
             "for label in group.all_labels():\n"
             "    group.apply(label, 0.3, chi)\n"
             "    group.apply_dual(label, ints)\n"
             "    group.action_matrix(label, 0.3)\n"
-            "print(len(calls), group._GATHERS == gathers)\n")
+            "print(len(calls), group._GATHERS == gathers, len(group._TABLES) == tables)\n")
     assert _run_fresh(code) == ("7 True True False\n"
                                 "False True [(1, 24), (2, 7), (3, 14)]\n"
-                                "0 True\n")
+                                "0 True True\n")
 
 
 def test_product_passes_of_a_g_s_apply():
     """In a fresh interpreter, once its kernel is built, an apply runs one
     left and one right pass per turn stage, with the flips folded in: three
-    for G and S, two for A, one for B.  The last right pass forms just the
-    27 slots the readout keeps, and the last left pass only the slots that
-    it reads: 29 for these turns, 27 for B:t,z, and 1 527 of 3 240 over the
-    45 kernels.  action_matrix computes the values of the same stages."""
+    for G and S, two for A, one for B, and nothing else but the rotation of
+    a type-2 or type-3 chi.  The first left pass reads [*coords, 0], with
+    the state gather and its negations folded in; each left pass returns its
+    raw list of products and inputs, which the right pass reads by position,
+    so the only gather is the right pass's, giving the 72 slots of the next
+    stage or the 27 coordinates.  Per pass, the products formed: the last
+    right pass forms just the 27 coordinates, less the copied n (18 products),
+    and the last left pass only what those read; over the last left passes
+    of the 45 kernels, 1 190 products.  action_matrix computes the values of
+    the same stages."""
     code = ("from e6kit import group, jordan\n"
             "chi = jordan.from_coords([0.5] * 27)\n"
-            "formed, values = [], []\n"
+            "passes, values = [], []\n"
             "half_step, stage_values = group._half_step, group._stage_values\n"
-            "def counted_half_step(*args):\n"
-            "    out = half_step(*args)\n"
-            "    formed.append(len(out))\n"
+            "def counted_half_step(table, m, x, copies):\n"
+            "    out = half_step(table, m, x, copies)\n"
+            "    raw, formed = table[2] is None, len(table[0]) + len(table[1])\n"
+            "    assert type(out) is list and len(out) == formed + len(x) if raw else type(out) is tuple\n"
+            "    passes.append((formed, len(x) if raw else len(out)))\n"
             "    return out\n"
             "def counted_values(*args):\n"
             "    values.append(1)\n"
@@ -315,15 +354,16 @@ def test_product_passes_of_a_g_s_apply():
             "    group.apply(label, 0.3, chi)\n"
             "    group.action_matrix(label, 0.3)\n"
             "    group._half_step, group._stage_values = half_step, stage_values\n"
-            "    print(text, formed, len(values))\n"
-            "    formed.clear(); values.clear()\n"
-            "kernels = [group._kernel(label) for label in group.all_labels() if label.type_index == 1]\n"
-            "print(sum(len(kernel[-1][2][6](range(256))) for kernel in kernels), 72 * len(kernels))\n")
-    assert _run_fresh(code) == ("G:kl:2 [72, 72, 72, 72, 29, 27] 6\n"
-                                "S:jl:3 [72, 72, 72, 72, 29, 27] 6\n"
-                                "A:i [72, 72, 29, 27] 4\n"
-                                "B:t,z [27, 27] 2\n"
-                                "1527 3240\n")
+            "    print(text, [n for n, _ in passes], [k for _, k in passes], len(values))\n"
+            "    passes.clear(); values.clear()\n"
+            "lasts = [group._kernel(label)[1][-1][3] for label in group.all_labels()[:45]]\n"
+            "print(len(lasts), sum(len(ones) + len(twos) for ones, twos, _ in lasts))\n")
+    assert _run_fresh(code) == (
+        "G:kl:2 [55, 48, 56, 48, 24, 18] [28, 72, 72, 72, 72, 27] 6\n"
+        "S:jl:3 [55, 48, 56, 48, 24, 18] [28, 72, 72, 72, 72, 27] 6\n"
+        "A:i [55, 48, 24, 18] [28, 72, 72, 27] 4\n"
+        "B:t,z [18, 18] [28, 27] 2\n"
+        "45 1190\n")
 
 
 # SHA-256 of action_matrix over all_labels() x (0.3, -0.7), every entry packed
@@ -443,15 +483,51 @@ def test_apply_matches_reference_bits(label, alpha, coords):
 
 def _product_stages(label):
     """Per product stage of the label's kernel: (stage, the flip run just
-    before it or None, whether it is last), read off build_sequence."""
+    before it or None, whether it is first, whether it is last), read off
+    build_sequence."""
     seq, out, flip = build_sequence(label), [], None
     for n, stage in enumerate(seq):
         if flip is None and n + 1 < len(seq) and group._is_constant(stage):
             flip = stage
         else:
-            out.append((stage, flip, n + 1 == len(seq)))
+            out.append((stage, flip, not out, n + 1 == len(seq)))
             flip = None
     return out
+
+
+def _stage_slots(entry, float_alpha):
+    """The float slots of a kernel entry at alpha, and its int slots of apply_dual."""
+    template, terms, slots, _, _, stage, _ = entry
+    value = stage.at_zero()[0]
+    return (group._stage_values(template, terms, slots, float_alpha),
+            value + [-v for v in value] + [1, -1])
+
+
+def _fused_left(entry, flip, first, last, m, x):
+    """The entry's left table run on x, at the slots it forms, and those slots.
+
+    The slots are rebuilt with the table, which must be the entry's: all 72,
+    or for a last stage those that its right half-step reads.
+    """
+    units = group._parts(entry[5])[3]
+    formed = (group._read_slots(*group._half_step_table(units, False, group._READ_RUNS))
+              if last else range(72))
+    columns, parts = group._half_step_table(units, True, group._runs(formed) if last
+                                            else group._ALL_RUNS, group._fold(flip, first))
+    assert group._zipped(columns) == entry[3][:2] and entry[3][2] is None
+    raw = group._half_step(entry[3], m, x, x)
+    return [raw[w] for w in group._where(columns, parts)], formed
+
+
+def _full_left(entry, flip, m, z):
+    """The stage's full left table, with no fold, run on z after the flip
+    before it (negating by unary minus): all 72 slots, in state order."""
+    if flip is not None:
+        sources, negations = group._signed_permutation(flip)
+        z = [-z[s] if negations[o] else z[s] for o, s in enumerate(sources[:72])]
+    columns, parts = group._half_step_table(group._parts(entry[5])[3], True)
+    table = (*group._zipped(columns), itemgetter(*group._where(columns, parts)))
+    return group._half_step(table, m, z, z)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
@@ -465,28 +541,76 @@ _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
 @example(label=parse_label("A:i"), alpha=0.3, y=[-0.0] * 36 + [math.inf] * 36, ints=[0] * 72)
 @settings(max_examples=200, deadline=None)
 def test_fused_left_tables_match_flip_then_table(label, alpha, y, ints):
-    """Each left table of a kernel (shapes S, PSPS, PSPSPS), run on y, has the
-    bits of the flip before its stage, negating by unary minus, then the
-    stage's full left table: at the slots it forms, on float y with float
-    stage values, and exactly on int y with the int values of apply_dual."""
-    kernel = group._kernel(label)
+    """Each left table of a kernel after the first (shapes PSPS, PSPSPS), run
+    on y, has the bits of the flip before its stage, negating by unary minus,
+    then the stage's full left table: at the slots it forms, on float y with
+    float stage values, and exactly on int y with the int values of
+    apply_dual.  test_state_fold_matches_state_gather checks the first."""
+    kernel = group._kernel(label)[1]
     stages = _product_stages(label)
     assert len(kernel) == len(stages)
-    for (terms, slots, left, _, stage), (seq_stage, flip, last) in zip(kernel, stages):
-        assert stage == seq_stage
-        units = group._parts(stage)[2]
-        full = group._half_step_table(units, True)[0]
-        formed = (group._half_step_table(units, False, group._READ_RUNS, compact=True)[1]
-                  if last else range(72))
-        value = stage.at_zero()[0]
-        for x, m in ((y, group._stage_values(terms, slots, alpha)),
-                     (ints, value + [-v for v in value] + [1, -1])):
-            z = x
-            if flip is not None:
-                sources, negations = group._signed_permutation(flip)
-                z = [-x[s] if negations[o] else x[s] for o, s in enumerate(sources[:72])]
-            old = group._half_step(full, m, z, z)
-            fused = group._half_step(left, m, x, x)
+    for entry, (stage, flip, first, last) in zip(kernel, stages):
+        assert entry[5] == stage
+        if first:
+            continue
+        for x, m in zip((y, ints), _stage_slots(entry, alpha)):
+            fused, formed = _fused_left(entry, flip, False, last, m, x)
+            old = _full_left(entry, flip, m, x)
             assert _pack(fused) == _pack([old[o] for o in formed])
             if x is ints:
-                assert list(fused) == [old[o] for o in formed]
+                assert fused == [old[o] for o in formed]
+
+
+# The 72-slot state of chi that the first left tables fold in: the
+# coordinates, their negations (conj negates the imaginary units) and a zero
+# for the empty units of the diagonal entries, gathered into the full
+# matrix, entry (i, j) unit u at slot 8 * (3 * i + j) + u, after rotating
+# the fields back by the shift of the label's type.
+def _entry_indices(start, conj):
+    return [start] + [start + u + 27 * conj for u in range(1, 8)]
+
+
+_PAD = [54] * 7
+_STATE_INDICES = ([0] + _PAD + _entry_indices(3, True) + _entry_indices(19, False)
+                  + _entry_indices(3, False) + [1] + _PAD + _entry_indices(11, True)
+                  + _entry_indices(19, True) + _entry_indices(11, False) + [2] + _PAD)
+
+
+def _state(coords, zero, shift):
+    rotated = group._rotation(shift)
+    values = [*coords, *map(neg, coords), zero]
+    return [values[i if i == 54 else i - i % 27 + rotated[i % 27]] for i in _STATE_INDICES]
+
+
+_FLOAT_COORDS = st.lists(st.one_of(_SPECIAL, st.just(math.nan), st.floats(-1e3, 1e3)),
+                         min_size=27, max_size=27)
+
+
+@given(label=st.sampled_from(sorted(_LABELS_BY_STAGES)).flatmap(
+           lambda n: st.sampled_from(_LABELS_BY_STAGES[n])),
+       shift=st.integers(0, 2),
+       alpha=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       coords=_FLOAT_COORDS,
+       ints=st.lists(st.integers(-9, 9), min_size=27, max_size=27))
+@example(label=parse_label("A:i"), shift=1, alpha=0.3,
+         coords=[-0.0] * 9 + [math.inf] * 9 + [math.nan] * 9, ints=[0] * 27)
+@settings(max_examples=200, deadline=None)
+def test_state_fold_matches_state_gather(label, shift, alpha, coords, ints):
+    """The first left table of each kernel (shapes S, PSPS, PSPSPS), run on
+    [*rotated coords, 0] for the shift of each type, has the bits of the
+    72-slot state gather it replaces (negations included), then the flip
+    before the stage, negating by unary minus, then the stage's full left
+    table: at the slots it forms, on floats with float stage values (a nan
+    packed as one token), and exactly on ints with the int values of
+    apply_dual."""
+    label = label._replace(type_index=shift + 1)
+    entry = group._kernel(label)[1][0]
+    stage, flip, first, last = _product_stages(label)[0]
+    assert entry[5] == stage and first
+    for values, zero, m in zip((coords, ints), (0.0, 0), _stage_slots(entry, alpha)):
+        rotated = group._ROTATE[shift](values) if shift else tuple(values)
+        fused, formed = _fused_left(entry, flip, True, last, m, [*rotated, zero])
+        old = _full_left(entry, flip, m, _state(values, zero, shift))
+        assert _pack(fused) == _pack([old[o] for o in formed])
+        if values is ints:
+            assert fused == [old[o] for o in formed]
