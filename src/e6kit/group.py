@@ -634,7 +634,10 @@ def _chains(label: GeneratorLabel) -> tuple:
 
 def _kernel(label: GeneratorLabel) -> tuple:
     """(shift, compiled product stages) of the label's action: one lookup once built."""
-    kernel = _KERNELS.get(label)
+    try:
+        kernel = _KERNELS.get(label)
+    except TypeError:    # an unhashable field, such as a list plane: validate_label refuses it
+        raise IllegalLabel(f"illegal label {label!r}") from None
     if kernel is None or type(label.type_index) is not int:    # 2.0 and True hash as ints
         shift = _shift(label)
         kernel = _KERNELS[label] = (shift, _chains(label._replace(type_index=1))[shift])
@@ -734,7 +737,10 @@ def _source_side(index: int) -> tuple:
     if form is None:
         left, (right, *_), n_in = _TABLES[index]
         second = _sources(right, len(left[0]) + len(left[1]) + n_in)
-        first = [tuple(p for p in pairs if second[p[0]]) for pairs in _sources(left, n_in)]
+        feeds = _sources(left, n_in)
+        if n_in == 28:    # a first stage: no basis column reaches the zero at input 27
+            del feeds[27]
+        first = [tuple(p for p in pairs if second[p[0]]) for pairs in feeds]
         form = _SOURCES[index] = (tuple(first), tuple(map(tuple, second)))
     return form
 

@@ -85,6 +85,28 @@ def test_out_of_range_type_index_is_an_illegal_label(label, type_index):
             call()
 
 
+_LIST_PLANE = GeneratorLabel("B", 1, plane=["t", "z"])
+
+
+def test_list_plane_is_an_illegal_label_for_apply():
+    """A hand-built label with an unhashable field names no kernel, as
+    validate_label says, and is not a TypeError from the kernel lookup."""
+    with pytest.raises(IllegalLabel):
+        validate_label(_LIST_PLANE)
+    with pytest.raises(IllegalLabel):
+        apply(_LIST_PLANE, 0.3, basis_element(3))
+
+
+def test_list_plane_is_an_illegal_label_for_action_matrix():
+    with pytest.raises(IllegalLabel):
+        action_matrix(_LIST_PLANE, 0.3)
+
+
+def test_list_plane_is_an_illegal_label_for_apply_dual():
+    with pytest.raises(IllegalLabel):
+        apply_dual(_LIST_PLANE, basis_element(3))
+
+
 @pytest.mark.parametrize("text", ["B:t,z", "B:t,kl:3", "R:x,z:2", "R:z,jl",
                                   "A:i", "G:l:2", "S:il:3"])
 def test_one_parameter_property(text):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import random
+import struct
 import time
 from fractions import Fraction
 
@@ -214,6 +215,9 @@ def test_embed_identity_and_rejections():
     assert embed_check(a3, a3)
     # the highest-shell rule rejects A3 inside C3 (long roots missed)
     assert not embed_check(a3, c3)
+    # every simple-root image is a target vertex, but no image of a1 + a2 is
+    a2 = root_system(diagram("A2"))
+    assert not embed_check(a2, a2[:2] + [tuple(-x for x in r) for r in a2[:2]])
 
 
 @pytest.mark.parametrize("small,big,expected", [
@@ -353,6 +357,7 @@ def test_e6_inverse_cartan_denominators():
 def test_mark_coords_built_once_per_diagram(monkeypatch):
     """The roots and weights of one diagram share one A^-1 and one triangular factor."""
     rootweight._mark_coords.cache_clear()
+    rootweight._roots.cache_clear()
     calls = []
 
     def counted(d):
@@ -446,6 +451,22 @@ def test_root_system_matches_float_closure(name):
     assert all(close(r, s, 1e-12) for r, s in zip(roots, reference))
 
 
+@pytest.mark.parametrize("name", ["A1", "B3", "G2", "E6"])
+def test_root_system_returns_a_new_list_of_the_cached_roots(name):
+    """Each call gets its own list: clearing or extending one changes no later result."""
+    d = diagram(name)
+    rootweight._roots.cache_clear()
+    built = root_system(d)
+    assert root_system(d) is not root_system(d)
+    reference = [_key(r) for r in _reference_root_system(d)]
+    for mutate in (list.clear, lambda roots: roots.append((0.0,) * d.rank)):
+        mutate(root_system(d))
+        again = root_system(d)
+        assert {_key(r) for r in again} == set(reference)
+        assert [_key(r) for r in again] == reference    # the float closure's order
+        assert again == built
+
+
 @pytest.mark.parametrize("name,highest", WEIGHT_CASES)
 def test_weights_match_walk_from_every_weight(name, highest):
     """Same marks and coordinate bits; the edges are the reference's distinct edges, once each."""
@@ -476,3 +497,50 @@ def test_roots_output_golden_hash():
                 assert cli.run(["roots", *argv, "--format", fmt]) == 0
             h.update(out.getvalue().encode())
     assert h.hexdigest() == ROOTS_SHA256
+
+
+# the normals each WEIGHT_CASES diagram is sliced along: roots at these positions;
+# struts are pinned for diagrams of up to GOLDEN_STRUT_POINTS weights, as their
+# search is quadratic (A2 (20, 20), 1 261 weights, would take 5 s on a 2-vCPU Xeon)
+GOLDEN_NORMALS = (0, -1)
+GOLDEN_STRUT_POINTS = 300
+ROOTWEIGHT_SHA256 = "f4bd7df9f6cc8acbdbb244849326b08d06ad1e97779e48687e1b33df17a35ba2"
+
+
+def test_rootweight_golden_hash():
+    """Root bits, slice levels and struts, and embedding answers are pinned.
+
+    The root systems of SMALL_DIAGRAMS in order; each WEIGHT_CASES diagram
+    sliced along a few of its roots, with struts up to GOLDEN_STRUT_POINTS
+    weights; embed_check on every ordered ORACLE_DIAGRAMS pair.
+    """
+    h = hashlib.sha256()
+
+    def floats(v):
+        h.update(struct.pack(f"<{len(v)}d", *v))
+
+    for name in SMALL_DIAGRAMS:
+        roots = root_system(diagram(name))
+        h.update(f"{name}:{len(roots)};".encode())
+        for r in roots:
+            floats(r)
+    for name, highest in WEIGHT_CASES:
+        d = diagram(name)
+        roots = root_system(d)
+        points = [w.coords for w in weights_from_highest(d, highest).weights]
+        for i in GOLDEN_NORMALS:
+            slices, struts = slice_diagram(
+                points, roots[i], roots=roots if len(points) <= GOLDEN_STRUT_POINTS else None)
+            h.update(f"{name}{highest}@{i}:{len(slices)},{len(struts)};".encode())
+            for s in slices:
+                floats((s.level,))
+                h.update(f"{len(s.vertices)};".encode())
+                for p in s.vertices:
+                    floats(p)
+            for p, q in struts:
+                floats(p + q)
+    roots = {name: root_system(diagram(name)) for name in ORACLE_DIAGRAMS}
+    for small in ORACLE_DIAGRAMS:
+        for big in ORACLE_DIAGRAMS:
+            h.update(b"1" if embed_check(roots[small], roots[big]) else b"0")
+    assert h.hexdigest() == ROOTWEIGHT_SHA256
