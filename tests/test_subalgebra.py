@@ -1,6 +1,10 @@
 """Involutive automorphisms, eigenspace subalgebras, and the refinement grid."""
 
+import hashlib
+
 import pytest
+
+from e6kit import cli
 
 from e6kit.algebra import killing_matrix, killing_restricted, signature, unit_vectors
 from e6kit.subalgebra import (CELL_NAMES, NotAutomorphism, assemble,
@@ -37,6 +41,27 @@ ASSEMBLIES = [
     (["R1H", "R23Hp", "R23H", "R1Hp"], 52, (52, 0)),
     (["R1H", "B23Hp", "B23H", "R1Hp"], 52, (36, 16)),
 ]
+
+
+# the --auto spelling of each TABLE_ROWS entry, in the same order
+AUTO_TOKENS = ["t", "23", "hperp", "23,t", "hperp,t", "23,hperp", "23,hperp,t"]
+
+# SHA-256 of the stdout of 29 subalg runs, pinned before the cells and the compact
+# preimages were derived from the sign maps: every --auto token list with --part
+# fixed then --part compact, then every ASSEMBLIES entry as --assemble
+SUBALG_SHA256 = "b5383f299a2b764ae1b64d86c87813437dd6c99cd0093ca491f1b035233a8a83"
+
+
+def test_subalg_outputs_golden_hash(capsys):
+    argvs = [["subalg", "--auto", auto, "--part", part]
+             for auto in AUTO_TOKENS for part in ("fixed", "compact")]
+    argvs += [["subalg", "--assemble", ",".join(cells)] for cells, _, _ in ASSEMBLIES]
+    assert len(argvs) == 29
+    for argv in argvs:
+        assert cli.run(argv) == 0, argv
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SUBALG_SHA256
 
 
 def test_basis_flags_counts():
