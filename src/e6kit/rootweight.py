@@ -102,8 +102,35 @@ def diagram(name: str) -> DynkinDiagram:
     raise ValueError(f"unsupported diagram {name!r}")
 
 
+def _check_diagram(d: DynkinDiagram) -> None:
+    """ValueError unless d is well formed: a plain int rank >= 1, and a tuple of
+    edges (i, j, m, short) with plain ints 0 <= i != j < rank and m >= 1, where
+    short is None exactly when m == 1 and is i or j otherwise.
+
+    The caches key a diagram by equality, and 2.0 == 2 and True == 1, so a
+    malformed diagram must be refused before any cache is asked.
+    """
+    n = d.rank
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{d.name}: the rank must be an integer >= 1, got {n!r}")
+    if type(d.edges) is not tuple:
+        raise ValueError(f"{d.name}: the edges must be a tuple, got {d.edges!r}")
+    for edge in d.edges:
+        if type(edge) is not tuple or len(edge) != 4:
+            raise ValueError(f"{d.name}: an edge is (i, j, m, short), got {edge!r}")
+        i, j, m, short = edge
+        if not (all(type(x) is int for x in (i, j, m)) and 0 <= i < n and 0 <= j < n
+                and i != j and m >= 1
+                and (short is None if m == 1 else type(short) is int and short in (i, j))):
+            raise ValueError(f"{d.name}: bad edge {edge!r}")
+
+
 def cartan_matrix(d: DynkinDiagram) -> list:
-    """Exact integer Cartan matrix a_ij = 2 (r_i . r_j) / (r_i . r_i)."""
+    """Exact integer Cartan matrix a_ij = 2 (r_i . r_j) / (r_i . r_i).
+
+    ValueError for a malformed diagram (_check_diagram).
+    """
+    _check_diagram(d)
     a = [[2 if i == j else 0 for j in range(d.rank)] for i in range(d.rank)]
     for i, j, m, short in d.edges:
         if m == 1:
@@ -230,7 +257,8 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
     alpha_j-string is walked once, from its top (mark[j] > 0, no weight one
     alpha_j above): every edge appears once.  ValueError unless there is one
     mark per node, each a non-negative integer, and for a diagram past
-    MAX_WEIGHTS as soon as it gets there.
+    MAX_WEIGHTS as soon as it gets there; cartan_matrix, called first, refuses a
+    malformed diagram before the _mark_coords cache is asked.
     """
     a = cartan_matrix(d)
     n = d.rank
@@ -286,7 +314,9 @@ def root_system(d: DynkinDiagram) -> list:
     first out under s_j(mu) = mu - mu_j * (column j), then mapped to floats.
 
     Built once per diagram; each call returns a new list of the cached roots.
+    ValueError for a malformed diagram (_check_diagram).
     """
+    _check_diagram(d)
     return list(_roots(d))
 
 

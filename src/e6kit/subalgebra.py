@@ -8,9 +8,12 @@ Three sign-diagonal involutions act on the preferred 78-element basis:
   * phi_hperp   flips the 40 basis elements carrying one label from
                 {i, j, jl, il}.
 
-Their fixed subalgebras, compact preimages, and the eight-cell refinement
-grid of the composition phi_23 . phi_hperp reproduce the full catalogue of
-maximal subalgebras of sl(3,O), each identified by (dim, rank, signature).
+_base_signs holds these three +-1 vectors; the rest is read from them.  A
+compact preimage is the fixed set of phi . phi_t, and the eight cells of
+the refinement grid are the joint sign classes of phi_t, phi_23 and
+phi_hperp.  The fixed subalgebras, compact preimages and unions of cells
+reproduce the full catalogue of maximal subalgebras of sl(3,O), each
+identified by (dim, rank, signature).
 """
 
 from __future__ import annotations
@@ -40,33 +43,6 @@ def _label_unit(label: GeneratorLabel) -> Optional[str]:
     return q if q not in ("x", "z") else None
 
 
-class BasisFlags(NamedTuple):
-    """Per-basis-element membership in the three orthogonal splittings."""
-
-    is_boost: tuple
-    is_type1: tuple
-    is_H: tuple
-
-
-_FLAGS: Optional[BasisFlags] = None
-
-
-def basis_flags() -> BasisFlags:
-    global _FLAGS
-    if _FLAGS is None:
-        basis = preferred_basis()
-        is_boost = tuple(l.category == "B" for l in basis)
-        # T1 is the span of the type-1 transformations together with
-        # B2_tz - B3_tz; on basis elements that makes both B_tz labels T1.
-        is_type1 = tuple(
-            l.type_index == 1 or (l.category == "B" and l.plane == ("t", "z"))
-            for l in basis
-        )
-        is_H = tuple(_label_unit(l) not in H_UNIT_LABELS for l in basis)
-        _FLAGS = BasisFlags(is_boost, is_type1, is_H)
-    return _FLAGS
-
-
 class Involution(NamedTuple):
     """Diagonal +-1 map on the preferred basis, verified as an automorphism."""
 
@@ -75,15 +51,20 @@ class Involution(NamedTuple):
 
 
 def _base_signs(which: str) -> tuple:
-    flags = basis_flags()
+    """The +-1 vector of phi_t, phi_23 or phi_hperp on the preferred basis."""
+    basis = preferred_basis()
     if which == "t":
-        keep = flags.is_boost
-        return tuple(-1 if b else 1 for b in keep)
-    if which == "two_three":
-        return tuple(1 if t1 else -1 for t1 in flags.is_type1)
-    if which == "h_perp":
-        return tuple(1 if h else -1 for h in flags.is_H)
-    raise ValueError(f"unknown involution {which!r}")
+        flipped = [l.category == "B" for l in basis]
+    elif which == "two_three":
+        # T1 is the span of the type-1 transformations together with
+        # B2_tz - B3_tz; on basis elements that makes both B_tz labels T1.
+        flipped = [not (l.type_index == 1 or (l.category == "B" and l.plane == ("t", "z")))
+                   for l in basis]
+    elif which == "h_perp":
+        flipped = [_label_unit(l) in H_UNIT_LABELS for l in basis]
+    else:
+        raise ValueError(f"unknown involution {which!r}")
+    return tuple(-1 if f else 1 for f in flipped)
 
 
 def verify_involution(signs: tuple) -> None:
@@ -102,15 +83,11 @@ def verify_involution(signs: tuple) -> None:
 
 def make_involution(which) -> Involution:
     """Build (and verify) phi_t / phi_23 / phi_hperp or a composition list."""
-    if isinstance(which, str):
-        which = [which]
-    signs = tuple([1] * 78)
-    names = []
+    which = [which] if isinstance(which, str) else list(which)
+    signs = (1,) * 78
     for kind in which:
-        part = _base_signs(kind)
-        signs = tuple(a * b for a, b in zip(signs, part))
-        names.append(kind)
-    phi = Involution("*".join(names), signs)
+        signs = tuple(a * b for a, b in zip(signs, _base_signs(kind)))
+    phi = Involution("*".join(which), signs)
     verify_involution(phi.signs)
     return phi
 
@@ -236,14 +213,9 @@ def compact_preimage(phi: Involution) -> SubalgebraReport:
     """Preimage of the maximal compact subalgebra of phi(sl(3,O)).
 
     Under the twisted Killing form the compact directions are the fixed
-    rotations together with the flipped boosts.
+    rotations together with the flipped boosts: the fixed set of phi . phi_t.
     """
-    flags = basis_flags()
-    indices = [
-        i
-        for i, s in enumerate(phi.signs)
-        if (s == 1 and not flags.is_boost[i]) or (s == -1 and flags.is_boost[i])
-    ]
+    indices = [i for i, (s, t) in enumerate(zip(phi.signs, _base_signs("t"))) if s == t]
     return _report(indices, notes=f"compact preimage of {phi.name}")
 
 
@@ -254,18 +226,15 @@ CELL_NAMES = ("R1H", "B1H", "R23H", "B23H", "R1Hp", "B1Hp", "R23Hp", "B23Hp")
 
 
 def refine_subspaces() -> dict:
-    """The eight cells cut out by boost/rotation, T1/T23, and H/Hperp."""
-    flags = basis_flags()
+    """The eight cells: the joint sign classes of phi_t, phi_23 and phi_hperp.
+
+    A cell is named by boost/rotation (phi_t), T1/T23 (phi_23) and
+    H/Hperp (phi_hperp), each +1 side first.
+    """
     cells = {name: [] for name in CELL_NAMES}
-    for i in range(78):
-        name = "".join(
-            [
-                "B" if flags.is_boost[i] else "R",
-                "1" if flags.is_type1[i] else "23",
-                "H" if flags.is_H[i] else "Hp",
-            ]
-        )
-        cells[name].append(i)
+    signs = zip(*(_base_signs(which) for which in ("t", "two_three", "h_perp")))
+    for i, (t, two_three, h_perp) in enumerate(signs):
+        cells["RB"[t < 0] + ("1", "23")[two_three < 0] + ("H", "Hp")[h_perp < 0]].append(i)
     return cells
 
 

@@ -106,10 +106,11 @@ def test_03_antisymmetry_and_jacobi_full():
 
 def test_04_killing_signatures():
     assert signature(killing_matrix()) == (52, 26, 0)
-    flags = subalgebra.basis_flags()
-    rotations = [i for i in range(78) if not flags.is_boost[i]]
+    phi_t = subalgebra.make_involution("t").signs
+    phi_23 = subalgebra.make_involution("two_three").signs
+    rotations = [i for i in range(78) if phi_t[i] == 1]
     assert signature(killing_restricted(unit_vectors(rotations))) == (52, 0, 0)
-    type1 = [i for i in range(78) if flags.is_type1[i]]
+    type1 = [i for i in range(78) if phi_23[i] == 1]
     assert len(type1) == 46
     assert signature(killing_restricted(unit_vectors(type1))) == (36, 10, 0)
 

@@ -96,10 +96,10 @@ def test_killing_signature():
 
 
 def test_killing_rotation_and_boost_blocks():
-    from e6kit.subalgebra import basis_flags
-    flags = basis_flags()
-    rotations = [n for n in range(78) if not flags.is_boost[n]]
-    boosts = [n for n in range(78) if flags.is_boost[n]]
+    from e6kit.subalgebra import make_involution
+    phi_t = make_involution("t").signs
+    rotations = [n for n in range(78) if phi_t[n] == 1]
+    boosts = [n for n in range(78) if phi_t[n] == -1]
     assert len(rotations) == 52 and len(boosts) == 26
     assert signature(killing_restricted(unit_vectors(rotations))) == (52, 0, 0)
     assert signature(killing_restricted(unit_vectors(boosts))) == (0, 26, 0)

@@ -372,6 +372,45 @@ def test_mark_coords_built_once_per_diagram(monkeypatch):
     assert calls == [d]
 
 
+# Hand-built diagrams that break one rule of DynkinDiagram.  The first and the
+# last two equal diagram("A2") or diagram("B2"), so a cache keyed by equality
+# would answer them with the named diagram's entry.
+MALFORMED_DIAGRAMS = [
+    DynkinDiagram("A2", 2.0, ((0, 1, 1, None),)),    # float rank
+    DynkinDiagram("A1", True, ()),                     # bool rank
+    DynkinDiagram("A1", 0, ()),                        # no nodes
+    DynkinDiagram("A2", 2, [(0, 1, 1, None)]),         # edges not a tuple
+    DynkinDiagram("A2", 2, ((0, 1, 1),)),              # edge of three fields
+    DynkinDiagram("A2", 2, ((0, 0, 1, None),)),        # a loop
+    DynkinDiagram("A2", 2, ((0, 2, 1, None),)),        # node past the rank
+    DynkinDiagram("A2", 2, ((-1, 1, 1, None),)),       # negative node
+    DynkinDiagram("A2", 2, ((0, 1, 0, None),)),        # multiplicity 0
+    DynkinDiagram("A2", 2, ((0, 1, True, None),)),     # bool multiplicity
+    DynkinDiagram("A2", 2, ((0, 1, 1, 1),)),           # short node on a single edge
+    DynkinDiagram("B2", 2, ((0, 1, 2, None),)),        # no short node on a double edge
+    DynkinDiagram("B2", 2, ((0, 1, 2, 2),)),           # short node off the edge
+    DynkinDiagram("A2", 2, ((0.0, 1, 1, None),)),      # float node
+    DynkinDiagram("B2", 2, ((0, 1, 2, 1.0),)),         # float short node
+]
+
+
+@pytest.mark.parametrize("named_first", [False, True], ids=["cold", "cached"])
+@pytest.mark.parametrize("bad", MALFORMED_DIAGRAMS, ids=range(len(MALFORMED_DIAGRAMS)))
+def test_malformed_diagram_is_refused_before_the_caches(bad, named_first):
+    """ValueError whether or not the named diagram of the same name is cached."""
+    rootweight._roots.cache_clear()
+    rootweight._mark_coords.cache_clear()
+    named = diagram(bad.name)
+    if named_first:
+        root_system(named)
+        weights_from_highest(named, (1,) + (0,) * (named.rank - 1))
+    for build in (cartan_matrix, root_system,
+                  lambda d: weights_from_highest(d, (1,) + (0,) * (named.rank - 1))):
+        with pytest.raises(ValueError):
+            build(bad)
+    assert root_system(named) == list(rootweight._roots(named))
+
+
 # ---------------------------------------------------------------------------
 # the exact-mark closure and walk against the float closure and the walk
 # from every weight that they replaced

@@ -1,14 +1,14 @@
 """Involutive automorphisms, eigenspace subalgebras, and the refinement grid."""
 
 import hashlib
+import itertools
 
 import pytest
 
 from e6kit import cli
-
 from e6kit.algebra import killing_matrix, killing_restricted, signature, unit_vectors
 from e6kit.subalgebra import (CELL_NAMES, NotAutomorphism, assemble,
-                              basis_flags, compact_preimage, fixed_subalgebra,
+                              compact_preimage, fixed_subalgebra,
                               identify, make_involution, refine_subspaces,
                               verify_involution)
 
@@ -64,11 +64,38 @@ def test_subalg_outputs_golden_hash(capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == SUBALG_SHA256
 
 
-def test_basis_flags_counts():
-    flags = basis_flags()
-    assert sum(flags.is_boost) == 26
-    assert sum(flags.is_type1) == 46
-    assert sum(flags.is_H) == 38
+BASE = ("t", "two_three", "h_perp")
+
+CELL_SIZES = {"R1H": 16, "B1H": 6, "R23H": 8, "B23H": 8,
+              "R23Hp": 8, "B23Hp": 8, "R1Hp": 20, "B1Hp": 4}
+
+
+def test_base_sign_counts():
+    signs = {which: make_involution(which).signs for which in BASE}
+    assert signs["t"].count(-1) == 26
+    assert signs["two_three"].count(1) == 46
+    assert signs["h_perp"].count(1) == 38
+
+
+@pytest.mark.parametrize("which", [row[0] for row in TABLE_ROWS])
+def test_compact_preimage_is_the_fixed_set_of_phi_times_phi_t(which):
+    phi = make_involution(which)
+    twisted = make_involution(which + ["t"])
+    assert compact_preimage(phi).indices == fixed_subalgebra(twisted).indices
+
+
+def test_cells_are_the_joint_sign_classes():
+    signs = {which: make_involution(which).signs for which in BASE}
+    cells = refine_subspaces()
+    triples = {name: {tuple(signs[w][i] for w in BASE) for i in ix} for name, ix in cells.items()}
+    assert all(len(t) == 1 for t in triples.values())
+    assert len(set.union(*triples.values())) == 8
+    # each of the 8 products of the three maps is constant on every cell
+    for r in range(4):
+        for subset in itertools.combinations(BASE, r):
+            product = make_involution(list(subset)).signs
+            for name, ix in cells.items():
+                assert len({product[i] for i in ix}) == 1, (subset, name)
 
 
 @pytest.mark.parametrize("which", [["t"], ["two_three"], ["h_perp"],
@@ -100,9 +127,7 @@ def test_fixed_and_compact_rows(which, fixed, compact):
 def test_refinement_grid_counts():
     cells = refine_subspaces()
     assert set(cells) == set(CELL_NAMES)
-    sizes = {name: len(ix) for name, ix in cells.items()}
-    assert sizes == {"R1H": 16, "B1H": 6, "R23H": 8, "B23H": 8,
-                     "R1Hp": 20, "B1Hp": 4, "R23Hp": 8, "B23Hp": 8}
+    assert {name: len(ix) for name, ix in cells.items()} == CELL_SIZES
     # cells partition the 78-dimensional basis
     everything = sorted(i for ix in cells.values() for i in ix)
     assert everything == list(range(78))
