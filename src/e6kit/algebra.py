@@ -11,11 +11,12 @@ ints of 32-bit fields (_GENERIC); the other 38 are conjugates of those,
 each move checked on the stage matrices.  The 90 type-2/3 tangents are the
 type-1 ones conjugated by the type-cycle permutation.  Every tangent entry
 lies in 1/2 Z, so every runtime path holds an element as its doubled
-tangent 2T, an integer matrix {row: {col: int}} (doubled_tangent), and
-brackets two of them with one kernel, _flat_commutator: the table, the
-span and the su(3) check alike.  tangent() halves 2T for callers that want
-T.  The Killing form is the trace form of the doubled tangents
-(killing_matrix).
+tangent 2T, an integer matrix in one layout, {row * DIM + col: int}
+(doubled_tangent).  One helper conjugates a 2T by a coordinate map
+(_conjugated), one sums weighted 2T (_weighted_sum), and one kernel
+brackets two of them (_flat_commutator), for the table, the span and the
+su(3) check alike.  tangent() halves 2T as {row: {col: Fraction}}.  The
+Killing form is the trace form of the doubled tangents (killing_matrix).
 
 Each CLI verb is a fresh process that compiles every module it imports, so
 the code that only some verbs run lives in modules of its own, which this
@@ -43,11 +44,6 @@ DIM = 27
 
 class NotClosed(RuntimeError):
     pass
-
-
-def _flat(mat: dict) -> dict:
-    """A matrix {row: {col: v}} as the sparse vector {row * DIM + col: v}."""
-    return {r * DIM + c: v for r, row in mat.items() for c, v in row.items()}
 
 
 def _operand(flat: dict) -> tuple:
@@ -154,12 +150,14 @@ _CYCLES = tuple(map(_rotation, range(3)))
 
 def tangent(label: GeneratorLabel) -> dict:
     """Exact d/dalpha at 0 of the label's action as {row: {col: Fraction}}: 2T halved."""
-    return {r: {c: Fraction(v, 2) for c, v in row.items()}
-            for r, row in doubled_tangent(label).items()}
+    mat: dict = {}
+    for key, v in doubled_tangent(label).items():
+        mat.setdefault(key // DIM, {})[key % DIM] = Fraction(v, 2)
+    return mat
 
 
 def doubled_tangent(label: GeneratorLabel) -> dict:
-    """2T, the label's tangent doubled, as {row: {col: int}}; every entry of T lies in 1/2 Z.
+    """2T, the label's tangent doubled, as {row * DIM + col: int}; every entry of T lies in 1/2 Z.
 
     The type-1 2T of a label, or of a transverse core, is the angle-weighted
     sum of its cores' 2T (_core_tangent): every core is the identity at
@@ -167,21 +165,25 @@ def doubled_tangent(label: GeneratorLabel) -> dict:
     derivatives.  Type t is P^(t-1) T P^(1-t), where P is the type cycle.
     Not cached: all 135 take about 5 ms once the cores are known.
     """
-    cycle = _CYCLES[_shift(label)]
     parts = cores(GeneratorLabel(label.category, 1, label.plane, label.axis))
-    if len(parts) == 1 and parts[0][1] == 1:    # a core: its own 2T
-        twice = _core_tangent(parts[0][0])
-    else:
-        twice = {}
-        for core, angle in parts:
-            for key, v in _core_tangent(core).items():
-                twice[key] = twice.get(key, 0) + angle * v
-    # insert column by column: the dicts iterate as if each basis column were applied
-    mat: dict = {}
-    for (col, row), v in sorted(twice.items()):
-        if v:
-            mat.setdefault(cycle[row], {})[cycle[col]] = v
-    return mat
+    twice = _weighted_sum((angle, _core_tangent(core)) for core, angle in parts)
+    return _conjugated(twice, _CYCLES[_shift(label)])
+
+
+def _weighted_sum(parts) -> dict:
+    """sum w v over (w, sparse v) pairs, zero entries dropped: flat 2T, or any sparse vectors."""
+    out: dict = {}
+    for w, vec in parts:
+        for key, v in vec.items():
+            out[key] = out.get(key, 0) + w * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _conjugated(twice: dict, q: tuple, s: tuple | None = None, sign: int = 1) -> dict:
+    """sign * Q 2T Q^-1, flat, where Q maps coordinate i to s[i] coordinate q[i] (s None: all 1)."""
+    s = s or (1,) * DIM
+    return {q[k // DIM] * DIM + q[k % DIM]: sign * s[k // DIM] * s[k % DIM] * v
+            for k, v in twice.items()}
 
 
 # Octonion automorphisms that permute the imaginary units up to sign, as
@@ -197,13 +199,13 @@ _CORE_TANGENTS: dict[GeneratorLabel, dict] = {}
 
 
 def _core_tangent(core: GeneratorLabel) -> dict:
-    """2T of a type-1 core as {(col, row): int}, derived with the rest of its orbit.
+    """2T of a type-1 core, flat, derived with the rest of its orbit.
 
     The 45 cores fall into 7 orbits under _TANGENT_MOVES.  The orbit's first
     core (_orbit_rep) is differentiated by one group.apply_dual call on the
     generic element; every other core is reached from it by moves, each
     checked on the stages (_check_stages), and its tangent is the conjugate
-    sign * Q T Q^-1, where Q applies the move to the a, b and c blocks.
+    sign * Q T Q^-1 (_conjugated), Q the move on the a, b and c blocks.
     """
     twice = _CORE_TANGENTS.get(core)
     if twice is not None:
@@ -214,7 +216,7 @@ def _core_tangent(core: GeneratorLabel) -> dict:
         value, d = apply_dual(rep, _GENERIC)
         if value != _GENERIC:
             raise AssertionError(f"action of {rep} at alpha=0 is not the identity")
-        _CORE_TANGENTS[rep] = {(col, row): v for row, packed in enumerate(to_coords(d))
+        _CORE_TANGENTS[rep] = {row * DIM + col: v for row, packed in enumerate(to_coords(d))
                                if packed for col, v in _fields(packed).items()}
     moves = [_unit_map(images) for images in _TANGENT_MOVES]
     todo, seen = [rep], {rep}
@@ -225,9 +227,7 @@ def _core_tangent(core: GeneratorLabel) -> dict:
             if dst in seen:
                 continue
             _check_stages(src, dst, move, sign)
-            q, s = _coordinate_map(move)
-            _CORE_TANGENTS[dst] = {(q[col], q[row]): sign * s[col] * s[row] * v
-                                   for (col, row), v in _CORE_TANGENTS[src].items()}
+            _CORE_TANGENTS[dst] = _conjugated(_CORE_TANGENTS[src], *_coordinate_map(move), sign)
             seen.add(dst)
             todo.append(dst)
     if core not in seen:
@@ -379,16 +379,15 @@ def killing_matrix() -> list[list[int]]:
     4 tr(T_i T_j) = tr(2T_i 2T_j) is a sum of products of integers, and each
     entry of 2T_i at (row, col) pairs with the entry of 2T_j at (col, row).
     """
-    # (row, col) -> [(i, 2T_i at (row, col))]
+    # row * DIM + col -> [(i, 2T_i at (row, col))]
     doubled = _preferred_doubled()
     entries: dict = {}
     for i, mat in enumerate(doubled):
-        for r, row in mat.items():
-            for c, v in row.items():
-                entries.setdefault((r, c), []).append((i, v))
+        for key, v in mat.items():
+            entries.setdefault(key, []).append((i, v))
     total = [[0] * len(doubled) for _ in doubled]
-    for (r, c), col in entries.items():
-        back = entries.get((c, r))
+    for key, col in entries.items():
+        back = entries.get(key % DIM * DIM + key // DIM)
         if back:
             for i, x in col:
                 row = total[i]

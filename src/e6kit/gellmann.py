@@ -6,7 +6,7 @@ reads no structure table.
 
 from __future__ import annotations
 
-from .algebra import _flat, _flat_commutator, _operand, _span_constants, doubled_tangent
+from .algebra import DIM, _flat_commutator, _operand, _span_constants, doubled_tangent
 from .group import GeneratorLabel
 
 
@@ -30,7 +30,8 @@ def _gellmann_matrices() -> list[dict]:
     A complex 3x3 matrix X + iY becomes the real 6x6 matrix [[X, -Y], [Y, X]],
     and that is transposed: _flat_commutator takes YX - XY, which on
     transposes is (XY - YX)^T, so the constants read off are those of ab - ba.
-    Each is doubled, {row: {col: 2v}}, as the tangents are (doubled_tangent).
+    Each is doubled and flat, {row * DIM + col: 2v}, as the tangents are
+    (doubled_tangent).
     """
     table = [
         {(0, 1): -1j, (1, 0): -1j},            # -i * lambda1-like
@@ -42,16 +43,13 @@ def _gellmann_matrices() -> list[dict]:
         {(1, 2): -1, (2, 1): 1},
         {(0, 0): -1j, (1, 1): -1j, (2, 2): 2j},
     ]
-    out = []
-    for entries in table:
-        mat: dict = {}
+    def realified(entries):    # (row, col, v) of the transposed real 6x6 matrix
         for (r, c), z in entries.items():
             x, y = int(z.real), int(z.imag)
-            for row, col, v in ((c, r, x), (c + 3, r, -y), (c, r + 3, y), (c + 3, r + 3, x)):
-                if v:
-                    mat.setdefault(row, {})[col] = 2 * v
-        out.append(mat)
-    return out
+            yield from ((c, r, x), (c + 3, r, -y), (c, r + 3, y), (c + 3, r + 3, x))
+
+    return [{row * DIM + col: 2 * v for row, col, v in realified(entries) if v}
+            for entries in table]
 
 
 def gellmann_check() -> dict:
@@ -67,9 +65,8 @@ def gellmann_check() -> dict:
     def bracket(x, y):
         return _flat_commutator(_operand(x), _operand(y))
 
-    octonionic = _span_constants([_flat(doubled_tangent(label)) for label in GELLMANN_LABELS],
-                                 bracket)
-    oracle = _span_constants(list(map(_flat, _gellmann_matrices())), bracket)
+    octonionic = _span_constants(list(map(doubled_tangent, GELLMANN_LABELS)), bracket)
+    oracle = _span_constants(_gellmann_matrices(), bracket)
     for pair, coeffs in octonionic.items():
         if coeffs != oracle[pair]:
             raise MismatchAt(f"structure constants differ at pair {pair} "

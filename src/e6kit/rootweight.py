@@ -349,8 +349,10 @@ class Slice:
         self.level, self.vertices = level, vertices
 
 
-def _direction_norm(direction: tuple, name: str) -> float:
-    """The length of `direction`; ValueError when it is at most 1e-9, no direction at all."""
+def _direction_norm(direction: tuple, name: str, points: list) -> float:
+    """The length of `direction`; ValueError if at most 1e-9 or not the points' dimension."""
+    if any(len(p) != len(direction) for p in points):
+        raise ValueError(f"{name} {tuple(direction)} is not of the points' dimension")
     nn = math.sqrt(sum(x * x for x in direction))
     if not nn > 1e-9:
         raise ValueError(f"zero {name} {tuple(direction)}: it defines no direction")
@@ -362,9 +364,9 @@ def slice_diagram(points: list, normal: tuple, roots: Optional[list] = None):
 
     Returns (slices sorted by level, struts).  Struts are pairs of points in
     different levels whose difference is a root (only when roots given).
-    A zero normal raises ValueError.
+    A zero normal, or one of another dimension than the points, raises ValueError.
     """
-    nn = _direction_norm(normal, "normal")
+    nn = _direction_norm(normal, "normal", points)
     unit = tuple(x / nn for x in normal)
     buckets: dict = {}
     for p in points:
@@ -418,7 +420,9 @@ def _axes(dim: int) -> list:
 
 
 def orthogonal_direction(vectors: list) -> tuple:
-    """A float direction orthogonal to the given (independent) vectors."""
+    """A float direction orthogonal to the given (independent) vectors; ValueError if none given."""
+    if not vectors:
+        raise ValueError("no vectors: their dimension is unknown")
     basis, _ = _orthonormalize(list(vectors) + _axes(len(vectors[0])), 1e-9)
     if len(basis) <= len(vectors):
         raise ValueError("no orthogonal direction: vectors span the space")
@@ -429,10 +433,10 @@ def project(points: list, direction: tuple) -> list:
     """Project along `direction`: orthonormalize with it first, drop coord 1.
 
     A zero direction raises ValueError (Gram-Schmidt would skip it and drop
-    the first axis instead).
+    the first axis instead), and so does one of another dimension than the points.
     """
     p = tuple(direction)
-    _direction_norm(p, "direction")
+    _direction_norm(p, "direction", points)
     basis, _ = _orthonormalize([p] + _axes(len(p)), 1e-9)
     return [tuple(sum(a * x for a, x in zip(pt, b)) for b in basis[1:])
             for pt in points]

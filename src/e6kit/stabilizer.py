@@ -6,7 +6,7 @@ Only `e6kit stab-l` runs this; it reads the preferred doubled tangents
 
 from __future__ import annotations
 
-from .algebra import _basis_index, _preferred_doubled, killing_restricted
+from .algebra import DIM, _basis_index, _preferred_doubled, _weighted_sum, killing_restricted
 from .group import GeneratorLabel
 from .linalg import kernel, span_of
 from .structure import structure_table
@@ -72,8 +72,10 @@ def stabilizer_of_l() -> dict:
     the integer table L c (structure_table), which no span or zero test can
     tell from c.
     """
-    # the kernel of x -> sum_i x_i * (row a_l of 2T_i)
-    stab = kernel(mat.get(A_L_COORD, {}) for mat in _preferred_doubled())
+    # the kernel of x -> sum_i x_i * (row a_l of 2T_i), the map the documented vectors must zero
+    rows = [{key % DIM: v for key, v in mat.items() if key // DIM == A_L_COORD}
+            for mat in _preferred_doubled()]
+    stab = kernel(rows)
     table = structure_table()
     named = stab_l_documented_basis()
     so81, b_all = named["so81"], named["b2"] + named["b3"] + named["bl"]
@@ -86,7 +88,8 @@ def stabilizer_of_l() -> dict:
     return {
         "dim": len(stab),
         "kernel": stab,
-        "documented_basis_in_kernel": all(map(span_of(stab).contains, so81 + b_all)),
+        "documented_basis_in_kernel": not any(
+            _weighted_sum((c, rows[i]) for i, c in x.items()) for x in so81 + b_all),
         "so81_dim": so81_span.rank,    # 36 unless the documented vectors are dependent
         "so81_closed": all(map(so81_span.contains, pairs(so81))),
         "b_dims": (len(named["b2"]), len(named["b3"]), len(named["bl"])),

@@ -23,8 +23,9 @@ import os
 import zlib
 from typing import Optional
 
-from .algebra import (_SEVEN, DIM, _basis_index, _coordinate_map, _flat, _flat_commutator,
-                      _operand, _shared_doubled, _unit_map, doubled_tangent, preferred_basis)
+from .algebra import (_SEVEN, _basis_index, _conjugated, _coordinate_map, _flat_commutator,
+                      _operand, _shared_doubled, _unit_map, _weighted_sum, doubled_tangent,
+                      preferred_basis)
 from .group import GeneratorLabel, all_labels, cores, format_label
 from .linalg import SpanBasis, span_of
 from .units import IMAGINARY_UNITS
@@ -95,11 +96,7 @@ def _change_of_basis() -> tuple[list[dict], list[dict], int]:
 def _to_preferred(coeffs: dict) -> dict:
     """d times the preferred coordinates of a vector given on the core basis."""
     back = _change_of_basis()[1]
-    out: dict = {}
-    for c, x in coeffs.items():
-        for f, w in back[c].items():
-            out[f] = out.get(f, 0) + x * w
-    return {f: out[f] for f in sorted(out) if out[f]}
+    return dict(sorted(_weighted_sum((x, back[c]) for c, x in coeffs.items()).items()))
 
 
 @functools.cache
@@ -114,16 +111,15 @@ def _core_doubled() -> list[dict]:
 
 
 @functools.cache
-def _basis_span() -> tuple[SpanBasis, list[dict]]:
-    """(span, 2T flat) of the 78 core-basis tangents, the span tagged by core-basis index.
+def _basis_span() -> SpanBasis:
+    """The span of the 78 core-basis 2T (_core_doubled), tagged by core-basis index.
 
     Built once per process; reduce_basis and structure_table read it.
     """
-    flat = [_flat(mat) for mat in _core_doubled()]
-    sb = span_of(flat)
+    sb = span_of(_core_doubled())
     if sb.rank != 78:
         raise RankMismatch(f"the core-basis tangents span only {sb.rank} dimensions")
-    return sb, flat
+    return sb
 
 
 def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
@@ -132,13 +128,13 @@ def reduce_basis() -> tuple[list[GeneratorLabel], dict]:
     Raises RankMismatch unless the 135 tangents span exactly the preferred 78.
     """
     basis = preferred_basis()
-    sb = _basis_span()[0]
+    sb = _basis_span()
     d = _change_of_basis()[2]
     certificates = {}
     for label in all_labels():
         if label in _basis_index():
             continue
-        coeffs = sb.express(_flat(doubled_tangent(label)))
+        coeffs = sb.express(doubled_tangent(label))
         if coeffs is None:
             raise RankMismatch(f"tangent of {label} escapes the preferred span")
         certificates[label] = {basis[f]: v / d for f, v in _to_preferred(coeffs).items()}
@@ -231,7 +227,7 @@ def _core_constants() -> dict:
     basis = _core_basis()
     # w in the span is sum over reduced rows n of w[pivot n] / row n[pivot n]
     # * row n, and combos[n] is row n on the 2T.
-    span, flat = _basis_span()
+    span, flat = _basis_span(), _core_doubled()
     doubled = [_operand(f) for f in flat]
     row_of = span.pivot_row
     pivots = {n: span.rows[n][p] for p, n in row_of.items()}
@@ -316,8 +312,8 @@ def _preferred_constants(brackets: dict) -> tuple[int, dict]:
 def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
     """Each of _TABLE_MOVES as a signed permutation (perm, sign) of the core basis.
 
-    Q T_k Q^-1 = sign[k] T_perm[k] is checked on the doubled tangents (given
-    flat) for every k, so a bracket derived through Q is exact:
+    Q T_k Q^-1 = sign[k] T_perm[k] is checked on the doubled tangents
+    (_conjugated) for every k, so a bracket derived through Q is exact:
     [T_perm[i], T_perm[j]] = sign[i] sign[j] sum_k c_ij^k sign[k] T_perm[k].
     NotInSpan if some Q T_k Q^-1 is not plus or minus a basis tangent.
     """
@@ -327,8 +323,7 @@ def _basis_symmetries(flat: list[dict]) -> list[tuple[list, list]]:
         q, s = _coordinate_map(_unit_map(images))
         perm, sign = [], []
         for k, f in enumerate(flat):
-            image = {q[key // DIM] * DIM + q[key % DIM]: s[key // DIM] * s[key % DIM] * v
-                     for key, v in f.items()}
+            image = _conjugated(f, q, s)
             hit, t = index.get(frozenset(image.items())), 1
             if hit is None:
                 hit, t = index.get(frozenset((key, -v) for key, v in image.items())), -1

@@ -54,17 +54,18 @@ def _build_table() -> tuple[tuple[tuple[int, int], ...], ...]:
 
 MULT_TABLE = _build_table()
 
-# Quaternionic subalgebra pairs for each axis; the product of each ordered
-# pair equals the axis, and only the third pair involves l.
-_AGS_PAIRS = {
-    "i": (("j", "k"), ("kl", "jl"), ("l", "il")),
-    "j": (("k", "i"), ("il", "kl"), ("l", "jl")),
-    "k": (("i", "j"), ("jl", "il"), ("l", "kl")),
-    "kl": (("jl", "i"), ("j", "il"), ("k", "l")),
-    "jl": (("i", "kl"), ("il", "k"), ("j", "l")),
-    "il": (("kl", "j"), ("k", "jl"), ("i", "l")),
-    "l": (("il", "i"), ("jl", "j"), ("kl", "k")),
-}
+
+def _build_ags_pairs() -> dict[str, tuple[tuple[str, str], ...]]:
+    """{axis q: its quaternionic pairs (b, c), b c = q}: from each triple that holds q,
+    rotated to (q, b, c), in TRIPLES order but with the pair holding l last unless q is l."""
+    out = {}
+    for q in IMAGINARY_UNITS:
+        pairs = [(t * 2)[t.index(q) + 1:t.index(q) + 3] for t in TRIPLES if q in t]
+        out[q] = tuple(sorted(pairs, key=lambda pair: q != "l" and "l" in pair))
+    return out
+
+
+_AGS_PAIRS = _build_ags_pairs()
 
 
 def norm2(coeffs):

@@ -11,20 +11,17 @@ import random
 
 
 def _doubled_combo(parts) -> dict:
-    """2 sum c T(label) in integers, {(row, col): int}: the weights 2c times
-    the doubled tangents 2T."""
+    """2 sum c T(label) in integers, flat: the weights 2c times the doubled tangents 2T."""
     from fractions import Fraction
 
     from . import algebra, group
-    total: dict = {}
+    terms = []
     for c, lab in parts:
         two = 2 * Fraction(c)
         if two.denominator != 1:
             raise AssertionError(f"2 * {c} is not an integer")
-        for r, row in algebra.doubled_tangent(group.parse_label(lab)).items():
-            for col, v in row.items():
-                total[r, col] = total.get((r, col), 0) + two.numerator * v
-    return total
+        terms.append((two.numerator, algebra.doubled_tangent(group.parse_label(lab))))
+    return algebra._weighted_sum(terms)
 
 
 def _verify_dependencies(out, args) -> int:
@@ -55,7 +52,7 @@ def _verify_dependencies(out, args) -> int:
                        *([(1, f"{cat}:{q}"), (-1, f"{cat}:{q}:{t}")]
                          for q in IMAGINARY_UNITS for t in (2, 3))))
     for name, *combos in checks:
-        if any(any(_doubled_combo(parts).values()) for parts in combos):
+        if any(_doubled_combo(parts) for parts in combos):
             out.write(f"FAILED: {name}\n")
             return 1
         out.write(f"confirmed: {name}\n")
@@ -70,6 +67,7 @@ def _verify_jacobi(out, args) -> int:
     L^2 times the exact one, and vanishes exactly when it does.
     """
     from . import group
+    from .algebra import _weighted_sum
     from .structure import structure_table
     table = structure_table()
     n = len(table.basis)
@@ -77,12 +75,8 @@ def _verify_jacobi(out, args) -> int:
     triples = [tuple(sorted(rng.sample(range(n), 3))) for _ in range(500)]
     for (a, b, c) in triples:
         ua, ub, uc = {a: 1}, {b: 1}, {c: 1}
-        total: dict = {}
-        for x, y, z in ((ua, ub, uc), (ub, uc, ua), (uc, ua, ub)):
-            inner = table.bracket_vectors(y, z)
-            for k, v in table.bracket_vectors(x, inner).items():
-                total[k] = total.get(k, 0) + v
-        if any(total.values()):
+        if _weighted_sum((1, table.bracket_vectors(x, table.bracket_vectors(y, z)))
+                         for x, y, z in ((ua, ub, uc), (ub, uc, ua), (uc, ua, ub))):
             la, lb, lc = (group.format_label(table.basis[i]) for i in (a, b, c))
             out.write(f"FAILED: jacobi({la}, {lb}, {lc}) != 0\n")
             return 1

@@ -19,7 +19,8 @@ DictForm is the integer linear form as a plain {column: int} dict, the
 oracle of the packed ints of e6kit.algebra._GENERIC, which algebra._fields
 decodes.  The matrix bracket YX - XY on
 {row: {col: v}} dicts, through a plain matrix product, is the oracle of
-e6kit.algebra._flat_commutator.  `embed_check` is the unpruned isometry
+e6kit.algebra._flat_commutator; flat_matrix and nested_matrix carry a
+matrix to and from e6kit's flat layout {row * 27 + col: v}.  `embed_check` is the unpruned isometry
 search, trying every norm ratio as the scale and every target vertex at
 every level: the oracle of e6kit.rootweight.embed_check.
 """
@@ -452,6 +453,20 @@ def mat_sum(parts: list) -> dict:
 def commutator(x: dict, y: dict) -> dict:
     """YX - XY of two {row: {col: v}} matrices, the group-orbit (vector-field) bracket."""
     return mat_sum([(1, _mat_mul(y, x)), (-1, _mat_mul(x, y))])
+
+
+def flat_matrix(mat: dict) -> dict:
+    """A {row: {col: v}} matrix in e6kit's flat layout {row * 27 + col: v}."""
+    return {r * 27 + c: v for r, row in mat.items() for c, v in row.items()}
+
+
+def nested_matrix(flat: dict) -> dict:
+    """A flat {row * 27 + col: v} matrix as {row: {col: v}}."""
+    out: dict = {}
+    for key, v in flat.items():
+        r, c = divmod(key, 27)
+        out.setdefault(r, {})[c] = v
+    return out
 
 
 def apply_matrix(mat: dict, coords: list) -> list:

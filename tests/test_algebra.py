@@ -20,7 +20,8 @@ from e6kit.linalg import kernel
 from e6kit.rootweight import cartan_matrix, diagram
 from e6kit.units import IMAGINARY_UNITS
 from reference import (StepTooLarge, apply_matrix, calibration_constant, commutator,
-                       curve_commutator, killing_from_table, mat_sum)
+                       curve_commutator, flat_matrix, killing_from_table, mat_sum,
+                       nested_matrix)
 
 
 def combo(parts):
@@ -389,10 +390,9 @@ def test_flat_commutator_matches_reference_bracket():
         assert len(mats) == 8
         for a, x in enumerate(mats):
             for y in mats[a + 1:]:
-                got = algebra._flat_commutator(algebra._operand(algebra._flat(x)),
-                                               algebra._operand(algebra._flat(y)))
+                got = algebra._flat_commutator(algebra._operand(x), algebra._operand(y))
                 got = {key: v for key, v in got.items() if v}
-                assert got == algebra._flat(commutator(x, y))
+                assert got == flat_matrix(commutator(nested_matrix(x), nested_matrix(y)))
                 nonzero += bool(got)
     assert nonzero == 2 * 25    # on each side, 25 of the 28 pairs do not commute
 

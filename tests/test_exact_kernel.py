@@ -18,7 +18,7 @@ from e6kit.linalg import SpanBasis, span_of
 from e6kit.units import _AGS_PAIRS, MULT_TABLE, UNIT_INDEX, UNITS
 from reference import GENERIC as reference_generic, DictForm, Octonion
 from reference import apply_dual as reference_apply_dual, basis_element
-from reference import commutator as reference_commutator
+from reference import commutator as reference_commutator, flat_matrix
 from reference import preferred_constants as reference_preferred_constants
 
 
@@ -308,7 +308,7 @@ def test_corrupt_tangent_is_caught(monkeypatch, fresh_span, fresh_tangents):
     """An orbit representative off by 1/2 in one entry cannot pass the integer rebuild."""
     rep = GeneratorLabel("R", 1, plane=_AGS_PAIRS["i"][0])
     twice = dict(_direct_core_tangent(rep))
-    twice[0, 0] = twice.get((0, 0), 0) + 1
+    twice[0] = twice.get(0, 0) + 1    # row 0, column 0
     monkeypatch.setattr(algebra, "_CORE_TANGENTS", {rep: twice})
     monkeypatch.setattr(structure, "_TABLE", None)
     with pytest.raises(structure.NotInSpan):
@@ -316,15 +316,15 @@ def test_corrupt_tangent_is_caught(monkeypatch, fresh_span, fresh_tangents):
 
 
 def _direct_core_tangent(core):
-    """2T of a type-1 core as {(col, row): int}, from 27 apply_dual calls."""
-    return {(col, row): int(2 * v) for row, cols in _direct_tangent(core).items()
+    """2T of a type-1 core, flat as {row * 27 + col: int}, from 27 apply_dual calls."""
+    return {row * 27 + col: int(2 * v) for row, cols in _direct_tangent(core).items()
             for col, v in cols.items()}
 
 
 def _reference_constants():
     """The bracket of every one of the 3003 basis pairs, each computed and residual-checked."""
     basis = algebra.preferred_basis()
-    span = span_of(algebra._flat(algebra.tangent(lab)) for lab in basis)
+    span = span_of(flat_matrix(algebra.tangent(lab)) for lab in basis)
     # row n of the span is sum_k combos[n][k] T_k, and w[pivot n] / row n[pivot n] its weight in w
     pivots = {n: span.rows[n][p] for p, n in span.pivot_row.items()}
     combos = [{k: Fraction(x, pivots[n]) for k, x in combo.items()}
@@ -335,7 +335,7 @@ def _reference_constants():
     doubled = [{r: {c: int(2 * v) for c, v in row.items()}
                 for r, row in algebra.tangent(lab).items()}
                for lab in basis]
-    flat = [algebra._flat(mat) for mat in doubled]
+    flat = [flat_matrix(mat) for mat in doubled]
     constants = {}
     for i in range(78):
         for j in range(i + 1, 78):
@@ -515,13 +515,40 @@ def test_table_moves_are_automorphisms_generating_1344_maps_and_166_orbits():
     assert all(_is_automorphism(images) for images in structure._TABLE_MOVES)
     moves = [tuple(map(tuple, _unit_perm(images))) for images in structure._TABLE_MOVES]
     assert len(_closure(_IDENTITY8, moves, _compose)) == 1344
-    flat = [algebra._flat(algebra.doubled_tangent(core)) for core in structure._core_basis()]
+    flat = [algebra.doubled_tangent(core) for core in structure._core_basis()]
     moves = [(tuple(p), tuple(s)) for p, s in structure._basis_symmetries(flat)]
     group = _closure((tuple(range(78)), (1,) * 78), moves, _compose)
     assert len(group) == 1344
     orbits = {frozenset((min(p[i], p[j]), max(p[i], p[j])) for p, _ in group)
               for i in range(78) for j in range(i + 1, 78)}
     assert sum(map(len, orbits)) == 3003 and len(orbits) == 166
+
+
+def test_type_cycle_conjugates_the_type_1_tangent():
+    """For all 135 labels, 2T at type t is the type-1 2T conjugated by _CYCLES[t - 1],
+    and three turns of the cycle give every 2T back."""
+    for label in all_labels():
+        twice = algebra.doubled_tangent(label)
+        first = algebra.doubled_tangent(label._replace(type_index=1))
+        assert twice == algebra._conjugated(first, algebra._CYCLES[label.type_index - 1])
+        turned = twice
+        for _ in range(3):
+            turned = algebra._conjugated(turned, algebra._CYCLES[1])
+        assert turned == twice, group.format_label(label)
+
+
+def test_conjugating_by_a_unit_map_and_its_inverse_is_the_identity():
+    """Q 2T Q^-1 then Q^-1 (Q 2T Q^-1) Q gives back the 2T of all 135 labels and of
+    every core-basis label, for each unit map that moves tangents or table pairs."""
+    tangents = [algebra.doubled_tangent(lab) for lab in all_labels() + structure._core_basis()]
+    for images in algebra._TANGENT_MOVES + structure._TABLE_MOVES:
+        q, s = algebra._coordinate_map(algebra._unit_map(images))
+        back, back_sign = [0] * 27, [0] * 27
+        for i in range(27):    # Q^-1: coordinate q[i] -> s[i] coordinate i
+            back[q[i]], back_sign[q[i]] = i, s[i]
+        moved = [algebra._conjugated(twice, q, s) for twice in tangents]
+        assert moved != tangents
+        assert [algebra._conjugated(m, back, back_sign) for m in moved] == tangents
 
 
 def test_change_of_basis_inverts_the_ags_blocks():
@@ -553,7 +580,8 @@ def test_tangent_moved_off_the_basis_is_caught(monkeypatch, cold_table, fresh_sp
     """A core tangent that the moves do not carry to a basis tangent is refused."""
     core = GeneratorLabel("B", 1, plane=("t", "x"))
     twice = dict(_direct_core_tangent(core))
-    twice[3 + UNIT_INDEX["i"], 0] = 1    # moves with a_i, which B:t,x does not
+    # row p, column a_i: p moves with a_i, which under B:t,x it does not
+    twice[0 * 27 + 3 + UNIT_INDEX["i"]] = 1
     monkeypatch.setattr(algebra, "_CORE_TANGENTS", {core: twice})
     with pytest.raises(structure.NotInSpan, match="outside the basis"):
         algebra.structure_table()

@@ -57,6 +57,20 @@ def test_quaternionic_triples_pairs_multiply_to_axis():
             assert u(p) * u(q) == u(axis)
 
 
+def test_quaternionic_pairs_derived_from_the_triples_match_the_table():
+    """_AGS_PAIRS, read off TRIPLES, is the table that the A/G/S stages were written against."""
+    assert _AGS_PAIRS == {
+        "i": (("j", "k"), ("kl", "jl"), ("l", "il")),
+        "j": (("k", "i"), ("il", "kl"), ("l", "jl")),
+        "k": (("i", "j"), ("jl", "il"), ("l", "kl")),
+        "kl": (("jl", "i"), ("j", "il"), ("k", "l")),
+        "jl": (("i", "kl"), ("il", "k"), ("j", "l")),
+        "il": (("kl", "j"), ("k", "jl"), ("i", "l")),
+        "l": (("il", "i"), ("jl", "j"), ("kl", "k")),
+    }
+    assert list(_AGS_PAIRS) == list(IMAGINARY_UNITS)
+
+
 def test_associator_example():
     # (ij)l - i(jl) = 2 kl under the chosen table.
     want = Octonion.unit("kl", Fraction(2))

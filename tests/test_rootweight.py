@@ -259,11 +259,18 @@ def test_embed_zero_diagram_is_the_zero_map():
 
 @pytest.mark.parametrize("call", [project, slice_diagram, middle_slice])
 def test_zero_direction_raises(call):
-    """A zero direction or normal is refused, not read as a wrong projection or slice."""
+    """A zero direction or normal, or one of the wrong length, is refused, not read as a
+    wrong projection or slice; so is a direction orthogonal to no vectors at all."""
     roots = root_system(diagram("B3"))
     for v in ((0.0, 0.0, 0.0), (1e-12, 0.0, 0.0)):
         with pytest.raises(ValueError, match="zero"):
             call(roots, v)
+    # nor is one of another length than the points, which zip would truncate
+    for v in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="dimension"):
+            call(roots, v)
+    with pytest.raises(ValueError, match="no vectors"):
+        orthogonal_direction([])
 
 
 # the unpruned search in tests/reference.py as the oracle: every ordered pair
