@@ -21,7 +21,8 @@ last stage forms only the 27 coordinates of the result, and the products
 that those read.
 `apply` evaluates at a finite alpha in floating point, bit for bit as 3x3
 products of octonion entries would (the `Octonion` reference of
-tests/reference.py).
+tests/reference.py); `action_matrix` gives those bits for the 27 basis
+elements at once, through a column plan built once per type-1 chain.
 `apply_dual` evaluates the value and the doubled derivative at alpha = 0 in
 exact integers, which is where the tangents of the Lie algebra come from.
 Every generator is a product of cores (`cores`): a B or R generator is its
@@ -517,7 +518,7 @@ def _table_pair(units: tuple, fold: tuple, last: bool) -> tuple:
 
 _STAGE_TABLES: dict[tuple, int] = {}      # by (units, flip, first, last): an index into _TABLES
 _STAGES: dict[tuple, tuple] = {}          # by (stage, flip, first, last)
-_TABLES: list[tuple] = []                 # (left table, right tables, length of the left's x)
+_TABLES: list[tuple] = []                 # (left table, right tables)
 _FLIPS: dict[ParamMatrix, tuple] = {}
 _TEMPLATES: dict[tuple, tuple] = {}       # by the terms they hold
 _CONST = _KINDS["const"][0]
@@ -561,7 +562,7 @@ def _fold(flip: Optional[ParamMatrix], first: bool) -> tuple:
 def _compile_stage(stage: ParamMatrix, flip: Optional[ParamMatrix], first: bool,
                    last: bool) -> tuple:
     """Per shift, the stage's entry (template, terms, slots, left table,
-    right table, stage, index of the tables in _TABLES), shared by equal stages.
+    right table, stage), shared by equal stages.
 
     The tables are built once per structure and fold: flip, the constant
     stage run just before this one or None, and for the first stage the
@@ -573,10 +574,10 @@ def _compile_stage(stage: ParamMatrix, flip: Optional[ParamMatrix], first: bool,
         index = _STAGE_TABLES.get((units, flip, first, last))
         if index is None:
             index = _STAGE_TABLES[units, flip, first, last] = len(_TABLES)
-            _TABLES.append((*_table_pair(units, _fold(flip, first), last), 28 if first else _NEG))
-        left, rights, _ = _TABLES[index]
+            _TABLES.append(_table_pair(units, _fold(flip, first), last))
+        left, rights = _TABLES[index]
         compiled = _STAGES[stage, flip, first, last] = tuple(
-            (template, terms, slots, left, right, stage, index) for right in rights)
+            (template, terms, slots, left, right, stage) for right in rights)
     return compiled
 
 
@@ -694,55 +695,62 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
     alpha = float(alpha)
     shift, stages = _kernel(label)
     x = [*map(float, _ROTATE[shift](chi.coords) if shift else chi.coords), 0.0]
-    for template, terms, slots, left, right, _, _ in stages:
+    for template, terms, slots, left, right, _ in stages:
         m = _stage_values(template, terms, slots, alpha)
         y = _half_step(left, m, x, x)
         x = _half_step(right, m, y, y)
     return JordanElement(tuple([v + 0.0 for v in x]))
 
 
-# action_matrix reads each half-step table from the source side: per input
-# position, the (output position, m slot) pairs it feeds, with m slot
-# _COPY = 1.0 for a copy; a left table's pairs whose output the right one
-# does not read are dropped.  A basis column fills few positions, so its pass
-# follows the nonzeros.  It forms the products `apply` forms, in either
-# order (a sum of two floats is commutative), and skips those of unreached
-# positions: +-0 in `apply`, times a finite stage value, changes no sum of
-# two.  So each column has the bits of `apply` on that basis element; every
-# sum starts from +0.0, so no zero is negative.
+# action_matrix walks the 27 basis columns through the stage tables once per
+# type-1 chain: which outputs a column reaches does not depend on alpha.  Each
+# reached output read later takes the products whose input the column reaches,
+# one or two (a copy is m[_COPY] = 1.0 times its input), in the order of
+# `apply`.  A skipped product has a zero factor and a finite stage value, so it
+# changes no sum of two: column j has the bits of `apply` on e_j.  Every sum
+# starts from +0.0, so no zero is negative.
 
-_SOURCES: dict[int, tuple] = {}       # by index into _TABLES
-_PAIRS: dict[tuple, tuple] = {}       # one copy of each (output position, m slot) pair
+_PLANS: dict[GeneratorLabel, tuple] = {}    # by type-1 label
 
 
-def _sources(table: tuple, n_in: int) -> list:
-    """Per input position of the table, the (output position, m slot) pairs it feeds."""
-    ones, twos, gather = table
-    products = [((i, j),) for i, j in ones]
-    products += [((i, j), (k, l)) for i, j, k, l in twos]
-    products += [((_COPY, j),) for j in range(n_in)]
-    feeds = [[] for _ in range(n_in)]
-    for out, pairs in enumerate(products if gather is None else gather(products)):
-        for i, j in pairs:
-            feeds[j].append(_PAIRS.setdefault((out, i), (out, i)))
-    return feeds
+def _plan(label: GeneratorLabel) -> tuple:
+    """(per stage: template, terms, slots and two passes; readout per shift).
 
-
-def _source_side(index: int) -> tuple:
-    """(left form, right form) of the tables _TABLES[index], built once.
-
-    The last right form gives the coordinates in type-1 order.
-    """
-    form = _SOURCES.get(index)
-    if form is None:
-        left, (right, *_), n_in = _TABLES[index]
-        second = _sources(right, len(left[0]) + len(left[1]) + n_in)
-        feeds = _sources(left, n_in)
-        if n_in == 28:    # a first stage: no basis column reaches the zero at input 27
-            del feeds[27]
-        first = [tuple(p for p in pairs if second[p[0]]) for pairs in feeds]
-        form = _SOURCES[index] = (tuple(first), tuple(map(tuple, second)))
-    return form
+    A pass is six array('H') index columns into the stage values m and x, the
+    previous pass's outputs: m slot and source of one-product outputs, then m,
+    source, m, source of two-product ones.  A readout lists the 729 entries,
+    row by row, as positions in the last x, with a 0.0 appended.  In the walk,
+    key c << 8 | p is position p of column c (every p is below 256)."""
+    from array import array    # imported here: every CLI verb imports group, none builds a plan
+    stages, walked, reach = _chains(label)[0], [], [257 * c for c in range(27)]
+    for n_x, (*_, left, right, _) in zip((28, _NEG, _NEG), stages):    # [*coords, 0], 72
+        for (ones, twos, gather), n_in in ((left, n_x), (right, len(left[0] + left[1]) + n_x)):
+            products = [((i, j),) for i, j in ones] + [((i, j), (k, l)) for i, j, k, l in twos]
+            products = (gather or tuple)(products + [((_COPY, j),) for j in range(n_in)])
+            feeds = [[] for _ in range(n_in)]    # per input: (output, which product, m slot)
+            for out, terms in enumerate(products):
+                for k, (i, j) in enumerate(terms):
+                    feeds[j].append((out, k, i))
+            walked.append({})    # {output key: [(which product, m slot, input key)]}
+            for key in reach:
+                for out, k, i in feeds[key & 255]:
+                    walked[-1].setdefault(key & ~255 | out, []).append((k, i, key))
+            reach = walked[-1]
+    for n in range(len(walked) - 1, -1, -1):    # what the readout reads, then what that reads
+        walked[n] = [(key, sorted(got)) for key, got in walked[n].items() if key in reach]
+        reach = {source for _, got in walked[n] for _, _, source in got}
+    at, passes = {257 * c: c for c in range(27)}, []
+    for entries in walked:    # products in the order of `apply`, as index columns
+        flat = [(key, [v for _, i, source in got for v in (i, at[source])]) for key, got in entries]
+        split = [[e for e in flat if len(e[1]) == n] for n in (2, 4)]    # no table entry has more
+        passes.append(tuple(array("H", column) for part, n in zip(split, (2, 4))
+                            for column in (list(zip(*(f for _, f in part))) or [()] * n)))
+        at = {key: n for n, (key, _) in enumerate(split[0] + split[1])}
+    flat = [at.get(c << 8 | r, len(at)) for r in range(27) for c in range(27)]    # type-1 order
+    readouts = tuple(array("H", [v for r in order for v in pick(flat[27 * r:27 * r + 27])])
+                     for order, pick in zip(_ORDERS, _READOUTS))
+    return _PLANS.setdefault(label, (tuple((*stage[:3], *passes[2 * n:2 * n + 2])
+                                           for n, stage in enumerate(stages)), readouts))
 
 
 def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
@@ -750,30 +758,22 @@ def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:
 
     Columns are the images of the coordinate basis elements, so
     action_matrix(label, alpha) @ to_coords(chi) == to_coords(apply(label, alpha, chi)),
-    and column j has the bits of to_coords(apply(label, alpha, e_j)).  The
-    27 columns pass sparsely through the type-1 kernel, with each stage's
-    values computed once; as `apply` rotates fields, coordinate i of type t
-    is coordinate sigma[i] of type 1, its field shifted by -(t - 1).
+    and column j has the bits of to_coords(apply(label, alpha, e_j)).  It
+    runs the column plan of the type-1 chain, each stage's values computed
+    once, and reads it out in the order of the label's type.
     """
     alpha = float(alpha)
-    shift, stages = _kernel(label)
-    passes = []
-    for template, terms, slots, _, _, _, index in stages:
+    shift, _ = _kernel(label)
+    stages, readouts = _PLANS.get(one := label._replace(type_index=1)) or _plan(one)
+    x = [1.0] * 27    # each column's basis entry
+    for template, terms, slots, *passes in stages:
         m = _stage_values(template, terms, slots, alpha)
-        first, second = _source_side(index)
-        passes += [(first, m), (second, m)]
-    order = _ORDERS[shift]
-    cols = []
-    for j in order:
-        x = {j: 1.0}
-        for feeds, m in passes:
-            y = {}
-            for slot, v in x.items():
-                for out, i in feeds[slot]:
-                    y[out] = y.get(out, 0.0) + m[i] * v
-            x = y
-        cols.append([x.get(k, 0.0) for k in order])
-    return [list(row) for row in zip(*cols)]
+        for i1, s1, i2, s2, k2, u2 in passes:
+            x = [0.0 + m[i] * x[s] for i, s in zip(i1, s1)] + [
+                0.0 + m[i] * x[s] + m[k] * x[u] for i, s, k, u in zip(i2, s2, k2, u2)]
+    x.append(0.0)
+    flat = [x[p] for p in readouts[shift]]
+    return [flat[r:r + 27] for r in range(0, 729, 27)]
 
 
 def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement, JordanElement]:
@@ -796,7 +796,7 @@ def apply_dual(label: GeneratorLabel, chi: JordanElement) -> tuple[JordanElement
     shift, stages = _kernel(label)
     x = [*(_ROTATE[shift](chi.coords) if shift else chi.coords), 0]
     d = [0] * len(x)
-    for _, _, _, left, right, stage, _ in stages:
+    for _, _, _, left, right, stage in stages:
         value, twice = stage.at_zero()
         m = value + [-v for v in value] + [1, -1]
         dm = twice + [-v for v in twice] + [0, 0]

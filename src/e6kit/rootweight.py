@@ -9,6 +9,11 @@ The root system of each diagram is built once per process and kept for up
 to 128 diagrams: about 65 KiB for the 15 diagrams of the float-stream
 benchmark, 20.8 MiB for all 95 that diagram() names (tracemalloc, Python
 3.11).  root_system returns a new list of the cached roots on each call.
+Each weight diagram is built once per diagram and highest marks, and
+weights_from_highest returns new lists of its cached weights and edges; the
+cache drops its least recently used diagrams past MAX_WEIGHTS weights in all
+(646 KiB for the 23 (diagram, marks) inputs of the float-stream benchmark,
+1 890 weights, tracemalloc).
 
 Geometry helpers: slicing a diagram into parallel hyperplane levels,
 projecting along a direction (Gram-Schmidt, drop the first coordinate),
@@ -21,6 +26,8 @@ import functools
 import heapq
 import itertools
 import math
+from array import array
+from collections import OrderedDict
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -250,6 +257,13 @@ def _mark_coords(d: DynkinDiagram):
     return coords
 
 
+# The weight diagrams built so far, least recently used first: by (diagram,
+# highest marks), (weights, their marks, edges as a flat array of index
+# triples (from, to, simple root) into them).  It holds at most MAX_WEIGHTS
+# weights in all.
+_WEIGHT_DIAGRAMS: OrderedDict = OrderedDict()
+
+
 def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
     """All weights reached by mark subtraction from the highest mark.
 
@@ -258,7 +272,10 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
     alpha_j above): every edge appears once.  ValueError unless there is one
     mark per node, each a non-negative integer, and for a diagram past
     MAX_WEIGHTS as soon as it gets there; cartan_matrix, called first, refuses a
-    malformed diagram before the _mark_coords cache is asked.
+    malformed diagram before any cache is asked.
+
+    Built once per diagram and marks (1.0 and True count as 1); each call
+    gets new lists of the cached weights and edges.
     """
     a = cartan_matrix(d)
     n = d.rank
@@ -273,6 +290,27 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
         raise ValueError(f"highest-weight marks must be integers, got {list(marks)}")
     if any(x < 0 for x in highest):
         raise ValueError(f"highest-weight marks must be non-negative, got {list(highest)}")
+    key = (d, highest)
+    cached = _WEIGHT_DIAGRAMS.get(key)
+    if cached is None:
+        cached = _WEIGHT_DIAGRAMS[key] = _weight_diagram(d, a, highest)
+        held = sum(len(weights) for weights, _, _ in _WEIGHT_DIAGRAMS.values())
+        while held > MAX_WEIGHTS:
+            held -= len(_WEIGHT_DIAGRAMS.popitem(last=False)[1][0])
+    elif len(cached[0]) > MAX_WEIGHTS:    # built under a larger bound
+        del _WEIGHT_DIAGRAMS[key]
+        raise ValueError(f"the diagram of {list(highest)} has more than {MAX_WEIGHTS} weights")
+    else:
+        _WEIGHT_DIAGRAMS.move_to_end(key)
+    weights, sorted_marks, triples = cached
+    at = iter(triples)
+    edges = [(sorted_marks[i], sorted_marks[k], j) for i, k, j in zip(at, at, at)]
+    return WeightDiagram(d, highest, list(weights), edges)
+
+
+def _weight_diagram(d: DynkinDiagram, a: list, highest: tuple) -> tuple:
+    """The walk of weights_from_highest, as kept in _WEIGHT_DIAGRAMS."""
+    n = d.rank
     seen = {highest}
     queue = [(0, highest)]  # (simple roots below the highest, mark)
     edges = []
@@ -293,8 +331,10 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
                     heapq.heappush(queue, (step, new))
                 cur = new
     coords = _mark_coords(d)
-    weights = [Weight(m, coords(m)) for m in sorted(seen)]
-    return WeightDiagram(d, highest, weights, edges)
+    marks = tuple(sorted(seen))
+    index = {mark: i for i, mark in enumerate(marks)}
+    triples = array("I", [v for cur, new, j in edges for v in (index[cur], index[new], j)])
+    return tuple(Weight(m, coords(m)) for m in marks), marks, triples
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +404,12 @@ def slice_diagram(points: list, normal: tuple, roots: Optional[list] = None):
 
     Returns (slices sorted by level, struts).  Struts are pairs of points in
     different levels whose difference is a root (only when roots given).
-    A zero normal, or one of another dimension than the points, raises ValueError.
+    A zero normal, or a normal or root of another dimension than the points,
+    raises ValueError.
     """
     nn = _direction_norm(normal, "normal", points)
+    if roots is not None and any(len(r) != len(normal) for r in roots):
+        raise ValueError(f"the roots are not all of the points' dimension {len(normal)}")
     unit = tuple(x / nn for x in normal)
     buckets: dict = {}
     for p in points:

@@ -185,7 +185,7 @@ def test_kernels_are_compiled_for_type_1_labels_only():
             "types = collections.Counter(label.type_index for label in kernels)\n"
             "print(len(kernels), sorted(types.items()))\n"
             "print(len(group._CHAINS), len(group._STAGE_TABLES), len(group._TABLES))\n"
-            "tables = {id(t) for left, rights, _ in group._TABLES for t in (left, *rights)}\n"
+            "tables = {id(t) for left, rights in group._TABLES for t in (left, *rights)}\n"
             "used = {id(t) for _, stages in kernels.values() for s in stages for t in s[3:5]}\n"
             "print(used == tables)\n"
             "def trim(stages):\n"
@@ -256,22 +256,20 @@ def test_action_matrix_raises_where_apply_overflows(alpha):
                 action_matrix(label, alpha)
 
 
-def test_action_matrix_builds_source_tables_once_per_gather_table():
+def test_action_matrix_builds_one_column_plan_per_chain():
     """In a fresh interpreter: nothing is built at import; then, for all 135
-    labels, one source-side form per half-step table, no apply call, no new
-    table, and at most 1.5 MiB kept by the kernels and the forms together.
+    labels, one column plan per type-1 chain (45), no apply call, no new
+    table, and at most 911 KiB kept by the kernels and the plans together.
 
-    The kernels hold 44 table pairs: 14 of stages that some sequence
-    continues after, and 30 of last stages, whose right table forms only the
-    27 read slots and whose left table only the slots that those read.  The
-    7 flip stages are folded into the left tables after them, so they add no
-    table and no form.  The tables are prezipped tuples, which the kept
-    memory includes (about 0.45 MiB, and 0.45 MiB of forms, on CPython 3.11).
+    The kernels hold 44 table pairs, as prezipped tuples (about 0.45 MiB).
+    The plans are compact index arrays, three 729-entry readouts per chain
+    among them: with them the kernels keep about 819 KiB on CPython 3.11,
+    where the source-side forms that the plans replaced kept 911 KiB.
     """
     code = ("import gc, tracemalloc\n"
             "from e6kit import group\n"
-            "print(len(group._SOURCES), len(group._PAIRS), len(group._TABLES), len(group._KERNELS))\n"
-            "calls = {'apply': 0, '_sources': 0, '_signed_permutation': 0, '_table_pair': 0}\n"
+            "print(len(group._PLANS), len(group._TABLES), len(group._KERNELS))\n"
+            "calls = {'apply': 0, '_plan': 0, '_signed_permutation': 0, '_table_pair': 0}\n"
             "def counted(name):\n"
             "    f = getattr(group, name)\n"
             "    def wrapper(*args):\n"
@@ -289,11 +287,12 @@ def test_action_matrix_builds_source_tables_once_per_gather_table():
             "    group.action_matrix(label, 0.7)\n"
             "gc.collect()\n"
             "kept = tracemalloc.get_traced_memory()[0]\n"
-            "print(calls, len(group._SOURCES), len(group._TABLES))\n"
-            "print(kept <= 1536 * 1024, kept)\n")
+            "print(calls, len(group._PLANS), {label.type_index for label in group._PLANS},\n"
+            "      len(group._TABLES))\n"
+            "print(kept <= 911 * 1024, kept)\n")
     lines = _run_fresh(code).splitlines()
-    assert lines[:2] == ["0 0 0 0", "{'apply': 0, '_sources': 88, '_signed_permutation': 0, "
-                                    "'_table_pair': 0} 44 44"]
+    assert lines[:2] == ["0 0 0", "{'apply': 0, '_plan': 45, '_signed_permutation': 0, "
+                                  "'_table_pair': 0} 45 {1} 44"]
     assert lines[2].startswith("True "), lines[2]
 
 
@@ -325,7 +324,7 @@ def test_constant_stages_compile_to_signed_permutations():
             "units = {key[0] for key in group._STAGE_TABLES}\n"
             "kept = [group._parts(f)[3] in units for f in flips]\n"
             "print(len(flips), const, all(moved), any(kept))\n"
-            "print(any(group._is_constant(s[5]) for s in stages), all(len(s) == 7 for s in stages),\n"
+            "print(any(group._is_constant(s[5]) for s in stages), all(len(s) == 6 for s in stages),\n"
             "      sorted(collections.Counter(len(c[0]) for c in group._CHAINS.values()).items()))\n"
             "calls = []\n"
             "for name in ('_signed_permutation', '_fold', '_table_pair'):\n"
@@ -519,7 +518,7 @@ def _product_stages(label):
 
 def _stage_slots(entry, float_alpha):
     """The float slots of a kernel entry at alpha, and its int slots of apply_dual."""
-    template, terms, slots, _, _, stage, _ = entry
+    template, terms, slots, _, _, stage = entry
     value = stage.at_zero()[0]
     return (group._stage_values(template, terms, slots, float_alpha),
             value + [-v for v in value] + [1, -1])

@@ -407,15 +407,20 @@ def test_malformed_diagram_is_refused_before_the_caches(bad, named_first):
     """ValueError whether or not the named diagram of the same name is cached."""
     rootweight._roots.cache_clear()
     rootweight._mark_coords.cache_clear()
+    rootweight._WEIGHT_DIAGRAMS.clear()
     named = diagram(bad.name)
+    first = (1,) + (0,) * (named.rank - 1)
     if named_first:
         root_system(named)
-        weights_from_highest(named, (1,) + (0,) * (named.rank - 1))
-    for build in (cartan_matrix, root_system,
-                  lambda d: weights_from_highest(d, (1,) + (0,) * (named.rank - 1))):
+        weights_from_highest(named, first)
+    for build in (cartan_matrix, root_system, lambda d: weights_from_highest(d, first)):
         with pytest.raises(ValueError):
             build(bad)
     assert root_system(named) == list(rootweight._roots(named))
+    assert list(rootweight._WEIGHT_DIAGRAMS) == ([(named, first)] if named_first else [])
+    marks, _, edges = _reference_weights(named, first)
+    wd = weights_from_highest(named, first)
+    assert [w.mark for w in wd.weights] == marks and set(wd.edges) == set(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +516,71 @@ def test_root_system_returns_a_new_list_of_the_cached_roots(name):
         assert {_key(r) for r in again} == set(reference)
         assert [_key(r) for r in again] == reference    # the float closure's order
         assert again == built
+
+
+@pytest.mark.parametrize("name,highest", [("A1", (1,)), ("B3", (0, 1, 1)), ("G2", (2, 1)),
+                                          ("E6", (0, 0, 0, 0, 0, 1))])
+def test_weights_from_highest_returns_new_lists_of_the_cached_diagram(name, highest):
+    """Each call gets its own weights and edges lists: clearing or extending
+    one changes no later result."""
+    d = diagram(name)
+    rootweight._WEIGHT_DIAGRAMS.clear()
+    built = weights_from_highest(d, highest)
+    again = weights_from_highest(d, highest)
+    assert again.weights is not built.weights and again.edges is not built.edges
+    marks, _, edges = _reference_weights(d, highest)
+    for mutate in (list.clear, lambda items: items.append(items[0])):
+        got = weights_from_highest(d, highest)
+        mutate(got.weights)
+        mutate(got.edges)
+        again = weights_from_highest(d, highest)
+        assert [w.mark for w in again.weights] == marks
+        assert again.weights == built.weights and again.edges == built.edges
+        assert len(again.edges) == len(set(again.edges)) and set(again.edges) == set(edges)
+
+
+def test_integral_float_and_bool_marks_share_the_integer_diagram():
+    """(1.0, 0) and (True, False) are (1, 0): one cache entry, the same diagram."""
+    d = diagram("A2")
+    rootweight._WEIGHT_DIAGRAMS.clear()
+    built = weights_from_highest(d, (1, 0))
+    for marks in ((1.0, 0), (True, False), [1, 0]):
+        wd = weights_from_highest(d, marks)
+        assert wd.highest == (1, 0) and [type(x) for x in wd.highest] == [int, int]
+        assert wd.weights == built.weights and wd.edges == built.edges
+    assert list(rootweight._WEIGHT_DIAGRAMS) == [(d, (1, 0))]
+
+
+def test_weight_cache_holds_at_most_max_weights(monkeypatch):
+    """Each build drops the least recently used diagrams while the cache
+    holds more than MAX_WEIGHTS weights; every answer is the one built afresh."""
+    cases = [(diagram(name), highest) for name, highest in WEIGHT_CASES[:-1]]
+    rootweight._WEIGHT_DIAGRAMS.clear()
+    fresh = [weights_from_highest(d, highest) for d, highest in cases]
+    held = sum(len(wd.weights) for wd in fresh)
+    assert held == 1890 and len(rootweight._WEIGHT_DIAGRAMS) == len(cases)
+    monkeypatch.setattr(rootweight, "MAX_WEIGHTS", 300)
+    rootweight._WEIGHT_DIAGRAMS.clear()    # the bound is kept as each diagram is built
+    rng = random.Random(3)
+    used = []
+    for n in [rng.randrange(len(cases)) for _ in range(60)]:
+        wd = weights_from_highest(*cases[n])
+        assert wd.weights == fresh[n].weights and wd.edges == fresh[n].edges
+        used = [m for m in used if m != n] + [n]
+        kept = [len(w) for w, _, _ in rootweight._WEIGHT_DIAGRAMS.values()]
+        assert sum(kept) <= 300
+        assert list(rootweight._WEIGHT_DIAGRAMS) == [cases[m] for m in used[-len(kept):]]
+
+
+def test_slice_roots_of_another_dimension_raise():
+    """Roots of another dimension than the points are refused, not read as no struts."""
+    d = diagram("A2")
+    roots = root_system(d)
+    points = [w.coords for w in weights_from_highest(d, (1, 1)).weights]
+    assert len(slice_diagram(points, roots[0], roots=roots)[1]) == 12
+    for bad in ([r + (0.0,) for r in roots], [r[:1] for r in roots], roots + [(1.0, 0.0, 0.0)]):
+        with pytest.raises(ValueError, match="dimension"):
+            slice_diagram(points, roots[0], roots=bad)
 
 
 @pytest.mark.parametrize("name,highest", WEIGHT_CASES)
