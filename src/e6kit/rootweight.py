@@ -22,14 +22,16 @@ and a finite isometry search deciding diagram embeddings.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
 import math
+import sys
 from array import array
 from collections import OrderedDict
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .linalg import span_of
 
@@ -291,17 +293,15 @@ def weights_from_highest(d: DynkinDiagram, highest) -> WeightDiagram:
     if any(x < 0 for x in highest):
         raise ValueError(f"highest-weight marks must be non-negative, got {list(highest)}")
     key = (d, highest)
-    cached = _WEIGHT_DIAGRAMS.get(key)
-    if cached is None:
-        cached = _WEIGHT_DIAGRAMS[key] = _weight_diagram(d, a, highest)
+    cached = _WEIGHT_DIAGRAMS.pop(key, None)
+    try:
+        if cached is None or len(cached[0]) > MAX_WEIGHTS:    # the latter built under a larger bound
+            cached = _weight_diagram(d, a, highest)
+        _WEIGHT_DIAGRAMS[key] = cached    # the most recently used
+    finally:    # a lowered MAX_WEIGHTS holds from the next call on, whether it builds or raises
         held = sum(len(weights) for weights, _, _ in _WEIGHT_DIAGRAMS.values())
         while held > MAX_WEIGHTS:
             held -= len(_WEIGHT_DIAGRAMS.popitem(last=False)[1][0])
-    elif len(cached[0]) > MAX_WEIGHTS:    # built under a larger bound
-        del _WEIGHT_DIAGRAMS[key]
-        raise ValueError(f"the diagram of {list(highest)} has more than {MAX_WEIGHTS} weights")
-    else:
-        _WEIGHT_DIAGRAMS.move_to_end(key)
     weights, sorted_marks, triples = cached
     at = iter(triples)
     edges = [(sorted_marks[i], sorted_marks[k], j) for i, k, j in zip(at, at, at)]
@@ -399,17 +399,34 @@ def _direction_norm(direction: tuple, name: str, points: list) -> float:
     return nn
 
 
-def slice_diagram(points: list, normal: tuple, roots: Optional[list] = None):
-    """Bucket points by inner product with the (normalized) normal.
+def slice_diagram(points: Iterable, normal: Iterable, roots: Optional[Iterable] = None):
+    """Bucket points by inner product with the (normalized) normal u.
 
-    Returns (slices sorted by level, struts).  Struts are pairs of points in
-    different levels whose difference is a root (only when roots given).
-    A zero normal, or a normal or root of another dimension than the points,
-    raises ValueError.
+    Returns (slices sorted by level, struts).  Struts are pairs (p, q) of
+    points in different levels whose difference is a root, _key(p - q) in
+    the roots' keys (only when roots given), in order: slice pairs as
+    itertools.combinations gives them, then p in the first slice's order,
+    then q in the second's.  A zero normal, or a normal or root of another
+    dimension than the points, raises ValueError.  points and roots may be
+    any iterables; each is read once.
+
+    Only slice pairs that a root can join are searched: (s1, s2) is skipped
+    unless some root r has |s1.level - s2.level - r.u| <= slack.  The skip
+    misses no strut.  Keys equal to r's put every coordinate of p - q within
+    2e-7 of r's, so (p - q).u is within 2e-7 sqrt(n) of r.u in dimension n;
+    each level is within 1e-7 of its point's p.u; and the float dot products
+    and the subtraction err by at most 4 (n + 1) eps M for coordinates whose
+    absolute values sum to at most M per point or root.  slack is twice that
+    sum, 2 (2e-7 (1 + sqrt(n)) + 4 (n + 1) eps M).  With a level or a root's
+    level that is not finite, every pair is searched.
     """
+    points = list(points)
+    normal = tuple(normal)
     nn = _direction_norm(normal, "normal", points)
-    if roots is not None and any(len(r) != len(normal) for r in roots):
-        raise ValueError(f"the roots are not all of the points' dimension {len(normal)}")
+    if roots is not None:
+        roots = list(roots)
+        if any(len(r) != len(normal) for r in roots):
+            raise ValueError(f"the roots are not all of the points' dimension {len(normal)}")
     unit = tuple(x / nn for x in normal)
     buckets: dict = {}
     for p in points:
@@ -420,15 +437,35 @@ def slice_diagram(points: list, normal: tuple, roots: Optional[list] = None):
     struts = []
     if roots is not None:
         rkeys = {_key(r) for r in roots}
-        for s1, s2 in itertools.combinations(slices, 2):
-            for p in s1.vertices:
-                for q in s2.vertices:
+        for i, j in _joinable_pairs(points, slices, roots, unit):
+            for p in slices[i].vertices:
+                for q in slices[j].vertices:
                     if _key(tuple(a - b for a, b in zip(p, q))) in rkeys:
                         struts.append((p, q))
     return slices, struts
 
 
-def middle_slice(points: list, normal: tuple) -> list:
+def _joinable_pairs(points: list, slices: list, roots: list, unit: tuple):
+    """The index pairs i < j of slices, in order, whose level gap a root's
+    level r.u can match: the skip rule and slack of slice_diagram."""
+    levels = [s.level for s in slices]
+    rlevels = sorted({sum(a * b for a, b in zip(r, unit)) for r in roots})
+    if not all(map(math.isfinite, levels + rlevels)):
+        yield from itertools.combinations(range(len(slices)), 2)
+        return
+    n = len(unit)
+    big = max((sum(map(abs, v)) for v in itertools.chain(points, roots)), default=0.0)
+    slack = 2 * (2e-7 * (1 + math.sqrt(n)) + 4 * (n + 1) * sys.float_info.epsilon * big)
+    for i, level in enumerate(levels):
+        near = set()
+        for rl in rlevels:  # s2.level is near s1.level - r.u
+            lo = bisect.bisect_left(levels, level - rl - slack, i + 1)
+            near.update(range(lo, bisect.bisect_right(levels, level - rl + slack, lo)))
+        for j in sorted(near):
+            yield i, j
+
+
+def middle_slice(points: Iterable, normal: Iterable) -> list:
     slices, _ = slice_diagram(points, normal)
     for s in slices:
         if s.level == 0.0:
@@ -462,22 +499,24 @@ def _axes(dim: int) -> list:
     return [tuple(1.0 if i == k else 0.0 for i in range(dim)) for k in range(dim)]
 
 
-def orthogonal_direction(vectors: list) -> tuple:
+def orthogonal_direction(vectors: Iterable) -> tuple:
     """A float direction orthogonal to the given (independent) vectors; ValueError if none given."""
+    vectors = list(vectors)
     if not vectors:
         raise ValueError("no vectors: their dimension is unknown")
-    basis, _ = _orthonormalize(list(vectors) + _axes(len(vectors[0])), 1e-9)
+    basis, _ = _orthonormalize(vectors + _axes(len(vectors[0])), 1e-9)
     if len(basis) <= len(vectors):
         raise ValueError("no orthogonal direction: vectors span the space")
     return basis[len(vectors)]
 
 
-def project(points: list, direction: tuple) -> list:
+def project(points: Iterable, direction: Iterable) -> list:
     """Project along `direction`: orthonormalize with it first, drop coord 1.
 
     A zero direction raises ValueError (Gram-Schmidt would skip it and drop
     the first axis instead), and so does one of another dimension than the points.
     """
+    points = list(points)
     p = tuple(direction)
     _direction_norm(p, "direction", points)
     basis, _ = _orthonormalize([p] + _axes(len(p)), 1e-9)
@@ -494,7 +533,7 @@ def _near(got: float, want: float) -> bool:
     return abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
-def embed_check(points1: list, points2: list) -> bool:
+def embed_check(points1: Iterable, points2: Iterable) -> bool:
     """Is there a scaled isometry taking diagram 1 into diagram 2?
 
     The map must send every vertex of diagram 1 onto a vertex of diagram 2
@@ -516,7 +555,9 @@ def embed_check(points1: list, points2: list) -> bool:
       target order, so the surviving tuples come in the same order.
 
     Past SEARCH_BUDGET norm-matched candidates it raises SearchBudgetExceeded.
+    Either diagram may be any iterable of points; each is read once.
     """
+    points1, points2 = list(points1), list(points2)
     if not points1:
         return True
     if not points2:

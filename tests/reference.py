@@ -22,10 +22,14 @@ decodes.  The matrix bracket YX - XY on
 e6kit.algebra._flat_commutator; flat_matrix and nested_matrix carry a
 matrix to and from e6kit's flat layout {row * 27 + col: v}.  `embed_check` is the unpruned isometry
 search, trying every norm ratio as the scale and every target vertex at
-every level: the oracle of e6kit.rootweight.embed_check.
+every level: the oracle of e6kit.rootweight.embed_check.  `pairwise_struts`
+keys the difference of every pair of points in two different slices: the
+oracle of the struts of e6kit.rootweight.slice_diagram, which searches only
+the slice pairs that a root can join.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 from typing import Optional
@@ -35,7 +39,7 @@ from e6kit.algebra import tangent
 from e6kit.group import _KINDS, GeneratorLabel, build_sequence
 from e6kit.jordan import JordanElement, from_coords, to_coords
 from e6kit.rootweight import (ROUND, SEARCH_BUDGET, SearchBudgetExceeded, _key, _norm2,
-                              _orthonormalize)
+                              _orthonormalize, slice_diagram)
 from e6kit.units import DISPLAY, MULT_TABLE, UNIT_INDEX, UNITS, norm2
 
 # Padding zeros are the int 0: it adds to int, Fraction and float
@@ -612,3 +616,16 @@ def embed_check(points1: list, points2: list) -> bool:
                 if compatible(cand, scale2):
                     stack.append(cand)
     return False
+
+
+def pairwise_struts(points: list, normal: tuple, roots: list) -> list:
+    """The struts of slice_diagram(points, normal, roots), every slice pair searched."""
+    slices, _ = slice_diagram(points, normal)
+    struts = []
+    rkeys = {_key(r) for r in roots}
+    for s1, s2 in itertools.combinations(slices, 2):
+        for p in s1.vertices:
+            for q in s2.vertices:
+                if _key(tuple(a - b for a, b in zip(p, q))) in rkeys:
+                    struts.append((p, q))
+    return struts

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import random
 import struct
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 from reference import embed_check as unpruned_embed_check
+from reference import pairwise_struts
 
 from e6kit import cli, rootweight
 from e6kit.rootweight import (DynkinDiagram, SingularCartan, _key, cartan_matrix,
@@ -552,17 +554,17 @@ def test_integral_float_and_bool_marks_share_the_integer_diagram():
 
 
 def test_weight_cache_holds_at_most_max_weights(monkeypatch):
-    """Each build drops the least recently used diagrams while the cache
-    holds more than MAX_WEIGHTS weights; every answer is the one built afresh."""
+    """Each call, a hit too, drops the least recently used diagrams while the
+    cache holds more than MAX_WEIGHTS weights, so a lowered bound holds from
+    the first call after it; every answer is the one built afresh."""
     cases = [(diagram(name), highest) for name, highest in WEIGHT_CASES[:-1]]
     rootweight._WEIGHT_DIAGRAMS.clear()
     fresh = [weights_from_highest(d, highest) for d, highest in cases]
     held = sum(len(wd.weights) for wd in fresh)
     assert held == 1890 and len(rootweight._WEIGHT_DIAGRAMS) == len(cases)
     monkeypatch.setattr(rootweight, "MAX_WEIGHTS", 300)
-    rootweight._WEIGHT_DIAGRAMS.clear()    # the bound is kept as each diagram is built
     rng = random.Random(3)
-    used = []
+    used = list(range(len(cases)))    # the order they were built in
     for n in [rng.randrange(len(cases)) for _ in range(60)]:
         wd = weights_from_highest(*cases[n])
         assert wd.weights == fresh[n].weights and wd.edges == fresh[n].edges
@@ -581,6 +583,103 @@ def test_slice_roots_of_another_dimension_raise():
     for bad in ([r + (0.0,) for r in roots], [r[:1] for r in roots], roots + [(1.0, 0.0, 0.0)]):
         with pytest.raises(ValueError, match="dimension"):
             slice_diagram(points, roots[0], roots=bad)
+
+
+def test_lowered_weight_bound_holds_after_a_refused_call(monkeypatch):
+    """A cached diagram past a lowered MAX_WEIGHTS is refused, and the cache
+    is trimmed to the bound all the same."""
+    d = diagram("B4")
+    rootweight._WEIGHT_DIAGRAMS.clear()
+    built = [weights_from_highest(d, marks) for marks in ((1, 0, 0, 1), (0, 0, 0, 1), (1, 0, 1, 0))]
+    assert [len(wd.weights) for wd in built] == [80, 16, 233]
+    monkeypatch.setattr(rootweight, "MAX_WEIGHTS", 90)
+    with pytest.raises(ValueError, match="more than 90 weights"):
+        weights_from_highest(d, (1, 0, 1, 0))
+    assert list(rootweight._WEIGHT_DIAGRAMS) == [(d, (0, 0, 0, 1))]
+    assert weights_from_highest(d, (1, 0, 0, 1)).weights == built[0].weights
+
+
+def _jittered(points: list, rng: random.Random) -> list:
+    """A copy of the points, each coordinate moved by +-4e-8 or +-1e-7: onto
+    and across the 5e-8 rounding edges of _key."""
+    return [tuple(x + rng.choice((4e-8, -4e-8, 1e-7, -1e-7)) for x in p) for p in points]
+
+
+@pytest.mark.parametrize("name,highest", WEIGHT_CASES[:-1] + [("A2", (10, 10))])
+def test_struts_match_pairwise_search(name, highest):
+    """The struts, in order, are those of the search over every slice pair:
+    along root normals for every diagram; for those of up to 100 weights also
+    along random non-root normals, with jittered copies of the points, and
+    with no roots."""
+    d = diagram(name)
+    roots = root_system(d)
+    points = [w.coords for w in weights_from_highest(d, highest).weights]
+    cases = [(points, roots[0], roots), (points, roots[-1], roots)]
+    if len(points) <= 100:
+        rng = random.Random(len(points))
+        normals = [roots[len(roots) // 2]] + \
+            [tuple(rng.uniform(-1, 1) for _ in range(d.rank)) for _ in range(2)]
+        cases += [(points, normal, roots) for normal in normals]
+        cases += [(_jittered(points, rng), normal, roots) for normal in (roots[0], normals[1])]
+        cases.append((points, roots[0], []))
+    for pts, normal, rts in cases:
+        struts = slice_diagram(pts, normal, roots=rts)[1]
+        assert struts == pairwise_struts(pts, normal, rts)
+        assert rts or not struts
+
+
+def test_struts_with_nan_points_match_pairwise_search():
+    """A NaN level leaves the sorted levels out of order, so every slice pair
+    is searched: the struts are still those of the pairwise search."""
+    d = diagram("A2")
+    roots = root_system(d)
+    points = [w.coords for w in weights_from_highest(d, (1, 1)).weights]
+    rng = random.Random(2)
+    for _ in range(20):
+        pts = rng.sample(points, len(points))
+        for _ in range(2):
+            pts.insert(rng.randrange(len(pts) + 1), (math.nan, 0.0))
+        for normal in roots:
+            assert slice_diagram(pts, normal, roots=roots)[1] == pairwise_struts(pts, normal, roots)
+
+
+def test_struts_search_only_slices_a_root_can_join(monkeypatch):
+    """Along a root of A2 (20, 20), 81 slices, the search keys at most a
+    tenth of the differences that the search over every slice pair keys."""
+    d = diagram("A2")
+    roots = root_system(d)
+    points = [w.coords for w in weights_from_highest(d, (20, 20)).weights]
+    slices, _ = slice_diagram(points, roots[0])
+    pairwise = sum(len(s1.vertices) * len(s2.vertices)
+                   for s1, s2 in itertools.combinations(slices, 2))
+    assert (len(slices), pairwise) == (81, 783_560)
+    calls = []
+    monkeypatch.setattr(rootweight, "_key", lambda v: calls.append(v) or _key(v))
+    _, struts = slice_diagram(points, roots[0], roots=roots)
+    assert len(struts) == 3660
+    assert len(calls) <= (pairwise + len(roots)) // 10
+
+
+def test_iterators_give_the_answers_of_lists():
+    """points, roots, normals and directions are read once: an iterator or
+    a generator gives the answer of a list."""
+    d = diagram("A2")
+    roots = root_system(d)
+    points = [w.coords for w in weights_from_highest(d, (1, 1)).weights]
+    slices, struts = slice_diagram(points, roots[0], roots=roots)
+    assert (sum(len(s.vertices) for s in slices), len(struts)) == (7, 12)
+    b2, b3 = root_system(diagram("B2")), root_system(diagram("B3"))
+    mid = middle_slice(b3, min(b3, key=lambda r: sum(x * x for x in r)))
+    assert embed_check(b2, mid)
+    for once in (iter, lambda items: (x for x in items)):
+        got_slices, got_struts = slice_diagram(once(points), once(roots[0]), roots=once(roots))
+        assert [(s.level, s.vertices) for s in got_slices] == \
+            [(s.level, s.vertices) for s in slices]
+        assert got_struts == struts
+        assert middle_slice(once(points), roots[0]) == middle_slice(points, roots[0])
+        assert project(once(points), once(roots[0])) == project(points, roots[0])
+        assert embed_check(once(b2), once(mid)) and not embed_check(once(b3), once(mid))
+        assert orthogonal_direction(once(roots[:1])) == orthogonal_direction(roots[:1])
 
 
 @pytest.mark.parametrize("name,highest", WEIGHT_CASES)
@@ -617,7 +716,8 @@ def test_roots_output_golden_hash():
 
 # the normals each WEIGHT_CASES diagram is sliced along: roots at these positions;
 # struts are pinned for diagrams of up to GOLDEN_STRUT_POINTS weights, as their
-# search is quadratic (A2 (20, 20), 1 261 weights, would take 5 s on a 2-vCPU Xeon)
+# search is quadratic in the points of slices a root can join (A2 (20, 20),
+# 1 261 weights, would take 0.2 s on a 2-vCPU Xeon)
 GOLDEN_NORMALS = (0, -1)
 GOLDEN_STRUT_POINTS = 300
 ROOTWEIGHT_SHA256 = "f4bd7df9f6cc8acbdbb244849326b08d06ad1e97779e48687e1b33df17a35ba2"
