@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import groupby
+from itertools import compress, groupby
 from operator import add, itemgetter
 from typing import NamedTuple, Optional
 
@@ -711,46 +711,83 @@ def apply(label: GeneratorLabel, alpha: float, chi: JordanElement) -> JordanElem
 # starts from +0.0, so no zero is negative.
 
 _PLANS: dict[GeneratorLabel, tuple] = {}    # by type-1 label
+_ALL_COLUMNS = (1 << 27) - 1
 
 
 def _plan(label: GeneratorLabel) -> tuple:
     """(per stage: template, terms, slots and two passes; readout per shift).
 
-    A pass is six array('H') index columns into the stage values m and x, the
-    previous pass's outputs: m slot and source of one-product outputs, then m,
-    source, m, source of two-product ones.  A readout lists the 729 entries,
-    row by row, as positions in the last x, with a 0.0 appended.  In the walk,
-    key c << 8 | p is position p of column c (every p is below 256)."""
-    from array import array    # imported here: every CLI verb imports group, none builds a plan
-    stages, walked, reach = _chains(label)[0], [], [257 * c for c in range(27)]
-    for n_x, (*_, left, right, _) in zip((28, _NEG, _NEG), stages):    # [*coords, 0], 72
-        for (ones, twos, gather), n_in in ((left, n_x), (right, len(left[0] + left[1]) + n_x)):
-            products = [((i, j),) for i, j in ones] + [((i, j), (k, l)) for i, j, k, l in twos]
-            products = (gather or tuple)(products + [((_COPY, j),) for j in range(n_in)])
-            feeds = [[] for _ in range(n_in)]    # per input: (output, which product, m slot)
-            for out, terms in enumerate(products):
-                for k, (i, j) in enumerate(terms):
-                    feeds[j].append((out, k, i))
-            walked.append({})    # {output key: [(which product, m slot, input key)]}
-            for key in reach:
-                for out, k, i in feeds[key & 255]:
-                    walked[-1].setdefault(key & ~255 | out, []).append((k, i, key))
-            reach = walked[-1]
-    for n in range(len(walked) - 1, -1, -1):    # what the readout reads, then what that reads
-        walked[n] = [(key, sorted(got)) for key, got in walked[n].items() if key in reach]
-        reach = {source for _, got in walked[n] for _, _, source in got}
-    at, passes = {257 * c: c for c in range(27)}, []
-    for entries in walked:    # products in the order of `apply`, as index columns
-        flat = [(key, [v for _, i, source in got for v in (i, at[source])]) for key, got in entries]
-        split = [[e for e in flat if len(e[1]) == n] for n in (2, 4)]    # no table entry has more
-        passes.append(tuple(array("H", column) for part, n in zip(split, (2, 4))
-                            for column in (list(zip(*(f for _, f in part))) or [()] * n)))
-        at = {key: n for n, (key, _) in enumerate(split[0] + split[1])}
-    flat = [at.get(c << 8 | r, len(at)) for r in range(27) for c in range(27)]    # type-1 order
-    readouts = tuple(array("H", [v for r in order for v in pick(flat[27 * r:27 * r + 27])])
-                     for order, pick in zip(_ORDERS, _READOUTS))
+    A pass is six bytes index columns into the stage values m and x, the
+    previous pass's outputs: m slot and source of one-product outputs, then
+    m, source, m, source of two-product ones.  A readout lists the 729
+    entries, row by row, as positions in the last x, with a 0.0 appended.
+    Every index is below 256 (a pass forms at most 55 outputs), else bytes
+    raises ValueError.
+
+    The walk keeps, per half-step and position, a bitmask of the columns
+    that reach it (forward) and of those read there later, by the next
+    half-step or the readout (backward); a pass forms the outputs in both.
+    Position p of column c is at[27 * p + c] in its pass's outputs.
+    """
+    stages, steps, reach = _chains(label)[0], [], [[1 << c for c in range(27)] + [0]]
+    for *_, left, right, _ in stages:    # x = [*coords, 0], then 72 or 27 values
+        for ones, twos, gather in (left, right):
+            into = reach[-1]
+            raw = [into[j] for _, j in ones] + [into[j] | into[l] for _, j, _, l in twos] + [*into]
+            picks = gather(range(len(raw))) if gather else range(len(raw))    # output -> raw
+            steps.append((ones, twos, picks))
+            reach.append(gather(raw) if gather else raw)
+    live, need = [], [_ALL_COLUMNS] * 27    # the readout reads each column's 27 outputs
+    for n in range(len(steps) - 1, -1, -1):
+        (ones, twos, picks), masks = steps[n], [r & d for r, d in zip(reach[n + 1], need)]
+        n1, n12, need = len(ones), len(ones) + len(twos), [0] * len(reach[n])
+        for p in compress(range(len(masks)), masks):
+            q, mask = picks[p], masks[p]
+            if q < n1:
+                need[ones[q][1]] |= mask
+            elif q < n12:
+                _, j, _, l = twos[q - n1]
+                need[j] |= mask
+                need[l] |= mask
+            else:    # a copy
+                need[q - n12] |= mask
+        live.append(masks)
+    at, passes = {28 * c: c for c in range(27)}, []    # column c's basis entry
+    for (ones, twos, picks), into, masks in zip(steps, reach, live[::-1]):
+        n1, n12 = len(ones), len(ones) + len(twos)
+        one, two = [], []    # per formed output: (27 * p + c, m slot, source[, m slot, source])
+        for p in compress(range(len(masks)), masks):
+            q, mask = picks[p], masks[p]
+            if n1 <= q < n12:
+                i, j, k, l = twos[q - n1]
+                both = mask & into[j] & into[l]
+                mask ^= both
+                while both:
+                    c = (both & -both).bit_length() - 1
+                    two.append((27 * p + c, i, at[27 * j + c], k, at[27 * l + c]))
+                    both &= both - 1
+                terms = ((i, j), (k, l))
+            else:
+                terms = (ones[q] if q < n1 else (_COPY, q - n12),)
+            for i, j in terms:
+                reached = mask & into[j]
+                while reached:
+                    c = (reached & -reached).bit_length() - 1
+                    one.append((27 * p + c, i, at[27 * j + c]))
+                    reached &= reached - 1
+        formed = [key for key, *_ in one + two]
+        at = dict(zip(formed, range(len(formed))))
+        passes.append(tuple(bytes(column) for part, width in ((one, 3), (two, 5))
+                            for column in (list(zip(*part)) or [()] * width)[1:]))
+    readouts = []
+    for shift in range(3):    # type-1 entry (p, c) is entry (inverse[p], inverse[c]) of the type
+        inverse, readout = _rotation(shift), [len(formed)] * 729
+        for n, key in enumerate(formed):
+            p, c = divmod(key, 27)
+            readout[27 * inverse[p] + inverse[c]] = n
+        readouts.append(bytes(readout))
     return _PLANS.setdefault(label, (tuple((*stage[:3], *passes[2 * n:2 * n + 2])
-                                           for n, stage in enumerate(stages)), readouts))
+                                           for n, stage in enumerate(stages)), tuple(readouts)))
 
 
 def action_matrix(label: GeneratorLabel, alpha: float) -> list[list[float]]:

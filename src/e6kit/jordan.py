@@ -71,6 +71,48 @@ def _conj_product_unit(a: tuple, b: tuple, terms: tuple):
     return a[0] * 0 if w is None else w
 
 
+def _loop_det(v: tuple):
+    """det of the coordinates v, skipping zero factors: the body of det for
+    every input but finite floats with a nonzero det (see det)."""
+    p, m, n, a, b, c = v[0], v[1], v[2], v[_A], v[_B], v[_C]
+    re = None
+    for cu, terms in zip(c, _CONJ_PRODUCT):
+        if cu:
+            wu = _conj_product_unit(a, b, terms)
+            if wu:
+                re = wu * cu if re is None else re + wu * cu
+    if re is None:
+        re = _conj_product_unit(a, b, _CONJ_PRODUCT[0]) * 0
+    return p * m * n - (p * norm2(b) + m * norm2(c) + n * norm2(a)) + 2 * re
+
+
+_straight_det = None    # det's straight-line body, compiled by the first det call on floats
+
+
+def _build_straight_det():
+    """Compile det's straight-line body from _CONJ_PRODUCT, and keep it.
+
+    Each unit of conj(a) conj(b) is one expression of its 8 terms in the
+    table's order and signs (a negated term is -(a_u * b_v)), the units are
+    dotted with c left to right, and each norm is 0 + x0 * x0 + ... + x7 * x7,
+    as norm2 sums it.
+    """
+    global _straight_det
+    dot = " + ".join("(%s) * c%d" % ("".join("%s(a%d * b%d)" % ("+-"[neg], u, v)
+                                             for u, v, neg in terms).lstrip("+"), w)
+                     for w, terms in enumerate(_CONJ_PRODUCT))
+    norm = "(0" + "".join(" + {0}%d * {0}%d" % (k, k) for k in range(8)) + ")"
+    names = ", ".join(x + str(k) for x in "abc" for k in range(8))
+    namespace = {}
+    exec("def det(v):\n    p, m, n, %s = v\n    return p * m * n - (p * %s + m * %s + n * %s)"
+         " + 2 * (%s)" % (names, *map(norm.format, "bca"), dot), namespace)
+    _straight_det = namespace["det"]
+    return _straight_det
+
+
+_FLOATS = [float] * 27
+
+
 def det(x: JordanElement):
     """det chi = pmn - (p|b|^2 + m|c|^2 + n|a|^2) + 2 Re(conj(a) conj(b) conj(c)).
 
@@ -83,18 +125,24 @@ def det(x: JordanElement):
     and floats its bits up to the sign of a nan: the table negates a
     product where the two-product form negates a factor, and the two differ
     when the other factor is a nan.
+
+    When every coordinate is a float, a straight-line body (built on the
+    first such call) does the same operations without skipping zero
+    products, and its result is returned when it is finite and nonzero.
+    It then has the bits of the loop: a +-0 product added to a nonzero
+    finite partial sum leaves it unchanged, a zero partial sum turns into
+    the next nonzero term exactly, and a finite result rules out an inf or
+    nan anywhere, so an inf * 0 too.  Otherwise the loop runs, which keeps
+    the sign of a zero det and the inf and nan results.  Other coordinate
+    types always run the loop: a float zero product added to an exact
+    partial sum would round it to a float early.
     """
     v = x.coords
-    p, m, n, a, b, c = v[0], v[1], v[2], v[_A], v[_B], v[_C]
-    re = None
-    for cu, terms in zip(c, _CONJ_PRODUCT):
-        if cu:
-            wu = _conj_product_unit(a, b, terms)
-            if wu:
-                re = wu * cu if re is None else re + wu * cu
-    if re is None:
-        re = _conj_product_unit(a, b, _CONJ_PRODUCT[0]) * 0
-    return p * m * n - (p * norm2(b) + m * norm2(c) + n * norm2(a)) + 2 * re
+    if [*map(type, v)] == _FLOATS:
+        d = (_straight_det or _build_straight_det())(v)
+        if d and d - d == 0:    # nonzero and finite
+            return d
+    return _loop_det(v)
 
 
 def to_coords(x: JordanElement) -> list:

@@ -97,7 +97,7 @@ def _verify_det(out, args) -> int:
             for chi, det_before in chis:
                 moved = group.apply(label, alpha, chi)
                 det_after = float(jordan.det(moved))
-                if abs(det_after - det_before) > args.tol:
+                if not abs(det_after - det_before) <= args.tol:    # a nan fails too
                     out.write(f"FAILED: det drift {abs(det_after - det_before):.3e}"
                               f" for {group.format_label(label)} at alpha={alpha}\n")
                     return 1

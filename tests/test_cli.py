@@ -119,6 +119,14 @@ def test_verify_det_reports_drift(monkeypatch, capsys):
     assert out.startswith("FAILED: det drift ") and out.endswith(" for B:t,z at alpha=0.3\n")
 
 
+def test_verify_det_fails_on_a_nan_det(monkeypatch, capsys):
+    """A nan det is no det preserved: the suite fails at the first label."""
+    from e6kit import cli, jordan
+    monkeypatch.setattr(jordan, "det", lambda x: float("nan"))
+    assert cli.run(["verify", "--suite", "det"]) == 1
+    assert capsys.readouterr().out == "FAILED: det drift nan for B:t,z at alpha=0.3\n"
+
+
 def test_table_json_schema_and_determinism():
     p1 = run_cli("table")
     p2 = run_cli("table")

@@ -256,15 +256,51 @@ def test_action_matrix_raises_where_apply_overflows(alpha):
                 action_matrix(label, alpha)
 
 
+def _walked_outputs(label: GeneratorLabel) -> list:
+    """Per pass of the label's column plan, (outputs of one product, of two),
+    from a walk of (column, position) sets: the outputs that a column reaches
+    and that a later pass or the readout reads, two-product where the column
+    reaches both inputs."""
+    steps, n_x = [], 28
+    for *_, left, right, _ in group._chains(label)[0]:
+        for ones, twos, gather in (left, right):
+            inputs = [(j,) for _, j in ones] + [(j, l) for _, j, _, l in twos]
+            inputs += [(j,) for j in range(n_x)]    # the copies
+            steps.append(list(gather(inputs)) if gather else inputs)
+            n_x = len(steps[-1])
+    reached = [{(c, c) for c in range(27)}]
+    for inputs in steps:
+        reached.append({(c, p) for p, ins in enumerate(inputs) for c in range(27)
+                        if any((c, j) in reached[-1] for j in ins)})
+    counts, read = [], {(c, p) for c in range(27) for p in range(27)}
+    for n in range(len(steps) - 1, -1, -1):
+        formed = reached[n + 1] & read
+        two = sum(all((c, j) in reached[n] for j in steps[n][p]) and len(steps[n][p]) == 2
+                  for c, p in formed)
+        counts.append((len(formed) - two, two))
+        read = {(c, j) for c, p in formed for j in steps[n][p]}
+    return counts[::-1]
+
+
+def test_column_plans_form_the_outputs_that_are_reached_and_read():
+    """Each pass of each of the 45 plans forms exactly the outputs of the
+    set walk, split the same way into sums of one and of two products."""
+    for label in all_labels()[:45]:
+        stages, _ = group._PLANS.get(label) or group._plan(label)
+        got = [(len(one), len(two)) for stage in stages for one, _, two, *_ in stage[3:]]
+        assert got == _walked_outputs(label), format_label(label)
+
+
 def test_action_matrix_builds_one_column_plan_per_chain():
     """In a fresh interpreter: nothing is built at import; then, for all 135
     labels, one column plan per type-1 chain (45), no apply call, no new
     table, and at most 911 KiB kept by the kernels and the plans together.
 
     The kernels hold 44 table pairs, as prezipped tuples (about 0.45 MiB).
-    The plans are compact index arrays, three 729-entry readouts per chain
-    among them: with them the kernels keep about 819 KiB on CPython 3.11,
-    where the source-side forms that the plans replaced kept 911 KiB.
+    The plans are compact bytes index columns, three 729-entry readouts per
+    chain among them: with them the kernels keep about 629 KiB on CPython
+    3.11 (819 KiB with array('H') columns), where the source-side forms that
+    the plans replaced kept 911 KiB.
     """
     code = ("import gc, tracemalloc\n"
             "from e6kit import group\n"

@@ -1,12 +1,18 @@
 """Exceptional Jordan algebra: determinant, trace forms, elements as values."""
 
+import math
+import os
+import random
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from e6kit import jordan
 from e6kit.jordan import det, from_coords, to_coords
 from reference import (Octonion, basis_element, det_trace_form, from_matrix, jordan_product,
                        matmul, sigma, to_matrix, trace, two_product_det, type_cycle)
@@ -178,3 +184,86 @@ def test_det_is_exact_as_two_products(coords):
     x = from_coords(coords)
     got, want = det(x), two_product_det(x)
     assert got == want and type(got) is type(want)
+
+
+def _loop_bits(x):
+    """det(x) against the loop's value: equal type, value and bits, any nan for a nan."""
+    got, want = det(x), jordan._loop_det(x.coords)
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert math.isnan(got) if math.isnan(want) else _bits(got) == _bits(want)
+    else:
+        assert got == want
+    return got
+
+
+def test_import_builds_no_straight_line_body():
+    """In a fresh interpreter: import compiles no straight-line det body,
+    an exact det does not either, and the first det on floats does."""
+    code = ("from e6kit import jordan\n"
+            "print(jordan._straight_det is None)\n"
+            "jordan.det(jordan.from_coords([1] * 27))\n"
+            "print(jordan._straight_det is None)\n"
+            "jordan.det(jordan.from_coords([0.5] * 27))\n"
+            "print(jordan._straight_det is None)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jordan.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True", "True", "False"]
+
+
+def test_dense_float_det_takes_the_straight_line_body(monkeypatch):
+    """A dense float chi with a nonzero det never reaches the loop's unit sums."""
+    rng = random.Random(40)
+    chis = [from_coords([rng.uniform(-3, 3) for _ in range(27)]) for _ in range(20)]
+    want = [two_product_det(x) for x in chis]
+
+    def refused(*args):
+        raise AssertionError("the loop ran")
+
+    monkeypatch.setattr(jordan, "_conj_product_unit", refused)
+    assert [_bits(det(x)) for x in chis] == [_bits(w) for w in want]
+
+
+def test_det_of_mixed_coordinate_types_is_the_loops():
+    """int, float and Fraction coordinates run the loop: the straight-line
+    body would add a float 0.0 (a6 * b2) to w_4 before -a7 * b3, turning the
+    exact -6/7 into a float before it meets c_4, and miss the loop's last bit."""
+    coords = [0] * 27
+    coords[9], coords[10], coords[14], coords[23] = 0.5, 3, Fraction(-2, 7), 3
+    x = from_coords(coords)
+    assert _loop_bits(x) == 36 / 7
+    assert jordan._build_straight_det()(x.coords) != 36 / 7
+    rng = random.Random(41)
+    for _ in range(200):
+        x = from_coords([rng.choice((0, 1, -2, 0.0, -0.0, 0.5, 1e17, Fraction(1, 3),
+                                     Fraction(-2, 7), 2 ** 60 + 1)) for _ in range(27)])
+        _loop_bits(x)
+
+
+@pytest.mark.parametrize("coords, sign", [
+    ([1.0, 0.0, 0.0] + [0.0] * 24, 1.0),                                      # diag(1, 0, 0)
+    ([-1.0, 0.0, 0.0, -0.0] + [0.0] * 23, -1.0),                              # -diag(1, 0, 0)
+    ([1.0, 4.0, 9.0, 2.0] + [0.0] * 7 + [6.0] + [0.0] * 7 + [3.0] + [0.0] * 7, 1.0),  # x x†
+], ids=["diag", "neg-diag", "outer"])
+def test_zero_det_keeps_the_loops_sign(coords, sign):
+    """A rank-one chi's det is an exact zero, whose sign the loop sets.
+
+    For -diag(1, 0, 0) with a_0 = -0.0 it is -0.0: with c = 0 the loop adds
+    2 (w_0 * 0) = -0.0, where the straight line adds w_0 c_0 + w_1 c_1 = +0.0.
+    """
+    x = from_coords(coords)
+    assert _loop_bits(x) == 0 and math.copysign(1.0, det(x)) == sign
+    assert _bits(jordan._build_straight_det()(x.coords)) == _bits(0.0)
+
+
+def test_overflowing_det_is_the_loops():
+    """Coordinates of +-1e308 overflow: the straight line meets inf * 0 where
+    the loop skips a zero factor, so the loop's inf is kept, as are its nans."""
+    x = from_coords([-1e308] + [0.0] * 6 + [-2.0] + [0.0] * 5 + [-1e308] + [0.0] * 13)
+    assert _loop_bits(x) == math.inf
+    assert math.isnan(jordan._build_straight_det()(x.coords))
+    rng = random.Random(42)
+    for _ in range(300):
+        _loop_bits(from_coords([rng.choice((1e308, -1e308, 1.0, -2.0)) if rng.random() < 0.2
+                                else rng.choice((0.0, -0.0)) for _ in range(27)]))
